@@ -1,0 +1,316 @@
+//! A small JSON value with a writer and a parser — the registry is
+//! unreachable, so there is no serde here. Objects keep insertion order
+//! so emitted files diff cleanly.
+
+use std::fmt::Write as _;
+
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    Null,
+    Bool(bool),
+    Num(f64),
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    pub fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    pub fn str(s: impl Into<String>) -> Json {
+        Json::Str(s.into())
+    }
+
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(a) => Some(a),
+            _ => None,
+        }
+    }
+
+    pub fn fields(&self) -> &[(String, Json)] {
+        match self {
+            Json::Obj(fields) => fields,
+            _ => &[],
+        }
+    }
+
+    /// Compact single-line rendering.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, None, 0);
+        out
+    }
+
+    /// Two-space indented rendering with a trailing newline.
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(2), 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+        let newline = |out: &mut String, depth: usize| {
+            if let Some(step) = indent {
+                out.push('\n');
+                out.extend(std::iter::repeat_n(' ', step * depth));
+            }
+        };
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            // Rust prints the shortest digits that round-trip, which is
+            // valid JSON for every finite value.
+            Json::Num(n) if n.is_finite() => write!(out, "{n}").expect("string write"),
+            Json::Num(_) => out.push_str("null"),
+            Json::Str(s) => write_str(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline(out, depth + 1);
+                    item.write(out, indent, depth + 1);
+                }
+                if !items.is_empty() {
+                    newline(out, depth);
+                }
+                out.push(']');
+            }
+            Json::Obj(fields) => {
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline(out, depth + 1);
+                    write_str(out, k);
+                    out.push_str(if indent.is_some() { ": " } else { ":" });
+                    v.write(out, indent, depth + 1);
+                }
+                if !fields.is_empty() {
+                    newline(out, depth);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    pub fn parse(text: &str) -> Result<Json, String> {
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let v = p.value()?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(format!("trailing data at byte {}", p.pos));
+        }
+        Ok(v)
+    }
+}
+
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).expect("string write"),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn skip_ws(&mut self) {
+        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_whitespace()) {
+            self.pos += 1;
+        }
+    }
+
+    fn eat(&mut self, lit: &str) -> bool {
+        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            true
+        } else {
+            false
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        self.skip_ws();
+        match self.bytes.get(self.pos) {
+            None => Err("unexpected end of input".into()),
+            Some(b'{') => {
+                self.pos += 1;
+                let mut fields = Vec::new();
+                self.skip_ws();
+                if self.eat("}") {
+                    return Ok(Json::Obj(fields));
+                }
+                loop {
+                    self.skip_ws();
+                    let key = self.string()?;
+                    self.skip_ws();
+                    if !self.eat(":") {
+                        return Err(format!("expected ':' at byte {}", self.pos));
+                    }
+                    fields.push((key, self.value()?));
+                    self.skip_ws();
+                    if self.eat("}") {
+                        return Ok(Json::Obj(fields));
+                    }
+                    if !self.eat(",") {
+                        return Err(format!("expected ',' or '}}' at byte {}", self.pos));
+                    }
+                }
+            }
+            Some(b'[') => {
+                self.pos += 1;
+                let mut items = Vec::new();
+                self.skip_ws();
+                if self.eat("]") {
+                    return Ok(Json::Arr(items));
+                }
+                loop {
+                    items.push(self.value()?);
+                    self.skip_ws();
+                    if self.eat("]") {
+                        return Ok(Json::Arr(items));
+                    }
+                    if !self.eat(",") {
+                        return Err(format!("expected ',' or ']' at byte {}", self.pos));
+                    }
+                }
+            }
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(_) if self.eat("true") => Ok(Json::Bool(true)),
+            Some(_) if self.eat("false") => Ok(Json::Bool(false)),
+            Some(_) if self.eat("null") => Ok(Json::Null),
+            Some(_) => {
+                let start = self.pos;
+                while self
+                    .bytes
+                    .get(self.pos)
+                    .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+                {
+                    self.pos += 1;
+                }
+                let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+                text.parse().map(Json::Num).map_err(|_| format!("bad number at byte {start}"))
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        if !self.eat("\"") {
+            return Err(format!("expected string at byte {}", self.pos));
+        }
+        let mut out = Vec::new();
+        loop {
+            let b = *self.bytes.get(self.pos).ok_or("unterminated string")?;
+            self.pos += 1;
+            match b {
+                b'"' => break,
+                b'\\' => {
+                    let esc = *self.bytes.get(self.pos).ok_or("unterminated escape")?;
+                    self.pos += 1;
+                    match esc {
+                        b'n' => out.push(b'\n'),
+                        b'r' => out.push(b'\r'),
+                        b't' => out.push(b'\t'),
+                        b'b' => out.push(8),
+                        b'f' => out.push(12),
+                        b'u' => {
+                            let hex = self
+                                .bytes
+                                .get(self.pos..self.pos + 4)
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or("bad \\u escape")?;
+                            self.pos += 4;
+                            let c = char::from_u32(hex).unwrap_or('\u{fffd}');
+                            out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+                        }
+                        other => out.push(other),
+                    }
+                }
+                other => out.push(other),
+            }
+        }
+        String::from_utf8(out).map_err(|_| "invalid utf-8 in string".into())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn round_trips_through_both_renderings() {
+        let v = Json::obj([
+            ("name", Json::str("a \"quoted\"\nline")),
+            ("n", Json::Num(1.2034)),
+            ("whole", Json::Num(1000.0)),
+            ("neg", Json::Num(-2.5e-7)),
+            ("ok", Json::Bool(true)),
+            ("none", Json::Null),
+            ("list", Json::Arr(vec![Json::Num(1.0), Json::Arr(vec![]), Json::obj::<&str>([])])),
+        ]);
+        assert_eq!(Json::parse(&v.render()).unwrap(), v);
+        assert_eq!(Json::parse(&v.pretty()).unwrap(), v);
+        assert!(!v.render().contains('\n'), "compact rendering is one line");
+        assert_eq!(v.get("whole").and_then(Json::as_f64), Some(1000.0));
+    }
+
+    #[test]
+    fn non_finite_numbers_render_as_null() {
+        assert_eq!(Json::Num(f64::NAN).render(), "null");
+    }
+
+    #[test]
+    fn malformed_input_is_an_error_not_a_panic() {
+        for bad in ["", "{", "{\"a\"}", "[1,", "\"open", "{\"a\":1}x", "tru", "[1 2]"] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
+        }
+    }
+}
