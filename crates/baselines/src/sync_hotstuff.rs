@@ -21,11 +21,12 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-use eesmr_core::message::signing_bytes;
+use eesmr_core::message::{block_ids_digest, signing_bytes};
 use eesmr_core::{
     AdaptiveBatcher, BatchPolicy, Block, BlockStore, CertifiedBlock, Command, Commands, Metrics,
     MsgKind, QuorumCert, TxPool, WorkloadSource,
 };
+use eesmr_crypto::sha256::Sha256;
 use eesmr_crypto::{Digest, Hashable, KeyPair, KeyStore, Signature};
 use eesmr_net::{
     Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId, TraceClass, TraceEventKind,
@@ -216,31 +217,23 @@ impl HsPayload {
                 None => Digest::of(b"hs-status-none"),
             },
             HsPayload::SyncRequest { want } => *want,
-            HsPayload::SyncResponse { blocks } => {
-                let mut h = Vec::new();
-                for b in blocks {
-                    h.extend_from_slice(b.id().as_bytes());
-                }
-                Digest::of(&h)
-            }
+            HsPayload::SyncResponse { blocks } => block_ids_digest(Sha256::new(), blocks),
             HsPayload::Forward { commands } => {
-                let mut h = Vec::from(&b"hs-fwd"[..]);
+                let mut h = Sha256::new();
+                h.update(b"hs-fwd");
                 for c in commands {
-                    h.extend_from_slice(&(c.len() as u64).to_le_bytes());
-                    h.extend_from_slice(c.bytes());
+                    c.encode_into(&mut h);
                 }
-                Digest::of(&h)
+                h.finalize()
             }
             HsPayload::Repair { from_height } => {
                 Digest::of_parts(&[b"hs-repair", &from_height.to_le_bytes()])
             }
             HsPayload::RepairReply { blocks, view } => {
-                let mut h = Vec::from(&b"hs-repair-reply"[..]);
-                h.extend_from_slice(&view.to_le_bytes());
-                for b in blocks {
-                    h.extend_from_slice(b.id().as_bytes());
-                }
-                Digest::of(&h)
+                let mut h = Sha256::new();
+                h.update(b"hs-repair-reply");
+                h.update(&view.to_le_bytes());
+                block_ids_digest(h, blocks)
             }
         }
     }

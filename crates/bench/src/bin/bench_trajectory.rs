@@ -10,10 +10,9 @@
 //!   root).
 //! * `bench_trajectory --check [FILE]` — measure, compare against the
 //!   baseline `FILE` (default: the newest `BENCH_*.json` here by its
-//!   `recorded_unix` stamp), and exit non-zero if Arc-spine event
-//!   throughput regressed by more than the tolerance (10%, or
-//!   `EESMR_BENCH_TOLERANCE`) or the Arc-vs-deep speedup fell below
-//!   1.5×.
+//!   `recorded_unix` stamp), and exit non-zero if event throughput
+//!   regressed by more than the tolerance (10%, or
+//!   `EESMR_BENCH_TOLERANCE`).
 //!
 //! `EESMR_QUICK=1` shrinks the storm budget and repetition count for
 //! the CI smoke run. Each cell is measured several times and the best
@@ -35,9 +34,6 @@ use eesmr_core::{Block, Command, Commands, Payload, SignedMsg};
 use eesmr_crypto::{KeyStore, SigScheme};
 use eesmr_metrics::{profile_reset, profile_snapshot, set_profiling, ProfPhase, ProfileSnapshot};
 use eesmr_net::{MetricsConfig, TraceLevel, WireCodec};
-
-/// The floor the acceptance bar sets for Arc-vs-deep speedup.
-const MIN_SPEEDUP: f64 = 1.5;
 
 fn quick() -> bool {
     std::env::var("EESMR_QUICK").is_ok_and(|v| v == "1")
@@ -120,7 +116,6 @@ struct Snapshot {
     recorded_unix: u64,
     quick: bool,
     arc_events_per_sec: f64,
-    deep_events_per_sec: f64,
     trace_all_events_per_sec: f64,
     metrics_on_events_per_sec: f64,
     codec_mb_per_sec: f64,
@@ -129,10 +124,6 @@ struct Snapshot {
 }
 
 impl Snapshot {
-    fn speedup(&self) -> f64 {
-        self.arc_events_per_sec / self.deep_events_per_sec
-    }
-
     /// Fractional slowdown of the headline cell with full tracing on:
     /// `(off - all) / off`. Negative values are scheduler noise.
     fn trace_overhead(&self) -> f64 {
@@ -153,8 +144,6 @@ impl Snapshot {
         out.push_str(&format!("  \"quick\": {},\n", self.quick));
         out.push_str("  \"headline\": {\n");
         out.push_str(&format!("    \"arc_events_per_sec\": {:.1},\n", self.arc_events_per_sec));
-        out.push_str(&format!("    \"deep_events_per_sec\": {:.1},\n", self.deep_events_per_sec));
-        out.push_str(&format!("    \"speedup\": {:.3},\n", self.speedup()));
         out.push_str(&format!(
             "    \"trace_off_events_per_sec\": {:.1},\n",
             self.arc_events_per_sec
@@ -189,14 +178,12 @@ impl Snapshot {
             .map(|(spec, eps, deliveries)| {
                 format!(
                     "    {{\"name\": \"{}\", \"n\": {}, \"commands\": {}, \"payload_bytes\": {}, \
-                     \"shards\": {}, \"deep_clone\": {}, \"deliveries\": {}, \
-                     \"events_per_sec\": {:.1}}}",
+                     \"shards\": {}, \"deliveries\": {}, \"events_per_sec\": {:.1}}}",
                     spec.label(),
                     spec.n,
                     spec.commands,
                     spec.payload_bytes,
                     spec.shards,
-                    spec.deep_clone,
                     deliveries,
                     eps
                 )
@@ -208,38 +195,28 @@ impl Snapshot {
     }
 }
 
-/// Runs the trajectory workload: the headline n = 128 cell in both
-/// spine modes, an Arc-spine shard sweep, and the headline cell with
-/// full tracing on (pricing the `eesmr-trace` hot path).
+/// Runs the trajectory workload: the headline n = 128 cell, a shard
+/// sweep, and the headline cell with full tracing on (pricing the
+/// `eesmr-trace` hot path).
 fn take_snapshot() -> Snapshot {
     let quick = quick();
     let (budget, reps) = if quick { (3, 2) } else { (6, 3) };
     let mut cells = Vec::new();
-    let mut arc_eps = 0.0;
-    let mut deep_eps = 0.0;
-    for deep_clone in [false, true] {
-        let spec = StormSpec { budget, ..StormSpec::headline(deep_clone) };
-        eprintln!("measuring {} (reps={reps})...", spec.label());
-        let (eps, deliveries) = measure(&spec, reps);
-        if deep_clone {
-            deep_eps = eps;
-        } else {
-            arc_eps = eps;
-        }
-        cells.push((spec, eps, deliveries));
-    }
+    let spec = StormSpec { budget, ..StormSpec::headline() };
+    eprintln!("measuring {} (reps={reps})...", spec.label());
+    let (arc_eps, deliveries) = measure(&spec, reps);
+    cells.push((spec, arc_eps, deliveries));
     for shards in [2usize, 4] {
-        let spec = StormSpec { budget, shards, ..StormSpec::headline(false) };
+        let spec = StormSpec { budget, shards, ..StormSpec::headline() };
         eprintln!("measuring {} (reps={reps})...", spec.label());
         let (eps, deliveries) = measure(&spec, reps);
         cells.push((spec, eps, deliveries));
     }
-    let traced_spec = StormSpec { budget, trace: TraceLevel::All, ..StormSpec::headline(false) };
+    let traced_spec = StormSpec { budget, trace: TraceLevel::All, ..StormSpec::headline() };
     eprintln!("measuring {} (reps={reps})...", traced_spec.label());
     let (trace_all_eps, deliveries) = measure(&traced_spec, reps);
     cells.push((traced_spec, trace_all_eps, deliveries));
-    let sampled_spec =
-        StormSpec { budget, metrics: MetricsConfig::on(), ..StormSpec::headline(false) };
+    let sampled_spec = StormSpec { budget, metrics: MetricsConfig::on(), ..StormSpec::headline() };
     eprintln!("measuring {} (reps={reps})...", sampled_spec.label());
     let (metrics_on_eps, deliveries) = measure(&sampled_spec, reps);
     cells.push((sampled_spec, metrics_on_eps, deliveries));
@@ -248,10 +225,10 @@ fn take_snapshot() -> Snapshot {
     // One extra self-profiled pass, excluded from every throughput
     // number above (the phase timers themselves cost a few percent):
     // it only feeds the `profile_pct` breakdown and the folded stacks.
-    eprintln!("profiling {}...", StormSpec::headline(false).label());
+    eprintln!("profiling {}...", StormSpec::headline().label());
     set_profiling(true);
     profile_reset();
-    run_storm(&StormSpec { budget, ..StormSpec::headline(false) });
+    run_storm(&StormSpec { budget, ..StormSpec::headline() });
     let profile = profile_snapshot();
     set_profiling(false);
     let recorded_unix =
@@ -261,7 +238,6 @@ fn take_snapshot() -> Snapshot {
         recorded_unix,
         quick,
         arc_events_per_sec: arc_eps,
-        deep_events_per_sec: deep_eps,
         trace_all_events_per_sec: trace_all_eps,
         metrics_on_events_per_sec: metrics_on_eps,
         codec_mb_per_sec,
@@ -327,16 +303,12 @@ fn check(baseline_path: Option<String>) -> i32 {
     // A shared runner can dip any single measurement well past the
     // tolerance; a true regression fails persistently. Debounce by
     // keeping the best of up to three snapshots.
-    let (mut best_eps, mut best_speedup, mut best_codec) = (0.0f64, 0.0f64, 0.0f64);
+    let (mut best_eps, mut best_codec) = (0.0f64, 0.0f64);
     for attempt in 1..=3 {
         let snap = take_snapshot();
         best_eps = best_eps.max(snap.arc_events_per_sec);
-        best_speedup = best_speedup.max(snap.speedup());
         best_codec = best_codec.max(snap.codec_mb_per_sec);
-        if best_eps >= floor
-            && best_speedup >= MIN_SPEEDUP
-            && codec_floor.is_none_or(|f| best_codec >= f)
-        {
+        if best_eps >= floor && codec_floor.is_none_or(|f| best_codec >= f) {
             break;
         }
         eprintln!("attempt {attempt} below the bar ({:.0} events/s); retrying", best_eps);
@@ -347,9 +319,6 @@ fn check(baseline_path: Option<String>) -> i32 {
         best_eps,
         floor,
         tolerance * 100.0
-    );
-    println!(
-        "spine speedup (arc vs deep-clone): {best_speedup:.2}x (required >= {MIN_SPEEDUP:.1}x)"
     );
     match (baseline_codec, codec_floor) {
         (Some(mb), Some(f)) => println!(
@@ -362,10 +331,6 @@ fn check(baseline_path: Option<String>) -> i32 {
     let mut status = 0;
     if best_eps < floor {
         eprintln!("FAIL: event throughput regressed more than {:.0}%", tolerance * 100.0);
-        status = 1;
-    }
-    if best_speedup < MIN_SPEEDUP {
-        eprintln!("FAIL: Arc spine no longer >= {MIN_SPEEDUP:.1}x over deep-clone baseline");
         status = 1;
     }
     if let Some(f) = codec_floor {
@@ -384,11 +349,9 @@ fn emit() -> i32 {
     let snap = take_snapshot();
     let path = format!("BENCH_{}.json", snap.sha);
     println!(
-        "arc: {:.0} events/s  deep-clone: {:.0} events/s  speedup: {:.2}x  \
-         trace-all: {:.0} events/s  trace overhead: {:.1}%  metrics overhead: {:.1}%",
+        "storm: {:.0} events/s  trace-all: {:.0} events/s  trace overhead: {:.1}%  \
+         metrics overhead: {:.1}%",
         snap.arc_events_per_sec,
-        snap.deep_events_per_sec,
-        snap.speedup(),
         snap.trace_all_events_per_sec,
         snap.trace_overhead() * 100.0,
         snap.metrics_overhead() * 100.0

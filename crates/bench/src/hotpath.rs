@@ -1,14 +1,7 @@
 //! The zero-copy message-spine hot-path harness: a broadcast storm whose
 //! messages carry real protocol payloads ([`Block`]s full of
 //! [`Command`]s), so every per-hop `msg.clone()` inside the simulator
-//! exercises the [`Commands`](eesmr_core::Commands) spine.
-//!
-//! With the Arc spine (the default) a hop clone is a refcount bump;
-//! with [`set_deep_clone_spine`] enabled each hop rebuilds every
-//! command — the pre-change semantics, kept as a measurable baseline.
-//! Both modes are observationally identical (asserted by
-//! [`StormResult::fingerprint`] and the byte-identity proptest), so the
-//! harness isolates allocation cost from behavior.
+//! exercises the shared [`Block`] handle (a refcount bump per hop).
 //!
 //! Shared between `benches/hotpath.rs` (criterion profile) and the
 //! `bench_trajectory` binary (the `BENCH_<short-sha>.json` emitter CI
@@ -16,7 +9,7 @@
 
 use std::time::Instant;
 
-use eesmr_core::{set_deep_clone_spine, Block, Command};
+use eesmr_core::{Block, Command};
 use eesmr_hypergraph::topology::ring_kcast;
 use eesmr_net::{
     Actor, Context, Message, MetricsConfig, NetConfig, NodeId, ShardedNet, SimDuration, TraceLevel,
@@ -87,8 +80,6 @@ pub struct StormSpec {
     pub budget: u64,
     /// Shard count for the sharded runtime.
     pub shards: usize,
-    /// Run with the deep-clone (pre-Arc) spine semantics.
-    pub deep_clone: bool,
     /// Structured-event trace level the runtime records at, so the
     /// trajectory can price tracing against the untraced hot path.
     pub trace: TraceLevel,
@@ -100,7 +91,7 @@ pub struct StormSpec {
 impl StormSpec {
     /// The acceptance-bar cell: an n = 128 broadcast storm with
     /// 16 commands per block.
-    pub fn headline(deep_clone: bool) -> StormSpec {
+    pub fn headline() -> StormSpec {
         StormSpec {
             n: 128,
             k: 4,
@@ -108,23 +99,16 @@ impl StormSpec {
             payload_bytes: 32,
             budget: 6,
             shards: 1,
-            deep_clone,
             trace: TraceLevel::Off,
             metrics: MetricsConfig::off(),
         }
     }
 
-    /// A short label naming the cell, e.g. `n128_c16_p32_s1_arc`
+    /// A short label naming the cell, e.g. `n128_c16_p32_s1`
     /// (`_tr<level>` marks traced cells, `_m` metrics-sampled ones).
     pub fn label(&self) -> String {
-        let mut label = format!(
-            "n{}_c{}_p{}_s{}_{}",
-            self.n,
-            self.commands,
-            self.payload_bytes,
-            self.shards,
-            if self.deep_clone { "deep" } else { "arc" }
-        );
+        let mut label =
+            format!("n{}_c{}_p{}_s{}", self.n, self.commands, self.payload_bytes, self.shards);
         if self.trace != TraceLevel::Off {
             label.push_str(&format!("_tr{}", self.trace.name()));
         }
@@ -156,15 +140,14 @@ impl StormResult {
     }
 
     /// The behavioral trace fingerprint: everything except timing.
-    /// Equal fingerprints across spine modes / shard counts mean the
-    /// runs were observationally identical.
+    /// Equal fingerprints across shard counts and observability levels
+    /// mean the runs were observationally identical.
     pub fn fingerprint(&self) -> (u64, u64, u64) {
         (self.deliveries, self.heard, self.commands_heard)
     }
 }
 
-/// Runs one storm cell and measures it. The deep-clone flag is global;
-/// it is restored to the Arc default before returning.
+/// Runs one storm cell and measures it.
 pub fn run_storm(spec: &StormSpec) -> StormResult {
     let payload: Vec<Command> =
         (0..spec.commands).map(|i| Command::synthetic(i as u64, spec.payload_bytes)).collect();
@@ -182,12 +165,10 @@ pub fn run_storm(spec: &StormSpec) -> StormResult {
     let mut cfg = NetConfig::ble(ring_kcast(spec.n, spec.k), 7);
     cfg.trace = spec.trace;
     cfg.metrics = spec.metrics;
-    set_deep_clone_spine(spec.deep_clone);
     let mut net = ShardedNet::new(cfg, actors, spec.shards);
     let started = Instant::now();
     net.run_for(SimDuration::from_millis(10_000));
     let elapsed_secs = started.elapsed().as_secs_f64();
-    set_deep_clone_spine(false);
     let (mut heard, mut commands_heard) = (0u64, 0u64);
     for id in 0..spec.n as NodeId {
         heard += net.actor(id).heard;
@@ -201,7 +182,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn storm_is_mode_shard_and_trace_invariant() {
+    fn storm_is_shard_and_trace_invariant() {
         let base = StormSpec {
             n: 12,
             k: 3,
@@ -209,16 +190,13 @@ mod tests {
             payload_bytes: 16,
             budget: 3,
             shards: 1,
-            deep_clone: false,
             trace: TraceLevel::Off,
             metrics: MetricsConfig::off(),
         };
         let arc = run_storm(&base);
-        let deep = run_storm(&StormSpec { deep_clone: true, ..base });
         let sharded = run_storm(&StormSpec { shards: 2, ..base });
         let traced = run_storm(&StormSpec { trace: TraceLevel::All, ..base });
         let sampled = run_storm(&StormSpec { metrics: MetricsConfig::on(), ..base });
-        assert_eq!(arc.fingerprint(), deep.fingerprint(), "spine mode changed behavior");
         assert_eq!(arc.fingerprint(), sharded.fingerprint(), "sharding changed behavior");
         assert_eq!(arc.fingerprint(), traced.fingerprint(), "tracing changed behavior");
         assert_eq!(arc.fingerprint(), sampled.fingerprint(), "metrics sampling changed behavior");

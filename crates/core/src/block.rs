@@ -8,9 +8,9 @@
 //! parent hash, leader signature; our wire sizes follow that layout.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use eesmr_crypto::digest::ByteSink;
 use eesmr_crypto::{Digest, Hashable};
 
 /// A client command (opaque request bytes).
@@ -58,37 +58,14 @@ impl Command {
 /// The 64-bit trace fingerprint of a digest (first 8 bytes,
 /// little-endian).
 pub fn fingerprint(d: &Digest) -> u64 {
-    let bytes: [u8; 8] = d.as_bytes()[..8].try_into().expect("digest has 32 bytes");
-    u64::from_le_bytes(bytes)
+    d.to_u64()
 }
 
 impl Hashable for Command {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: ByteSink>(&self, out: &mut S) {
         out.extend_from_slice(&(self.0.len() as u64).to_le_bytes());
         out.extend_from_slice(&self.0);
     }
-}
-
-/// When set, [`Commands::clone`] deep-copies every command instead of
-/// bumping the shared refcount — restoring the pre-Arc-spine clone
-/// semantics. The two modes are observationally identical (`Commands` is
-/// immutable, so sharing is invisible); only the cost differs. Benches
-/// use this to measure the zero-copy win against the old behaviour, and
-/// the determinism proptest uses it to assert reports are bit-identical
-/// under either mode.
-static DEEP_CLONE_SPINE: AtomicBool = AtomicBool::new(false);
-
-/// Switches [`Commands::clone`] between refcount bumps (`false`, the
-/// default) and per-command deep copies (`true`). Global and racy-by
-/// design: both modes produce identical simulation results, so a flip
-/// mid-run only perturbs allocation cost, never outcomes.
-pub fn set_deep_clone_spine(on: bool) {
-    DEEP_CLONE_SPINE.store(on, Ordering::SeqCst);
-}
-
-/// Whether deep-clone mode is currently on.
-pub fn deep_clone_spine() -> bool {
-    DEEP_CLONE_SPINE.load(Ordering::Relaxed)
 }
 
 /// An immutable, shared batch of [`Command`]s — the payload body carried
@@ -101,7 +78,7 @@ pub fn deep_clone_spine() -> bool {
 /// The batch is immutable after construction (no `&mut` access exists),
 /// which is what makes the sharing sound: every holder observes the same
 /// bytes forever, so digests, wire sizes, and flood keys are unaffected.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Commands(Arc<[Command]>);
 
 impl Commands {
@@ -118,16 +95,6 @@ impl Commands {
     /// Iterates over the commands.
     pub fn iter(&self) -> std::slice::Iter<'_, Command> {
         self.0.iter()
-    }
-}
-
-impl Clone for Commands {
-    fn clone(&self) -> Self {
-        if DEEP_CLONE_SPINE.load(Ordering::Relaxed) {
-            Commands(self.0.iter().cloned().collect())
-        } else {
-            Commands(Arc::clone(&self.0))
-        }
     }
 }
 
@@ -158,9 +125,24 @@ impl<'a> IntoIterator for &'a Commands {
     }
 }
 
-/// One block of the replicated log.
+/// One block of the replicated log: a cheap, immutable handle.
+///
+/// A clone is a refcount bump, so the block store, the proposal dedup
+/// table, queued network events and every in-flight copy of a message
+/// share one allocation per block. The fields are read through `Deref`
+/// (`block.height`, `block.payload`); nothing can write them, and the only
+/// constructors are [`Block::new`], [`Block::genesis`],
+/// [`Block::extending`] and the wire decoder — each of which derives the
+/// id from the content. That is what lets [`Block::id`] be a field read:
+/// the id is hashed once per block, and never taken from a peer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Block {
+pub struct Block(Arc<BlockInner>);
+
+/// The content of a [`Block`] (see there; reached through `Deref`).
+#[derive(Debug, PartialEq, Eq)]
+pub struct BlockInner {
+    /// Hash of the canonical encoding of the fields below.
+    id: Digest,
     /// Hash of the parent block ([`Digest::ZERO`] for genesis).
     pub parent: Digest,
     /// Distance from genesis.
@@ -173,33 +155,49 @@ pub struct Block {
     pub payload: Commands,
 }
 
+impl std::ops::Deref for Block {
+    type Target = BlockInner;
+    fn deref(&self) -> &BlockInner {
+        &self.0
+    }
+}
+
 impl Block {
+    /// A block with exactly this content; hashes it once for [`Block::id`].
+    pub fn new(
+        parent: Digest,
+        height: u64,
+        view: u64,
+        round: u64,
+        payload: impl Into<Commands>,
+    ) -> Self {
+        let mut inner =
+            BlockInner { id: Digest::ZERO, parent, height, view, round, payload: payload.into() };
+        inner.id = inner.digest();
+        Block(Arc::new(inner))
+    }
+
     /// The genesis block `G`.
     pub fn genesis() -> Self {
-        Block { parent: Digest::ZERO, height: 0, view: 0, round: 0, payload: Commands::default() }
+        Block::new(Digest::ZERO, 0, 0, 0, Commands::default())
     }
 
     /// Creates the proposal block extending `parent` (the `CreateProposal`
     /// helper of Algorithm 1).
     pub fn extending(parent: &Block, view: u64, round: u64, payload: impl Into<Commands>) -> Self {
-        Block {
-            parent: parent.id(),
-            height: parent.height + 1,
-            view,
-            round,
-            payload: payload.into(),
-        }
+        Block::new(parent.id(), parent.height + 1, view, round, payload)
     }
 
-    /// This block's identifier: the hash of its canonical encoding.
+    /// This block's identifier: the hash of its canonical encoding,
+    /// computed when the block was built.
     pub fn id(&self) -> Digest {
-        self.digest()
+        self.id
     }
 
     /// 64-bit trace fingerprint of this block's id (see
     /// [`fingerprint`]).
     pub fn fingerprint(&self) -> u64 {
-        fingerprint(&self.id())
+        fingerprint(&self.id)
     }
 
     /// Total payload bytes.
@@ -215,8 +213,9 @@ impl Block {
     }
 }
 
-impl Hashable for Block {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+/// The canonical encoding the id is the hash of (the id itself excluded).
+impl Hashable for BlockInner {
+    fn encode_into<S: ByteSink>(&self, out: &mut S) {
         out.extend_from_slice(b"block");
         out.extend_from_slice(self.parent.as_bytes());
         out.extend_from_slice(&self.height.to_le_bytes());
@@ -394,7 +393,7 @@ impl BlockStore {
             match self.blocks.get(&cur) {
                 Some(blk) if blk.height > low.height => cur = blk.parent,
                 Some(blk) => {
-                    return if blk.id() == low.id() {
+                    return if blk.id == low.id {
                         if high_is_a {
                             Lineage::Extends
                         } else {
@@ -551,13 +550,7 @@ mod tests {
 
         // A gap reads as Unknown, not Fork.
         let far = Block::extending(
-            &Block {
-                parent: Digest::of(b"?"),
-                height: 10,
-                view: 9,
-                round: 9,
-                payload: Commands::default(),
-            },
+            &Block::new(Digest::of(b"?"), 10, 9, 9, Commands::default()),
             9,
             10,
             vec![],
@@ -577,17 +570,12 @@ mod tests {
     }
 
     #[test]
-    fn commands_clone_is_shared_unless_deep_mode_is_on() {
-        let batch: Commands = vec![Command::synthetic(0, 16), Command::synthetic(1, 16)].into();
-        let shared = batch.clone();
-        assert_eq!(batch, shared);
-        assert!(std::ptr::eq(batch.as_ptr(), shared.as_ptr()), "arc clone shares the buffer");
-
-        set_deep_clone_spine(true);
-        let deep = batch.clone();
-        set_deep_clone_spine(false);
-        assert_eq!(batch, deep, "deep clones are observationally identical");
-        assert!(!std::ptr::eq(batch.as_ptr(), deep.as_ptr()), "deep clone copies the buffer");
+    fn clones_share_one_allocation() {
+        let b = Block::extending(&Block::genesis(), 1, 3, vec![Command::synthetic(0, 16)]);
+        let c = b.clone();
+        assert_eq!(b, c);
+        assert!(std::ptr::eq(&*b, &*c), "a block clone is a refcount bump");
+        assert!(std::ptr::eq(b.payload.as_ptr(), b.payload.clone().as_ptr()));
     }
 
     #[test]

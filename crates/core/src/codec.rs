@@ -80,13 +80,15 @@ impl WireCodec for Block {
     }
 
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Block {
-            parent: Digest::decode_from(r)?,
-            height: r.u64()?,
-            view: r.u64()?,
-            round: r.u64()?,
-            payload: Commands::decode_from(r)?,
-        })
+        // The id is not on the wire: `Block::new` derives it from the
+        // decoded content, so a peer cannot claim one.
+        Ok(Block::new(
+            Digest::decode_from(r)?,
+            r.u64()?,
+            r.u64()?,
+            r.u64()?,
+            Commands::decode_from(r)?,
+        ))
     }
 }
 

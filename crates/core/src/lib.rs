@@ -43,10 +43,7 @@ pub mod replica;
 pub mod txpool;
 mod view_change;
 
-pub use block::{
-    deep_clone_spine, set_deep_clone_spine, Block, BlockStore, ChainRelation, Command, Commands,
-    Lineage,
-};
+pub use block::{Block, BlockStore, ChainRelation, Command, Commands, Lineage};
 pub use broadcast::{build_bb_nodes, BbNode, BbOutput};
 pub use config::{BatchPolicy, Config, FaultMode, LeaderPolicy, Pacing};
 pub use message::{CertifiedBlock, MsgKind, Payload, QuorumCert, SignedBlock, SignedMsg, Status};

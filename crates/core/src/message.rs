@@ -8,6 +8,8 @@
 //! exact data (e.g. the certified block id), which is what the safety
 //! proofs in Appendix B rely on.
 
+use eesmr_crypto::digest::ByteSink;
+use eesmr_crypto::sha256::Sha256;
 use eesmr_crypto::{Digest, Hashable, KeyPair, KeyStore, Signature};
 use eesmr_net::NodeId;
 
@@ -79,12 +81,21 @@ impl MsgKind {
 }
 
 /// The canonical byte string covered by a signature: `(kind, view, data)`.
-pub fn signing_bytes(kind: MsgKind, view: u64, data: &Digest) -> Vec<u8> {
-    let mut out = Vec::with_capacity(48);
-    out.push(kind as u8);
-    out.extend_from_slice(&view.to_le_bytes());
-    out.extend_from_slice(data.as_bytes());
+pub fn signing_bytes(kind: MsgKind, view: u64, data: &Digest) -> [u8; 41] {
+    let mut out = [0u8; 41];
+    out[0] = kind as u8;
+    out[1..9].copy_from_slice(&view.to_le_bytes());
+    out[9..].copy_from_slice(data.as_bytes());
     out
+}
+
+/// Finishes `h` over `id(b₀) ‖ id(b₁) ‖ …` — what a chain-segment
+/// payload signs.
+pub fn block_ids_digest(mut h: Sha256, blocks: &[Block]) -> Digest {
+    for b in blocks {
+        h.update(b.id().as_bytes());
+    }
+    h.finalize()
 }
 
 /// A quorum certificate: `threshold` distinct signatures over
@@ -133,8 +144,8 @@ impl QuorumCert {
 }
 
 impl Hashable for QuorumCert {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(self.kind as u8);
+    fn encode_into<S: ByteSink>(&self, out: &mut S) {
+        out.extend_from_slice(&[self.kind as u8]);
         out.extend_from_slice(&self.view.to_le_bytes());
         out.extend_from_slice(self.data.as_bytes());
         out.extend_from_slice(&self.height.to_le_bytes());
@@ -202,17 +213,17 @@ impl Status {
 }
 
 impl Hashable for Status {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: ByteSink>(&self, out: &mut S) {
         match self {
             Status::CommitQcs(v) => {
-                out.push(1);
+                out.extend_from_slice(&[1]);
                 for c in v {
                     c.qc.encode_into(out);
                     c.block.encode_into(out);
                 }
             }
             Status::Locks(v) => {
-                out.push(2);
+                out.extend_from_slice(&[2]);
                 for s in v {
                     s.block.encode_into(out);
                     out.extend_from_slice(&s.signer.to_le_bytes());
@@ -349,31 +360,23 @@ impl Payload {
             Payload::NewViewVote { prop_hash } => *prop_hash,
             Payload::LockStatus { block } => block.id(),
             Payload::SyncRequest { want } => *want,
-            Payload::SyncResponse { blocks } => {
-                let mut h = Vec::new();
-                for b in blocks {
-                    h.extend_from_slice(b.id().as_bytes());
-                }
-                Digest::of(&h)
-            }
+            Payload::SyncResponse { blocks } => block_ids_digest(Sha256::new(), blocks),
             Payload::Forward { commands } => {
-                let mut h = Vec::from(&b"fwd"[..]);
+                let mut h = Sha256::new();
+                h.update(b"fwd");
                 for c in commands {
-                    h.extend_from_slice(&(c.len() as u64).to_le_bytes());
-                    h.extend_from_slice(c.bytes());
+                    c.encode_into(&mut h);
                 }
-                Digest::of(&h)
+                h.finalize()
             }
             Payload::Repair { from_height } => {
                 Digest::of_parts(&[b"repair", &from_height.to_le_bytes()])
             }
             Payload::RepairReply { blocks, view } => {
-                let mut h = Vec::from(&b"repair-reply"[..]);
-                h.extend_from_slice(&view.to_le_bytes());
-                for b in blocks {
-                    h.extend_from_slice(b.id().as_bytes());
-                }
-                Digest::of(&h)
+                let mut h = Sha256::new();
+                h.update(b"repair-reply");
+                h.update(&view.to_le_bytes());
+                block_ids_digest(h, blocks)
             }
         }
     }
@@ -457,6 +460,14 @@ impl eesmr_net::Message for SignedMsg {
         }
     }
 }
+
+/// `ShardedNet` moves messages between shard threads and shares the
+/// blocks inside them.
+const _: fn() = || {
+    fn shared_across_threads<T: Send + Sync>() {}
+    shared_across_threads::<Block>();
+    shared_across_threads::<SignedMsg>();
+};
 
 #[cfg(test)]
 mod tests {

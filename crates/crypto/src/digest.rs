@@ -18,8 +18,16 @@ use crate::sha256::Sha256;
 /// assert_eq!(d, Digest::of(b"block contents"));
 /// assert_ne!(d, Digest::of(b"other contents"));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Digest([u8; 32]);
+
+/// Digests are uniform already, so a map keyed by one feeds its hasher the
+/// first 8 bytes instead of all 32. Equal digests still hash equally.
+impl core::hash::Hash for Digest {
+    fn hash<H: core::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.to_u64());
+    }
+}
 
 impl Digest {
     /// Wire size of a digest in bytes.
@@ -104,6 +112,18 @@ impl From<[u8; 32]> for Digest {
     }
 }
 
+/// Where a canonical encoding goes: a buffer, or straight into a hasher.
+pub trait ByteSink {
+    /// Appends `bytes`.
+    fn extend_from_slice(&mut self, bytes: &[u8]);
+}
+
+impl ByteSink for Vec<u8> {
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        Vec::extend_from_slice(self, bytes);
+    }
+}
+
 /// Types that have a canonical byte encoding for hashing and signing.
 ///
 /// Implementors must guarantee the encoding is injective (distinct values
@@ -111,7 +131,7 @@ impl From<[u8; 32]> for Digest {
 /// semantically different messages.
 pub trait Hashable {
     /// Appends the canonical encoding of `self` to `out`.
-    fn encode_into(&self, out: &mut Vec<u8>);
+    fn encode_into<S: ByteSink>(&self, out: &mut S);
 
     /// Canonical encoding as an owned buffer.
     fn encoded(&self) -> Vec<u8> {
@@ -120,26 +140,29 @@ pub trait Hashable {
         out
     }
 
-    /// SHA-256 of the canonical encoding.
+    /// SHA-256 of the canonical encoding, streamed into the hasher without
+    /// materialising [`Hashable::encoded`].
     fn digest(&self) -> Digest {
-        Digest::of(&self.encoded())
+        let mut h = Sha256::new();
+        self.encode_into(&mut h);
+        h.finalize()
     }
 }
 
 impl Hashable for &[u8] {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: ByteSink>(&self, out: &mut S) {
         out.extend_from_slice(self);
     }
 }
 
 impl Hashable for Vec<u8> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: ByteSink>(&self, out: &mut S) {
         out.extend_from_slice(self);
     }
 }
 
 impl Hashable for Digest {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: ByteSink>(&self, out: &mut S) {
         out.extend_from_slice(self.as_bytes());
     }
 }

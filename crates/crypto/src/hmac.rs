@@ -56,12 +56,64 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
 /// Verifies an HMAC tag in constant shape (full comparison, no early exit on
 /// the first mismatching byte).
 pub fn hmac_verify(key: &[u8], message: &[u8], tag: &Digest) -> bool {
-    let expected = hmac_sha256(key, message);
+    tags_equal(&hmac_sha256(key, message), tag)
+}
+
+fn tags_equal(expected: &Digest, tag: &Digest) -> bool {
     let mut diff = 0u8;
     for (a, b) in expected.as_bytes().iter().zip(tag.as_bytes()) {
         diff |= a ^ b;
     }
     diff == 0
+}
+
+/// The per-key half of HMAC-SHA256, done once: the inner and outer hashers
+/// with `key ⊕ ipad` / `key ⊕ opad` (and, optionally, a fixed message
+/// prefix) already absorbed. A tag then costs only the compressions the
+/// message itself needs, and no allocation.
+///
+/// [`hmac_sha256`] is the reference these tags are tested against.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacKey {
+    /// The schedule of `key` (at most one SHA-256 block long) for messages
+    /// that all start with `prefix`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is longer than 64 bytes.
+    pub fn new(key: &[u8], prefix: &[u8]) -> Self {
+        assert!(key.len() <= BLOCK_SIZE, "longer keys are hashed first; use hmac_sha256");
+        let mut ipad = [IPAD; BLOCK_SIZE];
+        let mut opad = [OPAD; BLOCK_SIZE];
+        for (i, k) in key.iter().enumerate() {
+            ipad[i] ^= k;
+            opad[i] ^= k;
+        }
+        let (mut inner, mut outer) = (Sha256::new(), Sha256::new());
+        inner.update(&ipad);
+        inner.update(prefix);
+        outer.update(&opad);
+        HmacKey { inner, outer }
+    }
+
+    /// `HMAC-SHA256(key, prefix ‖ message)`.
+    pub fn tag(&self, message: &[u8]) -> Digest {
+        let mut inner = self.inner.clone();
+        inner.update(message);
+        let mut outer = self.outer.clone();
+        outer.update(inner.finalize().as_bytes());
+        outer.finalize()
+    }
+
+    /// Verifies a tag over `prefix ‖ message` in constant shape.
+    pub fn verify(&self, message: &[u8], tag: &Digest) -> bool {
+        tags_equal(&self.tag(message), tag)
+    }
 }
 
 #[cfg(test)]
@@ -119,6 +171,21 @@ mod tests {
         let mut bytes = *tag.as_bytes();
         bytes[0] ^= 1;
         assert!(!hmac_verify(b"k", b"m", &Digest::from_bytes(bytes)));
+    }
+
+    #[test]
+    fn key_schedule_matches_the_reference() {
+        let message: Vec<u8> = (0..150u8).collect();
+        for key_len in [0usize, 1, 20, 32, 63, 64] {
+            let key = vec![0x42u8; key_len];
+            for split in [0usize, 1, 30, 64, 150] {
+                let (prefix, rest) = message.split_at(split);
+                let schedule = HmacKey::new(&key, prefix);
+                let tag = schedule.tag(rest);
+                assert_eq!(tag, hmac_sha256(&key, &message), "key {key_len}, split {split}");
+                assert!(schedule.verify(rest, &tag));
+            }
+        }
     }
 
     #[test]

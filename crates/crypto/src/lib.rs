@@ -10,8 +10,8 @@
 //! * [`SigScheme`] — the Table 2 catalogue of schemes with measured
 //!   per-operation energy costs and real-world wire sizes.
 //! * [`KeyPair`] / [`Signature`] / [`KeyStore`] — simulated signatures with
-//!   a PKI registry (see DESIGN.md §2 for why simulation preserves the
-//!   paper's evaluation).
+//!   a PKI registry (see the [`sig`] module docs for why simulation
+//!   preserves the paper's evaluation).
 //!
 //! # Quick example
 //!

@@ -5,7 +5,7 @@
 //! on the NUCLEO-F401RE testbed. Those constants live here, together with
 //! real-world signature and public-key sizes so that wire-level message
 //! sizes are faithful even though the signatures themselves are simulated
-//! (see [`crate::sig`] and DESIGN.md §2).
+//! (see [`crate::sig`] for the substitution rationale).
 
 use core::fmt;
 

@@ -18,7 +18,23 @@
 //! );
 //! ```
 
-use crate::digest::Digest;
+use std::cell::Cell;
+
+use crate::digest::{ByteSink, Digest};
+
+thread_local! {
+    static COMPRESSIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Number of SHA-256 compression-function calls this thread has made
+/// since it started.
+///
+/// A deterministic work counter: for a seeded simulation the difference
+/// across a run is a pure function of the seed, so tests pin it exactly
+/// and an accidental re-hash fails where wall-clock noise would hide it.
+pub fn compressions() -> u64 {
+    COMPRESSIONS.with(Cell::get)
+}
 
 /// Round constants: the first 32 bits of the fractional parts of the cube
 /// roots of the first 64 primes (FIPS 180-4 §4.2.2).
@@ -43,7 +59,7 @@ const H0: [u32; 8] = [
 ///
 /// Supports streaming input via [`Sha256::update`] and one-shot hashing via
 /// [`Sha256::digest`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sha256 {
     state: [u32; 8],
     /// Bytes buffered until a full 64-byte block is available.
@@ -81,99 +97,82 @@ impl Sha256 {
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
             self.buffer_len += take;
             data = &data[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if self.buffer_len < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buffer);
+            self.buffer_len = 0;
         }
         // Full blocks straight from the input.
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
+        while let Some((block, rest)) = data.split_first_chunk::<64>() {
+            compress(&mut self.state, block);
             data = rest;
         }
         // Stash the tail.
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
-        }
+        self.buffer[..data.len()].copy_from_slice(data);
+        self.buffer_len = data.len();
     }
 
     /// Completes the hash, consuming the hasher.
     pub fn finalize(mut self) -> Digest {
+        // Padding: 0x80, zeros, then the 64-bit big-endian bit length in
+        // the last 8 bytes of a block — a second block if they do not fit.
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        let mut pad = [0u8; 128];
-        pad[0] = 0x80;
-        let pad_len =
-            if self.buffer_len < 56 { 56 - self.buffer_len } else { 120 - self.buffer_len };
-        pad[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
-        // `update` must not re-count padding bytes, so feed blocks directly.
-        let mut data = &pad[..pad_len + 8];
-        if self.buffer_len > 0 {
-            let take = 64 - self.buffer_len;
-            let mut block = [0u8; 64];
-            block[..self.buffer_len].copy_from_slice(&self.buffer[..self.buffer_len]);
-            block[self.buffer_len..].copy_from_slice(&data[..take]);
-            self.compress(&block);
-            data = &data[take..];
+        self.buffer[self.buffer_len] = 0x80;
+        self.buffer[self.buffer_len + 1..].fill(0);
+        if self.buffer_len >= 56 {
+            compress(&mut self.state, &self.buffer);
+            self.buffer.fill(0);
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
-        }
-        debug_assert!(data.is_empty(), "padding must end on a block boundary");
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buffer);
 
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
         Digest::from_bytes(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
-        }
+impl ByteSink for Sha256 {
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+}
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let temp1 =
-                h.wrapping_add(big_s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
-            let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = big_s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    COMPRESSIONS.with(|c| c.set(c.get() + 1));
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+    }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let temp1 = h.wrapping_add(big_s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
+        let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let temp2 = big_s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(temp1);
+        d = c;
+        c = b;
+        b = a;
+        a = temp1.wrapping_add(temp2);
+    }
+
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -248,6 +247,15 @@ mod tests {
             h.update(&data);
             let streamed = h.finalize();
             assert_eq!(streamed, Sha256::digest(&data), "len {len}");
+        }
+    }
+
+    #[test]
+    fn compressions_count_blocks_including_padding() {
+        for (len, blocks) in [(0usize, 1u64), (55, 1), (56, 2), (64, 2), (119, 2), (120, 3)] {
+            let before = compressions();
+            Sha256::digest(&vec![7u8; len]);
+            assert_eq!(compressions() - before, blocks, "len {len}");
         }
     }
 

@@ -12,24 +12,27 @@
 //! tag that verifies — exactly the guarantee the protocol needs to detect
 //! equivocation and validate quorum certificates. The *energy* and *size*
 //! of each operation come from the scheme catalogue ([`crate::SigScheme`]),
-//! so the evaluation is faithful to the paper's measured costs. See
-//! DESIGN.md §2 for the substitution rationale.
+//! so the evaluation is faithful to the paper's measured costs.
+//!
+//! The key, the `"eesmr-sig" | scheme | signer` domain-separation prefix
+//! and both HMAC pads are absorbed once, in [`KeyPair::derive`]; signing
+//! and verifying then hash only the message (see [`HmacKey`]).
 
 use core::fmt;
 
 use crate::digest::Digest;
-use crate::hmac::{hmac_sha256, hmac_verify};
+use crate::hmac::HmacKey;
 use crate::scheme::SigScheme;
 
 /// Identifies a signer. Matches the node ids used by the protocol crates.
 pub type SignerId = u32;
 
-/// Secret signing key (32 random bytes).
+/// Secret signing key (the HMAC schedule of 32 random bytes).
 #[derive(Clone, PartialEq, Eq)]
 pub struct SecretKey {
     id: SignerId,
     scheme: SigScheme,
-    key: [u8; 32],
+    mac: HmacKey,
 }
 
 impl fmt::Debug for SecretKey {
@@ -41,7 +44,7 @@ impl fmt::Debug for SecretKey {
 
 /// Public verification key.
 ///
-/// In this simulation the verification key carries the same 32 bytes as the
+/// In this simulation the verification key carries the same schedule as the
 /// secret key (HMAC is symmetric); the asymmetry of a real scheme is
 /// enforced by *distribution*: only the [`KeyStore`](crate::KeyStore) hands
 /// out `PublicKey`s, and fault injection code only ever receives the keys a
@@ -50,7 +53,7 @@ impl fmt::Debug for SecretKey {
 pub struct PublicKey {
     id: SignerId,
     scheme: SigScheme,
-    key: [u8; 32],
+    mac: HmacKey,
 }
 
 impl fmt::Debug for PublicKey {
@@ -89,9 +92,11 @@ impl KeyPair {
     /// Deterministic generation keeps simulations reproducible: the same
     /// run seed always produces the same keys, messages, and traces.
     pub fn derive(id: SignerId, scheme: SigScheme, seed: u64) -> Self {
-        let key = *Digest::of_parts(&[b"eesmr-keygen", &seed.to_le_bytes(), &id.to_le_bytes()])
-            .as_bytes();
-        KeyPair { secret: SecretKey { id, scheme, key }, public: PublicKey { id, scheme, key } }
+        let mac = HmacKey::new(&derive_key(id, seed), &domain_prefix(scheme, id));
+        KeyPair {
+            secret: SecretKey { id, scheme, mac: mac.clone() },
+            public: PublicKey { id, scheme, mac },
+        }
     }
 
     /// The public half.
@@ -111,10 +116,7 @@ impl KeyPair {
 
     /// Signs `message`, producing `⟨message⟩_i`'s signature component.
     pub fn sign(&self, message: &[u8]) -> Signature {
-        let tag = hmac_sha256(
-            &self.secret.key,
-            &domain_separated(self.secret.scheme, self.secret.id, message),
-        );
+        let tag = self.secret.mac.tag(message);
         Signature { signer: self.secret.id, scheme: self.secret.scheme, tag }
     }
 }
@@ -173,17 +175,20 @@ impl Signature {
         if pk.id != self.signer || pk.scheme != self.scheme {
             return false;
         }
-        hmac_verify(&pk.key, &domain_separated(self.scheme, self.signer, message), &self.tag)
+        pk.mac.verify(message, &self.tag)
     }
 }
 
-fn domain_separated(scheme: SigScheme, signer: SignerId, message: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(message.len() + 16);
-    buf.extend_from_slice(b"eesmr-sig");
+fn derive_key(id: SignerId, seed: u64) -> [u8; 32] {
+    *Digest::of_parts(&[b"eesmr-keygen", &seed.to_le_bytes(), &id.to_le_bytes()]).as_bytes()
+}
+
+/// What every signed message is prefixed with, binding scheme and signer.
+fn domain_prefix(scheme: SigScheme, signer: SignerId) -> Vec<u8> {
+    let mut buf = Vec::from(&b"eesmr-sig"[..]);
     buf.push(scheme.signature_size() as u8); // scheme discriminant via size+name
     buf.extend_from_slice(scheme.name().as_bytes());
     buf.extend_from_slice(&signer.to_le_bytes());
-    buf.extend_from_slice(message);
     buf
 }
 
@@ -254,11 +259,29 @@ mod tests {
         let kp = pair(9);
         let dbg = format!("{:?}", kp);
         // The hex of the key must not appear in debug output.
-        let key_hex = Digest::from_bytes(
-            *Digest::of_parts(&[b"eesmr-keygen", &7u64.to_le_bytes(), &9u32.to_le_bytes()])
-                .as_bytes(),
-        )
-        .to_hex();
+        let key_hex = Digest::from_bytes(derive_key(9, 7)).to_hex();
         assert!(!dbg.contains(&key_hex));
+    }
+
+    /// The precomputed schedule is an optimisation only: every tag equals
+    /// the reference HMAC of the domain-separated message under the raw key.
+    #[test]
+    fn sign_equals_reference_hmac_for_every_scheme() {
+        for scheme in SigScheme::ALL {
+            for case in 0..32u32 {
+                let (id, seed) = (case % 5, u64::from(case) * 31 + 1);
+                // 0..=217 pseudo-random bytes: the digest of the case, cycled.
+                let noise = Digest::of(&case.to_le_bytes());
+                let message: Vec<u8> =
+                    noise.as_bytes().iter().cycle().take(case as usize * 7).copied().collect();
+                let kp = KeyPair::derive(id, scheme, seed);
+                let mut separated = domain_prefix(scheme, id);
+                separated.extend_from_slice(&message);
+                let expected = crate::hmac::hmac_sha256(&derive_key(id, seed), &separated);
+                let sig = kp.sign(&message);
+                assert_eq!(*sig.tag(), expected, "{scheme} case {case}");
+                assert!(sig.verify(&message, kp.public()));
+            }
+        }
     }
 }

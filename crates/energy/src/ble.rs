@@ -6,7 +6,8 @@
 //! transmission*: every fragment is repeated `r` times. A k-cast succeeds
 //! only if **all k receivers** get every fragment at least once.
 //!
-//! Calibration (documented in DESIGN.md §2): per-packet loss probability
+//! Calibration (see README.md, "Known deviations from the paper", for the
+//! receiver side): per-packet loss probability
 //! `p = 0.2` per receiver and per-advertisement energies of ~0.757 mJ
 //! (sender) / ~1.426 mJ (receiver) reproduce the paper's measured operating
 //! point — 99.99 % reliability for `k = 7` at ≈5.3 mJ sender and ≈9.98 mJ

@@ -26,7 +26,7 @@ use eesmr_core::{
     Block, CertifiedBlock, Command, Commands, MsgKind, Payload, QuorumCert, SignedBlock, SignedMsg,
     Status,
 };
-use eesmr_crypto::{Digest, KeyStore, SigScheme};
+use eesmr_crypto::{Digest, Hashable, KeyStore, SigScheme};
 use eesmr_net::codec::WireCodec;
 use eesmr_net::Message;
 
@@ -272,6 +272,21 @@ proptest! {
         let pki = rand_pki(&mut rng);
         let ix = rng.gen_range(0..TB_SHAPES);
         assert_roundtrip(&tb_variant(ix, &mut rng, &pki));
+    }
+
+    /// A block's memoised id is always the hash of its canonical encoding:
+    /// as built, after a clone, and after the wire (which does not carry
+    /// it — the decoder derives it from the content again).
+    #[test]
+    fn block_ids_are_derived_from_content(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let block = rand_block(&mut rng);
+        let expected = Digest::of(&block.encoded());
+        prop_assert_eq!(block.id(), expected);
+        prop_assert_eq!(block.clone().id(), expected);
+        let back = Block::decode(&block.encode()).expect("decodes");
+        prop_assert_eq!(back.id(), expected);
+        prop_assert_eq!(back, block);
     }
 
     /// The decoded signature still verifies — the wire format carries the

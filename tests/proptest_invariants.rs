@@ -1,11 +1,11 @@
 //! Property-based tests over the repository's core invariants.
 
-use eesmr_core::{set_deep_clone_spine, Block, BlockStore, Command, Lineage};
+use eesmr_core::{Block, BlockStore, Command, Lineage};
 use eesmr_crypto::{Digest, KeyStore, SigScheme};
 use eesmr_energy::psi::break_even_nu;
 use eesmr_energy::{BleKcastModel, Medium};
 use eesmr_hypergraph::topology::ring_kcast;
-use eesmr_sim::{ArrivalProcess, FaultPlan, Protocol, Scenario, Skew, StopWhen, Workload};
+use eesmr_sim::{FaultPlan, Protocol, Scenario, StopWhen};
 use eesmr_trace::audit::{audit, AuditConfig};
 use eesmr_trace::TraceLevel;
 use proptest::prelude::*;
@@ -214,46 +214,6 @@ proptest! {
         prop_assert_eq!(a.total_correct_energy_mj(), b.total_correct_energy_mj());
         prop_assert_eq!(a.committed_height(), b.committed_height());
         prop_assert_eq!(a.net, b.net);
-    }
-
-    /// The Arc-backed `Commands` spine is a pure allocation optimization:
-    /// across a protocol × fault × workload grid, a run under the restored
-    /// deep-clone (pre-change) semantics produces a `RunReport` equal
-    /// field-for-field — and byte-for-byte in its serialized `Debug` form —
-    /// to the Arc-spine run. (The flag only changes what `Commands::clone`
-    /// allocates, so cases within this test run it serially without
-    /// perturbing any concurrently-running test's behavior.)
-    #[test]
-    fn arc_spine_reports_match_deep_clone_semantics(
-        seed in 0u64..500,
-        proto_ix in 0usize..3,
-        fault_ix in 0usize..3,
-        workload_ix in 0usize..3,
-    ) {
-        let protocol = [Protocol::Eesmr, Protocol::SyncHotStuff, Protocol::OptSync][proto_ix];
-        let build = || {
-            let s = Scenario::new(protocol, 7, 2).seed(seed).stop(StopWhen::Blocks(3));
-            let s = match fault_ix {
-                0 => s,
-                1 => s.faults(FaultPlan::silent_leader()),
-                _ => s.faults(FaultPlan::none().with_equivocator(1, 1)),
-            };
-            match workload_ix {
-                0 => s,
-                1 => s.workload(Workload::new(ArrivalProcess::Poisson { rate: 2_000 })),
-                _ => s.workload(
-                    Workload::new(ArrivalProcess::Constant { rate: 1_500 })
-                        .skew(Skew::Zipf)
-                        .closed_loop(4),
-                ),
-            }
-        };
-        set_deep_clone_spine(true);
-        let deep = build().run();
-        set_deep_clone_spine(false);
-        let arc = build().run();
-        prop_assert_eq!(&deep, &arc, "spine mode changed observable behavior");
-        prop_assert_eq!(format!("{deep:?}"), format!("{arc:?}"));
     }
 
     #[test]
