@@ -14,8 +14,6 @@
 
 use std::path::PathBuf;
 
-pub mod hotpath;
-
 // The sinks live in `eesmr-driver` (its `SuiteReport` writes through
 // them); re-exported here so the binaries and external callers keep the
 // historical `eesmr_bench::{out_dir, Csv}` paths. `out_dir()` honors the

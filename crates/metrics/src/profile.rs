@@ -86,7 +86,7 @@ pub fn profiling_enabled() -> bool {
 }
 
 /// Forces profiling on or off, overriding `EESMR_PROFILE` (used by
-/// harnesses like `bench_trajectory` that profile programmatically).
+/// harnesses like `benchmark/` that profile programmatically).
 pub fn set_profiling(on: bool) {
     ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }

@@ -54,7 +54,6 @@ pub mod proc;
 pub mod runtime;
 pub mod sched;
 pub mod shard;
-pub mod threads;
 pub mod time;
 
 pub use actor::{Actor, Context, NodeId, TimerId};
@@ -73,5 +72,4 @@ pub use runtime::{
 };
 pub use sched::{CalendarQueue, EventQueue, SchedulerKind};
 pub use shard::{shards_from_env, ShardedNet};
-pub use threads::{ThreadNet, ThreadNetConfig};
 pub use time::{SimDuration, SimTime};

@@ -1,9 +1,9 @@
 //! Multi-process transport: each [`Actor`] runs in its own OS process and
 //! exchanges [`WireCodec`]-encoded frames over TCP or Unix domain sockets.
 //!
-//! This is the third net backend (after the deterministic simulator and
-//! [`crate::threads::ThreadNet`]): real kernel scheduling, real sockets,
-//! real bytes. A **coordinator** process spawns one child per replica
+//! This is the second net backend (after the deterministic simulator):
+//! real kernel scheduling, real sockets, real bytes. A **coordinator**
+//! process spawns one child per replica
 //! (same binary, `--node-id`/`--listen`/`--peers` flags), connects a
 //! control channel to each, releases them simultaneously, polls progress,
 //! and finally collects one opaque report blob per node.
@@ -123,6 +123,20 @@ impl Stream {
         match self {
             Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
             Stream::Uds(s) => s.try_clone().map(Stream::Uds),
+        }
+    }
+
+    /// Bounds every later blocking read and write on this stream.
+    fn set_io_timeout(&self, timeout: Duration) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => {
+                s.set_read_timeout(Some(timeout))?;
+                s.set_write_timeout(Some(timeout))
+            }
+            Stream::Uds(s) => {
+                s.set_read_timeout(Some(timeout))?;
+                s.set_write_timeout(Some(timeout))
+            }
         }
     }
 }
@@ -306,17 +320,15 @@ impl PeerLink {
 /// `status` maps the live actor to the `u64` progress value returned to
 /// [`Coordinator::statuses`]; `report` renders the final actor, its
 /// energy meter, and the transport counters into the opaque blob
-/// [`Coordinator::stop_and_collect`] returns.
-///
-/// Returns the actor and meter after the stop command (the report blob
-/// has already been sent by then).
+/// [`Coordinator::stop_and_collect`] returns. Returns once that blob is
+/// sent.
 pub fn run_node<A, S, R>(
     opts: ChildOpts,
     actor: A,
     channel: ChannelCost,
     status: S,
     report: R,
-) -> io::Result<(A, EnergyMeter)>
+) -> io::Result<()>
 where
     A: Actor,
     A::Msg: WireCodec + Send + 'static,
@@ -432,7 +444,6 @@ where
         timer_seq: 0,
         timers: CalendarQueue::new(),
         cancelled: HashSet::new(),
-        seen_floods: HashSet::new(),
         local: VecDeque::new(),
         tracer: eesmr_trace::Tracer::disabled(opts.node_id),
     };
@@ -475,7 +486,7 @@ where
                     reply.extend_from_slice(&blob);
                     write_frame(w, &reply)?;
                 }
-                return Ok((rt.actor, rt.meter));
+                return Ok(());
             }
             Ok(PEvent::Ctrl(_)) => {}
             Ok(PEvent::CtrlConnected(w)) => ctrl = Some(w),
@@ -488,8 +499,8 @@ where
     }
 }
 
-/// The per-process mirror of `ThreadNet`'s node runtime: same timer
-/// calendar and effect handling, sockets instead of channels.
+/// One process's node runtime: a wall-clock timer calendar and the
+/// effect handling of the simulator's runtime, over sockets.
 struct ProcRuntime<A: Actor> {
     id: NodeId,
     actor: A,
@@ -502,7 +513,6 @@ struct ProcRuntime<A: Actor> {
     timer_seq: u64,
     timers: CalendarQueue<(TimerId, A::Timer)>,
     cancelled: HashSet<u64>,
-    seen_floods: HashSet<u64>,
     local: VecDeque<PEvent<A::Msg>>,
     tracer: eesmr_trace::Tracer,
 }
@@ -568,17 +578,12 @@ where
             Effect::Flood { msg, target } => {
                 // Full mesh: an untargeted flood is a broadcast and a
                 // targeted flood is a unicast; no relaying happens, so
-                // the dedup key never needs to leave this process.
+                // there is nothing to deduplicate.
                 match target {
                     Some(t) if t != self.id => self.transmit(&msg, Some(t)),
                     Some(_) => {}
                     None => self.transmit(&msg, None),
                 }
-                let mut key = msg.flood_key();
-                if let Some(t) = target {
-                    key ^= 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(t as u64 + 1);
-                }
-                self.seen_floods.insert(key);
                 self.local.push_back(PEvent::Deliver {
                     origin: self.id,
                     msg,
@@ -616,14 +621,31 @@ where
 }
 
 /// The coordinator's half of the control protocol: one connection per
-/// child, lock-step command/reply.
+/// child, lock-step command/reply. Every exchange is bounded by the
+/// timeout given to [`Coordinator::connect`], so a stopped or wedged
+/// child surfaces as [`io::ErrorKind::TimedOut`] instead of hanging the
+/// coordinator.
 pub struct Coordinator {
     links: Vec<Stream>,
 }
 
+/// Names the child behind a failed control exchange; a read or write
+/// that ran into the stream's timeout (`WouldBlock` on Unix) becomes
+/// `TimedOut`.
+fn ctrl_err(child: usize, err: io::Error) -> io::Error {
+    let kind = match err.kind() {
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => io::ErrorKind::TimedOut,
+        kind => kind,
+    };
+    io::Error::new(kind, format!("control channel to child {child}: {err}"))
+}
+
 impl Coordinator {
     /// Connects a control channel to every child, retrying each address
-    /// until `timeout` (children need a moment to bind).
+    /// until `timeout` (children need a moment to bind). The same bound
+    /// then applies to every later read and write on the channel: a
+    /// healthy child answers within its poll interval, milliseconds, so
+    /// choose it far above that.
     pub fn connect(
         transport: ProcTransport,
         addrs: &[String],
@@ -631,15 +653,17 @@ impl Coordinator {
     ) -> io::Result<Coordinator> {
         let deadline = Instant::now() + timeout;
         let mut links = Vec::with_capacity(addrs.len());
-        for addr in addrs {
+        for (child, addr) in addrs.iter().enumerate() {
             loop {
                 match Stream::connect(transport, addr) {
                     Ok(mut s) => {
-                        write_frame(&mut s, &hello_frame(ROLE_CTRL, u32::MAX))?;
+                        s.set_io_timeout(timeout)?;
+                        write_frame(&mut s, &hello_frame(ROLE_CTRL, u32::MAX))
+                            .map_err(|e| ctrl_err(child, e))?;
                         links.push(s);
                         break;
                     }
-                    Err(e) if Instant::now() >= deadline => return Err(e),
+                    Err(e) if Instant::now() >= deadline => return Err(ctrl_err(child, e)),
                     Err(_) => std::thread::sleep(Duration::from_millis(10)),
                 }
             }
@@ -647,31 +671,51 @@ impl Coordinator {
         Ok(Coordinator { links })
     }
 
-    /// Releases every child into its protocol (they bind and mesh before
-    /// this; none runs `on_start` until told).
-    pub fn start(&mut self) -> io::Result<()> {
-        for link in &mut self.links {
-            write_frame(link, &[CMD_START])?;
+    /// Sends the one-byte command `cmd` to every child.
+    fn command(&mut self, cmd: u8) -> io::Result<()> {
+        for (child, link) in self.links.iter_mut().enumerate() {
+            write_frame(link, &[cmd]).map_err(|e| ctrl_err(child, e))?;
         }
         Ok(())
     }
 
-    /// One round of progress polling: each child's `status` value.
-    pub fn statuses(&mut self) -> io::Result<Vec<u64>> {
-        for link in &mut self.links {
-            write_frame(link, &[CMD_POLL])?;
-        }
+    /// Reads one reply tagged `tag` from every child and returns the
+    /// bodies, in child order.
+    fn replies(&mut self, tag: u8) -> io::Result<Vec<Vec<u8>>> {
         let mut out = Vec::with_capacity(self.links.len());
-        for link in &mut self.links {
-            let frame = read_frame(link)?;
-            if frame.len() != 9 || frame[0] != REPLY_STATUS {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, "bad status reply"));
+        for (child, link) in self.links.iter_mut().enumerate() {
+            let mut frame = read_frame(link).map_err(|e| ctrl_err(child, e))?;
+            if frame.first() != Some(&tag) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("child {child}: unexpected control reply"),
+                ));
             }
-            let mut v = [0u8; 8];
-            v.copy_from_slice(&frame[1..]);
-            out.push(u64::from_le_bytes(v));
+            frame.remove(0);
+            out.push(frame);
         }
         Ok(out)
+    }
+
+    /// Releases every child into its protocol (they bind and mesh before
+    /// this; none runs `on_start` until told).
+    pub fn start(&mut self) -> io::Result<()> {
+        self.command(CMD_START)
+    }
+
+    /// One round of progress polling: each child's `status` value.
+    pub fn statuses(&mut self) -> io::Result<Vec<u64>> {
+        self.command(CMD_POLL)?;
+        self.replies(REPLY_STATUS)?
+            .iter()
+            .map(|body| {
+                let bytes: [u8; 8] = body
+                    .as_slice()
+                    .try_into()
+                    .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad status reply"))?;
+                Ok(u64::from_le_bytes(bytes))
+            })
+            .collect()
     }
 
     /// Polls until `done(statuses)` or `timeout`; returns the last
@@ -699,18 +743,8 @@ impl Coordinator {
 
     /// Stops every child and collects its report blob.
     pub fn stop_and_collect(mut self) -> io::Result<Vec<Vec<u8>>> {
-        for link in &mut self.links {
-            write_frame(link, &[CMD_STOP])?;
-        }
-        let mut out = Vec::with_capacity(self.links.len());
-        for link in &mut self.links {
-            let frame = read_frame(link)?;
-            if frame.is_empty() || frame[0] != REPLY_REPORT {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, "bad report reply"));
-            }
-            out.push(frame[1..].to_vec());
-        }
-        Ok(out)
+        self.command(CMD_STOP)?;
+        self.replies(REPLY_REPORT)
     }
 }
 
@@ -727,10 +761,36 @@ impl Drop for ChildProc {
 
 static ADDR_EPOCH: AtomicU64 = AtomicU64::new(0);
 
+/// The listen addresses [`alloc_addrs`] hands out, indexable as a
+/// `[String]`. For UDS it owns the temp directory holding the socket
+/// files and removes it, sockets included, when dropped — on success and
+/// on every error path alike.
+#[derive(Debug)]
+pub struct MeshAddrs {
+    addrs: Vec<String>,
+    dir: Option<PathBuf>,
+}
+
+impl std::ops::Deref for MeshAddrs {
+    type Target = [String];
+
+    fn deref(&self) -> &[String] {
+        &self.addrs
+    }
+}
+
+impl Drop for MeshAddrs {
+    fn drop(&mut self) {
+        if let Some(dir) = &self.dir {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
 /// Allocates `n` fresh listen addresses: loopback ports for TCP (bound
 /// briefly to reserve them, then released), or socket paths in a fresh
 /// temp directory for UDS.
-pub fn alloc_addrs(transport: ProcTransport, n: usize) -> io::Result<Vec<String>> {
+pub fn alloc_addrs(transport: ProcTransport, n: usize) -> io::Result<MeshAddrs> {
     match transport {
         ProcTransport::Tcp => {
             let mut held = Vec::with_capacity(n);
@@ -740,14 +800,16 @@ pub fn alloc_addrs(transport: ProcTransport, n: usize) -> io::Result<Vec<String>
                 addrs.push(format!("127.0.0.1:{}", l.local_addr()?.port()));
                 held.push(l); // hold all n so one port is not reused
             }
-            Ok(addrs)
+            Ok(MeshAddrs { addrs, dir: None })
         }
         ProcTransport::Uds => {
             let epoch = ADDR_EPOCH.fetch_add(1, Ordering::Relaxed);
             let dir: PathBuf =
                 std::env::temp_dir().join(format!("eesmr-proc-{}-{epoch}", std::process::id()));
             std::fs::create_dir_all(&dir)?;
-            Ok((0..n).map(|i| dir.join(format!("n{i}.sock")).display().to_string()).collect())
+            let addrs =
+                (0..n).map(|i| dir.join(format!("n{i}.sock")).display().to_string()).collect();
+            Ok(MeshAddrs { addrs, dir: Some(dir) })
         }
     }
 }
@@ -875,6 +937,31 @@ mod tests {
     #[test]
     fn tcp_mesh_flood_and_targeted_replies() {
         mesh_roundtrip(ProcTransport::Tcp);
+    }
+
+    #[test]
+    fn stalled_control_peer_times_out_instead_of_hanging() {
+        // A child that completes the hello and then never answers a poll
+        // (SIGSTOPped, wedged): the poll must fail with `TimedOut`
+        // naming the child, within the bound given to `connect`.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = format!("127.0.0.1:{}", listener.local_addr().unwrap().port());
+        let (release, hold) = std::sync::mpsc::channel::<()>();
+        let stalled = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let hello = read_frame(&mut stream).unwrap();
+            assert_eq!(parse_hello(&hello).unwrap(), (ROLE_CTRL, u32::MAX));
+            let _ = hold.recv(); // keep the connection open, silently
+        });
+        let bound = Duration::from_millis(300);
+        let mut coord = Coordinator::connect(ProcTransport::Tcp, &[addr], bound).unwrap();
+        let asked = Instant::now();
+        let err = coord.statuses().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        assert!(err.to_string().contains("child 0"), "{err}");
+        assert!(asked.elapsed() < 10 * bound, "took {:?}", asked.elapsed());
+        drop(release);
+        stalled.join().unwrap();
     }
 
     #[test]

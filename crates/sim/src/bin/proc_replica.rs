@@ -1,139 +1,21 @@
 //! One replica process of a ProcNet run (see `eesmr_sim::proc`).
 //!
-//! `Scenario::run_proc` spawns `n` copies of this binary, each rebuilding
-//! its protocol cell from the command line exactly as `Scenario::run`
-//! would (same deterministic keys, same config knobs, padded Δ), then
-//! handing its replica to `eesmr_net::proc::run_node` to mesh with its
-//! peers over TCP or Unix domain sockets. The final report blob mirrors
-//! the per-node `NodeReport` the simulator emits.
+//! `Scenario::run_proc` spawns `n` copies of this binary. Each parses its
+//! command line back into the scenario cell and hands it to
+//! `Scenario::run_child`, which rebuilds the cell with the builder the
+//! simulator uses and meshes this node's replica with its peers over
+//! TCP or Unix domain sockets.
 
-use std::io;
-use std::sync::Arc;
-
-use eesmr_baselines::sync_hotstuff::{build_hs_replicas, HsConfig, HsPacing, HsVariant};
-use eesmr_baselines::trusted::{build_tb_nodes, TbConfig, HUB};
-use eesmr_core::{build_replicas, Config, Pacing};
-use eesmr_crypto::KeyStore;
-use eesmr_energy::{EnergyCategory, Medium};
-use eesmr_net::proc::{run_node, ChildOpts};
-use eesmr_net::{ChannelCost, SimDuration};
-use eesmr_sim::proc::{encode_node_report, parse_child_args, ProcCell};
-use eesmr_sim::report::{commit_log_prefix, NodeEnergy};
-use eesmr_sim::{FaultPlan, NodeReport, Protocol};
+use eesmr_sim::proc::parse_child_args;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cell, opts)) = parse_child_args(&args) else {
+    let Some((scenario, delta, opts)) = parse_child_args(&args) else {
         eprintln!("proc_replica: bad arguments: {args:?}");
         std::process::exit(2);
     };
-    if let Err(err) = run(cell, opts) {
+    if let Err(err) = scenario.run_child(delta, opts) {
         eprintln!("proc_replica: {err}");
         std::process::exit(1);
     }
-}
-
-/// Renders the final report blob from any of the three replica types —
-/// they expose the same metrics surface, so one stamp covers all.
-macro_rules! report_closure {
-    ($id:expr, $is_hub:expr, $view_changes:expr) => {
-        move |r, meter: &eesmr_energy::EnergyMeter, stats: &eesmr_net::NetStats| {
-            let (commit_fps, commit_txs) =
-                commit_log_prefix(r.committed(), |d| r.block(d).map(|b| b.payload.len() as u32));
-            let node = NodeReport {
-                id: $id,
-                faulty: false,
-                is_hub: $is_hub,
-                energy: NodeEnergy::from_meter(meter),
-                committed_height: r.committed_height(),
-                blocks_committed: r.metrics().blocks_committed,
-                view_changes: if $view_changes { r.metrics().view_changes } else { 0 },
-                signs: meter.count(EnergyCategory::Sign),
-                verifies: meter.count(EnergyCategory::Verify),
-                mean_commit_latency: r.metrics().mean_commit_latency(),
-                tx_injected: r.metrics().tx_injected,
-                tx_forwarded: r.metrics().tx_forwarded,
-                forward_retries: r.metrics().forward_retries,
-                peak_backlog: r.peak_backlog() as u64,
-                mean_batch_fill_pct: r.metrics().mean_batch_fill_pct(),
-                tx_latency_hist: r.tx_latencies().clone(),
-                commit_fps,
-                commit_txs,
-            };
-            encode_node_report(&node, stats)
-        }
-    };
-}
-
-fn run(cell: ProcCell, opts: ChildOpts) -> io::Result<()> {
-    let delta = SimDuration::from_micros(cell.delta_us);
-    let plan = FaultPlan::none();
-    let pki = Arc::new(KeyStore::generate(cell.n, cell.scheme, cell.seed));
-    let id = opts.node_id;
-    match cell.protocol {
-        Protocol::Eesmr => {
-            let mut config = Config::new(cell.n, delta);
-            config.offered_load = cell.offered_load;
-            config.forward_batch = cell.forward_batch;
-            if let Some(f) = cell.fault_bound {
-                config.f = f;
-            }
-            config.payload_bytes = cell.payload_bytes;
-            config.crash_only = cell.crash_only;
-            config.opt_equivocation_speedup = cell.opt_equivocation_speedup;
-            config.opt_lock_only_status = cell.opt_lock_only_status;
-            config.checkpoint_interval = cell.checkpoint_interval;
-            if cell.streaming {
-                config.pacing = Pacing::Streaming { max_outstanding: 8 };
-            }
-            let mut replicas = build_replicas(&config, &pki, |id| plan.eesmr_mode(id));
-            let actor = replicas.swap_remove(id as usize);
-            run_node(
-                opts,
-                actor,
-                ChannelCost::ble_four_nines(cell.k),
-                |r| r.committed_height(),
-                report_closure!(id, false, true),
-            )?;
-        }
-        Protocol::SyncHotStuff | Protocol::OptSync => {
-            let variant = match cell.protocol {
-                Protocol::OptSync => HsVariant::OptSync,
-                _ => HsVariant::SyncHotStuff,
-            };
-            let mut config = HsConfig::new(cell.n, delta, variant);
-            config.offered_load = cell.offered_load;
-            config.forward_batch = cell.forward_batch;
-            if let Some(f) = cell.fault_bound {
-                config.f = f;
-            }
-            config.payload_bytes = cell.payload_bytes;
-            if cell.streaming {
-                config.pacing = HsPacing::Streaming;
-            }
-            let mut replicas = build_hs_replicas(&config, &pki, |id| plan.hs_mode(id));
-            let actor = replicas.swap_remove(id as usize);
-            run_node(
-                opts,
-                actor,
-                ChannelCost::ble_four_nines(cell.k),
-                |r| r.committed_height(),
-                report_closure!(id, false, true),
-            )?;
-        }
-        Protocol::TrustedBaseline => {
-            let mut config = TbConfig::new(cell.n, cell.payload_bytes, delta * 2);
-            config.offered_load = cell.offered_load;
-            let mut nodes = build_tb_nodes(&config, &pki, |id| plan.tb_fault(id));
-            let actor = nodes.swap_remove(id as usize);
-            run_node(
-                opts,
-                actor,
-                ChannelCost::PerByte { medium: Medium::FourG },
-                |r| r.committed_height(),
-                report_closure!(id, id == HUB, false),
-            )?;
-        }
-    }
-    Ok(())
 }

@@ -19,13 +19,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cell;
 pub mod faults;
 pub mod proc;
 pub mod report;
 pub mod scenario;
 
 pub use faults::{FaultPlan, FaultSpec};
-pub use proc::ProcCell;
 pub use report::{NodeEnergy, NodeReport, RunReport, TxLatencyStats};
 pub use scenario::{CellKey, Protocol, Scenario, StopWhen};
 

@@ -23,15 +23,13 @@ use std::io;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use eesmr_baselines::sync_hotstuff::{HsConfig, HsVariant};
-use eesmr_baselines::trusted::HUB;
-use eesmr_core::Config;
 use eesmr_crypto::SigScheme;
-use eesmr_hypergraph::topology::{ring_kcast, star};
-use eesmr_net::proc::{alloc_addrs, ChildOpts, ChildProc, Coordinator, ProcTransport};
-use eesmr_net::{CodecError, NetConfig, NetStats, Reader, SimDuration};
+use eesmr_net::proc::{alloc_addrs, run_node, ChildOpts, ChildProc, Coordinator, ProcTransport};
+use eesmr_net::{ChannelCost, CodecError, NetStats, Reader, SimDuration, WireCodec};
 use eesmr_trace::hist::LogHistogram;
 
+use crate::cell::{Cell, NodeRole, ReplicaView, Replicas};
+use crate::faults::FaultPlan;
 use crate::report::{NodeEnergy, NodeReport, RunReport};
 use crate::scenario::{Protocol, Scenario, StopWhen};
 
@@ -47,45 +45,8 @@ const RUN_TIMEOUT: Duration = Duration::from_secs(120);
 /// bind their listeners.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// The scenario cell a child must rebuild, as carried by its command
-/// line: every knob that shapes replica construction, plus the padded Δ
-/// so the whole mesh agrees on timer spacing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProcCell {
-    /// Protocol under test.
-    pub protocol: Protocol,
-    /// Node count.
-    pub n: usize,
-    /// Ring k-cast degree (energy pricing; the mesh itself is full).
-    pub k: usize,
-    /// Payload bytes per block.
-    pub payload_bytes: usize,
-    /// Run seed (keys).
-    pub seed: u64,
-    /// Signature scheme.
-    pub scheme: SigScheme,
-    /// Synthetic offered load.
-    pub offered_load: usize,
-    /// Forward-batching threshold.
-    pub forward_batch: usize,
-    /// Streaming pacing.
-    pub streaming: bool,
-    /// EESMR crash-only variant.
-    pub crash_only: bool,
-    /// EESMR §3.5 equivocation speedup.
-    pub opt_equivocation_speedup: bool,
-    /// EESMR §5.6 lock-only status.
-    pub opt_lock_only_status: bool,
-    /// EESMR §3.5 checkpoint interval.
-    pub checkpoint_interval: Option<u64>,
-    /// Explicit protocol fault bound.
-    pub fault_bound: Option<usize>,
-    /// The (padded) Δ the child runs timers with, µs.
-    pub delta_us: u64,
-}
-
 /// `--protocol` flag values, paired with [`parse_protocol`].
-pub fn protocol_flag(p: Protocol) -> &'static str {
+fn protocol_flag(p: Protocol) -> &'static str {
     match p {
         Protocol::Eesmr => "eesmr",
         Protocol::SyncHotStuff => "sync-hotstuff",
@@ -95,7 +56,7 @@ pub fn protocol_flag(p: Protocol) -> &'static str {
 }
 
 /// Parses a [`protocol_flag`] value.
-pub fn parse_protocol(s: &str) -> Option<Protocol> {
+fn parse_protocol(s: &str) -> Option<Protocol> {
     match s {
         "eesmr" => Some(Protocol::Eesmr),
         "sync-hotstuff" => Some(Protocol::SyncHotStuff),
@@ -105,132 +66,132 @@ pub fn parse_protocol(s: &str) -> Option<Protocol> {
     }
 }
 
-impl ProcCell {
-    /// Renders the cell as `proc_replica` command-line arguments
-    /// (everything except the per-child `--node-id`/`--listen`/`--peers`
-    /// identity flags).
-    pub fn args(&self) -> Vec<String> {
-        let mut args = vec![
-            "--protocol".into(),
-            protocol_flag(self.protocol).into(),
-            "--n".into(),
-            self.n.to_string(),
-            "--k".into(),
-            self.k.to_string(),
-            "--payload".into(),
-            self.payload_bytes.to_string(),
-            "--seed".into(),
-            self.seed.to_string(),
-            "--scheme".into(),
-            self.scheme.wire_tag().to_string(),
-            "--offered-load".into(),
-            self.offered_load.to_string(),
-            "--forward-batch".into(),
-            self.forward_batch.to_string(),
-            "--delta-us".into(),
-            self.delta_us.to_string(),
-        ];
-        if self.streaming {
-            args.push("--streaming".into());
+/// One valued `proc_replica` flag: its name, how the coordinator renders
+/// it from a scenario (`None` omits it), and how the child parses it
+/// back into one (`None` rejects the value).
+type ValueFlag =
+    (&'static str, fn(&Scenario) -> Option<String>, fn(&mut Scenario, &str) -> Option<()>);
+
+/// The flag table: every [`Scenario`] knob that shapes a replica and
+/// that `run_proc` supports, once. The coordinator renders a child's
+/// command line from it and the child parses the same rows back, so a
+/// knob added here reaches the children with no further plumbing.
+const VALUE_FLAGS: &[ValueFlag] = &[
+    (
+        "--protocol",
+        |s| Some(protocol_flag(s.protocol).into()),
+        |s, v| parse_protocol(v).map(|p| s.protocol = p),
+    ),
+    ("--n", |s| Some(s.n.to_string()), |s, v| v.parse().ok().map(|n| s.n = n)),
+    ("--k", |s| Some(s.k.to_string()), |s, v| v.parse().ok().map(|k| s.k = k)),
+    (
+        "--payload",
+        |s| Some(s.payload_bytes.to_string()),
+        |s, v| v.parse().ok().map(|b| s.payload_bytes = b),
+    ),
+    ("--seed", |s| Some(s.seed.to_string()), |s, v| v.parse().ok().map(|x| s.seed = x)),
+    (
+        "--scheme",
+        |s| Some(s.scheme.wire_tag().to_string()),
+        |s, v| SigScheme::from_wire_tag(v.parse().ok()?).map(|x| s.scheme = x),
+    ),
+    (
+        "--offered-load",
+        |s| Some(s.offered_load.to_string()),
+        |s, v| v.parse().ok().map(|l| s.offered_load = l),
+    ),
+    (
+        "--forward-batch",
+        |s| Some(s.forward_batch.to_string()),
+        |s, v| v.parse().ok().map(|t| s.forward_batch = t),
+    ),
+    (
+        "--checkpoint",
+        |s| s.checkpoint_interval.map(|c| c.to_string()),
+        |s, v| v.parse().ok().map(|c| s.checkpoint_interval = Some(c)),
+    ),
+    (
+        "--fault-bound",
+        |s| s.fault_bound.map(|f| f.to_string()),
+        |s, v| v.parse().ok().map(|f| s.fault_bound = Some(f)),
+    ),
+];
+
+/// One valueless flag: its name, whether the scenario sets it, and how
+/// the child sets it.
+type Switch = (&'static str, fn(&Scenario) -> bool, fn(&mut Scenario));
+
+/// The valueless rows of the flag table.
+const SWITCHES: &[Switch] = &[
+    ("--streaming", |s| s.streaming, |s| s.streaming = true),
+    ("--crash-only", |s| s.crash_only, |s| s.crash_only = true),
+    (
+        "--opt-equivocation-speedup",
+        |s| s.opt_equivocation_speedup,
+        |s| s.opt_equivocation_speedup = true,
+    ),
+    ("--opt-lock-only-status", |s| s.opt_lock_only_status, |s| s.opt_lock_only_status = true),
+];
+
+/// The flags a child cannot run without: `Scenario::new` has a default
+/// for every other knob.
+const REQUIRED_FLAGS: [&str; 4] = ["--protocol", "--n", "--k", "--delta-us"];
+
+/// Renders `scenario` and the padded Δ as `proc_replica` command-line
+/// arguments (everything except the per-child `--node-id`/`--transport`/
+/// `--listen`/`--peers` identity flags).
+fn child_args(scenario: &Scenario, delta: SimDuration) -> Vec<String> {
+    let mut args = vec!["--delta-us".to_string(), delta.as_micros().to_string()];
+    for (name, render, _) in VALUE_FLAGS {
+        if let Some(value) = render(scenario) {
+            args.extend([name.to_string(), value]);
         }
-        if self.crash_only {
-            args.push("--crash-only".into());
-        }
-        if self.opt_equivocation_speedup {
-            args.push("--opt-equivocation-speedup".into());
-        }
-        if self.opt_lock_only_status {
-            args.push("--opt-lock-only-status".into());
-        }
-        if let Some(interval) = self.checkpoint_interval {
-            args.push("--checkpoint".into());
-            args.push(interval.to_string());
-        }
-        if let Some(f) = self.fault_bound {
-            args.push("--fault-bound".into());
-            args.push(f.to_string());
-        }
-        args
     }
+    for (name, is_set, _) in SWITCHES {
+        if is_set(scenario) {
+            args.push(name.to_string());
+        }
+    }
+    args
 }
 
-/// Parses a `proc_replica` command line (the [`ProcCell::args`] flags
-/// plus the per-child identity flags) back into the cell and the
-/// transport options. Returns `None` on any unknown flag, missing
-/// required flag, or malformed value.
-pub fn parse_child_args(args: &[String]) -> Option<(ProcCell, ChildOpts)> {
-    let mut protocol = None;
-    let mut n = None;
-    let mut k = None;
-    let mut payload = None;
-    let mut seed = None;
-    let mut scheme = None;
-    let mut offered_load = 1usize;
-    let mut forward_batch = 1usize;
-    let mut delta_us = None;
-    let mut streaming = false;
-    let mut crash_only = false;
-    let mut opt_equivocation_speedup = false;
-    let mut opt_lock_only_status = false;
-    let mut checkpoint_interval = None;
-    let mut fault_bound = None;
-    let mut node_id = None;
-    let mut transport = None;
-    let mut listen = None;
-    let mut peers = None;
-
+/// Parses a `proc_replica` command line back into the scenario cell, the
+/// Δ the mesh agreed on, and the transport options. Returns `None` on
+/// any unknown flag, missing required flag, malformed value, or a cell
+/// `Scenario::new` would refuse (`1 ≤ k < n`, `node-id < n`).
+pub fn parse_child_args(args: &[String]) -> Option<(Scenario, SimDuration, ChildOpts)> {
+    // The placeholder shape is overwritten: --protocol/--n/--k are required.
+    let mut scenario = Scenario::new(Protocol::Eesmr, 2, 1);
+    let mut seen = Vec::new();
+    let (mut delta_us, mut node_id, mut transport, mut listen, mut peers) =
+        (None, None, None, None, None);
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--streaming" => streaming = true,
-            "--crash-only" => crash_only = true,
-            "--opt-equivocation-speedup" => opt_equivocation_speedup = true,
-            "--opt-lock-only-status" => opt_lock_only_status = true,
+        let flag = flag.as_str();
+        if let Some((_, _, set)) = SWITCHES.iter().find(|row| row.0 == flag) {
+            set(&mut scenario);
+            continue;
+        }
+        let value = it.next()?;
+        seen.push(flag);
+        match flag {
+            "--delta-us" => delta_us = Some(value.parse().ok()?),
+            "--node-id" => node_id = Some(value.parse().ok()?),
+            "--transport" => transport = Some(ProcTransport::parse(value)?),
+            "--listen" => listen = Some(value.clone()),
+            "--peers" => peers = Some(ChildOpts::parse_peers(value)?),
             _ => {
-                let value = it.next()?;
-                match flag.as_str() {
-                    "--protocol" => protocol = Some(parse_protocol(value)?),
-                    "--n" => n = Some(value.parse().ok()?),
-                    "--k" => k = Some(value.parse().ok()?),
-                    "--payload" => payload = Some(value.parse().ok()?),
-                    "--seed" => seed = Some(value.parse().ok()?),
-                    "--scheme" => {
-                        scheme = Some(SigScheme::from_wire_tag(value.parse().ok()?)?);
-                    }
-                    "--offered-load" => offered_load = value.parse().ok()?,
-                    "--forward-batch" => forward_batch = value.parse().ok()?,
-                    "--delta-us" => delta_us = Some(value.parse().ok()?),
-                    "--checkpoint" => checkpoint_interval = Some(value.parse().ok()?),
-                    "--fault-bound" => fault_bound = Some(value.parse().ok()?),
-                    "--node-id" => node_id = Some(value.parse().ok()?),
-                    "--transport" => transport = Some(ProcTransport::parse(value)?),
-                    "--listen" => listen = Some(value.clone()),
-                    "--peers" => peers = Some(ChildOpts::parse_peers(value)?),
-                    _ => return None,
-                }
+                let (_, _, parse) = VALUE_FLAGS.iter().find(|row| row.0 == flag)?;
+                parse(&mut scenario, value)?;
             }
         }
     }
-    let cell = ProcCell {
-        protocol: protocol?,
-        n: n?,
-        k: k?,
-        payload_bytes: payload?,
-        seed: seed?,
-        scheme: scheme?,
-        offered_load,
-        forward_batch,
-        streaming,
-        crash_only,
-        opt_equivocation_speedup,
-        opt_lock_only_status,
-        checkpoint_interval,
-        fault_bound,
-        delta_us: delta_us?,
-    };
     let opts =
         ChildOpts { node_id: node_id?, transport: transport?, listen: listen?, peers: peers? };
-    Some((cell, opts))
+    let shaped = REQUIRED_FLAGS.iter().all(|f| seen.contains(f))
+        && (1..scenario.n).contains(&scenario.k)
+        && (opts.node_id as usize) < scenario.n;
+    shaped.then_some((scenario, SimDuration::from_micros(delta_us?), opts))
 }
 
 /// Report-blob schema magic + version ("EESMR Proc Report, v1").
@@ -253,7 +214,7 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
 /// internal coordinator↔child contract versioned by `REPORT_MAGIC` —
 /// both ends always come from the same build, so it can evolve freely
 /// (unlike the frozen v1 message wire format).
-pub fn encode_node_report(node: &NodeReport, stats: &NetStats) -> Vec<u8> {
+fn encode_node_report(node: &NodeReport, stats: &NetStats) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
     out.extend_from_slice(REPORT_MAGIC);
     put_u32(&mut out, node.id);
@@ -322,7 +283,7 @@ fn read_f64(r: &mut Reader<'_>) -> io::Result<f64> {
 }
 
 /// Decodes a blob produced by [`encode_node_report`].
-pub fn decode_node_report(blob: &[u8]) -> io::Result<(NodeReport, NetStats)> {
+fn decode_node_report(blob: &[u8]) -> io::Result<(NodeReport, NetStats)> {
     let mut r = Reader::new(blob);
     if r.bytes(4).map_err(bad)? != REPORT_MAGIC {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "report blob: bad magic"));
@@ -424,25 +385,6 @@ fn unsupported(what: &str) -> io::Error {
 }
 
 impl Scenario {
-    /// The `(Δ, f)` this scenario's process run uses: the simulated
-    /// topology's Δ padded to [`DELTA_PAD_US`] for wall-clock timer
-    /// robustness, and the same protocol fault bound `run` would use.
-    fn proc_delta_f(&self) -> (SimDuration, usize) {
-        let net_cfg = match self.protocol {
-            Protocol::TrustedBaseline => NetConfig::ble(star(self.n, HUB), self.seed),
-            _ => NetConfig::ble(ring_kcast(self.n, self.k), self.seed),
-        };
-        let delta = net_cfg.delta().max(SimDuration::from_micros(DELTA_PAD_US));
-        let f = match self.protocol {
-            Protocol::Eesmr => self.fault_bound.unwrap_or(Config::new(self.n, delta).f),
-            Protocol::SyncHotStuff | Protocol::OptSync => {
-                self.fault_bound.unwrap_or(HsConfig::new(self.n, delta, HsVariant::SyncHotStuff).f)
-            }
-            Protocol::TrustedBaseline => 0,
-        };
-        (delta, f)
-    }
-
     /// Runs this scenario's happy-path cell as real OS processes: one
     /// `proc_replica` child per node (spawned from `binary`), meshed
     /// over `transport`, stopped once every node reports the scenario's
@@ -475,31 +417,21 @@ impl Scenario {
             ));
         }
 
-        let (delta, f) = self.proc_delta_f();
-        let cell = ProcCell {
-            protocol: self.protocol,
-            n: self.n,
-            k: self.k,
-            payload_bytes: self.payload_bytes,
-            seed: self.seed,
-            scheme: self.scheme,
-            offered_load: self.offered_load,
-            forward_batch: self.forward_batch,
-            streaming: self.streaming,
-            crash_only: self.crash_only,
-            opt_equivocation_speedup: self.opt_equivocation_speedup,
-            opt_lock_only_status: self.opt_lock_only_status,
-            checkpoint_interval: self.checkpoint_interval,
-            fault_bound: self.fault_bound,
-            delta_us: delta.as_micros(),
-        };
+        // The coordinator builds the same cell its children do, for the
+        // fault bound the report states.
+        let net = self.net_config();
+        let delta = net.delta().max(SimDuration::from_micros(DELTA_PAD_US));
+        let f = self.build(net, delta, &FaultPlan::none()).f;
+        // Declared before the children so it drops after them: the
+        // socket directory goes once no child can still be using it.
         let addrs = alloc_addrs(transport, self.n)?;
+        let cell_args = child_args(self, delta);
         let mut children = Vec::with_capacity(self.n);
         for id in 0..self.n {
             let peers: Vec<(u32, String)> =
                 (0..self.n).filter(|p| *p != id).map(|p| (p as u32, addrs[p].clone())).collect();
             let mut cmd = std::process::Command::new(binary);
-            cmd.args(cell.args())
+            cmd.args(&cell_args)
                 .arg("--node-id")
                 .arg(id.to_string())
                 .arg("--transport")
@@ -534,22 +466,49 @@ impl Scenario {
             net.absorb(&stats);
             nodes.push(node);
         }
-        Ok(RunReport {
-            protocol: self.protocol.name(),
-            n: self.n,
-            k: self.k,
-            f,
-            payload_bytes: self.payload_bytes,
-            delta_us: delta.as_micros(),
-            elapsed_us,
-            nodes,
-            net,
-            commit_path: None,
-            energy_attr: Vec::new(),
-            metrics: eesmr_net::MetricsSet::default(),
-            trace_dropped: Vec::new(),
-        })
+        Ok(RunReport::new(self, f, delta, elapsed_us, nodes, net))
     }
+
+    /// The child's half of [`run_proc`](Self::run_proc): rebuilds the
+    /// cell exactly as the simulator would — minus the fault plan, on
+    /// the mesh's padded Δ — keeps replica `opts.node_id`, and runs it
+    /// over the process transport until the coordinator stops it.
+    pub fn run_child(&self, delta: SimDuration, opts: ChildOpts) -> io::Result<()> {
+        let Cell { net, roles, replicas, .. } =
+            self.build(self.net_config(), delta, &FaultPlan::none());
+        let role = roles[opts.node_id as usize];
+        match replicas {
+            Replicas::Eesmr(r) => run_replica(opts, net.channel, role, r),
+            Replicas::SyncHs(r) => run_replica(opts, net.channel, role, r),
+            Replicas::Trusted(r) => run_replica(opts, net.channel, role, r),
+        }
+    }
+}
+
+/// Runs replica `opts.node_id` of `replicas` as this process's node; its
+/// final report blob is the [`NodeReport`] the simulator would emit.
+fn run_replica<A>(
+    opts: ChildOpts,
+    channel: ChannelCost,
+    role: NodeRole,
+    mut replicas: Vec<A>,
+) -> io::Result<()>
+where
+    A: ReplicaView,
+    A::Msg: WireCodec + Send + 'static,
+{
+    let id = opts.node_id;
+    let actor = replicas.swap_remove(id as usize);
+    run_node(
+        opts,
+        actor,
+        channel,
+        |r| r.committed_height(),
+        |r, meter, stats| {
+            let node = NodeReport::from_view(id, role.faulty, role.is_hub, r, meter);
+            encode_node_report(&node, stats)
+        },
+    )
 }
 
 #[cfg(test)]
@@ -558,37 +517,62 @@ mod tests {
 
     #[test]
     fn cell_args_roundtrip_through_the_child_parser() {
-        let cell = ProcCell {
-            protocol: Protocol::OptSync,
-            n: 7,
-            k: 3,
-            payload_bytes: 64,
-            seed: 9,
-            scheme: SigScheme::Hmac,
-            offered_load: 2,
-            forward_batch: 4,
-            streaming: true,
-            crash_only: false,
-            opt_equivocation_speedup: true,
-            opt_lock_only_status: false,
-            checkpoint_interval: Some(8),
-            fault_bound: Some(2),
-            delta_us: 30_000,
-        };
-        let mut args = cell.args();
-        args.extend(
+        let identity =
             ["--node-id", "3", "--transport", "uds", "--listen", "/tmp/x.sock", "--peers", "0@a"]
-                .map(String::from),
-        );
-        let (back, opts) = parse_child_args(&args).expect("parses");
-        assert_eq!(back, cell);
-        assert_eq!(opts.node_id, 3);
-        assert_eq!(opts.transport, ProcTransport::Uds);
-        assert_eq!(opts.listen, "/tmp/x.sock");
-        assert_eq!(opts.peers, vec![(0, "a".to_string())]);
-        // Unknown flags and missing values are rejected, not ignored.
-        assert!(parse_child_args(&["--bogus".into(), "1".into()]).is_none());
-        assert!(parse_child_args(&["--n".into()]).is_none());
+                .map(String::from);
+        let delta = SimDuration::from_micros(30_000);
+        for protocol in
+            [Protocol::Eesmr, Protocol::SyncHotStuff, Protocol::OptSync, Protocol::TrustedBaseline]
+        {
+            // Every optional flag unset, then every one set.
+            let plain = Scenario::new(protocol, 7, 3);
+            let mut full = plain
+                .clone()
+                .payload(64)
+                .seed(9)
+                .scheme(SigScheme::Hmac)
+                .offered_load(2)
+                .forward_batch(4)
+                .streaming()
+                .with_paper_optimizations()
+                .checkpoint_every(8)
+                .fault_bound(2);
+            full.crash_only = true;
+            for original in [plain, full] {
+                let mut args = child_args(&original, delta);
+                args.extend(identity.clone());
+                let (back, back_delta, opts) = parse_child_args(&args).expect("parses");
+                assert_eq!(back_delta, delta);
+                assert_eq!(back.cell(), original.cell());
+                assert_eq!(back.label(), original.label());
+                // The replica-shaping knobs outside the cell key.
+                assert_eq!(back.streaming, original.streaming);
+                assert_eq!(back.crash_only, original.crash_only);
+                assert_eq!(back.opt_equivocation_speedup, original.opt_equivocation_speedup);
+                assert_eq!(back.opt_lock_only_status, original.opt_lock_only_status);
+                assert_eq!(back.checkpoint_interval, original.checkpoint_interval);
+                assert_eq!(back.fault_bound, original.fault_bound);
+                assert_eq!(opts.node_id, 3);
+                assert_eq!(opts.transport, ProcTransport::Uds);
+                assert_eq!(opts.listen, "/tmp/x.sock");
+                assert_eq!(opts.peers, vec![(0, "a".to_string())]);
+            }
+        }
+        // Unknown flags, missing values, bad numbers, missing required
+        // flags and impossible shapes are rejected, not ignored.
+        let with = |extra: &[&str]| {
+            let mut args = child_args(&Scenario::new(Protocol::Eesmr, 7, 3), delta);
+            args.extend(identity.clone());
+            args.extend(extra.iter().map(|s| s.to_string()));
+            parse_child_args(&args).map(|(s, ..)| s)
+        };
+        assert_eq!(with(&[]).expect("the baseline parses").n, 7);
+        assert!(with(&["--bogus", "1"]).is_none());
+        assert!(with(&["--n"]).is_none());
+        assert!(with(&["--seed", "x"]).is_none());
+        assert!(with(&["--k", "7"]).is_none(), "k must stay below n");
+        assert!(with(&["--n", "3", "--k", "2"]).is_none(), "no node 3 when n = 3");
+        assert!(parse_child_args(&identity).is_none(), "--protocol/--n/--k/--delta-us required");
     }
 
     #[test]

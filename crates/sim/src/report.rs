@@ -5,6 +5,9 @@ use eesmr_net::{MetricsSet, NetStats, NodeId, SimDuration};
 use eesmr_trace::hist::LogHistogram;
 use eesmr_trace::path::CommitPath;
 
+use crate::cell::ReplicaView;
+use crate::scenario::Scenario;
+
 /// Energy breakdown for one node, in millijoules.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NodeEnergy {
@@ -98,17 +101,43 @@ pub struct NodeReport {
 /// conformance runs stop well under the cap.
 pub const COMMIT_LOG_CAP: usize = 4096;
 
-/// Builds the capped committed-log prefix for a [`NodeReport`] from a
-/// replica's committed block ids plus a block lookup (commands per
-/// block; 0 when a block body is no longer stored locally).
-pub fn commit_log_prefix(
-    log: &[eesmr_crypto::Digest],
-    commands_of: impl Fn(&eesmr_crypto::Digest) -> Option<u32>,
-) -> (Vec<u64>, Vec<u32>) {
-    let prefix = &log[..log.len().min(COMMIT_LOG_CAP)];
-    let fps = prefix.iter().map(eesmr_core::block::fingerprint).collect();
-    let txs = prefix.iter().map(|id| commands_of(id).unwrap_or(0)).collect();
-    (fps, txs)
+impl NodeReport {
+    /// Reads one node's results off its finished replica and energy
+    /// meter — the same way for every protocol and every backend.
+    pub fn from_view<A: ReplicaView>(
+        id: NodeId,
+        faulty: bool,
+        is_hub: bool,
+        replica: &A,
+        meter: &EnergyMeter,
+    ) -> Self {
+        let log = replica.committed();
+        let prefix = &log[..log.len().min(COMMIT_LOG_CAP)];
+        let metrics = replica.metrics();
+        NodeReport {
+            id,
+            faulty,
+            is_hub,
+            energy: NodeEnergy::from_meter(meter),
+            committed_height: replica.committed_height(),
+            blocks_committed: metrics.blocks_committed,
+            view_changes: metrics.view_changes,
+            signs: meter.count(EnergyCategory::Sign),
+            verifies: meter.count(EnergyCategory::Verify),
+            mean_commit_latency: metrics.mean_commit_latency(),
+            tx_injected: metrics.tx_injected,
+            tx_forwarded: metrics.tx_forwarded,
+            forward_retries: metrics.forward_retries,
+            peak_backlog: replica.peak_backlog() as u64,
+            mean_batch_fill_pct: metrics.mean_batch_fill_pct(),
+            tx_latency_hist: replica.tx_latencies().clone(),
+            commit_fps: prefix.iter().map(eesmr_core::block::fingerprint).collect(),
+            commit_txs: prefix
+                .iter()
+                .map(|id| replica.block(id).map_or(0, |b| b.payload.len() as u32))
+                .collect(),
+        }
+    }
 }
 
 /// End-to-end commit-latency statistics over a run's workload
@@ -189,6 +218,35 @@ impl PartialEq for RunReport {
 }
 
 impl RunReport {
+    /// Assembles the report of one run of `scenario`: the fault bound and
+    /// Δ its replicas ran with, the time it took (virtual or wall-clock,
+    /// by backend), and what the nodes and the network measured. The
+    /// observability surfaces start empty.
+    pub fn new(
+        scenario: &Scenario,
+        f: usize,
+        delta: SimDuration,
+        elapsed_us: u64,
+        nodes: Vec<NodeReport>,
+        net: NetStats,
+    ) -> Self {
+        RunReport {
+            protocol: scenario.protocol.name(),
+            n: scenario.n,
+            k: scenario.k,
+            f,
+            payload_bytes: scenario.payload_bytes,
+            delta_us: delta.as_micros(),
+            elapsed_us,
+            nodes,
+            net,
+            commit_path: None,
+            energy_attr: Vec::new(),
+            metrics: MetricsSet::default(),
+            trace_dropped: Vec::new(),
+        }
+    }
+
     /// Iterator over correct (non-faulty, non-hub) nodes.
     pub fn correct_nodes(&self) -> impl Iterator<Item = &NodeReport> {
         self.nodes.iter().filter(|n| !n.faulty && !n.is_hub)
@@ -347,6 +405,8 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::{NodeRole, Replicas};
+    use eesmr_net::{NetConfig, ShardedNet, SimTime};
 
     fn node(id: NodeId, total_mj: f64, height: u64, faulty: bool) -> NodeReport {
         NodeReport {
@@ -380,21 +440,71 @@ mod tests {
     }
 
     fn report(nodes: Vec<NodeReport>) -> RunReport {
-        RunReport {
-            protocol: "test",
-            n: nodes.len(),
-            k: 2,
-            f: 1,
-            payload_bytes: 16,
-            delta_us: 1000,
-            elapsed_us: 10_000,
-            nodes,
-            net: NetStats::default(),
-            commit_path: None,
-            energy_attr: Vec::new(),
-            metrics: MetricsSet::default(),
-            trace_dropped: Vec::new(),
+        let scenario = Scenario::new(crate::Protocol::Eesmr, 3, 2);
+        let delta = SimDuration::from_micros(1000);
+        let mut report = RunReport::new(&scenario, 1, delta, 10_000, nodes, NetStats::default());
+        report.n = report.nodes.len();
+        report
+    }
+
+    /// Runs a built cell for 400 ms of virtual time, checks every node's
+    /// `from_view` against the replica's own accessors, and returns the
+    /// reports.
+    fn finished<A>(net: NetConfig, roles: &[NodeRole], replicas: Vec<A>) -> Vec<NodeReport>
+    where
+        A: ReplicaView + Send,
+        A::Msg: Send,
+        A::Timer: Send,
+    {
+        let mut sim = ShardedNet::new(net, replicas, 1);
+        sim.run_until(SimTime::ZERO + SimDuration::from_millis(400));
+        let check = |(id, role): (NodeId, &NodeRole)| {
+            let r = sim.actor(id);
+            let node = NodeReport::from_view(id, role.faulty, role.is_hub, r, sim.meter(id));
+            assert_eq!((node.id, node.faulty, node.is_hub), (id, role.faulty, role.is_hub));
+            assert_eq!(node.view_changes, r.metrics().view_changes);
+            let log = r.committed();
+            let fps: Vec<u64> = log.iter().map(eesmr_core::block::fingerprint).collect();
+            let txs: Vec<u32> =
+                log.iter().map(|d| r.block(d).map_or(0, |b| b.payload.len() as u32)).collect();
+            assert_eq!((node.commit_fps.clone(), node.commit_txs.clone()), (fps, txs));
+            node
+        };
+        (0..).zip(roles).map(check).collect()
+    }
+
+    #[test]
+    fn from_view_reads_every_replica_type_alike() {
+        use crate::{FaultPlan, Protocol};
+        let cell_of = |protocol, plan: FaultPlan| {
+            let scenario = Scenario::new(protocol, 5, 2);
+            let net = scenario.net_config();
+            let delta = net.delta();
+            scenario.build(net, delta, &plan)
+        };
+        // A silent first leader: node 0 is faulty, everyone else changes
+        // view and commits under node 1.
+        for protocol in [Protocol::Eesmr, Protocol::SyncHotStuff] {
+            let cell = cell_of(protocol, FaultPlan::silent_leader());
+            let nodes = match cell.replicas {
+                Replicas::Eesmr(r) => finished(cell.net, &cell.roles, r),
+                Replicas::SyncHs(r) => finished(cell.net, &cell.roles, r),
+                Replicas::Trusted(_) => unreachable!(),
+            };
+            assert!(nodes[0].faulty && !nodes[1].faulty, "{protocol:?}");
+            assert!(nodes.iter().all(|n| !n.is_hub), "{protocol:?}");
+            assert!(nodes[1].view_changes >= 1, "{protocol:?}");
+            assert!(!nodes[1].commit_fps.is_empty(), "{protocol:?}");
         }
+        // The trusted baseline: the hub is never faulty, even when a plan
+        // names node 0; spokes are; nobody changes view.
+        let cell = cell_of(Protocol::TrustedBaseline, FaultPlan::silent_nodes([0, 2]));
+        let Replicas::Trusted(r) = cell.replicas else { unreachable!() };
+        let nodes = finished(cell.net, &cell.roles, r);
+        assert!(nodes[0].is_hub && !nodes[0].faulty);
+        assert!(nodes[2].faulty && !nodes[2].is_hub && !nodes[1].faulty);
+        assert!(nodes.iter().all(|n| n.view_changes == 0));
+        assert!(!nodes[1].commit_fps.is_empty());
     }
 
     #[test]

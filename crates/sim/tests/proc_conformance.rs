@@ -60,6 +60,13 @@ fn assert_conformance(scenario: Scenario) {
             "{label}: node {} committed an empty block in the unit-load cell",
             s.id
         );
+        // Real concurrency and wall-clock timers do not bypass the
+        // meters: every process paid for its radio and its crypto.
+        assert!(
+            p.energy.total_mj() > 0.0 && p.signs + p.verifies > 0,
+            "{label}: proc node {} was not metered",
+            s.id
+        );
     }
     // Every node agrees with node 0 within each backend too (safety,
     // cheap to pin while we have the logs).

@@ -11,7 +11,7 @@
 //! | `eesmr-hypergraph` | [`hypergraph`] | directed hypergraphs of k-casts, connectivity analysis |
 //! | `eesmr-energy` | [`energy`] | media costs, BLE reliability, meters, closed-form ψ |
 //! | `eesmr-metrics` | [`metrics`] | deterministic time-series telemetry, Prometheus/JSON export, self-profiling |
-//! | `eesmr-net` | [`net`] | deterministic discrete-event simulator + threaded transport |
+//! | `eesmr-net` | [`net`] | deterministic discrete-event simulator, multi-process transport, wire codec |
 //! | `eesmr-core` | [`core_protocol`] | the EESMR protocol itself |
 //! | `eesmr-baselines` | [`baselines`] | Sync HotStuff, OptSync, trusted-node baseline |
 //! | `eesmr-workload` | [`workload`] | deterministic client workloads: arrival processes, skew, open/closed loop |
@@ -69,9 +69,7 @@ pub mod prelude {
     };
     pub use eesmr_hypergraph::Hypergraph;
     pub use eesmr_metrics::{MetricsConfig, MetricsSet};
-    pub use eesmr_net::{
-        NetConfig, SchedulerKind, SimDuration, SimNet, SimTime, ThreadNet, ThreadNetConfig,
-    };
+    pub use eesmr_net::{NetConfig, SchedulerKind, SimDuration, SimNet, SimTime};
     pub use eesmr_sim::{
         BatchPolicy, CellKey, FaultPlan, NodeEnergy, NodeReport, Protocol, RunReport, Scenario,
         StopWhen, TxLatencyStats,

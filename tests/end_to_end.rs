@@ -205,35 +205,3 @@ fn hmac_scheme_runs_but_loses_transferable_authentication() {
     assert!(report.committed_height() >= 5);
     assert!(!SigScheme::Hmac.transferable());
 }
-
-#[test]
-fn eesmr_runs_on_real_threads() {
-    // The same replica code that runs under the deterministic simulator
-    // runs on one OS thread per node with wall-clock timers — the property
-    // that would let it sit on a real BLE stack.
-    use eesmr_net::{ChannelCost, ThreadNet, ThreadNetConfig};
-
-    let n = 5;
-    let topology = ring_kcast(n, 2);
-    // Real-time Δ: generous 20 ms per hop bound × diameter 2.
-    let config = Config::new(n, SimDuration::from_millis(40));
-    let pki = Arc::new(KeyStore::generate(n, SigScheme::Rsa1024, 77));
-    let replicas = build_replicas(&config, &pki, |_| FaultMode::Honest);
-    let net = ThreadNet::spawn(
-        ThreadNetConfig { topology, channel: ChannelCost::ble_four_nines(2) },
-        replicas,
-    );
-    std::thread::sleep(std::time::Duration::from_millis(1_500));
-    let nodes = net.shutdown();
-
-    let heights: Vec<u64> = nodes.iter().map(|(r, _)| r.committed_height()).collect();
-    assert!(
-        heights.iter().all(|&h| h >= 2),
-        "all threads commit under wall-clock timers: {heights:?}"
-    );
-    let logs: Vec<&[eesmr_crypto::Digest]> = nodes.iter().map(|(r, _)| r.committed()).collect();
-    check_prefix_consistency(&logs).expect("threaded run stays safe");
-    for (i, (_, meter)) in nodes.iter().enumerate() {
-        assert!(meter.total_mj() > 0.0, "node {i} was metered");
-    }
-}
