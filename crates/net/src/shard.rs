@@ -18,18 +18,24 @@
 //!
 //! **Adaptive windows.** On runs without a stop predicate
 //! ([`run_until`](ShardedNet::run_until) / [`run_for`](ShardedNet::run_for))
-//! the barrier cadence is adaptive: shard `r` may process every local
-//! event strictly before `min over s ≠ r of (next_s + L)`, where `next_s`
-//! is shard `s`'s earliest pending event at the barrier — the classic
-//! Chandy–Misra–Bryant null-message bound. Any cross-shard delivery shard
-//! `s` can still produce arrives no earlier than `next_s + L` (events
-//! never go backwards in time and cross-shard hops cost at least `L`), so
-//! the bound is conservative; when the other shards are idle or far
-//! behind, one barrier round covers many lookahead windows, and a lone
-//! busy shard drains to the limit in a single window. With a stop
-//! predicate the fixed `L`-wide cadence is kept, because the predicate is
-//! part of the observable schedule: it must be evaluated at the same
-//! barrier times for every shard count.
+//! the barrier cadence is adaptive: with `next_s` shard `s`'s earliest
+//! pending event at the barrier and `g = min over s of next_s`, shard `r`
+//! may process every local event strictly before
+//! `min(min over s ≠ r of next_s, g + L) + L`. The first term is the
+//! Chandy–Misra–Bryant null-message bound: what shard `s` already holds
+//! cannot reach `r` before `next_s + L`. It is not a bound on `s`'s
+//! *future*, though — any event in the system (`r`'s own earliest
+//! included) can reach `s` at `g + L` and be answered towards `r` at
+//! `g + 2L`, which is the second term. Every pending event is at or after
+//! `g`, events never go backwards in time and each cross-shard hop costs
+//! at least `L`, so nothing can arrive at `r` before that bound, at this
+//! barrier or any later one. The shard holding the globally earliest event
+//! thus gets up to two lookahead windows per round and every other shard
+//! one, anchored at `g` — idle stretches are skipped whole. (A sole shard
+//! receives no cross-shard traffic at all and runs the span as one
+//! window.) With a stop predicate the fixed `L`-wide cadence is kept,
+//! because the predicate is part of the observable schedule: it must be
+//! evaluated at the same barrier times for every shard count.
 //!
 //! **The determinism contract.** The merged execution is bit-identical
 //! to the single-threaded [`SimNet`](crate::SimNet) run because every
@@ -398,24 +404,26 @@ where
         }
     }
 
-    /// Fills `horizons[r]` with the adaptive (CMB null-message) bound for
-    /// shard `r`: every local event strictly before
-    /// `min over s ≠ r of (next_s + lookahead)` is safe to process without
-    /// another exchange, because a shard whose earliest pending event is
-    /// `next_s` cannot make anything arrive cross-shard before
-    /// `next_s + lookahead`. Shards with no foreign activity pending run
-    /// straight to the limit. Returns `false` — leaving `horizons`
-    /// untouched — when no pending event is at or before the limit.
+    /// Fills `horizons[r]` with the adaptive bound for shard `r`: every
+    /// local event strictly before
+    /// `min(min over s ≠ r of next_s, global_min + lookahead) + lookahead`
+    /// is safe to process without another exchange. A foreign shard `s`
+    /// processes nothing earlier than its own `next_s` or the first thing
+    /// that can still reach it — `global_min + lookahead`, possibly `r`'s
+    /// own earliest event on its way out and back — and whatever it then
+    /// sends `r` takes another `lookahead` (see the module docs). Returns
+    /// `false` — leaving `horizons` untouched — when no pending event is
+    /// at or before the limit.
     fn adaptive_horizons(
         nexts: &[Option<u64>],
         lookahead: u64,
         limit: u64,
         horizons: &[Mutex<u64>],
     ) -> bool {
-        let global_min = nexts.iter().copied().flatten().min();
-        if global_min.is_none_or(|m| m > limit) {
+        let Some(global_min) = nexts.iter().copied().flatten().min().filter(|&m| m <= limit) else {
             return false;
-        }
+        };
+        let reflected = global_min.saturating_add(lookahead);
         let open_end = limit.saturating_add(1);
         for (r, slot) in horizons.iter().enumerate() {
             let foreign_min = nexts
@@ -424,10 +432,8 @@ where
                 .filter(|&(s, _)| s != r)
                 .filter_map(|(_, &next)| next)
                 .min();
-            *slot.lock().unwrap() = match foreign_min {
-                Some(m) => m.saturating_add(lookahead).min(open_end),
-                None => open_end,
-            };
+            let earliest_foreign_step = foreign_min.map_or(reflected, |m| m.min(reflected));
+            *slot.lock().unwrap() = earliest_foreign_step.saturating_add(lookahead).min(open_end);
         }
         true
     }
@@ -492,7 +498,7 @@ where
                             let next = if pred.is_none() {
                                 // No stop checks to keep on a fixed
                                 // cadence: batch each shard as far as the
-                                // CMB bound allows.
+                                // adaptive bound allows.
                                 if Self::adaptive_horizons(&nexts, lookahead, limit, horizons) {
                                     Decision::Window { horizon: 0 } // per-shard slots carry the bounds
                                 } else {
@@ -704,6 +710,23 @@ mod tests {
         assert!(outcomes[0].1 < deadline, "stopped before the deadline");
         assert_eq!(outcomes[0], outcomes[1], "2 shards diverged from 1");
         assert_eq!(outcomes[0], outcomes[2], "4 shards diverged from 1");
+    }
+
+    #[test]
+    fn adaptive_horizon_is_capped_by_the_shards_own_reflection() {
+        // Shard 0 holds the earliest event (t = 0), shard 1 is idle until
+        // 100 L. Shard 0's event can reach shard 1 at L and be answered
+        // at 2 L, so shard 0 must stop there — not at 101 L.
+        let l = 1_000;
+        let horizons: Vec<Mutex<u64>> = (0..3).map(|_| Mutex::new(0)).collect();
+        let nexts = [Some(0), Some(100 * l), None];
+        assert!(ShardedNet::<TActor>::adaptive_horizons(&nexts, l, 1_000_000, &horizons));
+        let got: Vec<u64> = horizons.iter().map(|h| *h.lock().unwrap()).collect();
+        assert_eq!(got, [2 * l, l, l]);
+        // The limit still clips, and nothing pending before it ends the run.
+        assert!(ShardedNet::<TActor>::adaptive_horizons(&nexts, l, 1_500, &horizons));
+        assert_eq!(*horizons[0].lock().unwrap(), 1_501);
+        assert!(!ShardedNet::<TActor>::adaptive_horizons(&[None, Some(9)], l, 8, &horizons));
     }
 
     #[test]

@@ -238,6 +238,15 @@ fn sharding_scenarios() -> Vec<Scenario> {
             .workload(bursty_workload())
             .stop(StopWhen::Blocks(4)),
         Scenario::new(Protocol::Eesmr, 7, 3).stop(StopWhen::Elapsed(SimDuration::from_millis(40))),
+        // `Elapsed` stops run the adaptive barrier windows. In these two a
+        // shard falls idle while another is far ahead of it, the layout
+        // under which a window bound that ignores a shard's own events
+        // echoing back lets one arrive in that shard's past.
+        Scenario::new(Protocol::SyncHotStuff, 5, 2)
+            .stop(StopWhen::Elapsed(SimDuration::from_millis(80))),
+        Scenario::new(Protocol::Eesmr, 6, 2)
+            .faults(FaultPlan::silent_nodes([3]).with_crash(4, 10_000, None))
+            .stop(StopWhen::Elapsed(SimDuration::from_millis(60))),
     ]
 }
 
