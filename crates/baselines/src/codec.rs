@@ -1,259 +1,45 @@
 //! v1 wire encodings for the baseline protocol messages.
 //!
-//! Layouts (header and conventions in `eesmr_net::codec`; nested
-//! `Block`/`Commands`/`QuorumCert`/`CertifiedBlock` encodings come from
-//! `eesmr_core::codec`):
-//!
-//! ```text
-//! HsMsg = header(HS_MSG) | kind u8 | view u64 | signer u32
-//!       | payload body (per kind) | Signature
-//! TbMsg = header(TB_MSG) | tag u8 | signer u32
-//!       | payload body (per tag) | Signature
-//! ```
+//! Each payload's layout is its table below (header, conventions and
+//! table forms in `eesmr_net::codec`; the nested `Block`/`Commands`/
+//! `QuorumCert`/`CertifiedBlock` encodings and the `HsMsg` envelope —
+//! `header(HS_MSG) | kind | view | signer | payload fields | signature`
+//! — come from `eesmr_core::codec`). Adding a message is one row.
 //!
 //! The blame equivocation proof embeds the two conflicting `HsMsg`s as
 //! full frames, exactly like `SignedMsg` blames.
 
 use eesmr_core::{Block, CertifiedBlock, Commands, MsgKind, QuorumCert};
 use eesmr_crypto::{Digest, Signature};
-use eesmr_net::codec::{
-    family, put_count, put_header, read_count, read_header, CodecError, Reader, WireCodec,
-    HEADER_LEN,
-};
+use eesmr_net::codec::family;
+use eesmr_net::{wire_enum, wire_struct, NodeId};
 
 use crate::sync_hotstuff::{HsMsg, HsPayload};
 use crate::trusted::{TbMsg, TbPayload};
 
-fn read_msg_kind(r: &mut Reader<'_>) -> Result<MsgKind, CodecError> {
-    let tag = r.u8()?;
-    MsgKind::from_wire(tag).ok_or(CodecError::UnknownTag { what: "message kind", tag })
-}
+wire_enum! { HsPayload: MsgKind = "sync-hotstuff kind" {
+    MsgKind::Propose => Propose { block: Block, justify: Option<QuorumCert> },
+    MsgKind::HsVote => Vote { block_id: Digest, height: u64 },
+    MsgKind::Blame => Blame { proof: Option<Box<(HsMsg, HsMsg)>> },
+    MsgKind::BlameQc => BlameQc(qc: QuorumCert),
+    MsgKind::LockStatus => Status { cert: Option<CertifiedBlock> },
+    MsgKind::SyncRequest => SyncRequest { want: Digest },
+    MsgKind::SyncResponse => SyncResponse { blocks: Vec<Block> = "sync-response blocks" },
+    MsgKind::Forward => Forward { commands: Commands },
+    MsgKind::Repair => Repair { from_height: u64 },
+    MsgKind::RepairReply => RepairReply { blocks: Vec<Block> = "repair-reply blocks", view: u64 },
+} }
 
-fn put_blocks(out: &mut Vec<u8>, blocks: &[Block]) {
-    put_count(out, blocks.len());
-    for b in blocks {
-        b.encode_into(out);
-    }
-}
+// The trusted baseline has no `MsgKind` analogue, so its tags are a
+// namespace of their own.
+wire_enum! { TbPayload: u8 = "trusted-baseline tag" {
+    1 => Request { batch: Commands, seq: u64 },
+    2 => Ordered { block: Block },
+    3 => Repair { from_height: u64 },
+    4 => RepairReply { blocks: Vec<Block> = "tb repair blocks" },
+} }
 
-fn read_blocks(r: &mut Reader<'_>, what: &'static str) -> Result<Vec<Block>, CodecError> {
-    let count = read_count(r, 32 + 24 + 4, what)?;
-    let mut v = Vec::with_capacity(count);
-    for _ in 0..count {
-        v.push(Block::decode_from(r)?);
-    }
-    Ok(v)
-}
-
-fn blocks_len(blocks: &[Block]) -> usize {
-    4 + blocks.iter().map(Block::encoded_len).sum::<usize>()
-}
-
-impl HsPayload {
-    pub(crate) fn body_encoded_len(&self) -> usize {
-        match self {
-            HsPayload::Propose { block, justify } => {
-                block.encoded_len() + 1 + justify.as_ref().map_or(0, QuorumCert::encoded_len)
-            }
-            HsPayload::Vote { .. } => 32 + 8,
-            HsPayload::Blame { proof } => {
-                1 + proof.as_ref().map_or(0, |p| p.0.encoded_len() + p.1.encoded_len())
-            }
-            HsPayload::BlameQc(qc) => qc.encoded_len(),
-            HsPayload::Status { cert } => 1 + cert.as_ref().map_or(0, CertifiedBlock::encoded_len),
-            HsPayload::SyncRequest { .. } => 32,
-            HsPayload::SyncResponse { blocks } => blocks_len(blocks),
-            HsPayload::Forward { commands } => commands.encoded_len(),
-            HsPayload::Repair { .. } => 8,
-            HsPayload::RepairReply { blocks, .. } => blocks_len(blocks) + 8,
-        }
-    }
-
-    fn encode_body(&self, out: &mut Vec<u8>) {
-        match self {
-            HsPayload::Propose { block, justify } => {
-                block.encode_into(out);
-                match justify {
-                    None => out.push(0),
-                    Some(qc) => {
-                        out.push(1);
-                        qc.encode_into(out);
-                    }
-                }
-            }
-            HsPayload::Vote { block_id, height } => {
-                block_id.encode_into(out);
-                out.extend_from_slice(&height.to_le_bytes());
-            }
-            HsPayload::Blame { proof } => match proof {
-                None => out.push(0),
-                Some(p) => {
-                    out.push(1);
-                    p.0.encode_into(out);
-                    p.1.encode_into(out);
-                }
-            },
-            HsPayload::BlameQc(qc) => qc.encode_into(out),
-            HsPayload::Status { cert } => match cert {
-                None => out.push(0),
-                Some(c) => {
-                    out.push(1);
-                    c.encode_into(out);
-                }
-            },
-            HsPayload::SyncRequest { want } => want.encode_into(out),
-            HsPayload::SyncResponse { blocks } => put_blocks(out, blocks),
-            HsPayload::Forward { commands } => commands.encode_into(out),
-            HsPayload::Repair { from_height } => out.extend_from_slice(&from_height.to_le_bytes()),
-            HsPayload::RepairReply { blocks, view } => {
-                put_blocks(out, blocks);
-                out.extend_from_slice(&view.to_le_bytes());
-            }
-        }
-    }
-
-    fn decode_body(kind: MsgKind, r: &mut Reader<'_>) -> Result<HsPayload, CodecError> {
-        Ok(match kind {
-            MsgKind::Propose => {
-                let block = Block::decode_from(r)?;
-                let justify = match r.u8()? {
-                    0 => None,
-                    1 => Some(QuorumCert::decode_from(r)?),
-                    tag => return Err(CodecError::UnknownTag { what: "option flag", tag }),
-                };
-                HsPayload::Propose { block, justify }
-            }
-            MsgKind::HsVote => {
-                HsPayload::Vote { block_id: Digest::decode_from(r)?, height: r.u64()? }
-            }
-            MsgKind::Blame => {
-                let proof = match r.u8()? {
-                    0 => None,
-                    1 => {
-                        let a = HsMsg::decode_from(r)?;
-                        let b = HsMsg::decode_from(r)?;
-                        Some(Box::new((a, b)))
-                    }
-                    tag => return Err(CodecError::UnknownTag { what: "option flag", tag }),
-                };
-                HsPayload::Blame { proof }
-            }
-            MsgKind::BlameQc => HsPayload::BlameQc(QuorumCert::decode_from(r)?),
-            MsgKind::LockStatus => {
-                let cert = match r.u8()? {
-                    0 => None,
-                    1 => Some(CertifiedBlock::decode_from(r)?),
-                    tag => return Err(CodecError::UnknownTag { what: "option flag", tag }),
-                };
-                HsPayload::Status { cert }
-            }
-            MsgKind::SyncRequest => HsPayload::SyncRequest { want: Digest::decode_from(r)? },
-            MsgKind::SyncResponse => {
-                HsPayload::SyncResponse { blocks: read_blocks(r, "sync-response blocks")? }
-            }
-            MsgKind::Forward => HsPayload::Forward { commands: Commands::decode_from(r)? },
-            MsgKind::Repair => HsPayload::Repair { from_height: r.u64()? },
-            MsgKind::RepairReply => HsPayload::RepairReply {
-                blocks: read_blocks(r, "repair-reply blocks")?,
-                view: r.u64()?,
-            },
-            other => {
-                return Err(CodecError::UnknownTag { what: "sync-hotstuff kind", tag: other as u8 })
-            }
-        })
-    }
-}
-
-impl WireCodec for HsMsg {
-    fn encoded_len(&self) -> usize {
-        HEADER_LEN + 1 + 8 + 4 + self.payload.body_encoded_len() + self.sig.encoded_len()
-    }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        put_header(out, family::HS_MSG);
-        out.push(self.payload.kind() as u8);
-        out.extend_from_slice(&self.view.to_le_bytes());
-        out.extend_from_slice(&self.signer.to_le_bytes());
-        self.payload.encode_body(out);
-        self.sig.encode_into(out);
-    }
-
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        read_header(r, family::HS_MSG)?;
-        let kind = read_msg_kind(r)?;
-        let view = r.u64()?;
-        let signer = r.u32()?;
-        let payload = HsPayload::decode_body(kind, r)?;
-        let sig = Signature::decode_from(r)?;
-        Ok(HsMsg { payload, view, signer, sig })
-    }
-}
-
-/// Variant tags of [`TbPayload`] (no `MsgKind` analogue exists for the
-/// trusted baseline, so it has its own namespace).
-const TB_REQUEST: u8 = 1;
-const TB_ORDERED: u8 = 2;
-const TB_REPAIR: u8 = 3;
-const TB_REPAIR_REPLY: u8 = 4;
-
-impl TbPayload {
-    pub(crate) fn body_encoded_len(&self) -> usize {
-        match self {
-            TbPayload::Request { batch, .. } => batch.encoded_len() + 8,
-            TbPayload::Ordered { block } => block.encoded_len(),
-            TbPayload::Repair { .. } => 8,
-            TbPayload::RepairReply { blocks } => blocks_len(blocks),
-        }
-    }
-
-    fn tag(&self) -> u8 {
-        match self {
-            TbPayload::Request { .. } => TB_REQUEST,
-            TbPayload::Ordered { .. } => TB_ORDERED,
-            TbPayload::Repair { .. } => TB_REPAIR,
-            TbPayload::RepairReply { .. } => TB_REPAIR_REPLY,
-        }
-    }
-}
-
-impl WireCodec for TbMsg {
-    fn encoded_len(&self) -> usize {
-        HEADER_LEN + 1 + 4 + self.payload.body_encoded_len() + self.sig.encoded_len()
-    }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        put_header(out, family::TB_MSG);
-        out.push(self.payload.tag());
-        out.extend_from_slice(&self.signer.to_le_bytes());
-        match &self.payload {
-            TbPayload::Request { batch, seq } => {
-                batch.encode_into(out);
-                out.extend_from_slice(&seq.to_le_bytes());
-            }
-            TbPayload::Ordered { block } => block.encode_into(out),
-            TbPayload::Repair { from_height } => out.extend_from_slice(&from_height.to_le_bytes()),
-            TbPayload::RepairReply { blocks } => put_blocks(out, blocks),
-        }
-        self.sig.encode_into(out);
-    }
-
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        read_header(r, family::TB_MSG)?;
-        let tag = r.u8()?;
-        let signer = r.u32()?;
-        let payload = match tag {
-            TB_REQUEST => TbPayload::Request { batch: Commands::decode_from(r)?, seq: r.u64()? },
-            TB_ORDERED => TbPayload::Ordered { block: Block::decode_from(r)? },
-            TB_REPAIR => TbPayload::Repair { from_height: r.u64()? },
-            TB_REPAIR_REPLY => {
-                TbPayload::RepairReply { blocks: read_blocks(r, "tb repair blocks")? }
-            }
-            tag => return Err(CodecError::UnknownTag { what: "trusted-baseline tag", tag }),
-        };
-        let sig = Signature::decode_from(r)?;
-        Ok(TbMsg { payload, signer, sig })
-    }
-}
+wire_struct! { frame(family::TB_MSG) TbMsg { payload: TbPayload; signer: NodeId; sig: Signature } }
 
 #[cfg(test)]
 mod tests {
@@ -261,6 +47,7 @@ mod tests {
     use eesmr_core::message::signing_bytes;
     use eesmr_core::Command;
     use eesmr_crypto::{KeyStore, SigScheme};
+    use eesmr_net::codec::{CodecError, WireCodec};
 
     fn pki() -> KeyStore {
         KeyStore::generate(4, SigScheme::Rsa1024, 99)

@@ -21,15 +21,16 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-use eesmr_core::message::{block_ids_digest, signing_bytes};
+use eesmr_core::message::block_ids_digest;
 use eesmr_core::{
-    AdaptiveBatcher, BatchPolicy, Block, BlockStore, CertifiedBlock, Command, Commands, Metrics,
-    MsgKind, QuorumCert, TxPool, WorkloadSource,
+    AdaptiveBatcher, BatchPolicy, Block, BlockStore, CertifiedBlock, Command, Commands, Envelope,
+    Metrics, MsgKind, QuorumCert, SignedPayload, TxPool, WorkloadSource,
 };
 use eesmr_crypto::sha256::Sha256;
-use eesmr_crypto::{Digest, Hashable, KeyPair, KeyStore, Signature};
+use eesmr_crypto::{Digest, Hashable, KeyStore, Signature};
+use eesmr_net::codec::family;
 use eesmr_net::{
-    Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId, TraceClass, TraceEventKind,
+    Actor, Context, NodeId, SimDuration, SimTime, TimerId, TraceClass, TraceEventKind,
 };
 
 /// Which commit rule the replica runs.
@@ -188,21 +189,8 @@ pub enum HsPayload {
     },
 }
 
-impl HsPayload {
-    pub(crate) fn kind(&self) -> MsgKind {
-        match self {
-            HsPayload::Propose { .. } => MsgKind::Propose,
-            HsPayload::Vote { .. } => MsgKind::HsVote,
-            HsPayload::Blame { .. } => MsgKind::Blame,
-            HsPayload::BlameQc(_) => MsgKind::BlameQc,
-            HsPayload::Status { .. } => MsgKind::LockStatus,
-            HsPayload::SyncRequest { .. } => MsgKind::SyncRequest,
-            HsPayload::SyncResponse { .. } => MsgKind::SyncResponse,
-            HsPayload::Forward { .. } => MsgKind::Forward,
-            HsPayload::Repair { .. } => MsgKind::Repair,
-            HsPayload::RepairReply { .. } => MsgKind::RepairReply,
-        }
-    }
+impl SignedPayload for HsPayload {
+    const FAMILY: u8 = family::HS_MSG;
 
     fn signing_digest(&self, view: u64) -> Digest {
         match self {
@@ -240,71 +228,13 @@ impl HsPayload {
 }
 
 /// A signed Sync HotStuff / OptSync message.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HsMsg {
-    /// Payload.
-    pub payload: HsPayload,
-    /// View.
-    pub view: u64,
-    /// Sender.
-    pub signer: NodeId,
-    /// Signature over `(kind, view, signing_digest)`.
-    pub sig: Signature,
-}
+pub type HsMsg = Envelope<HsPayload>;
 
-impl HsMsg {
-    fn new(payload: HsPayload, view: u64, keypair: &KeyPair) -> Self {
-        let digest = payload.signing_digest(view);
-        let bytes = signing_bytes(payload.kind(), view, &digest);
-        HsMsg { sig: keypair.sign(&bytes), signer: keypair.signer(), view, payload }
-    }
-
-    fn verify_sig(&self, pki: &KeyStore) -> bool {
-        if self.sig.signer() != self.signer {
-            return false;
-        }
-        let digest = self.payload.signing_digest(self.view);
-        let bytes = signing_bytes(self.payload.kind(), self.view, &digest);
-        pki.verify(&bytes, &self.sig)
-    }
-
-    /// Serialized size: exactly the encoded frame length (see
-    /// [`crate::codec`]).
-    fn wire_size(&self) -> usize {
-        eesmr_net::WireCodec::encoded_len(self)
-    }
-}
-
-impl Message for HsMsg {
-    fn wire_size(&self) -> usize {
-        self.wire_size()
-    }
-
-    fn flood_key(&self) -> u64 {
-        Digest::of_parts(&[
-            &[self.payload.kind() as u8],
-            &self.view.to_le_bytes(),
-            &self.signer.to_le_bytes(),
-            self.payload.signing_digest(self.view).as_bytes(),
-        ])
-        .to_u64()
-    }
-
-    fn phase(&self) -> eesmr_energy::EnergyPhase {
-        use eesmr_energy::EnergyPhase;
-        match &self.payload {
-            HsPayload::Propose { .. } => EnergyPhase::Propose,
-            HsPayload::Vote { .. } => EnergyPhase::Vote,
-            HsPayload::Blame { .. } | HsPayload::BlameQc(_) => EnergyPhase::ViewChange,
-            HsPayload::Status { .. } => EnergyPhase::Status,
-            HsPayload::Forward { .. } => EnergyPhase::Forward,
-            HsPayload::SyncRequest { .. }
-            | HsPayload::SyncResponse { .. }
-            | HsPayload::Repair { .. }
-            | HsPayload::RepairReply { .. } => EnergyPhase::Sync,
-        }
-    }
-}
+/// `ShardedNet` moves messages between shard threads.
+const _: fn() = || {
+    fn shared_across_threads<T: Send + Sync>() {}
+    shared_across_threads::<HsMsg>();
+};
 
 /// Timer tokens.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -342,88 +272,8 @@ pub enum HsTimer {
     Restart,
 }
 
-/// Injected fault behaviour (mirrors `eesmr_core::FaultMode`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HsFault {
-    /// Correct.
-    Honest,
-    /// Fully silent from the given view on.
-    Silent {
-        /// First silent view.
-        from_view: u64,
-    },
-    /// Equivocates when leading the given view.
-    Equivocate {
-        /// The view.
-        in_view: u64,
-    },
-    /// Withholds its explicit vote from `from_view` on while otherwise
-    /// following the protocol — the quorum-starving adversary the
-    /// certificate-based baselines are sensitive to.
-    Withhold {
-        /// First view in which votes are withheld.
-        from_view: u64,
-    },
-    /// Re-multicasts every vote `repeats` extra times from `from_view`
-    /// on: dedup absorbs the copies but traffic and energy inflate.
-    Storm {
-        /// First storming view.
-        from_view: u64,
-        /// Extra copies per vote.
-        repeats: u32,
-    },
-    /// Crashes at `at_us`; if `restart_at_us` is set, restarts then and
-    /// runs the repair protocol to catch up.
-    Crash {
-        /// Outage start (µs).
-        at_us: u64,
-        /// Restart time (µs), or `None` to stay down.
-        restart_at_us: Option<u64>,
-    },
-}
-
-impl HsFault {
-    fn is_active_in(&self, view: u64) -> bool {
-        match self {
-            HsFault::Honest
-            | HsFault::Equivocate { .. }
-            | HsFault::Withhold { .. }
-            | HsFault::Storm { .. }
-            | HsFault::Crash { .. } => true,
-            HsFault::Silent { from_view } => view < *from_view,
-        }
-    }
-
-    fn online(&self, now_us: u64) -> bool {
-        match self {
-            HsFault::Crash { at_us, restart_at_us } => {
-                now_us < *at_us || restart_at_us.is_some_and(|r| now_us >= r)
-            }
-            _ => true,
-        }
-    }
-
-    fn relays_in(&self, view: u64) -> bool {
-        match self {
-            HsFault::Withhold { from_view } => view < *from_view,
-            _ => true,
-        }
-    }
-
-    fn storm_repeats_in(&self, view: u64) -> u32 {
-        match self {
-            HsFault::Storm { from_view, repeats } if view >= *from_view => *repeats,
-            _ => 0,
-        }
-    }
-
-    fn restart_at_us(&self) -> Option<u64> {
-        match self {
-            HsFault::Crash { restart_at_us, .. } => *restart_at_us,
-            _ => None,
-        }
-    }
-}
+/// Injected fault behaviour: the same adversary model as EESMR's.
+pub use eesmr_core::FaultMode as HsFault;
 
 type Ctx<'a> = Context<'a, HsMsg, HsTimer>;
 

@@ -23,6 +23,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use eesmr_crypto::{Digest, KeyStore, Signature};
+use eesmr_net::codec::WireEnum;
 use eesmr_net::{Actor, Context, Message, NodeId, SimDuration, TimerId};
 
 use crate::message::{signing_bytes, MsgKind, QuorumCert};
@@ -71,19 +72,11 @@ impl BbPayload {
             }
         }
     }
-
-    pub(crate) fn kind(&self) -> MsgKind {
-        match self {
-            BbPayload::Value { .. } => MsgKind::Propose,
-            BbPayload::CommitVote { .. } => MsgKind::Certify,
-            BbPayload::Terminate { .. } => MsgKind::CommitQc,
-        }
-    }
 }
 
 impl BbMsg {
     fn new(payload: BbPayload, pki: &KeyStore, id: NodeId) -> Self {
-        let bytes = signing_bytes(payload.kind(), 0, &payload.signing_digest());
+        let bytes = signing_bytes(payload.tag(), 0, &payload.signing_digest());
         BbMsg { sig: pki.keypair(id).sign(&bytes), signer: id, payload }
     }
 
@@ -91,7 +84,7 @@ impl BbMsg {
         if self.sig.signer() != self.signer {
             return false;
         }
-        let bytes = signing_bytes(self.payload.kind(), 0, &self.payload.signing_digest());
+        let bytes = signing_bytes(self.payload.tag(), 0, &self.payload.signing_digest());
         pki.verify(&bytes, &self.sig)
     }
 }
@@ -103,7 +96,7 @@ impl Message for BbMsg {
 
     fn flood_key(&self) -> u64 {
         Digest::of_parts(&[
-            &[self.payload.kind() as u8],
+            &[self.payload.tag() as u8],
             &self.signer.to_le_bytes(),
             self.payload.signing_digest().as_bytes(),
         ])

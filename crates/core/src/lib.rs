@@ -46,7 +46,10 @@ mod view_change;
 pub use block::{Block, BlockStore, ChainRelation, Command, Commands, Lineage};
 pub use broadcast::{build_bb_nodes, BbNode, BbOutput};
 pub use config::{BatchPolicy, Config, FaultMode, LeaderPolicy, Pacing};
-pub use message::{CertifiedBlock, MsgKind, Payload, QuorumCert, SignedBlock, SignedMsg, Status};
+pub use message::{
+    CertifiedBlock, Envelope, MsgKind, Payload, QuorumCert, SignedBlock, SignedMsg, SignedPayload,
+    Status,
+};
 pub use metrics::Metrics;
 pub use replica::{Replica, TimerToken};
 pub use txpool::{AdaptiveBatcher, TxPool, WorkloadSource};

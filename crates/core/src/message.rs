@@ -11,6 +11,7 @@
 use eesmr_crypto::digest::ByteSink;
 use eesmr_crypto::sha256::Sha256;
 use eesmr_crypto::{Digest, Hashable, KeyPair, KeyStore, Signature};
+use eesmr_net::codec::{family, WireEnum};
 use eesmr_net::NodeId;
 
 use crate::block::Block;
@@ -54,30 +55,6 @@ pub enum MsgKind {
     /// Crash-recovery: a committed-chain suffix answering a
     /// [`MsgKind::Repair`], plus the responder's current view.
     RepairReply = 15,
-}
-
-impl MsgKind {
-    /// Decodes a wire tag byte (the `repr(u8)` discriminant).
-    pub fn from_wire(tag: u8) -> Option<MsgKind> {
-        Some(match tag {
-            1 => MsgKind::Propose,
-            2 => MsgKind::Blame,
-            3 => MsgKind::BlameQc,
-            4 => MsgKind::CommitUpdate,
-            5 => MsgKind::Certify,
-            6 => MsgKind::CommitQc,
-            7 => MsgKind::NewViewProposal,
-            8 => MsgKind::NewViewVote,
-            9 => MsgKind::LockStatus,
-            10 => MsgKind::SyncRequest,
-            11 => MsgKind::SyncResponse,
-            12 => MsgKind::HsVote,
-            13 => MsgKind::Forward,
-            14 => MsgKind::Repair,
-            15 => MsgKind::RepairReply,
-            _ => return None,
-        })
-    }
 }
 
 /// The canonical byte string covered by a signature: `(kind, view, data)`.
@@ -320,31 +297,10 @@ pub enum Payload {
     },
 }
 
-impl Payload {
-    /// The message type tag.
-    pub fn kind(&self) -> MsgKind {
-        match self {
-            Payload::Propose { .. } => MsgKind::Propose,
-            Payload::Blame { .. } => MsgKind::Blame,
-            Payload::BlameQc(_) => MsgKind::BlameQc,
-            Payload::CommitUpdate { .. } => MsgKind::CommitUpdate,
-            Payload::Certify { .. } => MsgKind::Certify,
-            Payload::CommitQc(_) => MsgKind::CommitQc,
-            Payload::NewViewProposal { .. } => MsgKind::NewViewProposal,
-            Payload::NewViewVote { .. } => MsgKind::NewViewVote,
-            Payload::LockStatus { .. } => MsgKind::LockStatus,
-            Payload::SyncRequest { .. } => MsgKind::SyncRequest,
-            Payload::SyncResponse { .. } => MsgKind::SyncResponse,
-            Payload::Forward { .. } => MsgKind::Forward,
-            Payload::Repair { .. } => MsgKind::Repair,
-            Payload::RepairReply { .. } => MsgKind::RepairReply,
-        }
-    }
+impl SignedPayload for Payload {
+    const FAMILY: u8 = family::SIGNED_MSG;
 
-    /// The digest the sender signs for this payload — chosen so that
-    /// signatures over semantically aggregatable messages (blames, votes,
-    /// certifies) coincide and can form quorum certificates.
-    pub fn signing_digest(&self, view: u64) -> Digest {
+    fn signing_digest(&self, view: u64) -> Digest {
         match self {
             Payload::Propose { block, round, .. } => {
                 Digest::of_parts(&[b"propose", block.id().as_bytes(), &round.to_le_bytes()])
@@ -382,11 +338,25 @@ impl Payload {
     }
 }
 
-/// A signed protocol message (the `Msg` envelope of Algorithm 1).
+/// What the signed [`Envelope`] needs from a payload family. The wire
+/// table ([`crate::codec`]) supplies the rest: the [`MsgKind`] tag of each
+/// variant and its field codec.
+pub trait SignedPayload: WireEnum<Tag = MsgKind> + Clone + core::fmt::Debug {
+    /// The frame's family tag (`eesmr_net::codec::family`).
+    const FAMILY: u8;
+
+    /// The digest the sender signs for this payload — chosen so that
+    /// signatures over semantically aggregatable messages (blames, votes,
+    /// certifies) coincide and can form quorum certificates.
+    fn signing_digest(&self, view: u64) -> Digest;
+}
+
+/// A signed protocol message (the `Msg` envelope of Algorithm 1), over
+/// the payload family of one replica protocol.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SignedMsg {
+pub struct Envelope<P> {
     /// The payload.
-    pub payload: Payload,
+    pub payload: P,
     /// The view this message belongs to.
     pub view: u64,
     /// The signing node.
@@ -395,12 +365,15 @@ pub struct SignedMsg {
     pub sig: Signature,
 }
 
-impl SignedMsg {
+/// An EESMR replica message.
+pub type SignedMsg = Envelope<Payload>;
+
+impl<P: SignedPayload> Envelope<P> {
     /// Signs `payload` for `view` with `keypair` (the `Msg` constructor).
-    pub fn new(payload: Payload, view: u64, keypair: &KeyPair) -> Self {
+    pub fn new(payload: P, view: u64, keypair: &KeyPair) -> Self {
         let digest = payload.signing_digest(view);
-        let bytes = signing_bytes(payload.kind(), view, &digest);
-        SignedMsg { sig: keypair.sign(&bytes), signer: keypair.signer(), view, payload }
+        let bytes = signing_bytes(payload.tag(), view, &digest);
+        Envelope { sig: keypair.sign(&bytes), signer: keypair.signer(), view, payload }
     }
 
     /// Verifies the envelope signature. Returns whether it is valid; the
@@ -410,24 +383,24 @@ impl SignedMsg {
             return false;
         }
         let digest = self.payload.signing_digest(self.view);
-        let bytes = signing_bytes(self.payload.kind(), self.view, &digest);
+        let bytes = signing_bytes(self.payload.tag(), self.view, &digest);
         pki.verify(&bytes, &self.sig)
     }
 
     /// `MatchingMsg` of Algorithm 1.
     pub fn matches(&self, kind: MsgKind, view: u64) -> bool {
-        self.payload.kind() == kind && self.view == view
+        self.payload.tag() == kind && self.view == view
     }
 
     /// Serialized size: exactly the encoded frame length — header (4) +
-    /// kind (1) + view (8) + signer (4) + body + signature (see
+    /// kind (1) + view (8) + signer (4) + payload fields + signature (see
     /// [`crate::codec`]).
     pub fn wire_size(&self) -> usize {
         eesmr_net::WireCodec::encoded_len(self)
     }
 }
 
-impl eesmr_net::Message for SignedMsg {
+impl<P: SignedPayload> eesmr_net::Message for Envelope<P> {
     fn wire_size(&self) -> usize {
         self.wire_size()
     }
@@ -436,7 +409,7 @@ impl eesmr_net::Message for SignedMsg {
         // Identity for relay-once dedup: kind, view, signer and data digest
         // make distinct protocol messages distinct.
         Digest::of_parts(&[
-            &[self.payload.kind() as u8],
+            &[self.payload.tag() as u8],
             &self.view.to_le_bytes(),
             &self.signer.to_le_bytes(),
             self.payload.signing_digest(self.view).as_bytes(),
@@ -446,7 +419,7 @@ impl eesmr_net::Message for SignedMsg {
 
     fn phase(&self) -> eesmr_energy::EnergyPhase {
         use eesmr_energy::EnergyPhase;
-        match self.payload.kind() {
+        match self.payload.tag() {
             MsgKind::Propose | MsgKind::NewViewProposal => EnergyPhase::Propose,
             MsgKind::NewViewVote | MsgKind::HsVote | MsgKind::Certify => EnergyPhase::Vote,
             MsgKind::CommitUpdate | MsgKind::CommitQc => EnergyPhase::Commit,
@@ -473,7 +446,6 @@ const _: fn() = || {
 mod tests {
     use super::*;
     use eesmr_crypto::SigScheme;
-    use eesmr_net::Message as _;
 
     fn pki() -> KeyStore {
         KeyStore::generate(4, SigScheme::Rsa1024, 99)
@@ -482,24 +454,6 @@ mod tests {
     fn propose(view: u64, round: u64, pki: &KeyStore, signer: NodeId) -> SignedMsg {
         let block = Block::extending(&Block::genesis(), view, round, vec![]);
         SignedMsg::new(Payload::Propose { block, round, justify: None }, view, pki.keypair(signer))
-    }
-
-    #[test]
-    fn sign_verify_round_trip() {
-        let pki = pki();
-        let msg = propose(1, 3, &pki, 0);
-        assert!(msg.verify_sig(&pki));
-        assert!(msg.matches(MsgKind::Propose, 1));
-        assert!(!msg.matches(MsgKind::Blame, 1));
-        assert!(!msg.matches(MsgKind::Propose, 2));
-    }
-
-    #[test]
-    fn tampered_signer_fails() {
-        let pki = pki();
-        let mut msg = propose(1, 3, &pki, 0);
-        msg.signer = 1;
-        assert!(!msg.verify_sig(&pki));
     }
 
     #[test]
@@ -559,17 +513,6 @@ mod tests {
         let sigs: Vec<_> = (0..2u32).map(|i| (i, pki.keypair(i).sign(&bytes))).collect();
         let qc = QuorumCert { kind: MsgKind::Certify, view: 3, data, height: 0, sigs };
         assert!(!qc.verify(&pki, 2).0, "signatures are over view 2, QC claims view 3");
-    }
-
-    #[test]
-    fn flood_keys_distinguish_messages() {
-        let pki = pki();
-        let m1 = propose(1, 3, &pki, 0);
-        let m2 = propose(1, 4, &pki, 0);
-        let m3 = propose(2, 3, &pki, 0);
-        assert_ne!(m1.flood_key(), m2.flood_key());
-        assert_ne!(m1.flood_key(), m3.flood_key());
-        assert_eq!(m1.flood_key(), m1.clone().flood_key());
     }
 
     #[test]

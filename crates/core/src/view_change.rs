@@ -25,7 +25,7 @@ use eesmr_net::{NodeId, TraceEventKind};
 use crate::block::Block;
 use crate::config::FaultMode;
 use crate::message::{
-    CertifiedBlock, MsgKind, Payload, QuorumCert, SignedBlock, SignedMsg, Status,
+    CertifiedBlock, MsgKind, Payload, QuorumCert, SignedBlock, SignedMsg, SignedPayload, Status,
 };
 use crate::replica::{Ctx, Replica, TimerToken};
 

@@ -119,6 +119,7 @@ pub trait ByteSink {
 }
 
 impl ByteSink for Vec<u8> {
+    #[inline]
     fn extend_from_slice(&mut self, bytes: &[u8]) {
         Vec::extend_from_slice(self, bytes);
     }

@@ -13,8 +13,8 @@
 //! Inside bodies the conventions are fixed:
 //!
 //! * integers are little-endian and fixed-width (`u8`/`u32`/`u64`);
-//! * byte strings are `u32` length + bytes ([`put_slice`]/[`read_slice`]);
-//! * sequences are `u32` count + elements ([`put_count`]/[`read_count`]);
+//! * sequences are `u32` count + elements ([`put_seq`]/[`read_seq`]), and
+//!   byte strings are sequences of `u8`;
 //! * options are a `0`/`1` flag byte + the value when present;
 //! * enums are a one-byte tag + the variant's fields;
 //! * nested messages (e.g. the equivocation pair inside a `Blame`) embed
@@ -37,6 +37,7 @@
 //! versions; to add a message or enum variant, append a new tag — never
 //! reuse or reorder existing tags.
 
+pub use eesmr_crypto::digest::ByteSink;
 use eesmr_crypto::{Digest, SigScheme, Signature};
 
 use core::fmt;
@@ -169,17 +170,34 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// A sink that only counts: [`WireCodec::encoded_len`] is a dry run of
+/// the encoder into it.
+struct ByteCount(usize);
+
+impl ByteSink for ByteCount {
+    #[inline]
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
 /// A type with a frozen byte-level wire encoding.
 ///
-/// `encoded_len` is structural (no allocation) and always equals
-/// `encode().len()`; the protocol crates define `wire_size()` as exactly
-/// this value.
+/// Only the leaves and shapes below implement this trait by hand; every
+/// message type expands from one field list
+/// ([`wire_struct!`](crate::wire_struct), [`wire_enum!`](crate::wire_enum)),
+/// and the length is the encoder run against a byte counter — so size,
+/// encoding and decoding cannot disagree. The protocol crates define
+/// `wire_size()` as exactly [`WireCodec::encoded_len`].
 pub trait WireCodec: Sized {
-    /// Exact length of [`WireCodec::encode`]'s output, without encoding.
-    fn encoded_len(&self) -> usize;
+    /// A floor under [`WireCodec::encoded_len`]. A sequence decoder
+    /// multiplies it by the claimed count to reject a hostile prefix
+    /// before allocating. Composite types derive it from their fields: a
+    /// struct sums them, an enum counts only its tag.
+    const MIN_LEN: usize;
 
     /// Appends this value's encoding to `out`.
-    fn encode_into(&self, out: &mut Vec<u8>);
+    fn encode_into<S: ByteSink>(&self, out: &mut S);
 
     /// Reads one value from the cursor, leaving it just past the value.
     ///
@@ -187,11 +205,17 @@ pub trait WireCodec: Sized {
     /// the buffer to end where the value does.
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError>;
 
+    /// Exact length of [`WireCodec::encode`]'s output, without allocating.
+    fn encoded_len(&self) -> usize {
+        let mut count = ByteCount(0);
+        self.encode_into(&mut count);
+        count.0
+    }
+
     /// Encodes to a fresh buffer of exactly [`WireCodec::encoded_len`] bytes.
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
         self.encode_into(&mut out);
-        debug_assert_eq!(out.len(), self.encoded_len(), "encoded_len out of sync with encoding");
         out
     }
 
@@ -204,11 +228,28 @@ pub trait WireCodec: Sized {
     }
 }
 
+/// An enum on the wire: a tag, then the tagged variant's fields.
+///
+/// The two halves are separate because a frame puts its view and signer
+/// between them (see [`wire_struct!`](crate::wire_struct)'s `frame` form);
+/// `wire_enum!`'s `inline` form joins them back into a [`WireCodec`].
+pub trait WireEnum: Sized {
+    /// The tag's type: a raw `u8`, or an enum that itself decodes from one.
+    type Tag: WireCodec + Copy + PartialEq + Into<u8>;
+
+    /// This value's tag.
+    fn tag(&self) -> Self::Tag;
+
+    /// Appends this variant's fields to `out`.
+    fn encode_fields<S: ByteSink>(&self, out: &mut S);
+
+    /// Reads the fields of the variant `tag` names.
+    fn decode_fields(tag: Self::Tag, r: &mut Reader<'_>) -> Result<Self, CodecError>;
+}
+
 /// Writes the 4-byte frame header for a top-level message family.
-pub fn put_header(out: &mut Vec<u8>, family: u8) {
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.push(family);
+pub fn put_header<S: ByteSink>(out: &mut S, family: u8) {
+    out.extend_from_slice(&[MAGIC[0], MAGIC[1], VERSION, family]);
 }
 
 /// Reads and validates a frame header, requiring `family`.
@@ -232,58 +273,62 @@ pub fn read_header(r: &mut Reader<'_>, family: u8) -> Result<(), CodecError> {
     Ok(())
 }
 
-/// Writes a `u32` length prefix followed by the bytes.
-pub fn put_slice(out: &mut Vec<u8>, bytes: &[u8]) {
-    debug_assert!(bytes.len() <= u32::MAX as usize);
-    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(bytes);
-}
-
-/// Reads a `u32`-length-prefixed byte string, bounds-checked before any
-/// slicing.
-pub fn read_slice<'a>(r: &mut Reader<'a>, what: &'static str) -> Result<&'a [u8], CodecError> {
-    let len = r.u32()? as usize;
-    if len > r.remaining() {
-        return Err(CodecError::BadLength { what, len: len as u64 });
+/// Writes a sequence: `u32` element count, then the elements.
+pub fn put_seq<T: WireCodec, S: ByteSink>(out: &mut S, items: &[T]) {
+    debug_assert!(items.len() <= u32::MAX as usize);
+    out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+    for item in items {
+        item.encode_into(out);
     }
-    r.bytes(len)
 }
 
-/// Writes a `u32` element-count prefix for a sequence.
-pub fn put_count(out: &mut Vec<u8>, count: usize) {
-    debug_assert!(count <= u32::MAX as usize);
-    out.extend_from_slice(&(count as u32).to_le_bytes());
-}
-
-/// Reads a sequence's `u32` count prefix, rejecting counts that cannot
-/// possibly fit in the remaining bytes (`count × min_elem_len`), so a
-/// hostile prefix can never drive an unbounded allocation.
-pub fn read_count(
+/// Reads a sequence, rejecting a count that cannot possibly fit in the
+/// remaining bytes (`count × T::MIN_LEN`) *before* allocating, so a
+/// hostile prefix can never drive an unbounded allocation. `what` names
+/// the sequence in the error.
+pub fn read_seq<T: WireCodec>(
     r: &mut Reader<'_>,
-    min_elem_len: usize,
     what: &'static str,
-) -> Result<usize, CodecError> {
+) -> Result<Vec<T>, CodecError> {
     let count = r.u32()? as usize;
-    if count.saturating_mul(min_elem_len.max(1)) > r.remaining() {
+    if count.saturating_mul(T::MIN_LEN.max(1)) > r.remaining() {
         return Err(CodecError::BadLength { what, len: count as u64 });
     }
-    Ok(count)
+    let mut items = Vec::with_capacity(count);
+    for _ in 0..count {
+        items.push(T::decode_from(r)?);
+    }
+    Ok(items)
 }
 
-impl WireCodec for Digest {
-    fn encoded_len(&self) -> usize {
-        32
-    }
+macro_rules! wire_int {
+    ($($int:ident),*) => {$(
+        impl WireCodec for $int {
+            const MIN_LEN: usize = core::mem::size_of::<$int>();
 
-    fn encode_into(&self, out: &mut Vec<u8>) {
+            fn encode_into<S: ByteSink>(&self, out: &mut S) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                r.$int()
+            }
+        }
+    )*};
+}
+wire_int!(u8, u32, u64);
+
+impl WireCodec for Digest {
+    const MIN_LEN: usize = 32;
+
+    fn encode_into<S: ByteSink>(&self, out: &mut S) {
         out.extend_from_slice(self.as_bytes());
     }
 
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let b = r.bytes(32)?;
-        let mut a = [0u8; 32];
-        a.copy_from_slice(b);
-        Ok(Digest::from_bytes(a))
+        let mut bytes = [0u8; 32];
+        bytes.copy_from_slice(r.bytes(32)?);
+        Ok(Digest::from_bytes(bytes))
     }
 }
 
@@ -293,15 +338,14 @@ impl WireCodec for Digest {
 /// the simulated authenticator is 32 bytes; decode requires the padding to
 /// be zero so the encoding stays canonical.
 impl WireCodec for Signature {
-    fn encoded_len(&self) -> usize {
-        5 + self.scheme().signature_size()
-    }
+    const MIN_LEN: usize = 1 + 4 + 32;
 
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(self.scheme().wire_tag());
+    fn encode_into<S: ByteSink>(&self, out: &mut S) {
+        const PADDING: [u8; 256] = [0; 256];
+        out.extend_from_slice(&[self.scheme().wire_tag()]);
         out.extend_from_slice(&self.signer().to_le_bytes());
         out.extend_from_slice(self.tag().as_bytes());
-        out.resize(out.len() + (self.scheme().signature_size() - 32), 0);
+        out.extend_from_slice(&PADDING[..self.scheme().signature_size() - 32]);
     }
 
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
@@ -317,6 +361,224 @@ impl WireCodec for Signature {
         }
         Ok(Signature::from_wire(signer, scheme, Digest::from_bytes(auth)))
     }
+}
+
+impl<T: WireCodec> WireCodec for Option<T> {
+    const MIN_LEN: usize = 1;
+
+    fn encode_into<S: ByteSink>(&self, out: &mut S) {
+        match self {
+            None => out.extend_from_slice(&[0]),
+            Some(v) => {
+                out.extend_from_slice(&[1]);
+                v.encode_into(out);
+            }
+        }
+    }
+
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        match r.u8()? {
+            0 => Ok(None),
+            1 => T::decode_from(r).map(Some),
+            tag => Err(CodecError::UnknownTag { what: "option flag", tag }),
+        }
+    }
+}
+
+/// A field list can name its sequence for the length error
+/// (`field: Vec<T> = "what"`).
+impl<T: WireCodec> WireCodec for Vec<T> {
+    const MIN_LEN: usize = 4;
+
+    fn encode_into<S: ByteSink>(&self, out: &mut S) {
+        put_seq(out, self);
+    }
+
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        read_seq(r, "sequence")
+    }
+}
+
+/// The two values back to back.
+impl<A: WireCodec, B: WireCodec> WireCodec for (A, B) {
+    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN;
+
+    fn encode_into<S: ByteSink>(&self, out: &mut S) {
+        self.0.encode_into(out);
+        self.1.encode_into(out);
+    }
+
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok((A::decode_from(r)?, B::decode_from(r)?))
+    }
+}
+
+/// A box is its content.
+impl<T: WireCodec> WireCodec for Box<T> {
+    const MIN_LEN: usize = T::MIN_LEN;
+
+    fn encode_into<S: ByteSink>(&self, out: &mut S) {
+        T::encode_into(self, out);
+    }
+
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        T::decode_from(r).map(Box::new)
+    }
+}
+
+/// Reads one table field: any [`WireCodec`] type, or — when the row names
+/// it (`= "what"`) — a sequence whose length error carries that name.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! wire_read {
+    ($r:ident, $t:ty) => {
+        <$t as $crate::codec::WireCodec>::decode_from($r)?
+    };
+    ($r:ident, $t:ty, $what:literal) => {
+        $crate::codec::read_seq($r, $what)?
+    };
+}
+
+/// Derives [`WireCodec`] for a struct from one field list, in wire order.
+///
+/// ```text
+/// wire_struct! { SignedBlock { block: Block, signer: NodeId, sig: Signature } }
+/// wire_struct! { frame(family::TB_MSG) TbMsg { payload: TbPayload; signer: NodeId; sig: Signature } }
+/// ```
+///
+/// `T => path { .. }` decodes through a constructor taking the fields in
+/// order instead of a struct literal. The `frame` form is a top-level
+/// message: the 4-byte header, then the fields — except that the first
+/// one is a [`WireEnum`] whose tag stays put while its variant fields
+/// move behind the middle group:
+/// `header | payload tag | middle fields | payload fields | last field`.
+#[macro_export]
+macro_rules! wire_struct {
+    ($T:ident $(=> $new:path)? { $($f:ident : $t:ty $(= $what:literal)?),+ $(,)? }) => {
+        const _: () = {
+            use $crate::codec::{ByteSink, CodecError, Reader, WireCodec};
+
+            impl WireCodec for $T {
+                const MIN_LEN: usize = 0 $(+ <$t as WireCodec>::MIN_LEN)+;
+
+                fn encode_into<S: ByteSink>(&self, out: &mut S) {
+                    $(WireCodec::encode_into(&self.$f, out);)+
+                }
+
+                fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                    $(let $f = $crate::wire_read!(r, $t $(, $what)?);)+
+                    Ok($crate::wire_struct!(@new $T $(=> $new)?; $($f),+))
+                }
+            }
+        };
+    };
+    (@new $T:ident; $($f:ident),+) => { $T { $($f),+ } };
+    (@new $T:ident => $new:path; $($f:ident),+) => { $new($($f),+) };
+    (frame($family:expr) $T:ty $(where $P:ident : $bound:path)? {
+        $payload:ident : $pt:ty; $($f:ident : $t:ty),+; $last:ident : $lt:ty $(,)?
+    }) => {
+        const _: () = {
+            use $crate::codec::{self, ByteSink, CodecError, Reader, WireCodec, WireEnum};
+
+            impl $(<$P: $bound>)? WireCodec for $T {
+                const MIN_LEN: usize = codec::HEADER_LEN
+                    + <<$pt as WireEnum>::Tag as WireCodec>::MIN_LEN
+                    $(+ <$t as WireCodec>::MIN_LEN)+
+                    + <$lt as WireCodec>::MIN_LEN;
+
+                fn encode_into<S: ByteSink>(&self, out: &mut S) {
+                    codec::put_header(out, $family);
+                    self.$payload.tag().encode_into(out);
+                    $(WireCodec::encode_into(&self.$f, out);)+
+                    self.$payload.encode_fields(out);
+                    WireCodec::encode_into(&self.$last, out);
+                }
+
+                fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                    codec::read_header(r, $family)?;
+                    let tag = WireCodec::decode_from(r)?;
+                    $(let $f = <$t as WireCodec>::decode_from(r)?;)+
+                    let $payload = <$pt as WireEnum>::decode_fields(tag, r)?;
+                    let $last = <$lt as WireCodec>::decode_from(r)?;
+                    Ok(Self { $payload, $($f,)+ $last })
+                }
+            }
+        };
+    };
+}
+
+/// Derives [`WireEnum`] for a tagged enum from one row per variant: its
+/// tag, then its fields in wire order (tuple variants name their fields
+/// for the table's own use). `what` names the tag namespace in the
+/// unknown-tag error. The `inline` form also derives [`WireCodec`] as
+/// `tag | fields`, for enums that sit inside other messages.
+///
+/// ```text
+/// wire_enum! { inline Status: u8 = "status" {
+///     1 => CommitQcs(entries: Vec<CertifiedBlock> = "commit-qc status entries"),
+///     2 => Locks(entries: Vec<SignedBlock> = "locked-block status entries"),
+/// } }
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    (inline $E:ident : $($table:tt)+) => {
+        $crate::wire_enum!($E : $($table)+);
+        const _: () = {
+            use $crate::codec::{ByteSink, CodecError, Reader, WireCodec, WireEnum};
+
+            impl WireCodec for $E {
+                const MIN_LEN: usize = <<$E as WireEnum>::Tag as WireCodec>::MIN_LEN;
+
+                fn encode_into<S: ByteSink>(&self, out: &mut S) {
+                    self.tag().encode_into(out);
+                    self.encode_fields(out);
+                }
+
+                fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                    let tag = WireCodec::decode_from(r)?;
+                    Self::decode_fields(tag, r)
+                }
+            }
+        };
+    };
+    ($E:ident : $Tag:ty = $what:literal {$(
+        $tag:expr => $V:ident
+            $({ $($sf:ident : $st:ty $(= $sw:literal)?),* $(,)? })?
+            $(( $($tf:ident : $tt:ty $(= $tw:literal)?),* ))?
+    ),+ $(,)?}) => {
+        const _: () = {
+            use $crate::codec::{ByteSink, CodecError, Reader, WireCodec, WireEnum};
+
+            #[allow(unused_variables)] // an enum of unit variants has no fields to touch
+            impl WireEnum for $E {
+                type Tag = $Tag;
+
+                fn tag(&self) -> $Tag {
+                    match self {
+                        $($E::$V { .. } => $tag,)+
+                    }
+                }
+
+                fn encode_fields<S: ByteSink>(&self, out: &mut S) {
+                    match self {$(
+                        $E::$V $({ $($sf),* })? $(( $($tf),* ))? => {
+                            $($(WireCodec::encode_into($sf, out);)*)?
+                            $($(WireCodec::encode_into($tf, out);)*)?
+                        }
+                    )+}
+                }
+
+                fn decode_fields(tag: $Tag, r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                    $(if tag == $tag {
+                        return Ok($E::$V
+                            $({ $($sf: $crate::wire_read!(r, $st $(, $sw)?)),* })?
+                            $(( $($crate::wire_read!(r, $tt $(, $tw)?)),* ))?);
+                    })+
+                    Err(CodecError::UnknownTag { what: $what, tag: tag.into() })
+                }
+            }
+        };
+    };
 }
 
 #[cfg(test)]
@@ -387,7 +649,7 @@ mod tests {
         // check rather than attempt a giant allocation.
         let buf = u32::MAX.to_le_bytes();
         let mut r = Reader::new(&buf);
-        assert!(matches!(read_count(&mut r, 32, "sigs"), Err(CodecError::BadLength { .. })));
+        assert!(matches!(read_seq::<Digest>(&mut r, "sigs"), Err(CodecError::BadLength { .. })));
     }
 
     #[test]

@@ -817,30 +817,21 @@ pub fn alloc_addrs(transport: ProcTransport, n: usize) -> io::Result<MeshAddrs> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{CodecError, Reader};
     use crate::time::SimDuration;
 
     #[derive(Debug, Clone, PartialEq)]
-    struct Ping(u64);
+    struct Ping {
+        seq: u64,
+    }
+
+    crate::wire_struct! { Ping { seq: u64 } }
 
     impl Message for Ping {
         fn wire_size(&self) -> usize {
             self.encoded_len()
         }
         fn flood_key(&self) -> u64 {
-            self.0
-        }
-    }
-
-    impl WireCodec for Ping {
-        fn encoded_len(&self) -> usize {
-            8
-        }
-        fn encode_into(&self, out: &mut Vec<u8>) {
-            out.extend_from_slice(&self.0.to_le_bytes());
-        }
-        fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-            Ok(Ping(r.u64()?))
+            self.seq
         }
     }
 
@@ -858,16 +849,16 @@ mod tests {
 
         fn on_start(&mut self, ctx: &mut Context<'_, Ping, ()>) {
             if ctx.id() == 0 {
-                ctx.flood(Ping(7));
+                ctx.flood(Ping { seq: 7 });
                 ctx.set_timer(SimDuration::from_millis(1), ());
             }
         }
 
         fn on_message(&mut self, _from: NodeId, msg: Ping, ctx: &mut Context<'_, Ping, ()>) {
-            if msg.0 == 7 {
+            if msg.seq == 7 {
                 self.got += 1;
                 if ctx.id() != 0 {
-                    ctx.send_to(0, Ping(100 + ctx.id() as u64));
+                    ctx.send_to(0, Ping { seq: 100 + ctx.id() as u64 });
                 }
             } else {
                 self.replies += 1;

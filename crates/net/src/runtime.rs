@@ -208,7 +208,7 @@ impl NetConfig {
             hop_delay_min: SimDuration::from_micros(500),
             hop_delay_max: SimDuration::from_micros(1_000),
             seed,
-            scheduler: SchedulerKind::from_env(),
+            scheduler: SchedulerKind::default(),
             trace: TraceLevel::from_env(),
             metrics: MetricsConfig::from_env(),
             link_faults: LinkFaults::default(),

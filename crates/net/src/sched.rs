@@ -3,8 +3,7 @@
 //! The simulator's hot path is its pending-event queue: every message hop,
 //! loopback, and timer passes through it once on the way in and once on
 //! the way out. Two interchangeable implementations live here, selectable
-//! per [`NetConfig`](crate::NetConfig) (or globally via the `EESMR_SCHED`
-//! environment variable):
+//! per [`NetConfig`](crate::NetConfig):
 //!
 //! * **[`SchedulerKind::Heap`]** — the classic global
 //!   `BinaryHeap<Reverse<Event>>`: `O(log N)` per operation in the number
@@ -19,8 +18,9 @@
 //! `(time, seq)` — so a simulation is bit-identical under either (the
 //! workspace determinism tests and the `sched_prop` property test enforce
 //! this). The calendar queue is the default because it makes large-`n`,
-//! broadcast-heavy runs measurably faster (see the `scheduler` criterion
-//! bench in `eesmr-bench`).
+//! broadcast-heavy runs measurably faster (`net.sched.*` in
+//! `bash benchmark/run.sh`); the heap stays as the oracle those tests
+//! compare against.
 //!
 //! # Example
 //!
@@ -56,27 +56,6 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// Reads the `EESMR_SCHED` environment variable (`heap` or
-    /// `calendar`, case-insensitive); defaults to [`Calendar`] when
-    /// unset.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognised value — a typo must not silently fall
-    /// back to the default, or the CI scheduler-equivalence gate (which
-    /// runs the suite under both values) could vacuously compare a
-    /// backend against itself.
-    ///
-    /// [`Calendar`]: SchedulerKind::Calendar
-    pub fn from_env() -> Self {
-        match std::env::var("EESMR_SCHED") {
-            Err(_) => SchedulerKind::Calendar,
-            Ok(v) if v.eq_ignore_ascii_case("heap") => SchedulerKind::Heap,
-            Ok(v) if v.eq_ignore_ascii_case("calendar") || v.is_empty() => SchedulerKind::Calendar,
-            Ok(v) => panic!("EESMR_SCHED must be 'heap' or 'calendar', got '{v}'"),
-        }
-    }
-
     /// Display name (`"heap"` / `"calendar"`).
     pub fn name(self) -> &'static str {
         match self {
@@ -677,8 +656,6 @@ mod tests {
 
     #[test]
     fn env_selection_defaults_to_calendar() {
-        // No env manipulation (tests run in parallel): just the parsing
-        // default and the names.
         assert_eq!(SchedulerKind::default(), SchedulerKind::Calendar);
         assert_eq!(SchedulerKind::Heap.name(), "heap");
         assert_eq!(SchedulerKind::Calendar.name(), "calendar");

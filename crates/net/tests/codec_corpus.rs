@@ -363,3 +363,84 @@ fn random_garbage_never_panics() {
         }
     }
 }
+
+#[test]
+fn hostile_count_prefix_is_rejected_at_every_sequence_position() {
+    use eesmr_core::message::signing_bytes;
+    use eesmr_core::{Block, CertifiedBlock, MsgKind, QuorumCert, SignedBlock, Status};
+
+    /// Splices `u32::MAX` over the count prefix at `at` (after checking
+    /// that the honest count really sits there) and expects the bound
+    /// check — which runs before `Vec::with_capacity` — to refuse it.
+    fn hostile<T: WireCodec + std::fmt::Debug>(label: &str, msg: &T, at: usize, count: u32) {
+        let mut bytes = msg.encode();
+        assert_eq!(bytes[at..at + 4], count.to_le_bytes(), "{label}: count prefix offset");
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(
+            matches!(T::decode(&bytes), Err(CodecError::BadLength { len, .. }) if len == u64::from(u32::MAX)),
+            "{label}: {:?}",
+            T::decode(&bytes)
+        );
+    }
+
+    let pki = pki();
+    let kp = pki.keypair(0);
+    let block = Block::extending(&Block::genesis(), 1, 3, vec![Command::new(vec![1, 2, 3])]);
+    let bytes = signing_bytes(MsgKind::Certify, 1, &block.id());
+    let sigs: Vec<_> = (0..2u32).map(|i| (i, pki.keypair(i).sign(&bytes))).collect();
+    let qc = QuorumCert { kind: MsgKind::Certify, view: 1, data: block.id(), height: 1, sigs };
+    let cert = CertifiedBlock { qc: qc.clone(), block: block.clone() };
+    let lock = SignedBlock { block: block.clone(), signer: 0, sig: kp.sign(b"lock") };
+    let blocks = vec![block.clone(), block.clone(), block.clone()];
+
+    // Offsets: the signed envelope is 17 bytes (header 4 + kind 1 + view
+    // 8 + signer 4); a certificate's signature count follows its kind 1 +
+    // view 8 + digest 32 + height 8 = 49; a status' count follows its tag.
+    let signed = |payload| SignedMsg::new(payload, 1, kp);
+    hostile("qc signatures", &signed(Payload::BlameQc(qc.clone())), 17 + 49, 2);
+    let status = Status::CommitQcs(vec![cert.clone()]);
+    hostile(
+        "commit-qc status",
+        &signed(Payload::NewViewProposal { status, block: block.clone() }),
+        17 + 1,
+        1,
+    );
+    let status = Status::Locks(vec![lock.clone(), lock]);
+    hostile(
+        "lock status",
+        &signed(Payload::NewViewProposal { status, block: block.clone() }),
+        17 + 1,
+        2,
+    );
+    hostile("sync response", &signed(Payload::SyncResponse { blocks: blocks.clone() }), 17, 3);
+    hostile(
+        "repair reply",
+        &signed(Payload::RepairReply { blocks: blocks.clone(), view: 2 }),
+        17,
+        3,
+    );
+
+    let hs = |payload| HsMsg { payload, view: 1, signer: 0, sig: kp.sign(b"hs") };
+    hostile("hs qc signatures", &hs(HsPayload::BlameQc(qc.clone())), 17 + 49, 2);
+    hostile("hs status qc signatures", &hs(HsPayload::Status { cert: Some(cert) }), 17 + 1 + 49, 2);
+    hostile("hs sync response", &hs(HsPayload::SyncResponse { blocks: blocks.clone() }), 17, 3);
+    hostile(
+        "hs repair reply",
+        &hs(HsPayload::RepairReply { blocks: blocks.clone(), view: 2 }),
+        17,
+        3,
+    );
+
+    // Trusted baseline: header 4 + tag 1 + signer 4.
+    let tb = TbMsg { payload: TbPayload::RepairReply { blocks }, signer: 3, sig: kp.sign(b"tb") };
+    hostile("tb repair reply", &tb, 9, 3);
+
+    // Broadcast: the certificate inside a Terminate (header 4 + kind 1 +
+    // signer 4).
+    let bb = BbMsg {
+        payload: BbPayload::Terminate { cert: qc, value: vec![7; 4] },
+        signer: 0,
+        sig: kp.sign(b"bb"),
+    };
+    hostile("bb terminate certificate", &bb, 9 + 49, 2);
+}

@@ -325,3 +325,56 @@ fn wire_size_is_the_encoded_length_for_every_variant() {
         }
     }
 }
+
+/// The allocation floors `read_seq` divides the remaining input by are
+/// derived from the field lists. Pin them to the values the hand-written
+/// decoders used to add up, so a table edit that loosens one is seen.
+#[test]
+fn derived_floors_match_the_v1_layouts() {
+    use eesmr_crypto::Signature;
+    use eesmr_net::NodeId;
+    assert_eq!(Command::MIN_LEN, 4, "empty byte string");
+    assert_eq!(Signature::MIN_LEN, 37, "scheme tag + signer + 32-byte authenticator");
+    assert_eq!(Block::MIN_LEN, 60, "digest + three u64s + empty command list");
+    assert_eq!(QuorumCert::MIN_LEN, 53, "kind + view + digest + height + empty signature list");
+    assert_eq!(<(NodeId, Signature)>::MIN_LEN, 41, "certificate entry: signer + signature");
+    assert_eq!(CertifiedBlock::MIN_LEN, 113, "certificate + block");
+    assert_eq!(SignedBlock::MIN_LEN, 101, "block + signer + signature");
+}
+
+/// `MIN_LEN` really is a floor: no generated value of any family, nor
+/// any of the nested types a sequence can hold, encodes shorter — under
+/// every signature scheme.
+#[test]
+fn no_value_encodes_below_its_floor() {
+    fn check<T: WireCodec>(v: &T) {
+        assert!(T::MIN_LEN <= v.encoded_len(), "floor {} > length {}", T::MIN_LEN, v.encoded_len());
+    }
+    let mut rng = StdRng::seed_from_u64(0xF100);
+    for scheme in SigScheme::ALL {
+        let pki = KeyStore::generate(N as usize, scheme, 7);
+        for ix in 0..SIGNED_SHAPES {
+            check(&signed_msg(ix, &mut rng, &pki));
+        }
+        for ix in 0..HS_SHAPES {
+            check(&hs_variant(ix, &mut rng, &pki));
+        }
+        for ix in 0..BB_SHAPES {
+            check(&bb_variant(ix, &mut rng, &pki));
+        }
+        for ix in 0..TB_SHAPES {
+            check(&tb_variant(ix, &mut rng, &pki));
+        }
+        for _ in 0..8 {
+            let block = rand_block(&mut rng);
+            check(&rand_qc(&mut rng, &pki, block.id()));
+            check(&block);
+            check(&rand_cert(&mut rng, &pki));
+            check(&rand_signed_block(&mut rng, &pki));
+            check(&rand_commands(&mut rng));
+            for command in rand_commands(&mut rng).iter() {
+                check(command);
+            }
+        }
+    }
+}

@@ -211,7 +211,7 @@ impl Scenario {
             }
             Protocol::SyncHotStuff | Protocol::OptSync => {
                 let config = self.hs_config(delta);
-                let mut replicas = build_hs_replicas(&config, &pki, |id| plan.hs_mode(id));
+                let mut replicas = build_hs_replicas(&config, &pki, |id| plan.eesmr_mode(id));
                 self.attach_workloads(&mut replicas, 0);
                 (config.f, ids.map(role).collect(), Replicas::SyncHs(replicas))
             }

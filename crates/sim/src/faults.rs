@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] names every adversarial behaviour a scenario can
 //! inject and compiles it down to the per-protocol knobs: node-level
-//! [`FaultMode`]/[`HsFault`]/[`TbFault`] assignments plus a link-level
+//! [`FaultMode`]/[`TbFault`] assignments plus a link-level
 //! [`LinkFaults`] schedule the network runtime enforces at transmit
 //! time. [`FaultSpec`] is the sweepable axis on top: one tag per
 //! canonical scenario (withholding, selective drop, storm,
@@ -12,7 +12,6 @@
 use std::collections::BTreeMap;
 
 use eesmr_baselines::trusted::TbFault;
-use eesmr_baselines::HsFault;
 use eesmr_core::FaultMode;
 use eesmr_net::{LinkDrop, LinkFaults, NodeId, Partition};
 
@@ -189,8 +188,9 @@ impl FaultPlan {
         links.max(crashes)
     }
 
-    /// The EESMR fault mode for `node`. A node in several maps takes the
-    /// strongest behaviour: silence > equivocation > crash > withholding
+    /// The fault mode of replica `node` (EESMR and Sync HotStuff share
+    /// one adversary model). A node in several maps takes the strongest
+    /// behaviour: silence > equivocation > crash > withholding
     /// > storming.
     pub fn eesmr_mode(&self, node: NodeId) -> FaultMode {
         if let Some(&v) = self.silent_from_view.get(&node) {
@@ -205,24 +205,6 @@ impl FaultPlan {
             FaultMode::Storm { from_view: v, repeats }
         } else {
             FaultMode::Honest
-        }
-    }
-
-    /// The Sync HotStuff fault mode for `node` (same precedence as
-    /// [`Self::eesmr_mode`]).
-    pub fn hs_mode(&self, node: NodeId) -> HsFault {
-        if let Some(&v) = self.silent_from_view.get(&node) {
-            HsFault::Silent { from_view: v }
-        } else if let Some(&v) = self.equivocate_in_view.get(&node) {
-            HsFault::Equivocate { in_view: v }
-        } else if let Some(&(at_us, restart_at_us)) = self.crash_at.get(&node) {
-            HsFault::Crash { at_us, restart_at_us }
-        } else if let Some(&v) = self.withhold_from_view.get(&node) {
-            HsFault::Withhold { from_view: v }
-        } else if let Some(&(v, repeats)) = self.storm_from_view.get(&node) {
-            HsFault::Storm { from_view: v, repeats }
-        } else {
-            HsFault::Honest
         }
     }
 
@@ -362,14 +344,12 @@ mod tests {
         assert!(!p.is_faulty(1));
         assert_eq!(p.eesmr_mode(0), FaultMode::Silent { from_view: 1 });
         assert_eq!(p.eesmr_mode(1), FaultMode::Honest);
-        assert_eq!(p.hs_mode(0), HsFault::Silent { from_view: 1 });
     }
 
     #[test]
     fn equivocator_maps_to_both_protocols() {
         let p = FaultPlan::equivocating_leader();
         assert_eq!(p.eesmr_mode(0), FaultMode::Equivocate { in_view: 1 });
-        assert_eq!(p.hs_mode(0), HsFault::Equivocate { in_view: 1 });
         assert_eq!(p.count(), 1);
     }
 
@@ -398,7 +378,7 @@ mod tests {
         );
         assert_eq!(p.count(), 3);
         assert_eq!(p.eesmr_mode(2), FaultMode::Withhold { from_view: 3 });
-        assert_eq!(p.hs_mode(4), HsFault::Storm { from_view: 1, repeats: 5 });
+        assert_eq!(p.eesmr_mode(4), FaultMode::Storm { from_view: 1, repeats: 5 });
         assert_eq!(
             p.eesmr_mode(5),
             FaultMode::Crash { at_us: 10_000, restart_at_us: Some(50_000) }

@@ -210,7 +210,7 @@ impl Scenario {
             offered_load: 1,
             forward_batch: 1,
             workload: None,
-            scheduler: SchedulerKind::from_env(),
+            scheduler: SchedulerKind::default(),
             shards: eesmr_net::shards_from_env(),
             trace: TraceLevel::from_env(),
             metrics: MetricsConfig::from_env(),

@@ -5,7 +5,7 @@
 //! with **node-local** state only — the node's simulated clock and a
 //! per-node monotone sequence number — so a merged trace is bit-identical
 //! no matter how the run was executed (`EESMR_WORKERS`, `EESMR_SHARDS`,
-//! `EESMR_SCHED`), exactly like every other observable in the workspace.
+//! either scheduler), exactly like every other observable in the workspace.
 //!
 //! The [`TraceLevel`] gate (`EESMR_TRACE=off|commit|proto|all`) compiles
 //! down to one ordered-enum comparison per candidate event, so the `off`
