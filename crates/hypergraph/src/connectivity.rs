@@ -3,27 +3,7 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use crate::graph::{HyperEdge, Hypergraph, NodeId};
-
-/// Breadth-first hop distances from `start` over per-sender out-edges.
-fn hop_distances_over(out: &[Vec<&HyperEdge>], start: NodeId) -> Vec<Option<usize>> {
-    let mut dist = vec![None; out.len()];
-    let mut queue = VecDeque::new();
-    dist[start as usize] = Some(0);
-    queue.push_back(start);
-    while let Some(p) = queue.pop_front() {
-        let d = dist[p as usize].expect("queued nodes have distances");
-        for e in &out[p as usize] {
-            for &r in e.receivers() {
-                if dist[r as usize].is_none() {
-                    dist[r as usize] = Some(d + 1);
-                    queue.push_back(r);
-                }
-            }
-        }
-    }
-    dist
-}
+use crate::graph::{Hypergraph, NodeId};
 
 impl Hypergraph {
     /// Nodes reachable from `start` by flooding, ignoring nodes in
@@ -51,17 +31,22 @@ impl Hypergraph {
     /// Hop distance from `start` to every node (flooding rounds needed),
     /// `None` for unreachable nodes. Index = node id.
     pub fn hop_distances(&self, start: NodeId) -> Vec<Option<usize>> {
-        hop_distances_over(&self.out_edges_by_sender(), start)
-    }
-
-    /// Each node's out-edges, in edge order — grouped once, so a traversal
-    /// does not scan every edge of the graph again at each node it visits.
-    fn out_edges_by_sender(&self) -> Vec<Vec<&HyperEdge>> {
-        let mut out = vec![Vec::new(); self.n()];
-        for e in self.edges() {
-            out[e.sender() as usize].push(e);
+        let mut dist = vec![None; self.n()];
+        let mut queue = VecDeque::new();
+        dist[start as usize] = Some(0);
+        queue.push_back(start);
+        while let Some(p) = queue.pop_front() {
+            let d = dist[p as usize].expect("queued nodes have distances");
+            for (_, e) in self.out_edges(p) {
+                for &r in e.receivers() {
+                    if dist[r as usize].is_none() {
+                        dist[r as usize] = Some(d + 1);
+                        queue.push_back(r);
+                    }
+                }
+            }
         }
-        out
+        dist
     }
 
     /// Whether every correct node can reach every other correct node after
@@ -91,10 +76,9 @@ impl Hypergraph {
     /// The protocol's Δ parameter for a partially connected hypergraph is
     /// `diameter × per-hop bound` (Appendix A, "Network delay").
     pub fn diameter(&self) -> Option<usize> {
-        let out = self.out_edges_by_sender();
         let mut max = 0;
         for p in 0..self.n() as NodeId {
-            for (q, d) in hop_distances_over(&out, p).iter().enumerate() {
+            for (q, d) in self.hop_distances(p).iter().enumerate() {
                 match d {
                     Some(d) => max = max.max(*d),
                     None if q != p as usize => return None,

@@ -94,6 +94,12 @@ impl std::error::Error for HypergraphError {}
 pub struct Hypergraph {
     n: usize,
     edges: Vec<HyperEdge>,
+    /// `by_sender[p]`: indices into `edges` of the edges `p` sends on, in
+    /// ascending (insertion) order. A pure function of `edges`, kept in
+    /// step by the two mutators ([`Self::add_edge`],
+    /// [`Self::make_independent`]), so the derived `PartialEq` and `Clone`
+    /// see it agree whenever `edges` do.
+    by_sender: Vec<Vec<usize>>,
 }
 
 impl Hypergraph {
@@ -104,7 +110,7 @@ impl Hypergraph {
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "hypergraph needs at least one node");
-        Hypergraph { n, edges: Vec::new() }
+        Hypergraph { n, edges: Vec::new(), by_sender: vec![Vec::new(); n] }
     }
 
     /// Number of nodes.
@@ -150,17 +156,17 @@ impl Hypergraph {
         if let Some(&bad) = receivers.iter().find(|&&r| r as usize >= self.n) {
             return Err(HypergraphError::NodeOutOfRange { node: bad, n: self.n });
         }
+        self.by_sender[sender as usize].push(self.edges.len());
         self.edges.push(HyperEdge { sender, receivers });
         Ok(EdgeId(self.edges.len() - 1))
     }
 
-    /// Edges sent by `p` (the out-going k-cast links).
+    /// Edges sent by `p` (the out-going k-cast links), in edge-id order.
+    /// Reads the per-sender index: the cost is `p`'s out-degree, not the
+    /// size of the graph.
     pub fn out_edges(&self, p: NodeId) -> impl Iterator<Item = (EdgeId, &HyperEdge)> {
-        self.edges
-            .iter()
-            .enumerate()
-            .filter(move |(_, e)| e.sender == p)
-            .map(|(i, e)| (EdgeId(i), e))
+        let ids = self.by_sender.get(p as usize).map_or(&[][..], Vec::as_slice);
+        ids.iter().map(|&i| (EdgeId(i), &self.edges[i]))
     }
 
     /// Edges in which `p` is a receiver (the incoming k-cast links).
@@ -264,20 +270,13 @@ impl Hypergraph {
     pub fn make_independent(&mut self) {
         loop {
             let mut drop_idx: Option<usize> = None;
-            'outer: for p in 0..self.n as NodeId {
-                let idxs: Vec<usize> = self
-                    .edges
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| e.sender == p)
-                    .map(|(i, _)| i)
-                    .collect();
+            'outer: for idxs in &self.by_sender {
                 // Visit smallest edges first so we drop the most redundant.
                 let mut by_size = idxs.clone();
                 by_size.sort_by_key(|&i| self.edges[i].k());
                 for &i in &by_size {
                     let mut union_others = BTreeSet::new();
-                    for &j in &idxs {
+                    for &j in idxs {
                         if i != j {
                             union_others.extend(self.edges[j].receivers.iter().copied());
                         }
@@ -290,7 +289,12 @@ impl Hypergraph {
             }
             match drop_idx {
                 Some(i) => {
-                    self.edges.remove(i);
+                    // Every later edge moves down one id.
+                    let sender = self.edges.remove(i).sender;
+                    self.by_sender[sender as usize].retain(|&j| j != i);
+                    for j in self.by_sender.iter_mut().flatten().filter(|j| **j > i) {
+                        *j -= 1;
+                    }
                 }
                 None => break,
             }

@@ -1,6 +1,7 @@
 //! Property tests for the hypergraph model.
 
 use eesmr_hypergraph::topology::{complete, random_kcast, ring_kcast};
+use eesmr_hypergraph::{EdgeId, Hypergraph};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,6 +24,45 @@ proptest! {
         again.make_independent();
         prop_assert_eq!(h.edges().len(), again.edges().len(), "idempotent");
         prop_assert!(h.is_independent());
+    }
+
+    /// The per-sender index answers `out_edges` exactly as a scan of the
+    /// edge list would — same edges, same (edge-id) order — through every
+    /// mutation, and stays a pure function of the edge list: a graph
+    /// rebuilt from the surviving edges is `==` to the mutated one.
+    #[test]
+    fn out_edges_match_a_scan_of_the_edge_list(n in 2usize..12, prune: bool,
+                                               raw in prop::collection::vec(any::<u64>(), 0..40)) {
+        let mut h = Hypergraph::new(n);
+        for word in raw {
+            // Low byte: the sender; the next `n` bits: the receiver set.
+            let sender = (word & 0xff) as u32 % n as u32;
+            let receivers = (0..n as u32).filter(|&r| r != sender && (word >> (8 + r)) & 1 == 1);
+            let _ = h.add_edge(sender, receivers); // an empty set is refused
+        }
+        if prune {
+            h.make_independent();
+        }
+        for p in 0..n as u32 + 2 {
+            let scanned: Vec<EdgeId> = h
+                .edges()
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.sender() == p)
+                .map(|(i, _)| EdgeId(i))
+                .collect();
+            let indexed: Vec<EdgeId> = h.out_edges(p).map(|(id, _)| id).collect();
+            prop_assert_eq!(&indexed, &scanned, "node {}", p);
+            for (id, e) in h.out_edges(p) {
+                prop_assert!(std::ptr::eq(e, h.edge(id)), "edge {:?} of node {}", id, p);
+            }
+        }
+        let mut rebuilt = Hypergraph::new(n);
+        for e in h.edges() {
+            rebuilt.add_edge(e.sender(), e.receivers().iter().copied()).unwrap();
+        }
+        prop_assert_eq!(&rebuilt, &h);
+        prop_assert_eq!(&h.clone(), &h);
     }
 
     /// hop_distances and reachable_from agree.

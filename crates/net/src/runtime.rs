@@ -20,6 +20,30 @@
 //! reference binary heap pop in the same `(time, seq)` total order, so
 //! the choice never changes a trace, only how fast it is produced.
 //!
+//! The unit of work is the **transmission**, not the reception. What is a
+//! pure function of the run or of the message is computed once and read
+//! afterwards:
+//!
+//! * *Per run*: each node's out-edges as flat receiver slices (`FanOut`,
+//!   built when the shard is). Their order — edges by edge id, receivers
+//!   ascending within an edge — is part of the model: hop-delay and drop
+//!   draws are consumed per receiver in that order.
+//! * *Per message sent*: one shared record (`OnAir`) holding the sender,
+//!   the payload, its `wire_size()` and `phase()` and, for a flood, its
+//!   dedup key and target — built when the `Multicast`/`Flood` effect is
+//!   applied. The loopback, every receiver of every k-cast and every relay
+//!   of a flood hold a handle to that one record; queued events carry the
+//!   handle, not the message. The payload is cloned only to hand a
+//!   delivery to an actor (the last one takes it), never for a relay or a
+//!   duplicate reception.
+//! * *Per shard*: flood dedup is one table, flood key → a bit per owned
+//!   node (`SeenFloods`), not a key set per node.
+//!
+//! None of this skips or reorders an energy charge, a trace event, an
+//! interceptor call or a draw: `tests/golden_runs.rs` pins whole reports
+//! and traces across commits, `tests/runtime_budget.rs` the `wire_size()`
+//! and `clone()` counts.
+//!
 //! # Example: drive a simulation step by step
 //!
 //! ```
@@ -58,7 +82,8 @@
 //! assert!(net.stats().kcasts >= 1);
 //! ```
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use eesmr_energy::{EnergyCategory, EnergyClass, EnergyMeter, EnergyPhase};
@@ -295,14 +320,48 @@ pub type Interceptor = Box<dyn FnMut(&Delivery) -> Fate + Send>;
 #[derive(Debug)]
 pub(crate) enum EventKind<M, T> {
     Start,
-    Deliver { from: NodeId, msg: M, flood: Option<FloodMeta>, loopback: bool },
+    Deliver { air: Arc<OnAir<M>>, loopback: bool },
     Timer { id: TimerId, token: T },
+}
+
+/// One message on the air: built once, when its `Multicast` or `Flood`
+/// effect is applied, and shared by the sender's loopback, the `k`
+/// deliveries of every k-cast that carries it and — for a flood — every
+/// relay on every node. Everything that is a pure function of the message
+/// is computed here and read from the record afterwards; the payload
+/// itself is cloned only to hand a delivery to an actor (and moved out by
+/// the last one), never for a reception that is dropped as a duplicate.
+#[derive(Debug)]
+pub(crate) struct OnAir<M> {
+    /// The node whose actor sent the message — what a delivery reports as
+    /// its sender. For a flood this is the origin, never the last relayer
+    /// (replies go back to the source), which is why relays need no record
+    /// of their own.
+    from: NodeId,
+    msg: M,
+    /// `msg.wire_size()`.
+    size: usize,
+    /// `msg.phase()`.
+    phase: EnergyPhase,
+    flood: Option<FloodMeta>,
+}
+
+impl<M: Message> OnAir<M> {
+    fn new(from: NodeId, msg: M, flood: Option<FloodMeta>) -> Arc<Self> {
+        let (size, phase) = (msg.wire_size(), msg.phase());
+        Arc::new(OnAir { from, msg, size, phase, flood })
+    }
+
+    /// The payload for an actor: moved out if this was the last delivery
+    /// in flight, cloned otherwise.
+    fn into_msg(self: Arc<Self>) -> M {
+        Arc::try_unwrap(self).map_or_else(|shared| shared.msg.clone(), |air| air.msg)
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FloodMeta {
     key: u64,
-    origin: NodeId,
     target: Option<NodeId>,
 }
 
@@ -333,8 +392,136 @@ pub(crate) fn keyed_draw(seed: u64, node: NodeId, counter: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The hasher of the runtime's `u64`-keyed tables (flood dedup, cancelled
+/// timers). Their keys are digests or node-tagged counters the program
+/// made itself, so SipHash's protection against chosen keys buys nothing.
+/// One multiply is enough — rotated, because a table takes its bucket from
+/// the low bits of the hash while only the high bits of a product depend
+/// on every bit of the key (a node-tagged counter keeps the node in the
+/// high ones). **Nothing may iterate these tables**: only membership is
+/// ever asked, so the hasher's order is unobservable.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the runtime's tables are keyed by u64 only");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(20);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type KeyBuildHasher = BuildHasherDefault<KeyHasher>;
+
+/// Flood dedup for one shard: which of its nodes have seen which flood,
+/// as one row of bits per flood key — a bit per owned node — instead of a
+/// set of keys per node. A flood reaches every node, so a per-node set
+/// stores each key `n` times over and a probe lands in whichever node's
+/// table the event happens to target; a row costs `n / 8` bytes and the
+/// whole table stays cache-resident. Membership is exactly
+/// `(key, node)` seen-or-not, and — like the sets it replaces — the table
+/// only grows: a flood key stays seen for the rest of the run.
+#[derive(Debug)]
+struct SeenFloods {
+    /// `u64` words per row.
+    words: usize,
+    /// Flood key → row index; row `r` is `bits[r * words..][..words]`.
+    rows: HashMap<u64, usize, KeyBuildHasher>,
+    bits: Vec<u64>,
+}
+
+impl SeenFloods {
+    /// An empty table over `owned` nodes.
+    fn new(owned: usize) -> Self {
+        SeenFloods { words: owned.div_ceil(64), rows: HashMap::default(), bits: Vec::new() }
+    }
+
+    /// Marks flood `key` as seen by local node `local`. Returns whether it
+    /// was new to that node (the contract of `HashSet::insert`).
+    fn insert(&mut self, key: u64, local: usize) -> bool {
+        let next_row = self.rows.len();
+        let row = *self.rows.entry(key).or_insert_with(|| {
+            self.bits.resize(self.bits.len() + self.words, 0);
+            next_row
+        });
+        let word = &mut self.bits[row * self.words + local / 64];
+        let bit = 1u64 << (local % 64);
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+}
+
+/// Every owned node's out-edges as flat receiver slices, built once per
+/// run from the topology — a transmit walks its own node's slices and
+/// nothing else.
+///
+/// **Order is part of the model**: edges in edge-id order, receivers
+/// ascending within an edge (as [`Hypergraph::out_edges`] and the edge's
+/// receiver set yield them). Hop-delay and drop draws are consumed per
+/// receiver in this order, so any reordering changes every trace.
+#[derive(Debug)]
+struct FanOut {
+    /// Local node `l` sends on edges `first_edge[l]..first_edge[l + 1]`.
+    first_edge: Vec<u32>,
+    /// Edge `e` reaches `receivers[edge_start[e]..edge_start[e + 1]]`.
+    edge_start: Vec<u32>,
+    receivers: Vec<Receiver>,
+}
+
+/// One receiver of an out-edge, with the shard that owns it.
+#[derive(Debug, Clone, Copy)]
+struct Receiver {
+    node: NodeId,
+    shard: u32,
+}
+
+impl FanOut {
+    /// The fan-out of `nodes` (a shard's owned nodes, in local order) in a
+    /// run split across `shards` shards.
+    fn new(topology: &Hypergraph, nodes: impl Iterator<Item = NodeId>, shards: u32) -> Self {
+        let mut fan = FanOut { first_edge: vec![0], edge_start: vec![0], receivers: Vec::new() };
+        for node in nodes {
+            for (_, edge) in topology.out_edges(node) {
+                let receivers = edge.receivers().iter();
+                fan.receivers
+                    .extend(receivers.map(|&to| Receiver { node: to, shard: to % shards }));
+                fan.edge_start.push(fan.receivers.len() as u32);
+            }
+            fan.first_edge.push(fan.edge_start.len() as u32 - 1);
+        }
+        fan
+    }
+
+    /// The edges local node `local` sends on, as indices for
+    /// [`Self::receivers_of`].
+    fn edges_of(&self, local: usize) -> std::ops::Range<usize> {
+        self.first_edge[local] as usize..self.first_edge[local + 1] as usize
+    }
+
+    /// The positions in `self.receivers` of edge `edge`'s receivers.
+    fn receivers_of(&self, edge: usize) -> std::ops::Range<usize> {
+        self.edge_start[edge] as usize..self.edge_start[edge + 1] as usize
+    }
+}
+
+/// A node this shard owns: its global id and its slot in the shard's
+/// per-node vectors. Resolved once per event — the shard count is a
+/// runtime value, so every `id / shards` is a real division.
+#[derive(Debug, Clone, Copy)]
+struct Owned {
+    id: NodeId,
+    local: usize,
+}
+
 /// One shard of a simulation: the actors it owns (a round-robin residue
-/// class of the node ids), their meters and flood-dedup sets, the local
+/// class of the node ids), their meters and flood-dedup table, the local
 /// pending-event queue, and an outbox of cross-shard deliveries. A
 /// single-threaded [`SimNet`] is exactly one `ShardState` owning every
 /// node; the parallel runtime (`crate::shard`) drives several in
@@ -356,7 +543,7 @@ pub(crate) struct ShardState<A: Actor> {
     /// boundary-crossing on the node's own event stream, so sampled
     /// series are shard-invariant like the tracers.
     recorders: Vec<MetricsRecorder>,
-    seen_floods: Vec<HashSet<u64>>,
+    seen_floods: SeenFloods,
     /// Per-owned-node end of the current receive scan window, µs. The
     /// first reception in a window pays the full scan
     /// ([`ChannelCost::recv_mj`]); further receptions before it closes
@@ -374,7 +561,8 @@ pub(crate) struct ShardState<A: Actor> {
     drop_ctr: Vec<u64>,
     /// Per-owned-node timer-id counters.
     timer_ctr: Vec<u64>,
-    cancelled_timers: HashSet<u64>,
+    cancelled_timers: HashSet<u64, KeyBuildHasher>,
+    fan_out: FanOut,
     queue: EventQueue<NodeEvent<A::Msg, A::Timer>>,
     /// Cross-shard deliveries generated this window, keyed by target
     /// shard (`outbox[self.index]` stays empty).
@@ -407,6 +595,8 @@ impl<A: Actor> ShardState<A> {
             .map(|local| Tracer::new(cfg.trace, index + (local as u32) * shards))
             .collect();
         let recorders = (0..local_n).map(|_| MetricsRecorder::new(&cfg.metrics)).collect();
+        let owned = (0..local_n as u32).map(|local| index + local * shards);
+        let fan_out = FanOut::new(&cfg.topology, owned, shards);
         let mut shard = ShardState {
             cfg,
             shards,
@@ -415,13 +605,14 @@ impl<A: Actor> ShardState<A> {
             meters: vec![EnergyMeter::new(); local_n],
             tracers,
             recorders,
-            seen_floods: vec![HashSet::new(); local_n],
+            seen_floods: SeenFloods::new(local_n),
             scan_until: vec![0; local_n],
             push_ctr: vec![0; local_n],
             draw_ctr: vec![0; local_n],
             drop_ctr: vec![0; local_n],
             timer_ctr: vec![0; local_n],
-            cancelled_timers: HashSet::new(),
+            cancelled_timers: HashSet::default(),
+            fan_out,
             queue,
             outbox: (0..shards).map(|_| Vec::new()).collect(),
             event_buffers: FreeList::new(2 * shards as usize),
@@ -431,20 +622,15 @@ impl<A: Actor> ShardState<A> {
             interceptor: None,
         };
         for local in 0..local_n {
-            let node = shard.global(local);
-            shard.push_from(node, SimTime::ZERO, node, EventKind::Start);
+            let node = Owned { id: shard.global(local), local };
+            shard.push_own(node, SimTime::ZERO, EventKind::Start);
         }
         shard
     }
 
-    /// Whether this shard owns `node`.
-    pub(crate) fn owns(&self, node: NodeId) -> bool {
-        node % self.shards == self.index
-    }
-
     /// The local slot of an owned global node id.
     pub(crate) fn local(&self, node: NodeId) -> usize {
-        debug_assert!(self.owns(node));
+        debug_assert!(node % self.shards == self.index, "a shard only handles its own nodes");
         (node / self.shards) as usize
     }
 
@@ -496,34 +682,36 @@ impl<A: Actor> ShardState<A> {
     /// Processes every local event with `time < horizon_us` (exclusive —
     /// events at exactly the horizon belong to the next window).
     pub(crate) fn run_window(&mut self, horizon_us: u64) {
-        while self.queue.peek_time().is_some_and(|t| t < horizon_us) {
-            self.step();
-        }
+        while self.step_if(|time| time < horizon_us).is_some() {}
     }
 
     /// Processes the next event, if any, returning its timestamp.
     pub(crate) fn step(&mut self) -> Option<SimTime> {
+        self.step_if(|_| true)
+    }
+
+    /// Processes the next event if `due` accepts its time (µs), returning
+    /// its timestamp; `None` when the queue is empty or its head not due.
+    pub(crate) fn step_if(&mut self, due: impl FnOnce(u64) -> bool) -> Option<SimTime> {
         let popped = {
             let _t = ProfTimer::start(ProfPhase::SchedPop);
-            self.queue.pop()
+            self.queue.pop_if(due)
         };
-        let (time, _seq, (node, kind)) = popped?;
-        debug_assert!(self.owns(node), "a shard only queues events for its own nodes");
+        let (time, _seq, (id, kind)) = popped?;
+        let node = Owned { id, local: self.local(id) };
+        let local = node.local;
         self.now = SimTime::from_micros(time);
-        {
-            // Lazy boundary-crossing sampling: before dispatching an event
-            // that reached the node's next cadence boundary, record one
-            // sample per elapsed boundary from node-local state only.
-            // Same per-node event stream on every shard layout ⇒ same
-            // boundary crossings ⇒ bit-identical series.
-            let local = self.local(node);
-            if self.recorders[local].due(time) {
-                let gauges = self.actors[local].gauges();
-                let total = self.meters[local].total_mj();
-                self.recorders[local].sample_up_to(time, &gauges, total);
-            }
-            self.recorders[local].note_event();
+        // Lazy boundary-crossing sampling: before dispatching an event
+        // that reached the node's next cadence boundary, record one
+        // sample per elapsed boundary from node-local state only.
+        // Same per-node event stream on every shard layout ⇒ same
+        // boundary crossings ⇒ bit-identical series.
+        if self.recorders[local].due(time) {
+            let gauges = self.actors[local].gauges();
+            let total = self.meters[local].total_mj();
+            self.recorders[local].sample_up_to(time, &gauges, total);
         }
+        self.recorders[local].note_event();
         match kind {
             EventKind::Start => {
                 self.invoke(node, EnergyPhase::Other, |actor, ctx| actor.on_start(ctx))
@@ -532,27 +720,22 @@ impl<A: Actor> ShardState<A> {
                 if self.cancelled_timers.remove(&id.0) {
                     return Some(self.now);
                 }
-                let local = self.local(node);
                 self.tracers[local].record(time, TraceEventKind::TimerFire { id: id.0 });
                 self.invoke(node, EnergyPhase::Timer, |actor, ctx| actor.on_timer(token, ctx));
             }
-            EventKind::Deliver { from, msg, flood, loopback } => {
-                let size = msg.wire_size();
+            EventKind::Deliver { air, loopback } => {
+                let size = air.size;
                 // Duplicate-aware receive pricing: a flood the node has
                 // already decoded once is recognized from the first
                 // advertisement of the train and the rest is abandoned
                 // ([`ChannelCost::dup_recv_mj`]), so relay storms charge
                 // each node one full reception per distinct message, not
                 // per in-edge.
-                let fresh = match &flood {
-                    Some(meta) => {
-                        let local = self.local(node);
-                        self.seen_floods[local].insert(meta.key)
-                    }
+                let fresh = match &air.flood {
+                    Some(meta) => self.seen_floods.insert(meta.key, local),
                     None => true,
                 };
                 if !loopback {
-                    let local = self.local(node);
                     let scanning = self.cfg.channel.scanning_receiver();
                     let (mj, class) = if !fresh {
                         (self.cfg.channel.dup_recv_mj(size), EnergyClass::DupAbandoned)
@@ -572,134 +755,98 @@ impl<A: Actor> ShardState<A> {
                         };
                         (self.cfg.channel.shared_recv_mj(size), class)
                     };
-                    self.meters[local].charge_as(EnergyCategory::Recv, class, msg.phase(), mj);
+                    self.meters[local].charge_as(EnergyCategory::Recv, class, air.phase, mj);
                 } else {
                     self.stats.loopbacks += 1;
                 }
-                match flood {
-                    Some(meta) => {
-                        if !fresh {
-                            return Some(self.now); // duplicate: scanned, not processed
-                        }
-                        let local = self.local(node);
-                        // Relay once on all out-edges (network-layer gossip).
-                        self.transmit(node, &msg, Some(meta), true);
-                        let deliver_here = meta.target.is_none_or(|t| t == node);
-                        if deliver_here {
-                            self.stats.deliveries += 1;
-                            // Flooded messages report their *origin* as the
-                            // sender — replies must go back to the source,
-                            // not the last relayer.
-                            let origin = meta.origin;
-                            self.tracers[local].record(
-                                time,
-                                TraceEventKind::MsgDeliver {
-                                    from: origin,
-                                    bytes: size as u64,
-                                    flood: true,
-                                },
-                            );
-                            let phase = msg.phase();
-                            self.invoke(node, phase, |actor, ctx| {
-                                actor.on_message(origin, msg, ctx)
-                            });
-                        }
+                if let Some(meta) = air.flood {
+                    if !fresh {
+                        return Some(self.now); // duplicate: scanned, not processed
                     }
-                    None => {
-                        self.stats.deliveries += 1;
-                        let local = self.local(node);
-                        self.tracers[local].record(
-                            time,
-                            TraceEventKind::MsgDeliver { from, bytes: size as u64, flood: false },
-                        );
-                        let phase = msg.phase();
-                        self.invoke(node, phase, |actor, ctx| actor.on_message(from, msg, ctx));
+                    // Relay once on all out-edges (network-layer gossip).
+                    self.transmit(node, &air, true);
+                    if meta.target.is_some_and(|t| t != node.id) {
+                        return Some(self.now); // relayed on, addressed elsewhere
                     }
                 }
+                self.stats.deliveries += 1;
+                let (from, phase, flood) = (air.from, air.phase, air.flood.is_some());
+                self.tracers[local]
+                    .record(time, TraceEventKind::MsgDeliver { from, bytes: size as u64, flood });
+                let msg = air.into_msg();
+                self.invoke(node, phase, |actor, ctx| actor.on_message(from, msg, ctx));
             }
         }
         Some(self.now)
     }
 
-    /// Queues an event generated by owned node `origin` for `target`,
-    /// stamping it with the origin's next sequence key. Local targets go
-    /// straight into the queue; foreign ones into the outbox.
-    fn push_from(
-        &mut self,
-        origin: NodeId,
-        time: SimTime,
-        target: NodeId,
-        kind: EventKind<A::Msg, A::Timer>,
-    ) {
-        let counter = &mut self.push_ctr[(origin / self.shards) as usize];
+    /// The next sequence key of events `origin` generates: its private
+    /// push counter above its id.
+    fn next_seq(&mut self, origin: Owned) -> u64 {
+        let counter = &mut self.push_ctr[origin.local];
         debug_assert!(*counter < 1 << (64 - SEQ_NODE_BITS), "per-node push counter overflow");
-        let seq = (*counter << SEQ_NODE_BITS) | origin as u64;
+        let seq = (*counter << SEQ_NODE_BITS) | origin.id as u64;
         *counter += 1;
-        if self.owns(target) {
-            self.queue.push(time.as_micros(), seq, (target, kind));
-        } else {
-            self.outbox[(target % self.shards) as usize].push((
-                time.as_micros(),
-                seq,
-                (target, kind),
-            ));
-        }
+        seq
+    }
+
+    /// Queues an event `node` generates for itself (start, loopback,
+    /// timer) under its next sequence key.
+    fn push_own(&mut self, node: Owned, time: SimTime, kind: EventKind<A::Msg, A::Timer>) {
+        let seq = self.next_seq(node);
+        self.queue.push(time.as_micros(), seq, (node.id, kind));
     }
 
     /// The next hop delay for a transmission by `from`: a counter-keyed
     /// draw in `[hop_delay_min, hop_delay_max]`, advancing only the
     /// sender's private draw counter.
-    fn hop_delay(&mut self, from: NodeId) -> SimDuration {
+    fn hop_delay(&mut self, from: Owned) -> SimDuration {
         let lo = self.cfg.hop_delay_min.as_micros();
         let hi = self.cfg.hop_delay_max.as_micros().max(lo);
-        let counter = &mut self.draw_ctr[(from / self.shards) as usize];
-        let draw = keyed_draw(self.cfg.seed, from, *counter);
+        let counter = &mut self.draw_ctr[from.local];
+        let draw = keyed_draw(self.cfg.seed, from.id, *counter);
         *counter += 1;
         SimDuration::from_micros(lo + draw % (hi - lo + 1))
     }
 
-    /// Puts `msg` on the air from `node` on all its out-edges; charges the
-    /// sender, samples per-receiver delays, and consults the interceptor.
-    fn transmit(&mut self, node: NodeId, msg: &A::Msg, flood: Option<FloodMeta>, relay: bool) {
+    /// Puts `air` on the air from `node` (its sender, or a relayer of the
+    /// flood) on all the node's out-edges; charges the sender, samples
+    /// per-receiver delays, and consults the interceptor.
+    fn transmit(&mut self, node: Owned, air: &Arc<OnAir<A::Msg>>, relay: bool) {
         let _prof = ProfTimer::start(ProfPhase::Transmit);
-        let size = msg.wire_size();
-        let phase = msg.phase();
-        {
-            let local = self.local(node);
-            let now = self.now.as_micros();
-            // One event per transmit (k-cast), not per receiver.
-            self.tracers[local]
-                .record(now, TraceEventKind::MsgSend { bytes: size as u64, flood: relay });
-        }
-        // Clone the config handle (a refcount bump) so the topology can be
-        // iterated in place while the meters and counters below take
-        // mutable borrows — no per-transmit edge/receiver buffers.
-        let cfg = Arc::clone(&self.cfg);
-        for (_, edge) in cfg.topology.out_edges(node) {
-            let k = edge.k();
-            let mj = self.cfg.channel.send_mj(size, k);
-            let local = self.local(node);
-            self.meters[local].charge_as(EnergyCategory::Send, EnergyClass::Send, phase, mj);
+        let (size, phase) = (air.size, air.phase);
+        let now_us = self.now.as_micros();
+        // One event per transmit (k-cast), not per receiver.
+        self.tracers[node.local]
+            .record(now_us, TraceEventKind::MsgSend { bytes: size as u64, flood: relay });
+        let faulty_links = !self.cfg.link_faults.is_empty();
+        // By index, so the meters and counters below can take mutable
+        // borrows while the fan-out is walked in place.
+        for edge in self.fan_out.edges_of(node.local) {
+            let receivers = self.fan_out.receivers_of(edge);
+            let mj = self.cfg.channel.send_mj(size, receivers.len());
+            self.meters[node.local].charge_as(EnergyCategory::Send, EnergyClass::Send, phase, mj);
             self.stats.kcasts += 1;
             if relay {
                 self.stats.flood_relays += 1;
             }
             self.stats.bytes_on_air += size as u64;
-            for &to in edge.receivers() {
+            for at in receivers {
+                let to = self.fan_out.receivers[at];
                 // The link-fault schedule first: partitions sever the
                 // link outright; selective drop rules consume one keyed
                 // draw from the sender's private drop counter per
                 // matching delivery. Both decisions are pure functions
                 // of sender-local state, so sharding cannot change them.
-                if !cfg.link_faults.is_empty() {
-                    let now_us = self.now.as_micros();
-                    if cfg.link_faults.severed(now_us, node, to) {
+                if faulty_links {
+                    if self.cfg.link_faults.severed(now_us, node.id, to.node) {
                         self.stats.dropped += 1;
                         continue;
                     }
-                    if let Some(permille) = cfg.link_faults.drop_permille(now_us, node, to) {
-                        let counter = &mut self.drop_ctr[(node / self.shards) as usize];
-                        let draw = keyed_draw(self.cfg.seed ^ DROP_SALT, node, *counter);
+                    let rule = self.cfg.link_faults.drop_permille(now_us, node.id, to.node);
+                    if let Some(permille) = rule {
+                        let counter = &mut self.drop_ctr[node.local];
+                        let draw = keyed_draw(self.cfg.seed ^ DROP_SALT, node.id, *counter);
                         *counter += 1;
                         if draw % 1000 < permille as u64 {
                             self.stats.dropped += 1;
@@ -707,7 +854,8 @@ impl<A: Actor> ShardState<A> {
                         }
                     }
                 }
-                let delivery = Delivery { from: node, to, size, is_flood: flood.is_some() };
+                let delivery =
+                    Delivery { from: node.id, to: to.node, size, is_flood: air.flood.is_some() };
                 let fate = match self.interceptor.as_mut() {
                     Some(i) => i(&delivery),
                     None => Fate::Deliver,
@@ -720,32 +868,34 @@ impl<A: Actor> ShardState<A> {
                     Fate::Deliver => SimDuration::ZERO,
                     Fate::DelayBy(d) => d,
                 };
-                let delay = self.hop_delay(node) + extra;
-                let at = self.now + delay;
-                self.push_from(
-                    node,
-                    at,
-                    to,
-                    EventKind::Deliver { from: node, msg: msg.clone(), flood, loopback: false },
-                );
+                let due = (self.now + self.hop_delay(node) + extra).as_micros();
+                let seq = self.next_seq(node);
+                let event = (to.node, EventKind::Deliver { air: Arc::clone(air), loopback: false });
+                // Local receivers go straight into the queue, foreign
+                // ones into their shard's outbox.
+                if to.shard == self.index {
+                    self.queue.push(due, seq, event);
+                } else {
+                    self.outbox[to.shard as usize].push((due, seq, event));
+                }
             }
         }
     }
 
     fn invoke(
         &mut self,
-        node: NodeId,
+        node: Owned,
         phase: EnergyPhase,
         f: impl FnOnce(&mut A, &mut Context<'_, A::Msg, A::Timer>),
     ) {
-        let local = self.local(node);
+        let local = node.local;
         // Stamp the meter with the phase of the event being handled, so
         // every compute charge the actor makes (sign/verify/hash) is
         // attributed to the message kind that caused it — no tagging at
         // the protocol's charge sites.
         self.meters[local].set_phase(phase);
         let mut ctx = Context {
-            node,
+            node: node.id,
             now: self.now,
             meter: &mut self.meters[local],
             next_timer_id: &mut self.timer_ctr[local],
@@ -765,18 +915,10 @@ impl<A: Actor> ShardState<A> {
                 Effect::Multicast(msg) => {
                     // Loopback first so the sender processes its own
                     // message through the uniform path, then the real hops.
-                    self.push_from(
-                        node,
-                        self.now,
-                        node,
-                        EventKind::Deliver {
-                            from: node,
-                            msg: msg.clone(),
-                            flood: None,
-                            loopback: true,
-                        },
-                    );
-                    self.transmit(node, &msg, None, false);
+                    let air = OnAir::new(node.id, msg, None);
+                    let kind = EventKind::Deliver { air: Arc::clone(&air), loopback: true };
+                    self.push_own(node, self.now, kind);
+                    self.transmit(node, &air, false);
                 }
                 Effect::Flood { msg, target } => {
                     // Targeted floods to different destinations are
@@ -787,21 +929,15 @@ impl<A: Actor> ShardState<A> {
                     if let Some(t) = target {
                         key ^= 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(t as u64 + 1);
                     }
-                    let meta = FloodMeta { key, origin: node, target };
                     // Flood origination is a loopback delivery carrying the
                     // flood metadata: the origin marks it seen, relays on
                     // its out-edges, and (if targeted elsewhere) skips its
                     // own actor.
-                    self.push_from(
-                        node,
-                        self.now,
-                        node,
-                        EventKind::Deliver { from: node, msg, flood: Some(meta), loopback: true },
-                    );
+                    let air = OnAir::new(node.id, msg, Some(FloodMeta { key, target }));
+                    self.push_own(node, self.now, EventKind::Deliver { air, loopback: true });
                 }
                 Effect::SetTimer { id, delay, token } => {
-                    let at = self.now + delay;
-                    self.push_from(node, at, node, EventKind::Timer { id, token });
+                    self.push_own(node, self.now + delay, EventKind::Timer { id, token });
                 }
                 Effect::CancelTimer(id) => {
                     self.cancelled_timers.insert(id.0);
@@ -907,12 +1043,7 @@ impl<A: Actor> SimNet<A> {
 
     /// Runs until the queue is exhausted or virtual time would pass `t`.
     pub fn run_until(&mut self, t: SimTime) {
-        while let Some(head) = self.shard.next_time() {
-            if head > t.as_micros() {
-                break;
-            }
-            self.shard.step();
-        }
+        while self.shard.step_if(|head| head <= t.as_micros()).is_some() {}
         self.shard.now = self.shard.now.max(t);
     }
 
@@ -933,14 +1064,9 @@ impl<A: Actor> SimNet<A> {
             if pred(&self.shard.actors) {
                 return true;
             }
-            match self.shard.next_time() {
-                Some(head) if head <= deadline.as_micros() => {
-                    self.shard.step();
-                }
-                _ => {
-                    self.shard.now = self.shard.now.max(deadline);
-                    return pred(&self.shard.actors);
-                }
+            if self.shard.step_if(|head| head <= deadline.as_micros()).is_none() {
+                self.shard.now = self.shard.now.max(deadline);
+                return pred(&self.shard.actors);
             }
         }
     }
@@ -1261,6 +1387,136 @@ mod tests {
         assert_eq!(lf.drop_permille(80, 0, 3), None, "rule expired");
         assert_eq!(lf.heal_time_us(), 80);
         assert!(LinkFaults::default().is_empty());
+    }
+
+    #[test]
+    fn seen_floods_agree_with_one_key_set_per_node() {
+        // More than 64 owned nodes, so rows span several words, and far
+        // more keys than any initial capacity, so both the map and the
+        // bit rows grow mid-stream. Keys come from a small pool (repeat
+        // probes are the common case) in the two shapes the runtime
+        // sees: digests and node-tagged counters.
+        let nodes = 150;
+        let mut table = SeenFloods::new(nodes);
+        let mut model = vec![HashSet::new(); nodes];
+        for step in 0..40_000u64 {
+            let draw = keyed_draw(7, 0, step);
+            let key = match draw % 3 {
+                0 => keyed_draw(11, 1, draw % 300),
+                1 => ((draw % 16) << 32) | ((draw >> 8) % 20),
+                _ => (draw >> 8) % 50,
+            };
+            let local = (keyed_draw(13, 2, step) % nodes as u64) as usize;
+            assert_eq!(table.insert(key, local), model[local].insert(key), "step {step}");
+        }
+        let distinct: HashSet<u64> = model.iter().flatten().copied().collect();
+        assert_eq!(table.rows.len(), distinct.len());
+        assert_eq!(table.bits.len(), distinct.len() * nodes.div_ceil(64));
+    }
+
+    #[test]
+    fn key_hasher_spreads_keys_that_differ_only_in_their_high_bits() {
+        // Timer ids are `(node << 40) | counter` and the storm's flood
+        // keys `(node << 32) | counter`: a table buckets by the low bits
+        // of the hash, so those must depend on the node.
+        use std::hash::BuildHasher;
+        let build = KeyBuildHasher::default();
+        for shift in [32, 40] {
+            let buckets: HashSet<u64> =
+                (0..128u64).map(|node| build.hash_one((node << shift) | 5) & 127).collect();
+            assert!(buckets.len() > 64, "shift {shift}: only {} of 128 buckets", buckets.len());
+        }
+    }
+
+    /// Floods or routes what its script says: `(at µs, target, payload)`.
+    #[derive(Debug, Default)]
+    struct Scripted {
+        script: Vec<(u64, Option<NodeId>, u64)>,
+        heard: Vec<(NodeId, u64)>,
+    }
+
+    impl Actor for Scripted {
+        type Msg = TMsg;
+        type Timer = (Option<NodeId>, u64);
+
+        fn on_start(&mut self, ctx: &mut Context<'_, TMsg, Self::Timer>) {
+            for &(at, target, payload) in &self.script {
+                ctx.set_timer(SimDuration::from_micros(at), (target, payload));
+            }
+        }
+
+        fn on_message(&mut self, from: NodeId, msg: TMsg, _: &mut Context<'_, TMsg, Self::Timer>) {
+            if let TMsg::Ping(x) = msg {
+                self.heard.push((from, x));
+            }
+        }
+
+        fn on_timer(
+            &mut self,
+            (target, payload): Self::Timer,
+            ctx: &mut Context<'_, TMsg, Self::Timer>,
+        ) {
+            match target {
+                Some(to) => ctx.send_to(to, TMsg::Ping(payload)),
+                None => ctx.flood(TMsg::Ping(payload)),
+            }
+        }
+    }
+
+    /// A 6-node k = 2 ring on which node 0 runs `script`.
+    fn scripted(script: Vec<(u64, Option<NodeId>, u64)>) -> SimNet<Scripted> {
+        let mut actors: Vec<Scripted> = (0..6).map(|_| Scripted::default()).collect();
+        actors[0].script = script;
+        SimNet::new(NetConfig::ble(topology::ring_kcast(6, 2), 31), actors)
+    }
+
+    #[test]
+    fn reflooding_a_seen_key_goes_nowhere() {
+        let mut net = scripted(vec![(0, None, 7), (20_000, None, 7)]);
+        net.run_for(SimDuration::from_millis(10));
+        let settled = net.stats().clone();
+        assert_eq!((settled.deliveries, settled.kcasts), (6, 6));
+        net.run_for(SimDuration::from_millis(30));
+        // The second origination is one more loopback, recognised there:
+        // nothing goes on the air and no actor hears it again.
+        let expected = NetStats { loopbacks: settled.loopbacks + 1, ..settled };
+        assert_eq!(net.stats(), &expected);
+        for id in 0..6 {
+            assert_eq!(net.actor(id).heard, vec![(0, 7)], "node {id}");
+        }
+    }
+
+    #[test]
+    fn one_payload_routed_to_two_targets_reaches_both() {
+        let mut net = scripted(vec![(0, Some(2), 9), (0, Some(4), 9)]);
+        net.run_for(SimDuration::from_millis(20));
+        for id in 0..6u32 {
+            let expected = if id == 2 || id == 4 { vec![(0, 9)] } else { vec![] };
+            assert_eq!(net.actor(id).heard, expected, "node {id}");
+        }
+        // Each is a flood of its own: relayed once per node.
+        assert_eq!(net.stats().flood_relays, 12);
+    }
+
+    #[test]
+    fn a_duplicate_reception_is_charged_as_an_abandoned_train() {
+        let mut net = scripted(vec![(0, None, 7)]);
+        net.run_for(SimDuration::from_millis(20));
+        // Every node relays once to its two successors, so every node
+        // hears the flood on both its in-edges: one of them fresh — none
+        // at the origin, which saw it first on its own loopback.
+        let dup = net.config().channel.dup_recv_mj(64);
+        assert!(dup > 0.0 && dup < net.config().channel.shared_recv_mj(64));
+        for id in 0..6u32 {
+            let duplicates = if id == 0 { 2 } else { 1 };
+            let meter = net.meter(id);
+            assert_eq!(meter.count(EnergyCategory::Recv), 2, "node {id}");
+            assert_eq!(
+                meter.attribution().class_mj(EnergyClass::DupAbandoned),
+                dup * duplicates as f64,
+                "node {id}"
+            );
+        }
     }
 
     #[test]

@@ -259,8 +259,19 @@ impl<E> CalendarQueue<E> {
 
     /// Removes and returns the earliest event as `(time, seq, payload)`.
     pub fn pop(&mut self) -> Option<(u64, u64, E)> {
+        self.pop_if(|_| true)
+    }
+
+    /// Removes and returns the earliest event if `due` accepts its time;
+    /// leaves the queue untouched otherwise. One search for the head
+    /// where [`peek_time`](Self::peek_time) followed by
+    /// [`pop`](Self::pop) makes two.
+    pub fn pop_if(&mut self, due: impl FnOnce(u64) -> bool) -> Option<(u64, u64, E)> {
         if self.in_lanes > 0 {
             let tick = self.first_occupied_tick().expect("in_lanes > 0");
+            if !due(tick) {
+                return None;
+            }
             self.cursor = tick;
             let idx = (tick & self.mask) as usize;
             let entry = self.lanes[idx].pop_front().expect("occupied lane");
@@ -271,11 +282,12 @@ impl<E> CalendarQueue<E> {
             self.in_lanes -= 1;
             self.migrate();
             Some((entry.time, entry.seq, entry.payload))
-        } else if let Some(Reverse(entry)) = self.spill.pop() {
+        } else if self.spill.peek().is_some_and(|Reverse(e)| due(e.time)) {
             // Ring empty: the spill head is the global minimum. Advancing
             // the cursor re-anchors the ring window so follow-up events
             // (e.g. message hops scheduled while handling a long timer)
             // land back in the O(1) lanes.
+            let Reverse(entry) = self.spill.pop().expect("peeked");
             self.cursor = entry.time;
             self.migrate();
             Some((entry.time, entry.seq, entry.payload))
@@ -464,9 +476,21 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event as `(time, seq, payload)`.
     pub fn pop(&mut self) -> Option<(u64, u64, E)> {
+        self.pop_if(|_| true)
+    }
+
+    /// Removes and returns the earliest event if `due` accepts its time
+    /// (see [`CalendarQueue::pop_if`]); leaves the queue untouched
+    /// otherwise.
+    pub fn pop_if(&mut self, due: impl FnOnce(u64) -> bool) -> Option<(u64, u64, E)> {
         match &mut self.0 {
-            Backend::Heap(h) => h.pop().map(|Reverse(e)| (e.time, e.seq, e.payload)),
-            Backend::Calendar(c) => c.pop(),
+            Backend::Heap(h) => {
+                if !h.peek().is_some_and(|Reverse(e)| due(e.time)) {
+                    return None;
+                }
+                h.pop().map(|Reverse(e)| (e.time, e.seq, e.payload))
+            }
+            Backend::Calendar(c) => c.pop_if(due),
         }
     }
 }
@@ -655,7 +679,7 @@ mod tests {
     }
 
     #[test]
-    fn env_selection_defaults_to_calendar() {
+    fn default_scheduler_is_calendar() {
         assert_eq!(SchedulerKind::default(), SchedulerKind::Calendar);
         assert_eq!(SchedulerKind::Heap.name(), "heap");
         assert_eq!(SchedulerKind::Calendar.name(), "calendar");

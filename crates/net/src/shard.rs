@@ -207,7 +207,9 @@ pub struct ShardedNet<A: Actor> {
 impl<A> ShardedNet<A>
 where
     A: Actor + Send,
-    A::Msg: Send,
+    // A message on the air is one record shared by every delivery of it,
+    // and those deliveries cross shard threads.
+    A::Msg: Send + Sync,
     A::Timer: Send,
 {
     /// Builds a sharded simulation over `cfg.topology` with one actor

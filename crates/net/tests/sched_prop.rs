@@ -7,9 +7,10 @@ use proptest::prelude::*;
 
 /// Replays one interleaved workload against both backends and asserts
 /// identical pop sequences at every step. Each `op` value encodes either
-/// a pop (`op % 4 == 3`) or a push whose delay mixes near-future hops
-/// with far-future timers, always relative to the last popped time (the
-/// scheduler contract).
+/// a pop (`op % 4 == 3`; every other one conditional on a cutoff time,
+/// the way the runtime drains a window) or a push whose delay mixes
+/// near-future hops with far-future timers, always relative to the last
+/// popped time (the scheduler contract).
 fn replay(ops: &[u64], lanes: usize) {
     let mut heap = EventQueue::new(SchedulerKind::Heap);
     let mut cal = CalendarQueue::with_lanes(lanes);
@@ -17,11 +18,17 @@ fn replay(ops: &[u64], lanes: usize) {
     let mut now = 0u64;
     for &op in ops {
         if op % 4 == 3 {
-            let expect = heap.pop();
-            let got = cal.pop();
+            // A cutoff at or a little past `now`: refused about as often
+            // as not, and a refusal must leave the head where it was.
+            let cutoff = if op % 8 == 7 { now + (op / 8) % (lanes as u64 / 4) } else { u64::MAX };
+            let head = heap.peek_time();
+            let expect = heap.pop_if(|t| t <= cutoff);
+            let got = cal.pop_if(|t| t <= cutoff);
             prop_assert_eq!(expect, got, "pop diverged at seq {}", seq);
-            if let Some((t, _, _)) = expect {
-                now = t;
+            prop_assert_eq!(expect.is_some(), head.is_some_and(|t| t <= cutoff));
+            match expect {
+                Some((t, _, _)) => now = t,
+                None => prop_assert_eq!(cal.peek_time(), head, "a refused pop moved the head"),
             }
         } else {
             // Delays span same-tick (0), in-ring, ring-edge, and spill.

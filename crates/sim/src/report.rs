@@ -453,7 +453,7 @@ mod tests {
     fn finished<A>(net: NetConfig, roles: &[NodeRole], replicas: Vec<A>) -> Vec<NodeReport>
     where
         A: ReplicaView + Send,
-        A::Msg: Send,
+        A::Msg: Send + Sync,
         A::Timer: Send,
     {
         let mut sim = ShardedNet::new(net, replicas, 1);

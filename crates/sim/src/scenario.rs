@@ -468,7 +468,7 @@ impl Scenario {
     ) -> (RunReport, TraceSet)
     where
         A: ReplicaView + Send,
-        A::Msg: Send,
+        A::Msg: Send + Sync,
         A::Timer: Send,
     {
         let mut net = ShardedNet::new(net_cfg, replicas, self.shards);

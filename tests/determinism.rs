@@ -171,7 +171,7 @@ fn workload_grid_is_bit_identical_across_workers() {
 
 #[test]
 fn workload_scenarios_are_bit_identical_across_schedulers() {
-    // EESMR_SCHED must stay a pure performance choice with arrival
+    // The scheduler must stay a pure performance choice with arrival
     // timers in the event stream: heap and calendar runs of a bursty,
     // skewed, closed-loop workload produce identical reports.
     let scenarios = [
