@@ -1,10 +1,11 @@
 //! Baseline SMR protocols the paper compares EESMR against.
 //!
-//! * [`sync_hotstuff`] — Sync HotStuff and OptSync (one replica, two commit
-//!   rules), the state-of-the-art synchronous BFT-SMR baselines of §5.7.
+//! * [`sync_hotstuff`] — Sync HotStuff and OptSync (one commit rule with
+//!   two variants over `eesmr_core`'s replica skeleton), the
+//!   state-of-the-art synchronous BFT-SMR baselines of §5.7.
 //! * [`trusted`] — the §5.1 trusted-control-node baseline over an
 //!   expensive medium (star topology).
-//! * [`status`] — a small trait for protocol-agnostic safety assertions.
+//! * [`status`] — a protocol-agnostic prefix-consistency check.
 //!
 //! All replicas implement [`eesmr_net::Actor`], so the same simulator,
 //! topologies, fault injectors, and energy meters drive every protocol —
@@ -37,6 +38,8 @@ pub mod status;
 pub mod sync_hotstuff;
 pub mod trusted;
 
-pub use status::{check_prefix_consistency, SmrStatus};
-pub use sync_hotstuff::{build_hs_replicas, HsConfig, HsFault, HsPacing, HsReplica, HsVariant};
+pub use status::check_prefix_consistency;
+pub use sync_hotstuff::{
+    build_hs_replicas, HsConfig, HsFault, HsPacing, HsReplica, HsRule, HsVariant,
+};
 pub use trusted::{build_tb_nodes, TbConfig, TbFault, TbNode, HUB};

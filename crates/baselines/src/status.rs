@@ -1,46 +1,9 @@
-//! A small trait unifying the observable state of all SMR replicas in this
-//! repository, so harnesses and tests can assert safety/liveness generically.
+//! Protocol-agnostic safety assertions over committed logs.
 
 use eesmr_crypto::Digest;
 
-/// Observable replication state.
-pub trait SmrStatus {
-    /// The committed log (block ids in commit order).
-    fn committed_log(&self) -> &[Digest];
-
-    /// Height of the highest committed block.
-    fn committed_block_height(&self) -> u64;
-
-    /// The replica's current view.
-    fn view(&self) -> u64;
-}
-
-impl SmrStatus for eesmr_core::Replica {
-    fn committed_log(&self) -> &[Digest] {
-        self.committed()
-    }
-
-    fn committed_block_height(&self) -> u64 {
-        self.committed_height()
-    }
-
-    fn view(&self) -> u64 {
-        self.current_view()
-    }
-}
-
-/// Asserts that all logs agree on their common prefix (SMR safety,
-/// Definition 2.1 (1)).
-///
-/// # Panics
-///
-/// Panics with a diagnostic if two logs diverge.
-pub fn assert_prefix_consistency<'a, S: SmrStatus + 'a>(replicas: impl IntoIterator<Item = &'a S>) {
-    let logs: Vec<&[Digest]> = replicas.into_iter().map(|r| r.committed_log()).collect();
-    check_prefix_consistency(&logs).expect("SMR safety violated");
-}
-
-/// Non-panicking prefix check; returns the first divergence found.
+/// Checks that all logs agree on their common prefix (SMR safety,
+/// Definition 2.1 (1)); returns the first divergence found.
 pub fn check_prefix_consistency(logs: &[&[Digest]]) -> Result<(), String> {
     for (i, a) in logs.iter().enumerate() {
         for (j, b) in logs.iter().enumerate().skip(i + 1) {

@@ -631,20 +631,6 @@ impl Actor for TbNode {
     }
 }
 
-impl crate::status::SmrStatus for TbNode {
-    fn committed_log(&self) -> &[Digest] {
-        &self.committed_log
-    }
-
-    fn committed_block_height(&self) -> u64 {
-        self.committed_height
-    }
-
-    fn view(&self) -> u64 {
-        1 // the trusted baseline has no views
-    }
-}
-
 /// Builds the hub (node 0) plus `n − 1` CPS nodes. `faults` assigns a
 /// behaviour to each spoke; the externally powered hub is always honest
 /// regardless of what the closure returns for node 0.

@@ -40,6 +40,7 @@ pub mod config;
 pub mod message;
 pub mod metrics;
 pub mod replica;
+pub mod smr;
 pub mod txpool;
 mod view_change;
 
@@ -51,6 +52,7 @@ pub use message::{
     Status,
 };
 pub use metrics::Metrics;
-pub use replica::{Replica, TimerToken};
+pub use replica::{EesmrRule, Replica};
+pub use smr::{Params, Rule, Smr, SmrPayload, TimerToken};
 pub use txpool::{AdaptiveBatcher, TxPool, WorkloadSource};
 pub use view_change::build_replicas;

@@ -338,6 +338,8 @@ impl SignedPayload for Payload {
     }
 }
 
+crate::smr_payload!(Payload { block, round } => *round);
+
 /// What the signed [`Envelope`] needs from a payload family. The wire
 /// table ([`crate::codec`]) supplies the rest: the [`MsgKind`] tag of each
 /// variant and its field codec.

@@ -1,11 +1,14 @@
-//! The EESMR view change (Algorithm 2, lines 216–277).
+//! The EESMR view change from the quit wait on (Algorithm 2, lines
+//! 235–277).
 //!
 //! The steady state pushes all certificate work here: when a leader stalls
 //! or equivocates, the nodes convert their implicit "votes in the head"
 //! into explicit certificates, agree on the highest committed block, and
 //! hand the next leader a justified starting point.
 //!
-//! Timeline (all correct nodes, full path):
+//! Timeline (all correct nodes, full path). Steps 1–2 are the skeleton's
+//! ([`crate::smr`]) — every rule blames alike; this module starts when its
+//! `QuitWait` timer fires:
 //!
 //! 1. blame timeout (4Δ) or equivocation proof → flood `Blame`;
 //! 2. f+1 blames → flood `BlameQc`, cancel commit timers, wait Δ;
@@ -20,146 +23,17 @@
 //! quits on the proof alone, and the lock-only status replaces fresh
 //! commit certificates with signed locked blocks.
 
-use eesmr_net::{NodeId, TraceEventKind};
+use eesmr_net::NodeId;
 
 use crate::block::Block;
 use crate::config::FaultMode;
 use crate::message::{
     CertifiedBlock, MsgKind, Payload, QuorumCert, SignedBlock, SignedMsg, SignedPayload, Status,
 };
-use crate::replica::{Ctx, Replica, TimerToken};
+use crate::replica::{Ctx, Replica};
+use crate::smr::TimerToken;
 
 impl Replica {
-    // ------------------------------------------------------------------
-    // Blames.
-    // ------------------------------------------------------------------
-
-    /// `T_blame` expired: no progress in the current view (line 216).
-    pub(crate) fn on_blame_timeout(&mut self, view: u64, ctx: &mut Ctx<'_>) {
-        if view != self.v_cur || self.view_aborted {
-            return;
-        }
-        self.blame_timer = None;
-        self.metrics.blames_sent += 1;
-        ctx.trace(TraceEventKind::Blame { view: self.v_cur });
-        let blame = self.sign(Payload::Blame { proof: None }, ctx);
-        ctx.flood(blame);
-    }
-
-    /// Two conflicting leader-signed proposals for the same view and round
-    /// (lines 220–226).
-    pub(crate) fn on_equivocation(
-        &mut self,
-        first: SignedMsg,
-        second: SignedMsg,
-        ctx: &mut Ctx<'_>,
-    ) {
-        if self.view_aborted || self.config.crash_only {
-            return;
-        }
-        self.metrics.equivocations_detected += 1;
-        self.view_aborted = true;
-        self.cancel_commit_timers(ctx);
-        self.metrics.blames_sent += 1;
-        ctx.trace(TraceEventKind::Equivocation { view: self.v_cur });
-        ctx.trace(TraceEventKind::Blame { view: self.v_cur });
-        let blame = self.sign(Payload::Blame { proof: Some(Box::new((first, second))) }, ctx);
-        ctx.flood(blame);
-        if self.config.opt_equivocation_speedup {
-            self.schedule_quit(ctx);
-        }
-    }
-
-    /// Validates an equivocation proof: two valid leader signatures on
-    /// conflicting proposals for the same view and round.
-    fn proof_is_valid(&self, view: u64, proof: &(SignedMsg, SignedMsg), ctx: &mut Ctx<'_>) -> bool {
-        let (a, b) = proof;
-        let leader = self.config.leader_of(view);
-        let rounds = match (&a.payload, &b.payload) {
-            (Payload::Propose { round: ra, .. }, Payload::Propose { round: rb, .. }) => (*ra, *rb),
-            _ => return false,
-        };
-        a.view == view
-            && b.view == view
-            && a.signer == leader
-            && b.signer == leader
-            && rounds.0 == rounds.1
-            && a.payload.signing_digest(view) != b.payload.signing_digest(view)
-            && self.verify_envelope(a, ctx)
-            && self.verify_envelope(b, ctx)
-    }
-
-    /// Handles a `Blame` (possibly carrying an equivocation proof).
-    pub(crate) fn on_blame(&mut self, _from: NodeId, msg: SignedMsg, ctx: &mut Ctx<'_>) {
-        let Payload::Blame { proof } = &msg.payload else { return };
-        if msg.view > self.v_cur {
-            self.future_views.push((_from, msg));
-            return;
-        }
-        if msg.view < self.v_cur || !self.verify_envelope(&msg, ctx) {
-            return;
-        }
-        // Equivocation proof: cancel commit timers, join the blaming
-        // (lines 224–226), and optionally fast-quit.
-        if let Some(p) = proof {
-            if !self.config.crash_only
-                && !self.view_aborted
-                && self.proof_is_valid(msg.view, p, ctx)
-            {
-                let (first, second) = (**p).clone();
-                self.on_equivocation(first, second, ctx);
-            }
-        }
-        self.blames.insert(msg.signer, msg.sig.clone());
-        if self.blames.len() >= self.config.quorum() && !self.vc.quit_scheduled {
-            // f+1 blames: certificate, broadcast, quit (lines 227–234).
-            let data = Payload::Blame { proof: None }.signing_digest(self.v_cur);
-            let sigs: Vec<(NodeId, _)> = self
-                .blames
-                .iter()
-                .take(self.config.quorum())
-                .map(|(n, s)| (*n, s.clone()))
-                .collect();
-            let qc = QuorumCert { kind: MsgKind::Blame, view: self.v_cur, data, height: 0, sigs };
-            let msg = self.sign(Payload::BlameQc(qc), ctx);
-            ctx.flood(msg);
-            self.view_aborted = true;
-            self.cancel_commit_timers(ctx);
-            self.schedule_quit(ctx);
-        }
-    }
-
-    /// Handles a received blame certificate (line 231).
-    pub(crate) fn on_blame_qc(&mut self, _from: NodeId, msg: SignedMsg, ctx: &mut Ctx<'_>) {
-        let Payload::BlameQc(qc) = &msg.payload else { return };
-        if msg.view > self.v_cur {
-            self.future_views.push((_from, msg));
-            return;
-        }
-        if msg.view < self.v_cur || self.vc.quit_scheduled {
-            return;
-        }
-        if qc.kind != MsgKind::Blame || qc.view != self.v_cur || !self.verify_qc(qc, ctx) {
-            return;
-        }
-        self.view_aborted = true;
-        self.cancel_commit_timers(ctx);
-        self.schedule_quit(ctx);
-    }
-
-    /// Wait Δ so all correct nodes quit the view together (line 233).
-    fn schedule_quit(&mut self, ctx: &mut Ctx<'_>) {
-        if self.vc.quit_scheduled {
-            return;
-        }
-        self.vc.quit_scheduled = true;
-        ctx.trace(TraceEventKind::VcQuit { view: self.v_cur });
-        if let Some(t) = self.blame_timer.take() {
-            ctx.cancel_timer(t);
-        }
-        ctx.set_timer(self.config.delta, TimerToken::QuitWait { view: self.v_cur });
-    }
-
     // ------------------------------------------------------------------
     // QuitView (lines 235–250).
     // ------------------------------------------------------------------
@@ -168,7 +42,7 @@ impl Replica {
         if view != self.v_cur {
             return;
         }
-        if self.config.opt_lock_only_status || self.config.opt_equivocation_speedup {
+        if self.rule.config.opt_lock_only_status || self.rule.config.opt_equivocation_speedup {
             // Optimized path (§5.6): skip certificate construction; the
             // status will carry signed locked blocks instead.
             self.enter_new_view(ctx);
@@ -182,9 +56,9 @@ impl Replica {
             crate::message::signing_bytes(MsgKind::Certify, self.v_cur, &self.b_com);
         let own = self.pki.keypair(self.id).sign(&certify_bytes);
         ctx.meter().charge_sign(self.pki.scheme());
-        self.vc.certifies.insert(self.id, own);
+        self.rule.vc.certifies.insert(self.id, own);
         self.maybe_form_commit_qc(ctx);
-        ctx.set_timer(self.config.delta * 5, TimerToken::ShareQc { view: self.v_cur });
+        ctx.set_timer(self.params.delta * 5, TimerToken::ShareQc { view: self.v_cur });
     }
 
     /// Certify another node's committed block if it does not conflict with
@@ -201,7 +75,7 @@ impl Replica {
         let block = block.clone();
         ctx.meter().charge_hash(block.wire_size());
         let id = self.store.insert(block);
-        if self.store.lineage(&id, &self.b_lock).is_fork() {
+        if self.store.lineage(&id, &self.rule.b_lock).is_fork() {
             return; // provably conflicting: never certify
         }
         let height = self.store.get(&id).expect("just inserted").height;
@@ -215,24 +89,25 @@ impl Replica {
         if msg.view != self.v_cur || *block_id != self.b_com || !self.verify_envelope(&msg, ctx) {
             return;
         }
-        self.vc.certifies.insert(msg.signer, msg.sig.clone());
+        self.rule.vc.certifies.insert(msg.signer, msg.sig.clone());
         self.maybe_form_commit_qc(ctx);
     }
 
     fn maybe_form_commit_qc(&mut self, _ctx: &mut Ctx<'_>) {
-        if self.vc.certifies.len() < self.config.quorum() {
+        if self.rule.vc.certifies.len() < self.rule.config.quorum() {
             return;
         }
         let already_higher =
-            self.vc.best_qc.as_ref().is_some_and(|c| c.block.height >= self.b_com_height);
+            self.rule.vc.best_qc.as_ref().is_some_and(|c| c.block.height >= self.b_com_height);
         if already_higher {
             return;
         }
         let sigs: Vec<(NodeId, _)> = self
+            .rule
             .vc
             .certifies
             .iter()
-            .take(self.config.quorum())
+            .take(self.rule.config.quorum())
             .map(|(n, s)| (*n, s.clone()))
             .collect();
         let qc = QuorumCert {
@@ -243,7 +118,7 @@ impl Replica {
             sigs,
         };
         let block = self.store.get(&self.b_com).expect("committed block stored").clone();
-        self.vc.best_qc = Some(CertifiedBlock { qc, block });
+        self.rule.vc.best_qc = Some(CertifiedBlock { qc, block });
     }
 
     /// Adopt a higher commit certificate (lines 248–250), or — as the new
@@ -262,42 +137,43 @@ impl Replica {
             || cert.qc.data != cert.block.id()
             || cert.qc.height != cert.block.height
             || cert.qc.view > msg.view
-            || !self.verify_qc(&cert.qc, ctx)
+            || !self.verify_qc(&cert.qc, self.rule.config.quorum(), ctx)
         {
             return;
         }
         let id = self.store.insert(cert.block.clone());
 
-        if self.r_cur == 1 && self.is_leader() {
+        if self.rule.r_cur == 1 && self.is_leader() {
             // Status entry for the new-view proposal. The sender holds the
             // full chain of its own certified block, so repair any local
             // gap from it before the 4Δ proposal window closes.
             if let Some(missing) = self.chain_gap(&id) {
                 self.request_sync(missing, msg.signer, ctx);
             }
-            self.nv.status_qcs.insert(msg.signer, cert);
+            self.rule.nv.status_qcs.insert(msg.signer, cert);
             return;
         }
         // Quitting phase: adopt if strictly higher and not provably
         // conflicting with our lock.
-        let higher = self.vc.best_qc.as_ref().is_none_or(|c| cert.block.height > c.block.height);
-        if higher && !self.store.lineage(&id, &self.b_lock).is_fork() {
-            self.vc.best_qc = Some(cert);
+        let higher =
+            self.rule.vc.best_qc.as_ref().is_none_or(|c| cert.block.height > c.block.height);
+        if higher && !self.store.lineage(&id, &self.rule.b_lock).is_fork() {
+            self.rule.vc.best_qc = Some(cert);
         }
     }
 
     /// 5Δ after QuitView: share the best certificate and schedule entry
     /// into the new view (lines 239–241).
     pub(crate) fn on_share_qc(&mut self, view: u64, ctx: &mut Ctx<'_>) {
-        if view != self.v_cur || self.vc.shared {
+        if view != self.v_cur || self.rule.vc.shared {
             return;
         }
-        self.vc.shared = true;
-        if let Some(best) = self.vc.best_qc.clone() {
+        self.rule.vc.shared = true;
+        if let Some(best) = self.rule.vc.best_qc.clone() {
             let msg = self.sign(Payload::CommitQc(best), ctx);
             ctx.flood(msg);
         }
-        ctx.set_timer(self.config.delta, TimerToken::EnterNew { view });
+        ctx.set_timer(self.params.delta, TimerToken::EnterNew { view });
     }
 
     pub(crate) fn on_enter_new(&mut self, view: u64, ctx: &mut Ctx<'_>) {
@@ -313,73 +189,48 @@ impl Replica {
 
     /// Transition into view v+1, round 1 (line 251).
     pub(crate) fn enter_new_view(&mut self, ctx: &mut Ctx<'_>) {
-        let best = self.vc.best_qc.clone();
-        self.v_cur += 1;
-        self.r_cur = 1;
-        self.view_aborted = false;
-        self.blames.clear();
-        self.vc = Default::default();
-        self.nv = Default::default();
-        self.want_propose = false;
-        self.metrics.view_changes += 1;
-        ctx.trace(TraceEventKind::ViewEnter { view: self.v_cur });
-        // Workload transactions drained into the dead view's discarded
-        // proposals go back in the pool for the new view.
-        self.txpool.requeue_unresolved();
-        if !self.active() {
-            // The node goes silent starting this view (fault injection).
+        let best = self.rule.vc.best_qc.take();
+        self.rule.r_cur = 1;
+        self.rule.vc = Default::default();
+        self.rule.nv = Default::default();
+        self.rule.want_propose = false;
+        if !self.advance_view(ctx) {
             return;
         }
-        self.reset_blame_timer(8, ctx);
 
-        let leader = self.config.leader_of(self.v_cur);
+        let leader = self.rule.config.leader_of(self.v_cur);
         if leader == self.id {
             // Seed the status with our own entry and open the 4Δ window.
             if let Some(best) = best {
-                self.nv.status_qcs.insert(self.id, best);
+                self.rule.nv.status_qcs.insert(self.id, best);
             }
-            let lock_block = self.store.get(&self.b_lock).expect("locked block stored").clone();
+            let lock_block =
+                self.store.get(&self.rule.b_lock).expect("locked block stored").clone();
             let bytes =
                 crate::message::signing_bytes(MsgKind::LockStatus, self.v_cur, &lock_block.id());
             let sig = self.pki.keypair(self.id).sign(&bytes);
             ctx.meter().charge_sign(self.pki.scheme());
-            self.nv
+            self.rule
+                .nv
                 .status_locks
                 .insert(self.id, SignedBlock { block: lock_block, signer: self.id, sig });
-            ctx.set_timer(self.config.delta * 4, TimerToken::LeaderStatus { view: self.v_cur });
+            ctx.set_timer(self.params.delta * 4, TimerToken::LeaderStatus { view: self.v_cur });
         } else {
             // Send our status to the new leader (line 265).
             match best {
-                Some(cert) if !self.config.opt_lock_only_status => {
+                Some(cert) if !self.rule.config.opt_lock_only_status => {
                     let msg = self.sign(Payload::CommitQc(cert), ctx);
                     ctx.send_to(leader, msg);
                 }
                 _ => {
                     let lock_block =
-                        self.store.get(&self.b_lock).expect("locked block stored").clone();
+                        self.store.get(&self.rule.b_lock).expect("locked block stored").clone();
                     let msg = self.sign(Payload::LockStatus { block: lock_block }, ctx);
                     ctx.send_to(leader, msg);
                 }
             }
         }
-        // Commands the dead view's proposer drained and dropped are
-        // pending again (requeued above) — hand them straight to the
-        // new leader instead of letting them strand here.
-        self.forward_backlog(ctx);
-        self.drain_future_views(ctx);
-    }
-
-    pub(crate) fn drain_future_views(&mut self, ctx: &mut Ctx<'_>) {
-        let current: Vec<(NodeId, SignedMsg)> = {
-            let (now, later): (Vec<_>, Vec<_>) =
-                self.future_views.drain(..).partition(|(_, m)| m.view <= self.v_cur);
-            self.future_views = later;
-            now
-        };
-        for (from, msg) in current {
-            use eesmr_net::Actor as _;
-            self.on_message(from, msg, ctx);
-        }
+        self.settle_into_view(ctx);
     }
 
     /// Optimized status entry (§5.6): a node's signed locked block.
@@ -390,7 +241,7 @@ impl Replica {
             return;
         }
         if msg.view < self.v_cur
-            || self.r_cur != 1
+            || self.rule.r_cur != 1
             || !self.is_leader()
             || !self.verify_envelope(&msg, ctx)
         {
@@ -402,7 +253,8 @@ impl Replica {
             // Locked blocks have fully-known chains at their holder.
             self.request_sync(missing, msg.signer, ctx);
         }
-        self.nv
+        self.rule
+            .nv
             .status_locks
             .insert(msg.signer, SignedBlock { block, signer: msg.signer, sig: msg.sig.clone() });
     }
@@ -410,32 +262,37 @@ impl Replica {
     /// The new leader's 4Δ status window closed: propose round 1
     /// (lines 255–258).
     pub(crate) fn on_leader_status(&mut self, view: u64, ctx: &mut Ctx<'_>) {
-        if view != self.v_cur || self.r_cur != 1 || !self.is_leader() || self.nv.prop_hash.is_some()
+        if view != self.v_cur
+            || self.rule.r_cur != 1
+            || !self.is_leader()
+            || self.rule.nv.prop_hash.is_some()
         {
             return;
         }
-        let quorum = self.config.quorum();
-        let status = if self.nv.status_qcs.len() >= quorum {
-            let mut entries: Vec<CertifiedBlock> = self.nv.status_qcs.values().cloned().collect();
+        let quorum = self.rule.config.quorum();
+        let status = if self.rule.nv.status_qcs.len() >= quorum {
+            let mut entries: Vec<CertifiedBlock> =
+                self.rule.nv.status_qcs.values().cloned().collect();
             entries.sort_by_key(|c| core::cmp::Reverse(c.block.height));
             entries.truncate(quorum);
             Status::CommitQcs(entries)
-        } else if self.nv.status_locks.len() >= quorum {
-            let mut entries: Vec<SignedBlock> = self.nv.status_locks.values().cloned().collect();
+        } else if self.rule.nv.status_locks.len() >= quorum {
+            let mut entries: Vec<SignedBlock> =
+                self.rule.nv.status_locks.values().cloned().collect();
             entries.sort_by_key(|s| core::cmp::Reverse(s.block.height));
             entries.truncate(quorum);
             Status::Locks(entries)
         } else {
             // Not enough status yet — extend the window; if the system is
             // truly stuck the other nodes' 8Δ blame timers handle it.
-            ctx.set_timer(self.config.delta * 2, TimerToken::LeaderStatus { view });
+            ctx.set_timer(self.params.delta * 2, TimerToken::LeaderStatus { view });
             return;
         };
         let (highest_id, _) = status.highest().expect("status has at least one entry");
         if self.chain_gap(&highest_id).is_some() {
             // Ancestry still syncing; the Δ retry stays well inside the
             // other nodes' 8Δ patience.
-            ctx.set_timer(self.config.delta, TimerToken::LeaderStatus { view });
+            ctx.set_timer(self.params.delta, TimerToken::LeaderStatus { view });
             return;
         }
         let parent =
@@ -444,13 +301,13 @@ impl Replica {
         ctx.meter().charge_hash(block.wire_size());
         self.store.insert(block.clone());
         let payload = Payload::NewViewProposal { status, block };
-        self.nv.prop_hash = Some(payload.signing_digest(self.v_cur));
+        self.rule.nv.prop_hash = Some(payload.signing_digest(self.v_cur));
         let msg = self.sign(payload, ctx);
         ctx.flood(msg);
     }
 
     fn status_is_valid(&mut self, view: u64, status: &Status, ctx: &mut Ctx<'_>) -> bool {
-        if status.len() < self.config.quorum() {
+        if status.len() < self.rule.config.quorum() {
             return false;
         }
         match status {
@@ -461,7 +318,7 @@ impl Replica {
                         || e.qc.data != e.block.id()
                         || e.qc.height != e.block.height
                         || e.qc.view > view
-                        || !self.verify_qc(&e.qc, ctx)
+                        || !self.verify_qc(&e.qc, self.rule.config.quorum(), ctx)
                     {
                         return false;
                     }
@@ -497,10 +354,10 @@ impl Replica {
             self.future_views.push((from, msg));
             return;
         }
-        if msg.view < self.v_cur || self.r_cur != 1 {
+        if msg.view < self.v_cur || self.rule.r_cur != 1 {
             return;
         }
-        if msg.signer != self.config.leader_of(msg.view) || !self.verify_envelope(&msg, ctx) {
+        if msg.signer != self.rule.config.leader_of(msg.view) || !self.verify_envelope(&msg, ctx) {
             return;
         }
         let (status, block) = (status.clone(), block.clone());
@@ -547,39 +404,45 @@ impl Replica {
             self.request_sync(missing, leader, ctx);
             return;
         }
-        self.b_lock = block_id;
-        self.b_lock_height = block.height;
-        self.nv.prop_hash = Some(msg.payload.signing_digest(msg.view));
-        self.nv.round1_block = Some(block_id);
+        self.rule.b_lock = block_id;
+        self.rule.b_lock_height = block.height;
+        self.rule.nv.prop_hash = Some(msg.payload.signing_digest(msg.view));
+        self.rule.nv.round1_block = Some(block_id);
         let vote = self
             .sign(Payload::NewViewVote { prop_hash: msg.payload.signing_digest(msg.view) }, ctx);
         ctx.flood(vote);
-        self.r_cur = 2;
+        self.rule.r_cur = 2;
         self.reset_blame_timer(6, ctx);
     }
 
     /// Votes arriving at the new leader (line 259).
     pub(crate) fn on_new_view_vote(&mut self, _from: NodeId, msg: SignedMsg, ctx: &mut Ctx<'_>) {
         let Payload::NewViewVote { prop_hash } = &msg.payload else { return };
-        if msg.view != self.v_cur || !self.is_leader() || self.nv.round2_sent {
+        if msg.view != self.v_cur || !self.is_leader() || self.rule.nv.round2_sent {
             return;
         }
-        if self.nv.prop_hash != Some(*prop_hash) || !self.verify_envelope(&msg, ctx) {
+        if self.rule.nv.prop_hash != Some(*prop_hash) || !self.verify_envelope(&msg, ctx) {
             return;
         }
-        self.nv.votes.insert(msg.signer, msg.sig.clone());
-        if self.nv.votes.len() < self.config.quorum() {
+        self.rule.nv.votes.insert(msg.signer, msg.sig.clone());
+        if self.rule.nv.votes.len() < self.rule.config.quorum() {
             return;
         }
         // f+1 votes: certify round 1 and propose round 2 (lines 260–263).
-        let round1 = self.nv.round1_block.expect("voted proposals record their block");
+        let round1 = self.rule.nv.round1_block.expect("voted proposals record their block");
         let parent = self.store.get(&round1).expect("round-1 block stored").clone();
-        let sigs: Vec<(NodeId, _)> =
-            self.nv.votes.iter().take(self.config.quorum()).map(|(n, s)| (*n, s.clone())).collect();
+        let sigs: Vec<(NodeId, _)> = self
+            .rule
+            .nv
+            .votes
+            .iter()
+            .take(self.rule.config.quorum())
+            .map(|(n, s)| (*n, s.clone()))
+            .collect();
         let qc = QuorumCert {
             kind: MsgKind::NewViewVote,
             view: self.v_cur,
-            data: self.nv.prop_hash.expect("checked above"),
+            data: self.rule.nv.prop_hash.expect("checked above"),
             height: parent.height,
             sigs,
         };
@@ -587,23 +450,26 @@ impl Replica {
         ctx.meter().charge_hash(block.wire_size());
         self.store.insert(block.clone());
         let msg = self.sign(Payload::Propose { block, round: 2, justify: Some(qc) }, ctx);
-        self.nv.round2_sent = true;
+        self.rule.nv.round2_sent = true;
         ctx.flood(msg);
     }
 
     /// Round-2 proposal carrying the vote certificate (lines 275–277).
     pub(crate) fn on_round2_propose(&mut self, from: NodeId, msg: SignedMsg, ctx: &mut Ctx<'_>) {
         let Payload::Propose { block, justify, .. } = &msg.payload else { return };
-        if self.r_cur > 2 {
+        if self.rule.r_cur > 2 {
             return;
         }
         let Some(qc) = justify else { return };
-        if qc.kind != MsgKind::NewViewVote || qc.view != msg.view || !self.verify_qc(qc, ctx) {
+        if qc.kind != MsgKind::NewViewVote
+            || qc.view != msg.view
+            || !self.verify_qc(qc, self.rule.config.quorum(), ctx)
+        {
             return;
         }
         // If we voted in round 1, the certificate must match our vote.
-        if let Some(h) = self.nv.prop_hash {
-            if qc.data != h || Some(block.parent) != self.nv.round1_block {
+        if let Some(h) = self.rule.nv.prop_hash {
+            if qc.data != h || Some(block.parent) != self.rule.nv.round1_block {
                 return;
             }
         } else if !self.store.contains(&block.parent) {
@@ -625,13 +491,12 @@ impl Replica {
             self.request_sync(missing, leader, ctx);
             return;
         }
-        self.b_lock = id;
-        self.b_lock_height = block.height;
+        self.rule.b_lock = id;
+        self.rule.b_lock_height = block.height;
         self.first_seen.entry(id).or_insert(ctx.now());
         // Steady state resumes (line 277).
-        self.r_cur = 3;
-        let m = self.steady_blame_multiple();
-        self.reset_blame_timer(m, ctx);
+        self.rule.r_cur = 3;
+        self.reset_blame_timer(self.params.steady_blame_multiple, ctx);
         self.try_propose(ctx);
     }
 }

@@ -14,7 +14,9 @@ use std::sync::Arc;
 use eesmr_baselines::sync_hotstuff::{build_hs_replicas, HsConfig, HsPacing, HsVariant};
 use eesmr_baselines::trusted::{build_tb_nodes, TbConfig, HUB};
 use eesmr_baselines::{HsReplica, TbNode};
-use eesmr_core::{build_replicas, Block, Config, Metrics, Pacing, Replica, WorkloadSource};
+use eesmr_core::{
+    build_replicas, Block, Config, Metrics, Pacing, Replica, Rule, Smr, WorkloadSource,
+};
 use eesmr_crypto::{Digest, KeyStore};
 use eesmr_energy::Medium;
 use eesmr_hypergraph::topology::{ring_kcast, star};
@@ -48,9 +50,9 @@ pub trait ReplicaView: Actor {
 }
 
 // Each impl forwards to the inherent method of the same name (inherent
-// methods win resolution); only `resumed_in_view` differs per protocol.
+// methods win resolution).
 
-impl ReplicaView for Replica {
+impl<R: Rule> ReplicaView for Smr<R> {
     fn committed(&self) -> &[Digest] {
         self.committed()
     }
@@ -69,37 +71,10 @@ impl ReplicaView for Replica {
     fn peak_backlog(&self) -> usize {
         self.peak_backlog()
     }
-    /// Steady state resumes in round 3: rounds 1–2 of a view carry the
-    /// view change itself.
+    /// In view `v` or later and past the rule's view-change rounds (EESMR
+    /// resumes steady state in round 3; Sync HotStuff has no such rounds).
     fn resumed_in_view(&self, v: u64) -> bool {
-        self.current_view() >= v && self.current_round() >= 3
-    }
-    fn attach_workload(&mut self, source: Box<dyn WorkloadSource>) {
-        self.attach_workload(source)
-    }
-}
-
-impl ReplicaView for HsReplica {
-    fn committed(&self) -> &[Digest] {
-        self.committed()
-    }
-    fn committed_height(&self) -> u64 {
-        self.committed_height()
-    }
-    fn block(&self, id: &Digest) -> Option<&Block> {
-        self.block(id)
-    }
-    fn metrics(&self) -> &Metrics {
-        self.metrics()
-    }
-    fn tx_latencies(&self) -> &LogHistogram {
-        self.tx_latencies()
-    }
-    fn peak_backlog(&self) -> usize {
-        self.peak_backlog()
-    }
-    fn resumed_in_view(&self, v: u64) -> bool {
-        self.current_view() >= v
+        self.resumed_in_view(v)
     }
     fn attach_workload(&mut self, source: Box<dyn WorkloadSource>) {
         self.attach_workload(source)
