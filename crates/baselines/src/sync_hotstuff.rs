@@ -21,7 +21,7 @@
 //! report their highest certificate to the next leader, which re-proposes
 //! extending the highest one.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use eesmr_core::message::block_ids_digest;
@@ -30,7 +30,7 @@ use eesmr_core::{
     SignedPayload, Smr, TimerToken,
 };
 use eesmr_crypto::sha256::Sha256;
-use eesmr_crypto::{Digest, Hashable, KeyStore, Signature};
+use eesmr_crypto::{Digest, Hashable, KeyMap, KeySet, KeyStore, Signature};
 use eesmr_net::codec::family;
 use eesmr_net::{NodeId, SimDuration, TraceClass, TraceEventKind};
 
@@ -243,11 +243,8 @@ pub struct HsRule {
     tip: Digest,
     tip_height: u64,
     highest_cert: Option<CertifiedBlock>,
-    voted: HashSet<(u64, u64)>,
-    votes: HashMap<Digest, BTreeMap<NodeId, Signature>>,
-    relayed_votes: HashSet<(Digest, NodeId)>,
-    certified: HashSet<Digest>,
-    fast_committed: HashSet<Digest>,
+    voted: KeySet<(u64, u64)>,
+    votes: KeyMap<Digest, VoteBook>,
     statuses: BTreeMap<NodeId, Option<CertifiedBlock>>,
     new_view_proposed: bool,
 }
@@ -267,11 +264,8 @@ impl Rule for HsRule {
             tip: genesis,
             tip_height: 0,
             highest_cert: None,
-            voted: HashSet::new(),
-            votes: HashMap::new(),
-            relayed_votes: HashSet::new(),
-            certified: HashSet::new(),
-            fast_committed: HashSet::new(),
+            voted: KeySet::default(),
+            votes: KeyMap::default(),
             statuses: BTreeMap::new(),
             new_view_proposed: false,
         }
@@ -400,6 +394,7 @@ impl Rule for HsRule {
         // path all run) but never emits its vote — the quorum-starving
         // adversary; a storming node repeats its vote, which the
         // receivers' dedup absorbs while traffic inflates.
+        let mut tally = Tally::default();
         if r.fault.relays_in(r.v_cur) {
             let block = eesmr_core::block::fingerprint(&block_id);
             if ctx.traces(TraceClass::Proto) {
@@ -409,15 +404,13 @@ impl Rule for HsRule {
                 ctx.trace(TraceEventKind::Relay { block });
             }
             let vote = r.sign(HsPayload::Vote { block_id, height }, ctx);
-            r.rule.relayed_votes.insert((block_id, r.id));
-            r.rule.votes.entry(block_id).or_default().insert(r.id, vote.sig.clone());
+            tally = r.rule.record_vote(block_id, r.id, vote.sig.clone());
             for _ in 0..r.fault.storm_repeats_in(r.v_cur) {
                 ctx.multicast(vote.clone());
             }
             ctx.multicast(vote);
         }
-        try_form_cert(r, block_id, height, r.v_cur, ctx);
-        try_fast_commit(r, block_id, ctx);
+        on_tally(r, block_id, height, r.v_cur, tally, ctx);
         let t = ctx
             .set_timer(r.params.delta * 2, TimerToken::Commit { view: r.v_cur, block: block_id });
         r.commit_timers.push((block_id, t));
@@ -463,6 +456,101 @@ impl Rule for HsRule {
 // Votes and certificates.
 // ----------------------------------------------------------------------
 
+/// One block's vote book: the verified votes by signer while the block
+/// still needs votes, and what they have completed. One record per block
+/// is all a vote touches — one probe to decide whether a copy is worth
+/// verifying, one to record it.
+#[derive(Debug)]
+struct VoteBook {
+    /// `sigs[i]` is node `i`'s verified vote. Grown on demand (a signer
+    /// has passed the key store's check before it gets a slot) and
+    /// released once the block needs no more votes: nothing reads a
+    /// signature after that.
+    sigs: Vec<Option<Signature>>,
+    /// Distinct votes recorded.
+    count: usize,
+    /// The `n/2+1` certificate has been formed.
+    certified: bool,
+    /// OptSync's `3n/4+1` responsive commit is still to come.
+    fast_pending: bool,
+}
+
+/// What one recorded vote completed.
+#[derive(Debug, Default, PartialEq)]
+struct Tally {
+    /// The certificate's signatures, if this vote completed `n/2+1`.
+    cert: Option<Vec<(NodeId, Signature)>>,
+    /// Whether this vote completed OptSync's `3n/4+1`.
+    fast_commit: bool,
+}
+
+impl VoteBook {
+    fn new(config: &HsConfig) -> Self {
+        VoteBook {
+            sigs: Vec::new(),
+            count: 0,
+            certified: false,
+            fast_pending: config.variant == HsVariant::OptSync,
+        }
+    }
+
+    /// Whether the block still needs votes: until it is certified, and as
+    /// OptSync until it is fast-committed too.
+    fn open(&self) -> bool {
+        !self.certified || self.fast_pending
+    }
+
+    /// Whether a copy of `signer`'s vote is worth verifying: the block
+    /// still needs votes and this signer's is not in yet.
+    fn wants(&self, signer: NodeId) -> bool {
+        self.open() && self.sigs.get(signer as usize).is_none_or(Option::is_none)
+    }
+
+    /// Records `signer`'s verified vote and reports what it completed.
+    /// The certificate is the first `n/2+1` signers in ascending id order.
+    fn record(&mut self, signer: NodeId, sig: Signature, config: &HsConfig) -> Tally {
+        let mut tally = Tally::default();
+        if !self.wants(signer) {
+            return tally;
+        }
+        let slot = signer as usize;
+        if self.sigs.len() <= slot {
+            self.sigs.resize(slot + 1, None);
+        }
+        self.sigs[slot] = Some(sig);
+        self.count += 1;
+        let quorum = config.cert_quorum();
+        if !self.certified && self.count >= quorum {
+            self.certified = true;
+            let signed = self.sigs.iter().enumerate();
+            let sigs = signed.filter_map(|(i, s)| Some((i as NodeId, s.clone()?)));
+            tally.cert = Some(sigs.take(quorum).collect());
+        }
+        if self.fast_pending && self.count >= config.fast_quorum() {
+            self.fast_pending = false;
+            tally.fast_commit = true;
+        }
+        if !self.open() {
+            self.sigs = Vec::new();
+        }
+        tally
+    }
+}
+
+impl HsRule {
+    /// Whether a copy of `signer`'s vote for `block_id` is worth
+    /// verifying: one probe of the block's book.
+    fn wants_vote(&self, block_id: &Digest, signer: NodeId) -> bool {
+        self.votes.get(block_id).is_none_or(|book| book.wants(signer))
+    }
+
+    /// Records `signer`'s verified vote for `block_id` in its book.
+    fn record_vote(&mut self, block_id: Digest, signer: NodeId, sig: Signature) -> Tally {
+        let book = self.votes.entry(block_id).or_insert_with(|| VoteBook::new(&self.config));
+        book.record(signer, sig, &self.config)
+    }
+}
+
 fn on_vote(r: &mut HsReplica, from: NodeId, msg: HsMsg, ctx: &mut Ctx<'_>) {
     let HsPayload::Vote { block_id, height } = msg.payload else { return };
     if msg.view > r.v_cur {
@@ -472,14 +560,8 @@ fn on_vote(r: &mut HsReplica, from: NodeId, msg: HsMsg, ctx: &mut Ctx<'_>) {
     if msg.view < r.v_cur || r.view_aborted {
         return;
     }
-    let needs_more = !r.rule.certified.contains(&block_id)
-        || (r.rule.config.variant == HsVariant::OptSync
-            && !r.rule.fast_committed.contains(&block_id));
-    if !needs_more {
-        return; // enough votes verified already — skip the crypto work
-    }
-    if r.rule.relayed_votes.contains(&(block_id, msg.signer)) {
-        return; // duplicate copy of a vote we already processed
+    if !r.rule.wants_vote(&block_id, msg.signer) {
+        return; // enough votes, or a copy of one already counted: no crypto work
     }
     if !r.verify_envelope(&msg, ctx) {
         return;
@@ -488,49 +570,43 @@ fn on_vote(r: &mut HsReplica, from: NodeId, msg: HsMsg, ctx: &mut Ctx<'_>) {
     // own certificate is still incomplete. Every node relays at least
     // the quorum-completing vote, so downstream nodes always gather a
     // quorum too.
-    r.rule.relayed_votes.insert((block_id, msg.signer));
-    r.rule.votes.entry(block_id).or_default().insert(msg.signer, msg.sig.clone());
+    let tally = r.rule.record_vote(block_id, msg.signer, msg.sig.clone());
     let view = msg.view;
     ctx.multicast(msg);
-    try_form_cert(r, block_id, height, view, ctx);
-    try_fast_commit(r, block_id, ctx);
+    on_tally(r, block_id, height, view, tally, ctx);
 }
 
-/// Forms the `n/2+1` certificate once enough votes are in.
-fn try_form_cert(r: &mut HsReplica, block_id: Digest, height: u64, view: u64, ctx: &mut Ctx<'_>) {
-    let quorum = r.rule.config.cert_quorum();
-    let Some(votes) = r.rule.votes.get(&block_id).filter(|v| v.len() >= quorum) else { return };
-    if !r.rule.certified.insert(block_id) {
-        return;
-    }
-    let sigs = votes.iter().take(quorum).map(|(n, s)| (*n, s.clone())).collect();
-    let qc = QuorumCert { kind: MsgKind::HsVote, view, data: block_id, height, sigs };
-    if let Some(block) = r.store.get(&block_id).cloned() {
-        if r.rule.highest_cert.as_ref().is_none_or(|c| height > c.block.height) {
-            r.rule.highest_cert = Some(CertifiedBlock { qc, block });
+/// Acts on what a vote completed: the `n/2+1` certificate locks the block
+/// (and, streaming, lets the leader extend it); OptSync's `3n/4+1`
+/// commits it without the 2Δ wait.
+fn on_tally(
+    r: &mut HsReplica,
+    block_id: Digest,
+    height: u64,
+    view: u64,
+    tally: Tally,
+    ctx: &mut Ctx<'_>,
+) {
+    if let Some(sigs) = tally.cert {
+        let qc = QuorumCert { kind: MsgKind::HsVote, view, data: block_id, height, sigs };
+        if let Some(block) = r.store.get(&block_id).cloned() {
+            if r.rule.highest_cert.as_ref().is_none_or(|c| height > c.block.height) {
+                r.rule.highest_cert = Some(CertifiedBlock { qc, block });
+            }
+        }
+        if r.rule.config.pacing == HsPacing::Streaming {
+            HsRule::try_propose(r, ctx);
         }
     }
-    if r.rule.config.pacing == HsPacing::Streaming {
+    if tally.fast_commit {
+        if let Some(pos) = r.commit_timers.iter().position(|(b, _)| *b == block_id) {
+            let (_, t) = r.commit_timers.remove(pos);
+            ctx.cancel_timer(t);
+            r.outstanding = r.outstanding.saturating_sub(1);
+        }
+        r.commit_block(block_id, ctx);
         HsRule::try_propose(r, ctx);
     }
-}
-
-/// OptSync's responsive commit at `3n/4+1` votes (no 2Δ wait).
-fn try_fast_commit(r: &mut HsReplica, block_id: Digest, ctx: &mut Ctx<'_>) {
-    if r.rule.config.variant != HsVariant::OptSync {
-        return;
-    }
-    let count = r.rule.votes.get(&block_id).map_or(0, BTreeMap::len);
-    if count < r.rule.config.fast_quorum() || !r.rule.fast_committed.insert(block_id) {
-        return;
-    }
-    if let Some(pos) = r.commit_timers.iter().position(|(b, _)| *b == block_id) {
-        let (_, t) = r.commit_timers.remove(pos);
-        ctx.cancel_timer(t);
-        r.outstanding = r.outstanding.saturating_sub(1);
-    }
-    r.commit_block(block_id, ctx);
-    HsRule::try_propose(r, ctx);
 }
 
 // ----------------------------------------------------------------------
@@ -617,4 +693,114 @@ pub fn build_hs_replicas(
     (0..config.n as NodeId)
         .map(|id| HsReplica::new(id, config.clone(), pki.clone(), faults(id)))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::{HashMap, HashSet};
+
+    use eesmr_crypto::SigScheme;
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// The vote bookkeeping the [`VoteBook`] replaced, kept as the model it
+    /// is checked against: four tables per replica, and the certificate
+    /// read off a `BTreeMap` in key order.
+    #[derive(Default)]
+    struct FourTables {
+        votes: HashMap<Digest, BTreeMap<NodeId, Signature>>,
+        relayed_votes: HashSet<(Digest, NodeId)>,
+        certified: HashSet<Digest>,
+        fast_committed: HashSet<Digest>,
+    }
+
+    impl FourTables {
+        /// `on_vote` up to `verify_envelope`: whether a copy is verified.
+        fn verifies(&self, block: Digest, signer: NodeId, config: &HsConfig) -> bool {
+            let needs_more = !self.certified.contains(&block)
+                || (config.variant == HsVariant::OptSync && !self.fast_committed.contains(&block));
+            needs_more && !self.relayed_votes.contains(&(block, signer))
+        }
+
+        /// The two inserts, then the certificate and fast-commit checks.
+        fn record(&mut self, block: Digest, signer: NodeId, sig: Signature, c: &HsConfig) -> Tally {
+            self.relayed_votes.insert((block, signer));
+            let votes = self.votes.entry(block).or_default();
+            votes.insert(signer, sig);
+            let quorum = c.cert_quorum();
+            let cert = (votes.len() >= quorum && self.certified.insert(block))
+                .then(|| votes.iter().take(quorum).map(|(n, s)| (*n, s.clone())).collect());
+            let fast_commit = c.variant == HsVariant::OptSync
+                && votes.len() >= c.fast_quorum()
+                && self.fast_committed.insert(block);
+            Tally { cert, fast_commit }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arrivals in random order over three blocks: copies of votes
+        /// (duplicates, forged ones that fail verification) and this
+        /// replica's own vote, cast once per block at a random point —
+        /// before or after the certificate. The vote book asks for exactly
+        /// the verifications the four tables did and completes the same
+        /// certificate (signers, order, signatures) and fast commit on the
+        /// same vote; once released it asks for none.
+        #[test]
+        fn the_vote_book_matches_the_four_tables_it_replaced(
+            n in 2usize..=16,
+            optsync: bool,
+            me in 0u32..16,
+            arrivals in prop::collection::vec(any::<u64>(), 0..160),
+        ) {
+            let variant = if optsync { HsVariant::OptSync } else { HsVariant::SyncHotStuff };
+            let config = HsConfig::new(n, SimDuration::from_millis(10), variant);
+            let pki = KeyStore::generate(n, SigScheme::Rsa1024, 3);
+            let me = me % n as NodeId;
+            let blocks: Vec<Digest> = (0..3u8).map(|b| Digest::of(&[b])).collect();
+            let mut rule = HsRule::new(config.clone(), Digest::ZERO);
+            let mut model = FourTables::default();
+            let mut own_cast = [false; 3];
+            let (mut certs, mut fast) = ([0; 3], [0; 3]);
+            for draw in arrivals {
+                // Which block, which signer's vote, and what kind of copy.
+                let (b, kind) = ((draw % 3) as usize, (draw >> 8) % 8);
+                let signer = ((draw >> 16) % n as u64) as NodeId;
+                let block = blocks[b];
+                let sig = pki.keypair(signer).sign(block.as_bytes());
+                let tally = if kind == 0 && !own_cast[b] {
+                    // `on_proposal`: our own vote goes straight in.
+                    own_cast[b] = true;
+                    let sig = pki.keypair(me).sign(block.as_bytes());
+                    let new = rule.record_vote(block, me, sig.clone());
+                    prop_assert_eq!(&new, &model.record(block, me, sig, &config));
+                    new
+                } else {
+                    let asked = rule.wants_vote(&block, signer);
+                    prop_assert_eq!(asked, model.verifies(block, signer, &config));
+                    if !asked || kind == 1 {
+                        continue; // skipped, or forged: `verify_envelope` says no
+                    }
+                    let new = rule.record_vote(block, signer, sig.clone());
+                    prop_assert_eq!(&new, &model.record(block, signer, sig, &config));
+                    new
+                };
+                certs[b] += usize::from(tally.cert.is_some());
+                fast[b] += usize::from(tally.fast_commit);
+                let books = blocks.iter().filter_map(|block| rule.votes.get(block));
+                for book in books.filter(|book| !book.open()) {
+                    prop_assert!(book.sigs.is_empty(), "a released book holds no signatures");
+                    prop_assert!((0..n as NodeId).all(|s| !book.wants(s)), "nor asks for any");
+                }
+            }
+            for (i, block) in blocks.iter().enumerate() {
+                let distinct = model.votes.get(block).map_or(0, BTreeMap::len);
+                prop_assert_eq!(certs[i], usize::from(distinct >= config.cert_quorum()));
+                let fast_due = optsync && distinct >= config.fast_quorum();
+                prop_assert_eq!(fast[i], usize::from(fast_due));
+            }
+        }
+    }
 }

@@ -19,7 +19,7 @@ use eesmr_core::{
     AdaptiveBatcher, BatchPolicy, Block, BlockStore, Command, Commands, Metrics, MsgKind, TxPool,
     WorkloadSource,
 };
-use eesmr_crypto::{Digest, KeyPair, KeyStore, Signature};
+use eesmr_crypto::{Digest, KeyMap, KeyPair, KeyStore, Signature};
 use eesmr_net::{
     Actor, Context, Message, NodeId, SimDuration, SimTime, TraceClass, TraceEventKind,
 };
@@ -248,7 +248,7 @@ pub struct TbNode {
     pending: Vec<Command>,
     committed_log: Vec<Digest>,
     committed_height: u64,
-    first_seen: std::collections::HashMap<Digest, SimTime>,
+    first_seen: KeyMap<Digest, SimTime>,
     metrics: Metrics,
     fault: TbFault,
     repair_inflight: bool,
@@ -285,7 +285,7 @@ impl TbNode {
             pending: Vec::new(),
             committed_log: Vec::new(),
             committed_height: 0,
-            first_seen: std::collections::HashMap::new(),
+            first_seen: KeyMap::default(),
             metrics: Metrics::default(),
             fault: TbFault::Honest,
             repair_inflight: false,

@@ -7,7 +7,8 @@
 //! `eesmr-driver` (worker count via `EESMR_WORKERS`, smoke-test sizing
 //! via `EESMR_QUICK=1`); this crate keeps the presentation layer — the
 //! aligned-table printer and the [`Emit`] table+CSV sink the binaries
-//! share. See EXPERIMENTS.md for the paper-vs-measured record.
+//! share. See README.md, "Known deviations from the paper", for the
+//! paper-vs-measured record.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

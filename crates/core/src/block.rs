@@ -7,11 +7,10 @@
 //! `B = ⟨m, H(b_m), H(h_{m−1}), ⟨i, H(b_i)⟩_L⟩` — height, payload hash,
 //! parent hash, leader signature; our wire sizes follow that layout.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use eesmr_crypto::digest::ByteSink;
-use eesmr_crypto::{Digest, Hashable};
+use eesmr_crypto::{Digest, Hashable, KeyMap};
 
 /// A client command (opaque request bytes).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -269,7 +268,7 @@ impl Lineage {
 /// parents have not arrived yet — chain synchronization fills the gaps).
 #[derive(Debug, Clone)]
 pub struct BlockStore {
-    blocks: HashMap<Digest, Block>,
+    blocks: KeyMap<Digest, Block>,
     genesis: Digest,
 }
 
@@ -284,7 +283,7 @@ impl BlockStore {
     pub fn new() -> Self {
         let g = Block::genesis();
         let id = g.id();
-        let mut blocks = HashMap::new();
+        let mut blocks = KeyMap::default();
         blocks.insert(id, g);
         BlockStore { blocks, genesis: id }
     }

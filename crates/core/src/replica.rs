@@ -21,9 +21,9 @@
 //! | lines 251–277 (NewView)              | `view_change::enter_new_view` … |
 //! | lines 278–280 (commit rule)          | `Smr::on_commit_timer` |
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
-use eesmr_crypto::{Digest, Signature};
+use eesmr_crypto::{Digest, KeySet, Signature};
 use eesmr_net::{NodeId, TraceClass, TraceEventKind};
 
 use crate::block::Block;
@@ -71,7 +71,7 @@ pub struct EesmrRule {
     pub(crate) r_cur: u64,
     pub(crate) b_lock: Digest,
     pub(crate) b_lock_height: u64,
-    pub(crate) relayed: HashSet<Digest>,
+    pub(crate) relayed: KeySet<Digest>,
     pub(crate) want_propose: bool,
     pub(crate) vc: VcState,
     pub(crate) nv: NewViewState,
@@ -96,7 +96,7 @@ impl Rule for EesmrRule {
             r_cur: 3,
             b_lock: genesis,
             b_lock_height: 0,
-            relayed: HashSet::new(),
+            relayed: KeySet::default(),
             want_propose: false,
             vc: VcState::default(),
             nv: NewViewState::default(),

@@ -21,10 +21,10 @@
 //! free functions over `&mut Smr<R>` — which is why the fields below are
 //! `pub`.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use eesmr_crypto::{Digest, KeyStore, Signature};
+use eesmr_crypto::{Digest, KeyMap, KeySet, KeyStore, Signature};
 use eesmr_net::codec::WireEnum;
 use eesmr_net::{
     Actor, ActorGauges, Context, NodeId, SimDuration, SimTime, TimerId, TraceClass, TraceEventKind,
@@ -316,7 +316,7 @@ pub struct Smr<R: Rule> {
 
     /// First proposal seen per `(view, slot)`: dedup, and the first half
     /// of an equivocation proof.
-    pub proposals_seen: HashMap<(u64, u64), (Digest, Msg<R>)>,
+    pub proposals_seen: KeyMap<(u64, u64), (Digest, Msg<R>)>,
     /// Armed commit timers.
     pub commit_timers: Vec<(Digest, TimerId)>,
     /// The armed blame timer.
@@ -324,7 +324,7 @@ pub struct Smr<R: Rule> {
     /// Accepted, uncommitted proposals (what pacing counts).
     pub outstanding: usize,
     /// When each uncommitted block was first accepted.
-    pub first_seen: HashMap<Digest, SimTime>,
+    pub first_seen: KeyMap<Digest, SimTime>,
     /// Whether a `ForwardFlush` timer is pending.
     pub forward_flush_armed: bool,
     /// Whether a `ForwardRetry` timer is pending.
@@ -341,9 +341,9 @@ pub struct Smr<R: Rule> {
     /// Messages for views this replica has not reached yet.
     pub future_views: Vec<(NodeId, Msg<R>)>,
     /// Messages waiting for a missing ancestor, by the missing block.
-    pub orphans: HashMap<Digest, Vec<(NodeId, Msg<R>)>>,
+    pub orphans: KeyMap<Digest, Vec<(NodeId, Msg<R>)>>,
     /// Blocks already asked for.
-    pub sync_requested: HashSet<Digest>,
+    pub sync_requested: KeySet<Digest>,
 
     /// The committed log, in commit order.
     pub committed_log: Vec<Digest>,
@@ -388,19 +388,19 @@ impl<R: Rule> Smr<R> {
             txpool: TxPool::synthetic(params.payload_bytes).with_offered_load(params.offered_load),
             batcher: AdaptiveBatcher::new(),
             workload: None,
-            proposals_seen: HashMap::new(),
+            proposals_seen: KeyMap::default(),
             commit_timers: Vec::new(),
             blame_timer: None,
             outstanding: 0,
-            first_seen: HashMap::new(),
+            first_seen: KeyMap::default(),
             forward_flush_armed: false,
             forward_retry_armed: false,
             blames: BTreeMap::new(),
             view_aborted: false,
             quit_scheduled: false,
             future_views: Vec::new(),
-            orphans: HashMap::new(),
-            sync_requested: HashSet::new(),
+            orphans: KeyMap::default(),
+            sync_requested: KeySet::default(),
             committed_log: Vec::new(),
             metrics: Metrics::default(),
         }

@@ -1,6 +1,8 @@
-//! 32-byte digests and hashing helpers.
+//! 32-byte digests, hashing helpers, and the table hasher keyed by them.
 
 use core::fmt;
+use core::hash::{BuildHasherDefault, Hasher};
+use std::collections::{HashMap, HashSet};
 
 use crate::sha256::Sha256;
 
@@ -112,6 +114,55 @@ impl From<[u8; 32]> for Digest {
     }
 }
 
+/// The workspace's one table hasher. Its keys are SHA-256 outputs (a
+/// [`Digest`] hashes as its first eight bytes), protocol counters and
+/// tuples of those — never client-chosen bytes. Such keys are uniform or
+/// made by the program itself, so SipHash's protection against chosen keys
+/// buys nothing: a Byzantine leader can cluster its own block ids only by
+/// grinding SHA-256, and each such block costs it a signed proposal.
+///
+/// Each word is folded as `state = (state ^ word) · 0x9E3779B97F4A7C15`,
+/// and `finish` rotates left by 20 — a table takes its bucket from the low
+/// bits of the hash, while only the high bits of a product depend on every
+/// bit of the word (a node-tagged counter keeps the node in the high
+/// ones). A single `u64` key hashes to `(key · 0x9E3779B97F4A7C15)
+/// .rotate_left(20)`. `write(&[u8])` panics, so a table keyed by bytes
+/// cannot adopt it by accident.
+///
+/// **Nothing may iterate a [`KeyMap`] or [`KeySet`]**: only membership and
+/// lookup are ever asked, so the hasher's order is unobservable. A table
+/// that needs iteration is a `BTreeMap`.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("table keys are digests and counters, never bytes");
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(word.into());
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(20)
+    }
+}
+
+/// A map on [`KeyHasher`]: keyed by digests and counters, never iterated.
+pub type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
+
+/// A set on [`KeyHasher`]: keyed by digests and counters, never iterated.
+pub type KeySet<K> = HashSet<K, BuildHasherDefault<KeyHasher>>;
+
 /// Where a canonical encoding goes: a buffer, or straight into a hasher.
 pub trait ByteSink {
     /// Appends `bytes`.
@@ -206,5 +257,64 @@ mod tests {
         let d = Digest::of(b"display");
         assert_eq!(format!("{d}"), d.to_hex());
         assert!(format!("{d:?}").contains(&d.short_hex()));
+    }
+
+    fn hash_one(key: impl core::hash::Hash) -> u64 {
+        use core::hash::BuildHasher;
+        BuildHasherDefault::<KeyHasher>::default().hash_one(key)
+    }
+
+    /// How many of 128 buckets (the low seven bits) 128 keys land in.
+    fn buckets<K: core::hash::Hash>(keys: impl Iterator<Item = K>) -> usize {
+        keys.map(|k| hash_one(k) & 127).collect::<HashSet<u64>>().len()
+    }
+
+    #[test]
+    fn key_hasher_spreads_keys_that_differ_only_in_their_high_bits() {
+        // Timer ids are `(node << 40) | counter` and the storm's flood
+        // keys `(node << 32) | counter`: a table buckets by the low bits
+        // of the hash, so those must depend on the node.
+        for shift in [32, 40] {
+            let spread = buckets((0..128u64).map(|node| (node << shift) | 5));
+            assert!(spread > 64, "shift {shift}: only {spread} of 128 buckets");
+        }
+    }
+
+    #[test]
+    fn a_single_u64_key_hashes_as_the_runtime_tables_always_did() {
+        // (k · 0x9E3779B97F4A7C15 mod 2⁶⁴).rotate_left(20), computed
+        // outside Rust: the flood-dedup and cancelled-timer tables place
+        // every key in the bucket they did before the hasher moved here.
+        let pinned = [
+            (0, 0),
+            (1, 0x9b97_f4a7_c159_e377),
+            (2, 0x372f_e94f_82a3_c6ef),
+            (0xdead_beef, 0xd972_ed26_d9b0_0dfe),
+            ((3 << 40) | 7, 0x3127_b096_4933_2f89),
+            (u64::MAX, 0x6468_0b58_3eb6_1c88),
+        ];
+        for (key, hash) in pinned {
+            assert_eq!(hash_one(key), hash, "key {key:#x}");
+        }
+        // A digest is its first eight bytes, as one word.
+        let d = Digest::of(b"block");
+        assert_eq!(hash_one(d), hash_one(d.to_u64()));
+    }
+
+    #[test]
+    fn replica_keys_that_differ_in_one_field_spread() {
+        // `(view, slot)` keys differing only in the view…
+        let spread = buckets((0..128u64).map(|view| (view, 5u64)));
+        assert!(spread > 64, "(view, slot): only {spread} of 128 buckets");
+        // …and `(Digest, NodeId)` keys differing only in the node.
+        let block = Digest::of(b"block");
+        let spread = buckets((0..128u32).map(|node| (block, node)));
+        assert!(spread > 64, "(digest, node): only {spread} of 128 buckets");
+    }
+
+    #[test]
+    #[should_panic(expected = "never bytes")]
+    fn a_byte_key_panics() {
+        hash_one(b"client bytes".as_slice());
     }
 }

@@ -6,7 +6,9 @@
 //!   hash function `H` for block chaining and message digests.
 //! * [`hmac`] — HMAC-SHA256, the paper's MAC scheme and the engine behind
 //!   the simulated signatures.
-//! * [`Digest`] / [`Hashable`] — 32-byte digests and canonical encodings.
+//! * [`Digest`] / [`Hashable`] — 32-byte digests and canonical encodings;
+//!   [`KeyHasher`] — the one hasher of tables keyed by digests and
+//!   counters ([`KeyMap`], [`KeySet`]).
 //! * [`SigScheme`] — the Table 2 catalogue of schemes with measured
 //!   per-operation energy costs and real-world wire sizes.
 //! * [`KeyPair`] / [`Signature`] / [`KeyStore`] — simulated signatures with
@@ -38,7 +40,7 @@ pub mod scheme;
 pub mod sha256;
 pub mod sig;
 
-pub use digest::{Digest, Hashable};
+pub use digest::{Digest, Hashable, KeyHasher, KeyMap, KeySet};
 pub use keystore::KeyStore;
 pub use scheme::SigScheme;
 pub use sig::{KeyPair, PublicKey, SecretKey, Signature, SignerId};

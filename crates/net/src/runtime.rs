@@ -82,10 +82,9 @@
 //! assert!(net.stats().kcasts >= 1);
 //! ```
 
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
+use eesmr_crypto::{KeyMap, KeySet};
 use eesmr_energy::{EnergyCategory, EnergyClass, EnergyMeter, EnergyPhase};
 use eesmr_hypergraph::Hypergraph;
 use eesmr_metrics::{MetricsConfig, MetricsRecorder, MetricsSet, NodeSeries, ProfPhase, ProfTimer};
@@ -392,33 +391,6 @@ pub(crate) fn keyed_draw(seed: u64, node: NodeId, counter: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The hasher of the runtime's `u64`-keyed tables (flood dedup, cancelled
-/// timers). Their keys are digests or node-tagged counters the program
-/// made itself, so SipHash's protection against chosen keys buys nothing.
-/// One multiply is enough — rotated, because a table takes its bucket from
-/// the low bits of the hash while only the high bits of a product depend
-/// on every bit of the key (a node-tagged counter keeps the node in the
-/// high ones). **Nothing may iterate these tables**: only membership is
-/// ever asked, so the hasher's order is unobservable.
-#[derive(Debug, Default, Clone, Copy)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("the runtime's tables are keyed by u64 only");
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        self.0 = key.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(20);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type KeyBuildHasher = BuildHasherDefault<KeyHasher>;
-
 /// Flood dedup for one shard: which of its nodes have seen which flood,
 /// as one row of bits per flood key — a bit per owned node — instead of a
 /// set of keys per node. A flood reaches every node, so a per-node set
@@ -432,14 +404,16 @@ struct SeenFloods {
     /// `u64` words per row.
     words: usize,
     /// Flood key → row index; row `r` is `bits[r * words..][..words]`.
-    rows: HashMap<u64, usize, KeyBuildHasher>,
+    /// Keys are digests or node-tagged counters the program made itself,
+    /// so the map runs on the workspace's table hasher.
+    rows: KeyMap<u64, usize>,
     bits: Vec<u64>,
 }
 
 impl SeenFloods {
     /// An empty table over `owned` nodes.
     fn new(owned: usize) -> Self {
-        SeenFloods { words: owned.div_ceil(64), rows: HashMap::default(), bits: Vec::new() }
+        SeenFloods { words: owned.div_ceil(64), rows: KeyMap::default(), bits: Vec::new() }
     }
 
     /// Marks flood `key` as seen by local node `local`. Returns whether it
@@ -561,7 +535,7 @@ pub(crate) struct ShardState<A: Actor> {
     drop_ctr: Vec<u64>,
     /// Per-owned-node timer-id counters.
     timer_ctr: Vec<u64>,
-    cancelled_timers: HashSet<u64, KeyBuildHasher>,
+    cancelled_timers: KeySet<u64>,
     fan_out: FanOut,
     queue: EventQueue<NodeEvent<A::Msg, A::Timer>>,
     /// Cross-shard deliveries generated this window, keyed by target
@@ -611,7 +585,7 @@ impl<A: Actor> ShardState<A> {
             draw_ctr: vec![0; local_n],
             drop_ctr: vec![0; local_n],
             timer_ctr: vec![0; local_n],
-            cancelled_timers: HashSet::default(),
+            cancelled_timers: KeySet::default(),
             fan_out,
             queue,
             outbox: (0..shards).map(|_| Vec::new()).collect(),
@@ -1076,6 +1050,7 @@ impl<A: Actor> SimNet<A> {
 mod tests {
     use super::*;
     use eesmr_hypergraph::topology;
+    use std::collections::HashSet;
 
     /// Tiny test protocol: node 0 floods one "ping"; everyone records what
     /// they saw; node 0 also exercises timers and multicast.
@@ -1412,20 +1387,6 @@ mod tests {
         let distinct: HashSet<u64> = model.iter().flatten().copied().collect();
         assert_eq!(table.rows.len(), distinct.len());
         assert_eq!(table.bits.len(), distinct.len() * nodes.div_ceil(64));
-    }
-
-    #[test]
-    fn key_hasher_spreads_keys_that_differ_only_in_their_high_bits() {
-        // Timer ids are `(node << 40) | counter` and the storm's flood
-        // keys `(node << 32) | counter`: a table buckets by the low bits
-        // of the hash, so those must depend on the node.
-        use std::hash::BuildHasher;
-        let build = KeyBuildHasher::default();
-        for shift in [32, 40] {
-            let buckets: HashSet<u64> =
-                (0..128u64).map(|node| build.hash_one((node << shift) | 5) & 127).collect();
-            assert!(buckets.len() > 64, "shift {shift}: only {} of 128 buckets", buckets.len());
-        }
     }
 
     /// Floods or routes what its script says: `(at µs, target, payload)`.
