@@ -72,7 +72,7 @@ mod tests {
         let qc = QuorumCert { kind: MsgKind::HsVote, view: 1, data: b1.id(), height: 1, sigs };
         let cert = CertifiedBlock { qc: qc.clone(), block: b1.clone() };
         let sig = kp.sign(b"m");
-        let mk = |payload| HsMsg { payload, view: 2, signer: 0, sig: sig.clone() };
+        let mk = |payload| HsMsg::from_parts(payload, 2, 0, sig.clone());
         let p1 = mk(HsPayload::Propose { block: b1.clone(), justify: None });
         let p2 = mk(HsPayload::Propose { block: g.clone(), justify: Some(qc.clone()) });
         let payloads = vec![
@@ -116,7 +116,7 @@ mod tests {
     fn cross_family_decode_is_rejected() {
         let pki = pki();
         let sig = pki.keypair(0).sign(b"m");
-        let hs = HsMsg { payload: HsPayload::Repair { from_height: 0 }, view: 1, signer: 0, sig };
+        let hs = HsMsg::from_parts(HsPayload::Repair { from_height: 0 }, 1, 0, sig);
         let bytes = hs.encode();
         assert!(matches!(
             TbMsg::decode(&bytes),

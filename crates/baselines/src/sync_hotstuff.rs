@@ -229,6 +229,9 @@ const _: fn() = || {
     shared_across_threads::<HsMsg>();
 };
 
+/// One pointer wide, like `SignedMsg`: the envelope is a shared handle.
+const _: () = assert!(std::mem::size_of::<HsMsg>() == std::mem::size_of::<usize>());
+
 /// Injected fault behaviour: the same adversary model as EESMR's.
 pub use eesmr_core::FaultMode as HsFault;
 

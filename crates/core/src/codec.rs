@@ -124,8 +124,9 @@ wire_enum! { Payload: MsgKind = "payload kind" {
 } }
 
 // The signed envelope of both replica families (`SignedMsg`, `HsMsg`):
-// `header | kind | view | signer | payload fields | signature`.
-wire_struct! { frame(P::FAMILY) Envelope<P> where P: SignedPayload {
+// `header | kind | view | signer | payload fields | signature`. A shared
+// handle, so it decodes through its constructor.
+wire_struct! { frame(P::FAMILY) Envelope<P> => Envelope::from_parts where P: SignedPayload {
     payload: P; view: u64, signer: NodeId; sig: Signature
 } }
 

@@ -8,6 +8,9 @@
 //! exact data (e.g. the certified block id), which is what the safety
 //! proofs in Appendix B rely on.
 
+use std::fmt;
+use std::sync::Arc;
+
 use eesmr_crypto::digest::ByteSink;
 use eesmr_crypto::sha256::Sha256;
 use eesmr_crypto::{Digest, Hashable, KeyPair, KeyStore, Signature};
@@ -354,9 +357,21 @@ pub trait SignedPayload: WireEnum<Tag = MsgKind> + Clone + core::fmt::Debug {
 }
 
 /// A signed protocol message (the `Msg` envelope of Algorithm 1), over
-/// the payload family of one replica protocol.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Envelope<P> {
+/// the payload family of one replica protocol: a cheap, immutable handle.
+///
+/// A clone is a refcount bump, so every delivery of a message, the
+/// effects a replica emits, the proposal dedup table and the equivocation
+/// proofs that quote it share one allocation per signed message. The
+/// fields are read through `Deref` (`msg.payload`, `msg.view`); nothing
+/// can write them. The only constructors are [`Envelope::new`], which
+/// signs, and [`Envelope::from_parts`], which takes the signature as
+/// given — [`Envelope::verify_sig`] is what checks it.
+#[derive(Clone, PartialEq)]
+pub struct Envelope<P>(Arc<EnvelopeInner<P>>);
+
+/// The content of an [`Envelope`] (see there; reached through `Deref`).
+#[derive(Debug, PartialEq)]
+pub struct EnvelopeInner<P> {
     /// The payload.
     pub payload: P,
     /// The view this message belongs to.
@@ -367,6 +382,25 @@ pub struct Envelope<P> {
     pub sig: Signature,
 }
 
+impl<P> std::ops::Deref for Envelope<P> {
+    type Target = EnvelopeInner<P>;
+    fn deref(&self) -> &EnvelopeInner<P> {
+        &self.0
+    }
+}
+
+/// Prints the message as the plain struct it reads as, without the handle.
+impl<P: fmt::Debug> fmt::Debug for Envelope<P> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Envelope")
+            .field("payload", &self.payload)
+            .field("view", &self.view)
+            .field("signer", &self.signer)
+            .field("sig", &self.sig)
+            .finish()
+    }
+}
+
 /// An EESMR replica message.
 pub type SignedMsg = Envelope<Payload>;
 
@@ -375,7 +409,14 @@ impl<P: SignedPayload> Envelope<P> {
     pub fn new(payload: P, view: u64, keypair: &KeyPair) -> Self {
         let digest = payload.signing_digest(view);
         let bytes = signing_bytes(payload.tag(), view, &digest);
-        Envelope { sig: keypair.sign(&bytes), signer: keypair.signer(), view, payload }
+        Envelope::from_parts(payload, view, keypair.signer(), keypair.sign(&bytes))
+    }
+
+    /// A message with exactly these parts, the signature taken as given:
+    /// what the wire decoder builds. A forged or mismatched signature
+    /// still fails [`Envelope::verify_sig`].
+    pub fn from_parts(payload: P, view: u64, signer: NodeId, sig: Signature) -> Self {
+        Envelope(Arc::new(EnvelopeInner { payload, view, signer, sig }))
     }
 
     /// Verifies the envelope signature. Returns whether it is valid; the
@@ -444,6 +485,10 @@ const _: fn() = || {
     shared_across_threads::<SignedMsg>();
 };
 
+/// A message is one pointer wide wherever it is moved: through deliveries,
+/// effects, handlers and the tables that keep it.
+const _: () = assert!(std::mem::size_of::<SignedMsg>() == std::mem::size_of::<usize>());
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,8 +506,8 @@ mod tests {
     #[test]
     fn tampered_view_fails() {
         let pki = pki();
-        let mut msg = propose(1, 3, &pki, 0);
-        msg.view = 2;
+        let msg = propose(1, 3, &pki, 0);
+        let msg = SignedMsg::from_parts(msg.payload.clone(), 2, msg.signer, msg.sig.clone());
         assert!(!msg.verify_sig(&pki));
     }
 

@@ -123,7 +123,10 @@ impl<'a, M: Message, T: Clone + core::fmt::Debug> Context<'a, M, T> {
 
     /// Routes `msg` to a single node over the flooding substrate (relays
     /// still spend energy; only `to` sees the message). Used for
-    /// "send ... to the sender/leader" steps of the view change.
+    /// "send ... to the sender/leader" steps of the view change. Every
+    /// call is a new communication: sending the same message again (a
+    /// retry) puts it on the air again, where a repeated
+    /// [`Context::flood`] is absorbed as a duplicate.
     pub fn send_to(&mut self, to: NodeId, msg: M) {
         self.effects.push(Effect::Flood { msg, target: Some(to) });
     }

@@ -447,10 +447,10 @@ macro_rules! wire_read {
 /// ```
 ///
 /// `T => path { .. }` decodes through a constructor taking the fields in
-/// order instead of a struct literal. The `frame` form is a top-level
-/// message: the 4-byte header, then the fields — except that the first
-/// one is a [`WireEnum`] whose tag stays put while its variant fields
-/// move behind the middle group:
+/// table order instead of a struct literal (in either form). The `frame`
+/// form is a top-level message: the 4-byte header, then the fields —
+/// except that the first one is a [`WireEnum`] whose tag stays put while
+/// its variant fields move behind the middle group:
 /// `header | payload tag | middle fields | payload fields | last field`.
 #[macro_export]
 macro_rules! wire_struct {
@@ -474,7 +474,7 @@ macro_rules! wire_struct {
     };
     (@new $T:ident; $($f:ident),+) => { $T { $($f),+ } };
     (@new $T:ident => $new:path; $($f:ident),+) => { $new($($f),+) };
-    (frame($family:expr) $T:ty $(where $P:ident : $bound:path)? {
+    (frame($family:expr) $T:ty $(=> $new:path)? $(where $P:ident : $bound:path)? {
         $payload:ident : $pt:ty; $($f:ident : $t:ty),+; $last:ident : $lt:ty $(,)?
     }) => {
         const _: () = {
@@ -500,7 +500,7 @@ macro_rules! wire_struct {
                     $(let $f = <$t as WireCodec>::decode_from(r)?;)+
                     let $payload = <$pt as WireEnum>::decode_fields(tag, r)?;
                     let $last = <$lt as WireCodec>::decode_from(r)?;
-                    Ok(Self { $payload, $($f,)+ $last })
+                    Ok($crate::wire_struct!(@new Self $(=> $new)?; $payload, $($f,)+ $last))
                 }
             }
         };

@@ -15,7 +15,8 @@ pub trait Message: Clone + core::fmt::Debug {
 
     /// A collision-resistant identity for flood deduplication. Two
     /// semantically different messages must return different keys (derive
-    /// it from a digest of the canonical encoding).
+    /// it from a digest of the canonical encoding). Only broadcast floods
+    /// are keyed by it; each `send_to` is a dedup identity of its own.
     fn flood_key(&self) -> u64;
 
     /// The protocol phase this message belongs to, for energy

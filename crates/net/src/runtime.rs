@@ -217,6 +217,10 @@ pub struct LinkDrop {
 /// never aliases the hop-delay stream of the same sender.
 const DROP_SALT: u64 = 0xD20F_5EED_1155_0BAD;
 
+/// Seed of the draw that spreads a `send_to`'s sequence key into its
+/// flood key, so it never aliases a small content key.
+const SEND_TO_SALT: u64 = 0x5E4D_7011_CE5E_9A11;
+
 impl NetConfig {
     /// A BLE k-cast network over `topology` with four-nines reliability and
     /// default delays (0.5–1 ms per hop).
@@ -895,20 +899,24 @@ impl<A: Actor> ShardState<A> {
                     self.transmit(node, &air, false);
                 }
                 Effect::Flood { msg, target } => {
-                    // Targeted floods to different destinations are
-                    // distinct communications even when the payload is
-                    // identical (e.g. the same sync response sent to two
-                    // requesters) — mix the target into the dedup key.
-                    let mut key = msg.flood_key();
-                    if let Some(t) = target {
-                        key ^= 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(t as u64 + 1);
-                    }
                     // Flood origination is a loopback delivery carrying the
                     // flood metadata: the origin marks it seen, relays on
                     // its out-edges, and (if targeted elsewhere) skips its
                     // own actor.
+                    let seq = self.next_seq(node);
+                    // A broadcast is keyed by content, so re-flooding what
+                    // the network has seen goes nowhere. A `send_to` is a
+                    // communication of its own every time — the same
+                    // forward retried, or one reply sent to two requesters
+                    // — as the unicast `ProcNet` makes of it: it is keyed
+                    // by its origination, the loopback's sequence key.
+                    let key = match target {
+                        None => msg.flood_key(),
+                        Some(_) => keyed_draw(SEND_TO_SALT, node.id, seq),
+                    };
                     let air = OnAir::new(node.id, msg, Some(FloodMeta { key, target }));
-                    self.push_own(node, self.now, EventKind::Deliver { air, loopback: true });
+                    let event = (node.id, EventKind::Deliver { air, loopback: true });
+                    self.queue.push(self.now.as_micros(), seq, event);
                 }
                 Effect::SetTimer { id, delay, token } => {
                     self.push_own(node, self.now + delay, EventKind::Timer { id, token });
@@ -1456,6 +1464,19 @@ mod tests {
             assert_eq!(net.actor(id).heard, expected, "node {id}");
         }
         // Each is a flood of its own: relayed once per node.
+        assert_eq!(net.stats().flood_relays, 12);
+    }
+
+    #[test]
+    fn routing_the_same_payload_again_reaches_the_target_again() {
+        // A retry is a new communication, not a duplicate of the first try
+        // (ProcNet sends it as a second unicast): it goes on the air again.
+        let mut net = scripted(vec![(0, Some(3), 9), (20_000, Some(3), 9)]);
+        net.run_for(SimDuration::from_millis(40));
+        for id in 0..6u32 {
+            let expected = if id == 3 { vec![(0, 9), (0, 9)] } else { vec![] };
+            assert_eq!(net.actor(id).heard, expected, "node {id}");
+        }
         assert_eq!(net.stats().flood_relays, 12);
     }
 

@@ -79,12 +79,7 @@ fn golden_bb() -> BbMsg {
 }
 
 fn golden_hs() -> HsMsg {
-    HsMsg {
-        payload: HsPayload::Repair { from_height: 2 },
-        view: 1,
-        signer: 2,
-        sig: pki().keypair(2).sign(b"golden"),
-    }
+    HsMsg::from_parts(HsPayload::Repair { from_height: 2 }, 1, 2, pki().keypair(2).sign(b"golden"))
 }
 
 fn golden_tb() -> TbMsg {
@@ -420,7 +415,7 @@ fn hostile_count_prefix_is_rejected_at_every_sequence_position() {
         3,
     );
 
-    let hs = |payload| HsMsg { payload, view: 1, signer: 0, sig: kp.sign(b"hs") };
+    let hs = |payload| HsMsg::from_parts(payload, 1, 0, kp.sign(b"hs"));
     hostile("hs qc signatures", &hs(HsPayload::BlameQc(qc.clone())), 17 + 49, 2);
     hostile("hs status qc signatures", &hs(HsPayload::Status { cert: Some(cert) }), 17 + 1 + 49, 2);
     hostile("hs sync response", &hs(HsPayload::SyncResponse { blocks: blocks.clone() }), 17, 3);

@@ -164,7 +164,7 @@ fn hs_variant(ix: u32, rng: &mut StdRng, pki: &KeyStore) -> HsMsg {
     let mk = |payload, rng: &mut StdRng| {
         let signer = rng.gen_range(0..N);
         let sig = pki.keypair(signer).sign(b"hs");
-        HsMsg { payload, view: rng.gen_range(0..1000), signer, sig }
+        HsMsg::from_parts(payload, rng.gen_range(0..1000), signer, sig)
     };
     let payload = match ix {
         0 => HsPayload::Propose { block: rand_block(rng), justify: None },

@@ -783,6 +783,32 @@ mod tests {
     }
 
     #[test]
+    fn a_retried_forward_reaches_the_leader_so_retries_stop() {
+        use eesmr_workload::{ArrivalProcess, Skew};
+        // Node 6 is cut off from the leader from 5Δ to 25Δ; the forwards
+        // it sends meanwhile vanish, and after the heal its retry timer
+        // sends the same commands, in the same view, to the same leader
+        // again. That retry is the same message as the first try and must
+        // still go on the air: once it lands the commands commit and the
+        // retries stop, so a run twice as long retries no more. A retry
+        // swallowed as a duplicate strands the commands and retries on
+        // every window for the rest of the run.
+        let w = Workload::new(ArrivalProcess::Poisson { rate: 2_000 }).skew(Skew::Zipf);
+        let base = Scenario::new(Protocol::Eesmr, 7, 3)
+            .workload(w)
+            .fault_spec(FaultSpec::PartitionHeal)
+            .seed(42);
+        let short = base.clone().stop(StopWhen::Blocks(100)).run();
+        let long = base.stop(StopWhen::Blocks(200)).run();
+        let (short, long) = (&short.nodes[6], &long.nodes[6]);
+        assert!(short.forward_retries > 0, "the partition stranded no forward");
+        assert_eq!(
+            long.forward_retries, short.forward_retries,
+            "node 6 kept retrying after the heal: its retried forwards never reached the leader"
+        );
+    }
+
+    #[test]
     fn forward_batching_cuts_forward_traffic_without_perturbing_determinism() {
         use eesmr_workload::ArrivalProcess;
         // Uniform skew, closed loop, and a silent first leader: every
