@@ -157,8 +157,8 @@ impl Driver {
 
     /// Generic ordered parallel map: applies `f` to every item across
     /// the worker pool and returns the results **in item order**,
-    /// regardless of completion order. The table binaries that don't run
-    /// scenarios (closed-form catalogues, subprocess fan-out) share the
+    /// regardless of completion order. Figures that don't run scenarios
+    /// (closed-form catalogues, the traced adversarial cells) share the
     /// pool through this.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where

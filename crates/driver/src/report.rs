@@ -169,7 +169,7 @@ impl SuiteReport {
     }
 
     /// Writes the per-cell summary CSV (`<name>.suite.csv`) under
-    /// [`out_dir`], sharing the [`Csv`] writer with the figure binaries.
+    /// [`out_dir`], sharing the [`Csv`] writer with the figure tables.
     pub fn write_csv(&self) -> PathBuf {
         let mut header = vec![
             "label",

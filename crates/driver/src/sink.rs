@@ -1,6 +1,6 @@
 //! Experiment output sinks: the output directory and the CSV series
-//! writer shared by the suite reports and every `eesmr-bench` binary
-//! (which re-exports these under its old paths).
+//! writer shared by the suite reports and the `eesmr-bench` figure
+//! tables.
 
 use std::fs::{self, File};
 use std::io::Write as _;

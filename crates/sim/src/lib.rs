@@ -3,8 +3,8 @@
 //! This crate glues the protocol implementations, the simulated network,
 //! and the energy model into the paper's experimental method: describe a
 //! system (protocol, n, k, payload, faults, scheme), run it, and read off
-//! per-node energy and protocol metrics. Every figure-regeneration binary
-//! in `eesmr-bench` is a thin loop over [`Scenario`] runs.
+//! per-node energy and protocol metrics. Every figure in `eesmr-bench`'s
+//! figure table is a thin loop over [`Scenario`] runs.
 //!
 //! # Example: the Fig. 2f comparison at one point
 //!

@@ -17,7 +17,7 @@
 //! | `eesmr-workload` | [`workload`] | deterministic client workloads: arrival processes, skew, open/closed loop |
 //! | `eesmr-sim` | [`sim`] | scenario harness and run reports |
 //! | `eesmr-driver` | [`driver`] | parallel multi-scenario driver: grids, worker pool, suite reports |
-//! | `eesmr-bench` | [`mod@bench`] | CSV/table plumbing behind the figure binaries |
+//! | `eesmr-bench` | [`mod@bench`] | the figure table and paper ledger: every table/figure with the claims it must show |
 //!
 //! # Quick example
 //!
