@@ -521,6 +521,27 @@ mod tests {
         assert_ne!(a, c);
     }
 
+    /// Open bug, pinned as found: a blame signs `("blame", view)` whatever
+    /// it carries, and the flood key covers kind, view, signer and signing
+    /// digest only. So a node that timeout-blamed in a view cannot flood
+    /// its equivocation proof in that view: the runtime drops it at the
+    /// origin as a duplicate. When the key is fixed, this assertion flips.
+    #[test]
+    fn open_bug_a_blame_with_proof_shares_the_flood_key_of_a_timeout_blame() {
+        use eesmr_net::Message as _;
+        let pki = pki();
+        let g = Block::genesis();
+        let conflicting = |tag| {
+            let block = Block::extending(&g, 2, 3, vec![crate::block::Command::synthetic(tag, 8)]);
+            SignedMsg::new(Payload::Propose { block, round: 3, justify: None }, 2, pki.keypair(1))
+        };
+        let proof = Some(Box::new((conflicting(1), conflicting(2))));
+        let timeout = SignedMsg::new(Payload::Blame { proof: None }, 2, pki.keypair(0));
+        let with_proof = SignedMsg::new(Payload::Blame { proof }, 2, pki.keypair(0));
+        assert_ne!(timeout, with_proof, "two different messages");
+        assert_eq!(timeout.flood_key(), with_proof.flood_key());
+    }
+
     #[test]
     fn quorum_cert_verifies_with_distinct_signers() {
         let pki = pki();

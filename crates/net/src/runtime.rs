@@ -28,16 +28,21 @@
 //!   built when the shard is). Their order — edges by edge id, receivers
 //!   ascending within an edge — is part of the model: hop-delay and drop
 //!   draws are consumed per receiver in that order.
-//! * *Per message sent*: one shared record (`OnAir`) holding the sender,
-//!   the payload, its `wire_size()` and `phase()` and, for a flood, its
-//!   dedup key and target — built when the `Multicast`/`Flood` effect is
+//! * *Per message sent*: one record (`OnAir`) holding the sender, the
+//!   payload, its `wire_size()` and `phase()` and, for a flood, its dedup
+//!   key and target — built when the `Multicast`/`Flood` effect is
 //!   applied. The loopback, every receiver of every k-cast and every relay
-//!   of a flood hold a handle to that one record; queued events carry the
-//!   handle, not the message. The payload is cloned only to hand a
-//!   delivery to an actor (the last one takes it), never for a relay or a
+//!   of a flood share that one record. A queued delivery is plain data: a
+//!   `u32` slot in the shard's on-air table (`OnAirTable`), which counts
+//!   the deliveries still queued for the record — no reference count is
+//!   touched per receiver. The payload is cloned only to hand a delivery
+//!   to an actor (the last queued one takes it), never for a relay or a
 //!   duplicate reception.
 //! * *Per shard*: flood dedup is one table, flood key → a bit per owned
-//!   node (`SeenFloods`), not a key set per node.
+//!   node (`SeenFloods`), not a key set per node. A flood's row is looked
+//!   up once, when its record enters the shard (at origination, or when a
+//!   delivery from another shard is ingested), and kept in its slot: a
+//!   reception tests one bit and probes no hash table.
 //!
 //! None of this skips or reorders an energy charge, a trace event, an
 //! interceptor call or a draw: `tests/golden_runs.rs` pins whole reports
@@ -320,12 +325,22 @@ pub enum Fate {
 /// contract interceptors must additionally satisfy there).
 pub type Interceptor = Box<dyn FnMut(&Delivery) -> Fate + Send>;
 
-#[derive(Debug)]
-pub(crate) enum EventKind<M, T> {
+/// What a queued event does when it pops. A delivery names its message's
+/// slot in the shard's [`OnAirTable`]; the timer token stays inline, as
+/// the entry is sized by it anyway.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum EventKind<T> {
     Start,
-    Deliver { air: Arc<OnAir<M>>, loopback: bool },
+    Deliver { slot: u32, loopback: bool },
     Timer { id: TimerId, token: T },
 }
+
+/// A queue entry stays plain data: a reference-counted handle in a
+/// delivery would cost an atomic per receiver again.
+const _: fn() = || {
+    fn plain_data<T: Copy>() {}
+    plain_data::<EventKind<()>>();
+};
 
 /// One message on the air: built once, when its `Multicast` or `Flood`
 /// effect is applied, and shared by the sender's loopback, the `k`
@@ -334,6 +349,8 @@ pub(crate) enum EventKind<M, T> {
 /// is computed here and read from the record afterwards; the payload
 /// itself is cloned only to hand a delivery to an actor (and moved out by
 /// the last one), never for a reception that is dropped as a duplicate.
+/// Within a shard the record sits in one [`OnAirTable`] slot; only a
+/// delivery to another shard's node holds a second handle to it.
 #[derive(Debug)]
 pub(crate) struct OnAir<M> {
     /// The node whose actor sent the message — what a delivery reports as
@@ -354,12 +371,6 @@ impl<M: Message> OnAir<M> {
         let (size, phase) = (msg.wire_size(), msg.phase());
         Arc::new(OnAir { from, msg, size, phase, flood })
     }
-
-    /// The payload for an actor: moved out if this was the last delivery
-    /// in flight, cloned otherwise.
-    fn into_msg(self: Arc<Self>) -> M {
-        Arc::try_unwrap(self).map_or_else(|shared| shared.msg.clone(), |air| air.msg)
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -368,13 +379,101 @@ pub(crate) struct FloodMeta {
     target: Option<NodeId>,
 }
 
+/// The row a k-cast's slot carries: it has no `SeenFloods` row.
+const NO_ROW: u32 = u32::MAX;
+
+/// One shard's messages on the air, by slot. A queued delivery names a
+/// slot instead of holding a handle, and the slot counts the deliveries
+/// still queued for its record: the delivery that takes the count to zero
+/// releases the slot (for reuse) and moves the payload out of the record
+/// if no other shard shares it. On one shard that is always the case, so
+/// a message costs one atomic operation in all, not two per receiver.
+#[derive(Debug)]
+struct OnAirTable<M> {
+    slots: Vec<Slot<M>>,
+    /// Released slots, reused before the table grows.
+    free: Vec<u32>,
+}
+
+#[derive(Debug)]
+struct Slot<M> {
+    /// `None` once released.
+    record: Option<Arc<OnAir<M>>>,
+    /// Deliveries in this shard's queue that name the slot.
+    queued: u32,
+    /// The flood's `SeenFloods` row, or [`NO_ROW`].
+    row: u32,
+}
+
+impl<M: Message> OnAirTable<M> {
+    fn new() -> Self {
+        OnAirTable { slots: Vec::new(), free: Vec::new() }
+    }
+
+    /// Gives `record` a slot holding one queued delivery — the one its
+    /// caller queues next.
+    fn insert(&mut self, record: Arc<OnAir<M>>, row: u32) -> u32 {
+        let slot = Slot { record: Some(record), queued: 1, row };
+        match self.free.pop() {
+            Some(at) => {
+                self.slots[at as usize] = slot;
+                at
+            }
+            None => {
+                self.slots.push(slot);
+                self.slots.len() as u32 - 1
+            }
+        }
+    }
+
+    /// The record in a live slot.
+    fn record(&self, slot: u32) -> &Arc<OnAir<M>> {
+        self.slots[slot as usize].record.as_ref().expect("a queued delivery names a live slot")
+    }
+
+    /// The `SeenFloods` row of a live slot's flood.
+    fn row(&self, slot: u32) -> u32 {
+        self.slots[slot as usize].row
+    }
+
+    /// Counts `deliveries` more queued deliveries of a live slot.
+    fn hold(&mut self, slot: u32, deliveries: u32) {
+        self.slots[slot as usize].queued += deliveries;
+    }
+
+    /// Drops one queued delivery's hold. The last one releases the slot
+    /// and returns its record.
+    fn release(&mut self, slot: u32) -> Option<Arc<OnAir<M>>> {
+        let entry = &mut self.slots[slot as usize];
+        entry.queued -= 1;
+        if entry.queued > 0 {
+            return None;
+        }
+        self.free.push(slot);
+        entry.record.take()
+    }
+
+    /// Releases one hold and returns the payload for an actor: moved out
+    /// by the last delivery in flight, cloned otherwise.
+    fn take_msg(&mut self, slot: u32) -> M {
+        match self.release(slot) {
+            Some(record) => {
+                Arc::try_unwrap(record).map_or_else(|shared| shared.msg.clone(), |air| air.msg)
+            }
+            None => self.record(slot).msg.clone(),
+        }
+    }
+}
+
 /// The pending-event payload: which node the event targets and what it
 /// carries.
-pub(crate) type NodeEvent<M, T> = (NodeId, EventKind<M, T>);
+pub(crate) type NodeEvent<T> = (NodeId, EventKind<T>);
 
-/// A fully-keyed queued event as exchanged between shards:
-/// `(time µs, seq key, payload)`.
-pub(crate) type QueuedEvent<M, T> = (u64, u64, NodeEvent<M, T>);
+/// A delivery to another shard's node, as exchanged between shards:
+/// `(time µs, seq key, receiver, record)`. Slots are per shard, so it
+/// carries a handle to the record, and [`ShardState::ingest`] gives the
+/// record a slot of its own.
+pub(crate) type ForeignDelivery<M> = (u64, u64, NodeId, Arc<OnAir<M>>);
 
 /// Bits reserved for the origin node id in the low end of an event's
 /// sequence key (the per-origin push counter occupies the high bits, so
@@ -402,7 +501,9 @@ pub(crate) fn keyed_draw(seed: u64, node: NodeId, counter: u64) -> u64 {
 /// table the event happens to target; a row costs `n / 8` bytes and the
 /// whole table stays cache-resident. Membership is exactly
 /// `(key, node)` seen-or-not, and — like the sets it replaces — the table
-/// only grows: a flood key stays seen for the rest of the run.
+/// only grows: a flood key stays seen for the rest of the run. A key is
+/// looked up ([`Self::row`]) once per record that enters the shard; each
+/// reception then tests its row ([`Self::insert`]) without hashing.
 #[derive(Debug)]
 struct SeenFloods {
     /// `u64` words per row.
@@ -410,7 +511,7 @@ struct SeenFloods {
     /// Flood key → row index; row `r` is `bits[r * words..][..words]`.
     /// Keys are digests or node-tagged counters the program made itself,
     /// so the map runs on the workspace's table hasher.
-    rows: KeyMap<u64, usize>,
+    rows: KeyMap<u64, u32>,
     bits: Vec<u64>,
 }
 
@@ -420,15 +521,19 @@ impl SeenFloods {
         SeenFloods { words: owned.div_ceil(64), rows: KeyMap::default(), bits: Vec::new() }
     }
 
-    /// Marks flood `key` as seen by local node `local`. Returns whether it
-    /// was new to that node (the contract of `HashSet::insert`).
-    fn insert(&mut self, key: u64, local: usize) -> bool {
-        let next_row = self.rows.len();
-        let row = *self.rows.entry(key).or_insert_with(|| {
+    /// The row of flood `key`, added — seen by no node — if the key is new.
+    fn row(&mut self, key: u64) -> u32 {
+        let next_row = self.rows.len() as u32;
+        *self.rows.entry(key).or_insert_with(|| {
             self.bits.resize(self.bits.len() + self.words, 0);
             next_row
-        });
-        let word = &mut self.bits[row * self.words + local / 64];
+        })
+    }
+
+    /// Marks the flood of row `row` as seen by local node `local`. Returns
+    /// whether it was new to that node (the contract of `HashSet::insert`).
+    fn insert(&mut self, row: u32, local: usize) -> bool {
+        let word = &mut self.bits[row as usize * self.words + local / 64];
         let bit = 1u64 << (local % 64);
         let fresh = *word & bit == 0;
         *word |= bit;
@@ -499,11 +604,11 @@ struct Owned {
 }
 
 /// One shard of a simulation: the actors it owns (a round-robin residue
-/// class of the node ids), their meters and flood-dedup table, the local
-/// pending-event queue, and an outbox of cross-shard deliveries. A
-/// single-threaded [`SimNet`] is exactly one `ShardState` owning every
-/// node; the parallel runtime (`crate::shard`) drives several in
-/// lockstep windows.
+/// class of the node ids), their meters and flood-dedup table, the
+/// messages on the air, the local pending-event queue, and an outbox of
+/// cross-shard deliveries. A single-threaded [`SimNet`] is exactly one
+/// `ShardState` owning every node; the parallel runtime (`crate::shard`)
+/// drives several in lockstep windows.
 pub(crate) struct ShardState<A: Actor> {
     pub(crate) cfg: Arc<NetConfig>,
     /// Total shard count (1 for `SimNet`).
@@ -522,6 +627,7 @@ pub(crate) struct ShardState<A: Actor> {
     /// series are shard-invariant like the tracers.
     recorders: Vec<MetricsRecorder>,
     seen_floods: SeenFloods,
+    on_air: OnAirTable<A::Msg>,
     /// Per-owned-node end of the current receive scan window, µs. The
     /// first reception in a window pays the full scan
     /// ([`ChannelCost::recv_mj`]); further receptions before it closes
@@ -541,14 +647,14 @@ pub(crate) struct ShardState<A: Actor> {
     timer_ctr: Vec<u64>,
     cancelled_timers: KeySet<u64>,
     fan_out: FanOut,
-    queue: EventQueue<NodeEvent<A::Msg, A::Timer>>,
+    queue: EventQueue<NodeEvent<A::Timer>>,
     /// Cross-shard deliveries generated this window, keyed by target
     /// shard (`outbox[self.index]` stays empty).
-    outbox: Vec<Vec<QueuedEvent<A::Msg, A::Timer>>>,
+    outbox: Vec<Vec<ForeignDelivery<A::Msg>>>,
     /// Recycled outbox buffers: vectors drained by [`Self::ingest`] come
     /// back here and [`Self::take_outbox`] hands them out again, so the
     /// per-window exchange allocates nothing at steady state.
-    event_buffers: FreeList<QueuedEvent<A::Msg, A::Timer>>,
+    event_buffers: FreeList<ForeignDelivery<A::Msg>>,
     /// Recycled effect-scratch buffers for [`Self::invoke`]: one actor
     /// invocation per queue pop means alloc-per-event without this.
     effect_buffers: FreeList<Effect<A::Msg, A::Timer>>,
@@ -584,6 +690,7 @@ impl<A: Actor> ShardState<A> {
             tracers,
             recorders,
             seen_floods: SeenFloods::new(local_n),
+            on_air: OnAirTable::new(),
             scan_until: vec![0; local_n],
             push_ctr: vec![0; local_n],
             draw_ctr: vec![0; local_n],
@@ -641,18 +748,20 @@ impl<A: Actor> ShardState<A> {
         self.queue.peek_time()
     }
 
-    /// Accepts cross-shard events (already keyed by their origin). The
-    /// drained buffer is recycled into the local pool.
-    pub(crate) fn ingest(&mut self, mut events: Vec<QueuedEvent<A::Msg, A::Timer>>) {
-        for (time, seq, payload) in events.drain(..) {
-            self.queue.push(time, seq, payload);
+    /// Accepts cross-shard deliveries (already keyed by their origin),
+    /// each with a slot of its own. The drained buffer is recycled into
+    /// the local pool.
+    pub(crate) fn ingest(&mut self, mut deliveries: Vec<ForeignDelivery<A::Msg>>) {
+        for (time, seq, to, record) in deliveries.drain(..) {
+            let slot = self.admit(record);
+            self.queue.push(time, seq, (to, EventKind::Deliver { slot, loopback: false }));
         }
-        self.event_buffers.put(events);
+        self.event_buffers.put(deliveries);
     }
 
     /// Drains the outbox destined for shard `dst`, replacing it with a
     /// recycled buffer.
-    pub(crate) fn take_outbox(&mut self, dst: usize) -> Vec<QueuedEvent<A::Msg, A::Timer>> {
+    pub(crate) fn take_outbox(&mut self, dst: usize) -> Vec<ForeignDelivery<A::Msg>> {
         let replacement = self.event_buffers.get();
         std::mem::replace(&mut self.outbox[dst], replacement)
     }
@@ -701,16 +810,17 @@ impl<A: Actor> ShardState<A> {
                 self.tracers[local].record(time, TraceEventKind::TimerFire { id: id.0 });
                 self.invoke(node, EnergyPhase::Timer, |actor, ctx| actor.on_timer(token, ctx));
             }
-            EventKind::Deliver { air, loopback } => {
-                let size = air.size;
+            EventKind::Deliver { slot, loopback } => {
+                let air = self.on_air.record(slot);
+                let (from, size, phase, flood) = (air.from, air.size, air.phase, air.flood);
                 // Duplicate-aware receive pricing: a flood the node has
                 // already decoded once is recognized from the first
                 // advertisement of the train and the rest is abandoned
                 // ([`ChannelCost::dup_recv_mj`]), so relay storms charge
                 // each node one full reception per distinct message, not
                 // per in-edge.
-                let fresh = match &air.flood {
-                    Some(meta) => self.seen_floods.insert(meta.key, local),
+                let fresh = match flood {
+                    Some(_) => self.seen_floods.insert(self.on_air.row(slot), local),
                     None => true,
                 };
                 if !loopback {
@@ -733,25 +843,29 @@ impl<A: Actor> ShardState<A> {
                         };
                         (self.cfg.channel.shared_recv_mj(size), class)
                     };
-                    self.meters[local].charge_as(EnergyCategory::Recv, class, air.phase, mj);
+                    self.meters[local].charge_as(EnergyCategory::Recv, class, phase, mj);
                 } else {
                     self.stats.loopbacks += 1;
                 }
-                if let Some(meta) = air.flood {
+                if let Some(meta) = flood {
                     if !fresh {
+                        self.on_air.release(slot);
                         return Some(self.now); // duplicate: scanned, not processed
                     }
                     // Relay once on all out-edges (network-layer gossip).
-                    self.transmit(node, &air, true);
+                    // The next hops hold the slot before this delivery
+                    // lets go of it.
+                    self.transmit(node, slot, true);
                     if meta.target.is_some_and(|t| t != node.id) {
+                        self.on_air.release(slot);
                         return Some(self.now); // relayed on, addressed elsewhere
                     }
                 }
                 self.stats.deliveries += 1;
-                let (from, phase, flood) = (air.from, air.phase, air.flood.is_some());
+                let flood = flood.is_some();
                 self.tracers[local]
                     .record(time, TraceEventKind::MsgDeliver { from, bytes: size as u64, flood });
-                let msg = air.into_msg();
+                let msg = self.on_air.take_msg(slot);
                 self.invoke(node, phase, |actor, ctx| actor.on_message(from, msg, ctx));
             }
         }
@@ -770,7 +884,7 @@ impl<A: Actor> ShardState<A> {
 
     /// Queues an event `node` generates for itself (start, loopback,
     /// timer) under its next sequence key.
-    fn push_own(&mut self, node: Owned, time: SimTime, kind: EventKind<A::Msg, A::Timer>) {
+    fn push_own(&mut self, node: Owned, time: SimTime, kind: EventKind<A::Timer>) {
         let seq = self.next_seq(node);
         self.queue.push(time.as_micros(), seq, (node.id, kind));
     }
@@ -787,12 +901,24 @@ impl<A: Actor> ShardState<A> {
         SimDuration::from_micros(lo + draw % (hi - lo + 1))
     }
 
-    /// Puts `air` on the air from `node` (its sender, or a relayer of the
-    /// flood) on all the node's out-edges; charges the sender, samples
-    /// per-receiver delays, and consults the interceptor.
-    fn transmit(&mut self, node: Owned, air: &Arc<OnAir<A::Msg>>, relay: bool) {
+    /// Gives `record` a slot holding one queued delivery, resolving its
+    /// flood's `SeenFloods` row here, once per record that enters the
+    /// shard.
+    fn admit(&mut self, record: Arc<OnAir<A::Msg>>) -> u32 {
+        let row = record.flood.map_or(NO_ROW, |meta| self.seen_floods.row(meta.key));
+        self.on_air.insert(record, row)
+    }
+
+    /// Puts the record in `slot` on the air from `node` (its sender, or a
+    /// relayer of the flood) on all the node's out-edges; charges the
+    /// sender, samples per-receiver delays, and consults the interceptor.
+    /// Each local receiver adds a hold on the slot; a foreign one gets a
+    /// handle to the record.
+    fn transmit(&mut self, node: Owned, slot: u32, relay: bool) {
         let _prof = ProfTimer::start(ProfPhase::Transmit);
-        let (size, phase) = (air.size, air.phase);
+        let air = self.on_air.record(slot);
+        let (size, phase, is_flood) = (air.size, air.phase, air.flood.is_some());
+        let mut holds = 0;
         let now_us = self.now.as_micros();
         // One event per transmit (k-cast), not per receiver.
         self.tracers[node.local]
@@ -832,8 +958,7 @@ impl<A: Actor> ShardState<A> {
                         }
                     }
                 }
-                let delivery =
-                    Delivery { from: node.id, to: to.node, size, is_flood: air.flood.is_some() };
+                let delivery = Delivery { from: node.id, to: to.node, size, is_flood };
                 let fate = match self.interceptor.as_mut() {
                     Some(i) => i(&delivery),
                     None => Fate::Deliver,
@@ -848,16 +973,19 @@ impl<A: Actor> ShardState<A> {
                 };
                 let due = (self.now + self.hop_delay(node) + extra).as_micros();
                 let seq = self.next_seq(node);
-                let event = (to.node, EventKind::Deliver { air: Arc::clone(air), loopback: false });
                 // Local receivers go straight into the queue, foreign
                 // ones into their shard's outbox.
                 if to.shard == self.index {
+                    holds += 1;
+                    let event = (to.node, EventKind::Deliver { slot, loopback: false });
                     self.queue.push(due, seq, event);
                 } else {
-                    self.outbox[to.shard as usize].push((due, seq, event));
+                    let record = Arc::clone(self.on_air.record(slot));
+                    self.outbox[to.shard as usize].push((due, seq, to.node, record));
                 }
             }
         }
+        self.on_air.hold(slot, holds);
     }
 
     fn invoke(
@@ -893,10 +1021,9 @@ impl<A: Actor> ShardState<A> {
                 Effect::Multicast(msg) => {
                     // Loopback first so the sender processes its own
                     // message through the uniform path, then the real hops.
-                    let air = OnAir::new(node.id, msg, None);
-                    let kind = EventKind::Deliver { air: Arc::clone(&air), loopback: true };
-                    self.push_own(node, self.now, kind);
-                    self.transmit(node, &air, false);
+                    let slot = self.admit(OnAir::new(node.id, msg, None));
+                    self.push_own(node, self.now, EventKind::Deliver { slot, loopback: true });
+                    self.transmit(node, slot, false);
                 }
                 Effect::Flood { msg, target } => {
                     // Flood origination is a loopback delivery carrying the
@@ -915,7 +1042,8 @@ impl<A: Actor> ShardState<A> {
                         Some(_) => keyed_draw(SEND_TO_SALT, node.id, seq),
                     };
                     let air = OnAir::new(node.id, msg, Some(FloodMeta { key, target }));
-                    let event = (node.id, EventKind::Deliver { air, loopback: true });
+                    let slot = self.admit(air);
+                    let event = (node.id, EventKind::Deliver { slot, loopback: true });
                     self.queue.push(self.now.as_micros(), seq, event);
                 }
                 Effect::SetTimer { id, delay, token } => {
@@ -1058,7 +1186,9 @@ impl<A: Actor> SimNet<A> {
 mod tests {
     use super::*;
     use eesmr_hypergraph::topology;
+    use std::cell::Cell;
     use std::collections::HashSet;
+    use std::rc::Rc;
 
     /// Tiny test protocol: node 0 floods one "ping"; everyone records what
     /// they saw; node 0 also exercises timers and multicast.
@@ -1390,11 +1520,124 @@ mod tests {
                 _ => (draw >> 8) % 50,
             };
             let local = (keyed_draw(13, 2, step) % nodes as u64) as usize;
-            assert_eq!(table.insert(key, local), model[local].insert(key), "step {step}");
+            let row = table.row(key);
+            assert_eq!(table.row(key), row, "step {step}: a key keeps its row");
+            assert_eq!(table.insert(row, local), model[local].insert(key), "step {step}");
         }
         let distinct: HashSet<u64> = model.iter().flatten().copied().collect();
         assert_eq!(table.rows.len(), distinct.len());
         assert_eq!(table.bits.len(), distinct.len() * nodes.div_ceil(64));
+    }
+
+    /// The deliveries queued on `table`, checking on the way that a slot
+    /// holds its record exactly while deliveries name it, and is on the
+    /// free list exactly when it does not.
+    fn queued_holds<M: Message>(table: &OnAirTable<M>) -> u64 {
+        for (at, slot) in table.slots.iter().enumerate() {
+            assert_eq!(slot.record.is_some(), slot.queued > 0, "slot {at}");
+            assert_eq!(table.free.contains(&(at as u32)), slot.record.is_none(), "slot {at}");
+        }
+        table.slots.iter().map(|slot| slot.queued as u64).sum()
+    }
+
+    /// A message that counts its own clones.
+    #[derive(Debug)]
+    struct Tally {
+        id: u64,
+        clones: Rc<Cell<u64>>,
+    }
+
+    impl Clone for Tally {
+        fn clone(&self) -> Self {
+            self.clones.set(self.clones.get() + 1);
+            Tally { id: self.id, clones: Rc::clone(&self.clones) }
+        }
+    }
+
+    impl Message for Tally {
+        fn wire_size(&self) -> usize {
+            32
+        }
+        fn flood_key(&self) -> u64 {
+            self.id
+        }
+    }
+
+    /// Node 0 multicasts `Tally(0..5)`, one every 2 ms; everyone records
+    /// the ids it hears.
+    #[derive(Debug, Default)]
+    struct Ticker {
+        clones: Rc<Cell<u64>>,
+        sent: u64,
+        heard: Vec<u64>,
+    }
+
+    impl Actor for Ticker {
+        type Msg = Tally;
+        type Timer = ();
+
+        fn on_start(&mut self, ctx: &mut Context<'_, Tally, ()>) {
+            if ctx.id() == 0 {
+                ctx.set_timer(SimDuration::from_millis(2), ());
+            }
+        }
+
+        fn on_message(&mut self, _: NodeId, msg: Tally, _: &mut Context<'_, Tally, ()>) {
+            self.heard.push(msg.id);
+        }
+
+        fn on_timer(&mut self, _: (), ctx: &mut Context<'_, Tally, ()>) {
+            ctx.multicast(Tally { id: self.sent, clones: Rc::clone(&self.clones) });
+            self.sent += 1;
+            if self.sent < 5 {
+                ctx.set_timer(SimDuration::from_millis(2), ());
+            }
+        }
+    }
+
+    #[test]
+    fn a_slot_is_released_by_its_last_delivery_and_reused_for_the_next_message() {
+        let clones = Rc::new(Cell::new(0));
+        let actors: Vec<Ticker> =
+            (0..4).map(|_| Ticker { clones: Rc::clone(&clones), ..Ticker::default() }).collect();
+        let mut net = SimNet::new(NetConfig::ble(topology::ring_kcast(4, 2), 17), actors);
+        while net.step().is_some() {
+            // A multicast is three deliveries: the loopback and the two
+            // ring successors. Each holds the slot until it pops.
+            let sent = net.actor(0).sent;
+            let heard: u64 = net.actors().iter().map(|a| a.heard.len() as u64).sum();
+            assert_eq!(queued_holds(&net.shard.on_air), 3 * sent - heard, "at {}", net.now());
+        }
+        for id in 0..4 {
+            let expected: Vec<u64> = if id < 3 { (0..5).collect() } else { vec![] };
+            assert_eq!(net.actor(id).heard, expected, "node {id}");
+        }
+        // The multicasts never overlap on the air, so each one reused the
+        // slot its predecessor released — and handed out its own payload.
+        assert_eq!(net.shard.on_air.slots.len(), 1);
+        // The first two deliveries of each message copy it; the last
+        // takes it.
+        assert_eq!(clones.get(), 2 * 5);
+    }
+
+    #[test]
+    fn a_flood_relayed_by_its_last_holder_reaches_the_next_hop() {
+        // On a k = 1 ring every delivery of a flood is the only one queued
+        // when it pops: the relay must hold the slot before it is let go.
+        // The routed message passes three nodes that only relay it.
+        let mut actors: Vec<Scripted> = (0..5).map(|_| Scripted::default()).collect();
+        actors[0].script = vec![(0, None, 7), (10_000, Some(4), 9)];
+        let mut net = SimNet::new(NetConfig::ble(topology::ring_kcast(5, 1), 31), actors);
+        while net.step().is_some() {
+            assert!(queued_holds(&net.shard.on_air) <= 1, "at {}", net.now());
+        }
+        for id in 0..5u32 {
+            let expected = if id == 4 { vec![(0, 7), (0, 9)] } else { vec![(0, 7)] };
+            assert_eq!(net.actor(id).heard, expected, "node {id}");
+        }
+        assert_eq!(net.stats().flood_relays, 10);
+        assert_eq!(queued_holds(&net.shard.on_air), 0);
+        assert_eq!(net.shard.on_air.slots.len(), 1);
     }
 
     /// Floods or routes what its script says: `(at µs, target, payload)`.

@@ -97,7 +97,7 @@ use eesmr_energy::EnergyMeter;
 use eesmr_metrics::{MetricsSet, ProfPhase, ProfTimer};
 
 use crate::actor::{Actor, NodeId};
-use crate::runtime::{Interceptor, NetConfig, NetStats, QueuedEvent, ShardState};
+use crate::runtime::{ForeignDelivery, Interceptor, NetConfig, NetStats, ShardState};
 use crate::time::{SimDuration, SimTime};
 
 /// Environment variable selecting the shard count ([`shards_from_env`]).
@@ -182,7 +182,7 @@ impl WindowClock {
 type NodePred<'p, A> = &'p (dyn Fn(NodeId, &A) -> bool + Sync);
 
 /// One window's cross-shard mailboxes: `mail[src][dst]`.
-type Mailboxes<M, T> = Vec<Vec<Mutex<Vec<QueuedEvent<M, T>>>>>;
+type Mailboxes<M> = Vec<Vec<Mutex<Vec<ForeignDelivery<M>>>>>;
 
 /// A discrete-event simulation sharded across worker threads.
 ///
@@ -207,8 +207,8 @@ pub struct ShardedNet<A: Actor> {
 impl<A> ShardedNet<A>
 where
     A: Actor + Send,
-    // A message on the air is one record shared by every delivery of it,
-    // and those deliveries cross shard threads.
+    // A message on the air is one record; a delivery to another shard's
+    // node carries a handle to it across threads.
     A::Msg: Send + Sync,
     A::Timer: Send,
 {
@@ -462,7 +462,7 @@ where
         let locals: Vec<Mutex<(Option<u64>, bool)>> =
             (0..count).map(|_| Mutex::new((None, false))).collect();
         let horizons: Vec<Mutex<u64>> = (0..count).map(|_| Mutex::new(0)).collect();
-        let mail: Mailboxes<A::Msg, A::Timer> =
+        let mail: Mailboxes<A::Msg> =
             (0..count).map(|_| (0..count).map(|_| Mutex::new(Vec::new())).collect()).collect();
 
         std::thread::scope(|scope| {
