@@ -1,17 +1,18 @@
 //! The figure table, then each figure's claims and body in table order.
-//! A body runs its sweeps on the driver it is handed (`EESMR_WORKERS`
-//! parallelises them, `EESMR_QUICK` shrinks them) and returns its tables.
+//! A body runs its sweeps on the driver it is handed (its worker count
+//! parallelises them, quick mode shrinks them) and returns its tables.
 
 use std::collections::BTreeSet;
+use std::path::Path;
 
 use eesmr_crypto::SigScheme;
 use eesmr_driver::{progress, CellResult, CellStats, Driver, ScenarioGrid, SuiteReport};
 use eesmr_energy::complexity::table3_rows;
 use eesmr_energy::medium::{Medium, ANCHOR_SIZES};
 use eesmr_energy::{BleGattModel, BleKcastModel, EnergyClass, FeasibleCell, FeasibleRegion};
-use eesmr_net::{MetricsConfig, TraceClass, TraceLevel};
+use eesmr_net::{TraceClass, TraceLevel};
 use eesmr_sim::{ArrivalProcess, BatchPolicy, FaultPlan, FaultSpec, Protocol, RunReport};
-use eesmr_sim::{Scenario, Skew, StopWhen, Workload};
+use eesmr_sim::{RunOptions, Scenario, Skew, StopWhen, Workload};
 use eesmr_trace::audit::{audit, AuditConfig};
 
 use crate::{below, col, data, falling, near, ratio_within, rises, rising, shape, share_within};
@@ -757,18 +758,30 @@ fn headline(driver: &Driver) -> Output {
     let mut claims = Table::ledger("headline_claims").cols(keys.map(data).to_vec());
     claims.row(row![steady, vc, at_n10, min, max]);
     out.add(claims);
+    out
+}
 
-    // With EESMR_TRACE=commit or finer, also trace a small workload run
-    // and print its first committed transaction's per-hop breakdown
-    // (exported to EESMR_TRACE_OUT when set).
-    let trace = TraceLevel::from_env();
+/// What `figures headline` adds at a trace level of `commit` or finer: a
+/// small workload run traced at `options.trace` and sampled per
+/// `options.metrics`, its first committed transaction's per-hop breakdown,
+/// and the run's Perfetto and metrics files written where `options` names
+/// them.
+pub fn traced_run(options: &RunOptions) -> Output {
+    let mut out = Output::default();
+    let trace = options.trace;
     if trace.enables(TraceClass::Commit) {
         let (report, traces) = Scenario::new(Protocol::Eesmr, 5, 2)
             .workload(Workload::new(ArrivalProcess::Poisson { rate: 2_000 }))
             .trace(trace)
-            .metrics(MetricsConfig::from_env())
+            .metrics(options.metrics)
             .stop(StopWhen::Blocks(5))
             .run_traced();
+        if let Some(path) = &options.trace_out {
+            write(path, eesmr_trace::perfetto::render(&traces));
+        }
+        if let Some(path) = options.metrics_out.as_ref().filter(|_| options.metrics.enabled) {
+            write(path, render_metrics(path, &report));
+        }
         let (events, dropped) = (traces.total_events(), traces.total_dropped());
         out.note(format!(
             "\ntraced workload run ({}): {events} events, {dropped} dropped",
@@ -790,6 +803,30 @@ fn headline(driver: &Driver) -> Output {
         }
     }
     out
+}
+
+/// Writes an export file, warning on failure (the run's output stands).
+fn write(path: &Path, contents: String) {
+    if let Err(err) = std::fs::write(path, contents) {
+        eprintln!("warning: failed to write {}: {err}", path.display());
+    }
+}
+
+/// The metrics export in the format `path`'s extension selects:
+/// Prometheus text for `.prom` or `.txt`, JSON (`eesmr-metrics/v1`)
+/// otherwise.
+fn render_metrics(path: &Path, report: &RunReport) -> String {
+    let energy: Vec<(eesmr_energy::EnergyAttribution, f64)> = report
+        .energy_attr
+        .iter()
+        .zip(&report.nodes)
+        .map(|(attr, node)| (attr.clone(), node.energy.total_mj()))
+        .collect();
+    if matches!(path.extension().and_then(|e| e.to_str()), Some("prom" | "txt")) {
+        eesmr_metrics::export::prometheus(&report.metrics, &energy)
+    } else {
+        eesmr_metrics::export::json(&report.metrics, &energy)
+    }
 }
 
 /// Per-node energy by [`EnergyClass`]; a row sums to the node's meter

@@ -19,6 +19,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::path::Path;
+
 use eesmr_driver::{Csv, Driver, SuiteReport};
 
 /// A table row, one cell per value: `row![a, b]` is
@@ -29,7 +31,7 @@ macro_rules! row {
 
 mod figures;
 
-pub use figures::FIGURES;
+pub use figures::{traced_run, FIGURES};
 
 /// One row of the figure table.
 pub struct Figure {
@@ -247,16 +249,17 @@ impl Output {
         self.table(table).col(key)
     }
 
-    /// Prints every part and writes every CSV and suite, saying where.
-    pub fn emit(&self) {
+    /// Prints every part and writes every CSV and suite under `dir`,
+    /// saying where.
+    pub fn emit(&self, dir: &Path) {
         for part in &self.parts {
             match part {
-                Part::Table(table) => table.emit(),
+                Part::Table(table) => table.emit(dir),
                 Part::Note(line) => println!("{line}"),
             }
         }
         for (suite, announce) in &self.suites {
-            let p = suite.write();
+            let p = suite.write(dir);
             match announce {
                 Announce::Silent => {}
                 Announce::Json => println!("wrote {}", p.json.display()),
@@ -416,8 +419,9 @@ impl Table {
         (heads, rows.map(show).collect())
     }
 
-    /// Prints the table if it has a title, and writes its CSV if it has one.
-    pub(crate) fn emit(&self) {
+    /// Prints the table if it has a title, and writes its CSV under `dir`
+    /// if it has one.
+    pub(crate) fn emit(&self, dir: &Path) {
         if let Some(title) = &self.title {
             let (heads, rows) = self.printed();
             print_table(title, &heads, &rows);
@@ -426,7 +430,7 @@ impl Table {
             return;
         }
         let keys: Vec<&str> = self.columns.iter().filter_map(|c| c.key).collect();
-        let mut csv = Csv::create(self.name, &keys);
+        let mut csv = Csv::create(dir, self.name, &keys);
         for row in &self.rows {
             let cells = row.iter().zip(&self.columns).filter(|(_, c)| c.key.is_some());
             csv.row(&cells.map(|(cell, _)| cell.clone()).collect::<Vec<_>>());
@@ -468,9 +472,9 @@ mod tests {
 
     #[test]
     fn csv_writes_rows() {
-        sample("selftest").emit();
-        let content =
-            std::fs::read_to_string(eesmr_driver::out_dir().join("selftest.csv")).unwrap();
+        let dir = eesmr_driver::out_dir(None);
+        sample("selftest").emit(&dir);
+        let content = std::fs::read_to_string(dir.join("selftest.csv")).unwrap();
         assert_eq!(content, "b,mj,us\n25,1.04999,7\n400,3,\n");
     }
 
@@ -489,7 +493,7 @@ mod tests {
         assert_eq!(table.distinct("us"), ["7", ""]);
         let mut out = Output::of(table);
         out.note("done");
-        out.emit();
+        out.emit(&eesmr_driver::out_dir(None));
         assert_eq!(out.col("emit_selftest", "mj"), [1.04999, 3.0]);
         assert_eq!(near(3.44, 2.85, 0.25).band, "2.85× ± 25 %");
         assert!(near(3.56, 2.85, 0.25).holds && !near(3.57, 2.85, 0.25).holds);

@@ -1,12 +1,4 @@
-//! Driver configuration: worker count, repeats, quick mode, and their
-//! environment overrides.
-
-use std::env;
-
-/// Environment variable overriding [`DriverConfig::workers`].
-pub const ENV_WORKERS: &str = "EESMR_WORKERS";
-/// Environment variable enabling [`DriverConfig::quick_mode`] (`1`/`true`).
-pub const ENV_QUICK: &str = "EESMR_QUICK";
+//! Driver configuration: worker count, repeats and quick mode.
 
 /// Knobs for a [`Driver`](crate::Driver).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,18 +28,6 @@ impl Default for DriverConfig {
 }
 
 impl DriverConfig {
-    /// The defaults with `EESMR_WORKERS` / `EESMR_QUICK` applied on top.
-    pub fn from_env() -> Self {
-        let mut config = Self::default();
-        if let Some(workers) = env::var(ENV_WORKERS).ok().and_then(|v| v.parse::<usize>().ok()) {
-            config.workers = workers.max(1);
-        }
-        if let Ok(quick) = env::var(ENV_QUICK) {
-            config.quick_mode = !matches!(quick.as_str(), "" | "0" | "false");
-        }
-        config
-    }
-
     /// Sets the worker count (clamped to at least 1).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);

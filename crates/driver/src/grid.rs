@@ -168,7 +168,7 @@ impl ScenarioGrid {
     /// `eesmr_net::shard`). A *performance* axis: cells differing only
     /// in shard count produce bit-identical reports, so sweeping it
     /// measures intra-scenario parallel speed, not results. When unset,
-    /// every cell keeps the `EESMR_SHARDS` default (and its label stays
+    /// every cell keeps the single-shard default (and its label stays
     /// unchanged).
     pub fn shards(mut self, shards: impl IntoIterator<Item = usize>) -> Self {
         self.shards = shards.into_iter().collect();
@@ -252,7 +252,7 @@ impl ScenarioGrid {
         // An unset batch axis means "each protocol's default policy",
         // without marking the policy as explicitly chosen; an unset
         // workload axis keeps the synthetic feed; an unset shards axis
-        // keeps the EESMR_SHARDS default; an unset fault axis keeps
+        // keeps the single-shard default; an unset fault axis keeps
         // every node honest.
         let batches: Vec<Option<BatchPolicy>> = if self.batch_policies.is_empty() {
             vec![None]
@@ -388,7 +388,7 @@ mod tests {
         assert_eq!(cells[0].scenario.shards, 1);
         assert_eq!(cells[2].scenario.shards, 4);
         assert!(cells[2].label.contains("shards=4"), "{}", cells[2].label);
-        // An unset axis leaves the scenario's env-derived default alone.
+        // An unset axis leaves the scenario's default alone.
         let plain = ScenarioGrid::named("t").nodes([6]).degrees([2]).stop(StopWhen::Blocks(2));
         assert_eq!(plain.len(), 1);
     }

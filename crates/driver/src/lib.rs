@@ -9,7 +9,7 @@
 //! summary statistics across repeats, and JSON/CSV sinks.
 //!
 //! The [`Driver`] fans cells out across a crossbeam worker pool
-//! (`EESMR_WORKERS` overrides the thread count, `EESMR_QUICK=1` shrinks
+//! ([`DriverConfig::workers`] threads; [`DriverConfig::quick`] shrinks
 //! every scenario to smoke-test size) and **restores grid order**, so a
 //! suite is bit-identical whether it ran on 1 worker or 8 — the
 //! workspace determinism tests enforce this.

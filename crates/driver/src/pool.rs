@@ -35,8 +35,7 @@ use crate::report::{CellResult, CellStats, SuiteReport};
 /// values on a grid's seed axis.
 const REPEAT_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Parallel experiment executor. Construct with a [`DriverConfig`] (or
-/// [`Driver::from_env`] to honor `EESMR_WORKERS` / `EESMR_QUICK`), then
+/// Parallel experiment executor. Construct with a [`DriverConfig`], then
 /// submit a [`ScenarioGrid`].
 #[derive(Debug, Clone, Copy)]
 pub struct Driver {
@@ -47,12 +46,6 @@ impl Driver {
     /// A driver with the given configuration.
     pub fn new(config: DriverConfig) -> Self {
         Driver { config }
-    }
-
-    /// A driver configured from the environment
-    /// ([`DriverConfig::from_env`]).
-    pub fn from_env() -> Self {
-        Driver::new(DriverConfig::from_env())
     }
 
     /// The active configuration.

@@ -1,11 +1,11 @@
 //! Structured suite reports: per-cell results, summary statistics across
 //! repeats, and JSON/CSV sinks.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use eesmr_sim::{CellKey, RunReport};
 
-use crate::sink::{out_dir, Csv};
+use crate::sink::Csv;
 
 /// Mean/min/max of one metric across a cell's repeats.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -163,14 +163,14 @@ impl SuiteReport {
     }
 
     /// Writes both sinks (`<name>.suite.csv` and `<name>.suite.json`)
-    /// under [`out_dir`].
-    pub fn write(&self) -> SuitePaths {
-        SuitePaths { csv: self.write_csv(), json: self.write_json() }
+    /// under `dir`.
+    pub fn write(&self, dir: &Path) -> SuitePaths {
+        SuitePaths { csv: self.write_csv(dir), json: self.write_json(dir) }
     }
 
-    /// Writes the per-cell summary CSV (`<name>.suite.csv`) under
-    /// [`out_dir`], sharing the [`Csv`] writer with the figure tables.
-    pub fn write_csv(&self) -> PathBuf {
+    /// Writes the per-cell summary CSV (`<name>.suite.csv`) under `dir`,
+    /// sharing the [`Csv`] writer with the figure tables.
+    pub fn write_csv(&self, dir: &Path) -> PathBuf {
         let mut header = vec![
             "label",
             "protocol",
@@ -204,7 +204,7 @@ impl SuiteReport {
             .map(|c| format!("energy_{}_mj_mean", c.as_str()))
             .collect();
         header.extend(class_headers.iter().map(String::as_str));
-        let mut csv = Csv::create(&format!("{}.suite", self.name), &header);
+        let mut csv = Csv::create(dir, &format!("{}.suite", self.name), &header);
         for cell in &self.cells {
             let s = &cell.stats;
             let mut row: Vec<String> = vec![
@@ -242,10 +242,9 @@ impl SuiteReport {
     }
 
     /// Writes the structured JSON report (`<name>.suite.json`) under
-    /// [`out_dir`]. Hand-rolled serialization — the workspace has no
-    /// serde.
-    pub fn write_json(&self) -> PathBuf {
-        let path = out_dir().join(format!("{}.suite.json", self.name));
+    /// `dir`. Hand-rolled serialization — the workspace has no serde.
+    pub fn write_json(&self, dir: &Path) -> PathBuf {
+        let path = dir.join(format!("{}.suite.json", self.name));
         std::fs::write(&path, self.to_json()).expect("can write suite JSON");
         path
     }

@@ -4,19 +4,15 @@
 
 use std::fs::{self, File};
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-/// Environment variable overriding [`out_dir`].
-pub const ENV_OUT_DIR: &str = "EESMR_OUT_DIR";
-
-/// Directory experiment CSVs and suite reports are written to.
-/// `$EESMR_OUT_DIR` if set, else `target/experiments/` at the workspace
-/// root. Created on first use.
-pub fn out_dir() -> PathBuf {
-    let dir = match std::env::var_os(ENV_OUT_DIR) {
-        Some(dir) if !dir.is_empty() => PathBuf::from(dir),
-        _ => PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments"),
-    };
+/// The directory experiment CSVs and suite reports are written to: `dir`,
+/// else `target/experiments/` at the workspace root. Created if missing.
+pub fn out_dir(dir: Option<&Path>) -> PathBuf {
+    let dir = dir.map_or_else(
+        || PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments"),
+        Path::to_path_buf,
+    );
     fs::create_dir_all(&dir).expect("can create the experiment output directory");
     // Resolve `crates/driver/../..` so the `wrote <path>` lines and the
     // returned paths are clean absolute paths.
@@ -30,9 +26,9 @@ pub struct Csv {
 }
 
 impl Csv {
-    /// Creates `<out_dir>/<name>.csv` with the given header.
-    pub fn create(name: &str, header: &[&str]) -> Csv {
-        let path = out_dir().join(format!("{name}.csv"));
+    /// Creates `<dir>/<name>.csv` with the given header.
+    pub fn create(dir: &Path, name: &str, header: &[&str]) -> Csv {
+        let path = dir.join(format!("{name}.csv"));
         let mut file = File::create(&path).expect("can create CSV");
         writeln!(file, "{}", header.join(",")).expect("can write header");
         Csv { file, path }
@@ -59,23 +55,15 @@ impl Csv {
 mod tests {
     use super::*;
 
-    // One test (not two) so the env override cannot race the default-path
-    // check: tests in one binary share the process environment.
     #[test]
-    fn csv_writes_rows_and_out_dir_honors_the_env_override() {
-        let mut csv = Csv::create("driver_sink_selftest", &["a", "b"]);
+    fn csv_writes_rows_into_the_directory_it_is_given() {
+        let dir = out_dir(Some(&out_dir(None).join("sink_selftest")));
+        assert!(dir.is_dir(), "out_dir creates the directory");
+        let mut csv = Csv::create(&dir, "driver_sink_selftest", &["a", "b"]);
         csv.row(&["1".into(), "2".into()]);
         csv.rowd(&[&3, &4.5]);
+        assert_eq!(csv.path(), &dir.join("driver_sink_selftest.csv"));
         let content = std::fs::read_to_string(csv.path()).unwrap();
         assert_eq!(content, "a,b\n1,2\n3,4.5\n");
-
-        let default_dir = out_dir();
-        let override_dir = default_dir.join("override_selftest");
-        std::env::set_var(ENV_OUT_DIR, &override_dir);
-        let redirected = out_dir();
-        std::env::remove_var(ENV_OUT_DIR);
-        assert_eq!(redirected, override_dir);
-        assert!(redirected.is_dir(), "out_dir creates the override directory");
-        assert_eq!(out_dir(), default_dir, "clearing the override restores the default");
     }
 }

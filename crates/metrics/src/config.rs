@@ -1,6 +1,4 @@
-//! Metrics runtime configuration (`EESMR_METRICS*` knobs).
-
-use std::env;
+//! Metrics runtime configuration.
 
 /// Default sampling cadence: one sample per node every 10 ms of simulated
 /// time.
@@ -15,12 +13,12 @@ pub const DEFAULT_CAP: usize = 1024;
 /// branch when disabled (the CI off-path gate pins this below 2%).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricsConfig {
-    /// Master switch (`EESMR_METRICS=1`).
+    /// Master switch.
     pub enabled: bool,
-    /// Sampling cadence in simulated microseconds (`EESMR_METRICS_DT`).
+    /// Sampling cadence in simulated microseconds.
     pub dt_us: u64,
-    /// Ring capacity per node (`EESMR_METRICS_CAP`); oldest samples are
-    /// dropped beyond this, counted per node.
+    /// Ring capacity per node; oldest samples are dropped beyond this,
+    /// counted per node.
     pub cap: usize,
 }
 
@@ -39,32 +37,6 @@ impl MetricsConfig {
     /// Sampling enabled at the default cadence and capacity.
     pub fn on() -> Self {
         Self { enabled: true, ..Self::off() }
-    }
-
-    /// Reads `EESMR_METRICS` (truthy: `1`/`true`/`on`), `EESMR_METRICS_DT`
-    /// (simulated µs per sample, default 10 000) and `EESMR_METRICS_CAP`
-    /// (ring slots per node, default 1024). Invalid values panic — a
-    /// mis-typed knob should fail loudly, not silently sample nothing.
-    pub fn from_env() -> Self {
-        let enabled = match env::var("EESMR_METRICS") {
-            Ok(v) => matches!(v.trim(), "1" | "true" | "on"),
-            Err(_) => false,
-        };
-        let dt_us = match env::var("EESMR_METRICS_DT") {
-            Ok(v) => match v.trim().parse::<u64>() {
-                Ok(n) if n > 0 => n,
-                _ => panic!("EESMR_METRICS_DT must be a positive integer (µs), got {v:?}"),
-            },
-            Err(_) => DEFAULT_DT_US,
-        };
-        let cap = match env::var("EESMR_METRICS_CAP") {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(n) if n > 0 => n,
-                _ => panic!("EESMR_METRICS_CAP must be a positive integer, got {v:?}"),
-            },
-            Err(_) => DEFAULT_CAP,
-        };
-        Self { enabled, dt_us, cap }
     }
 }
 

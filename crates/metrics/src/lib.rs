@@ -3,16 +3,17 @@
 //! Three pillars, mirroring what real SMR deployments ship with:
 //!
 //! * [`series`] — typed per-node gauges sampled on a fixed simulated-time
-//!   cadence (`EESMR_METRICS_DT`) into fixed-capacity ring series. Every
+//!   cadence ([`MetricsConfig::dt_us`]) into fixed-capacity ring series. Every
 //!   sample is stamped from node-local state only, so series are
 //!   bit-identical across shard counts, worker counts, and scheduler
 //!   backends — the same contract as `eesmr-trace` events.
 //! * [`export`] — Prometheus text format and JSON renderers for a whole
 //!   run's series plus the per-node energy-by-class attribution matrix
-//!   (`EESMR_METRICS_OUT`), consumed by the `metrics_report` binary.
+//!   (what `figures headline` writes to `EESMR_METRICS_OUT`), consumed by
+//!   the `metrics_report` binary.
 //! * [`profile`] — cheap wall-clock phase timers for the simulator itself
 //!   (sched pop, replica step, transmit, barrier wait) behind
-//!   `EESMR_PROFILE=1`, emitting folded-stacks output that `flamegraph.pl`
+//!   [`set_profiling`], emitting folded-stacks output that `flamegraph.pl`
 //!   and speedscope load directly.
 //!
 //! # Example

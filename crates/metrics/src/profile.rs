@@ -11,13 +11,12 @@
 //! output is wall-clock and therefore **never** part of any report
 //! equality — it exists for humans and the perf-trajectory JSON.
 //!
-//! Enable with `EESMR_PROFILE=1` (or [`set_profiling`] from a harness),
-//! then render [`ProfileSnapshot::folded`] to a `*.folded` file that
-//! `flamegraph.pl --flamechart` or speedscope load directly.
+//! Enable with [`set_profiling`], then render [`ProfileSnapshot::folded`]
+//! to a `*.folded` file that `flamegraph.pl --flamechart` or speedscope
+//! load directly.
 
-use std::env;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Simulator phases timed by the profiler.
@@ -64,31 +63,18 @@ impl ProfPhase {
 static NANOS: [AtomicU64; N_PROF_PHASE] = [const { AtomicU64::new(0) }; N_PROF_PHASE];
 static COUNTS: [AtomicU64; N_PROF_PHASE] = [const { AtomicU64::new(0) }; N_PROF_PHASE];
 
-// 0 = not yet read from env, 1 = off, 2 = on.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// True when phase timers are live. First call reads `EESMR_PROFILE`
-/// (truthy: `1`/`true`/`on`); [`set_profiling`] overrides it.
+/// True when phase timers are live (off until [`set_profiling`]).
 #[inline]
 pub fn profiling_enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        0 => {
-            let on = matches!(
-                env::var("EESMR_PROFILE").as_deref().map(str::trim),
-                Ok("1") | Ok("true") | Ok("on")
-            );
-            ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-        2 => true,
-        _ => false,
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Forces profiling on or off, overriding `EESMR_PROFILE` (used by
-/// harnesses like `benchmark/` that profile programmatically).
+/// Turns profiling on or off (used by harnesses like `benchmark/` that
+/// profile programmatically).
 pub fn set_profiling(on: bool) {
-    ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Zeroes all accumulators (start of a measured region).

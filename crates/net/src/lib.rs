@@ -71,5 +71,5 @@ pub use runtime::{
     Delivery, Fate, Interceptor, LinkDrop, LinkFaults, NetConfig, NetStats, Partition, SimNet,
 };
 pub use sched::{CalendarQueue, EventQueue, SchedulerKind};
-pub use shard::{shards_from_env, ShardedNet};
+pub use shard::ShardedNet;
 pub use time::{SimDuration, SimTime};

@@ -227,8 +227,8 @@ const DROP_SALT: u64 = 0xD20F_5EED_1155_0BAD;
 const SEND_TO_SALT: u64 = 0x5E4D_7011_CE5E_9A11;
 
 impl NetConfig {
-    /// A BLE k-cast network over `topology` with four-nines reliability and
-    /// default delays (0.5–1 ms per hop).
+    /// A BLE k-cast network over `topology` with four-nines reliability,
+    /// default delays (0.5–1 ms per hop), and tracing and sampling off.
     ///
     /// # Panics
     ///
@@ -242,8 +242,8 @@ impl NetConfig {
             hop_delay_max: SimDuration::from_micros(1_000),
             seed,
             scheduler: SchedulerKind::default(),
-            trace: TraceLevel::from_env(),
-            metrics: MetricsConfig::from_env(),
+            trace: TraceLevel::Off,
+            metrics: MetricsConfig::off(),
             link_faults: LinkFaults::default(),
         }
     }

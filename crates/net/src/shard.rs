@@ -46,7 +46,7 @@
 //! shard layout cannot leak into any event, and sorting all events by
 //! `(time, seq)` reproduces exactly the reference heap order. The
 //! workspace determinism suite (`tests/determinism.rs`) enforces
-//! `EESMR_SHARDS = 1 ≡ 2 ≡ 4` across protocols, faults, and workloads.
+//! shard counts 1 ≡ 2 ≡ 4 across protocols, faults, and workloads.
 //!
 //! # Example: a sharded run matches the single-threaded one
 //!
@@ -100,29 +100,6 @@ use crate::actor::{Actor, NodeId};
 use crate::runtime::{ForeignDelivery, Interceptor, NetConfig, NetStats, ShardState};
 use crate::time::{SimDuration, SimTime};
 
-/// Environment variable selecting the shard count ([`shards_from_env`]).
-pub const ENV_SHARDS: &str = "EESMR_SHARDS";
-
-/// Reads the `EESMR_SHARDS` environment variable: the number of shards
-/// (worker threads) a scenario's simulation is split across. Defaults to
-/// `1` (single-threaded) when unset or empty.
-///
-/// # Panics
-///
-/// Panics on a value that is not a positive integer — a typo must not
-/// silently fall back to single-threaded mode, or the CI sharded
-/// determinism gate could vacuously compare a layout against itself.
-pub fn shards_from_env() -> usize {
-    match std::env::var(ENV_SHARDS) {
-        Err(_) => 1,
-        Ok(v) if v.is_empty() => 1,
-        Ok(v) => match v.parse::<usize>() {
-            Ok(s) if s >= 1 => s,
-            _ => panic!("{ENV_SHARDS} must be a positive integer, got '{v}'"),
-        },
-    }
-}
-
 /// What the window scheduler decided for the next round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Decision {
@@ -143,7 +120,7 @@ enum Decision {
 /// The deterministic window schedule: barrier times depend only on the
 /// global minimum pending-event time, the lookahead, and the limit —
 /// never on the shard count — so stop decisions (and therefore reported
-/// end times) are identical for every `EESMR_SHARDS` value.
+/// end times) are identical for every shard count.
 struct WindowClock {
     wall: u64,
     lookahead: u64,
@@ -322,7 +299,7 @@ where
     /// **Shard-safety contract.** A shard's interceptor sees exactly the
     /// deliveries *sent* by that shard's nodes, in sender-local order —
     /// but the interleaving *between* senders depends on the shard
-    /// layout. To keep runs bit-identical across `EESMR_SHARDS` values,
+    /// layout. To keep runs bit-identical across shard counts,
     /// an interceptor must decide each delivery as a pure function of
     /// the [`Delivery`](crate::Delivery) itself (plus per-sender state
     /// at most); cross-sender mutable state (e.g. "drop the first 10
@@ -779,13 +756,5 @@ mod tests {
         let mut cfg = NetConfig::ble(ring_kcast(4, 2), 1);
         cfg.hop_delay_min = SimDuration::ZERO;
         let _ = ShardedNet::new(cfg, actors(4), 2);
-    }
-
-    #[test]
-    fn env_parsing_defaults_to_one() {
-        // No env manipulation (tests run in parallel): only the default.
-        if std::env::var(ENV_SHARDS).is_err() {
-            assert_eq!(shards_from_env(), 1);
-        }
     }
 }

@@ -16,7 +16,7 @@ use std::io;
 use std::path::PathBuf;
 
 use eesmr_net::ProcTransport;
-use eesmr_sim::{Protocol, Scenario, StopWhen};
+use eesmr_sim::{Protocol, RunOptions, Scenario, StopWhen};
 
 /// The sibling `proc_replica` binary in the same target directory.
 fn replica_binary() -> io::Result<PathBuf> {
@@ -35,8 +35,11 @@ fn main() -> io::Result<()> {
             std::process::exit(2);
         }),
     };
-    let quick = std::env::var("EESMR_QUICK").is_ok_and(|v| !v.is_empty());
-    let (n, k, blocks) = if quick { (4, 2, 4u64) } else { (7, 3, 12u64) };
+    let options = RunOptions::from_env().unwrap_or_else(|err| {
+        eprintln!("proc_headline: {err}");
+        std::process::exit(2);
+    });
+    let (n, k, blocks) = if options.quick { (4, 2, 4u64) } else { (7, 3, 12u64) };
     let binary = replica_binary()?;
 
     println!(

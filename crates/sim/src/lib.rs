@@ -21,11 +21,13 @@
 
 pub mod cell;
 pub mod faults;
+pub mod options;
 pub mod proc;
 pub mod report;
 pub mod scenario;
 
 pub use faults::{FaultPlan, FaultSpec};
+pub use options::{OptionsError, RunOptions};
 pub use report::{NodeEnergy, NodeReport, RunReport, TxLatencyStats};
 pub use scenario::{CellKey, Protocol, Scenario, StopWhen};
 

@@ -122,19 +122,17 @@ pub struct Scenario {
     /// How many shards (worker threads) the simulation is split across
     /// (see `eesmr_net::shard`). Results are bit-identical for any
     /// value; sharding only changes how fast a large-`n` scenario runs.
-    /// Defaults to `EESMR_SHARDS` (or 1).
+    /// Defaults to 1.
     pub shards: usize,
     /// Structured-event trace level (see `eesmr-trace`). An
     /// observability knob, not a sweep axis: traces are keyed to
     /// node-local state, so any level produces the same `RunReport`
-    /// bit for bit. Defaults to `EESMR_TRACE` (or off).
+    /// bit for bit. Defaults to off.
     pub trace: TraceLevel,
     /// Time-series telemetry sampling (see `eesmr-metrics`). Like
     /// `trace`, an observability knob rather than a sweep axis: samples
     /// are taken from node-local state on each node's own event stream,
-    /// so enabling them cannot change the `RunReport`. Defaults to
-    /// `EESMR_METRICS` / `EESMR_METRICS_DT` / `EESMR_METRICS_CAP`
-    /// (off unless set).
+    /// so enabling them cannot change the `RunReport`. Defaults to off.
     pub metrics: MetricsConfig,
 }
 
@@ -211,9 +209,9 @@ impl Scenario {
             forward_batch: 1,
             workload: None,
             scheduler: SchedulerKind::default(),
-            shards: eesmr_net::shards_from_env(),
-            trace: TraceLevel::from_env(),
-            metrics: MetricsConfig::from_env(),
+            shards: 1,
+            trace: TraceLevel::Off,
+            metrics: MetricsConfig::off(),
         }
     }
 
@@ -269,18 +267,17 @@ impl Scenario {
         self
     }
 
-    /// Sets the structured-event trace level (overriding `EESMR_TRACE`).
-    /// Like [`shards`](Self::shards) this cannot change results — it only
+    /// Sets the structured-event trace level. Like
+    /// [`shards`](Self::shards) this cannot change results — it only
     /// controls what [`run_traced`](Self::run_traced) captures.
     pub fn trace(mut self, level: TraceLevel) -> Self {
         self.trace = level;
         self
     }
 
-    /// Sets the telemetry sampling configuration (overriding the
-    /// `EESMR_METRICS*` environment). Pure observation: it fills
-    /// [`RunReport::metrics`](RunReport) without changing any measured
-    /// result.
+    /// Sets the telemetry sampling configuration. Pure observation: it
+    /// fills [`RunReport::metrics`](RunReport) without changing any
+    /// measured result.
     pub fn metrics(mut self, cfg: MetricsConfig) -> Self {
         self.metrics = cfg;
         self
@@ -433,8 +430,7 @@ impl Scenario {
     /// run recorded (empty at [`TraceLevel::Off`]). When the level
     /// enables commit-class events, the report's
     /// [`commit_path`](RunReport::commit_path) is reconstructed from the
-    /// merged trace; when `EESMR_TRACE_OUT` names a file, the trace is
-    /// also exported there as Perfetto JSON.
+    /// merged trace.
     pub fn run_traced(&self) -> (RunReport, TraceSet) {
         let net = self.net_config();
         let delta = net.delta();
@@ -447,10 +443,6 @@ impl Scenario {
         };
         if self.trace.enables(TraceClass::Commit) {
             report.commit_path = CommitPath::reconstruct(&traces.merged());
-            export(ENV_TRACE_OUT, |_| eesmr_trace::perfetto::render(&traces));
-        }
-        if self.metrics.enabled {
-            export(ENV_METRICS_OUT, |path| render_metrics(path, &report));
         }
         (report, traces)
     }
@@ -501,43 +493,6 @@ impl Scenario {
         report.metrics = metrics;
         report.trace_dropped = traces.nodes.iter().map(|t| t.dropped).collect();
         (report, traces)
-    }
-}
-
-/// Env var naming a file each traced run exports its Perfetto JSON to
-/// (level ≥ `commit`; a grid's runs overwrite it — last one wins).
-pub const ENV_TRACE_OUT: &str = "EESMR_TRACE_OUT";
-
-/// Writes `render(path)` to the file the env var `var` names, if it
-/// names one, under a process-wide lock so concurrent grid cells (the
-/// driver's worker pool) never interleave writes.
-fn export(var: &str, render: impl FnOnce(&str) -> String) {
-    static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let Some(path) = std::env::var(var).ok().filter(|p| !p.is_empty()) else { return };
-    let _lock = GUARD.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    if let Err(err) = std::fs::write(&path, render(&path)) {
-        eprintln!("warning: failed to write the {var} export {path}: {err}");
-    }
-}
-
-/// Env var naming a file each metrics-enabled run exports its sampled
-/// telemetry to: Prometheus text format when the path ends in `.prom`
-/// or `.txt`, JSON (`eesmr-metrics/v1`) otherwise. Like
-/// [`ENV_TRACE_OUT`], a grid's runs overwrite it — last one wins.
-pub const ENV_METRICS_OUT: &str = "EESMR_METRICS_OUT";
-
-/// Renders the metrics export in the format `path`'s extension selects.
-fn render_metrics(path: &str, report: &RunReport) -> String {
-    let energy: Vec<(eesmr_energy::EnergyAttribution, f64)> = report
-        .energy_attr
-        .iter()
-        .zip(&report.nodes)
-        .map(|(attr, node)| (attr.clone(), node.energy.total_mj()))
-        .collect();
-    if path.ends_with(".prom") || path.ends_with(".txt") {
-        eesmr_metrics::export::prometheus(&report.metrics, &energy)
-    } else {
-        eesmr_metrics::export::json(&report.metrics, &energy)
     }
 }
 

@@ -4,10 +4,10 @@
 //! per-node fixed-capacity ring buffer ([`Tracer`]). Events are stamped
 //! with **node-local** state only — the node's simulated clock and a
 //! per-node monotone sequence number — so a merged trace is bit-identical
-//! no matter how the run was executed (`EESMR_WORKERS`, `EESMR_SHARDS`,
-//! either scheduler), exactly like every other observable in the workspace.
+//! no matter how the run was executed (worker count, shard count, either
+//! scheduler), exactly like every other observable in the workspace.
 //!
-//! The [`TraceLevel`] gate (`EESMR_TRACE=off|commit|proto|all`) compiles
+//! The [`TraceLevel`] gate (`off|commit|proto|all`) compiles
 //! down to one ordered-enum comparison per candidate event, so the `off`
 //! path stays within noise on the hot-path bench. Levels nest: `commit`
 //! ⊂ `proto` ⊂ `all` (see [`TraceClass`]).
@@ -38,9 +38,6 @@ pub mod hist;
 pub mod path;
 pub mod perfetto;
 
-/// Environment variable selecting the [`TraceLevel`].
-pub const ENV_TRACE: &str = "EESMR_TRACE";
-
 /// How much of the event taxonomy is recorded. Levels nest: everything
 /// enabled at `commit` is also enabled at `proto` and `all`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -60,22 +57,6 @@ pub enum TraceLevel {
 }
 
 impl TraceLevel {
-    /// Reads `EESMR_TRACE` (`off`, `commit`, `proto`, `all`; unset means
-    /// `off`). Panics on an unrecognized value, mirroring
-    /// `shards_from_env`.
-    pub fn from_env() -> TraceLevel {
-        match std::env::var(ENV_TRACE) {
-            Err(_) => TraceLevel::Off,
-            Ok(raw) => match raw.trim() {
-                "" | "off" => TraceLevel::Off,
-                "commit" => TraceLevel::Commit,
-                "proto" => TraceLevel::Proto,
-                "all" => TraceLevel::All,
-                other => panic!("{ENV_TRACE} must be off|commit|proto|all, got {other:?}"),
-            },
-        }
-    }
-
     /// Whether events of `class` are recorded at this level.
     #[inline]
     pub fn enables(self, class: TraceClass) -> bool {
@@ -481,14 +462,5 @@ mod tests {
             })
             .collect();
         assert_eq!(ids, vec![4, 3, 1, 2]);
-    }
-
-    #[test]
-    fn env_parsing_accepts_the_documented_values() {
-        // from_env reads the live environment; exercise the match arms
-        // via the name() round trip instead of mutating process env.
-        for level in [TraceLevel::Off, TraceLevel::Commit, TraceLevel::Proto, TraceLevel::All] {
-            assert!(matches!(level.name(), "off" | "commit" | "proto" | "all"));
-        }
     }
 }

@@ -2,7 +2,9 @@
 //! scenario is a pure function of its configuration and seed. Two runs
 //! with the same seed must produce *identical* `RunReport`s — every
 //! energy figure, commit, view change, and network counter — across all
-//! protocols, with and without faults.
+//! protocols, with and without faults. The comparisons across worker
+//! counts, schedulers and trace levels run on one shard and on two, so the
+//! sharded runtime is held to each of them too.
 
 use eesmr_driver::{Driver, DriverConfig, ScenarioGrid};
 use eesmr_net::SimDuration;
@@ -18,6 +20,11 @@ fn bursty_workload() -> Workload {
     Workload::new(ArrivalProcess::Bursty { rate: 5_000, on_ms: 30, off_ms: 60 })
         .skew(Skew::Hotspot { pct: 80 })
         .closed_loop(16)
+}
+
+/// Each scenario on one shard, then on two.
+fn on_one_and_two_shards(scenarios: impl IntoIterator<Item = Scenario>) -> Vec<Scenario> {
+    scenarios.into_iter().flat_map(|s| [1, 2].map(|shards| s.clone().shards(shards))).collect()
 }
 
 fn run(protocol: Protocol, seed: u64, faults: FaultPlan) -> RunReport {
@@ -48,26 +55,24 @@ fn same_seed_same_report_under_faults() {
 
 /// A mixed grid: three protocols × two system sizes × two seeds, plus
 /// explicit faulty scenarios (a stalled leader forcing a view change and
-/// an equivocator).
+/// an equivocator), each on one shard and on two.
 fn mixed_grid() -> ScenarioGrid {
-    ScenarioGrid::named("determinism")
+    let explicit = on_one_and_two_shards([
+        Scenario::new(Protocol::Eesmr, 5, 2)
+            .faults(FaultPlan::silent_leader())
+            .stop(StopWhen::ViewReached(2)),
+        Scenario::new(Protocol::Eesmr, 6, 2)
+            .faults(FaultPlan::none().with_equivocator(1, 1))
+            .stop(StopWhen::Blocks(3)),
+    ]);
+    let grid = ScenarioGrid::named("determinism")
         .protocols([Protocol::Eesmr, Protocol::SyncHotStuff, Protocol::OptSync])
         .nodes([5, 6])
         .degrees([2])
         .seeds([7, 42])
-        .stop(StopWhen::Blocks(3))
-        .scenario(
-            "vc-under-silent-leader",
-            Scenario::new(Protocol::Eesmr, 5, 2)
-                .faults(FaultPlan::silent_leader())
-                .stop(StopWhen::ViewReached(2)),
-        )
-        .scenario(
-            "equivocating-replica",
-            Scenario::new(Protocol::Eesmr, 6, 2)
-                .faults(FaultPlan::none().with_equivocator(1, 1))
-                .stop(StopWhen::Blocks(3)),
-        )
+        .shards([1, 2])
+        .stop(StopWhen::Blocks(3));
+    explicit.into_iter().fold(grid, |grid, s| grid.scenario(s.label(), s))
 }
 
 #[test]
@@ -80,7 +85,7 @@ fn parallel_driver_is_bit_identical_to_sequential() {
         Driver::new(DriverConfig::default().workers(1).repeats(2)).run_grid(&mixed_grid());
     let parallel =
         Driver::new(DriverConfig::default().workers(8).repeats(2)).run_grid(&mixed_grid());
-    assert_eq!(sequential.cells.len(), 14, "12 cartesian cells + 2 explicit scenarios");
+    assert_eq!(sequential.cells.len(), 28, "(12 cartesian cells + 2 explicit scenarios) × 2");
     assert_eq!(sequential, parallel, "worker count leaked into the results");
     // And the parallel run is itself reproducible.
     let parallel_again =
@@ -123,9 +128,16 @@ fn driver_repeats_vary_the_seed_but_quick_mode_only_shrinks_targets() {
 }
 
 /// A grid with a workload axis: every protocol under Poisson and bursty
-/// client traffic, plus an explicit closed-loop diurnal scenario.
+/// client traffic, plus an explicit closed-loop diurnal scenario, each on
+/// one shard and on two.
 fn workload_grid() -> ScenarioGrid {
-    ScenarioGrid::named("workload-determinism")
+    let diurnal =
+        Workload::new(ArrivalProcess::Diurnal { base: 2_000, amplitude: 1_500, period_ms: 100 })
+            .closed_loop(8);
+    let explicit = on_one_and_two_shards([Scenario::new(Protocol::Eesmr, 6, 3)
+        .workload(diurnal)
+        .stop(StopWhen::Blocks(3))]);
+    let grid = ScenarioGrid::named("workload-determinism")
         .protocols([Protocol::Eesmr, Protocol::OptSync, Protocol::TrustedBaseline])
         .nodes([5])
         .degrees([2])
@@ -133,20 +145,9 @@ fn workload_grid() -> ScenarioGrid {
             Workload::new(ArrivalProcess::Poisson { rate: 2_000 }).skew(Skew::Zipf),
             bursty_workload(),
         ])
-        .stop(StopWhen::Blocks(3))
-        .scenario(
-            "diurnal-closed-loop",
-            Scenario::new(Protocol::Eesmr, 6, 3)
-                .workload(
-                    Workload::new(ArrivalProcess::Diurnal {
-                        base: 2_000,
-                        amplitude: 1_500,
-                        period_ms: 100,
-                    })
-                    .closed_loop(8),
-                )
-                .stop(StopWhen::Blocks(3)),
-        )
+        .shards([1, 2])
+        .stop(StopWhen::Blocks(3));
+    explicit.into_iter().fold(grid, |grid, s| grid.scenario(s.label(), s))
 }
 
 #[test]
@@ -156,7 +157,7 @@ fn workload_grid_is_bit_identical_across_workers() {
     // is a pure function of the grid, not of the worker count.
     let sequential = Driver::new(DriverConfig::default().workers(1)).run_grid(&workload_grid());
     let parallel = Driver::new(DriverConfig::default().workers(8)).run_grid(&workload_grid());
-    assert_eq!(sequential.cells.len(), 7, "3 protocols × 2 workloads + 1 explicit");
+    assert_eq!(sequential.cells.len(), 14, "(3 protocols × 2 workloads + 1 explicit) × 2");
     assert_eq!(sequential, parallel, "worker count leaked into workload results");
     // The sweep actually measured per-transaction latency everywhere.
     for cell in &sequential.cells {
@@ -183,7 +184,7 @@ fn workload_scenarios_are_bit_identical_across_schedulers() {
             .workload(Workload::new(ArrivalProcess::Poisson { rate: 3_000 }))
             .stop(StopWhen::Blocks(4)),
     ];
-    for scenario in scenarios {
+    for scenario in on_one_and_two_shards(scenarios) {
         let heap = scenario.clone().scheduler(SchedulerKind::Heap).run();
         let calendar = scenario.clone().scheduler(SchedulerKind::Calendar).run();
         assert_eq!(heap, calendar, "scheduler leaked into results: {}", scenario.label());
@@ -209,7 +210,7 @@ fn calendar_and_heap_schedulers_are_bit_identical() {
             .faults(FaultPlan::none().with_equivocator(1, 1))
             .stop(StopWhen::Blocks(3)),
     ];
-    for scenario in scenarios {
+    for scenario in on_one_and_two_shards(scenarios) {
         let heap = scenario.clone().scheduler(SchedulerKind::Heap).run();
         let calendar = scenario.clone().scheduler(SchedulerKind::Calendar).run();
         assert_eq!(heap, calendar, "scheduler leaked into results: {}", scenario.label());
@@ -253,7 +254,7 @@ fn sharding_scenarios() -> Vec<Scenario> {
 #[test]
 fn sharded_runs_are_bit_identical_for_any_shard_count() {
     // The parallel-simulation acceptance bar: splitting one scenario's
-    // node set across 2 or 4 shard threads (EESMR_SHARDS) must not
+    // node set across 2 or 4 shard threads (Scenario::shards) must not
     // change a single byte of the RunReport — energy floats included —
     // relative to the single-threaded run, across protocols, faults,
     // view changes, and workloads.
@@ -364,15 +365,14 @@ fn traces_are_bit_identical_across_workers() {
     // the same traces as running them inline.
     use eesmr_net::TraceLevel;
     use eesmr_trace::TraceSet;
-    let scenarios: Vec<Scenario> = [Protocol::Eesmr, Protocol::SyncHotStuff, Protocol::OptSync]
-        .into_iter()
-        .map(|p| {
+    let scenarios = on_one_and_two_shards(
+        [Protocol::Eesmr, Protocol::SyncHotStuff, Protocol::OptSync].map(|p| {
             Scenario::new(p, 5, 2)
                 .workload(bursty_workload())
                 .stop(StopWhen::Blocks(3))
                 .trace(TraceLevel::All)
-        })
-        .collect();
+        }),
+    );
     let traced = |workers: usize| -> Vec<TraceSet> {
         Driver::new(DriverConfig::default().workers(workers)).map(&scenarios, |s| s.run_traced().1)
     };
@@ -447,8 +447,9 @@ fn adversarial_runs_are_bit_identical_across_workers() {
     // Same scenarios through the driver pool: 1 worker ≡ 8 workers,
     // reports and traces both.
     use eesmr_net::TraceLevel;
-    let scenarios: Vec<Scenario> =
-        adversarial_scenarios().into_iter().map(|s| s.trace(TraceLevel::Commit)).collect();
+    let scenarios = on_one_and_two_shards(
+        adversarial_scenarios().into_iter().map(|s| s.trace(TraceLevel::Commit)),
+    );
     let run_all = |workers: usize| {
         Driver::new(DriverConfig::default().workers(workers)).map(&scenarios, |s| s.run_traced())
     };
@@ -467,15 +468,15 @@ fn tracing_cannot_perturb_results() {
     // Every level from off to all must produce the same RunReport for
     // every protocol: tracing is pure observation.
     use eesmr_net::TraceLevel;
-    for protocol in
-        [Protocol::Eesmr, Protocol::SyncHotStuff, Protocol::OptSync, Protocol::TrustedBaseline]
-    {
-        let base =
-            Scenario::new(protocol, 5, 2).workload(bursty_workload()).stop(StopWhen::Blocks(3));
+    let protocols =
+        [Protocol::Eesmr, Protocol::SyncHotStuff, Protocol::OptSync, Protocol::TrustedBaseline];
+    for base in on_one_and_two_shards(protocols.map(|protocol| {
+        Scenario::new(protocol, 5, 2).workload(bursty_workload()).stop(StopWhen::Blocks(3))
+    })) {
         let off = base.clone().trace(TraceLevel::Off).run();
         for level in [TraceLevel::Commit, TraceLevel::Proto, TraceLevel::All] {
             let traced = base.clone().trace(level).run();
-            assert_eq!(off, traced, "{protocol:?} diverged at {}", level.name());
+            assert_eq!(off, traced, "{} diverged at {}", base.label(), level.name());
         }
     }
 }

@@ -8,7 +8,7 @@
 //! a deliberate change to what a run computes — the protocols, the energy
 //! model, the delay or drop streams, the `Debug` shape of a report —
 //! updates the pins in the same commit and says why; an accidental one
-//! fails here. The shard count is left to `EESMR_SHARDS`, so the same pins
+//! fails here. Every cell also runs on 2 and 4 shards, so the same pins
 //! hold the sharded runtime to the single-threaded traces.
 
 use eesmr_crypto::sha256::Sha256;
@@ -21,11 +21,9 @@ const PROTOCOLS: [Protocol; 4] =
 
 const FAULTS: [FaultSpec; 3] = [FaultSpec::None, FaultSpec::SilentLeader, FaultSpec::CrashRecovery];
 
-/// A cell of the grid at the fixed size n = 7, k = 3, observability
-/// pinned off against the `EESMR_TRACE` / `EESMR_METRICS` defaults (the
-/// report's `Debug` output includes the observability surfaces).
+/// A cell of the grid at the fixed size n = 7, k = 3.
 fn cell(protocol: Protocol) -> Scenario {
-    Scenario::new(protocol, 7, 3).seed(42).trace(TraceLevel::Off).metrics(MetricsConfig::off())
+    Scenario::new(protocol, 7, 3).seed(42)
 }
 
 /// The cells that run with full tracing and dense (1 ms) sampling: their
@@ -192,18 +190,24 @@ const PINS: [u64; 31] = [
 fn reports_match_the_pins_captured_on_an_earlier_commit() {
     let cells = grid();
     assert_eq!(cells.len(), PINS.len());
-    let got: Vec<u64> = cells.iter().map(|(_, scenario)| fingerprint(scenario)).collect();
-    let moved: Vec<&str> = cells
-        .iter()
-        .zip(got.iter().zip(&PINS))
-        .filter(|(_, (got, pin))| got != pin)
-        .map(|((label, _), _)| label.as_str())
-        .collect();
-    assert!(
-        moved.is_empty(),
-        "runs changed in {moved:?}; if that is deliberate, the new pins are\n{}",
-        got.iter().map(|fp| format!("    {fp:#018x},\n")).collect::<String>()
-    );
+    for shards in [1, 2, 4] {
+        let got: Vec<u64> = cells
+            .iter()
+            .map(|(_, scenario)| fingerprint(&scenario.clone().shards(shards)))
+            .collect();
+        let moved: Vec<&str> = cells
+            .iter()
+            .zip(got.iter().zip(&PINS))
+            .filter(|(_, (got, pin))| got != pin)
+            .map(|((label, _), _)| label.as_str())
+            .collect();
+        assert!(
+            moved.is_empty(),
+            "runs changed on {shards} shard(s) in {moved:?}; if that is deliberate, the new pins \
+             are\n{}",
+            got.iter().map(|fp| format!("    {fp:#018x},\n")).collect::<String>()
+        );
+    }
 }
 
 #[test]

@@ -14,18 +14,11 @@ use eesmr_crypto::{KeyStore, SigScheme};
 use eesmr_net::harness::Harness;
 use eesmr_net::{Actor, SimDuration};
 use eesmr_sim::{Protocol, Scenario, StopWhen};
-use eesmr_trace::TraceLevel;
 
 /// Compressions spent by one whole run (key generation included) at the
 /// paper's Fig. 3 midpoint, and the blocks it committed.
 fn run_cost(protocol: Protocol) -> (u64, u64) {
-    // Tracing fingerprints commands (a hash each), and other shards are
-    // other threads with their own counters: pin both against the env.
-    let scenario = Scenario::new(protocol, 13, 7)
-        .seed(42)
-        .shards(1)
-        .trace(TraceLevel::Off)
-        .stop(StopWhen::Blocks(50));
+    let scenario = Scenario::new(protocol, 13, 7).seed(42).stop(StopWhen::Blocks(50));
     let before = compressions();
     let report = scenario.run();
     (compressions() - before, report.committed_height())
