@@ -368,6 +368,7 @@ impl Rule for HsRule {
                 r.metrics.proposals_rejected += 1;
                 return;
             }
+            r.rule.quoted(block.parent);
         }
         // Lock rule: must extend the highest certified block.
         if let Some(c) = &r.rule.highest_cert {
@@ -407,7 +408,7 @@ impl Rule for HsRule {
                 ctx.trace(TraceEventKind::Relay { block });
             }
             let vote = r.sign(HsPayload::Vote { block_id, height }, ctx);
-            tally = r.rule.record_vote(block_id, r.id, vote.sig.clone());
+            tally = r.rule.record_vote(block_id, r.id, vote.view, vote.sig.clone());
             for _ in 0..r.fault.storm_repeats_in(r.v_cur) {
                 ctx.multicast(vote.clone());
             }
@@ -450,6 +451,13 @@ impl Rule for HsRule {
             self.tip_height = tip.height;
         }
     }
+
+    /// A vote this node verified (or cast) for the certified block, in the
+    /// certificate's view, with exactly this signature.
+    fn verified(&self, qc: &QuorumCert, signer: NodeId, sig: &Signature) -> bool {
+        qc.kind == MsgKind::HsVote
+            && self.votes.get(&qc.data).is_some_and(|book| book.verified(qc.view, signer, sig))
+    }
 }
 
 // Rust allows inherent methods on `Smr` only in `eesmr-core` (E0116), so
@@ -459,23 +467,28 @@ impl Rule for HsRule {
 // Votes and certificates.
 // ----------------------------------------------------------------------
 
-/// One block's vote book: the verified votes by signer while the block
-/// still needs votes, and what they have completed. One record per block
-/// is all a vote touches — one probe to decide whether a copy is worth
-/// verifying, one to record it.
+/// One block's vote book: the verified votes by signer, and what they have
+/// completed. One record per block is all a vote touches — one probe to
+/// decide whether a copy is worth verifying, one to record it. It is also
+/// the node's memo of what it verified: the certificate that justifies
+/// the next proposal quotes these votes, and a quoted signature found here
+/// needs no second HMAC ([`Rule::verified`]).
 #[derive(Debug)]
 struct VoteBook {
-    /// `sigs[i]` is node `i`'s verified vote. Grown on demand (a signer
-    /// has passed the key store's check before it gets a slot) and
-    /// released once the block needs no more votes: nothing reads a
+    /// `sigs[i]` is node `i`'s verified vote and the view it was cast in.
+    /// Grown on demand (a signer has passed the key store's check before
+    /// it gets a slot) and released once the block needs no more votes
+    /// *and* a certificate quoting it has been accepted: nothing reads a
     /// signature after that.
-    sigs: Vec<Option<Signature>>,
+    sigs: Vec<Option<(u64, Signature)>>,
     /// Distinct votes recorded.
     count: usize,
     /// The `n/2+1` certificate has been formed.
     certified: bool,
     /// OptSync's `3n/4+1` responsive commit is still to come.
     fast_pending: bool,
+    /// A certificate quoting the block has been accepted.
+    quoted: bool,
 }
 
 /// What one recorded vote completed.
@@ -494,6 +507,7 @@ impl VoteBook {
             count: 0,
             certified: false,
             fast_pending: config.variant == HsVariant::OptSync,
+            quoted: false,
         }
     }
 
@@ -509,9 +523,23 @@ impl VoteBook {
         self.open() && self.sigs.get(signer as usize).is_none_or(Option::is_none)
     }
 
-    /// Records `signer`'s verified vote and reports what it completed.
-    /// The certificate is the first `n/2+1` signers in ascending id order.
-    fn record(&mut self, signer: NodeId, sig: Signature, config: &HsConfig) -> Tally {
+    /// Whether `signer`'s vote in `view`, with exactly this signature, is
+    /// one this book holds.
+    fn verified(&self, view: u64, signer: NodeId, sig: &Signature) -> bool {
+        matches!(self.sigs.get(signer as usize), Some(Some((v, s))) if *v == view && s == sig)
+    }
+
+    /// Drops the signatures once nothing can read them any more.
+    fn release_if_done(&mut self) {
+        if !self.open() && self.quoted {
+            self.sigs = Vec::new();
+        }
+    }
+
+    /// Records `signer`'s verified vote in `view` and reports what it
+    /// completed. The certificate is the first `n/2+1` signers in
+    /// ascending id order.
+    fn record(&mut self, signer: NodeId, view: u64, sig: Signature, config: &HsConfig) -> Tally {
         let mut tally = Tally::default();
         if !self.wants(signer) {
             return tally;
@@ -520,22 +548,20 @@ impl VoteBook {
         if self.sigs.len() <= slot {
             self.sigs.resize(slot + 1, None);
         }
-        self.sigs[slot] = Some(sig);
+        self.sigs[slot] = Some((view, sig));
         self.count += 1;
         let quorum = config.cert_quorum();
         if !self.certified && self.count >= quorum {
             self.certified = true;
             let signed = self.sigs.iter().enumerate();
-            let sigs = signed.filter_map(|(i, s)| Some((i as NodeId, s.clone()?)));
+            let sigs = signed.filter_map(|(i, s)| Some((i as NodeId, s.as_ref()?.1.clone())));
             tally.cert = Some(sigs.take(quorum).collect());
         }
         if self.fast_pending && self.count >= config.fast_quorum() {
             self.fast_pending = false;
             tally.fast_commit = true;
         }
-        if !self.open() {
-            self.sigs = Vec::new();
-        }
+        self.release_if_done();
         tally
     }
 }
@@ -547,10 +573,25 @@ impl HsRule {
         self.votes.get(block_id).is_none_or(|book| book.wants(signer))
     }
 
-    /// Records `signer`'s verified vote for `block_id` in its book.
-    fn record_vote(&mut self, block_id: Digest, signer: NodeId, sig: Signature) -> Tally {
+    /// Records `signer`'s verified vote in `view` for `block_id` in its
+    /// book.
+    fn record_vote(
+        &mut self,
+        block_id: Digest,
+        signer: NodeId,
+        view: u64,
+        sig: Signature,
+    ) -> Tally {
         let book = self.votes.entry(block_id).or_insert_with(|| VoteBook::new(&self.config));
-        book.record(signer, sig, &self.config)
+        book.record(signer, view, sig, &self.config)
+    }
+
+    /// A certificate quoting `block_id` has been accepted: from now on its
+    /// book keeps the signatures only while the block still needs votes.
+    fn quoted(&mut self, block_id: Digest) {
+        let book = self.votes.entry(block_id).or_insert_with(|| VoteBook::new(&self.config));
+        book.quoted = true;
+        book.release_if_done();
     }
 }
 
@@ -573,7 +614,7 @@ fn on_vote(r: &mut HsReplica, from: NodeId, msg: HsMsg, ctx: &mut Ctx<'_>) {
     // own certificate is still incomplete. Every node relays at least
     // the quorum-completing vote, so downstream nodes always gather a
     // quorum too.
-    let tally = r.rule.record_vote(block_id, msg.signer, msg.sig.clone());
+    let tally = r.rule.record_vote(block_id, msg.signer, msg.view, msg.sig.clone());
     let view = msg.view;
     ctx.multicast(msg);
     on_tally(r, block_id, height, view, tally, ctx);
@@ -709,25 +750,35 @@ mod tests {
 
     /// The vote bookkeeping the [`VoteBook`] replaced, kept as the model it
     /// is checked against: four tables per replica, and the certificate
-    /// read off a `BTreeMap` in key order.
+    /// read off a `BTreeMap` in key order. They never released a
+    /// signature; `memo` and `quoted` say what the book must hold instead:
+    /// the votes recorded while the block needed them, until it is quoted.
     #[derive(Default)]
     struct FourTables {
         votes: HashMap<Digest, BTreeMap<NodeId, Signature>>,
         relayed_votes: HashSet<(Digest, NodeId)>,
         certified: HashSet<Digest>,
         fast_committed: HashSet<Digest>,
+        memo: HashSet<(Digest, NodeId)>,
+        quoted: HashSet<Digest>,
     }
 
     impl FourTables {
         /// `on_vote` up to `verify_envelope`: whether a copy is verified.
         fn verifies(&self, block: Digest, signer: NodeId, config: &HsConfig) -> bool {
-            let needs_more = !self.certified.contains(&block)
-                || (config.variant == HsVariant::OptSync && !self.fast_committed.contains(&block));
-            needs_more && !self.relayed_votes.contains(&(block, signer))
+            self.needs_more(block, config) && !self.relayed_votes.contains(&(block, signer))
+        }
+
+        fn needs_more(&self, block: Digest, config: &HsConfig) -> bool {
+            !self.certified.contains(&block)
+                || (config.variant == HsVariant::OptSync && !self.fast_committed.contains(&block))
         }
 
         /// The two inserts, then the certificate and fast-commit checks.
         fn record(&mut self, block: Digest, signer: NodeId, sig: Signature, c: &HsConfig) -> Tally {
+            if self.needs_more(block, c) {
+                self.memo.insert((block, signer));
+            }
             self.relayed_votes.insert((block, signer));
             let votes = self.votes.entry(block).or_default();
             votes.insert(signer, sig);
@@ -745,12 +796,15 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Arrivals in random order over three blocks: copies of votes
-        /// (duplicates, forged ones that fail verification) and this
+        /// (duplicates, forged ones that fail verification), this
         /// replica's own vote, cast once per block at a random point —
-        /// before or after the certificate. The vote book asks for exactly
-        /// the verifications the four tables did and completes the same
+        /// before or after the certificate — and accepted certificates
+        /// quoting the block. The vote book asks for exactly the
+        /// verifications the four tables did and completes the same
         /// certificate (signers, order, signatures) and fast commit on the
-        /// same vote; once released it asks for none.
+        /// same vote. Until the block is closed and quoted it is the memo
+        /// of exactly the votes verified, in their view and with their
+        /// tag; then it holds no signature. Once closed it asks for none.
         #[test]
         fn the_vote_book_matches_the_four_tables_it_replaced(
             n in 2usize..=16,
@@ -773,11 +827,16 @@ mod tests {
                 let signer = ((draw >> 16) % n as u64) as NodeId;
                 let block = blocks[b];
                 let sig = pki.keypair(signer).sign(block.as_bytes());
-                let tally = if kind == 0 && !own_cast[b] {
+                let tally = if kind == 2 {
+                    // `on_proposal`: a certificate quoting the block passed.
+                    rule.quoted(block);
+                    model.quoted.insert(block);
+                    Tally::default()
+                } else if kind == 0 && !own_cast[b] {
                     // `on_proposal`: our own vote goes straight in.
                     own_cast[b] = true;
                     let sig = pki.keypair(me).sign(block.as_bytes());
-                    let new = rule.record_vote(block, me, sig.clone());
+                    let new = rule.record_vote(block, me, 1, sig.clone());
                     prop_assert_eq!(&new, &model.record(block, me, sig, &config));
                     new
                 } else {
@@ -786,16 +845,36 @@ mod tests {
                     if !asked || kind == 1 {
                         continue; // skipped, or forged: `verify_envelope` says no
                     }
-                    let new = rule.record_vote(block, signer, sig.clone());
+                    let new = rule.record_vote(block, signer, 1, sig.clone());
                     prop_assert_eq!(&new, &model.record(block, signer, sig, &config));
                     new
                 };
                 certs[b] += usize::from(tally.cert.is_some());
                 fast[b] += usize::from(tally.fast_commit);
-                let books = blocks.iter().filter_map(|block| rule.votes.get(block));
-                for book in books.filter(|book| !book.open()) {
-                    prop_assert!(book.sigs.is_empty(), "a released book holds no signatures");
-                    prop_assert!((0..n as NodeId).all(|s| !book.wants(s)), "nor asks for any");
+                let books = blocks.iter().filter_map(|block| Some((block, rule.votes.get(block)?)));
+                for (block, book) in books {
+                    if !book.open() {
+                        prop_assert!((0..n as NodeId).all(|s| !book.wants(s)), "closed: no asks");
+                    }
+                    if !book.open() && model.quoted.contains(block) {
+                        prop_assert!(book.sigs.is_empty(), "a released book holds no signatures");
+                        continue;
+                    }
+                    let cert = |view| QuorumCert {
+                        kind: MsgKind::HsVote,
+                        view,
+                        data: *block,
+                        height: 0,
+                        sigs: Vec::new(),
+                    };
+                    for s in 0..n as NodeId {
+                        let sig = pki.keypair(s).sign(block.as_bytes());
+                        let kept = model.memo.contains(&(*block, s));
+                        prop_assert_eq!(rule.verified(&cert(1), s, &sig), kept);
+                        prop_assert!(!rule.verified(&cert(2), s, &sig), "another view");
+                        let forged = Signature::from_wire(s, sig.scheme(), Digest::of(b"forged"));
+                        prop_assert!(!rule.verified(&cert(1), s, &forged), "another tag");
+                    }
                 }
             }
             for (i, block) in blocks.iter().enumerate() {

@@ -3,7 +3,7 @@
 
 use eesmr_baselines::sync_hotstuff::HsPayload;
 use eesmr_core::message::signing_bytes;
-use eesmr_core::{Block, Command, Envelope, MsgKind, Payload, QuorumCert, SignedPayload};
+use eesmr_core::{Block, Command, Envelope, MsgKind, Payload, QuorumCert, SmrPayload};
 use eesmr_crypto::{KeyStore, SigScheme};
 use eesmr_net::{Message, NodeId, WireCodec};
 
@@ -12,12 +12,11 @@ fn pki() -> KeyStore {
 }
 
 /// A payload family that can make a proposal for `(view, round)`.
-trait Family: SignedPayload + PartialEq {
+trait Family: SmrPayload + PartialEq {
     /// The kind a certificate over this family's votes carries.
     const VOTE: MsgKind;
     fn proposal(block: Block, round: u64) -> Self;
     fn justified(block: Block, round: u64, justify: QuorumCert) -> Self;
-    fn blame(proof: (Envelope<Self>, Envelope<Self>)) -> Self;
 }
 
 impl Family for Payload {
@@ -28,9 +27,6 @@ impl Family for Payload {
     fn justified(block: Block, round: u64, justify: QuorumCert) -> Self {
         Payload::Propose { block, round, justify: Some(justify) }
     }
-    fn blame(proof: (Envelope<Self>, Envelope<Self>)) -> Self {
-        Payload::Blame { proof: Some(Box::new(proof)) }
-    }
 }
 
 impl Family for HsPayload {
@@ -40,9 +36,6 @@ impl Family for HsPayload {
     }
     fn justified(block: Block, _round: u64, justify: QuorumCert) -> Self {
         HsPayload::Propose { block, justify: Some(justify) }
-    }
-    fn blame(proof: (Envelope<Self>, Envelope<Self>)) -> Self {
-        HsPayload::Blame { proof: Some(Box::new(proof)) }
     }
 }
 
@@ -68,7 +61,7 @@ fn blame_with_proof<P: Family>(pki: &KeyStore) -> Envelope<P> {
     let first = propose::<P>(1, 3, pki, 0);
     let other = Block::extending(&Block::genesis(), 1, 3, vec![Command::synthetic(2, 8)]);
     let second = Envelope::new(P::proposal(other, 3), 1, pki.keypair(0));
-    Envelope::new(P::blame((first, second)), 1, pki.keypair(2))
+    Envelope::new(P::blame(Some(Box::new((first, second)))), 1, pki.keypair(2))
 }
 
 #[test]
@@ -140,20 +133,20 @@ fn debug_prints_the_message_not_the_handle() {
          parent: Digest(591e8d13), height: 2, view: 1, round: 4, payload: \
          Commands([Command([1, 0, 0, 0, 0, 0, 0, 0])]) }), round: 4, justify: \
          Some(QuorumCert { kind: Certify, view: 1, data: Digest(591e8d13), height: 1, sigs: \
-         [(0, Sig(by=0, RSA 1024-bit, 918f569d)), (1, Sig(by=1, RSA 1024-bit, 19218c43)), \
-         (2, Sig(by=2, RSA 1024-bit, 53919aa9))] }) }, view: 1, signer: 0, sig: \
-         Sig(by=0, RSA 1024-bit, 68a60a3b) }"
+         [(0, Sig(by=0, RSA 1024-bit, c7f91773)), (1, Sig(by=1, RSA 1024-bit, 7d19dae2)), \
+         (2, Sig(by=2, RSA 1024-bit, 69093ac0))] }) }, view: 1, signer: 0, sig: \
+         Sig(by=0, RSA 1024-bit, a48d5367) }"
     );
     assert_eq!(
         format!("{:?}", blame_with_proof::<Payload>(&pki)),
         "Envelope { payload: Blame { proof: Some((Envelope { payload: Propose { block: \
          Block(BlockInner { id: Digest(591e8d13), parent: Digest(b2eee420), height: 1, view: \
          1, round: 3, payload: Commands([]) }), round: 3, justify: None }, view: 1, signer: 0, \
-         sig: Sig(by=0, RSA 1024-bit, f0814861) }, Envelope { payload: Propose { block: \
+         sig: Sig(by=0, RSA 1024-bit, dc9dc4ab) }, Envelope { payload: Propose { block: \
          Block(BlockInner { id: Digest(09b1f4fe), parent: Digest(b2eee420), height: 1, view: \
          1, round: 3, payload: Commands([Command([2, 0, 0, 0, 0, 0, 0, 0])]) }), round: 3, \
-         justify: None }, view: 1, signer: 0, sig: Sig(by=0, RSA 1024-bit, ea701fd5) })) }, \
-         view: 1, signer: 2, sig: Sig(by=2, RSA 1024-bit, 15d0b33c) }"
+         justify: None }, view: 1, signer: 0, sig: Sig(by=0, RSA 1024-bit, 2ef619cd) })) }, \
+         view: 1, signer: 2, sig: Sig(by=2, RSA 1024-bit, 7e5392aa) }"
     );
     assert_eq!(
         format!("{:?}", justified::<HsPayload>(&pki)),
@@ -161,19 +154,19 @@ fn debug_prints_the_message_not_the_handle() {
          parent: Digest(591e8d13), height: 2, view: 1, round: 4, payload: \
          Commands([Command([1, 0, 0, 0, 0, 0, 0, 0])]) }), justify: Some(QuorumCert { kind: \
          HsVote, view: 1, data: Digest(591e8d13), height: 1, sigs: [(0, Sig(by=0, RSA \
-         1024-bit, 2e3ff59e)), (1, Sig(by=1, RSA 1024-bit, d1ab31d6)), (2, Sig(by=2, RSA \
-         1024-bit, aad162ea))] }) }, view: 1, signer: 0, sig: Sig(by=0, RSA 1024-bit, \
-         b26f9631) }"
+         1024-bit, 93801cfb)), (1, Sig(by=1, RSA 1024-bit, a41fc0da)), (2, Sig(by=2, RSA \
+         1024-bit, f5bce9b0))] }) }, view: 1, signer: 0, sig: Sig(by=0, RSA 1024-bit, \
+         b60ace8e) }"
     );
     assert_eq!(
         format!("{:?}", blame_with_proof::<HsPayload>(&pki)),
         "Envelope { payload: Blame { proof: Some((Envelope { payload: Propose { block: \
          Block(BlockInner { id: Digest(591e8d13), parent: Digest(b2eee420), height: 1, view: \
          1, round: 3, payload: Commands([]) }), justify: None }, view: 1, signer: 0, sig: \
-         Sig(by=0, RSA 1024-bit, 29b86871) }, Envelope { payload: Propose { block: \
+         Sig(by=0, RSA 1024-bit, 56e771bd) }, Envelope { payload: Propose { block: \
          Block(BlockInner { id: Digest(09b1f4fe), parent: Digest(b2eee420), height: 1, view: \
          1, round: 3, payload: Commands([Command([2, 0, 0, 0, 0, 0, 0, 0])]) }), justify: None \
-         }, view: 1, signer: 0, sig: Sig(by=0, RSA 1024-bit, 174cd7fd) })) }, view: 1, \
-         signer: 2, sig: Sig(by=2, RSA 1024-bit, 8dc8c478) }"
+         }, view: 1, signer: 0, sig: Sig(by=0, RSA 1024-bit, 25aa2681) })) }, view: 1, \
+         signer: 2, sig: Sig(by=2, RSA 1024-bit, b03cb524) }"
     );
 }

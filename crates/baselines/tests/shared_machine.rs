@@ -2,7 +2,8 @@
 //! (`eesmr_core::smr`): blames and equivocation proofs, blame
 //! certificates, chain sync, command forwarding, repair. Each case is
 //! written once and run against both rules through the single-actor
-//! harness, so a line broken in the skeleton fails here for EESMR and for
+//! harness (or, where the network's flood dedup is part of the case, on
+//! `SimNet`), so a line broken in the skeleton fails here for EESMR and for
 //! Sync HotStuff alike — and the two places where the rules are *meant* to
 //! differ on this path (the sync cap, the proposal slot) are pinned as
 //! such.
@@ -16,9 +17,10 @@ use eesmr_core::{
     SignedPayload, Smr, SmrPayload, TimerToken, WorkloadSource,
 };
 use eesmr_crypto::{KeyStore, SigScheme};
+use eesmr_hypergraph::topology::ring_kcast;
 use eesmr_net::codec::WireEnum;
 use eesmr_net::harness::{Harness, Output};
-use eesmr_net::{NodeId, SimDuration};
+use eesmr_net::{Actor, Context, NetConfig, NodeId, SimDuration, SimNet};
 
 const N: usize = 4; // f = 1: two blames certify; node 0 leads view 1
 const DELTA_US: u64 = 2_000;
@@ -275,6 +277,80 @@ fn weak_or_foreign_blame_certificates_are_ignored<R: Family>() {
     let valid = blame_qc::<R>(1, &[2, 3], &pki);
     let out = h.deliver(2, signed::<R>(R::Payload::blame_qc(valid), 1, &pki, 2));
     assert!(quit_scheduled::<R>(&out), "{rule}: f + 1 valid blames for this view quit it");
+}
+
+/// A replica handed a script of inputs at start through its own handlers,
+/// so that what it emits meets the real runtime's flood dedup.
+struct Scripted<R: Rule> {
+    replica: Smr<R>,
+    script: Vec<Input<R>>,
+}
+
+enum Input<R: Rule> {
+    Fire(TimerToken),
+    Deliver(NodeId, Msg<R>),
+}
+
+impl<R: Rule> Actor for Scripted<R> {
+    type Msg = Msg<R>;
+    type Timer = TimerToken;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, Msg<R>, TimerToken>) {
+        self.replica.on_start(ctx);
+        for input in std::mem::take(&mut self.script) {
+            match input {
+                Input::Fire(token) => self.replica.on_timer(token, ctx),
+                Input::Deliver(from, msg) => self.replica.on_message(from, msg, ctx),
+            }
+        }
+    }
+
+    fn on_message(&mut self, from: NodeId, msg: Msg<R>, ctx: &mut Context<'_, Msg<R>, TimerToken>) {
+        self.replica.on_message(from, msg, ctx);
+    }
+
+    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, Msg<R>, TimerToken>) {
+        self.replica.on_timer(token, ctx);
+    }
+}
+
+/// Node 1 blames view 1 on timeout, then sees the silent leader's two
+/// proposals for one slot: its equivocation blame is a second blame of
+/// the same view by the same signer, and it must still reach every honest
+/// node — the only way nodes 2 and 3 learn of the equivocation here.
+fn a_timeout_blamer_floods_its_proof<R: Family>() {
+    let rule = R::NAME;
+    let pki = pki();
+    let node = |id: NodeId| {
+        let fault = if id == 0 { FaultMode::Silent { from_view: 1 } } else { FaultMode::Honest };
+        let mut script = Vec::new();
+        if id == 1 {
+            let (_, first) = R::proposal(&Block::genesis(), 1);
+            let (_, twin) = R::proposal(&Block::genesis(), 2);
+            script = vec![
+                Input::Fire(TimerToken::Blame { view: 1 }),
+                Input::Deliver(0, signed::<R>(first, 1, &pki, 0)),
+                Input::Deliver(0, signed::<R>(twin, 1, &pki, 0)),
+            ];
+        }
+        Scripted { replica: Smr::<R>::new(id, R::config(1), pki.clone(), fault), script }
+    };
+    let net_cfg = NetConfig::ble(ring_kcast(N, 2), 5);
+    assert_eq!(net_cfg.delta().as_micros(), DELTA_US, "the replicas' Δ is the network's");
+    let mut net = SimNet::new(net_cfg, (0..N as NodeId).map(node).collect());
+    net.run_for(SimDuration::from_micros(2 * DELTA_US));
+    let blamer = net.actor(1).replica.metrics();
+    assert_eq!(blamer.blames_sent, 2, "{rule}: a timeout blame, then the proof");
+    for id in 1..N as NodeId {
+        let detected = net.actor(id).replica.metrics().equivocations_detected;
+        assert_eq!(detected, 1, "{rule}: node {id} learnt of the equivocation");
+    }
+}
+
+#[test]
+fn a_node_that_blamed_on_timeout_still_floods_its_equivocation_proof() {
+    a_timeout_blamer_floods_its_proof::<EesmrRule>();
+    a_timeout_blamer_floods_its_proof::<HsRule>();
 }
 
 #[test]

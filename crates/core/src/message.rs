@@ -18,6 +18,7 @@ use eesmr_net::codec::{family, WireEnum};
 use eesmr_net::NodeId;
 
 use crate::block::Block;
+use crate::smr::{Shared, SmrPayload};
 
 /// Message types (Algorithm 1/2 plus chain synchronization).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -96,11 +97,19 @@ pub struct QuorumCert {
 
 impl QuorumCert {
     /// Validates the certificate: at least `threshold` *distinct* signers,
-    /// every signature valid over `(kind, view, data)`.
+    /// every signature valid over `(kind, view, data)`. A signature for
+    /// which `known(signer, sig)` holds — the caller has verified exactly
+    /// these bytes before — is taken as valid without recomputing its tag.
     ///
     /// Returns `(valid, signature_checks_performed)` so callers can charge
-    /// verification energy for the work actually done.
-    pub fn verify(&self, pki: &KeyStore, threshold: usize) -> (bool, usize) {
+    /// verification energy for the work the protocol does: a known
+    /// signature counts as a check like any other.
+    pub fn verify(
+        &self,
+        pki: &KeyStore,
+        threshold: usize,
+        known: impl Fn(NodeId, &Signature) -> bool,
+    ) -> (bool, usize) {
         let mut seen = std::collections::BTreeSet::new();
         let bytes = signing_bytes(self.kind, self.view, &self.data);
         let mut checks = 0;
@@ -109,7 +118,7 @@ impl QuorumCert {
                 return (false, checks);
             }
             checks += 1;
-            if !pki.verify(&bytes, sig) {
+            if !known(*signer, sig) && !pki.verify(&bytes, sig) {
                 return (false, checks);
             }
         }
@@ -380,6 +389,9 @@ pub struct EnvelopeInner<P> {
     pub signer: NodeId,
     /// Signature over `(kind, view, signing_digest)`.
     pub sig: Signature,
+    /// `payload.signing_digest(view)`, derived once, where the message is
+    /// built: what signing, every verification and the flood key read.
+    digest: Digest,
 }
 
 impl<P> std::ops::Deref for Envelope<P> {
@@ -408,26 +420,31 @@ impl<P: SignedPayload> Envelope<P> {
     /// Signs `payload` for `view` with `keypair` (the `Msg` constructor).
     pub fn new(payload: P, view: u64, keypair: &KeyPair) -> Self {
         let digest = payload.signing_digest(view);
-        let bytes = signing_bytes(payload.tag(), view, &digest);
-        Envelope::from_parts(payload, view, keypair.signer(), keypair.sign(&bytes))
+        let sig = keypair.sign(&signing_bytes(payload.tag(), view, &digest));
+        let signer = keypair.signer();
+        Envelope(Arc::new(EnvelopeInner { payload, view, signer, sig, digest }))
     }
 
     /// A message with exactly these parts, the signature taken as given:
     /// what the wire decoder builds. A forged or mismatched signature
-    /// still fails [`Envelope::verify_sig`].
+    /// still fails [`Envelope::verify_sig`]: the signing digest is derived
+    /// from the parts here, never taken from a peer.
     pub fn from_parts(payload: P, view: u64, signer: NodeId, sig: Signature) -> Self {
-        Envelope(Arc::new(EnvelopeInner { payload, view, signer, sig }))
+        let digest = payload.signing_digest(view);
+        Envelope(Arc::new(EnvelopeInner { payload, view, signer, sig, digest }))
+    }
+
+    /// The digest the signature covers with the kind and view:
+    /// `payload.signing_digest(view)`, computed when the message was built.
+    pub fn signing_digest(&self) -> Digest {
+        self.digest
     }
 
     /// Verifies the envelope signature. Returns whether it is valid; the
     /// check costs exactly one signature verification.
     pub fn verify_sig(&self, pki: &KeyStore) -> bool {
-        if self.sig.signer() != self.signer {
-            return false;
-        }
-        let digest = self.payload.signing_digest(self.view);
-        let bytes = signing_bytes(self.payload.tag(), self.view, &digest);
-        pki.verify(&bytes, &self.sig)
+        self.sig.signer() == self.signer
+            && pki.verify(&signing_bytes(self.payload.tag(), self.view, &self.digest), &self.sig)
     }
 
     /// `MatchingMsg` of Algorithm 1.
@@ -443,21 +460,31 @@ impl<P: SignedPayload> Envelope<P> {
     }
 }
 
-impl<P: SignedPayload> eesmr_net::Message for Envelope<P> {
+impl<P: SmrPayload> eesmr_net::Message for Envelope<P> {
     fn wire_size(&self) -> usize {
         self.wire_size()
     }
 
     fn flood_key(&self) -> u64 {
-        // Identity for relay-once dedup: kind, view, signer and data digest
-        // make distinct protocol messages distinct.
-        Digest::of_parts(&[
-            &[self.payload.tag() as u8],
-            &self.view.to_le_bytes(),
-            &self.signer.to_le_bytes(),
-            self.payload.signing_digest(self.view).as_bytes(),
-        ])
-        .to_u64()
+        // Identity for relay-once dedup: kind, view, signer and signing
+        // digest make distinct protocol messages distinct. Every blame of a
+        // view signs the same digest, so an equivocation blame also names
+        // the two proposals it quotes: a node that timeout-blamed a view
+        // can still flood its proof in it.
+        let (kind, view, signer) =
+            ([self.payload.tag() as u8], self.view.to_le_bytes(), self.signer.to_le_bytes());
+        let key = match self.payload.shared() {
+            Some(Shared::Blame(Some((a, b)))) => Digest::of_parts(&[
+                &kind,
+                &view,
+                &signer,
+                self.digest.as_bytes(),
+                a.digest.as_bytes(),
+                b.digest.as_bytes(),
+            ]),
+            _ => Digest::of_parts(&[&kind, &view, &signer, self.digest.as_bytes()]),
+        };
+        key.to_u64()
     }
 
     fn phase(&self) -> eesmr_energy::EnergyPhase {
@@ -521,13 +548,12 @@ mod tests {
         assert_ne!(a, c);
     }
 
-    /// Open bug, pinned as found: a blame signs `("blame", view)` whatever
-    /// it carries, and the flood key covers kind, view, signer and signing
-    /// digest only. So a node that timeout-blamed in a view cannot flood
-    /// its equivocation proof in that view: the runtime drops it at the
-    /// origin as a duplicate. When the key is fixed, this assertion flips.
+    /// A blame signs `("blame", view)` whatever it carries, so the flood
+    /// key also covers the proof's two proposals. Without them a node that
+    /// timeout-blamed in a view could not flood its equivocation proof in
+    /// that view: the runtime dropped it at the origin as a duplicate.
     #[test]
-    fn open_bug_a_blame_with_proof_shares_the_flood_key_of_a_timeout_blame() {
+    fn a_blame_with_proof_has_a_flood_key_of_its_own() {
         use eesmr_net::Message as _;
         let pki = pki();
         let g = Block::genesis();
@@ -535,11 +561,14 @@ mod tests {
             let block = Block::extending(&g, 2, 3, vec![crate::block::Command::synthetic(tag, 8)]);
             SignedMsg::new(Payload::Propose { block, round: 3, justify: None }, 2, pki.keypair(1))
         };
-        let proof = Some(Box::new((conflicting(1), conflicting(2))));
-        let timeout = SignedMsg::new(Payload::Blame { proof: None }, 2, pki.keypair(0));
-        let with_proof = SignedMsg::new(Payload::Blame { proof }, 2, pki.keypair(0));
-        assert_ne!(timeout, with_proof, "two different messages");
-        assert_eq!(timeout.flood_key(), with_proof.flood_key());
+        let blame = |proof| SignedMsg::new(Payload::Blame { proof }, 2, pki.keypair(0));
+        let timeout = blame(None);
+        let with_proof = blame(Some(Box::new((conflicting(1), conflicting(2)))));
+        let other_proof = blame(Some(Box::new((conflicting(1), conflicting(3)))));
+        assert_eq!(timeout.sig, with_proof.sig, "one signature over (\"blame\", view)");
+        assert_ne!(timeout.flood_key(), with_proof.flood_key());
+        assert_ne!(with_proof.flood_key(), other_proof.flood_key());
+        assert_eq!(with_proof.flood_key(), with_proof.clone().flood_key());
     }
 
     #[test]
@@ -549,11 +578,11 @@ mod tests {
         let bytes = signing_bytes(MsgKind::Blame, 3, &data);
         let sigs: Vec<_> = (0..3u32).map(|i| (i, pki.keypair(i).sign(&bytes))).collect();
         let qc = QuorumCert { kind: MsgKind::Blame, view: 3, data, height: 0, sigs };
-        let (ok, checks) = qc.verify(&pki, 3);
+        let (ok, checks) = qc.verify(&pki, 3, |_, _| false);
         assert!(ok);
         assert_eq!(checks, 3);
         // Threshold not met:
-        let (ok, _) = qc.verify(&pki, 4);
+        let (ok, _) = qc.verify(&pki, 4, |_, _| false);
         assert!(!ok);
     }
 
@@ -570,7 +599,7 @@ mod tests {
             height: 0,
             sigs: vec![(1, sig.clone()), (1, sig)],
         };
-        assert!(!qc.verify(&pki, 2).0);
+        assert!(!qc.verify(&pki, 2, |_, _| false).0);
     }
 
     #[test]
@@ -580,7 +609,10 @@ mod tests {
         let bytes = signing_bytes(MsgKind::Certify, 2, &data);
         let sigs: Vec<_> = (0..2u32).map(|i| (i, pki.keypair(i).sign(&bytes))).collect();
         let qc = QuorumCert { kind: MsgKind::Certify, view: 3, data, height: 0, sigs };
-        assert!(!qc.verify(&pki, 2).0, "signatures are over view 2, QC claims view 3");
+        assert!(
+            !qc.verify(&pki, 2, |_, _| false).0,
+            "signatures are over view 2, QC claims view 3"
+        );
     }
 
     #[test]

@@ -284,6 +284,12 @@ pub trait Rule: Sized {
     fn on_view_adopted(smr: &mut Smr<Self>, ctx: &mut Ctx<'_, Self>);
     /// A repair committed up to `tip`: move the rule's proposing point.
     fn on_repaired(&mut self, tip: &Block);
+    /// Whether this node has already verified `sig` as `signer`'s
+    /// signature over `qc`'s `(kind, view, data)`, so that quoting it in a
+    /// certificate needs no second HMAC (the check is still charged).
+    fn verified(&self, _qc: &QuorumCert, _signer: NodeId, _sig: &Signature) -> bool {
+        false
+    }
 }
 
 /// A synchronous-SMR replica running commit rule `R`.
@@ -503,9 +509,11 @@ impl<R: Rule> Smr<R> {
     }
 
     /// Verifies a quorum certificate at `threshold` distinct signers,
-    /// charging for the signature checks performed.
+    /// charging for the signature checks performed. A signature the rule
+    /// has already verified ([`Rule::verified`]) is charged, not recomputed.
     pub fn verify_qc(&self, qc: &QuorumCert, threshold: usize, ctx: &mut Ctx<'_, R>) -> bool {
-        let (ok, checks) = qc.verify(&self.pki, threshold);
+        let known = |signer, sig: &Signature| self.rule.verified(qc, signer, sig);
+        let (ok, checks) = qc.verify(&self.pki, threshold, known);
         for _ in 0..checks {
             ctx.meter().charge_verify(self.pki.scheme());
         }
@@ -858,7 +866,7 @@ impl<R: Rule> Smr<R> {
             && a.signer == leader
             && b.signer == leader
             && slot_a == slot_b
-            && a.payload.signing_digest(view) != b.payload.signing_digest(view)
+            && a.signing_digest() != b.signing_digest()
             && self.verify_envelope(a, ctx)
             && self.verify_envelope(b, ctx)
     }

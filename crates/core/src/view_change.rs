@@ -28,7 +28,7 @@ use eesmr_net::NodeId;
 use crate::block::Block;
 use crate::config::FaultMode;
 use crate::message::{
-    CertifiedBlock, MsgKind, Payload, QuorumCert, SignedBlock, SignedMsg, SignedPayload, Status,
+    CertifiedBlock, MsgKind, Payload, QuorumCert, SignedBlock, SignedMsg, Status,
 };
 use crate::replica::{Ctx, Replica};
 use crate::smr::TimerToken;
@@ -300,9 +300,8 @@ impl Replica {
         let block = Block::extending(&parent, self.v_cur, 1, Vec::new());
         ctx.meter().charge_hash(block.wire_size());
         self.store.insert(block.clone());
-        let payload = Payload::NewViewProposal { status, block };
-        self.rule.nv.prop_hash = Some(payload.signing_digest(self.v_cur));
-        let msg = self.sign(payload, ctx);
+        let msg = self.sign(Payload::NewViewProposal { status, block }, ctx);
+        self.rule.nv.prop_hash = Some(msg.signing_digest());
         ctx.flood(msg);
     }
 
@@ -406,10 +405,10 @@ impl Replica {
         }
         self.rule.b_lock = block_id;
         self.rule.b_lock_height = block.height;
-        self.rule.nv.prop_hash = Some(msg.payload.signing_digest(msg.view));
+        let prop_hash = msg.signing_digest();
+        self.rule.nv.prop_hash = Some(prop_hash);
         self.rule.nv.round1_block = Some(block_id);
-        let vote = self
-            .sign(Payload::NewViewVote { prop_hash: msg.payload.signing_digest(msg.view) }, ctx);
+        let vote = self.sign(Payload::NewViewVote { prop_hash }, ctx);
         ctx.flood(vote);
         self.rule.r_cur = 2;
         self.reset_blame_timer(6, ctx);

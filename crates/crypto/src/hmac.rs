@@ -68,9 +68,9 @@ fn tags_equal(expected: &Digest, tag: &Digest) -> bool {
 }
 
 /// The per-key half of HMAC-SHA256, done once: the inner and outer hashers
-/// with `key ⊕ ipad` / `key ⊕ opad` (and, optionally, a fixed message
-/// prefix) already absorbed. A tag then costs only the compressions the
-/// message itself needs, and no allocation.
+/// with `key ⊕ ipad` / `key ⊕ opad` already absorbed. A tag then costs
+/// only the compressions the message itself needs — two for a message of
+/// at most 55 bytes — and no allocation.
 ///
 /// [`hmac_sha256`] is the reference these tags are tested against.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,13 +80,12 @@ pub struct HmacKey {
 }
 
 impl HmacKey {
-    /// The schedule of `key` (at most one SHA-256 block long) for messages
-    /// that all start with `prefix`.
+    /// The schedule of `key` (at most one SHA-256 block long).
     ///
     /// # Panics
     ///
     /// Panics if `key` is longer than 64 bytes.
-    pub fn new(key: &[u8], prefix: &[u8]) -> Self {
+    pub fn new(key: &[u8]) -> Self {
         assert!(key.len() <= BLOCK_SIZE, "longer keys are hashed first; use hmac_sha256");
         let mut ipad = [IPAD; BLOCK_SIZE];
         let mut opad = [OPAD; BLOCK_SIZE];
@@ -96,12 +95,11 @@ impl HmacKey {
         }
         let (mut inner, mut outer) = (Sha256::new(), Sha256::new());
         inner.update(&ipad);
-        inner.update(prefix);
         outer.update(&opad);
         HmacKey { inner, outer }
     }
 
-    /// `HMAC-SHA256(key, prefix ‖ message)`.
+    /// `HMAC-SHA256(key, message)`.
     pub fn tag(&self, message: &[u8]) -> Digest {
         let mut inner = self.inner.clone();
         inner.update(message);
@@ -110,7 +108,7 @@ impl HmacKey {
         outer.finalize()
     }
 
-    /// Verifies a tag over `prefix ‖ message` in constant shape.
+    /// Verifies a tag over `message` in constant shape.
     pub fn verify(&self, message: &[u8], tag: &Digest) -> bool {
         tags_equal(&self.tag(message), tag)
     }
@@ -178,13 +176,23 @@ mod tests {
         let message: Vec<u8> = (0..150u8).collect();
         for key_len in [0usize, 1, 20, 32, 63, 64] {
             let key = vec![0x42u8; key_len];
-            for split in [0usize, 1, 30, 64, 150] {
-                let (prefix, rest) = message.split_at(split);
-                let schedule = HmacKey::new(&key, prefix);
-                let tag = schedule.tag(rest);
-                assert_eq!(tag, hmac_sha256(&key, &message), "key {key_len}, split {split}");
-                assert!(schedule.verify(rest, &tag));
+            let schedule = HmacKey::new(&key);
+            // Around the one-block boundary of the inner hash (55 bytes).
+            for len in [0usize, 1, 41, 55, 56, 64, 150] {
+                let tag = schedule.tag(&message[..len]);
+                assert_eq!(tag, hmac_sha256(&key, &message[..len]), "key {key_len}, len {len}");
+                assert!(schedule.verify(&message[..len], &tag));
             }
+        }
+    }
+
+    #[test]
+    fn a_short_message_costs_two_compressions() {
+        let schedule = HmacKey::new(&[7u8; 32]);
+        for (len, cost) in [(41usize, 2), (55, 2), (56, 3)] {
+            let before = crate::sha256::compressions();
+            schedule.tag(&[0u8; 64][..len]);
+            assert_eq!(crate::sha256::compressions() - before, cost, "{len}-byte message");
         }
     }
 

@@ -28,8 +28,8 @@
 //! assert_eq!(sig.scheme().sign_energy_j(), 0.40);
 //! ```
 
-// `deny`, not the `forbid` every other crate carries: `sha256` holds the
-// workspace's one `unsafe` block (see its module docs) under one `allow`.
+// `deny`, not the `forbid` every other library carries: `sha256` holds the
+// library code's one `unsafe` block (see its module docs) under one `allow`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

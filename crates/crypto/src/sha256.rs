@@ -33,8 +33,8 @@
 //! call *into* that function from code compiled without those features,
 //! whose only precondition is that the CPU has them — checked by the `if`
 //! directly above the call. That call is the single `unsafe` block in the
-//! workspace; this crate is `unsafe_code = "deny"` with one `allow` on the
-//! function holding it, every other crate `forbid`s it.
+//! workspace's library code; this crate is `unsafe_code = "deny"` with one
+//! `allow` on the function holding it, every other library `forbid`s it.
 //!
 //! # Examples
 //!

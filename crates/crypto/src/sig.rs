@@ -2,10 +2,11 @@
 //!
 //! The offline dependency set contains no real RSA/ECDSA implementation, and
 //! the protocols only require signatures for *authentication among simulated
-//! parties*. We therefore simulate: a signature is
-//! `HMAC-SHA256(secret_key, scheme || signer || message)` tagged with the
-//! signer id and scheme. Verification recomputes the tag under the signer's
-//! registered key.
+//! parties*. We therefore simulate: a signature is `HMAC-SHA256(K, message)`
+//! tagged with the signer id and scheme, where the secret key
+//! `K = SHA-256("eesmr-keygen" | seed | "eesmr-sig" | scheme | signer)` is
+//! bound to the run seed, the scheme and the signer. Verification
+//! recomputes the tag under the signer's registered key.
 //!
 //! Within the simulation this gives real unforgeability: fault-injection
 //! code never holds another node's [`SecretKey`], so it cannot fabricate a
@@ -14,9 +15,10 @@
 //! of each operation come from the scheme catalogue ([`crate::SigScheme`]),
 //! so the evaluation is faithful to the paper's measured costs.
 //!
-//! The key, the `"eesmr-sig" | scheme | signer` domain-separation prefix
+//! The domain separation lives in the key, not in the message, and the key
 //! and both HMAC pads are absorbed once, in [`KeyPair::derive`]; signing
-//! and verifying then hash only the message (see [`HmacKey`]).
+//! and verifying then hash only the message (see [`HmacKey`]): two
+//! compressions for a protocol's 41-byte signing bytes.
 
 use core::fmt;
 
@@ -92,7 +94,7 @@ impl KeyPair {
     /// Deterministic generation keeps simulations reproducible: the same
     /// run seed always produces the same keys, messages, and traces.
     pub fn derive(id: SignerId, scheme: SigScheme, seed: u64) -> Self {
-        let mac = HmacKey::new(&derive_key(id, seed), &domain_prefix(scheme, id));
+        let mac = HmacKey::new(Digest::of(&key_material(id, scheme, seed)).as_bytes());
         KeyPair {
             secret: SecretKey { id, scheme, mac: mac.clone() },
             public: PublicKey { id, scheme, mac },
@@ -179,13 +181,13 @@ impl Signature {
     }
 }
 
-fn derive_key(id: SignerId, seed: u64) -> [u8; 32] {
-    *Digest::of_parts(&[b"eesmr-keygen", &seed.to_le_bytes(), &id.to_le_bytes()]).as_bytes()
-}
-
-/// What every signed message is prefixed with, binding scheme and signer.
-fn domain_prefix(scheme: SigScheme, signer: SignerId) -> Vec<u8> {
-    let mut buf = Vec::from(&b"eesmr-sig"[..]);
+/// What the HMAC key of `signer` under `scheme` is hashed from: the run
+/// seed and the domain, so each (seed, scheme, signer) signs under a key
+/// of its own. At most 53 bytes: one SHA-256 compression.
+fn key_material(signer: SignerId, scheme: SigScheme, seed: u64) -> Vec<u8> {
+    let mut buf = Vec::from(&b"eesmr-keygen"[..]);
+    buf.extend_from_slice(&seed.to_le_bytes());
+    buf.extend_from_slice(b"eesmr-sig");
     buf.push(scheme.signature_size() as u8); // scheme discriminant via size+name
     buf.extend_from_slice(scheme.name().as_bytes());
     buf.extend_from_slice(&signer.to_le_bytes());
@@ -259,12 +261,20 @@ mod tests {
         let kp = pair(9);
         let dbg = format!("{:?}", kp);
         // The hex of the key must not appear in debug output.
-        let key_hex = Digest::from_bytes(derive_key(9, 7)).to_hex();
-        assert!(!dbg.contains(&key_hex));
+        let key = Digest::of(&key_material(9, SigScheme::Rsa1024, 7));
+        assert!(!dbg.contains(&key.to_hex()));
+    }
+
+    #[test]
+    fn key_material_fits_one_sha256_block() {
+        for scheme in SigScheme::ALL {
+            // 55 bytes plus the 9 of SHA-256 padding fill one 64-byte block.
+            assert!(key_material(u32::MAX, scheme, u64::MAX).len() <= 55, "{scheme}");
+        }
     }
 
     /// The precomputed schedule is an optimisation only: every tag equals
-    /// the reference HMAC of the domain-separated message under the raw key.
+    /// the reference HMAC of the message under the domain-separated key.
     #[test]
     fn sign_equals_reference_hmac_for_every_scheme() {
         for scheme in SigScheme::ALL {
@@ -275,9 +285,8 @@ mod tests {
                 let message: Vec<u8> =
                     noise.as_bytes().iter().cycle().take(case as usize * 7).copied().collect();
                 let kp = KeyPair::derive(id, scheme, seed);
-                let mut separated = domain_prefix(scheme, id);
-                separated.extend_from_slice(&message);
-                let expected = crate::hmac::hmac_sha256(&derive_key(id, seed), &separated);
+                let key = Digest::of(&key_material(id, scheme, seed));
+                let expected = crate::hmac::hmac_sha256(key.as_bytes(), &message);
                 let sig = kp.sign(&message);
                 assert_eq!(*sig.tag(), expected, "{scheme} case {case}");
                 assert!(sig.verify(&message, kp.public()));

@@ -3,7 +3,9 @@
 //! Two jobs:
 //!
 //! * **Freeze v1.** The golden hex vectors below are byte-for-byte
-//!   encodings of fixed messages under the deterministic HMAC keyring.
+//!   encodings of fixed messages, each carrying the authenticator the
+//!   deterministic HMAC keyring gave it when the layout was frozen (taken
+//!   as given; what the keyring signs today is pinned on its own).
 //!   If any of them changes, the wire format changed: that requires a
 //!   version bump (see the versioning rules in `eesmr_net::codec`), not a
 //!   silent re-freeze of the vectors.
@@ -20,7 +22,7 @@ use eesmr_baselines::sync_hotstuff::{HsMsg, HsPayload};
 use eesmr_baselines::trusted::{TbMsg, TbPayload};
 use eesmr_core::broadcast::{BbMsg, BbPayload};
 use eesmr_core::{Command, Commands, Payload, SignedMsg};
-use eesmr_crypto::{Digest, KeyStore, SigScheme};
+use eesmr_crypto::{Digest, KeyStore, SigScheme, Signature};
 use eesmr_net::codec::{family, CodecError, WireCodec, HEADER_LEN, MAGIC, VERSION};
 
 /// The deterministic keyring behind every golden vector.
@@ -58,35 +60,45 @@ const HS_REPAIR: &str = "ee5e01030e0100000000000000020000000200000000000000\
 const TB_REPAIR: &str = "ee5e010403030000000900000000000000\
                          0a03000000946112687fd3b3f64c917a4ea41fbc70effe8b423fdb6d6806627afd3d88f676";
 
+/// The authenticator a golden frame carries, taken as given: its last 32
+/// bytes. The vectors freeze the layout, not the keyring that signed them
+/// (`keyring_tags_are_pinned` pins that), so a change of key derivation
+/// re-captures one pin and leaves every v1 vector byte-for-byte alone.
+fn frozen_sig(vector: &str, signer: u32) -> Signature {
+    let bytes = unhex(vector);
+    let tag: [u8; 32] = bytes[bytes.len() - 32..].try_into().unwrap();
+    Signature::from_wire(signer, SigScheme::Hmac, Digest::from_bytes(tag))
+}
+
+fn golden_forward_payload() -> Payload {
+    Payload::Forward { commands: Commands::from(vec![Command::new(vec![0xAA, 0xBB])]) }
+}
+
 fn golden_signed_repair() -> SignedMsg {
-    SignedMsg::new(Payload::Repair { from_height: 7 }, 3, pki().keypair(0))
+    SignedMsg::from_parts(Payload::Repair { from_height: 7 }, 3, 0, frozen_sig(SIGNED_REPAIR, 0))
 }
 
 fn golden_signed_forward() -> SignedMsg {
-    SignedMsg::new(
-        Payload::Forward { commands: Commands::from(vec![Command::new(vec![0xAA, 0xBB])]) },
-        5,
-        pki().keypair(1),
-    )
+    SignedMsg::from_parts(golden_forward_payload(), 5, 1, frozen_sig(SIGNED_FORWARD, 1))
 }
 
 fn golden_bb() -> BbMsg {
     BbMsg {
         payload: BbPayload::CommitVote { value_digest: Digest::of(b"golden") },
         signer: 1,
-        sig: pki().keypair(1).sign(b"golden"),
+        sig: frozen_sig(BB_COMMIT_VOTE, 1),
     }
 }
 
 fn golden_hs() -> HsMsg {
-    HsMsg::from_parts(HsPayload::Repair { from_height: 2 }, 1, 2, pki().keypair(2).sign(b"golden"))
+    HsMsg::from_parts(HsPayload::Repair { from_height: 2 }, 1, 2, frozen_sig(HS_REPAIR, 2))
 }
 
 fn golden_tb() -> TbMsg {
     TbMsg {
         payload: TbPayload::Repair { from_height: 9 },
         signer: 3,
-        sig: pki().keypair(3).sign(b"golden"),
+        sig: frozen_sig(TB_REPAIR, 3),
     }
 }
 
@@ -127,6 +139,32 @@ fn golden_vectors_decode_to_the_original_messages() {
     assert_eq!(BbMsg::decode(&unhex(BB_COMMIT_VOTE)).unwrap(), golden_bb());
     assert_eq!(HsMsg::decode(&unhex(HS_REPAIR)).unwrap(), golden_hs());
     assert_eq!(TbMsg::decode(&unhex(TB_REPAIR)).unwrap(), golden_tb());
+}
+
+/// What the deterministic keyring signs for the five golden frames: the
+/// `SignedMsg` envelopes as `SignedMsg::new` signs them, the other three
+/// over `b"golden"`. The one pin here a change of key derivation moves.
+#[test]
+fn keyring_tags_are_pinned() {
+    let pki = pki();
+    let tags = [
+        SignedMsg::new(Payload::Repair { from_height: 7 }, 3, pki.keypair(0)).sig.clone(),
+        SignedMsg::new(golden_forward_payload(), 5, pki.keypair(1)).sig.clone(),
+        pki.keypair(1).sign(b"golden"),
+        pki.keypair(2).sign(b"golden"),
+        pki.keypair(3).sign(b"golden"),
+    ]
+    .map(|sig| sig.tag().to_hex());
+    assert_eq!(
+        tags,
+        [
+            "7e7d67a053b1aa9e1b9390141789ee2dc77e1d1f3a51f00a418c1a24c790b8b9",
+            "6193377ea2ee33cd2190008841f0118683e00136a6ba7df24200e3cf41970f3f",
+            "c6db83524a17cbdc5a5c865771b4eceac901b7f406f35659f80c6c59885743a4",
+            "b8679474c3f935a5672e05a1802e6ea2cd5e10b46e6c917a397707b168606de8",
+            "2c4a8f5206ccdc245f934ed25c89f365b8063c9a7414d8667a3395f168c71d47",
+        ]
+    );
 }
 
 #[test]
