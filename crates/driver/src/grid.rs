@@ -43,7 +43,7 @@ pub struct GridCell {
 }
 
 /// A declarative sweep: the cartesian product of protocol × n × k ×
-/// payload × batch-policy × workload × shard-count × fault × scheme ×
+/// payload × batch-policy × workload × fault × scheme ×
 /// seed axes, plus any explicitly-listed scenarios.
 ///
 /// Axis defaults match [`Scenario::new`]: protocol `[Eesmr]`, payload
@@ -76,7 +76,6 @@ pub struct ScenarioGrid {
     payloads: Vec<usize>,
     batch_policies: Vec<BatchPolicy>,
     workloads: Vec<Workload>,
-    shards: Vec<usize>,
     faults: Vec<FaultSpec>,
     schemes: Vec<SigScheme>,
     seeds: Vec<u64>,
@@ -96,7 +95,6 @@ impl std::fmt::Debug for ScenarioGrid {
             .field("payloads", &self.payloads)
             .field("batch_policies", &self.batch_policies)
             .field("workloads", &self.workloads)
-            .field("shards", &self.shards)
             .field("faults", &self.faults)
             .field("schemes", &self.schemes)
             .field("seeds", &self.seeds)
@@ -164,17 +162,6 @@ impl ScenarioGrid {
         self
     }
 
-    /// Sets the simulation shard-count axis (`Scenario::shards`; see
-    /// `eesmr_net::shard`). A *performance* axis: cells differing only
-    /// in shard count produce bit-identical reports, so sweeping it
-    /// measures intra-scenario parallel speed, not results. When unset,
-    /// every cell keeps the single-shard default (and its label stays
-    /// unchanged).
-    pub fn shards(mut self, shards: impl IntoIterator<Item = usize>) -> Self {
-        self.shards = shards.into_iter().collect();
-        self
-    }
-
     /// Sets the fault axis: each cell runs under the canonical
     /// [`FaultSpec`] plan sized to its `(n, Δ)` (see `eesmr_sim::faults`).
     /// When unset, every cell runs honest (and its label stays
@@ -238,7 +225,6 @@ impl ScenarioGrid {
             * self.payloads.len()
             * self.batch_policies.len().max(1)
             * self.workloads.len().max(1)
-            * self.shards.len().max(1)
             * self.faults.len().max(1)
             * self.schemes.len()
             * self.seeds.len()
@@ -246,14 +232,13 @@ impl ScenarioGrid {
 
     /// Materializes the grid into its deterministic cell ordering:
     /// protocol-major cartesian cells (n, then k, then payload, batch
-    /// policy, workload, shard count, fault, scheme, seed innermost),
+    /// policy, workload, fault, scheme, seed innermost),
     /// then the explicit scenarios in push order.
     pub fn build(&self) -> Vec<GridCell> {
         // An unset batch axis means "each protocol's default policy",
         // without marking the policy as explicitly chosen; an unset
-        // workload axis keeps the synthetic feed; an unset shards axis
-        // keeps the single-shard default; an unset fault axis keeps
-        // every node honest.
+        // workload axis keeps the synthetic feed; an unset fault axis
+        // keeps every node honest.
         let batches: Vec<Option<BatchPolicy>> = if self.batch_policies.is_empty() {
             vec![None]
         } else {
@@ -263,11 +248,6 @@ impl ScenarioGrid {
             vec![None]
         } else {
             self.workloads.iter().copied().map(Some).collect()
-        };
-        let shards: Vec<Option<usize>> = if self.shards.is_empty() {
-            vec![None]
-        } else {
-            self.shards.iter().copied().map(Some).collect()
         };
         let faults: Vec<Option<FaultSpec>> = if self.faults.is_empty() {
             vec![None]
@@ -284,38 +264,33 @@ impl ScenarioGrid {
                     for &payload in &self.payloads {
                         for &batch in &batches {
                             for &workload in &workloads {
-                                for &shard_count in &shards {
-                                    for &fault in &faults {
-                                        for &scheme in &self.schemes {
-                                            for &seed in &self.seeds {
-                                                let mut s = Scenario::new(protocol, n, k)
-                                                    .payload(payload)
-                                                    .scheme(scheme)
-                                                    .seed(seed);
-                                                if let Some(policy) = batch {
-                                                    s = s.batch_policy(policy);
-                                                }
-                                                if let Some(w) = workload {
-                                                    s = s.workload(w);
-                                                }
-                                                if let Some(count) = shard_count {
-                                                    s = s.shards(count);
-                                                }
-                                                if let Some(spec) = fault {
-                                                    s = s.fault_spec(spec);
-                                                }
-                                                if let Some(stop) = self.stop {
-                                                    s = s.stop(stop);
-                                                }
-                                                if let Some(hook) = &self.configure {
-                                                    s = hook(s);
-                                                }
-                                                cells.push(GridCell {
-                                                    index: cells.len(),
-                                                    label: s.label(),
-                                                    scenario: s,
-                                                });
+                                for &fault in &faults {
+                                    for &scheme in &self.schemes {
+                                        for &seed in &self.seeds {
+                                            let mut s = Scenario::new(protocol, n, k)
+                                                .payload(payload)
+                                                .scheme(scheme)
+                                                .seed(seed);
+                                            if let Some(policy) = batch {
+                                                s = s.batch_policy(policy);
                                             }
+                                            if let Some(w) = workload {
+                                                s = s.workload(w);
+                                            }
+                                            if let Some(spec) = fault {
+                                                s = s.fault_spec(spec);
+                                            }
+                                            if let Some(stop) = self.stop {
+                                                s = s.stop(stop);
+                                            }
+                                            if let Some(hook) = &self.configure {
+                                                s = hook(s);
+                                            }
+                                            cells.push(GridCell {
+                                                index: cells.len(),
+                                                label: s.label(),
+                                                scenario: s,
+                                            });
                                         }
                                     }
                                 }
@@ -373,24 +348,6 @@ mod tests {
         // Protocol is the outermost axis.
         assert_eq!(cells[0].scenario.protocol, Protocol::Eesmr);
         assert_eq!(cells.last().unwrap().scenario.protocol, Protocol::OptSync);
-    }
-
-    #[test]
-    fn shards_axis_multiplies_cells_and_sets_the_knob() {
-        let grid = ScenarioGrid::named("t")
-            .nodes([6])
-            .degrees([2])
-            .shards([1, 2, 4])
-            .stop(StopWhen::Blocks(2));
-        assert_eq!(grid.len(), 3);
-        let cells = grid.build();
-        assert_eq!(cells.len(), 3);
-        assert_eq!(cells[0].scenario.shards, 1);
-        assert_eq!(cells[2].scenario.shards, 4);
-        assert!(cells[2].label.contains("shards=4"), "{}", cells[2].label);
-        // An unset axis leaves the scenario's default alone.
-        let plain = ScenarioGrid::named("t").nodes([6]).degrees([2]).stop(StopWhen::Blocks(2));
-        assert_eq!(plain.len(), 1);
     }
 
     #[test]

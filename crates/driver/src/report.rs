@@ -180,7 +180,6 @@ impl SuiteReport {
             "batch_policy",
             "offered_load",
             "workload",
-            "shards",
             "fault",
             "scheme",
             "seed",
@@ -216,7 +215,6 @@ impl SuiteReport {
                 cell.key.batch.label(),
                 cell.key.offered_load.to_string(),
                 cell.key.workload.map_or_else(|| "none".into(), |w| w.label()),
-                cell.key.shards.to_string(),
                 cell.key.fault.label().to_string(),
                 cell.key.scheme.name().to_string(),
                 cell.key.seed.to_string(),
@@ -267,11 +265,10 @@ impl SuiteReport {
                 cell.key.payload_bytes
             ));
             out.push_str(&format!(
-                "\"batch_policy\": {}, \"offered_load\": {}, \"workload\": {}, \"shards\": {}, \"fault\": {}, \"scheme\": {}, \"seed\": {}, \"repeats\": {}, ",
+                "\"batch_policy\": {}, \"offered_load\": {}, \"workload\": {}, \"fault\": {}, \"scheme\": {}, \"seed\": {}, \"repeats\": {}, ",
                 json_string(&cell.key.batch.label()),
                 cell.key.offered_load,
                 cell.key.workload.map_or_else(|| "null".into(), |w| json_string(&w.label())),
-                cell.key.shards,
                 json_string(cell.key.fault.label()),
                 json_string(cell.key.scheme.name()),
                 cell.key.seed,

@@ -1,13 +1,13 @@
 //! Wall-clock self-profiling for the simulator's own hot loop.
 //!
-//! Four phases cover where a storm run spends real time: popping the
-//! scheduler, stepping replicas, expanding transmissions, and (sharded
-//! runs) waiting at the window barrier. Timers are RAII guards around
-//! those regions in `eesmr-net`; when profiling is off (the default) a
-//! guard is a `None` and costs one branch.
+//! Three phases cover where a storm run spends real time: popping the
+//! scheduler, stepping replicas, and expanding transmissions. Timers are
+//! RAII guards around those regions in `eesmr-net`; when profiling is off
+//! (the default) a guard is a `None` and costs one branch.
 //!
-//! Accumulators are process-global atomics so shard worker threads charge
-//! the same ledger without plumbing state through the runtime. Profiling
+//! Accumulators are process-global atomics, so the driver's worker
+//! threads charge the same ledger without plumbing state through the
+//! runtime. Profiling
 //! output is wall-clock and therefore **never** part of any report
 //! equality — it exists for humans and the perf-trajectory JSON.
 //!
@@ -28,24 +28,21 @@ pub enum ProfPhase {
     ReplicaStep,
     /// Expanding an effect into per-edge deliveries and energy charges.
     Transmit,
-    /// Blocked on the sharded runtime's window barrier.
-    BarrierWait,
 }
 
 /// Number of profiled phases.
-pub const N_PROF_PHASE: usize = 4;
+pub const N_PROF_PHASE: usize = 3;
 
 impl ProfPhase {
     /// All phases, in display order.
     pub const ALL: [ProfPhase; N_PROF_PHASE] =
-        [ProfPhase::SchedPop, ProfPhase::ReplicaStep, ProfPhase::Transmit, ProfPhase::BarrierWait];
+        [ProfPhase::SchedPop, ProfPhase::ReplicaStep, ProfPhase::Transmit];
 
     fn index(self) -> usize {
         match self {
             ProfPhase::SchedPop => 0,
             ProfPhase::ReplicaStep => 1,
             ProfPhase::Transmit => 2,
-            ProfPhase::BarrierWait => 3,
         }
     }
 
@@ -55,7 +52,6 @@ impl ProfPhase {
             ProfPhase::SchedPop => "sched_pop",
             ProfPhase::ReplicaStep => "replica_step",
             ProfPhase::Transmit => "transmit",
-            ProfPhase::BarrierWait => "barrier_wait",
         }
     }
 }
@@ -195,12 +191,12 @@ mod tests {
 
     #[test]
     fn folded_output_names_every_phase() {
-        let snap = ProfileSnapshot { nanos: [1_000, 2_000, 3_000, 4_000], counts: [1, 1, 1, 1] };
+        let snap = ProfileSnapshot { nanos: [1_000, 3_000, 4_000], counts: [1, 1, 1] };
         let folded = snap.folded();
         for phase in ProfPhase::ALL {
             assert!(folded.contains(&format!("eesmr;{}", phase.as_str())));
         }
-        assert!((snap.pct(ProfPhase::BarrierWait) - 40.0).abs() < 1e-9);
-        assert!(snap.summary().contains("barrier_wait 40.0%"));
+        assert!((snap.pct(ProfPhase::Transmit) - 50.0).abs() < 1e-9);
+        assert!(snap.summary().contains("transmit 50.0%"));
     }
 }

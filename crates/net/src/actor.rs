@@ -14,9 +14,8 @@ pub type NodeId = eesmr_hypergraph::NodeId;
 /// Handle to a pending timer, used for cancellation.
 ///
 /// Ids encode `(owning node, per-node counter)`, so they are unique
-/// across the whole simulation yet derived purely from node-local state —
-/// a sharded run (see `crate::shard`) hands out exactly the same ids as a
-/// single-threaded one.
+/// across the whole simulation yet derived purely from node-local state,
+/// never from how other nodes' events interleave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TimerId(pub(crate) u64);
 
@@ -52,10 +51,10 @@ pub trait Actor {
     fn on_timer(&mut self, token: Self::Timer, ctx: &mut Context<'_, Self::Msg, Self::Timer>);
 
     /// Gauge values the metrics sampler reads on each cadence boundary
-    /// (see `eesmr-metrics`). **Shard-safety rule:** values must come from
+    /// (see `eesmr-metrics`). **Node-local rule:** values must come from
     /// this replica's own state only — never from the scheduler, the
-    /// topology-wide view, or another node — so sampled series stay
-    /// bit-identical across shard and worker counts. The default reports
+    /// topology-wide view, or another node — so a sampled series is a
+    /// function of the node's own event stream. The default reports
     /// all-zero gauges for actors with nothing to expose.
     fn gauges(&self) -> ActorGauges {
         ActorGauges::default()

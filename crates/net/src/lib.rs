@@ -53,7 +53,6 @@ pub mod message;
 pub mod proc;
 pub mod runtime;
 pub mod sched;
-pub mod shard;
 pub mod time;
 
 pub use actor::{Actor, Context, NodeId, TimerId};
@@ -71,5 +70,34 @@ pub use runtime::{
     Delivery, Fate, Interceptor, LinkDrop, LinkFaults, NetConfig, NetStats, Partition, SimNet,
 };
 pub use sched::{CalendarQueue, EventQueue, SchedulerKind};
-pub use shard::ShardedNet;
 pub use time::{SimDuration, SimTime};
+
+/// The old name of [`SimNet`], kept only for `benchmark/` until it moves
+/// onto `SimNet` (ROADMAP item 1A); the shard count is ignored.
+#[doc(hidden)]
+pub struct ShardedNet<A: Actor>(SimNet<A>);
+
+impl<A: Actor> ShardedNet<A> {
+    /// [`SimNet::new`].
+    pub fn new(cfg: NetConfig, actors: Vec<A>, _shards: usize) -> Self {
+        ShardedNet(SimNet::new(cfg, actors))
+    }
+
+    /// Always 1: there is one event loop.
+    pub fn shards(&self) -> usize {
+        1
+    }
+}
+
+impl<A: Actor> std::ops::Deref for ShardedNet<A> {
+    type Target = SimNet<A>;
+    fn deref(&self) -> &SimNet<A> {
+        &self.0
+    }
+}
+
+impl<A: Actor> std::ops::DerefMut for ShardedNet<A> {
+    fn deref_mut(&mut self) -> &mut SimNet<A> {
+        &mut self.0
+    }
+}

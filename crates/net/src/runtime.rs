@@ -12,37 +12,34 @@
 //! draws keyed by `(seed, sender, per-sender draw index)`; event-queue
 //! ties break by a sequence key derived from `(origin node, per-origin
 //! push counter)`; timer ids encode `(node, per-node timer counter)`. A
-//! run is therefore a pure function of `(config, actors, seed)` — and,
-//! because no counter is shared between nodes, the very same trace falls
-//! out whether the nodes run in one event loop or sharded across worker
-//! threads (see [`crate::shard`]). The pending-event queue itself is
-//! pluggable (see [`crate::sched`]): the default calendar queue and the
-//! reference binary heap pop in the same `(time, seq)` total order, so
-//! the choice never changes a trace, only how fast it is produced.
+//! run is therefore a pure function of `(config, actors, seed)`. The
+//! pending-event queue itself is pluggable (see [`crate::sched`]): the
+//! default calendar queue and the reference binary heap pop in the same
+//! `(time, seq)` total order, so the choice never changes a trace, only
+//! how fast it is produced.
 //!
 //! The unit of work is the **transmission**, not the reception. What is a
 //! pure function of the run or of the message is computed once and read
 //! afterwards:
 //!
 //! * *Per run*: each node's out-edges as flat receiver slices (`FanOut`,
-//!   built when the shard is). Their order — edges by edge id, receivers
+//!   built with the net). Their order — edges by edge id, receivers
 //!   ascending within an edge — is part of the model: hop-delay and drop
-//!   draws are consumed per receiver in that order.
+//!   draws are consumed per receiver in that order. Flood dedup is one
+//!   table, flood key → a bit per node (`SeenFloods`), not a key set per
+//!   node.
 //! * *Per message sent*: one record (`OnAir`) holding the sender, the
 //!   payload, its `wire_size()` and `phase()` and, for a flood, its dedup
 //!   key and target — built when the `Multicast`/`Flood` effect is
 //!   applied. The loopback, every receiver of every k-cast and every relay
-//!   of a flood share that one record. A queued delivery is plain data: a
-//!   `u32` slot in the shard's on-air table (`OnAirTable`), which counts
-//!   the deliveries still queued for the record — no reference count is
-//!   touched per receiver. The payload is cloned only to hand a delivery
-//!   to an actor (the last queued one takes it), never for a relay or a
-//!   duplicate reception.
-//! * *Per shard*: flood dedup is one table, flood key → a bit per owned
-//!   node (`SeenFloods`), not a key set per node. A flood's row is looked
-//!   up once, when its record enters the shard (at origination, or when a
-//!   delivery from another shard is ingested), and kept in its slot: a
-//!   reception tests one bit and probes no hash table.
+//!   of a flood share that one record. It lives in a slot of the on-air
+//!   table (`OnAirTable`), which owns it and counts the deliveries still
+//!   queued for it; a queued delivery is plain data, the `u32` slot — no
+//!   reference count is touched per receiver. The slot also keeps the
+//!   flood's dedup row, looked up once when the record is put on the air,
+//!   so a reception tests one bit and probes no hash table. The payload is
+//!   cloned only to hand a delivery to an actor (the last queued one moves
+//!   it out), never for a relay or a duplicate reception.
 //!
 //! None of this skips or reorders an energy charge, a trace event, an
 //! interceptor call or a draw: `tests/golden_runs.rs` pins whole reports
@@ -87,13 +84,11 @@
 //! assert!(net.stats().kcasts >= 1);
 //! ```
 
-use std::sync::Arc;
-
 use eesmr_crypto::{KeyMap, KeySet};
 use eesmr_energy::{EnergyCategory, EnergyClass, EnergyMeter, EnergyPhase};
 use eesmr_hypergraph::Hypergraph;
-use eesmr_metrics::{MetricsConfig, MetricsRecorder, MetricsSet, NodeSeries, ProfPhase, ProfTimer};
-use eesmr_trace::{EventKind as TraceEventKind, NodeTrace, TraceLevel, TraceSet, Tracer};
+use eesmr_metrics::{MetricsConfig, MetricsRecorder, MetricsSet, ProfPhase, ProfTimer};
+use eesmr_trace::{EventKind as TraceEventKind, TraceLevel, TraceSet, Tracer};
 
 use crate::actor::{Actor, Context, Effect, NodeId, TimerId};
 use crate::channel::ChannelCost;
@@ -136,8 +131,8 @@ pub struct NetConfig {
 /// A scheduled set of link-level faults the runtime enforces at transmit
 /// time. Both fault families are **pure functions of the sender's local
 /// view** — partitions of `(virtual time, from, to)`, drop rules of that
-/// plus a per-sender keyed draw counter — so sharded runs stay
-/// bit-identical to single-threaded ones (see `crate::shard`).
+/// plus a per-sender keyed draw counter — so they never depend on how
+/// other nodes' events interleave.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LinkFaults {
     /// Healing partitions: while active, every link with exactly one
@@ -281,9 +276,8 @@ pub struct NetStats {
 }
 
 impl NetStats {
-    /// Adds another stats block into this one (field-wise). Counter sums
-    /// are order-independent, so merging per-shard stats yields exactly
-    /// the single-threaded totals.
+    /// Adds another stats block into this one (field-wise), e.g. one per
+    /// process of a multi-process run.
     pub fn absorb(&mut self, other: &NetStats) {
         self.kcasts += other.kcasts;
         self.deliveries += other.deliveries;
@@ -320,16 +314,15 @@ pub enum Fate {
     DelayBy(SimDuration),
 }
 
-/// Adversarial scheduling hook. `Send` so sharded runtimes can install a
-/// per-shard instance (see [`crate::shard`] for the shard-safety
-/// contract interceptors must additionally satisfy there).
-pub type Interceptor = Box<dyn FnMut(&Delivery) -> Fate + Send>;
+/// Adversarial scheduling hook, called once per delivery in transmit
+/// order.
+pub type Interceptor = Box<dyn FnMut(&Delivery) -> Fate>;
 
 /// What a queued event does when it pops. A delivery names its message's
-/// slot in the shard's [`OnAirTable`]; the timer token stays inline, as
-/// the entry is sized by it anyway.
+/// slot in the [`OnAirTable`]; the timer token stays inline, as the entry
+/// is sized by it anyway.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum EventKind<T> {
+enum EventKind<T> {
     Start,
     Deliver { slot: u32, loopback: bool },
     Timer { id: TimerId, token: T },
@@ -349,10 +342,9 @@ const _: fn() = || {
 /// is computed here and read from the record afterwards; the payload
 /// itself is cloned only to hand a delivery to an actor (and moved out by
 /// the last one), never for a reception that is dropped as a duplicate.
-/// Within a shard the record sits in one [`OnAirTable`] slot; only a
-/// delivery to another shard's node holds a second handle to it.
+/// The record sits in one [`OnAirTable`] slot, which owns it.
 #[derive(Debug)]
-pub(crate) struct OnAir<M> {
+struct OnAir<M> {
     /// The node whose actor sent the message — what a delivery reports as
     /// its sender. For a flood this is the origin, never the last relayer
     /// (replies go back to the source), which is why relays need no record
@@ -367,14 +359,14 @@ pub(crate) struct OnAir<M> {
 }
 
 impl<M: Message> OnAir<M> {
-    fn new(from: NodeId, msg: M, flood: Option<FloodMeta>) -> Arc<Self> {
+    fn new(from: NodeId, msg: M, flood: Option<FloodMeta>) -> Self {
         let (size, phase) = (msg.wire_size(), msg.phase());
-        Arc::new(OnAir { from, msg, size, phase, flood })
+        OnAir { from, msg, size, phase, flood }
     }
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct FloodMeta {
+struct FloodMeta {
     key: u64,
     target: Option<NodeId>,
 }
@@ -382,12 +374,10 @@ pub(crate) struct FloodMeta {
 /// The row a k-cast's slot carries: it has no `SeenFloods` row.
 const NO_ROW: u32 = u32::MAX;
 
-/// One shard's messages on the air, by slot. A queued delivery names a
-/// slot instead of holding a handle, and the slot counts the deliveries
-/// still queued for its record: the delivery that takes the count to zero
-/// releases the slot (for reuse) and moves the payload out of the record
-/// if no other shard shares it. On one shard that is always the case, so
-/// a message costs one atomic operation in all, not two per receiver.
+/// The messages on the air, by slot. A queued delivery names a slot
+/// instead of holding a handle, and the slot counts the deliveries still
+/// queued for its record: the delivery that takes the count to zero
+/// releases the slot (for reuse) and moves the payload out of the record.
 #[derive(Debug)]
 struct OnAirTable<M> {
     slots: Vec<Slot<M>>,
@@ -398,8 +388,8 @@ struct OnAirTable<M> {
 #[derive(Debug)]
 struct Slot<M> {
     /// `None` once released.
-    record: Option<Arc<OnAir<M>>>,
-    /// Deliveries in this shard's queue that name the slot.
+    record: Option<OnAir<M>>,
+    /// Queued deliveries that name the slot.
     queued: u32,
     /// The flood's `SeenFloods` row, or [`NO_ROW`].
     row: u32,
@@ -412,7 +402,7 @@ impl<M: Message> OnAirTable<M> {
 
     /// Gives `record` a slot holding one queued delivery — the one its
     /// caller queues next.
-    fn insert(&mut self, record: Arc<OnAir<M>>, row: u32) -> u32 {
+    fn insert(&mut self, record: OnAir<M>, row: u32) -> u32 {
         let slot = Slot { record: Some(record), queued: 1, row };
         match self.free.pop() {
             Some(at) => {
@@ -427,7 +417,7 @@ impl<M: Message> OnAirTable<M> {
     }
 
     /// The record in a live slot.
-    fn record(&self, slot: u32) -> &Arc<OnAir<M>> {
+    fn record(&self, slot: u32) -> &OnAir<M> {
         self.slots[slot as usize].record.as_ref().expect("a queued delivery names a live slot")
     }
 
@@ -443,7 +433,7 @@ impl<M: Message> OnAirTable<M> {
 
     /// Drops one queued delivery's hold. The last one releases the slot
     /// and returns its record.
-    fn release(&mut self, slot: u32) -> Option<Arc<OnAir<M>>> {
+    fn release(&mut self, slot: u32) -> Option<OnAir<M>> {
         let entry = &mut self.slots[slot as usize];
         entry.queued -= 1;
         if entry.queued > 0 {
@@ -457,9 +447,7 @@ impl<M: Message> OnAirTable<M> {
     /// by the last delivery in flight, cloned otherwise.
     fn take_msg(&mut self, slot: u32) -> M {
         match self.release(slot) {
-            Some(record) => {
-                Arc::try_unwrap(record).map_or_else(|shared| shared.msg.clone(), |air| air.msg)
-            }
+            Some(record) => record.msg,
             None => self.record(slot).msg.clone(),
         }
     }
@@ -467,13 +455,7 @@ impl<M: Message> OnAirTable<M> {
 
 /// The pending-event payload: which node the event targets and what it
 /// carries.
-pub(crate) type NodeEvent<T> = (NodeId, EventKind<T>);
-
-/// A delivery to another shard's node, as exchanged between shards:
-/// `(time µs, seq key, receiver, record)`. Slots are per shard, so it
-/// carries a handle to the record, and [`ShardState::ingest`] gives the
-/// record a slot of its own.
-pub(crate) type ForeignDelivery<M> = (u64, u64, NodeId, Arc<OnAir<M>>);
+type NodeEvent<T> = (NodeId, EventKind<T>);
 
 /// Bits reserved for the origin node id in the low end of an event's
 /// sequence key (the per-origin push counter occupies the high bits, so
@@ -484,7 +466,7 @@ pub(crate) const SEQ_NODE_BITS: u32 = 20;
 /// A deterministic 64-bit draw keyed by `(seed, node, counter)` — a
 /// SplitMix64-style finalizer over a per-node stream position. Because
 /// the value depends only on the key (never on how many draws other
-/// nodes made), delay sampling is invariant under sharding.
+/// nodes made), one node's traffic cannot shift another node's delays.
 pub(crate) fn keyed_draw(seed: u64, node: NodeId, counter: u64) -> u64 {
     let mut z = seed
         .wrapping_add((node as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
@@ -494,16 +476,16 @@ pub(crate) fn keyed_draw(seed: u64, node: NodeId, counter: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Flood dedup for one shard: which of its nodes have seen which flood,
-/// as one row of bits per flood key — a bit per owned node — instead of a
-/// set of keys per node. A flood reaches every node, so a per-node set
-/// stores each key `n` times over and a probe lands in whichever node's
-/// table the event happens to target; a row costs `n / 8` bytes and the
-/// whole table stays cache-resident. Membership is exactly
-/// `(key, node)` seen-or-not, and — like the sets it replaces — the table
-/// only grows: a flood key stays seen for the rest of the run. A key is
-/// looked up ([`Self::row`]) once per record that enters the shard; each
-/// reception then tests its row ([`Self::insert`]) without hashing.
+/// Flood dedup: which nodes have seen which flood, as one row of bits per
+/// flood key — a bit per node — instead of a set of keys per node. A
+/// flood reaches every node, so a per-node set stores each key `n` times
+/// over and a probe lands in whichever node's table the event happens to
+/// target; a row costs `n / 8` bytes and the whole table stays
+/// cache-resident. Membership is exactly `(key, node)` seen-or-not, and —
+/// like the sets it replaces — the table only grows: a flood key stays
+/// seen for the rest of the run. A key is looked up ([`Self::row`]) once
+/// per record put on the air; each reception then tests its row
+/// ([`Self::insert`]) without hashing.
 #[derive(Debug)]
 struct SeenFloods {
     /// `u64` words per row.
@@ -516,9 +498,9 @@ struct SeenFloods {
 }
 
 impl SeenFloods {
-    /// An empty table over `owned` nodes.
-    fn new(owned: usize) -> Self {
-        SeenFloods { words: owned.div_ceil(64), rows: KeyMap::default(), bits: Vec::new() }
+    /// An empty table over `nodes` nodes.
+    fn new(nodes: usize) -> Self {
+        SeenFloods { words: nodes.div_ceil(64), rows: KeyMap::default(), bits: Vec::new() }
     }
 
     /// The row of flood `key`, added — seen by no node — if the key is new.
@@ -530,20 +512,20 @@ impl SeenFloods {
         })
     }
 
-    /// Marks the flood of row `row` as seen by local node `local`. Returns
+    /// Marks the flood of row `row` as seen by node `node`. Returns
     /// whether it was new to that node (the contract of `HashSet::insert`).
-    fn insert(&mut self, row: u32, local: usize) -> bool {
-        let word = &mut self.bits[row as usize * self.words + local / 64];
-        let bit = 1u64 << (local % 64);
+    fn insert(&mut self, row: u32, node: usize) -> bool {
+        let word = &mut self.bits[row as usize * self.words + node / 64];
+        let bit = 1u64 << (node % 64);
         let fresh = *word & bit == 0;
         *word |= bit;
         fresh
     }
 }
 
-/// Every owned node's out-edges as flat receiver slices, built once per
-/// run from the topology — a transmit walks its own node's slices and
-/// nothing else.
+/// Every node's out-edges as flat receiver slices, built once per run
+/// from the topology — a transmit walks its own node's slices and nothing
+/// else.
 ///
 /// **Order is part of the model**: edges in edge-id order, receivers
 /// ascending within an edge (as [`Hypergraph::out_edges`] and the edge's
@@ -551,30 +533,19 @@ impl SeenFloods {
 /// receiver in this order, so any reordering changes every trace.
 #[derive(Debug)]
 struct FanOut {
-    /// Local node `l` sends on edges `first_edge[l]..first_edge[l + 1]`.
+    /// Node `v` sends on edges `first_edge[v]..first_edge[v + 1]`.
     first_edge: Vec<u32>,
     /// Edge `e` reaches `receivers[edge_start[e]..edge_start[e + 1]]`.
     edge_start: Vec<u32>,
-    receivers: Vec<Receiver>,
-}
-
-/// One receiver of an out-edge, with the shard that owns it.
-#[derive(Debug, Clone, Copy)]
-struct Receiver {
-    node: NodeId,
-    shard: u32,
+    receivers: Vec<NodeId>,
 }
 
 impl FanOut {
-    /// The fan-out of `nodes` (a shard's owned nodes, in local order) in a
-    /// run split across `shards` shards.
-    fn new(topology: &Hypergraph, nodes: impl Iterator<Item = NodeId>, shards: u32) -> Self {
+    fn new(topology: &Hypergraph) -> Self {
         let mut fan = FanOut { first_edge: vec![0], edge_start: vec![0], receivers: Vec::new() };
-        for node in nodes {
+        for node in 0..topology.n() as NodeId {
             for (_, edge) in topology.out_edges(node) {
-                let receivers = edge.receivers().iter();
-                fan.receivers
-                    .extend(receivers.map(|&to| Receiver { node: to, shard: to % shards }));
+                fan.receivers.extend(edge.receivers());
                 fan.edge_start.push(fan.receivers.len() as u32);
             }
             fan.first_edge.push(fan.edge_start.len() as u32 - 1);
@@ -582,10 +553,9 @@ impl FanOut {
         fan
     }
 
-    /// The edges local node `local` sends on, as indices for
-    /// [`Self::receivers_of`].
-    fn edges_of(&self, local: usize) -> std::ops::Range<usize> {
-        self.first_edge[local] as usize..self.first_edge[local + 1] as usize
+    /// The edges `node` sends on, as indices for [`Self::receivers_of`].
+    fn edges_of(&self, node: NodeId) -> std::ops::Range<usize> {
+        self.first_edge[node as usize] as usize..self.first_edge[node as usize + 1] as usize
     }
 
     /// The positions in `self.receivers` of edge `edge`'s receivers.
@@ -594,221 +564,238 @@ impl FanOut {
     }
 }
 
-/// A node this shard owns: its global id and its slot in the shard's
-/// per-node vectors. Resolved once per event — the shard count is a
-/// runtime value, so every `id / shards` is a real division.
-#[derive(Debug, Clone, Copy)]
-struct Owned {
-    id: NodeId,
-    local: usize,
-}
-
-/// One shard of a simulation: the actors it owns (a round-robin residue
-/// class of the node ids), their meters and flood-dedup table, the
-/// messages on the air, the local pending-event queue, and an outbox of
-/// cross-shard deliveries. A single-threaded [`SimNet`] is exactly one
-/// `ShardState` owning every node; the parallel runtime (`crate::shard`)
-/// drives several in lockstep windows.
-pub(crate) struct ShardState<A: Actor> {
-    pub(crate) cfg: Arc<NetConfig>,
-    /// Total shard count (1 for `SimNet`).
-    shards: u32,
-    /// This shard's index; it owns every node with `id % shards == index`.
-    index: u32,
-    /// Owned actors; local slot `i` holds global node `index + i·shards`.
-    pub(crate) actors: Vec<A>,
+/// The simulation: one event loop over every node — the actors, their
+/// meters, tracers, samplers and per-node counters (all indexed by node
+/// id), the flood-dedup table, the messages on the air and the
+/// pending-event queue.
+pub struct SimNet<A: Actor> {
+    cfg: NetConfig,
+    actors: Vec<A>,
     meters: Vec<EnergyMeter>,
-    /// Per-owned-node trace ring buffers (see [`crate::Context::trace`];
-    /// the runtime also records wire-layer events here). Node-local like
-    /// the meters, so recorded streams are shard-invariant.
+    /// Per-node trace ring buffers (see [`crate::Context::trace`]; the
+    /// runtime also records wire-layer events here), stamped from
+    /// node-local state like the meters.
     tracers: Vec<Tracer>,
-    /// Per-owned-node metrics samplers (see `eesmr-metrics`): lazy
-    /// boundary-crossing on the node's own event stream, so sampled
-    /// series are shard-invariant like the tracers.
+    /// Per-node metrics samplers (see `eesmr-metrics`): lazy
+    /// boundary-crossing on the node's own event stream.
     recorders: Vec<MetricsRecorder>,
     seen_floods: SeenFloods,
     on_air: OnAirTable<A::Msg>,
-    /// Per-owned-node end of the current receive scan window, µs. The
-    /// first reception in a window pays the full scan
-    /// ([`ChannelCost::recv_mj`]); further receptions before it closes
-    /// share the radio-on time and pay only marginal decode
-    /// ([`ChannelCost::shared_recv_mj`]). Node-local, so scan pricing is
-    /// shard-invariant.
+    /// Per-node end of the current receive scan window, µs. The first
+    /// reception in a window pays the full scan ([`ChannelCost::recv_mj`]);
+    /// further receptions before it closes share the radio-on time and pay
+    /// only marginal decode ([`ChannelCost::shared_recv_mj`]).
     scan_until: Vec<u64>,
-    /// Per-owned-node event push counters (high bits of the seq key).
+    /// Per-node event push counters (high bits of the seq key).
     push_ctr: Vec<u64>,
-    /// Per-owned-node hop-delay draw counters.
+    /// Per-node hop-delay draw counters.
     draw_ctr: Vec<u64>,
-    /// Per-owned-node selective-drop draw counters (separate from
-    /// `draw_ctr` so enabling a drop rule never perturbs the hop-delay
-    /// stream of unrelated deliveries).
+    /// Per-node selective-drop draw counters (separate from `draw_ctr` so
+    /// enabling a drop rule never perturbs the hop-delay stream of
+    /// unrelated deliveries).
     drop_ctr: Vec<u64>,
-    /// Per-owned-node timer-id counters.
+    /// Per-node timer-id counters.
     timer_ctr: Vec<u64>,
     cancelled_timers: KeySet<u64>,
     fan_out: FanOut,
     queue: EventQueue<NodeEvent<A::Timer>>,
-    /// Cross-shard deliveries generated this window, keyed by target
-    /// shard (`outbox[self.index]` stays empty).
-    outbox: Vec<Vec<ForeignDelivery<A::Msg>>>,
-    /// Recycled outbox buffers: vectors drained by [`Self::ingest`] come
-    /// back here and [`Self::take_outbox`] hands them out again, so the
-    /// per-window exchange allocates nothing at steady state.
-    event_buffers: FreeList<ForeignDelivery<A::Msg>>,
     /// Recycled effect-scratch buffers for [`Self::invoke`]: one actor
     /// invocation per queue pop means alloc-per-event without this.
     effect_buffers: FreeList<Effect<A::Msg, A::Timer>>,
-    pub(crate) now: SimTime,
-    pub(crate) stats: NetStats,
-    pub(crate) interceptor: Option<Interceptor>,
+    now: SimTime,
+    stats: NetStats,
+    interceptor: Option<Interceptor>,
 }
 
-impl<A: Actor> ShardState<A> {
-    /// Builds shard `index` of `shards` over the shared config, owning
-    /// `actors` (local order: ascending global id within the residue
-    /// class). Seeds each owned node's Start event at t = 0.
-    pub(crate) fn new(cfg: Arc<NetConfig>, index: u32, shards: u32, actors: Vec<A>) -> Self {
-        assert!(shards >= 1 && index < shards);
-        assert!(
-            cfg.topology.n() < (1 << SEQ_NODE_BITS),
-            "the seq key encoding caps systems at 2^20 nodes"
-        );
-        let local_n = actors.len();
-        let queue = EventQueue::new(cfg.scheduler);
-        let tracers = (0..local_n)
-            .map(|local| Tracer::new(cfg.trace, index + (local as u32) * shards))
-            .collect();
-        let recorders = (0..local_n).map(|_| MetricsRecorder::new(&cfg.metrics)).collect();
-        let owned = (0..local_n as u32).map(|local| index + local * shards);
-        let fan_out = FanOut::new(&cfg.topology, owned, shards);
-        let mut shard = ShardState {
+impl<A: Actor> SimNet<A> {
+    /// Builds a simulation over `cfg.topology` with one actor per node and
+    /// seeds each node's Start event at t = 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `actors.len() != cfg.topology.n()`.
+    pub fn new(cfg: NetConfig, actors: Vec<A>) -> Self {
+        let n = cfg.topology.n();
+        assert_eq!(actors.len(), n, "one actor per topology node");
+        assert!(n < (1 << SEQ_NODE_BITS), "the seq key encoding caps systems at 2^20 nodes");
+        let mut net = SimNet {
+            tracers: (0..n as NodeId).map(|id| Tracer::new(cfg.trace, id)).collect(),
+            recorders: (0..n).map(|_| MetricsRecorder::new(&cfg.metrics)).collect(),
+            fan_out: FanOut::new(&cfg.topology),
+            queue: EventQueue::new(cfg.scheduler),
             cfg,
-            shards,
-            index,
             actors,
-            meters: vec![EnergyMeter::new(); local_n],
-            tracers,
-            recorders,
-            seen_floods: SeenFloods::new(local_n),
+            meters: vec![EnergyMeter::new(); n],
+            seen_floods: SeenFloods::new(n),
             on_air: OnAirTable::new(),
-            scan_until: vec![0; local_n],
-            push_ctr: vec![0; local_n],
-            draw_ctr: vec![0; local_n],
-            drop_ctr: vec![0; local_n],
-            timer_ctr: vec![0; local_n],
+            scan_until: vec![0; n],
+            push_ctr: vec![0; n],
+            draw_ctr: vec![0; n],
+            drop_ctr: vec![0; n],
+            timer_ctr: vec![0; n],
             cancelled_timers: KeySet::default(),
-            fan_out,
-            queue,
-            outbox: (0..shards).map(|_| Vec::new()).collect(),
-            event_buffers: FreeList::new(2 * shards as usize),
             effect_buffers: FreeList::new(2),
             now: SimTime::ZERO,
             stats: NetStats::default(),
             interceptor: None,
         };
-        for local in 0..local_n {
-            let node = Owned { id: shard.global(local), local };
-            shard.push_own(node, SimTime::ZERO, EventKind::Start);
+        for id in 0..n as NodeId {
+            net.push_own(id, SimTime::ZERO, EventKind::Start);
         }
-        shard
+        net
     }
 
-    /// The local slot of an owned global node id.
-    pub(crate) fn local(&self, node: NodeId) -> usize {
-        debug_assert!(node % self.shards == self.index, "a shard only handles its own nodes");
-        (node / self.shards) as usize
+    /// Installs an adversarial scheduling hook (replaces any previous one).
+    pub fn set_interceptor(&mut self, interceptor: Interceptor) {
+        self.interceptor = Some(interceptor);
     }
 
-    /// The global node id of a local slot.
-    pub(crate) fn global(&self, local: usize) -> NodeId {
-        self.index + (local as u32) * self.shards
+    /// Current virtual time.
+    pub fn now(&self) -> SimTime {
+        self.now
     }
 
-    /// An owned node's meter.
-    pub(crate) fn meter(&self, node: NodeId) -> &EnergyMeter {
-        &self.meters[self.local(node)]
+    /// The network configuration.
+    pub fn config(&self) -> &NetConfig {
+        &self.cfg
     }
 
-    /// Drains an owned node's trace ring buffer.
-    pub(crate) fn take_trace(&mut self, node: NodeId) -> NodeTrace {
-        let local = self.local(node);
-        self.tracers[local].drain()
+    /// Immutable view of an actor.
+    pub fn actor(&self, id: NodeId) -> &A {
+        &self.actors[id as usize]
     }
 
-    /// Takes an owned node's sampled metrics series, leaving a disabled
-    /// recorder behind.
-    pub(crate) fn take_metrics_node(&mut self, node: NodeId) -> NodeSeries {
-        let local = self.local(node);
-        let off = MetricsRecorder::new(&MetricsConfig::off());
-        std::mem::replace(&mut self.recorders[local], off).finish()
+    /// All actors.
+    pub fn actors(&self) -> &[A] {
+        &self.actors
     }
 
-    /// The earliest pending local event time, µs.
-    pub(crate) fn next_time(&self) -> Option<u64> {
-        self.queue.peek_time()
+    /// A node's energy meter.
+    pub fn meter(&self, id: NodeId) -> &EnergyMeter {
+        &self.meters[id as usize]
     }
 
-    /// Accepts cross-shard deliveries (already keyed by their origin),
-    /// each with a slot of its own. The drained buffer is recycled into
-    /// the local pool.
-    pub(crate) fn ingest(&mut self, mut deliveries: Vec<ForeignDelivery<A::Msg>>) {
-        for (time, seq, to, record) in deliveries.drain(..) {
-            let slot = self.admit(record);
-            self.queue.push(time, seq, (to, EventKind::Deliver { slot, loopback: false }));
+    /// All meters.
+    pub fn meters(&self) -> &[EnergyMeter] {
+        &self.meters
+    }
+
+    /// Aggregate energy over a subset of nodes (e.g. the correct ones).
+    pub fn energy_of(&self, nodes: impl IntoIterator<Item = NodeId>) -> EnergyMeter {
+        let mut total = EnergyMeter::new();
+        for id in nodes {
+            total.absorb(&self.meters[id as usize]);
         }
-        self.event_buffers.put(deliveries);
+        total
     }
 
-    /// Drains the outbox destined for shard `dst`, replacing it with a
-    /// recycled buffer.
-    pub(crate) fn take_outbox(&mut self, dst: usize) -> Vec<ForeignDelivery<A::Msg>> {
-        let replacement = self.event_buffers.get();
-        std::mem::replace(&mut self.outbox[dst], replacement)
+    /// Network statistics so far.
+    pub fn stats(&self) -> &NetStats {
+        &self.stats
     }
 
-    /// Processes every local event with `time < horizon_us` (exclusive —
-    /// events at exactly the horizon belong to the next window).
-    pub(crate) fn run_window(&mut self, horizon_us: u64) {
-        while self.step_if(|time| time < horizon_us).is_some() {}
+    /// Drains every node's trace ring buffer into a [`TraceSet`]
+    /// (node-id order). Empty when the config's
+    /// [`trace`](NetConfig::trace) level is [`TraceLevel::Off`].
+    pub fn take_traces(&mut self) -> TraceSet {
+        TraceSet { nodes: self.tracers.iter_mut().map(Tracer::drain).collect() }
+    }
+
+    /// Takes every node's sampled metrics series as a [`MetricsSet`]
+    /// (node-id order), leaving disabled samplers behind. Empty series
+    /// when the config's [`metrics`](NetConfig::metrics) sampling is
+    /// disabled.
+    pub fn take_metrics(&mut self) -> MetricsSet {
+        let off = MetricsConfig::off();
+        let taken =
+            self.recorders.iter_mut().map(|r| std::mem::replace(r, MetricsRecorder::new(&off)));
+        MetricsSet {
+            dt_us: self.cfg.metrics.dt_us,
+            nodes: taken.map(MetricsRecorder::finish).collect(),
+        }
     }
 
     /// Processes the next event, if any, returning its timestamp.
-    pub(crate) fn step(&mut self) -> Option<SimTime> {
+    pub fn step(&mut self) -> Option<SimTime> {
         self.step_if(|_| true)
+    }
+
+    /// Runs until the queue is exhausted or virtual time would pass `t`.
+    pub fn run_until(&mut self, t: SimTime) {
+        while self.step_if(|head| head <= t.as_micros()).is_some() {}
+        self.now = self.now.max(t);
+    }
+
+    /// Runs for a span of virtual time.
+    pub fn run_for(&mut self, d: SimDuration) {
+        let target = self.now + d;
+        self.run_until(target);
+    }
+
+    /// Runs until `pred(node, actor)` holds for **every** node at a
+    /// barrier, or `deadline` passes; returns whether the predicate was
+    /// met.
+    ///
+    /// The predicate is checked at barriers, not after every event: the
+    /// run advances in windows `hop_delay_min` wide (the lookahead),
+    /// aligned to multiples of it, skips idle windows whole, and checks
+    /// before each one. A run that meets the predicate stops with
+    /// [`now`](Self::now) on the barrier where it was seen — after every
+    /// event before it, and before any at or after it — not at the event
+    /// that made it true; an unmet one ends at `deadline`, after every
+    /// event at or before it. Reports take their elapsed time from
+    /// `now`, so this cadence is part of every pinned run.
+    pub fn run_until_all(&mut self, deadline: SimTime, pred: impl Fn(NodeId, &A) -> bool) -> bool {
+        let limit = deadline.as_micros();
+        let lookahead = self.cfg.hop_delay_min.as_micros().max(1);
+        let mut wall = self.now.as_micros();
+        let met = loop {
+            if self.actors.iter().enumerate().all(|(id, actor)| pred(id as NodeId, actor)) {
+                break true;
+            }
+            match self.queue.peek_time() {
+                Some(next) if next <= limit => {
+                    let start = wall.max(next / lookahead * lookahead);
+                    wall = (start + lookahead).min(limit.saturating_add(1));
+                    while self.step_if(|time| time < wall).is_some() {}
+                }
+                _ => break false,
+            }
+        };
+        let end = if met { wall.min(limit) } else { limit };
+        self.now = self.now.max(SimTime::from_micros(end));
+        met
     }
 
     /// Processes the next event if `due` accepts its time (µs), returning
     /// its timestamp; `None` when the queue is empty or its head not due.
-    pub(crate) fn step_if(&mut self, due: impl FnOnce(u64) -> bool) -> Option<SimTime> {
+    fn step_if(&mut self, due: impl FnOnce(u64) -> bool) -> Option<SimTime> {
         let popped = {
             let _t = ProfTimer::start(ProfPhase::SchedPop);
             self.queue.pop_if(due)
         };
         let (time, _seq, (id, kind)) = popped?;
-        let node = Owned { id, local: self.local(id) };
-        let local = node.local;
+        let node = id as usize;
         self.now = SimTime::from_micros(time);
         // Lazy boundary-crossing sampling: before dispatching an event
         // that reached the node's next cadence boundary, record one
         // sample per elapsed boundary from node-local state only.
-        // Same per-node event stream on every shard layout ⇒ same
-        // boundary crossings ⇒ bit-identical series.
-        if self.recorders[local].due(time) {
-            let gauges = self.actors[local].gauges();
-            let total = self.meters[local].total_mj();
-            self.recorders[local].sample_up_to(time, &gauges, total);
+        if self.recorders[node].due(time) {
+            let gauges = self.actors[node].gauges();
+            let total = self.meters[node].total_mj();
+            self.recorders[node].sample_up_to(time, &gauges, total);
         }
-        self.recorders[local].note_event();
+        self.recorders[node].note_event();
         match kind {
             EventKind::Start => {
-                self.invoke(node, EnergyPhase::Other, |actor, ctx| actor.on_start(ctx))
+                self.invoke(id, EnergyPhase::Other, |actor, ctx| actor.on_start(ctx))
             }
-            EventKind::Timer { id, token } => {
-                if self.cancelled_timers.remove(&id.0) {
+            EventKind::Timer { id: timer, token } => {
+                if self.cancelled_timers.remove(&timer.0) {
                     return Some(self.now);
                 }
-                self.tracers[local].record(time, TraceEventKind::TimerFire { id: id.0 });
-                self.invoke(node, EnergyPhase::Timer, |actor, ctx| actor.on_timer(token, ctx));
+                self.tracers[node].record(time, TraceEventKind::TimerFire { id: timer.0 });
+                self.invoke(id, EnergyPhase::Timer, |actor, ctx| actor.on_timer(token, ctx));
             }
             EventKind::Deliver { slot, loopback } => {
                 let air = self.on_air.record(slot);
@@ -820,18 +807,18 @@ impl<A: Actor> ShardState<A> {
                 // each node one full reception per distinct message, not
                 // per in-edge.
                 let fresh = match flood {
-                    Some(_) => self.seen_floods.insert(self.on_air.row(slot), local),
+                    Some(_) => self.seen_floods.insert(self.on_air.row(slot), node),
                     None => true,
                 };
                 if !loopback {
                     let scanning = self.cfg.channel.scanning_receiver();
                     let (mj, class) = if !fresh {
                         (self.cfg.channel.dup_recv_mj(size), EnergyClass::DupAbandoned)
-                    } else if time >= self.scan_until[local] {
+                    } else if time >= self.scan_until[node] {
                         // First reception in a fresh scan window: price the
                         // whole radio-on window. Anything else landing
                         // within one hop-delay quantum shares that scan.
-                        self.scan_until[local] = time + self.cfg.hop_delay_max.as_micros();
+                        self.scan_until[node] = time + self.cfg.hop_delay_max.as_micros();
                         let class =
                             if scanning { EnergyClass::RecvScan } else { EnergyClass::RecvDecode };
                         (self.cfg.channel.recv_mj(size), class)
@@ -843,7 +830,7 @@ impl<A: Actor> ShardState<A> {
                         };
                         (self.cfg.channel.shared_recv_mj(size), class)
                     };
-                    self.meters[local].charge_as(EnergyCategory::Recv, class, phase, mj);
+                    self.meters[node].charge_as(EnergyCategory::Recv, class, phase, mj);
                 } else {
                     self.stats.loopbacks += 1;
                 }
@@ -855,18 +842,18 @@ impl<A: Actor> ShardState<A> {
                     // Relay once on all out-edges (network-layer gossip).
                     // The next hops hold the slot before this delivery
                     // lets go of it.
-                    self.transmit(node, slot, true);
-                    if meta.target.is_some_and(|t| t != node.id) {
+                    self.transmit(id, slot, true);
+                    if meta.target.is_some_and(|t| t != id) {
                         self.on_air.release(slot);
                         return Some(self.now); // relayed on, addressed elsewhere
                     }
                 }
                 self.stats.deliveries += 1;
                 let flood = flood.is_some();
-                self.tracers[local]
+                self.tracers[node]
                     .record(time, TraceEventKind::MsgDeliver { from, bytes: size as u64, flood });
                 let msg = self.on_air.take_msg(slot);
-                self.invoke(node, phase, |actor, ctx| actor.on_message(from, msg, ctx));
+                self.invoke(id, phase, |actor, ctx| actor.on_message(from, msg, ctx));
             }
         }
         Some(self.now)
@@ -874,37 +861,36 @@ impl<A: Actor> ShardState<A> {
 
     /// The next sequence key of events `origin` generates: its private
     /// push counter above its id.
-    fn next_seq(&mut self, origin: Owned) -> u64 {
-        let counter = &mut self.push_ctr[origin.local];
+    fn next_seq(&mut self, origin: NodeId) -> u64 {
+        let counter = &mut self.push_ctr[origin as usize];
         debug_assert!(*counter < 1 << (64 - SEQ_NODE_BITS), "per-node push counter overflow");
-        let seq = (*counter << SEQ_NODE_BITS) | origin.id as u64;
+        let seq = (*counter << SEQ_NODE_BITS) | origin as u64;
         *counter += 1;
         seq
     }
 
     /// Queues an event `node` generates for itself (start, loopback,
     /// timer) under its next sequence key.
-    fn push_own(&mut self, node: Owned, time: SimTime, kind: EventKind<A::Timer>) {
+    fn push_own(&mut self, node: NodeId, time: SimTime, kind: EventKind<A::Timer>) {
         let seq = self.next_seq(node);
-        self.queue.push(time.as_micros(), seq, (node.id, kind));
+        self.queue.push(time.as_micros(), seq, (node, kind));
     }
 
     /// The next hop delay for a transmission by `from`: a counter-keyed
     /// draw in `[hop_delay_min, hop_delay_max]`, advancing only the
     /// sender's private draw counter.
-    fn hop_delay(&mut self, from: Owned) -> SimDuration {
+    fn hop_delay(&mut self, from: NodeId) -> SimDuration {
         let lo = self.cfg.hop_delay_min.as_micros();
         let hi = self.cfg.hop_delay_max.as_micros().max(lo);
-        let counter = &mut self.draw_ctr[from.local];
-        let draw = keyed_draw(self.cfg.seed, from.id, *counter);
+        let counter = &mut self.draw_ctr[from as usize];
+        let draw = keyed_draw(self.cfg.seed, from, *counter);
         *counter += 1;
         SimDuration::from_micros(lo + draw % (hi - lo + 1))
     }
 
     /// Gives `record` a slot holding one queued delivery, resolving its
-    /// flood's `SeenFloods` row here, once per record that enters the
-    /// shard.
-    fn admit(&mut self, record: Arc<OnAir<A::Msg>>) -> u32 {
+    /// flood's `SeenFloods` row here, once per message put on the air.
+    fn admit(&mut self, record: OnAir<A::Msg>) -> u32 {
         let row = record.flood.map_or(NO_ROW, |meta| self.seen_floods.row(meta.key));
         self.on_air.insert(record, row)
     }
@@ -912,24 +898,24 @@ impl<A: Actor> ShardState<A> {
     /// Puts the record in `slot` on the air from `node` (its sender, or a
     /// relayer of the flood) on all the node's out-edges; charges the
     /// sender, samples per-receiver delays, and consults the interceptor.
-    /// Each local receiver adds a hold on the slot; a foreign one gets a
-    /// handle to the record.
-    fn transmit(&mut self, node: Owned, slot: u32, relay: bool) {
+    /// Each queued delivery adds a hold on the slot.
+    fn transmit(&mut self, node: NodeId, slot: u32, relay: bool) {
         let _prof = ProfTimer::start(ProfPhase::Transmit);
         let air = self.on_air.record(slot);
         let (size, phase, is_flood) = (air.size, air.phase, air.flood.is_some());
+        let sender = node as usize;
         let mut holds = 0;
         let now_us = self.now.as_micros();
         // One event per transmit (k-cast), not per receiver.
-        self.tracers[node.local]
+        self.tracers[sender]
             .record(now_us, TraceEventKind::MsgSend { bytes: size as u64, flood: relay });
         let faulty_links = !self.cfg.link_faults.is_empty();
         // By index, so the meters and counters below can take mutable
         // borrows while the fan-out is walked in place.
-        for edge in self.fan_out.edges_of(node.local) {
+        for edge in self.fan_out.edges_of(node) {
             let receivers = self.fan_out.receivers_of(edge);
             let mj = self.cfg.channel.send_mj(size, receivers.len());
-            self.meters[node.local].charge_as(EnergyCategory::Send, EnergyClass::Send, phase, mj);
+            self.meters[sender].charge_as(EnergyCategory::Send, EnergyClass::Send, phase, mj);
             self.stats.kcasts += 1;
             if relay {
                 self.stats.flood_relays += 1;
@@ -941,16 +927,16 @@ impl<A: Actor> ShardState<A> {
                 // link outright; selective drop rules consume one keyed
                 // draw from the sender's private drop counter per
                 // matching delivery. Both decisions are pure functions
-                // of sender-local state, so sharding cannot change them.
+                // of sender-local state.
                 if faulty_links {
-                    if self.cfg.link_faults.severed(now_us, node.id, to.node) {
+                    if self.cfg.link_faults.severed(now_us, node, to) {
                         self.stats.dropped += 1;
                         continue;
                     }
-                    let rule = self.cfg.link_faults.drop_permille(now_us, node.id, to.node);
+                    let rule = self.cfg.link_faults.drop_permille(now_us, node, to);
                     if let Some(permille) = rule {
-                        let counter = &mut self.drop_ctr[node.local];
-                        let draw = keyed_draw(self.cfg.seed ^ DROP_SALT, node.id, *counter);
+                        let counter = &mut self.drop_ctr[sender];
+                        let draw = keyed_draw(self.cfg.seed ^ DROP_SALT, node, *counter);
                         *counter += 1;
                         if draw % 1000 < permille as u64 {
                             self.stats.dropped += 1;
@@ -958,7 +944,7 @@ impl<A: Actor> ShardState<A> {
                         }
                     }
                 }
-                let delivery = Delivery { from: node.id, to: to.node, size, is_flood };
+                let delivery = Delivery { from: node, to, size, is_flood };
                 let fate = match self.interceptor.as_mut() {
                     Some(i) => i(&delivery),
                     None => Fate::Deliver,
@@ -973,16 +959,8 @@ impl<A: Actor> ShardState<A> {
                 };
                 let due = (self.now + self.hop_delay(node) + extra).as_micros();
                 let seq = self.next_seq(node);
-                // Local receivers go straight into the queue, foreign
-                // ones into their shard's outbox.
-                if to.shard == self.index {
-                    holds += 1;
-                    let event = (to.node, EventKind::Deliver { slot, loopback: false });
-                    self.queue.push(due, seq, event);
-                } else {
-                    let record = Arc::clone(self.on_air.record(slot));
-                    self.outbox[to.shard as usize].push((due, seq, to.node, record));
-                }
+                holds += 1;
+                self.queue.push(due, seq, (to, EventKind::Deliver { slot, loopback: false }));
             }
         }
         self.on_air.hold(slot, holds);
@@ -990,38 +968,38 @@ impl<A: Actor> ShardState<A> {
 
     fn invoke(
         &mut self,
-        node: Owned,
+        node: NodeId,
         phase: EnergyPhase,
         f: impl FnOnce(&mut A, &mut Context<'_, A::Msg, A::Timer>),
     ) {
-        let local = node.local;
+        let at = node as usize;
         // Stamp the meter with the phase of the event being handled, so
         // every compute charge the actor makes (sign/verify/hash) is
         // attributed to the message kind that caused it — no tagging at
         // the protocol's charge sites.
-        self.meters[local].set_phase(phase);
+        self.meters[at].set_phase(phase);
         let mut ctx = Context {
-            node: node.id,
+            node,
             now: self.now,
-            meter: &mut self.meters[local],
-            next_timer_id: &mut self.timer_ctr[local],
-            tracer: &mut self.tracers[local],
+            meter: &mut self.meters[at],
+            next_timer_id: &mut self.timer_ctr[at],
+            tracer: &mut self.tracers[at],
             effects: self.effect_buffers.get(),
         };
         {
             let _prof = ProfTimer::start(ProfPhase::ReplicaStep);
-            f(&mut self.actors[local], &mut ctx);
+            f(&mut self.actors[at], &mut ctx);
         }
         // Invocations never nest (effects are applied here, outside the
         // actor), so draining into the pool and recycling is safe.
         let mut effects = ctx.effects;
-        self.meters[local].set_phase(EnergyPhase::Other);
+        self.meters[at].set_phase(EnergyPhase::Other);
         for effect in effects.drain(..) {
             match effect {
                 Effect::Multicast(msg) => {
                     // Loopback first so the sender processes its own
                     // message through the uniform path, then the real hops.
-                    let slot = self.admit(OnAir::new(node.id, msg, None));
+                    let slot = self.admit(OnAir::new(node, msg, None));
                     self.push_own(node, self.now, EventKind::Deliver { slot, loopback: true });
                     self.transmit(node, slot, false);
                 }
@@ -1039,11 +1017,10 @@ impl<A: Actor> ShardState<A> {
                     // by its origination, the loopback's sequence key.
                     let key = match target {
                         None => msg.flood_key(),
-                        Some(_) => keyed_draw(SEND_TO_SALT, node.id, seq),
+                        Some(_) => keyed_draw(SEND_TO_SALT, node, seq),
                     };
-                    let air = OnAir::new(node.id, msg, Some(FloodMeta { key, target }));
-                    let slot = self.admit(air);
-                    let event = (node.id, EventKind::Deliver { slot, loopback: true });
+                    let slot = self.admit(OnAir::new(node, msg, Some(FloodMeta { key, target })));
+                    let event = (node, EventKind::Deliver { slot, loopback: true });
                     self.queue.push(self.now.as_micros(), seq, event);
                 }
                 Effect::SetTimer { id, delay, token } => {
@@ -1055,130 +1032,6 @@ impl<A: Actor> ShardState<A> {
             }
         }
         self.effect_buffers.put(effects);
-    }
-}
-
-/// The single-threaded simulation: one shard (`ShardState`) owning every node,
-/// behind the historical per-event API. For sharding one simulation
-/// across worker threads, see [`crate::shard::ShardedNet`] — both
-/// runtimes produce bit-identical traces by construction (all
-/// nondeterminism is keyed by node-local counters; see the module docs).
-pub struct SimNet<A: Actor> {
-    shard: ShardState<A>,
-}
-
-impl<A: Actor> SimNet<A> {
-    /// Builds a simulation over `cfg.topology` with one actor per node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `actors.len() != cfg.topology.n()`.
-    pub fn new(cfg: NetConfig, actors: Vec<A>) -> Self {
-        assert_eq!(actors.len(), cfg.topology.n(), "one actor per topology node");
-        SimNet { shard: ShardState::new(Arc::new(cfg), 0, 1, actors) }
-    }
-
-    /// Installs an adversarial scheduling hook (replaces any previous one).
-    pub fn set_interceptor(&mut self, interceptor: Interceptor) {
-        self.shard.interceptor = Some(interceptor);
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.shard.now
-    }
-
-    /// The network configuration.
-    pub fn config(&self) -> &NetConfig {
-        &self.shard.cfg
-    }
-
-    /// Immutable view of an actor.
-    pub fn actor(&self, id: NodeId) -> &A {
-        &self.shard.actors[id as usize]
-    }
-
-    /// All actors.
-    pub fn actors(&self) -> &[A] {
-        &self.shard.actors
-    }
-
-    /// A node's energy meter.
-    pub fn meter(&self, id: NodeId) -> &EnergyMeter {
-        &self.shard.meters[id as usize]
-    }
-
-    /// All meters.
-    pub fn meters(&self) -> &[EnergyMeter] {
-        &self.shard.meters
-    }
-
-    /// Aggregate energy over a subset of nodes (e.g. the correct ones).
-    pub fn energy_of(&self, nodes: impl IntoIterator<Item = NodeId>) -> EnergyMeter {
-        let mut total = EnergyMeter::new();
-        for id in nodes {
-            total.absorb(&self.shard.meters[id as usize]);
-        }
-        total
-    }
-
-    /// Network statistics so far.
-    pub fn stats(&self) -> &NetStats {
-        &self.shard.stats
-    }
-
-    /// Drains every node's trace ring buffer into a [`TraceSet`]
-    /// (node-id order). Empty when the config's
-    /// [`trace`](NetConfig::trace) level is [`TraceLevel::Off`].
-    pub fn take_traces(&mut self) -> TraceSet {
-        let n = self.shard.cfg.topology.n() as NodeId;
-        TraceSet { nodes: (0..n).map(|id| self.shard.take_trace(id)).collect() }
-    }
-
-    /// Takes every node's sampled metrics series as a [`MetricsSet`]
-    /// (node-id order). Empty series when the config's
-    /// [`metrics`](NetConfig::metrics) sampling is disabled.
-    pub fn take_metrics(&mut self) -> MetricsSet {
-        let n = self.shard.cfg.topology.n() as NodeId;
-        MetricsSet {
-            dt_us: self.shard.cfg.metrics.dt_us,
-            nodes: (0..n).map(|id| self.shard.take_metrics_node(id)).collect(),
-        }
-    }
-
-    /// Processes the next event, if any, returning its timestamp.
-    pub fn step(&mut self) -> Option<SimTime> {
-        self.shard.step()
-    }
-
-    /// Runs until the queue is exhausted or virtual time would pass `t`.
-    pub fn run_until(&mut self, t: SimTime) {
-        while self.shard.step_if(|head| head <= t.as_micros()).is_some() {}
-        self.shard.now = self.shard.now.max(t);
-    }
-
-    /// Runs for a span of virtual time.
-    pub fn run_for(&mut self, d: SimDuration) {
-        let target = self.shard.now + d;
-        self.run_until(target);
-    }
-
-    /// Runs until `pred` holds over the actors or `deadline` passes.
-    /// Returns `true` if the predicate was met.
-    pub fn run_until_pred(
-        &mut self,
-        deadline: SimTime,
-        mut pred: impl FnMut(&[A]) -> bool,
-    ) -> bool {
-        loop {
-            if pred(&self.shard.actors) {
-                return true;
-            }
-            if self.shard.step_if(|head| head <= deadline.as_micros()).is_none() {
-                self.shard.now = self.shard.now.max(deadline);
-                return pred(&self.shard.actors);
-            }
-        }
     }
 }
 
@@ -1387,11 +1240,93 @@ mod tests {
     fn run_until_pred_stops_early() {
         let mut net = net(8, 2, 12);
         let deadline = SimTime::from_micros(10_000_000);
-        let ok = net.run_until_pred(deadline, |actors| {
-            actors.iter().filter(|a| !a.pings.is_empty()).count() >= 4
-        });
+        let ok = net.run_until_all(deadline, |id, a| id >= 4 || !a.pings.is_empty());
         assert!(ok);
         assert!(net.now() < deadline, "stopped well before the deadline");
+        assert!(net.actors()[..4].iter().all(|a| a.pings == [7]));
+    }
+
+    #[test]
+    fn unmet_predicate_runs_to_the_deadline() {
+        let mut net = net(6, 2, 3);
+        let deadline = SimTime::ZERO + SimDuration::from_millis(5);
+        assert!(!net.run_until_all(deadline, |_, a| a.pings.len() > 1));
+        assert_eq!(net.now(), deadline);
+        // Every event at or before the deadline ran: node 0's 5 ms timer
+        // included.
+        assert!(net.actor(0).timer_fired);
+    }
+
+    /// Sets one timer per entry of `at` (µs) at start and logs when each
+    /// fires.
+    #[derive(Debug, Default)]
+    struct Alarms {
+        at: Vec<u64>,
+        fired: Vec<u64>,
+    }
+
+    impl Actor for Alarms {
+        type Msg = TMsg;
+        type Timer = u64;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, TMsg, u64>) {
+            for &at in &self.at {
+                ctx.set_timer(SimDuration::from_micros(at), at);
+            }
+        }
+
+        fn on_message(&mut self, _: NodeId, _: TMsg, _: &mut Context<'_, TMsg, u64>) {}
+
+        fn on_timer(&mut self, at: u64, _: &mut Context<'_, TMsg, u64>) {
+            self.fired.push(at);
+        }
+    }
+
+    #[test]
+    fn a_predicate_stop_lands_on_the_next_lookahead_barrier() {
+        // hop_delay_min = 500 µs: barriers at multiples of 500. The
+        // predicate turns true at 1 234 µs; a per-event stop would end
+        // there, before the 1 499 µs timer. The window stop finishes the
+        // window [1 000, 1 500) and stops on its barrier, before the
+        // 1 500 µs timer.
+        let cfg = NetConfig::ble(topology::ring_kcast(4, 2), 8);
+        assert_eq!(cfg.hop_delay_min, SimDuration::from_micros(500));
+        let alarms = |_| Alarms { at: vec![1_234, 1_499, 1_500], fired: Vec::new() };
+        let mut net = SimNet::new(cfg, (0..4).map(alarms).collect());
+        let met = net.run_until_all(SimTime::from_micros(1_000_000), |_, a| !a.fired.is_empty());
+        assert!(met);
+        assert_eq!(net.now(), SimTime::from_micros(1_500));
+        for id in 0..4 {
+            assert_eq!(net.actor(id).fired, [1_234, 1_499], "node {id}");
+        }
+        // A met predicate stops at once, on the current time.
+        assert!(net.run_until_all(SimTime::from_micros(1_000_000), |_, a| a.fired.len() == 2));
+        assert_eq!(net.now(), SimTime::from_micros(1_500));
+        // A deadline inside a window clips it: every event at or before the
+        // deadline runs, and the run ends on the deadline.
+        let met = net.run_until_all(SimTime::from_micros(1_500), |_, a| a.fired.len() > 3);
+        assert!(!met);
+        assert_eq!(net.now(), SimTime::from_micros(1_500));
+        assert_eq!(net.actor(0).fired, [1_234, 1_499, 1_500]);
+    }
+
+    #[test]
+    fn interceptor_drops_deterministically() {
+        // Drop everything node 0 sends: its ping never escapes, so only its
+        // loopback counts, and a second run drops exactly the same.
+        let run = || {
+            let mut net = net(5, 2, 5);
+            net.set_interceptor(Box::new(|d| if d.from == 0 { Fate::Drop } else { Fate::Deliver }));
+            net.run_for(SimDuration::from_millis(20));
+            let heard: Vec<_> =
+                net.actors().iter().map(|a| (a.pings.clone(), a.hops.clone())).collect();
+            (net.stats().clone(), heard)
+        };
+        let (stats, heard) = run();
+        assert!(stats.dropped > 0);
+        assert_eq!(heard[0].0, [7]);
+        assert!(heard[1..].iter().all(|(pings, hops)| pings.is_empty() && hops.is_empty()));
+        assert_eq!((stats, heard), run());
     }
 
     #[test]
@@ -1606,7 +1541,7 @@ mod tests {
             // ring successors. Each holds the slot until it pops.
             let sent = net.actor(0).sent;
             let heard: u64 = net.actors().iter().map(|a| a.heard.len() as u64).sum();
-            assert_eq!(queued_holds(&net.shard.on_air), 3 * sent - heard, "at {}", net.now());
+            assert_eq!(queued_holds(&net.on_air), 3 * sent - heard, "at {}", net.now());
         }
         for id in 0..4 {
             let expected: Vec<u64> = if id < 3 { (0..5).collect() } else { vec![] };
@@ -1614,7 +1549,7 @@ mod tests {
         }
         // The multicasts never overlap on the air, so each one reused the
         // slot its predecessor released — and handed out its own payload.
-        assert_eq!(net.shard.on_air.slots.len(), 1);
+        assert_eq!(net.on_air.slots.len(), 1);
         // The first two deliveries of each message copy it; the last
         // takes it.
         assert_eq!(clones.get(), 2 * 5);
@@ -1629,15 +1564,15 @@ mod tests {
         actors[0].script = vec![(0, None, 7), (10_000, Some(4), 9)];
         let mut net = SimNet::new(NetConfig::ble(topology::ring_kcast(5, 1), 31), actors);
         while net.step().is_some() {
-            assert!(queued_holds(&net.shard.on_air) <= 1, "at {}", net.now());
+            assert!(queued_holds(&net.on_air) <= 1, "at {}", net.now());
         }
         for id in 0..5u32 {
             let expected = if id == 4 { vec![(0, 7), (0, 9)] } else { vec![(0, 7)] };
             assert_eq!(net.actor(id).heard, expected, "node {id}");
         }
         assert_eq!(net.stats().flood_relays, 10);
-        assert_eq!(queued_holds(&net.shard.on_air), 0);
-        assert_eq!(net.shard.on_air.slots.len(), 1);
+        assert_eq!(queued_holds(&net.on_air), 0);
+        assert_eq!(net.on_air.slots.len(), 1);
     }
 
     /// Floods or routes what its script says: `(at µs, target, payload)`.

@@ -69,7 +69,7 @@ impl SchedulerKind {
 /// and therefore the whole determinism contract — is on `(time, seq)`
 /// only; the runtime derives `seq` from the pushing node's id and its
 /// private push counter (see `crate::runtime`), so keys are unique and
-/// the order is total — and independent of how a run is sharded.
+/// the order is total.
 struct Entry<E> {
     time: u64,
     seq: u64,
@@ -112,11 +112,11 @@ pub const MATERIALIZE_AT: usize = 192;
 ///
 /// Near-future events — `time` within `lanes` ticks of the cursor — are
 /// inserted into the lane of their exact delivery tick, kept sorted by
-/// `seq`. A single-threaded simulation pushes same-tick events in almost
-/// monotone `seq` order, so the ordered insert is an O(1) append in
-/// practice; the general insert exists because sharded simulations merge
-/// per-origin key streams (see `crate::shard`) whose same-tick arrivals
-/// interleave out of push order. Far-future events overflow into a
+/// `seq`. Same-tick events mostly arrive in ascending `seq` order, so the
+/// ordered insert is an O(1) append in practice; the general insert
+/// exists because sequence keys are per origin (see `crate::runtime`):
+/// a node whose push counter is behind another's can queue a same-tick
+/// event after it with a smaller key. Far-future events overflow into a
 /// sorted spill heap and migrate back into the ring as the cursor
 /// advances.
 ///
@@ -298,10 +298,10 @@ impl<E> CalendarQueue<E> {
 
     /// Inserts `entry` into its lane at its sorted `(time, seq)` position,
     /// keeping the occupancy bitmap and the per-lane ordering invariant.
-    /// Single-threaded simulations push in near-monotone `seq` order, so
-    /// the backwards scan almost always terminates immediately and the
-    /// insert is an O(1) append; sharded merges pay only for actual
-    /// same-tick inversions.
+    /// Same-tick pushes come in near-monotone `seq` order, so the
+    /// backwards scan almost always terminates immediately and the insert
+    /// is an O(1) append; only actual same-tick inversions (per-origin
+    /// keys, see the type docs) pay for the scan.
     fn lane_insert(&mut self, entry: Entry<E>) {
         let idx = (entry.time & self.mask) as usize;
         let lane = &mut self.lanes[idx];
@@ -373,10 +373,9 @@ impl<E> CalendarQueue<E> {
 /// A bounded pool of reusable `Vec` buffers for the simulator's hot
 /// paths.
 ///
-/// The sharded runtime drains batches of queued events every barrier
-/// window (outbox exchange) and every actor invocation drains a batch of
-/// effects; allocating a fresh `Vec` for each would put an allocator
-/// round-trip on the hottest loop. Instead, drained buffers come back
+/// Every actor invocation drains a batch of effects; allocating a fresh
+/// `Vec` for each would put an allocator round-trip on the hottest
+/// loop. Instead, drained buffers come back
 /// through [`put`](FreeList::put) — which drops their contents *eagerly*
 /// (so no stale event can ever resurface) but keeps their capacity — and
 /// the next [`get`](FreeList::get) hands the warm allocation out again.
@@ -548,9 +547,9 @@ mod tests {
 
     #[test]
     fn same_tick_out_of_order_seqs_pop_sorted() {
-        // Sharded merges interleave per-origin key streams, so same-tick
-        // events can arrive with descending seqs; pop order must still be
-        // ascending (time, seq) on both backends.
+        // Sequence keys are per origin, so same-tick events can arrive
+        // with descending seqs; pop order must still be ascending
+        // (time, seq) on both backends.
         let events: Vec<(u64, u64, &'static str)> = vec![
             (5, 9, "i"),
             (5, 3, "c"),

@@ -120,9 +120,9 @@ proptest! {
         }
     }
 
-    /// Sharded-merge mode: sequence keys arrive in arbitrary order
-    /// (per-origin key streams interleave out of push order when shard
-    /// inboxes drain), including same-tick inversions. Keys are made
+    /// Out-of-order mode: sequence keys arrive in arbitrary order
+    /// (per-origin key streams interleave out of push order), including
+    /// same-tick inversions. Keys are made
     /// unique by construction — `(time, seq)` never repeats — and pop
     /// order must still equal the heap's on both backends.
     #[test]

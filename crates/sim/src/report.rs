@@ -406,7 +406,7 @@ impl RunReport {
 mod tests {
     use super::*;
     use crate::cell::{NodeRole, Replicas};
-    use eesmr_net::{NetConfig, ShardedNet, SimTime};
+    use eesmr_net::{NetConfig, SimNet, SimTime};
 
     fn node(id: NodeId, total_mj: f64, height: u64, faulty: bool) -> NodeReport {
         NodeReport {
@@ -450,13 +450,12 @@ mod tests {
     /// Runs a built cell for 400 ms of virtual time, checks every node's
     /// `from_view` against the replica's own accessors, and returns the
     /// reports.
-    fn finished<A>(net: NetConfig, roles: &[NodeRole], replicas: Vec<A>) -> Vec<NodeReport>
-    where
-        A: ReplicaView + Send,
-        A::Msg: Send + Sync,
-        A::Timer: Send,
-    {
-        let mut sim = ShardedNet::new(net, replicas, 1);
+    fn finished<A: ReplicaView>(
+        net: NetConfig,
+        roles: &[NodeRole],
+        replicas: Vec<A>,
+    ) -> Vec<NodeReport> {
+        let mut sim = SimNet::new(net, replicas);
         sim.run_until(SimTime::ZERO + SimDuration::from_millis(400));
         let check = |(id, role): (NodeId, &NodeRole)| {
             let r = sim.actor(id);

@@ -11,8 +11,8 @@
 use eesmr_core::BatchPolicy;
 use eesmr_crypto::SigScheme;
 use eesmr_net::{
-    MetricsConfig, NetConfig, SchedulerKind, ShardedNet, SimDuration, SimTime, TraceClass,
-    TraceLevel, TraceSet,
+    MetricsConfig, NetConfig, SchedulerKind, SimDuration, SimNet, SimTime, TraceClass, TraceLevel,
+    TraceSet,
 };
 use eesmr_trace::path::CommitPath;
 use eesmr_workload::Workload;
@@ -119,11 +119,6 @@ pub struct Scenario {
     /// Which pending-event queue the simulator uses. Results are
     /// bit-identical under either kind; this only changes run speed.
     pub scheduler: SchedulerKind,
-    /// How many shards (worker threads) the simulation is split across
-    /// (see `eesmr_net::shard`). Results are bit-identical for any
-    /// value; sharding only changes how fast a large-`n` scenario runs.
-    /// Defaults to 1.
-    pub shards: usize,
     /// Structured-event trace level (see `eesmr-trace`). An
     /// observability knob, not a sweep axis: traces are keyed to
     /// node-local state, so any level produces the same `RunReport`
@@ -166,11 +161,6 @@ pub struct CellKey {
     pub forward_batch: usize,
     /// Client workload model, if any.
     pub workload: Option<Workload>,
-    /// Simulation shard count. A *performance* axis: cells differing
-    /// only in `shards` produce bit-identical `RunReport`s (the sharded
-    /// determinism suite enforces it), so sweeping it measures speed,
-    /// not results.
-    pub shards: usize,
     /// Fault axis ([`FaultSpec::None`] when the scenario injects no
     /// swept fault; explicitly-built [`FaultPlan`]s do not key cells).
     pub fault: FaultSpec,
@@ -209,7 +199,6 @@ impl Scenario {
             forward_batch: 1,
             workload: None,
             scheduler: SchedulerKind::default(),
-            shards: 1,
             trace: TraceLevel::Off,
             metrics: MetricsConfig::off(),
         }
@@ -258,17 +247,16 @@ impl Scenario {
         self
     }
 
-    /// Splits the simulation across `shards` worker threads (clamped to
-    /// at least 1; see `eesmr_net::shard`). Results are bit-identical
-    /// for any shard count — sharding is purely an intra-scenario
-    /// speed knob for large `n`.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
+    /// Kept only for `benchmark/` until it stops calling it (ROADMAP item
+    /// 1A): a simulation has one event loop, so the shard count is
+    /// ignored.
+    #[doc(hidden)]
+    pub fn shards(self, _: usize) -> Self {
         self
     }
 
     /// Sets the structured-event trace level. Like
-    /// [`shards`](Self::shards) this cannot change results — it only
+    /// [`scheduler`](Self::scheduler) this cannot change results — it only
     /// controls what [`run_traced`](Self::run_traced) captures.
     pub fn trace(mut self, level: TraceLevel) -> Self {
         self.trace = level;
@@ -367,14 +355,13 @@ impl Scenario {
             offered_load: self.offered_load,
             forward_batch: self.forward_batch,
             workload: self.workload,
-            shards: self.shards,
             fault: self.fault_spec.unwrap_or(FaultSpec::None),
             seed: self.seed,
         }
     }
 
     /// The non-default settings rendered as `key=value` label suffixes,
-    /// in a fixed order (batch, load, workload, shards, faults). One
+    /// in a fixed order (batch, load, fwd, workload, faults). One
     /// place builds them so every axis renders consistently.
     fn label_suffixes(&self) -> Vec<(&'static str, String)> {
         let mut parts = Vec::new();
@@ -389,9 +376,6 @@ impl Scenario {
         }
         if let Some(workload) = &self.workload {
             parts.push(("wl", workload.label()));
-        }
-        if self.shards != 1 {
-            parts.push(("shards", self.shards.to_string()));
         }
         if let Some(spec) = self.fault_spec {
             parts.push(("fault", spec.label().to_string()));
@@ -450,20 +434,15 @@ impl Scenario {
     /// Drives `replicas` on the simulator to the stop condition and
     /// reads the report off them. Generic — monomorphised per replica
     /// type — so the event loop is the one each protocol always ran.
-    fn run_on<A>(
+    fn run_on<A: ReplicaView>(
         &self,
         net_cfg: NetConfig,
         delta: SimDuration,
         f: usize,
         roles: &[NodeRole],
         replicas: Vec<A>,
-    ) -> (RunReport, TraceSet)
-    where
-        A: ReplicaView + Send,
-        A::Msg: Send + Sync,
-        A::Timer: Send,
-    {
-        let mut net = ShardedNet::new(net_cfg, replicas, self.shards);
+    ) -> (RunReport, TraceSet) {
+        let mut net = SimNet::new(net_cfg, replicas);
         let deadline = SimTime::ZERO + self.deadline;
         let excused = |id: u32| roles[id as usize].excused;
         match self.stop {
@@ -486,7 +465,8 @@ impl Scenario {
                 NodeReport::from_view(id, role.faulty, role.is_hub, net.actor(id), net.meter(id))
             })
             .collect();
-        let mut report = RunReport::new(self, f, delta, net.now().as_micros(), nodes, net.stats());
+        let stats = net.stats().clone();
+        let mut report = RunReport::new(self, f, delta, net.now().as_micros(), nodes, stats);
         // The observability surfaces are all excluded from report
         // equality, so filling them cannot perturb determinism checks.
         report.energy_attr = ids.map(|id| net.meter(id).attribution().clone()).collect();
@@ -702,11 +682,11 @@ mod tests {
         // Blocks(16) leaves enough healthy run after the heal for the
         // retry window (32Δ from each command's birth) to elapse and
         // the resumed loop to cycle a few more waves through commit.
-        let base = Scenario::new(Protocol::Eesmr, 5, 2)
+        let report = Scenario::new(Protocol::Eesmr, 5, 2)
             .workload(w)
             .faults(FaultPlan::none().with_partition(5_000, 60_000, [4]))
-            .stop(StopWhen::Blocks(16));
-        let report = base.clone().run();
+            .stop(StopWhen::Blocks(16))
+            .run();
         assert!(report.committed_height() >= 16, "{}", report.summary());
         assert!(report.net.dropped > 0, "the partition severed real traffic");
         let islanded = &report.nodes[4];
@@ -731,10 +711,6 @@ mod tests {
             islanded.tx_injected - islanded.tx_latency_hist.count(),
             islanded.tx_injected
         );
-        // The whole heal-and-reforward path is keyed to node-local state:
-        // sharding the run must reproduce it bit for bit.
-        let sharded = base.shards(2).run();
-        assert_eq!(report, sharded, "partition re-forwarding broke shard determinism");
     }
 
     #[test]
@@ -788,10 +764,6 @@ mod tests {
             batched.tx_forwarded(),
             unbatched.tx_forwarded()
         );
-        // Batching is keyed to node-local state only: sharding the
-        // batched run must reproduce it bit for bit.
-        let sharded = base.clone().forward_batch(8).shards(2).run();
-        assert_eq!(batched, sharded, "forward batching broke shard determinism");
         // The threshold is a sweep axis with a label suffix.
         let s = base.clone().forward_batch(8);
         assert_ne!(s.cell(), base.cell(), "forward_batch distinguishes grid cells");
@@ -824,32 +796,6 @@ mod tests {
         let b = a.clone().workload(Workload::new(ArrivalProcess::Poisson { rate: 500 }));
         assert_ne!(a.cell(), b.cell(), "workload distinguishes grid cells");
         assert_eq!(a.cell().workload, None);
-    }
-
-    #[test]
-    fn sharded_scenarios_match_single_threaded_bit_for_bit() {
-        for protocol in
-            [Protocol::Eesmr, Protocol::SyncHotStuff, Protocol::OptSync, Protocol::TrustedBaseline]
-        {
-            let base = Scenario::new(protocol, 6, 3).stop(StopWhen::Blocks(4));
-            let reference = base.clone().shards(1).run();
-            assert!(reference.committed_height() >= 4, "{protocol:?}");
-            for shards in [2, 3, 6] {
-                let sharded = base.clone().shards(shards).run();
-                assert_eq!(reference, sharded, "{protocol:?} diverged with {shards} shards");
-            }
-        }
-    }
-
-    #[test]
-    fn shards_are_a_cell_axis_and_label_suffix() {
-        let a = Scenario::new(Protocol::Eesmr, 6, 3).shards(1);
-        let b = a.clone().shards(4);
-        assert_ne!(a.cell(), b.cell(), "shard count distinguishes grid cells");
-        assert_eq!(b.cell().shards, 4);
-        assert!(!a.label().contains("shards"), "{}", a.label());
-        assert!(b.label().contains("shards=4"), "{}", b.label());
-        assert_eq!(a.clone().shards(0).shards, 1, "clamped to at least one");
     }
 
     #[test]

@@ -56,8 +56,7 @@ fn main() {
 
     // Run until the swarm has evicted the coordinator.
     let deadline = net.now() + SimDuration::from_millis(5_000);
-    let evicted =
-        net.run_until_pred(deadline, |drones| drones.iter().skip(1).all(|d| d.current_view() >= 2));
+    let evicted = net.run_until_all(deadline, |id, drone| id == 0 || drone.current_view() >= 2);
     assert!(evicted, "the swarm must evict the equivocator");
     snapshot(&net, "coordinator down");
 

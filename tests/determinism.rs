@@ -2,12 +2,10 @@
 //! scenario is a pure function of its configuration and seed. Two runs
 //! with the same seed must produce *identical* `RunReport`s — every
 //! energy figure, commit, view change, and network counter — across all
-//! protocols, with and without faults. The comparisons across worker
-//! counts, schedulers and trace levels run on one shard and on two, so the
-//! sharded runtime is held to each of them too.
+//! protocols, with and without faults — and the same across driver worker
+//! counts, schedulers and trace levels.
 
 use eesmr_driver::{Driver, DriverConfig, ScenarioGrid};
-use eesmr_net::SimDuration;
 use eesmr_sim::{
     ArrivalProcess, FaultPlan, FaultSpec, Protocol, RunReport, Scenario, SchedulerKind, Skew,
     StopWhen, Workload,
@@ -20,11 +18,6 @@ fn bursty_workload() -> Workload {
     Workload::new(ArrivalProcess::Bursty { rate: 5_000, on_ms: 30, off_ms: 60 })
         .skew(Skew::Hotspot { pct: 80 })
         .closed_loop(16)
-}
-
-/// Each scenario on one shard, then on two.
-fn on_one_and_two_shards(scenarios: impl IntoIterator<Item = Scenario>) -> Vec<Scenario> {
-    scenarios.into_iter().flat_map(|s| [1, 2].map(|shards| s.clone().shards(shards))).collect()
 }
 
 fn run(protocol: Protocol, seed: u64, faults: FaultPlan) -> RunReport {
@@ -55,22 +48,21 @@ fn same_seed_same_report_under_faults() {
 
 /// A mixed grid: three protocols × two system sizes × two seeds, plus
 /// explicit faulty scenarios (a stalled leader forcing a view change and
-/// an equivocator), each on one shard and on two.
+/// an equivocator).
 fn mixed_grid() -> ScenarioGrid {
-    let explicit = on_one_and_two_shards([
+    let explicit = [
         Scenario::new(Protocol::Eesmr, 5, 2)
             .faults(FaultPlan::silent_leader())
             .stop(StopWhen::ViewReached(2)),
         Scenario::new(Protocol::Eesmr, 6, 2)
             .faults(FaultPlan::none().with_equivocator(1, 1))
             .stop(StopWhen::Blocks(3)),
-    ]);
+    ];
     let grid = ScenarioGrid::named("determinism")
         .protocols([Protocol::Eesmr, Protocol::SyncHotStuff, Protocol::OptSync])
         .nodes([5, 6])
         .degrees([2])
         .seeds([7, 42])
-        .shards([1, 2])
         .stop(StopWhen::Blocks(3));
     explicit.into_iter().fold(grid, |grid, s| grid.scenario(s.label(), s))
 }
@@ -85,7 +77,7 @@ fn parallel_driver_is_bit_identical_to_sequential() {
         Driver::new(DriverConfig::default().workers(1).repeats(2)).run_grid(&mixed_grid());
     let parallel =
         Driver::new(DriverConfig::default().workers(8).repeats(2)).run_grid(&mixed_grid());
-    assert_eq!(sequential.cells.len(), 28, "(12 cartesian cells + 2 explicit scenarios) × 2");
+    assert_eq!(sequential.cells.len(), 14, "12 cartesian cells + 2 explicit scenarios");
     assert_eq!(sequential, parallel, "worker count leaked into the results");
     // And the parallel run is itself reproducible.
     let parallel_again =
@@ -128,15 +120,12 @@ fn driver_repeats_vary_the_seed_but_quick_mode_only_shrinks_targets() {
 }
 
 /// A grid with a workload axis: every protocol under Poisson and bursty
-/// client traffic, plus an explicit closed-loop diurnal scenario, each on
-/// one shard and on two.
+/// client traffic, plus an explicit closed-loop diurnal scenario.
 fn workload_grid() -> ScenarioGrid {
     let diurnal =
         Workload::new(ArrivalProcess::Diurnal { base: 2_000, amplitude: 1_500, period_ms: 100 })
             .closed_loop(8);
-    let explicit = on_one_and_two_shards([Scenario::new(Protocol::Eesmr, 6, 3)
-        .workload(diurnal)
-        .stop(StopWhen::Blocks(3))]);
+    let explicit = Scenario::new(Protocol::Eesmr, 6, 3).workload(diurnal).stop(StopWhen::Blocks(3));
     let grid = ScenarioGrid::named("workload-determinism")
         .protocols([Protocol::Eesmr, Protocol::OptSync, Protocol::TrustedBaseline])
         .nodes([5])
@@ -145,9 +134,8 @@ fn workload_grid() -> ScenarioGrid {
             Workload::new(ArrivalProcess::Poisson { rate: 2_000 }).skew(Skew::Zipf),
             bursty_workload(),
         ])
-        .shards([1, 2])
         .stop(StopWhen::Blocks(3));
-    explicit.into_iter().fold(grid, |grid, s| grid.scenario(s.label(), s))
+    grid.scenario(explicit.label(), explicit)
 }
 
 #[test]
@@ -157,7 +145,7 @@ fn workload_grid_is_bit_identical_across_workers() {
     // is a pure function of the grid, not of the worker count.
     let sequential = Driver::new(DriverConfig::default().workers(1)).run_grid(&workload_grid());
     let parallel = Driver::new(DriverConfig::default().workers(8)).run_grid(&workload_grid());
-    assert_eq!(sequential.cells.len(), 14, "(3 protocols × 2 workloads + 1 explicit) × 2");
+    assert_eq!(sequential.cells.len(), 7, "3 protocols × 2 workloads + 1 explicit");
     assert_eq!(sequential, parallel, "worker count leaked into workload results");
     // The sweep actually measured per-transaction latency everywhere.
     for cell in &sequential.cells {
@@ -184,7 +172,7 @@ fn workload_scenarios_are_bit_identical_across_schedulers() {
             .workload(Workload::new(ArrivalProcess::Poisson { rate: 3_000 }))
             .stop(StopWhen::Blocks(4)),
     ];
-    for scenario in on_one_and_two_shards(scenarios) {
+    for scenario in scenarios {
         let heap = scenario.clone().scheduler(SchedulerKind::Heap).run();
         let calendar = scenario.clone().scheduler(SchedulerKind::Calendar).run();
         assert_eq!(heap, calendar, "scheduler leaked into results: {}", scenario.label());
@@ -210,116 +198,11 @@ fn calendar_and_heap_schedulers_are_bit_identical() {
             .faults(FaultPlan::none().with_equivocator(1, 1))
             .stop(StopWhen::Blocks(3)),
     ];
-    for scenario in on_one_and_two_shards(scenarios) {
+    for scenario in scenarios {
         let heap = scenario.clone().scheduler(SchedulerKind::Heap).run();
         let calendar = scenario.clone().scheduler(SchedulerKind::Calendar).run();
         assert_eq!(heap, calendar, "scheduler leaked into results: {}", scenario.label());
     }
-}
-
-/// The mixed grid the sharded-equivalence test sweeps: every protocol,
-/// a stalled-leader view change, an equivocator, and the bursty
-/// closed-loop workload — all the event-stream shapes (floods, targeted
-/// floods, timers, arrivals, forwarding) that could conceivably leak a
-/// shard layout.
-fn sharding_scenarios() -> Vec<Scenario> {
-    vec![
-        Scenario::new(Protocol::Eesmr, 6, 3).stop(StopWhen::Blocks(4)),
-        Scenario::new(Protocol::SyncHotStuff, 6, 3).stop(StopWhen::Blocks(4)),
-        Scenario::new(Protocol::OptSync, 5, 2).stop(StopWhen::Blocks(4)),
-        Scenario::new(Protocol::TrustedBaseline, 6, 2).stop(StopWhen::Blocks(4)),
-        Scenario::new(Protocol::Eesmr, 5, 2)
-            .faults(FaultPlan::silent_leader())
-            .stop(StopWhen::ViewReached(2)),
-        Scenario::new(Protocol::Eesmr, 6, 2)
-            .faults(FaultPlan::none().with_equivocator(1, 1))
-            .stop(StopWhen::Blocks(3)),
-        Scenario::new(Protocol::Eesmr, 6, 3).workload(bursty_workload()).stop(StopWhen::Blocks(4)),
-        Scenario::new(Protocol::SyncHotStuff, 6, 3)
-            .workload(bursty_workload())
-            .stop(StopWhen::Blocks(4)),
-        Scenario::new(Protocol::Eesmr, 7, 3).stop(StopWhen::Elapsed(SimDuration::from_millis(40))),
-        // `Elapsed` stops run the adaptive barrier windows. In these two a
-        // shard falls idle while another is far ahead of it, the layout
-        // under which a window bound that ignores a shard's own events
-        // echoing back lets one arrive in that shard's past.
-        Scenario::new(Protocol::SyncHotStuff, 5, 2)
-            .stop(StopWhen::Elapsed(SimDuration::from_millis(80))),
-        Scenario::new(Protocol::Eesmr, 6, 2)
-            .faults(FaultPlan::silent_nodes([3]).with_crash(4, 10_000, None))
-            .stop(StopWhen::Elapsed(SimDuration::from_millis(60))),
-    ]
-}
-
-#[test]
-fn sharded_runs_are_bit_identical_for_any_shard_count() {
-    // The parallel-simulation acceptance bar: splitting one scenario's
-    // node set across 2 or 4 shard threads (Scenario::shards) must not
-    // change a single byte of the RunReport — energy floats included —
-    // relative to the single-threaded run, across protocols, faults,
-    // view changes, and workloads.
-    for scenario in sharding_scenarios() {
-        let reference = scenario.clone().shards(1).run();
-        for shards in [2, 4] {
-            let sharded = scenario.clone().shards(shards).run();
-            assert_eq!(
-                reference,
-                sharded,
-                "shard count {shards} leaked into results: {}",
-                scenario.label()
-            );
-        }
-    }
-}
-
-#[test]
-fn sharded_runs_are_bit_identical_under_both_schedulers() {
-    // Sharding × scheduler: all four combinations of (heap|calendar) ×
-    // (1|3 shards) must coincide — each shard's local queue goes through
-    // the selected backend, so this pins the full cross product.
-    let scenarios = [
-        Scenario::new(Protocol::Eesmr, 6, 3).workload(bursty_workload()).stop(StopWhen::Blocks(4)),
-        Scenario::new(Protocol::Eesmr, 5, 2)
-            .faults(FaultPlan::silent_leader())
-            .stop(StopWhen::ViewReached(2)),
-        Scenario::new(Protocol::OptSync, 6, 2).stop(StopWhen::Blocks(4)),
-    ];
-    for scenario in scenarios {
-        let reference = scenario.clone().scheduler(SchedulerKind::Heap).shards(1).run();
-        for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            for shards in [1, 3] {
-                let run = scenario.clone().scheduler(kind).shards(shards).run();
-                assert_eq!(
-                    reference,
-                    run,
-                    "({}, {shards} shards) diverged: {}",
-                    kind.name(),
-                    scenario.label()
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn shard_axis_suites_agree_cell_for_cell() {
-    // A grid sweeping the shard axis produces one cell per shard count;
-    // all of them must carry identical RunReports (the shard count is a
-    // performance axis, not a results axis), and the suite JSON must
-    // record the axis so sweeps are auditable.
-    let grid = ScenarioGrid::named("shard-axis")
-        .nodes([6])
-        .degrees([3])
-        .shards([1, 2, 4])
-        .stop(StopWhen::Blocks(3));
-    let suite = Driver::new(DriverConfig::default().workers(2)).run_grid(&grid);
-    assert_eq!(suite.cells.len(), 3);
-    for cell in &suite.cells[1..] {
-        assert_eq!(suite.cells[0].runs, cell.runs, "cell {} diverged", cell.label);
-    }
-    assert_eq!(suite.cells[0].key.shards, 1);
-    assert_eq!(suite.cells[2].key.shards, 4);
-    assert!(suite.to_json().contains("\"shards\": 4"), "suite JSON records the shard axis");
 }
 
 #[test]
@@ -336,27 +219,20 @@ fn seed_actually_matters_somewhere() {
 }
 
 #[test]
-fn traces_are_bit_identical_across_shards() {
+fn traces_are_bit_identical_across_schedulers() {
     // The trace extends the determinism contract: events are stamped
     // (time, node, node-local seq) from node-local state only, so the
-    // shard count — which reorders *execution* but not virtual time —
-    // cannot move, drop, or reorder a single event.
+    // scheduler backend cannot move, drop, or reorder a single event.
     use eesmr_net::TraceLevel;
     let base = Scenario::new(Protocol::Eesmr, 6, 3)
         .workload(bursty_workload())
         .stop(StopWhen::Blocks(4))
         .trace(TraceLevel::All);
-    let (reference_report, reference_trace) = base.clone().shards(1).run_traced();
-    assert!(reference_trace.total_events() > 0, "tracing recorded something");
-    for shards in [2usize, 4] {
-        let (report, trace) = base.clone().shards(shards).run_traced();
-        assert_eq!(reference_trace, trace, "trace diverged with {shards} shards");
-        assert_eq!(reference_report, report, "report diverged with {shards} shards");
-    }
-    // Same contract for the scheduler knob.
-    let (_, calendar) = base.clone().scheduler(SchedulerKind::Calendar).run_traced();
-    let (_, heap) = base.clone().scheduler(SchedulerKind::Heap).run_traced();
-    assert_eq!(calendar, heap, "trace diverged across schedulers");
+    let (heap_report, heap) = base.clone().scheduler(SchedulerKind::Heap).run_traced();
+    assert!(heap.total_events() > 0, "tracing recorded something");
+    let (calendar_report, calendar) = base.clone().scheduler(SchedulerKind::Calendar).run_traced();
+    assert_eq!(heap, calendar, "trace diverged across schedulers");
+    assert_eq!(heap_report, calendar_report, "report diverged across schedulers");
 }
 
 #[test]
@@ -365,14 +241,12 @@ fn traces_are_bit_identical_across_workers() {
     // the same traces as running them inline.
     use eesmr_net::TraceLevel;
     use eesmr_trace::TraceSet;
-    let scenarios = on_one_and_two_shards(
-        [Protocol::Eesmr, Protocol::SyncHotStuff, Protocol::OptSync].map(|p| {
-            Scenario::new(p, 5, 2)
-                .workload(bursty_workload())
-                .stop(StopWhen::Blocks(3))
-                .trace(TraceLevel::All)
-        }),
-    );
+    let scenarios = [Protocol::Eesmr, Protocol::SyncHotStuff, Protocol::OptSync].map(|p| {
+        Scenario::new(p, 5, 2)
+            .workload(bursty_workload())
+            .stop(StopWhen::Blocks(3))
+            .trace(TraceLevel::All)
+    });
     let traced = |workers: usize| -> Vec<TraceSet> {
         Driver::new(DriverConfig::default().workers(workers)).map(&scenarios, |s| s.run_traced().1)
     };
@@ -381,11 +255,11 @@ fn traces_are_bit_identical_across_workers() {
     assert_eq!(inline, traced(8), "worker count leaked into the traces");
 }
 
-/// Adversarial scenarios for the sharded-equivalence sweep: every fault
-/// behaviour with a wall-clock schedule (healing partition, node churn,
-/// crash-recovery) plus vote withholding — the paths where restart
-/// timers, link-fault checks at transmit time, and repair floods could
-/// conceivably leak a shard layout, worker count, or scheduler choice.
+/// Adversarial scenarios: every fault behaviour with a wall-clock schedule
+/// (healing partition, node churn, crash-recovery) plus vote withholding
+/// — the paths where restart timers, link-fault checks at transmit time,
+/// and repair floods could conceivably leak a worker count or scheduler
+/// choice.
 fn adversarial_scenarios() -> Vec<Scenario> {
     let mut scenarios: Vec<Scenario> =
         [FaultSpec::PartitionHeal, FaultSpec::Churn, FaultSpec::Withhold]
@@ -416,26 +290,21 @@ fn adversarial_scenarios() -> Vec<Scenario> {
 }
 
 #[test]
-fn adversarial_runs_are_bit_identical_across_shards_and_schedulers() {
+fn adversarial_runs_are_bit_identical_across_schedulers() {
     // The fault model extends the determinism contract: restart timers,
     // partition/drop checks, and repair replies are all keyed to
-    // node-local state and virtual time, so the shard count and the
-    // scheduler backend must not move a single byte of the report — or a
-    // single event of the commit trace. Every traced run must also
-    // replay safety-clean through the auditor.
+    // node-local state and virtual time, so the scheduler backend must
+    // not move a single byte of the report — or a single event of the
+    // commit trace. Every traced run must also replay safety-clean
+    // through the auditor.
     use eesmr_net::TraceLevel;
     use eesmr_trace::audit::{audit, AuditConfig};
     for scenario in adversarial_scenarios() {
         let base = scenario.trace(TraceLevel::Commit).scheduler(SchedulerKind::Heap);
-        let (reference_report, reference_trace) = base.clone().shards(1).run_traced();
+        let (reference_report, reference_trace) = base.run_traced();
         assert!(reference_trace.total_events() > 0, "tracing recorded something");
         let verdict = audit(&reference_trace, &AuditConfig::safety_only());
         assert!(verdict.is_clean(), "{}: {:?}", base.label(), verdict.violations);
-        for shards in [2usize, 4] {
-            let (report, trace) = base.clone().shards(shards).run_traced();
-            assert_eq!(reference_report, report, "{shards} shards leaked: {}", base.label());
-            assert_eq!(reference_trace, trace, "trace diverged at {shards} shards");
-        }
         let (report, trace) = base.clone().scheduler(SchedulerKind::Calendar).run_traced();
         assert_eq!(reference_report, report, "calendar scheduler leaked: {}", base.label());
         assert_eq!(reference_trace, trace, "trace diverged under the calendar scheduler");
@@ -447,9 +316,8 @@ fn adversarial_runs_are_bit_identical_across_workers() {
     // Same scenarios through the driver pool: 1 worker ≡ 8 workers,
     // reports and traces both.
     use eesmr_net::TraceLevel;
-    let scenarios = on_one_and_two_shards(
-        adversarial_scenarios().into_iter().map(|s| s.trace(TraceLevel::Commit)),
-    );
+    let scenarios: Vec<Scenario> =
+        adversarial_scenarios().into_iter().map(|s| s.trace(TraceLevel::Commit)).collect();
     let run_all = |workers: usize| {
         Driver::new(DriverConfig::default().workers(workers)).map(&scenarios, |s| s.run_traced())
     };
@@ -470,9 +338,9 @@ fn tracing_cannot_perturb_results() {
     use eesmr_net::TraceLevel;
     let protocols =
         [Protocol::Eesmr, Protocol::SyncHotStuff, Protocol::OptSync, Protocol::TrustedBaseline];
-    for base in on_one_and_two_shards(protocols.map(|protocol| {
+    for base in protocols.map(|protocol| {
         Scenario::new(protocol, 5, 2).workload(bursty_workload()).stop(StopWhen::Blocks(3))
-    })) {
+    }) {
         let off = base.clone().trace(TraceLevel::Off).run();
         for level in [TraceLevel::Commit, TraceLevel::Proto, TraceLevel::All] {
             let traced = base.clone().trace(level).run();

@@ -8,8 +8,7 @@
 //! a deliberate change to what a run computes — the protocols, the energy
 //! model, the delay or drop streams, the `Debug` shape of a report —
 //! updates the pins in the same commit and says why; an accidental one
-//! fails here. Every cell also runs on 2 and 4 shards, so the same pins
-//! hold the sharded runtime to the single-threaded traces.
+//! fails here.
 
 use eesmr_crypto::sha256::Sha256;
 use eesmr_energy::EnergyPhase;
@@ -44,8 +43,7 @@ fn clients() -> Workload {
 }
 
 /// The grid, in pin order: 4 protocols × 3 fault axes, one client-workload
-/// cell, one `Elapsed`-stop cell (the adaptive-window path when sharded),
-/// then [`shared_machine_cells`].
+/// cell, one `Elapsed`-stop cell, then [`shared_machine_cells`].
 fn grid() -> Vec<(String, Scenario)> {
     let mut cells = Vec::new();
     for protocol in PROTOCOLS {
@@ -190,24 +188,18 @@ const PINS: [u64; 31] = [
 fn reports_match_the_pins_captured_on_an_earlier_commit() {
     let cells = grid();
     assert_eq!(cells.len(), PINS.len());
-    for shards in [1, 2, 4] {
-        let got: Vec<u64> = cells
-            .iter()
-            .map(|(_, scenario)| fingerprint(&scenario.clone().shards(shards)))
-            .collect();
-        let moved: Vec<&str> = cells
-            .iter()
-            .zip(got.iter().zip(&PINS))
-            .filter(|(_, (got, pin))| got != pin)
-            .map(|((label, _), _)| label.as_str())
-            .collect();
-        assert!(
-            moved.is_empty(),
-            "runs changed on {shards} shard(s) in {moved:?}; if that is deliberate, the new pins \
-             are\n{}",
-            got.iter().map(|fp| format!("    {fp:#018x},\n")).collect::<String>()
-        );
-    }
+    let got: Vec<u64> = cells.iter().map(|(_, scenario)| fingerprint(scenario)).collect();
+    let moved: Vec<&str> = cells
+        .iter()
+        .zip(got.iter().zip(&PINS))
+        .filter(|(_, (got, pin))| got != pin)
+        .map(|((label, _), _)| label.as_str())
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "runs changed in {moved:?}; if that is deliberate, the new pins are\n{}",
+        got.iter().map(|fp| format!("    {fp:#018x},\n")).collect::<String>()
+    );
 }
 
 #[test]

@@ -2,10 +2,10 @@
 //! gauge series and the energy-attribution ledger are *measurements* of
 //! a run, never inputs to it. Three consequences are pinned here:
 //!
-//! * Series and attribution matrices are bit-identical across shard
-//!   counts, driver worker counts, and scheduler backends — they sample
-//!   node-local state on node-local event streams, which the PR-5
-//!   determinism contract already fixes.
+//! * Series and attribution matrices are bit-identical across driver
+//!   worker counts and scheduler backends — they sample node-local state
+//!   on node-local event streams, which the determinism contract already
+//!   fixes.
 //! * Turning sampling on (or profiling) changes no report field that
 //!   participates in equality: observability is free of observer
 //!   effects on the simulation itself.
@@ -20,7 +20,7 @@ use eesmr_net::{MetricsConfig, SchedulerKind};
 use eesmr_sim::{ArrivalProcess, FaultPlan, Protocol, Scenario, Skew, StopWhen, Workload};
 
 /// A dense sampling config: a 1 ms simulated cadence produces enough
-/// boundary crossings that any shard- or scheduler-dependent sampling
+/// boundary crossings that any worker- or scheduler-dependent sampling
 /// would almost surely diverge somewhere.
 fn dense() -> MetricsConfig {
     MetricsConfig { enabled: true, dt_us: 1_000, cap: 4_096 }
@@ -40,19 +40,11 @@ fn busy_scenario(protocol: Protocol) -> Scenario {
 }
 
 #[test]
-fn series_and_attribution_are_bit_identical_across_shards_and_schedulers() {
+fn series_and_attribution_are_bit_identical_across_schedulers() {
     for protocol in [Protocol::Eesmr, Protocol::SyncHotStuff] {
         let base = busy_scenario(protocol);
-        let reference = base.clone().shards(1).run();
+        let reference = base.clone().scheduler(SchedulerKind::Heap).run();
         assert!(!reference.metrics.is_empty(), "{}: dense sampling produced nothing", base.label());
-        for shards in [2usize, 4] {
-            let run = base.clone().shards(shards).run();
-            assert_eq!(reference.metrics, run.metrics, "series diverged at {shards} shards");
-            assert_eq!(
-                reference.energy_attr, run.energy_attr,
-                "attribution diverged at {shards} shards"
-            );
-        }
         let calendar = base.clone().scheduler(SchedulerKind::Calendar).run();
         assert_eq!(reference.metrics, calendar.metrics, "series diverged across schedulers");
         assert_eq!(

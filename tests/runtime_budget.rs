@@ -12,9 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use eesmr_hypergraph::topology::ring_kcast;
-use eesmr_net::{
-    Actor, Context, Message, NetConfig, NetStats, NodeId, ShardedNet, SimDuration, SimNet,
-};
+use eesmr_net::{Actor, Context, Message, NetConfig, NetStats, NodeId, SimDuration, SimNet};
 
 const N: usize = 16;
 const K: usize = 3;
@@ -104,26 +102,15 @@ fn cfg() -> NetConfig {
     NetConfig::ble(ring_kcast(N, K), 5)
 }
 
-/// Runs `script(node id)` on every node of the ring to quiescence, on
-/// `SimNet` (`shards: None`) or on `ShardedNet`.
-fn run(shards: Option<usize>, script: impl Fn(NodeId, Arc<Work>) -> Node) -> Outcome {
+/// Runs `script(node id)` on every node of the ring to quiescence.
+fn run(script: impl Fn(NodeId, Arc<Work>) -> Node) -> Outcome {
     let work = Arc::new(Work::default());
     let actors: Vec<Node> = (0..N as NodeId).map(|id| script(id, Arc::clone(&work))).collect();
-    let span = SimDuration::from_millis(50);
-    let (stats, heard) = match shards {
-        None => {
-            let mut net = SimNet::new(cfg(), actors);
-            net.run_for(span);
-            (net.stats().clone(), net.actors().iter().map(|a| a.heard).sum())
-        }
-        Some(shards) => {
-            let mut net = ShardedNet::new(cfg(), actors, shards);
-            net.run_for(span);
-            (net.stats(), (0..N as NodeId).map(|id| net.actor(id).heard).sum())
-        }
-    };
+    let mut net = SimNet::new(cfg(), actors);
+    net.run_for(SimDuration::from_millis(50));
+    let heard = net.actors().iter().map(|a| a.heard).sum();
     Outcome {
-        stats,
+        stats: net.stats().clone(),
         clones: work.clones.load(Ordering::Relaxed),
         sizings: work.sizings.load(Ordering::Relaxed),
         heard,
@@ -150,7 +137,7 @@ const DELIVERIES: u64 = N as u64 * (2 * N as u64 + (K as u64 + 1) + 1);
 
 #[test]
 fn a_message_is_sized_once_and_cloned_only_for_actors() {
-    let out = run(None, busy);
+    let out = run(busy);
     assert_eq!((out.stats.deliveries, out.heard), (DELIVERIES, DELIVERIES));
     // 3 N floods relayed by every node, and N one-hop multicasts.
     assert_eq!(out.stats.kcasts, 3 * (N * N) as u64 + N as u64);
@@ -167,28 +154,9 @@ fn relays_and_duplicate_receptions_clone_nothing() {
     // One routed message crosses the whole ring: every node relays it on
     // its K-cast, two of every three receptions are duplicates, and one
     // actor is handed it.
-    let out = run(None, one_routed);
+    let out = run(one_routed);
     assert_eq!(out.stats.flood_relays, N as u64);
     assert_eq!((out.stats.deliveries, out.heard), (1, 1));
     assert_eq!(out.sizings, 1);
     assert!(out.clones <= 1, "{} clones for one delivery", out.clones);
-}
-
-#[test]
-fn the_budget_holds_on_the_sharded_runtime() {
-    let reference = run(None, busy);
-    for shards in [1, 2, 4] {
-        let out = run(Some(shards), busy);
-        assert_eq!(out.stats, reference.stats, "{shards} shards");
-        assert_eq!(out.heard, DELIVERIES, "{shards} shards");
-        assert_eq!(out.sizings, ORIGINATED, "{shards} shards");
-        // Which delivery drops the last reference depends on thread
-        // timing once shards run side by side; that none is cloned
-        // without an actor to take it does not.
-        assert!(out.clones <= DELIVERIES, "{shards} shards: {} clones", out.clones);
-        assert!(out.clones >= DELIVERIES - ORIGINATED, "{shards} shards: {} clones", out.clones);
-        let routed = run(Some(shards), one_routed);
-        assert_eq!((routed.stats.deliveries, routed.sizings), (1, 1), "{shards} shards");
-        assert!(routed.clones <= 1, "{shards} shards: {} clones", routed.clones);
-    }
 }
