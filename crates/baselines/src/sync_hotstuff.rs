@@ -223,12 +223,6 @@ eesmr_core::smr_payload!(HsPayload { block } => block.height);
 /// A signed Sync HotStuff / OptSync message.
 pub type HsMsg = Envelope<HsPayload>;
 
-/// `ShardedNet` moves messages between shard threads.
-const _: fn() = || {
-    fn shared_across_threads<T: Send + Sync>() {}
-    shared_across_threads::<HsMsg>();
-};
-
 /// One pointer wide, like `SignedMsg`: the envelope is a shared handle.
 const _: () = assert!(std::mem::size_of::<HsMsg>() == std::mem::size_of::<usize>());
 

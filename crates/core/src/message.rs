@@ -504,14 +504,6 @@ impl<P: SmrPayload> eesmr_net::Message for Envelope<P> {
     }
 }
 
-/// `ShardedNet` moves messages between shard threads and shares the
-/// blocks inside them.
-const _: fn() = || {
-    fn shared_across_threads<T: Send + Sync>() {}
-    shared_across_threads::<Block>();
-    shared_across_threads::<SignedMsg>();
-};
-
 /// A message is one pointer wide wherever it is moved: through deliveries,
 /// effects, handlers and the tables that keep it.
 const _: () = assert!(std::mem::size_of::<SignedMsg>() == std::mem::size_of::<usize>());

@@ -42,7 +42,7 @@ pub struct Metrics {
     /// bit-deterministic).
     pub last_batch_fill_pct: u64,
     /// Sum of per-proposal fill percentages (numerator of the mean fill
-    /// reported per run; all-integer, so worker/shard invariant).
+    /// reported per run; all-integer, so worker invariant).
     pub batch_fill_pct_sum: u64,
     /// Proposals made (batches cut) — denominator of the mean fill.
     pub batches_proposed: u64,

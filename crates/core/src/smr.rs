@@ -634,7 +634,7 @@ impl<R: Rule> Smr<R> {
     /// — so live runs never retry; but it is bounded, so a partition that
     /// swallowed the forward heals into re-delivery instead of a stranded
     /// client. Node-local state only — the timer's schedule depends on
-    /// nothing a shard boundary could reorder.
+    /// nothing another node's events could reorder.
     fn arm_forward_retry(&mut self, ctx: &mut Ctx<'_, R>) {
         let Some(window) = self.params.forward_retry_window else { return };
         if self.forward_retry_armed {
@@ -1194,8 +1194,8 @@ impl<R: Rule> Actor for Smr<R> {
 
     fn gauges(&self) -> ActorGauges {
         // Every value is read from this replica's own state, so the
-        // sampled series is invariant across shard/worker/scheduler
-        // choices (the telemetry determinism contract).
+        // sampled series is invariant across worker/scheduler choices
+        // (the telemetry determinism contract).
         ActorGauges {
             tx_in_flight: self.txpool.in_flight() as u64,
             pool_backlog: self.txpool.backlog() as u64,

@@ -6,14 +6,14 @@
 //! node processes carries a timestamp at or past the node's next sampling
 //! boundary, the runtime records one sample per elapsed boundary *before*
 //! dispatching the event. Because each node's event stream (timestamps and
-//! order) is identical for every shard count, worker count, and scheduler
-//! backend — the PR-5 determinism contract — the boundary crossings, and
+//! order) is identical for every worker count and scheduler backend — the
+//! simulator's determinism contract — the boundary crossings, and
 //! therefore every sampled value, are bit-identical too.
 //!
 //! The one gauge that needs care is queue occupancy: the *global*
-//! scheduler queue length at a sampling instant depends on how events are
-//! partitioned across shards, so it is not shard-safe. The shard-safe
-//! proxy recorded here is `queue_events` — the number of events this node
+//! scheduler queue length at a sampling instant depends on every other
+//! node's traffic, so it is not node-local. The node-local proxy
+//! recorded here is `queue_events` — the number of events this node
 //! processed in the elapsed sampling window — which measures the same
 //! congestion from node-local state only. See ARCHITECTURE.md
 //! ("Observability") for the rule new gauges must satisfy.
@@ -34,7 +34,7 @@ pub enum GaugeKind {
     /// Fill of the most recent proposed batch, percent of the policy max.
     BatchFillPct,
     /// Events this node processed during the elapsed sampling window —
-    /// the shard-safe proxy for scheduler queue occupancy.
+    /// the node-local proxy for scheduler queue occupancy.
     QueueEvents,
     /// Energy drawn during the elapsed window, scaled to mJ/s.
     EnergyRateMjPerS,
@@ -86,7 +86,7 @@ impl GaugeKind {
 
 /// Gauge values an actor exposes for sampling, read via
 /// `Actor::gauges()` in `eesmr-net`. All values come from the actor's own
-/// state — never from the scheduler or another shard.
+/// state — never from the scheduler or another node.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ActorGauges {
     /// Transactions injected here and not yet committed.

@@ -14,7 +14,7 @@
 //!   node commits at least one block within a bounded window.
 //!
 //! The auditor is pure replay: it never re-executes the protocol, so it
-//! can gate CI on any traced run — honest, adversarial, sharded — at the
+//! can gate CI on any traced run — honest, adversarial, multi-process — at the
 //! cost of one pass over the event stream.
 
 use std::collections::{BTreeMap, BTreeSet};

@@ -3,7 +3,7 @@
 //! Replaces per-sample `Vec` hoarding for latency populations: O(buckets)
 //! memory no matter how many samples are recorded, exact `count`/`sum`/
 //! `min`/`max`, and a deterministic [`merge`](LogHistogram::merge) so
-//! per-node (or per-shard) histograms combine into the same pooled
+//! per-node histograms combine into the same pooled
 //! distribution in any order.
 //!
 //! Bucket scheme: values below [`LINEAR_MAX`] get one exact bucket each;
@@ -156,8 +156,8 @@ impl LogHistogram {
     }
 
     /// Absorbs `other` into `self`. Merging per-node histograms in any
-    /// grouping yields the identical pooled histogram — the property the
-    /// sharded runtime relies on.
+    /// grouping yields the identical pooled histogram, whatever order
+    /// the nodes are pooled in.
     pub fn merge(&mut self, other: &LogHistogram) {
         if other.count == 0 {
             return;

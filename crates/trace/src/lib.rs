@@ -4,8 +4,8 @@
 //! per-node fixed-capacity ring buffer ([`Tracer`]). Events are stamped
 //! with **node-local** state only — the node's simulated clock and a
 //! per-node monotone sequence number — so a merged trace is bit-identical
-//! no matter how the run was executed (worker count, shard count, either
-//! scheduler), exactly like every other observable in the workspace.
+//! no matter how the run was executed (worker count, either scheduler),
+//! exactly like every other observable in the workspace.
 //!
 //! The [`TraceLevel`] gate (`off|commit|proto|all`) compiles
 //! down to one ordered-enum comparison per candidate event, so the `off`
@@ -24,7 +24,7 @@
 //!   diff cleanly.
 //! * [`hist::LogHistogram`] — a fixed-point log-bucket streaming
 //!   histogram replacing per-sample hoarding (O(buckets) memory,
-//!   deterministic merge across nodes and shards).
+//!   deterministic merge across nodes).
 //! * the `trace_diff` binary — diffs two exported traces and pinpoints
 //!   the first divergent event.
 
@@ -247,7 +247,7 @@ impl EventKind {
 /// One recorded event. `time_us` is the node's simulated clock; `seq` is
 /// the node's monotone emission counter. `(time_us, node, seq)` totally
 /// orders a merged trace, and every component is node-local state, so
-/// the order is independent of worker/shard/scheduler choice.
+/// the order is independent of worker/scheduler choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceEvent {
     /// Simulated time of emission, microseconds.
@@ -367,7 +367,7 @@ pub struct NodeTrace {
 
 /// Every node's stream from one run, in node-id order. Comparing two
 /// `TraceSet`s (`==`) is the bit-identity check the determinism suite
-/// uses across shard counts, worker counts, and schedulers.
+/// uses across worker counts and schedulers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceSet {
     /// Per-node streams, indexed by node id.
