@@ -707,12 +707,9 @@ impl<A: Actor> SimNet<A> {
     /// disabled.
     pub fn take_metrics(&mut self) -> MetricsSet {
         let off = MetricsConfig::off();
-        let taken =
-            self.recorders.iter_mut().map(|r| std::mem::replace(r, MetricsRecorder::new(&off)));
-        MetricsSet {
-            dt_us: self.cfg.metrics.dt_us,
-            nodes: taken.map(MetricsRecorder::finish).collect(),
-        }
+        let take = |r: &mut MetricsRecorder| std::mem::replace(r, MetricsRecorder::new(&off));
+        let nodes = self.recorders.iter_mut().map(|r| take(r).finish()).collect();
+        MetricsSet { dt_us: self.cfg.metrics.dt_us, nodes }
     }
 
     /// Processes the next event, if any, returning its timestamp.
