@@ -61,20 +61,44 @@ pub trait Actor {
     }
 }
 
-/// Side effects an actor can request; applied by the runtime after the
-/// handler returns (keeps handlers simple and borrows clean).
-#[derive(Debug)]
-pub(crate) enum Effect<M, T> {
+/// A side effect an actor requests through its [`Context`]. The runtime
+/// applies it after the handler returns (keeps handlers simple and
+/// borrows clean); the [`Harness`](crate::harness::Harness) hands it back
+/// to the test instead.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Output<M, T> {
     /// One k-cast on each of the node's out-edges (single hop), plus a free
     /// loopback delivery to the node itself.
     Multicast(M),
     /// Network-layer flooding: relayed once per node until everyone has
     /// seen it (logical broadcast over the partially connected graph).
-    Flood { msg: M, target: Option<NodeId> },
-    /// Arm a timer.
-    SetTimer { id: TimerId, delay: SimDuration, token: T },
-    /// Cancel a pending timer.
+    Flood {
+        /// The message.
+        msg: M,
+        /// `Some(node)` for routed sends.
+        target: Option<NodeId>,
+    },
+    /// A timer was armed.
+    SetTimer {
+        /// Cancellation handle.
+        id: TimerId,
+        /// Delay from now.
+        delay: SimDuration,
+        /// The token to fire with.
+        token: T,
+    },
+    /// A timer was cancelled.
     CancelTimer(TimerId),
+}
+
+impl<M, T> Output<M, T> {
+    /// The transmitted message, if this output carries one.
+    pub fn message(&self) -> Option<&M> {
+        match self {
+            Output::Multicast(m) | Output::Flood { msg: m, .. } => Some(m),
+            _ => None,
+        }
+    }
 }
 
 /// The interface between an [`Actor`] and the simulated world.
@@ -84,7 +108,7 @@ pub struct Context<'a, M, T> {
     pub(crate) meter: &'a mut EnergyMeter,
     pub(crate) next_timer_id: &'a mut u64,
     pub(crate) tracer: &'a mut Tracer,
-    pub(crate) effects: Vec<Effect<M, T>>,
+    pub(crate) effects: Vec<Output<M, T>>,
 }
 
 impl<'a, M: Message, T: Clone + core::fmt::Debug> Context<'a, M, T> {
@@ -109,7 +133,7 @@ impl<'a, M: Message, T: Clone + core::fmt::Debug> Context<'a, M, T> {
     /// receives a free loopback copy, so a leader processes its own
     /// proposal through the same code path as everyone else.
     pub fn multicast(&mut self, msg: M) {
-        self.effects.push(Effect::Multicast(msg));
+        self.effects.push(Output::Multicast(msg));
     }
 
     /// Floods `msg` to every node: the network layer relays it once per
@@ -117,7 +141,7 @@ impl<'a, M: Message, T: Clone + core::fmt::Debug> Context<'a, M, T> {
     /// once. This emulates the "logical full connectivity" of Appendix A.3
     /// for control messages whose relay logic is trivial.
     pub fn flood(&mut self, msg: M) {
-        self.effects.push(Effect::Flood { msg, target: None });
+        self.effects.push(Output::Flood { msg, target: None });
     }
 
     /// Routes `msg` to a single node over the flooding substrate (relays
@@ -127,7 +151,7 @@ impl<'a, M: Message, T: Clone + core::fmt::Debug> Context<'a, M, T> {
     /// retry) puts it on the air again, where a repeated
     /// [`Context::flood`] is absorbed as a duplicate.
     pub fn send_to(&mut self, to: NodeId, msg: M) {
-        self.effects.push(Effect::Flood { msg, target: Some(to) });
+        self.effects.push(Output::Flood { msg, target: Some(to) });
     }
 
     /// Arms a timer that fires after `delay`, passing `token` back to
@@ -140,14 +164,14 @@ impl<'a, M: Message, T: Clone + core::fmt::Debug> Context<'a, M, T> {
         *self.next_timer_id += 1;
         debug_assert!(counter < 1 << TIMER_NODE_SHIFT, "per-node timer counter overflow");
         let id = TimerId(((self.node as u64) << TIMER_NODE_SHIFT) | counter);
-        self.effects.push(Effect::SetTimer { id, delay, token });
+        self.effects.push(Output::SetTimer { id, delay, token });
         id
     }
 
     /// Cancels a pending timer. Cancelling an already-fired or unknown
     /// timer is a no-op.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        self.effects.push(Effect::CancelTimer(id));
+        self.effects.push(Output::CancelTimer(id));
     }
 
     /// Whether trace events of `class` are being recorded. Check this
@@ -247,11 +271,11 @@ mod tests {
             .effects
             .iter()
             .map(|e| match e {
-                Effect::Multicast(_) => "m",
-                Effect::Flood { target: None, .. } => "f",
-                Effect::Flood { target: Some(_), .. } => "d",
-                Effect::SetTimer { .. } => "t",
-                Effect::CancelTimer(_) => "c",
+                Output::Multicast(_) => "m",
+                Output::Flood { target: None, .. } => "f",
+                Output::Flood { target: Some(_), .. } => "d",
+                Output::SetTimer { .. } => "t",
+                Output::CancelTimer(_) => "c",
             })
             .collect();
         assert_eq!(kinds, vec!["m", "f", "d"]);

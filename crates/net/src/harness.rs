@@ -9,43 +9,9 @@
 
 use eesmr_energy::EnergyMeter;
 
-use crate::actor::{Actor, Context, Effect, NodeId, TimerId};
+pub use crate::actor::Output;
+use crate::actor::{Actor, Context, NodeId};
 use crate::time::{SimDuration, SimTime};
-
-/// An observable actor output (the resolved form of the context effects).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Output<M, T> {
-    /// One k-cast on the node's out-edges.
-    Multicast(M),
-    /// A network-layer flood, optionally targeted.
-    Flood {
-        /// The message.
-        msg: M,
-        /// `Some(node)` for routed sends.
-        target: Option<NodeId>,
-    },
-    /// A timer was armed.
-    SetTimer {
-        /// Cancellation handle.
-        id: TimerId,
-        /// Delay from now.
-        delay: SimDuration,
-        /// The token to fire with.
-        token: T,
-    },
-    /// A timer was cancelled.
-    CancelTimer(TimerId),
-}
-
-impl<M, T> Output<M, T> {
-    /// The transmitted message, if this output carries one.
-    pub fn message(&self) -> Option<&M> {
-        match self {
-            Output::Multicast(m) | Output::Flood { msg: m, .. } => Some(m),
-            _ => None,
-        }
-    }
-}
 
 /// Drives a single actor with hand-crafted inputs.
 ///
@@ -137,14 +103,6 @@ impl<A: Actor> Harness<A> {
         };
         f(&mut self.actor, &mut ctx);
         ctx.effects
-            .into_iter()
-            .map(|e| match e {
-                Effect::Multicast(m) => Output::Multicast(m),
-                Effect::Flood { msg, target } => Output::Flood { msg, target },
-                Effect::SetTimer { id, delay, token } => Output::SetTimer { id, delay, token },
-                Effect::CancelTimer(id) => Output::CancelTimer(id),
-            })
-            .collect()
     }
 
     /// Calls `on_start`.

@@ -69,11 +69,13 @@ pub use message::Message;
 pub use runtime::{
     Delivery, Fate, Interceptor, LinkDrop, LinkFaults, NetConfig, NetStats, Partition, SimNet,
 };
-pub use sched::{CalendarQueue, EventQueue, SchedulerKind};
+pub use sched::CalendarQueue;
 pub use time::{SimDuration, SimTime};
 
-/// The old name of [`SimNet`], kept only for `benchmark/` until it moves
-/// onto `SimNet` (ROADMAP item 1A); the shard count is ignored.
+// The shims below keep old names alive only for `benchmark/` until it
+// moves onto `SimNet` and `CalendarQueue` (ROADMAP item 1A).
+
+/// The old name of [`SimNet`]; the shard count is ignored.
 #[doc(hidden)]
 pub struct ShardedNet<A: Actor>(SimNet<A>);
 
@@ -98,6 +100,39 @@ impl<A: Actor> std::ops::Deref for ShardedNet<A> {
 
 impl<A: Actor> std::ops::DerefMut for ShardedNet<A> {
     fn deref_mut(&mut self) -> &mut SimNet<A> {
+        &mut self.0
+    }
+}
+
+/// The old scheduler selector: the calendar queue is the only one.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SchedulerKind {
+    /// [`CalendarQueue`].
+    Calendar,
+}
+
+/// The old name of [`CalendarQueue`].
+#[doc(hidden)]
+#[derive(Debug, Default)]
+pub struct EventQueue<E>(CalendarQueue<E>);
+
+impl<E> EventQueue<E> {
+    /// [`CalendarQueue::new`].
+    pub fn new(_: SchedulerKind) -> Self {
+        EventQueue(CalendarQueue::new())
+    }
+}
+
+impl<E> std::ops::Deref for EventQueue<E> {
+    type Target = CalendarQueue<E>;
+    fn deref(&self) -> &CalendarQueue<E> {
+        &self.0
+    }
+}
+
+impl<E> std::ops::DerefMut for EventQueue<E> {
+    fn deref_mut(&mut self) -> &mut CalendarQueue<E> {
         &mut self.0
     }
 }

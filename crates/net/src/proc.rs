@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, RecvTimeoutError};
 use eesmr_energy::{EnergyCategory, EnergyMeter};
 
-use crate::actor::{Actor, Context, Effect, NodeId, TimerId};
+use crate::actor::{Actor, Context, NodeId, Output, TimerId};
 use crate::channel::ChannelCost;
 use crate::codec::WireCodec;
 use crate::message::Message;
@@ -564,9 +564,9 @@ where
         }
     }
 
-    fn apply(&mut self, effect: Effect<A::Msg, A::Timer>) {
+    fn apply(&mut self, effect: Output<A::Msg, A::Timer>) {
         match effect {
-            Effect::Multicast(msg) => {
+            Output::Multicast(msg) => {
                 self.transmit(&msg, None);
                 self.local.push_back(PEvent::Deliver {
                     origin: self.id,
@@ -575,7 +575,7 @@ where
                     target: None,
                 });
             }
-            Effect::Flood { msg, target } => {
+            Output::Flood { msg, target } => {
                 // Full mesh: an untargeted flood is a broadcast and a
                 // targeted flood is a unicast; no relaying happens, so
                 // there is nothing to deduplicate.
@@ -591,13 +591,13 @@ where
                     target,
                 });
             }
-            Effect::SetTimer { id, delay, token } => {
+            Output::SetTimer { id, delay, token } => {
                 let due = self.start.elapsed().as_micros() as u64 + delay.as_micros();
                 let seq = self.timer_seq;
                 self.timer_seq += 1;
                 self.timers.push(due, seq, (id, token));
             }
-            Effect::CancelTimer(id) => {
+            Output::CancelTimer(id) => {
                 self.cancelled.insert(id.0);
             }
         }

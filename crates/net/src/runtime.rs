@@ -13,10 +13,8 @@
 //! ties break by a sequence key derived from `(origin node, per-origin
 //! push counter)`; timer ids encode `(node, per-node timer counter)`. A
 //! run is therefore a pure function of `(config, actors, seed)`. The
-//! pending-event queue itself is pluggable (see [`crate::sched`]): the
-//! default calendar queue and the reference binary heap pop in the same
-//! `(time, seq)` total order, so the choice never changes a trace, only
-//! how fast it is produced.
+//! pending-event queue is one [`CalendarQueue`], which pops in that
+//! `(time, seq)` total order (see [`crate::sched`]).
 //!
 //! The unit of work is the **transmission**, not the reception. What is a
 //! pure function of the run or of the message is computed once and read
@@ -90,10 +88,10 @@ use eesmr_hypergraph::Hypergraph;
 use eesmr_metrics::{MetricsConfig, MetricsRecorder, MetricsSet, ProfPhase, ProfTimer};
 use eesmr_trace::{EventKind as TraceEventKind, TraceLevel, TraceSet, Tracer};
 
-use crate::actor::{Actor, Context, Effect, NodeId, TimerId};
+use crate::actor::{Actor, Context, NodeId, Output, TimerId};
 use crate::channel::ChannelCost;
 use crate::message::Message;
-use crate::sched::{EventQueue, FreeList, SchedulerKind};
+use crate::sched::CalendarQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// Network configuration.
@@ -109,10 +107,6 @@ pub struct NetConfig {
     pub hop_delay_max: SimDuration,
     /// Seed for all delay sampling.
     pub seed: u64,
-    /// Pending-event queue implementation. Traces are bit-identical under
-    /// either kind; the calendar queue is simply faster (see
-    /// [`crate::sched`]).
-    pub scheduler: SchedulerKind,
     /// How much of the structured event taxonomy the runtime records
     /// into per-node [`Tracer`] ring buffers (collect with
     /// [`SimNet::take_traces`]). [`TraceLevel::Off`] costs one enum
@@ -236,7 +230,6 @@ impl NetConfig {
             hop_delay_min: SimDuration::from_micros(500),
             hop_delay_max: SimDuration::from_micros(1_000),
             seed,
-            scheduler: SchedulerKind::default(),
             trace: TraceLevel::Off,
             metrics: MetricsConfig::off(),
             link_faults: LinkFaults::default(),
@@ -598,10 +591,12 @@ pub struct SimNet<A: Actor> {
     timer_ctr: Vec<u64>,
     cancelled_timers: KeySet<u64>,
     fan_out: FanOut,
-    queue: EventQueue<NodeEvent<A::Timer>>,
-    /// Recycled effect-scratch buffers for [`Self::invoke`]: one actor
-    /// invocation per queue pop means alloc-per-event without this.
-    effect_buffers: FreeList<Effect<A::Msg, A::Timer>>,
+    queue: CalendarQueue<NodeEvent<A::Timer>>,
+    /// The effect scratch buffer of [`Self::invoke`], lent to each
+    /// invocation's [`Context`] and taken back, empty, with its capacity:
+    /// one actor invocation per queue pop means alloc-per-event without
+    /// it.
+    effects: Vec<Output<A::Msg, A::Timer>>,
     now: SimTime,
     stats: NetStats,
     interceptor: Option<Interceptor>,
@@ -622,7 +617,7 @@ impl<A: Actor> SimNet<A> {
             tracers: (0..n as NodeId).map(|id| Tracer::new(cfg.trace, id)).collect(),
             recorders: (0..n).map(|_| MetricsRecorder::new(&cfg.metrics)).collect(),
             fan_out: FanOut::new(&cfg.topology),
-            queue: EventQueue::new(cfg.scheduler),
+            queue: CalendarQueue::new(),
             cfg,
             actors,
             meters: vec![EnergyMeter::new(); n],
@@ -634,7 +629,7 @@ impl<A: Actor> SimNet<A> {
             drop_ctr: vec![0; n],
             timer_ctr: vec![0; n],
             cancelled_timers: KeySet::default(),
-            effect_buffers: FreeList::new(2),
+            effects: Vec::new(),
             now: SimTime::ZERO,
             stats: NetStats::default(),
             interceptor: None,
@@ -981,26 +976,26 @@ impl<A: Actor> SimNet<A> {
             meter: &mut self.meters[at],
             next_timer_id: &mut self.timer_ctr[at],
             tracer: &mut self.tracers[at],
-            effects: self.effect_buffers.get(),
+            effects: std::mem::take(&mut self.effects),
         };
         {
             let _prof = ProfTimer::start(ProfPhase::ReplicaStep);
             f(&mut self.actors[at], &mut ctx);
         }
         // Invocations never nest (effects are applied here, outside the
-        // actor), so draining into the pool and recycling is safe.
+        // actor), so one buffer serves them all.
         let mut effects = ctx.effects;
         self.meters[at].set_phase(EnergyPhase::Other);
         for effect in effects.drain(..) {
             match effect {
-                Effect::Multicast(msg) => {
+                Output::Multicast(msg) => {
                     // Loopback first so the sender processes its own
                     // message through the uniform path, then the real hops.
                     let slot = self.admit(OnAir::new(node, msg, None));
                     self.push_own(node, self.now, EventKind::Deliver { slot, loopback: true });
                     self.transmit(node, slot, false);
                 }
-                Effect::Flood { msg, target } => {
+                Output::Flood { msg, target } => {
                     // Flood origination is a loopback delivery carrying the
                     // flood metadata: the origin marks it seen, relays on
                     // its out-edges, and (if targeted elsewhere) skips its
@@ -1020,15 +1015,15 @@ impl<A: Actor> SimNet<A> {
                     let event = (node, EventKind::Deliver { slot, loopback: true });
                     self.queue.push(self.now.as_micros(), seq, event);
                 }
-                Effect::SetTimer { id, delay, token } => {
+                Output::SetTimer { id, delay, token } => {
                     self.push_own(node, self.now + delay, EventKind::Timer { id, token });
                 }
-                Effect::CancelTimer(id) => {
+                Output::CancelTimer(id) => {
                     self.cancelled_timers.insert(id.0);
                 }
             }
         }
-        self.effect_buffers.put(effects);
+        self.effects = effects;
     }
 }
 

@@ -1,69 +1,34 @@
-//! Event schedulers for the discrete-event runtime.
+//! The pending-event queue of the discrete-event runtime.
 //!
 //! The simulator's hot path is its pending-event queue: every message hop,
 //! loopback, and timer passes through it once on the way in and once on
-//! the way out. Two interchangeable implementations live here, selectable
-//! per [`NetConfig`](crate::NetConfig):
+//! the way out. That queue is a [`CalendarQueue`]: near-future events land
+//! in a ring of per-tick FIFO lanes (`O(1)` push/pop), and far-future
+//! events (long timers) overflow into a sorted spill heap that drains back
+//! into the ring as virtual time advances.
 //!
-//! * **[`SchedulerKind::Heap`]** — the classic global
-//!   `BinaryHeap<Reverse<Event>>`: `O(log N)` per operation in the number
-//!   of outstanding events. Simple, and the reference for equivalence
-//!   tests.
-//! * **[`SchedulerKind::Calendar`]** — a [`CalendarQueue`]: near-future
-//!   events land in a ring of per-tick FIFO lanes (`O(1)` push/pop), and
-//!   far-future events (long timers) overflow into a sorted spill heap
-//!   that drains back into the ring as virtual time advances.
-//!
-//! Both pop events in exactly the same total order — ascending
-//! `(time, seq)` — so a simulation is bit-identical under either (the
-//! workspace determinism tests and the `sched_prop` property test enforce
-//! this). The calendar queue is the default because it makes large-`n`,
-//! broadcast-heavy runs measurably faster (`net.sched.*` in
-//! `bash benchmark/run.sh`); the heap stays as the oracle those tests
-//! compare against.
+//! It pops in ascending `(time, seq)` order, the total order the
+//! determinism contract rests on. The unit tests here and the
+//! `sched_prop` property suite check that order against a plain
+//! `BinaryHeap` oracle; `tests/golden_runs.rs` pins whole runs.
 //!
 //! # Example
 //!
 //! ```
-//! use eesmr_net::sched::{EventQueue, SchedulerKind};
+//! use eesmr_net::CalendarQueue;
 //!
-//! // Same pushes, either backend, identical pop order.
-//! for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-//!     let mut q = EventQueue::new(kind);
-//!     q.push(500, 0, "delivery");
-//!     q.push(120_000, 1, "far-future timer");
-//!     q.push(500, 2, "same-tick follow-up");
-//!     assert_eq!(q.pop(), Some((500, 0, "delivery")));
-//!     assert_eq!(q.pop(), Some((500, 2, "same-tick follow-up")));
-//!     assert_eq!(q.pop(), Some((120_000, 1, "far-future timer")));
-//!     assert_eq!(q.pop(), None);
-//! }
+//! let mut q = CalendarQueue::new();
+//! q.push(500, 0, "delivery");
+//! q.push(120_000, 1, "far-future timer");
+//! q.push(500, 2, "same-tick follow-up");
+//! assert_eq!(q.pop(), Some((500, 0, "delivery")));
+//! assert_eq!(q.pop(), Some((500, 2, "same-tick follow-up")));
+//! assert_eq!(q.pop(), Some((120_000, 1, "far-future timer")));
+//! assert_eq!(q.pop(), None);
 //! ```
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-
-/// Which pending-event queue implementation a simulation uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SchedulerKind {
-    /// Global binary heap: `O(log N)` per operation, the reference
-    /// implementation.
-    Heap,
-    /// Calendar queue: `O(1)` time-bucketed lanes plus a spill heap for
-    /// far-future events. The default.
-    #[default]
-    Calendar,
-}
-
-impl SchedulerKind {
-    /// Display name (`"heap"` / `"calendar"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerKind::Heap => "heap",
-            SchedulerKind::Calendar => "calendar",
-        }
-    }
-}
 
 /// One queued event: the `(time, seq)` key plus its payload. Ordering —
 /// and therefore the whole determinism contract — is on `(time, seq)`
@@ -370,145 +335,28 @@ impl<E> CalendarQueue<E> {
     }
 }
 
-/// A bounded pool of reusable `Vec` buffers for the simulator's hot
-/// paths.
-///
-/// Every actor invocation drains a batch of effects; allocating a fresh
-/// `Vec` for each would put an allocator round-trip on the hottest
-/// loop. Instead, drained buffers come back
-/// through [`put`](FreeList::put) — which drops their contents *eagerly*
-/// (so no stale event can ever resurface) but keeps their capacity — and
-/// the next [`get`](FreeList::get) hands the warm allocation out again.
-/// The pool is bounded: spares beyond `cap` are simply freed, so a burst
-/// never pins memory forever.
-#[derive(Debug)]
-pub struct FreeList<T> {
-    pool: Vec<Vec<T>>,
-    cap: usize,
-}
-
-impl<T> FreeList<T> {
-    /// An empty pool retaining at most `cap` spare buffers.
-    pub fn new(cap: usize) -> Self {
-        FreeList { pool: Vec::new(), cap }
-    }
-
-    /// A recycled buffer — always empty, with whatever capacity its last
-    /// life accumulated — or a fresh zero-capacity `Vec` when the pool is
-    /// dry.
-    pub fn get(&mut self) -> Vec<T> {
-        self.pool.pop().unwrap_or_default()
-    }
-
-    /// Returns a buffer to the pool. Its contents are dropped here and
-    /// now — a recycled buffer can never leak stale elements — and its
-    /// capacity is retained unless the pool is already at `cap`, in
-    /// which case the buffer is freed.
-    pub fn put(&mut self, mut buf: Vec<T>) {
-        buf.clear();
-        if self.pool.len() < self.cap {
-            self.pool.push(buf);
-        }
-    }
-
-    /// Spare buffers currently pooled.
-    pub fn spares(&self) -> usize {
-        self.pool.len()
-    }
-}
-
-/// The runtime's pending-event queue: one of the two [`SchedulerKind`]
-/// backends behind a uniform push/peek/pop interface.
-pub struct EventQueue<E>(Backend<E>);
-
-enum Backend<E> {
-    Heap(BinaryHeap<Reverse<Entry<E>>>),
-    Calendar(CalendarQueue<E>),
-}
-
-impl<E> std::fmt::Debug for EventQueue<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.0 {
-            Backend::Heap(h) => f.debug_struct("EventQueue::Heap").field("len", &h.len()).finish(),
-            Backend::Calendar(c) => c.fmt(f),
-        }
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// An empty queue of the given kind.
-    pub fn new(kind: SchedulerKind) -> Self {
-        EventQueue(match kind {
-            SchedulerKind::Heap => Backend::Heap(BinaryHeap::new()),
-            SchedulerKind::Calendar => Backend::Calendar(CalendarQueue::new()),
-        })
-    }
-
-    /// Number of queued events.
-    pub fn len(&self) -> usize {
-        match &self.0 {
-            Backend::Heap(h) => h.len(),
-            Backend::Calendar(c) => c.len(),
-        }
-    }
-
-    /// Whether no events are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Queues `payload` at `(time, seq)`.
-    pub fn push(&mut self, time: u64, seq: u64, payload: E) {
-        match &mut self.0 {
-            Backend::Heap(h) => h.push(Reverse(Entry { time, seq, payload })),
-            Backend::Calendar(c) => c.push(time, seq, payload),
-        }
-    }
-
-    /// The earliest queued time without popping.
-    pub fn peek_time(&self) -> Option<u64> {
-        match &self.0 {
-            Backend::Heap(h) => h.peek().map(|Reverse(e)| e.time),
-            Backend::Calendar(c) => c.peek_time(),
-        }
-    }
-
-    /// Removes and returns the earliest event as `(time, seq, payload)`.
-    pub fn pop(&mut self) -> Option<(u64, u64, E)> {
-        self.pop_if(|_| true)
-    }
-
-    /// Removes and returns the earliest event if `due` accepts its time
-    /// (see [`CalendarQueue::pop_if`]); leaves the queue untouched
-    /// otherwise.
-    pub fn pop_if(&mut self, due: impl FnOnce(u64) -> bool) -> Option<(u64, u64, E)> {
-        match &mut self.0 {
-            Backend::Heap(h) => {
-                if !h.peek().is_some_and(|Reverse(e)| due(e.time)) {
-                    return None;
-                }
-                h.pop().map(|Reverse(e)| (e.time, e.seq, e.payload))
-            }
-            Backend::Calendar(c) => c.pop_if(due),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Drains both backends after identical pushes and asserts identical
-    /// `(time, seq, payload)` sequences.
+    /// The reference order: a plain binary heap over `(time, seq, payload)`.
+    type Oracle<E> = BinaryHeap<Reverse<(u64, u64, E)>>;
+
+    fn pop_oracle<E: Ord>(heap: &mut Oracle<E>) -> Option<(u64, u64, E)> {
+        heap.pop().map(|Reverse(e)| e)
+    }
+
+    /// Drains the queue and the oracle after identical pushes and asserts
+    /// identical `(time, seq, payload)` sequences.
     fn assert_equivalent(events: &[(u64, &'static str)]) {
-        let mut heap = EventQueue::new(SchedulerKind::Heap);
-        let mut cal = EventQueue::new(SchedulerKind::Calendar);
+        let mut heap = Oracle::new();
+        let mut cal = CalendarQueue::new();
         for (seq, &(time, tag)) in events.iter().enumerate() {
-            heap.push(time, seq as u64, tag);
+            heap.push(Reverse((time, seq as u64, tag)));
             cal.push(time, seq as u64, tag);
         }
         loop {
-            let (a, b) = (heap.pop(), cal.pop());
+            let (a, b) = (pop_oracle(&mut heap), cal.pop());
             assert_eq!(a, b);
             if a.is_none() {
                 break;
@@ -549,7 +397,7 @@ mod tests {
     fn same_tick_out_of_order_seqs_pop_sorted() {
         // Sequence keys are per origin, so same-tick events can arrive
         // with descending seqs; pop order must still be ascending
-        // (time, seq) on both backends.
+        // (time, seq), as the oracle pops them.
         let events: Vec<(u64, u64, &'static str)> = vec![
             (5, 9, "i"),
             (5, 3, "c"),
@@ -559,19 +407,20 @@ mod tests {
             (9, 0, "z"),
             (5, 4, "d"),
         ];
-        for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            let mut q = EventQueue::new(kind);
-            for &(t, s, tag) in &events {
-                q.push(t, s, tag);
-            }
-            let mut got = Vec::new();
-            while let Some(e) = q.pop() {
-                got.push(e);
-            }
-            let mut expect = events.clone();
-            expect.sort_unstable_by_key(|&(t, s, _)| (t, s));
-            assert_eq!(got, expect, "{}", kind.name());
+        let mut heap: Oracle<_> = events.iter().copied().map(Reverse).collect();
+        let mut q = CalendarQueue::new();
+        for &(t, s, tag) in &events {
+            q.push(t, s, tag);
         }
+        let mut got = Vec::new();
+        while let Some(e) = q.pop() {
+            assert_eq!(Some(e), pop_oracle(&mut heap));
+            got.push(e);
+        }
+        assert!(heap.is_empty());
+        let mut expect = events.clone();
+        expect.sort_unstable_by_key(|&(t, s, _)| (t, s));
+        assert_eq!(got, expect);
     }
 
     #[test]
@@ -606,8 +455,8 @@ mod tests {
     #[test]
     fn interleaved_push_pop_matches_heap() {
         // A hold-model workload: pop one, schedule a few relative to it.
-        let mut heap = EventQueue::new(SchedulerKind::Heap);
-        let mut cal = EventQueue::new(SchedulerKind::Calendar);
+        let mut heap = Oracle::new();
+        let mut cal = CalendarQueue::new();
         let mut seq = 0u64;
         let mut state = 0x2545_F491_4F6C_DD1Du64;
         let mut rand = move || {
@@ -617,12 +466,12 @@ mod tests {
             state
         };
         for _ in 0..32 {
-            heap.push(0, seq, seq);
+            heap.push(Reverse((0, seq, seq)));
             cal.push(0, seq, seq);
             seq += 1;
         }
         for _ in 0..10_000 {
-            let a = heap.pop();
+            let a = pop_oracle(&mut heap);
             let b = cal.pop();
             assert_eq!(a, b);
             let Some((now, _, _)) = a else { break };
@@ -630,13 +479,13 @@ mod tests {
                 // Mix in near-future hops and far-future timers.
                 let delay =
                     if rand() % 8 == 0 { 100_000 + rand() % 500_000 } else { rand() % 1_500 };
-                heap.push(now + delay, seq, seq);
+                heap.push(Reverse((now + delay, seq, seq)));
                 cal.push(now + delay, seq, seq);
                 seq += 1;
             }
         }
         loop {
-            let (a, b) = (heap.pop(), cal.pop());
+            let (a, b) = (pop_oracle(&mut heap), cal.pop());
             assert_eq!(a, b);
             if a.is_none() {
                 break;
@@ -678,43 +527,8 @@ mod tests {
     }
 
     #[test]
-    fn default_scheduler_is_calendar() {
-        assert_eq!(SchedulerKind::default(), SchedulerKind::Calendar);
-        assert_eq!(SchedulerKind::Heap.name(), "heap");
-        assert_eq!(SchedulerKind::Calendar.name(), "calendar");
-    }
-
-    #[test]
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_lanes_rejected() {
         let _ = CalendarQueue::<u8>::with_lanes(100);
-    }
-
-    #[test]
-    fn freelist_recycles_capacity_without_stale_state() {
-        let mut fl = FreeList::new(2);
-        let mut buf = fl.get();
-        buf.extend([1, 2, 3]);
-        let ptr = buf.as_ptr();
-        let cap = buf.capacity();
-        fl.put(buf);
-        // The same allocation comes back — empty, capacity intact.
-        let recycled = fl.get();
-        assert!(recycled.is_empty(), "recycled buffers must never expose stale elements");
-        assert_eq!(recycled.capacity(), cap);
-        assert_eq!(recycled.as_ptr(), ptr, "the warm allocation is reused, not reallocated");
-        fl.put(recycled);
-        // Contents are dropped at put() time, observable via drop effects.
-        let counted: Vec<std::rc::Rc<u8>> = vec![std::rc::Rc::new(9)];
-        let probe = std::rc::Rc::clone(&counted[0]);
-        let mut fl2 = FreeList::new(1);
-        fl2.put(counted);
-        assert_eq!(std::rc::Rc::strong_count(&probe), 1, "put() drops contents eagerly");
-        // The pool is bounded by cap.
-        let mut fl3 = FreeList::<u8>::new(2);
-        fl3.put(Vec::with_capacity(1));
-        fl3.put(Vec::with_capacity(1));
-        fl3.put(Vec::with_capacity(1));
-        assert_eq!(fl3.spares(), 2);
     }
 }

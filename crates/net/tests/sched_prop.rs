@@ -1,18 +1,48 @@
 //! Property test: the calendar queue pops in exactly the binary heap's
-//! `(time, seq)` order over arbitrary event sets — the equivalence the
-//! simulator's determinism contract rests on.
+//! `(time, seq)` order over arbitrary event sets — the order the
+//! simulator's determinism contract rests on. The heap is the oracle
+//! only; the runtime has one queue.
 
-use eesmr_net::sched::{CalendarQueue, EventQueue, SchedulerKind};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use eesmr_net::CalendarQueue;
 use proptest::prelude::*;
 
-/// Replays one interleaved workload against both backends and asserts
-/// identical pop sequences at every step. Each `op` value encodes either
-/// a pop (`op % 4 == 3`; every other one conditional on a cutoff time,
-/// the way the runtime drains a window) or a push whose delay mixes
+/// The reference order: a plain binary heap over `(time, seq, payload)`.
+#[derive(Default)]
+struct Oracle<E: Ord>(BinaryHeap<Reverse<(u64, u64, E)>>);
+
+impl<E: Ord> Oracle<E> {
+    fn push(&mut self, time: u64, seq: u64, payload: E) {
+        self.0.push(Reverse((time, seq, payload)));
+    }
+
+    fn peek_time(&self) -> Option<u64> {
+        self.0.peek().map(|Reverse((time, _, _))| *time)
+    }
+
+    fn pop(&mut self) -> Option<(u64, u64, E)> {
+        self.0.pop().map(|Reverse(e)| e)
+    }
+
+    fn pop_if(&mut self, due: impl FnOnce(u64) -> bool) -> Option<(u64, u64, E)> {
+        if self.peek_time().is_some_and(due) {
+            self.pop()
+        } else {
+            None
+        }
+    }
+}
+
+/// Replays one interleaved workload against the queue and the oracle and
+/// asserts identical pop sequences at every step. Each `op` value encodes
+/// either a pop (`op % 4 == 3`; every other one conditional on a cutoff
+/// time, the way the runtime drains a window) or a push whose delay mixes
 /// near-future hops with far-future timers, always relative to the last
 /// popped time (the scheduler contract).
 fn replay(ops: &[u64], lanes: usize) {
-    let mut heap = EventQueue::new(SchedulerKind::Heap);
+    let mut heap = Oracle::default();
     let mut cal = CalendarQueue::with_lanes(lanes);
     let mut seq = 0u64;
     let mut now = 0u64;
@@ -78,8 +108,8 @@ proptest! {
     fn lazy_default_queue_matches_heap(
         ops in prop::collection::vec(any::<u64>(), 1..600),
     ) {
-        let mut heap = EventQueue::new(SchedulerKind::Heap);
-        let mut cal = EventQueue::new(SchedulerKind::Calendar);
+        let mut heap = Oracle::default();
+        let mut cal = CalendarQueue::new();
         let mut seq = 0u64;
         let mut now = 0u64;
         for &op in &ops {
@@ -107,7 +137,7 @@ proptest! {
     fn batch_drain_matches_heap(
         times in prop::collection::vec(0u64..5_000, 0..300),
     ) {
-        let mut heap = EventQueue::new(SchedulerKind::Heap);
+        let mut heap = Oracle::default();
         let mut cal = CalendarQueue::with_lanes(128);
         for (seq, &t) in times.iter().enumerate() {
             heap.push(t, seq as u64, seq);
@@ -124,12 +154,12 @@ proptest! {
     /// (per-origin key streams interleave out of push order), including
     /// same-tick inversions. Keys are made
     /// unique by construction — `(time, seq)` never repeats — and pop
-    /// order must still equal the heap's on both backends.
+    /// order must still equal the heap's.
     #[test]
     fn out_of_order_seq_keys_match_heap(
         events in prop::collection::vec(any::<u64>(), 0..300),
     ) {
-        let mut heap = EventQueue::new(SchedulerKind::Heap);
+        let mut heap = Oracle::default();
         let mut cal = CalendarQueue::with_lanes(128);
         for (i, &v) in events.iter().enumerate() {
             let t = v % 2_000; // few ticks -> dense same-tick lanes

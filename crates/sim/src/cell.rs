@@ -158,7 +158,6 @@ impl Scenario {
             }
             _ => NetConfig::ble(ring_kcast(self.n, self.k), self.seed),
         };
-        net.scheduler = self.scheduler;
         net.trace = self.trace;
         net.metrics = self.metrics;
         net

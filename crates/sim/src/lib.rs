@@ -31,8 +31,7 @@ pub use options::{OptionsError, RunOptions};
 pub use report::{NodeEnergy, NodeReport, RunReport, TxLatencyStats};
 pub use scenario::{CellKey, Protocol, Scenario, StopWhen};
 
-// Re-exported so sweep authors can set batch policies, schedulers, and
-// client workloads without depending on the protocol crates directly.
+// Re-exported so sweep authors can set batch policies and client
+// workloads without depending on the protocol crates directly.
 pub use eesmr_core::BatchPolicy;
-pub use eesmr_net::SchedulerKind;
 pub use eesmr_workload::{ArrivalProcess, Injection, PayloadDist, Skew, Workload};

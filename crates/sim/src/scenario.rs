@@ -11,8 +11,7 @@
 use eesmr_core::BatchPolicy;
 use eesmr_crypto::SigScheme;
 use eesmr_net::{
-    MetricsConfig, NetConfig, SchedulerKind, SimDuration, SimNet, SimTime, TraceClass, TraceLevel,
-    TraceSet,
+    MetricsConfig, NetConfig, SimDuration, SimNet, SimTime, TraceClass, TraceLevel, TraceSet,
 };
 use eesmr_trace::path::CommitPath;
 use eesmr_workload::Workload;
@@ -116,9 +115,6 @@ pub struct Scenario {
     /// synthetic `offered_load` feed and the run measures per-transaction
     /// end-to-end commit latency.
     pub workload: Option<Workload>,
-    /// Which pending-event queue the simulator uses. Results are
-    /// bit-identical under either kind; this only changes run speed.
-    pub scheduler: SchedulerKind,
     /// Structured-event trace level (see `eesmr-trace`). An
     /// observability knob, not a sweep axis: traces are keyed to
     /// node-local state, so any level produces the same `RunReport`
@@ -198,7 +194,6 @@ impl Scenario {
             offered_load: 1,
             forward_batch: 1,
             workload: None,
-            scheduler: SchedulerKind::default(),
             trace: TraceLevel::Off,
             metrics: MetricsConfig::off(),
         }
@@ -240,13 +235,6 @@ impl Scenario {
         self
     }
 
-    /// Selects the simulator's event scheduler (results are identical
-    /// under either; see `eesmr_net::sched`).
-    pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.scheduler = kind;
-        self
-    }
-
     /// Kept only for `benchmark/` until it stops calling it (ROADMAP item
     /// 1A): a simulation has one event loop, so the shard count is
     /// ignored.
@@ -255,9 +243,8 @@ impl Scenario {
         self
     }
 
-    /// Sets the structured-event trace level. Like
-    /// [`scheduler`](Self::scheduler) this cannot change results — it only
-    /// controls what [`run_traced`](Self::run_traced) captures.
+    /// Sets the structured-event trace level. This cannot change results
+    /// — it only controls what [`run_traced`](Self::run_traced) captures.
     pub fn trace(mut self, level: TraceLevel) -> Self {
         self.trace = level;
         self

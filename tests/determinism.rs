@@ -3,12 +3,11 @@
 //! with the same seed must produce *identical* `RunReport`s — every
 //! energy figure, commit, view change, and network counter — across all
 //! protocols, with and without faults — and the same across driver worker
-//! counts, schedulers and trace levels.
+//! counts and trace levels.
 
 use eesmr_driver::{Driver, DriverConfig, ScenarioGrid};
 use eesmr_sim::{
-    ArrivalProcess, FaultPlan, FaultSpec, Protocol, RunReport, Scenario, SchedulerKind, Skew,
-    StopWhen, Workload,
+    ArrivalProcess, FaultPlan, FaultSpec, Protocol, RunReport, Scenario, Skew, StopWhen, Workload,
 };
 
 /// The bursty, skewed, closed-loop workload the determinism grids use —
@@ -147,8 +146,10 @@ fn workload_grid_is_bit_identical_across_workers() {
     let parallel = Driver::new(DriverConfig::default().workers(8)).run_grid(&workload_grid());
     assert_eq!(sequential.cells.len(), 7, "3 protocols × 2 workloads + 1 explicit");
     assert_eq!(sequential, parallel, "worker count leaked into workload results");
-    // The sweep actually measured per-transaction latency everywhere.
+    // The sweep actually committed transactions and measured their
+    // latency everywhere.
     for cell in &sequential.cells {
+        assert!(cell.report().tx_committed() > 0, "{} committed no transactions", cell.label);
         let stats = cell.report().tx_latency_stats();
         assert!(stats.is_some(), "{} measured no transactions", cell.label);
         assert!(cell.stats.tx_latency_p50_us.is_some());
@@ -156,53 +157,6 @@ fn workload_grid_is_bit_identical_across_workers() {
     }
     // And the JSON/CSV payloads — what the figures consume — match too.
     assert_eq!(sequential.to_json(), parallel.to_json());
-}
-
-#[test]
-fn workload_scenarios_are_bit_identical_across_schedulers() {
-    // The scheduler must stay a pure performance choice with arrival
-    // timers in the event stream: heap and calendar runs of a bursty,
-    // skewed, closed-loop workload produce identical reports.
-    let scenarios = [
-        Scenario::new(Protocol::Eesmr, 6, 3).workload(bursty_workload()).stop(StopWhen::Blocks(4)),
-        Scenario::new(Protocol::SyncHotStuff, 6, 3)
-            .workload(bursty_workload())
-            .stop(StopWhen::Blocks(4)),
-        Scenario::new(Protocol::TrustedBaseline, 5, 2)
-            .workload(Workload::new(ArrivalProcess::Poisson { rate: 3_000 }))
-            .stop(StopWhen::Blocks(4)),
-    ];
-    for scenario in scenarios {
-        let heap = scenario.clone().scheduler(SchedulerKind::Heap).run();
-        let calendar = scenario.clone().scheduler(SchedulerKind::Calendar).run();
-        assert_eq!(heap, calendar, "scheduler leaked into results: {}", scenario.label());
-        assert!(heap.tx_committed() > 0, "{} committed no transactions", scenario.label());
-    }
-}
-
-#[test]
-fn calendar_and_heap_schedulers_are_bit_identical() {
-    // The event scheduler is a pure performance choice: swapping the
-    // calendar queue for the reference binary heap must never change a
-    // single byte of any report — across protocols, faults, and the
-    // view-change path whose long timers exercise the spill heap.
-    let scenarios = [
-        Scenario::new(Protocol::Eesmr, 6, 3).stop(StopWhen::Blocks(4)),
-        Scenario::new(Protocol::SyncHotStuff, 6, 3).stop(StopWhen::Blocks(4)),
-        Scenario::new(Protocol::OptSync, 5, 2).stop(StopWhen::Blocks(4)),
-        Scenario::new(Protocol::TrustedBaseline, 6, 2).stop(StopWhen::Blocks(4)),
-        Scenario::new(Protocol::Eesmr, 5, 2)
-            .faults(FaultPlan::silent_leader())
-            .stop(StopWhen::ViewReached(2)),
-        Scenario::new(Protocol::Eesmr, 6, 2)
-            .faults(FaultPlan::none().with_equivocator(1, 1))
-            .stop(StopWhen::Blocks(3)),
-    ];
-    for scenario in scenarios {
-        let heap = scenario.clone().scheduler(SchedulerKind::Heap).run();
-        let calendar = scenario.clone().scheduler(SchedulerKind::Calendar).run();
-        assert_eq!(heap, calendar, "scheduler leaked into results: {}", scenario.label());
-    }
 }
 
 #[test]
@@ -216,23 +170,6 @@ fn seed_actually_matters_somewhere() {
         reports.windows(2).any(|w| w[0] != w[1]),
         "eight different seeds produced eight identical reports; is the seed wired through?"
     );
-}
-
-#[test]
-fn traces_are_bit_identical_across_schedulers() {
-    // The trace extends the determinism contract: events are stamped
-    // (time, node, node-local seq) from node-local state only, so the
-    // scheduler backend cannot move, drop, or reorder a single event.
-    use eesmr_net::TraceLevel;
-    let base = Scenario::new(Protocol::Eesmr, 6, 3)
-        .workload(bursty_workload())
-        .stop(StopWhen::Blocks(4))
-        .trace(TraceLevel::All);
-    let (heap_report, heap) = base.clone().scheduler(SchedulerKind::Heap).run_traced();
-    assert!(heap.total_events() > 0, "tracing recorded something");
-    let (calendar_report, calendar) = base.clone().scheduler(SchedulerKind::Calendar).run_traced();
-    assert_eq!(heap, calendar, "trace diverged across schedulers");
-    assert_eq!(heap_report, calendar_report, "report diverged across schedulers");
 }
 
 #[test]
@@ -258,8 +195,7 @@ fn traces_are_bit_identical_across_workers() {
 /// Adversarial scenarios: every fault behaviour with a wall-clock schedule
 /// (healing partition, node churn, crash-recovery) plus vote withholding
 /// — the paths where restart timers, link-fault checks at transmit time,
-/// and repair floods could conceivably leak a worker count or scheduler
-/// choice.
+/// and repair floods could conceivably leak a worker count.
 fn adversarial_scenarios() -> Vec<Scenario> {
     let mut scenarios: Vec<Scenario> =
         [FaultSpec::PartitionHeal, FaultSpec::Churn, FaultSpec::Withhold]
@@ -290,32 +226,15 @@ fn adversarial_scenarios() -> Vec<Scenario> {
 }
 
 #[test]
-fn adversarial_runs_are_bit_identical_across_schedulers() {
+fn adversarial_runs_are_bit_identical_across_workers() {
     // The fault model extends the determinism contract: restart timers,
     // partition/drop checks, and repair replies are all keyed to
-    // node-local state and virtual time, so the scheduler backend must
-    // not move a single byte of the report — or a single event of the
-    // commit trace. Every traced run must also replay safety-clean
-    // through the auditor.
+    // node-local state and virtual time, so fanning the scenarios over
+    // the driver pool (1 worker ≡ 8 workers) must not move a byte of a
+    // report or an event of a commit trace. Every traced run must also
+    // replay safety-clean through the auditor.
     use eesmr_net::TraceLevel;
     use eesmr_trace::audit::{audit, AuditConfig};
-    for scenario in adversarial_scenarios() {
-        let base = scenario.trace(TraceLevel::Commit).scheduler(SchedulerKind::Heap);
-        let (reference_report, reference_trace) = base.run_traced();
-        assert!(reference_trace.total_events() > 0, "tracing recorded something");
-        let verdict = audit(&reference_trace, &AuditConfig::safety_only());
-        assert!(verdict.is_clean(), "{}: {:?}", base.label(), verdict.violations);
-        let (report, trace) = base.clone().scheduler(SchedulerKind::Calendar).run_traced();
-        assert_eq!(reference_report, report, "calendar scheduler leaked: {}", base.label());
-        assert_eq!(reference_trace, trace, "trace diverged under the calendar scheduler");
-    }
-}
-
-#[test]
-fn adversarial_runs_are_bit_identical_across_workers() {
-    // Same scenarios through the driver pool: 1 worker ≡ 8 workers,
-    // reports and traces both.
-    use eesmr_net::TraceLevel;
     let scenarios: Vec<Scenario> =
         adversarial_scenarios().into_iter().map(|s| s.trace(TraceLevel::Commit)).collect();
     let run_all = |workers: usize| {
@@ -326,6 +245,9 @@ fn adversarial_runs_are_bit_identical_across_workers() {
     for (scenario, ((report_a, trace_a), (report_b, trace_b))) in
         scenarios.iter().zip(inline.iter().zip(&parallel))
     {
+        assert!(trace_a.total_events() > 0, "{}: tracing recorded nothing", scenario.label());
+        let verdict = audit(trace_a, &AuditConfig::safety_only());
+        assert!(verdict.is_clean(), "{}: {:?}", scenario.label(), verdict.violations);
         assert_eq!(report_a, report_b, "worker count leaked: {}", scenario.label());
         assert_eq!(trace_a, trace_b, "trace diverged across workers: {}", scenario.label());
     }
