@@ -1194,7 +1194,7 @@ impl<R: Rule> Actor for Smr<R> {
 
     fn gauges(&self) -> ActorGauges {
         // Every value is read from this replica's own state, so the
-        // sampled series is invariant across worker/scheduler choices
+        // sampled series is invariant across worker counts
         // (the telemetry determinism contract).
         ActorGauges {
             tx_in_flight: self.txpool.in_flight() as u64,

@@ -5,8 +5,8 @@
 //! * [`series`] — typed per-node gauges sampled on a fixed simulated-time
 //!   cadence ([`MetricsConfig::dt_us`]) into fixed-capacity ring series. Every
 //!   sample is stamped from node-local state only, so series are
-//!   bit-identical across worker counts and scheduler backends — the
-//!   same contract as `eesmr-trace` events.
+//!   bit-identical across worker counts — the same contract as
+//!   `eesmr-trace` events.
 //! * [`export`] — Prometheus text format and JSON renderers for a whole
 //!   run's series plus the per-node energy-by-class attribution matrix
 //!   (what `figures headline` writes to `EESMR_METRICS_OUT`), consumed by

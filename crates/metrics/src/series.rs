@@ -6,8 +6,8 @@
 //! node processes carries a timestamp at or past the node's next sampling
 //! boundary, the runtime records one sample per elapsed boundary *before*
 //! dispatching the event. Because each node's event stream (timestamps and
-//! order) is identical for every worker count and scheduler backend — the
-//! simulator's determinism contract — the boundary crossings, and
+//! order) is identical for every worker count — the simulator's
+//! determinism contract — the boundary crossings, and
 //! therefore every sampled value, are bit-identical too.
 //!
 //! The one gauge that needs care is queue occupancy: the *global*

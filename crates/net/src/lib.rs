@@ -106,7 +106,6 @@ impl<A: Actor> std::ops::DerefMut for ShardedNet<A> {
 
 /// The old scheduler selector: the calendar queue is the only one.
 #[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// [`CalendarQueue`].
     Calendar,
@@ -114,7 +113,6 @@ pub enum SchedulerKind {
 
 /// The old name of [`CalendarQueue`].
 #[doc(hidden)]
-#[derive(Debug, Default)]
 pub struct EventQueue<E>(CalendarQueue<E>);
 
 impl<E> EventQueue<E> {

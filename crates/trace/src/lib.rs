@@ -4,7 +4,7 @@
 //! per-node fixed-capacity ring buffer ([`Tracer`]). Events are stamped
 //! with **node-local** state only — the node's simulated clock and a
 //! per-node monotone sequence number — so a merged trace is bit-identical
-//! no matter how the run was executed (worker count, either scheduler),
+//! no matter how the run was executed (worker count, trace level),
 //! exactly like every other observable in the workspace.
 //!
 //! The [`TraceLevel`] gate (`off|commit|proto|all`) compiles
@@ -247,7 +247,7 @@ impl EventKind {
 /// One recorded event. `time_us` is the node's simulated clock; `seq` is
 /// the node's monotone emission counter. `(time_us, node, seq)` totally
 /// orders a merged trace, and every component is node-local state, so
-/// the order is independent of worker/scheduler choice.
+/// the order is independent of the worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceEvent {
     /// Simulated time of emission, microseconds.
@@ -367,7 +367,7 @@ pub struct NodeTrace {
 
 /// Every node's stream from one run, in node-id order. Comparing two
 /// `TraceSet`s (`==`) is the bit-identity check the determinism suite
-/// uses across worker counts and schedulers.
+/// uses across worker counts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceSet {
     /// Per-node streams, indexed by node id.

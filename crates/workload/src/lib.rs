@@ -18,7 +18,7 @@
 //! **Determinism contract:** all sampling is integer/fixed-point off the
 //! vendored `rand` (see [`process`]), and each node's stream is seeded
 //! only by `(seed, node)` — a workload trace is bit-identical across
-//! worker counts, scheduler backends, and platforms.
+//! worker counts and platforms.
 //!
 //! ```
 //! use eesmr_workload::{ArrivalProcess, Skew, Workload};

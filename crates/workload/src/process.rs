@@ -3,8 +3,8 @@
 //! Every sampler draws from the vendored xoshiro-based `StdRng` and does
 //! *all* arithmetic in integers (Q32 fixed point for logarithms, Q16 for
 //! the sine table), so an arrival trace is a pure function of
-//! `(process, weight, seed)` — bit-identical across platforms, worker
-//! counts, and event-scheduler backends. Times are virtual microseconds,
+//! `(process, weight, seed)` — bit-identical across platforms and worker
+//! counts. Times are virtual microseconds,
 //! matching `eesmr_net::SimTime`; rates are transactions per second.
 
 use rand::rngs::StdRng;
