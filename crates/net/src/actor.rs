@@ -78,7 +78,7 @@ pub enum Output<M, T> {
         /// `Some(node)` for routed sends.
         target: Option<NodeId>,
     },
-    /// A timer was armed.
+    /// Arm a timer.
     SetTimer {
         /// Cancellation handle.
         id: TimerId,
@@ -87,7 +87,7 @@ pub enum Output<M, T> {
         /// The token to fire with.
         token: T,
     },
-    /// A timer was cancelled.
+    /// Cancel a pending timer.
     CancelTimer(TimerId),
 }
 

@@ -4,8 +4,8 @@
 //! *all* arithmetic in integers (Q32 fixed point for logarithms, Q16 for
 //! the sine table), so an arrival trace is a pure function of
 //! `(process, weight, seed)` — bit-identical across platforms and worker
-//! counts. Times are virtual microseconds,
-//! matching `eesmr_net::SimTime`; rates are transactions per second.
+//! counts. Times are virtual microseconds, matching `eesmr_net::SimTime`;
+//! rates are transactions per second.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
