@@ -12,7 +12,9 @@
 //!
 //! Inside bodies the conventions are fixed:
 //!
-//! * integers are little-endian and fixed-width (`u8`/`u32`/`u64`);
+//! * integers are little-endian and fixed-width (`u8`/`u32`/`u64`); a
+//!   `bool` is one byte, 0 or 1; an `f64` is its bit pattern and a
+//!   [`SimDuration`] its microseconds, each as a `u64`;
 //! * sequences are `u32` count + elements ([`put_seq`]/[`read_seq`]), and
 //!   byte strings are sequences of `u8`;
 //! * options are a `0`/`1` flag byte + the value when present;
@@ -39,6 +41,9 @@
 
 pub use eesmr_crypto::digest::ByteSink;
 use eesmr_crypto::{Digest, SigScheme, Signature};
+use eesmr_trace::hist::{LogHistogram, MAX_BUCKETS};
+
+use crate::time::SimDuration;
 
 use core::fmt;
 
@@ -79,15 +84,17 @@ pub enum CodecError {
         /// The offending byte.
         tag: u8,
     },
-    /// A count or length prefix cannot fit in the remaining bytes.
+    /// A count or length prefix is out of bounds: more elements than the
+    /// remaining bytes can hold, or than the type allows.
     BadLength {
         /// Which sequence the prefix belonged to.
         what: &'static str,
         /// The claimed element count or byte length.
         len: u64,
     },
-    /// The bytes decode, but not to the canonical encoding (e.g. nonzero
-    /// signature padding). Rejected so `encode(decode(b)) == b` holds.
+    /// The bytes decode, but not to the canonical encoding of a valid
+    /// value: nonzero signature padding (rejected so `encode(decode(b)) ==
+    /// b` holds), or histogram buckets that do not add up to its count.
     NonCanonical(&'static str),
     /// Bytes were left over after the structure was fully decoded.
     Trailing(usize),
@@ -101,7 +108,7 @@ impl fmt::Display for CodecError {
             CodecError::BadVersion(v) => write!(f, "unsupported schema version {v}"),
             CodecError::UnknownTag { what, tag } => write!(f, "unknown {what} tag {tag}"),
             CodecError::BadLength { what, len } => {
-                write!(f, "{what} length {len} exceeds remaining bytes")
+                write!(f, "{what} length {len} out of bounds")
             }
             CodecError::NonCanonical(what) => write!(f, "non-canonical encoding: {what}"),
             CodecError::Trailing(n) => write!(f, "{n} trailing bytes after structure"),
@@ -413,6 +420,76 @@ impl<A: WireCodec, B: WireCodec> WireCodec for (A, B) {
     }
 }
 
+impl WireCodec for bool {
+    const MIN_LEN: usize = 1;
+
+    fn encode_into<S: ByteSink>(&self, out: &mut S) {
+        out.extend_from_slice(&[u8::from(*self)]);
+    }
+
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        match r.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(CodecError::UnknownTag { what: "bool", tag }),
+        }
+    }
+}
+
+impl WireCodec for f64 {
+    const MIN_LEN: usize = 8;
+
+    fn encode_into<S: ByteSink>(&self, out: &mut S) {
+        self.to_bits().encode_into(out);
+    }
+
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        r.u64().map(f64::from_bits)
+    }
+}
+
+impl WireCodec for SimDuration {
+    const MIN_LEN: usize = 8;
+
+    fn encode_into<S: ByteSink>(&self, out: &mut S) {
+        self.as_micros().encode_into(out);
+    }
+
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        r.u64().map(SimDuration::from_micros)
+    }
+}
+
+/// A histogram is its bucket counts, then `count`, `sum` (low half, high
+/// half), `min` and `max`. Decoding refuses what its percentiles could not
+/// read: more buckets than any `u64` sample fills, or bucket counts that
+/// do not add up to `count`.
+impl WireCodec for LogHistogram {
+    const MIN_LEN: usize = 4 + 5 * 8;
+
+    fn encode_into<S: ByteSink>(&self, out: &mut S) {
+        let (buckets, count, sum, min, max) = self.raw_parts();
+        put_seq(out, buckets);
+        for v in [count, sum as u64, (sum >> 64) as u64, min, max] {
+            v.encode_into(out);
+        }
+    }
+
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let buckets: Vec<u64> = read_seq(r, "histogram buckets")?;
+        if buckets.len() > MAX_BUCKETS {
+            let len = buckets.len() as u64;
+            return Err(CodecError::BadLength { what: "histogram buckets", len });
+        }
+        let [count, sum_lo, sum_hi, min, max] = [r.u64()?, r.u64()?, r.u64()?, r.u64()?, r.u64()?];
+        if buckets.iter().try_fold(0u64, |total, &b| total.checked_add(b)) != Some(count) {
+            return Err(CodecError::NonCanonical("histogram buckets must add up to its count"));
+        }
+        let sum = u128::from(sum_lo) | u128::from(sum_hi) << 64;
+        Ok(LogHistogram::from_raw_parts(buckets, count, sum, min, max))
+    }
+}
+
 /// A box is its content.
 impl<T: WireCodec> WireCodec for Box<T> {
     const MIN_LEN: usize = T::MIN_LEN;
@@ -650,6 +727,57 @@ mod tests {
         let buf = u32::MAX.to_le_bytes();
         let mut r = Reader::new(&buf);
         assert!(matches!(read_seq::<Digest>(&mut r, "sigs"), Err(CodecError::BadLength { .. })));
+    }
+
+    #[test]
+    fn bool_is_one_byte_zero_or_one() {
+        assert_eq!((true.encode(), false.encode()), (vec![1], vec![0]));
+        assert_eq!(bool::decode(&[1]), Ok(true));
+        assert_eq!(bool::decode(&[2]), Err(CodecError::UnknownTag { what: "bool", tag: 2 }));
+    }
+
+    #[test]
+    fn f64_round_trips_bit_for_bit() {
+        let nan_with_payload = f64::from_bits(0x7ff8_0000_dead_beef);
+        for v in [-0.0, f64::INFINITY, nan_with_payload, 87.5] {
+            let bytes = v.encode();
+            assert_eq!(bytes.len(), 8);
+            assert_eq!(f64::decode(&bytes).unwrap().to_bits(), v.to_bits(), "{v}");
+        }
+    }
+
+    #[test]
+    fn sim_duration_round_trips() {
+        for d in [
+            SimDuration::ZERO,
+            SimDuration::from_micros(123_456),
+            SimDuration::from_micros(u64::MAX),
+        ] {
+            assert_eq!(SimDuration::decode(&d.encode()), Ok(d));
+        }
+    }
+
+    #[test]
+    fn histogram_round_trips_and_rejects_what_it_could_not_read() {
+        let mut h = LogHistogram::new();
+        for v in [0u64, 31, 900, 77_000, u64::MAX] {
+            h.record(v);
+        }
+        assert_eq!(LogHistogram::decode(&h.encode()), Ok(h));
+        // One sample in bucket 1930, past the last bucket a u64 fills:
+        // its percentile would shift past 64 bits.
+        let mut buckets = vec![0; 1931];
+        buckets[1930] = 1;
+        let past_the_end = LogHistogram::from_raw_parts(buckets, 1, 5, 5, 5).encode();
+        assert_eq!(
+            LogHistogram::decode(&past_the_end),
+            Err(CodecError::BadLength { what: "histogram buckets", len: 1931 })
+        );
+        // Bucket totals that miss `count`, or overflow adding up to it.
+        for (buckets, count) in [(vec![0, 2], 1), (vec![u64::MAX, 1], 0)] {
+            let miscounted = LogHistogram::from_raw_parts(buckets, count, 1, 1, 1).encode();
+            assert!(matches!(LogHistogram::decode(&miscounted), Err(CodecError::NonCanonical(_))));
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Single-actor test harness: drive one [`Actor`] by hand and observe its
+//! Single-actor node step: drive one [`Actor`] by hand and observe its
 //! outputs, without a network.
 //!
 //! Integration tests over [`crate::SimNet`] check emergent behaviour;
@@ -6,6 +6,12 @@
 //! message, the replica must reject it / relay it / arm that timer". It is
 //! public API: downstream users writing their own protocols get the same
 //! white-box testing surface.
+//!
+//! It is also the process transport's node step: each [`crate::proc`]
+//! child steps its replica through a `Harness`, moving the clock up to
+//! the wall clock before each call and applying the returned outputs over
+//! sockets. So a child's recorded inputs — `start`, every `deliver`, every
+//! `fire`, each at the time it saw — replay through this same step.
 
 use eesmr_energy::EnergyMeter;
 
@@ -64,6 +70,11 @@ impl<A: Actor> Harness<A> {
         }
     }
 
+    /// The node id the actor runs as.
+    pub fn id(&self) -> NodeId {
+        self.id
+    }
+
     /// The wrapped actor.
     pub fn actor(&self) -> &A {
         &self.actor
@@ -77,6 +88,12 @@ impl<A: Actor> Harness<A> {
     /// The actor's energy meter.
     pub fn meter(&self) -> &EnergyMeter {
         &self.meter
+    }
+
+    /// Mutable access to the meter, for the energy a transport charges
+    /// around the node step (sending and receiving).
+    pub fn meter_mut(&mut self) -> &mut EnergyMeter {
+        &mut self.meter
     }
 
     /// Current virtual time presented to the actor.

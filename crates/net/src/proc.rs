@@ -43,9 +43,10 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, RecvTimeoutError};
 use eesmr_energy::{EnergyCategory, EnergyMeter};
 
-use crate::actor::{Actor, Context, NodeId, Output, TimerId};
+use crate::actor::{Actor, NodeId, Output};
 use crate::channel::ChannelCost;
-use crate::codec::WireCodec;
+use crate::codec::{self, WireCodec};
+use crate::harness::Harness;
 use crate::message::Message;
 use crate::runtime::NetStats;
 use crate::sched::CalendarQueue;
@@ -60,6 +61,8 @@ pub const MAX_FRAME_LEN: usize = 1 << 26;
 /// frame is counted as dropped.
 pub const RECONNECT_ATTEMPTS: u32 = 5;
 
+/// What every hello frame starts with: `EPH` and the codec version.
+const HELLO_PREFIX: [u8; 4] = [b'E', b'P', b'H', codec::VERSION];
 /// Hello-frame role: an ordinary replica peer.
 const ROLE_PEER: u8 = 0;
 /// Hello-frame role: the coordinator's control connection.
@@ -213,20 +216,19 @@ fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     Ok(buf)
 }
 
+/// The first frame on every connection: [`HELLO_PREFIX`], then the
+/// dialing side's `(role, node id)`.
 fn hello_frame(role: u8, id: NodeId) -> Vec<u8> {
-    let mut f = Vec::with_capacity(9);
-    f.extend_from_slice(b"EPH");
-    f.push(crate::codec::VERSION);
-    f.push(role);
-    f.extend_from_slice(&id.to_le_bytes());
+    let mut f = HELLO_PREFIX.to_vec();
+    (role, id).encode_into(&mut f);
     f
 }
 
 fn parse_hello(frame: &[u8]) -> io::Result<(u8, NodeId)> {
-    if frame.len() != 9 || &frame[..3] != b"EPH" || frame[3] != crate::codec::VERSION {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad hello frame"));
-    }
-    Ok((frame[4], u32::from_le_bytes([frame[5], frame[6], frame[7], frame[8]])))
+    frame
+        .strip_prefix(&HELLO_PREFIX)
+        .and_then(|hello| <(u8, NodeId)>::decode(hello).ok())
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad hello frame"))
 }
 
 /// Command-line shape of one child replica: identity, where to listen,
@@ -362,8 +364,10 @@ where
                     if tx.send(PEvent::CtrlConnected(writer)).is_err() {
                         return;
                     }
-                    while let Ok(frame) = read_frame(&mut stream) {
-                        if frame.len() != 1 || tx.send(PEvent::Ctrl(frame[0])).is_err() {
+                    while let Some(cmd) =
+                        read_frame(&mut stream).ok().and_then(|f| u8::decode(&f).ok())
+                    {
+                        if tx.send(PEvent::Ctrl(cmd)).is_err() {
                             return;
                         }
                     }
@@ -433,38 +437,31 @@ where
     }
 
     let mut rt = ProcRuntime {
-        id: opts.node_id,
-        actor,
-        meter: EnergyMeter::new(),
+        node: Harness::new(opts.node_id, actor),
         channel,
         links,
         stats: NetStats::default(),
         start: Instant::now(),
-        next_timer_id: 0,
-        timer_seq: 0,
         timers: CalendarQueue::new(),
         cancelled: HashSet::new(),
         local: VecDeque::new(),
-        tracer: eesmr_trace::Tracer::disabled(opts.node_id),
     };
-    rt.invoke(|a, ctx| a.on_start(ctx));
+    rt.step(Harness::start);
     for ev in pending {
         rt.handle(ev);
     }
 
     loop {
-        let now_us = rt.start.elapsed().as_micros() as u64;
-        while rt.timers.peek_time().is_some_and(|due| due <= now_us) {
-            let (_, _, (id, token)) = rt.timers.pop().expect("peeked");
-            if rt.cancelled.remove(&id.0) {
-                continue;
+        let now_us = rt.now_us();
+        while let Some((_, id, token)) = rt.timers.pop_if(|due| due <= now_us) {
+            if !rt.cancelled.remove(&id) {
+                rt.step(|node| node.fire(token));
             }
-            rt.invoke(|a, ctx| a.on_timer(token.clone(), ctx));
         }
         while let Some(ev) = rt.local.pop_front() {
             rt.handle(ev);
         }
-        let now_us = rt.start.elapsed().as_micros() as u64;
+        let now_us = rt.now_us();
         let wait = rt
             .timers
             .peek_time()
@@ -475,12 +472,12 @@ where
             Ok(PEvent::Ctrl(CMD_POLL)) => {
                 if let Some(w) = ctrl.as_mut() {
                     let mut reply = vec![REPLY_STATUS];
-                    reply.extend_from_slice(&status(&rt.actor).to_le_bytes());
+                    status(rt.node.actor()).encode_into(&mut reply);
                     write_frame(w, &reply)?;
                 }
             }
             Ok(PEvent::Ctrl(CMD_STOP)) => {
-                let blob = report(&rt.actor, &rt.meter, &rt.stats);
+                let blob = report(rt.node.actor(), rt.node.meter(), &rt.stats);
                 if let Some(w) = ctrl.as_mut() {
                     let mut reply = vec![REPLY_REPORT];
                     reply.extend_from_slice(&blob);
@@ -499,44 +496,37 @@ where
     }
 }
 
-/// One process's node runtime: a wall-clock timer calendar and the
-/// effect handling of the simulator's runtime, over sockets.
+/// One process's node runtime: the actor's node step ([`Harness`]) on
+/// the wall clock, a timer calendar, and the effect handling of the
+/// simulator's runtime, over sockets.
 struct ProcRuntime<A: Actor> {
-    id: NodeId,
-    actor: A,
-    meter: EnergyMeter,
+    node: Harness<A>,
     channel: ChannelCost,
     links: Vec<PeerLink>,
     stats: NetStats,
     start: Instant,
-    next_timer_id: u64,
-    timer_seq: u64,
-    timers: CalendarQueue<(TimerId, A::Timer)>,
+    /// Pending timers, keyed by due time and timer id: ids count up in
+    /// the order the actor set them, which breaks same-tick ties.
+    timers: CalendarQueue<A::Timer>,
     cancelled: HashSet<u64>,
     local: VecDeque<PEvent<A::Msg>>,
-    tracer: eesmr_trace::Tracer,
 }
 
 impl<A: Actor> ProcRuntime<A>
 where
     A::Msg: WireCodec + Send + 'static,
 {
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.start.elapsed().as_micros() as u64)
+    /// Wall-clock microseconds since the node was released.
+    fn now_us(&self) -> u64 {
+        self.start.elapsed().as_micros() as u64
     }
 
-    fn invoke(&mut self, f: impl FnOnce(&mut A, &mut Context<'_, A::Msg, A::Timer>)) {
-        let mut ctx = Context {
-            node: self.id,
-            now: self.now(),
-            meter: &mut self.meter,
-            next_timer_id: &mut self.next_timer_id,
-            tracer: &mut self.tracer,
-            effects: Vec::new(),
-        };
-        f(&mut self.actor, &mut ctx);
-        let effects = ctx.effects;
-        for effect in effects {
+    /// Runs one node step at the wall clock — the harness clock moves up
+    /// to now first — and applies the outputs it returns.
+    fn step(&mut self, step: impl FnOnce(&mut Harness<A>) -> Vec<Output<A::Msg, A::Timer>>) {
+        let now = SimTime::from_micros(self.now_us());
+        self.node.advance(now.since(self.node.now()));
+        for effect in step(&mut self.node) {
             self.apply(effect);
         }
     }
@@ -558,18 +548,19 @@ where
         }
         if sent > 0 {
             let mj = self.channel.send_mj(frame.len(), sent as usize);
-            self.meter.charge(EnergyCategory::Send, mj);
+            self.node.meter_mut().charge(EnergyCategory::Send, mj);
             self.stats.kcasts += 1;
             self.stats.bytes_on_air += frame.len() as u64;
         }
     }
 
     fn apply(&mut self, effect: Output<A::Msg, A::Timer>) {
+        let me = self.node.id();
         match effect {
             Output::Multicast(msg) => {
                 self.transmit(&msg, None);
                 self.local.push_back(PEvent::Deliver {
-                    origin: self.id,
+                    origin: me,
                     msg,
                     loopback: true,
                     target: None,
@@ -580,22 +571,15 @@ where
                 // targeted flood is a unicast; no relaying happens, so
                 // there is nothing to deduplicate.
                 match target {
-                    Some(t) if t != self.id => self.transmit(&msg, Some(t)),
+                    Some(t) if t != me => self.transmit(&msg, Some(t)),
                     Some(_) => {}
                     None => self.transmit(&msg, None),
                 }
-                self.local.push_back(PEvent::Deliver {
-                    origin: self.id,
-                    msg,
-                    loopback: true,
-                    target,
-                });
+                self.local.push_back(PEvent::Deliver { origin: me, msg, loopback: true, target });
             }
             Output::SetTimer { id, delay, token } => {
-                let due = self.start.elapsed().as_micros() as u64 + delay.as_micros();
-                let seq = self.timer_seq;
-                self.timer_seq += 1;
-                self.timers.push(due, seq, (id, token));
+                let due = self.now_us() + delay.as_micros();
+                self.timers.push(due, id.0, token);
             }
             Output::CancelTimer(id) => {
                 self.cancelled.insert(id.0);
@@ -607,15 +591,15 @@ where
         if let PEvent::Deliver { origin, msg, loopback, target } = event {
             if !loopback {
                 let mj = self.channel.recv_mj(msg.wire_size());
-                self.meter.charge(EnergyCategory::Recv, mj);
+                self.node.meter_mut().charge(EnergyCategory::Recv, mj);
             } else {
                 self.stats.loopbacks += 1;
             }
-            if target.is_some_and(|t| t != self.id) {
+            if target.is_some_and(|t| t != self.node.id()) {
                 return;
             }
             self.stats.deliveries += 1;
-            self.invoke(|a, ctx| a.on_message(origin, msg, ctx));
+            self.step(|node| node.deliver(origin, msg));
         }
     }
 }
@@ -709,11 +693,9 @@ impl Coordinator {
         self.replies(REPLY_STATUS)?
             .iter()
             .map(|body| {
-                let bytes: [u8; 8] = body
-                    .as_slice()
-                    .try_into()
-                    .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad status reply"))?;
-                Ok(u64::from_le_bytes(bytes))
+                u64::decode(body).map_err(|err| {
+                    io::Error::new(io::ErrorKind::InvalidData, format!("bad status reply: {err}"))
+                })
             })
             .collect()
     }
@@ -817,6 +799,7 @@ pub fn alloc_addrs(transport: ProcTransport, n: usize) -> io::Result<MeshAddrs> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor::Context;
     use crate::time::SimDuration;
 
     #[derive(Debug, Clone, PartialEq)]
@@ -835,26 +818,34 @@ mod tests {
         }
     }
 
-    /// Node 0 floods one ping on start; every node counts what it hears
-    /// and echoes a targeted reply back to node 0.
+    /// Node 0 floods one ping on start and arms two timers: one it keeps,
+    /// and one, due first, that it cancels. Every node counts what it
+    /// hears and echoes a targeted reply back to node 0.
     #[derive(Debug, Default)]
     struct Echo {
         got: u64,
         replies: u64,
+        kept_fired: u64,
+        cancelled_fired: u64,
     }
+
+    crate::wire_struct! { Echo { got: u64, replies: u64, kept_fired: u64, cancelled_fired: u64 } }
 
     impl Actor for Echo {
         type Msg = Ping;
-        type Timer = ();
+        /// Whether the timer is the one node 0 keeps.
+        type Timer = bool;
 
-        fn on_start(&mut self, ctx: &mut Context<'_, Ping, ()>) {
+        fn on_start(&mut self, ctx: &mut Context<'_, Ping, bool>) {
             if ctx.id() == 0 {
                 ctx.flood(Ping { seq: 7 });
-                ctx.set_timer(SimDuration::from_millis(1), ());
+                let cancelled = ctx.set_timer(SimDuration::from_millis(1), false);
+                ctx.set_timer(SimDuration::from_millis(2), true);
+                ctx.cancel_timer(cancelled);
             }
         }
 
-        fn on_message(&mut self, _from: NodeId, msg: Ping, ctx: &mut Context<'_, Ping, ()>) {
+        fn on_message(&mut self, _from: NodeId, msg: Ping, ctx: &mut Context<'_, Ping, bool>) {
             if msg.seq == 7 {
                 self.got += 1;
                 if ctx.id() != 0 {
@@ -865,7 +856,13 @@ mod tests {
             }
         }
 
-        fn on_timer(&mut self, _t: (), _ctx: &mut Context<'_, Ping, ()>) {}
+        fn on_timer(&mut self, kept: bool, _ctx: &mut Context<'_, Ping, bool>) {
+            if kept {
+                self.kept_fired += 1;
+            } else {
+                self.cancelled_fired += 1;
+            }
+        }
     }
 
     fn mesh_roundtrip(transport: ProcTransport) {
@@ -882,12 +879,10 @@ mod tests {
                     opts,
                     Echo::default(),
                     ChannelCost::ble_four_nines(2),
-                    |a: &Echo| a.got + a.replies,
+                    |a: &Echo| a.got + a.replies + a.kept_fired,
                     |a, meter, stats| {
-                        let mut blob = a.got.to_le_bytes().to_vec();
-                        blob.extend_from_slice(&a.replies.to_le_bytes());
-                        blob.extend_from_slice(&meter.total_mj().to_le_bytes());
-                        blob.extend_from_slice(&stats.deliveries.to_le_bytes());
+                        let mut blob = a.encode();
+                        (meter.total_mj(), stats.deliveries).encode_into(&mut blob);
                         blob
                     },
                 )
@@ -897,21 +892,23 @@ mod tests {
 
         let mut coord = Coordinator::connect(transport, &addrs, Duration::from_secs(10)).unwrap();
         coord.start().unwrap();
-        // Node 0 hears its own flood plus N-1 replies; others hear one.
+        // Node 0 hears its own flood plus N-1 replies, and its kept timer
+        // fires; others hear one.
         coord
             .run_until(
-                |s| s[0] >= N as u64 && s[1..].iter().all(|v| *v >= 1),
+                |s| s[0] > N as u64 && s[1..].iter().all(|v| *v >= 1),
                 Duration::from_secs(10),
             )
             .unwrap();
         let blobs = coord.stop_and_collect().unwrap();
         for (i, blob) in blobs.iter().enumerate() {
-            let got = u64::from_le_bytes(blob[0..8].try_into().unwrap());
-            let replies = u64::from_le_bytes(blob[8..16].try_into().unwrap());
-            let mj = f64::from_le_bytes(blob[16..24].try_into().unwrap());
-            assert_eq!(got, 1, "node {i} heard the flood once");
+            let (echo, (mj, deliveries)) = <(Echo, (f64, u64))>::decode(blob).unwrap();
+            assert_eq!(echo.got, 1, "node {i} heard the flood once");
             if i == 0 {
-                assert_eq!(replies, (N - 1) as u64, "node 0 got every reply");
+                assert_eq!(echo.replies, (N - 1) as u64, "node 0 got every reply");
+                assert_eq!(echo.kept_fired, 1, "the kept timer fired once");
+                assert_eq!(echo.cancelled_fired, 0, "the cancelled timer never fired");
+                assert_eq!(deliveries, N as u64, "its own flood plus every reply");
             }
             assert!(mj > 0.0, "node {i} paid for radio work");
         }

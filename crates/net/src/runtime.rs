@@ -268,6 +268,16 @@ pub struct NetStats {
     pub dropped: u64,
 }
 
+// A multi-process run ships each child's counters to the coordinator.
+crate::wire_struct! { NetStats {
+    kcasts: u64,
+    deliveries: u64,
+    loopbacks: u64,
+    flood_relays: u64,
+    bytes_on_air: u64,
+    dropped: u64,
+} }
+
 impl NetStats {
     /// Adds another stats block into this one (field-wise), e.g. one per
     /// process of a multi-process run.

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use eesmr_crypto::SigScheme;
 use eesmr_net::proc::{alloc_addrs, run_node, ChildOpts, ChildProc, Coordinator, ProcTransport};
-use eesmr_net::{ChannelCost, CodecError, NetStats, Reader, SimDuration, WireCodec};
+use eesmr_net::{ChannelCost, NetStats, NodeId, SimDuration, WireCodec};
 use eesmr_trace::hist::LogHistogram;
 
 use crate::cell::{Cell, NodeRole, ReplicaView, Replicas};
@@ -194,187 +194,57 @@ pub fn parse_child_args(args: &[String]) -> Option<(Scenario, SimDuration, Child
     shaped.then_some((scenario, SimDuration::from_micros(delta_us?), opts))
 }
 
-/// Report-blob schema magic + version ("EESMR Proc Report, v1").
-const REPORT_MAGIC: &[u8; 4] = b"EPR1";
+/// Report-blob schema magic + version ("EESMR Proc Report, v2").
+const REPORT_MAGIC: &[u8; 4] = b"EPR2";
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+eesmr_net::wire_struct! { NodeEnergy {
+    send_mj: f64,
+    recv_mj: f64,
+    sign_mj: f64,
+    verify_mj: f64,
+    hash_mj: f64,
+} }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
+eesmr_net::wire_struct! { NodeReport {
+    id: NodeId,
+    faulty: bool,
+    is_hub: bool,
+    energy: NodeEnergy,
+    committed_height: u64,
+    blocks_committed: u64,
+    view_changes: u64,
+    signs: u64,
+    verifies: u64,
+    mean_commit_latency: Option<SimDuration>,
+    tx_injected: u64,
+    tx_forwarded: u64,
+    forward_retries: u64,
+    peak_backlog: u64,
+    mean_batch_fill_pct: Option<f64>,
+    tx_latency_hist: LogHistogram,
+    commit_fps: Vec<u64> = "commit fingerprints",
+    commit_txs: Vec<u32> = "commit tx counts",
+} }
 
 /// Encodes one child's [`NodeReport`] plus its transport counters as the
-/// opaque control-channel blob `run_proc` collects. The layout is an
-/// internal coordinator↔child contract versioned by `REPORT_MAGIC` —
-/// both ends always come from the same build, so it can evolve freely
-/// (unlike the frozen v1 message wire format).
+/// opaque control-channel blob `run_proc` collects: `REPORT_MAGIC`, then
+/// the two tables. The layout is an internal coordinator↔child contract
+/// versioned by the magic — both ends always come from the same build,
+/// so it can evolve freely (unlike the frozen v1 message wire format).
 fn encode_node_report(node: &NodeReport, stats: &NetStats) -> Vec<u8> {
-    let mut out = Vec::with_capacity(256);
-    out.extend_from_slice(REPORT_MAGIC);
-    put_u32(&mut out, node.id);
-    out.push(u8::from(node.faulty) | (u8::from(node.is_hub) << 1));
-    put_f64(&mut out, node.energy.send_mj);
-    put_f64(&mut out, node.energy.recv_mj);
-    put_f64(&mut out, node.energy.sign_mj);
-    put_f64(&mut out, node.energy.verify_mj);
-    put_f64(&mut out, node.energy.hash_mj);
-    put_u64(&mut out, node.committed_height);
-    put_u64(&mut out, node.blocks_committed);
-    put_u64(&mut out, node.view_changes);
-    put_u64(&mut out, node.signs);
-    put_u64(&mut out, node.verifies);
-    match node.mean_commit_latency {
-        Some(d) => {
-            out.push(1);
-            put_u64(&mut out, d.as_micros());
-        }
-        None => out.push(0),
-    }
-    put_u64(&mut out, node.tx_injected);
-    put_u64(&mut out, node.tx_forwarded);
-    put_u64(&mut out, node.forward_retries);
-    put_u64(&mut out, node.peak_backlog);
-    match node.mean_batch_fill_pct {
-        Some(pct) => {
-            out.push(1);
-            put_f64(&mut out, pct);
-        }
-        None => out.push(0),
-    }
-    let (buckets, count, sum, min, max) = node.tx_latency_hist.raw_parts();
-    put_u64(&mut out, count);
-    put_u64(&mut out, sum as u64);
-    put_u64(&mut out, (sum >> 64) as u64);
-    put_u64(&mut out, min);
-    put_u64(&mut out, max);
-    put_u32(&mut out, buckets.len() as u32);
-    for &b in buckets {
-        put_u64(&mut out, b);
-    }
-    put_u32(&mut out, node.commit_fps.len() as u32);
-    for &fp in &node.commit_fps {
-        put_u64(&mut out, fp);
-    }
-    put_u32(&mut out, node.commit_txs.len() as u32);
-    for &txs in &node.commit_txs {
-        put_u32(&mut out, txs);
-    }
-    put_u64(&mut out, stats.kcasts);
-    put_u64(&mut out, stats.deliveries);
-    put_u64(&mut out, stats.loopbacks);
-    put_u64(&mut out, stats.flood_relays);
-    put_u64(&mut out, stats.bytes_on_air);
-    put_u64(&mut out, stats.dropped);
+    let mut out = REPORT_MAGIC.to_vec();
+    node.encode_into(&mut out);
+    stats.encode_into(&mut out);
     out
-}
-
-fn bad(err: CodecError) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("report blob: {err}"))
-}
-
-fn read_f64(r: &mut Reader<'_>) -> io::Result<f64> {
-    Ok(f64::from_bits(r.u64().map_err(bad)?))
 }
 
 /// Decodes a blob produced by [`encode_node_report`].
 fn decode_node_report(blob: &[u8]) -> io::Result<(NodeReport, NetStats)> {
-    let mut r = Reader::new(blob);
-    if r.bytes(4).map_err(bad)? != REPORT_MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "report blob: bad magic"));
-    }
-    let id = r.u32().map_err(bad)?;
-    let flags = r.u8().map_err(bad)?;
-    let energy = NodeEnergy {
-        send_mj: read_f64(&mut r)?,
-        recv_mj: read_f64(&mut r)?,
-        sign_mj: read_f64(&mut r)?,
-        verify_mj: read_f64(&mut r)?,
-        hash_mj: read_f64(&mut r)?,
-    };
-    let committed_height = r.u64().map_err(bad)?;
-    let blocks_committed = r.u64().map_err(bad)?;
-    let view_changes = r.u64().map_err(bad)?;
-    let signs = r.u64().map_err(bad)?;
-    let verifies = r.u64().map_err(bad)?;
-    let mean_commit_latency = match r.u8().map_err(bad)? {
-        0 => None,
-        _ => Some(SimDuration::from_micros(r.u64().map_err(bad)?)),
-    };
-    let tx_injected = r.u64().map_err(bad)?;
-    let tx_forwarded = r.u64().map_err(bad)?;
-    let forward_retries = r.u64().map_err(bad)?;
-    let peak_backlog = r.u64().map_err(bad)?;
-    let mean_batch_fill_pct = match r.u8().map_err(bad)? {
-        0 => None,
-        _ => Some(read_f64(&mut r)?),
-    };
-    let count = r.u64().map_err(bad)?;
-    let sum_lo = r.u64().map_err(bad)?;
-    let sum_hi = r.u64().map_err(bad)?;
-    let min = r.u64().map_err(bad)?;
-    let max = r.u64().map_err(bad)?;
-    let n_buckets = r.u32().map_err(bad)? as usize;
-    if n_buckets.saturating_mul(8) > r.remaining() {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "report blob: bucket overrun"));
-    }
-    let mut buckets = Vec::with_capacity(n_buckets);
-    for _ in 0..n_buckets {
-        buckets.push(r.u64().map_err(bad)?);
-    }
-    let sum = (sum_lo as u128) | ((sum_hi as u128) << 64);
-    let tx_latency_hist = LogHistogram::from_raw_parts(buckets, count, sum, min, max);
-    let n_fps = r.u32().map_err(bad)? as usize;
-    if n_fps.saturating_mul(8) > r.remaining() {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "report blob: fps overrun"));
-    }
-    let mut commit_fps = Vec::with_capacity(n_fps);
-    for _ in 0..n_fps {
-        commit_fps.push(r.u64().map_err(bad)?);
-    }
-    let n_txs = r.u32().map_err(bad)? as usize;
-    if n_txs.saturating_mul(4) > r.remaining() {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "report blob: txs overrun"));
-    }
-    let mut commit_txs = Vec::with_capacity(n_txs);
-    for _ in 0..n_txs {
-        commit_txs.push(r.u32().map_err(bad)?);
-    }
-    let stats = NetStats {
-        kcasts: r.u64().map_err(bad)?,
-        deliveries: r.u64().map_err(bad)?,
-        loopbacks: r.u64().map_err(bad)?,
-        flood_relays: r.u64().map_err(bad)?,
-        bytes_on_air: r.u64().map_err(bad)?,
-        dropped: r.u64().map_err(bad)?,
-    };
-    r.finish().map_err(bad)?;
-    let node = NodeReport {
-        id,
-        faulty: flags & 1 != 0,
-        is_hub: flags & 2 != 0,
-        energy,
-        committed_height,
-        blocks_committed,
-        view_changes,
-        signs,
-        verifies,
-        mean_commit_latency,
-        tx_injected,
-        tx_forwarded,
-        forward_retries,
-        peak_backlog,
-        mean_batch_fill_pct,
-        tx_latency_hist,
-        commit_fps,
-        commit_txs,
-    };
-    Ok((node, stats))
+    let body = blob
+        .strip_prefix(REPORT_MAGIC)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "report blob: bad magic"))?;
+    <(NodeReport, NetStats)>::decode(body)
+        .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, format!("report blob: {err}")))
 }
 
 fn unsupported(what: &str) -> io::Error {
@@ -625,7 +495,18 @@ mod tests {
         let mut hostile = blob.clone();
         let fps_at = blob.len() - 6 * 8 - (3 * 4 + 4) - (3 * 8 + 4);
         hostile[fps_at..fps_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_node_report(&hostile).is_err(), "hostile count prefix rejected");
+        let err = decode_node_report(&hostile).unwrap_err();
+        assert!(err.to_string().contains("commit fingerprints"), "hostile count prefix: {err}");
+        // One count in bucket 1930, past the last bucket a u64 sample
+        // fills: decoded, `tx_latency_stats` would panic in `percentile`.
+        let mut buckets = vec![0; 1931];
+        buckets[1930] = 1;
+        let corrupt = NodeReport {
+            tx_latency_hist: LogHistogram::from_raw_parts(buckets, 1, 7, 7, 7),
+            ..node
+        };
+        let err = decode_node_report(&encode_node_report(&corrupt, &stats)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]

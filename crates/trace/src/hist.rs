@@ -24,6 +24,11 @@ pub const SUB_BITS: u32 = 5;
 
 const SUB_BUCKETS: u64 = 1 << SUB_BITS;
 
+/// Bucket count that covers every `u64` sample, one past the index of
+/// `u64::MAX`: a deserializer rejects a longer bucket vector.
+pub const MAX_BUCKETS: usize =
+    LINEAR_MAX as usize + (64 - SUB_BITS as usize) * SUB_BUCKETS as usize;
+
 /// Streaming log-bucket histogram over `u64` samples (microseconds, in
 /// this workspace).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -246,6 +251,7 @@ mod tests {
             assert_eq!(bucket_index(upper), index, "value {v}");
             assert!(upper >= v);
         }
+        assert_eq!(bucket_index(u64::MAX) + 1, MAX_BUCKETS);
     }
 
     #[test]
