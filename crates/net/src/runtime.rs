@@ -7,14 +7,18 @@
 //! injectors delay or drop traffic (within the bounded-synchrony envelope
 //! their scenario assumes).
 //!
-//! Determinism: every source of nondeterminism is keyed by *node-local*
-//! state rather than global processing order. Hop delays are counter-based
-//! draws keyed by `(seed, sender, per-sender draw index)`; event-queue
-//! ties break by a sequence key derived from `(origin node, per-origin
-//! push counter)`; timer ids encode `(node, per-node timer counter)`. A
-//! run is therefore a pure function of `(config, actors, seed)`. The
-//! pending-event queue is one [`CalendarQueue`], which pops in that
-//! `(time, seq)` total order (see [`crate::sched`]).
+//! Determinism: every random draw is keyed by *node-local* state rather
+//! than global processing order. Hop delays are counter-based draws keyed
+//! by `(seed, sender, per-sender draw index)`; timer ids encode `(node,
+//! per-node timer counter)`. Events run in `(tick, deliveries before
+//! timers, push order)` order: messages, loopbacks and starts wait in one
+//! [`CalendarQueue`] and armed timers in a heap beside it, both keyed
+//! `(time, seq)` with `seq` from one push counter (see [`crate::sched`]).
+//! A timer pops only when it is strictly earlier than the calendar's
+//! head, so a message due on the tick a timer expires — one that took
+//! exactly the synchrony bound — is in time, as is a loopback a timer
+//! handler emits. A run is therefore a pure function of `(config,
+//! actors, seed)`.
 //!
 //! The unit of work is the **transmission**, not the reception. What is a
 //! pure function of the run or of the message is computed once and read
@@ -82,6 +86,9 @@
 //! assert!(net.stats().kcasts >= 1);
 //! ```
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use eesmr_crypto::{KeyMap, KeySet};
 use eesmr_energy::{EnergyCategory, EnergyClass, EnergyMeter, EnergyPhase};
 use eesmr_hypergraph::Hypergraph;
@@ -91,7 +98,7 @@ use eesmr_trace::{EventKind as TraceEventKind, TraceLevel, TraceSet, Tracer};
 use crate::actor::{Actor, Context, NodeId, Output, TimerId};
 use crate::channel::ChannelCost;
 use crate::message::Message;
-use crate::sched::CalendarQueue;
+use crate::sched::{CalendarQueue, Entry};
 use crate::time::{SimDuration, SimTime};
 
 /// Network configuration.
@@ -321,21 +328,19 @@ pub enum Fate {
 /// order.
 pub type Interceptor = Box<dyn FnMut(&Delivery) -> Fate>;
 
-/// What a queued event does when it pops. A delivery names its message's
-/// slot in the [`OnAirTable`]; the timer token stays inline, as the entry
-/// is sized by it anyway.
+/// What a calendar event does when it pops. A delivery names its
+/// message's slot in the [`OnAirTable`]. Timers wait in their own heap.
 #[derive(Debug, Clone, Copy)]
-enum EventKind<T> {
+enum EventKind {
     Start,
     Deliver { slot: u32, loopback: bool },
-    Timer { id: TimerId, token: T },
 }
 
 /// A queue entry stays plain data: a reference-counted handle in a
 /// delivery would cost an atomic per receiver again.
 const _: fn() = || {
     fn plain_data<T: Copy>() {}
-    plain_data::<EventKind<()>>();
+    plain_data::<EventKind>();
 };
 
 /// One message on the air: built once, when its `Multicast` or `Flood`
@@ -456,15 +461,12 @@ impl<M: Message> OnAirTable<M> {
     }
 }
 
-/// The pending-event payload: which node the event targets and what it
+/// The calendar's payload: which node the event targets and what it
 /// carries.
-type NodeEvent<T> = (NodeId, EventKind<T>);
+type NodeEvent = (NodeId, EventKind);
 
-/// Bits reserved for the origin node id in the low end of an event's
-/// sequence key (the per-origin push counter occupies the high bits, so
-/// same-time keys order by counter first, then node id). Caps simulated
-/// systems at 2^20 nodes.
-pub(crate) const SEQ_NODE_BITS: u32 = 20;
+/// An armed timer: its node, id and token, keyed `(time, seq)`.
+type Armed<T> = Reverse<Entry<(NodeId, TimerId, T)>>;
 
 /// A deterministic 64-bit draw keyed by `(seed, node, counter)` — a
 /// SplitMix64-style finalizer over a per-node stream position. Because
@@ -569,8 +571,8 @@ impl FanOut {
 
 /// The simulation: one event loop over every node — the actors, their
 /// meters, tracers, samplers and per-node counters (all indexed by node
-/// id), the flood-dedup table, the messages on the air and the
-/// pending-event queue.
+/// id), the flood-dedup table, the messages on the air, the
+/// pending-event queue and the armed timers.
 pub struct SimNet<A: Actor> {
     cfg: NetConfig,
     actors: Vec<A>,
@@ -589,8 +591,8 @@ pub struct SimNet<A: Actor> {
     /// further receptions before it closes share the radio-on time and pay
     /// only marginal decode ([`ChannelCost::shared_recv_mj`]).
     scan_until: Vec<u64>,
-    /// Per-node event push counters (high bits of the seq key).
-    push_ctr: Vec<u64>,
+    /// The push counter: the next event's seq key.
+    seq: u64,
     /// Per-node hop-delay draw counters.
     draw_ctr: Vec<u64>,
     /// Per-node selective-drop draw counters (separate from `draw_ctr` so
@@ -601,7 +603,10 @@ pub struct SimNet<A: Actor> {
     timer_ctr: Vec<u64>,
     cancelled_timers: KeySet<u64>,
     fan_out: FanOut,
-    queue: CalendarQueue<NodeEvent<A::Timer>>,
+    queue: CalendarQueue<NodeEvent>,
+    /// Armed timers. Most are Δ-multiples beyond the calendar's ring, and
+    /// they lose same-tick ties to it (see [`Self::step_if`]).
+    timers: BinaryHeap<Armed<A::Timer>>,
     /// The effect scratch buffer of [`Self::invoke`], lent to each
     /// invocation's [`Context`] and taken back, empty, with its capacity:
     /// one actor invocation per queue pop means alloc-per-event without
@@ -622,19 +627,19 @@ impl<A: Actor> SimNet<A> {
     pub fn new(cfg: NetConfig, actors: Vec<A>) -> Self {
         let n = cfg.topology.n();
         assert_eq!(actors.len(), n, "one actor per topology node");
-        assert!(n < (1 << SEQ_NODE_BITS), "the seq key encoding caps systems at 2^20 nodes");
         let mut net = SimNet {
             tracers: (0..n as NodeId).map(|id| Tracer::new(cfg.trace, id)).collect(),
             recorders: (0..n).map(|_| MetricsRecorder::new(&cfg.metrics)).collect(),
             fan_out: FanOut::new(&cfg.topology),
             queue: CalendarQueue::new(),
+            timers: BinaryHeap::new(),
             cfg,
             actors,
             meters: vec![EnergyMeter::new(); n],
             seen_floods: SeenFloods::new(n),
             on_air: OnAirTable::new(),
             scan_until: vec![0; n],
-            push_ctr: vec![0; n],
+            seq: 0,
             draw_ctr: vec![0; n],
             drop_ctr: vec![0; n],
             timer_ctr: vec![0; n],
@@ -645,7 +650,7 @@ impl<A: Actor> SimNet<A> {
             interceptor: None,
         };
         for id in 0..n as NodeId {
-            net.push_own(id, SimTime::ZERO, EventKind::Start);
+            net.push(id, SimTime::ZERO, EventKind::Start);
         }
         net
     }
@@ -755,7 +760,8 @@ impl<A: Actor> SimNet<A> {
             if self.actors.iter().enumerate().all(|(id, actor)| pred(id as NodeId, actor)) {
                 break true;
             }
-            match self.queue.peek_time() {
+            let timer_at = self.timers.peek().map(|Reverse(t)| t.time);
+            match [self.queue.peek_time(), timer_at].into_iter().flatten().min() {
                 Some(next) if next <= limit => {
                     let start = wall.max(next / lookahead * lookahead);
                     wall = (start + lookahead).min(limit.saturating_add(1));
@@ -770,34 +776,31 @@ impl<A: Actor> SimNet<A> {
     }
 
     /// Processes the next event if `due` accepts its time (µs), returning
-    /// its timestamp; `None` when the queue is empty or its head not due.
-    fn step_if(&mut self, due: impl FnOnce(u64) -> bool) -> Option<SimTime> {
+    /// its timestamp; `None` when nothing is pending or the next event is
+    /// not due. `due` is downward closed: it accepts every time before
+    /// one it accepts.
+    ///
+    /// The next event is the calendar's head unless the timer heap's is
+    /// strictly earlier: at each tick every delivery runs before any timer
+    /// due then, a loopback that a timer handler emits at that tick
+    /// included.
+    fn step_if(&mut self, due: impl Fn(u64) -> bool) -> Option<SimTime> {
         let popped = {
             let _t = ProfTimer::start(ProfPhase::SchedPop);
-            self.queue.pop_if(due)
+            let timer_at = self.timers.peek().map(|Reverse(t)| t.time);
+            self.queue.pop_if(|tick| timer_at.is_none_or(|at| tick <= at) && due(tick))
         };
-        let (time, _seq, (id, kind)) = popped?;
+        // Refused: the calendar is empty, its head is later than the
+        // timer head, or its head is not due, and then neither is the
+        // timer head.
+        let Some((time, _seq, (id, kind))) = popped else {
+            return self.fire_if(due);
+        };
+        self.arrive(id, time);
         let node = id as usize;
-        self.now = SimTime::from_micros(time);
-        // Lazy boundary-crossing sampling: before dispatching an event
-        // that reached the node's next cadence boundary, record one
-        // sample per elapsed boundary from node-local state only.
-        if self.recorders[node].due(time) {
-            let gauges = self.actors[node].gauges();
-            let total = self.meters[node].total_mj();
-            self.recorders[node].sample_up_to(time, &gauges, total);
-        }
-        self.recorders[node].note_event();
         match kind {
             EventKind::Start => {
                 self.invoke(id, EnergyPhase::Other, |actor, ctx| actor.on_start(ctx))
-            }
-            EventKind::Timer { id: timer, token } => {
-                if self.cancelled_timers.remove(&timer.0) {
-                    return Some(self.now);
-                }
-                self.tracers[node].record(time, TraceEventKind::TimerFire { id: timer.0 });
-                self.invoke(id, EnergyPhase::Timer, |actor, ctx| actor.on_timer(token, ctx));
             }
             EventKind::Deliver { slot, loopback } => {
                 let air = self.on_air.record(slot);
@@ -861,20 +864,47 @@ impl<A: Actor> SimNet<A> {
         Some(self.now)
     }
 
-    /// The next sequence key of events `origin` generates: its private
-    /// push counter above its id.
-    fn next_seq(&mut self, origin: NodeId) -> u64 {
-        let counter = &mut self.push_ctr[origin as usize];
-        debug_assert!(*counter < 1 << (64 - SEQ_NODE_BITS), "per-node push counter overflow");
-        let seq = (*counter << SEQ_NODE_BITS) | origin as u64;
-        *counter += 1;
-        seq
+    /// Fires the timer heap's head if `due` accepts its time; the caller
+    /// has checked that no calendar event precedes it.
+    fn fire_if(&mut self, due: impl Fn(u64) -> bool) -> Option<SimTime> {
+        self.timers.peek().filter(|Reverse(t)| due(t.time))?;
+        let Reverse(Entry { time, payload: (id, timer, token), .. }) =
+            self.timers.pop().expect("peeked");
+        self.arrive(id, time);
+        if self.cancelled_timers.remove(&timer.0) {
+            return Some(self.now);
+        }
+        self.tracers[id as usize].record(time, TraceEventKind::TimerFire { id: timer.0 });
+        self.invoke(id, EnergyPhase::Timer, |actor, ctx| actor.on_timer(token, ctx));
+        Some(self.now)
     }
 
-    /// Queues an event `node` generates for itself (start, loopback,
-    /// timer) under its next sequence key.
-    fn push_own(&mut self, node: NodeId, time: SimTime, kind: EventKind<A::Timer>) {
-        let seq = self.next_seq(node);
+    /// Moves the clock to an event at `time` for `id`, first sampling
+    /// the node's gauges at every cadence boundary it reached.
+    fn arrive(&mut self, id: NodeId, time: u64) {
+        let node = id as usize;
+        self.now = SimTime::from_micros(time);
+        // Lazy boundary-crossing sampling: before dispatching an event
+        // that reached the node's next cadence boundary, record one
+        // sample per elapsed boundary from node-local state only.
+        if self.recorders[node].due(time) {
+            let gauges = self.actors[node].gauges();
+            let total = self.meters[node].total_mj();
+            self.recorders[node].sample_up_to(time, &gauges, total);
+        }
+        self.recorders[node].note_event();
+    }
+
+    /// The next sequence key: one counter over every push, so same-tick
+    /// keys ascend in push order.
+    fn next_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq - 1
+    }
+
+    /// Queues a calendar event for `node` under the next sequence key.
+    fn push(&mut self, node: NodeId, time: SimTime, kind: EventKind) {
+        let seq = self.next_seq();
         self.queue.push(time.as_micros(), seq, (node, kind));
     }
 
@@ -959,10 +989,9 @@ impl<A: Actor> SimNet<A> {
                     Fate::Deliver => SimDuration::ZERO,
                     Fate::DelayBy(d) => d,
                 };
-                let due = (self.now + self.hop_delay(node) + extra).as_micros();
-                let seq = self.next_seq(node);
+                let due = self.now + self.hop_delay(node) + extra;
                 holds += 1;
-                self.queue.push(due, seq, (to, EventKind::Deliver { slot, loopback: false }));
+                self.push(to, due, EventKind::Deliver { slot, loopback: false });
             }
         }
         self.on_air.hold(slot, holds);
@@ -1002,7 +1031,7 @@ impl<A: Actor> SimNet<A> {
                     // Loopback first so the sender processes its own
                     // message through the uniform path, then the real hops.
                     let slot = self.admit(OnAir::new(node, msg, None));
-                    self.push_own(node, self.now, EventKind::Deliver { slot, loopback: true });
+                    self.push(node, self.now, EventKind::Deliver { slot, loopback: true });
                     self.transmit(node, slot, false);
                 }
                 Output::Flood { msg, target } => {
@@ -1010,7 +1039,7 @@ impl<A: Actor> SimNet<A> {
                     // flood metadata: the origin marks it seen, relays on
                     // its out-edges, and (if targeted elsewhere) skips its
                     // own actor.
-                    let seq = self.next_seq(node);
+                    let seq = self.next_seq();
                     // A broadcast is keyed by content, so re-flooding what
                     // the network has seen goes nowhere. A `send_to` is a
                     // communication of its own every time — the same
@@ -1026,7 +1055,8 @@ impl<A: Actor> SimNet<A> {
                     self.queue.push(self.now.as_micros(), seq, event);
                 }
                 Output::SetTimer { id, delay, token } => {
-                    self.push_own(node, self.now + delay, EventKind::Timer { id, token });
+                    let (time, seq) = ((self.now + delay).as_micros(), self.next_seq());
+                    self.timers.push(Reverse(Entry { time, seq, payload: (node, id, token) }));
                 }
                 Output::CancelTimer(id) => {
                     self.cancelled_timers.insert(id.0);
@@ -1310,6 +1340,66 @@ mod tests {
         assert!(!met);
         assert_eq!(net.now(), SimTime::from_micros(1_500));
         assert_eq!(net.actor(0).fired, [1_234, 1_499, 1_500]);
+    }
+
+    /// Logs what it handles, in order. Node 0 arms a timer at start and
+    /// multicasts when it fires at 500 µs; node 1 arms two timers for
+    /// 1 000 µs at start, long before that message is sent, and the
+    /// first of them multicasts.
+    #[derive(Debug, Default)]
+    struct Ties {
+        log: Vec<(u64, &'static str)>,
+    }
+
+    impl Actor for Ties {
+        type Msg = TMsg;
+        type Timer = &'static str;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, TMsg, &'static str>) {
+            match ctx.id() {
+                0 => _ = ctx.set_timer(SimDuration::from_micros(500), "send"),
+                1 => {
+                    ctx.set_timer(SimDuration::from_micros(1_000), "deadline");
+                    ctx.set_timer(SimDuration::from_micros(1_000), "sibling");
+                }
+                _ => {}
+            }
+        }
+
+        fn on_message(&mut self, _: NodeId, msg: TMsg, ctx: &mut Context<'_, TMsg, &'static str>) {
+            let tag = match msg {
+                TMsg::Hop(0) => "peer message",
+                _ => "loopback",
+            };
+            self.log.push((ctx.now().as_micros(), tag));
+        }
+
+        fn on_timer(&mut self, token: &'static str, ctx: &mut Context<'_, TMsg, &'static str>) {
+            match token {
+                "send" => ctx.multicast(TMsg::Hop(0)),
+                "deadline" => ctx.multicast(TMsg::Hop(1)),
+                _ => {}
+            }
+            self.log.push((ctx.now().as_micros(), token));
+        }
+    }
+
+    #[test]
+    fn deliveries_win_same_tick_ties_against_timers() {
+        // Every hop takes exactly 500 µs, so node 0's message lands on
+        // node 1 on the tick both of node 1's timers expire: a message
+        // delayed by exactly the bound is in time. The loopback the first
+        // timer emits runs before the sibling timer due in the same µs,
+        // although both timers were armed before either message existed.
+        let mut cfg = NetConfig::ble(topology::ring_kcast(4, 2), 1);
+        cfg.hop_delay_min = SimDuration::from_micros(500);
+        cfg.hop_delay_max = cfg.hop_delay_min;
+        let mut net = SimNet::new(cfg, (0..4).map(|_| Ties::default()).collect());
+        net.run_for(SimDuration::from_millis(5));
+        assert_eq!(
+            net.actor(1).log,
+            [(1_000, "peer message"), (1_000, "deadline"), (1_000, "loopback"), (1_000, "sibling")]
+        );
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The pending-event queue of the discrete-event runtime.
 //!
-//! The simulator's hot path is its pending-event queue: every message hop,
-//! loopback, and timer passes through it once on the way in and once on
-//! the way out. That queue is a [`CalendarQueue`]: near-future events land
-//! in a ring of per-tick FIFO lanes (`O(1)` push/pop), and far-future
-//! events (long timers) overflow into a sorted spill heap that drains back
-//! into the ring as virtual time advances.
+//! The simulator's hot path is its pending-event queue: every message hop
+//! and loopback passes through it once on the way in and once on the way
+//! out. That queue is a [`CalendarQueue`]: near-future events land in a
+//! ring of per-tick FIFO lanes (`O(1)` push/pop), and far-future events
+//! overflow into a sorted spill heap that drains back into the ring as
+//! virtual time advances.
 //!
 //! It pops in ascending `(time, seq)` order, the total order the
 //! determinism contract rests on. The unit tests here and the
@@ -32,13 +32,13 @@ use std::collections::{BinaryHeap, VecDeque};
 
 /// One queued event: the `(time, seq)` key plus its payload. Ordering —
 /// and therefore the whole determinism contract — is on `(time, seq)`
-/// only; the runtime derives `seq` from the pushing node's id and its
-/// private push counter (see `crate::runtime`), so keys are unique and
-/// the order is total.
-struct Entry<E> {
-    time: u64,
-    seq: u64,
-    payload: E,
+/// only; the runtime takes `seq` from one push counter (see
+/// `crate::runtime`), so keys are unique and the order is total. The
+/// runtime's timer heap orders its entries the same way.
+pub(crate) struct Entry<E> {
+    pub(crate) time: u64,
+    pub(crate) seq: u64,
+    pub(crate) payload: E,
 }
 
 impl<E> PartialEq for Entry<E> {
@@ -76,23 +76,19 @@ pub const MATERIALIZE_AT: usize = 192;
 /// keys.
 ///
 /// Near-future events — `time` within `lanes` ticks of the cursor — are
-/// inserted into the lane of their exact delivery tick, kept sorted by
-/// `seq`. Same-tick events mostly arrive in ascending `seq` order, so the
-/// ordered insert is an O(1) append in practice; the general insert
-/// exists because sequence keys are per origin (see `crate::runtime`):
-/// a node whose push counter is behind another's can queue a same-tick
-/// event after it with a smaller key. Far-future events overflow into a
-/// sorted spill heap and migrate back into the ring as the cursor
-/// advances.
+/// appended to the lane of their exact delivery tick. Far-future events
+/// overflow into a sorted spill heap and migrate back into the ring as
+/// the cursor advances, before the window covers their tick, so each lane
+/// stays in push order.
 ///
 /// # Contract
 ///
-/// Callers must push unique `(time, seq)` keys and must never push an
-/// event earlier than the last popped time (the latter holds trivially
-/// for discrete-event simulation, where effects of processing an event at
-/// time `t` are scheduled at `t + delay`, `delay ≥ 0`; violations panic
-/// in debug builds). Same-tick pushes may arrive in any `seq` order —
-/// pop order is always ascending `(time, seq)`.
+/// Callers must push ascending `seq`s for any one tick (one push
+/// counter does this) and must never push an event earlier than the last
+/// popped time (which holds for discrete-event simulation, where effects
+/// of processing an event at time `t` are scheduled at `t + delay`,
+/// `delay ≥ 0`). Debug builds panic on either violation. Pop order is
+/// ascending `(time, seq)`.
 pub struct CalendarQueue<E> {
     /// Ring of per-tick FIFO lanes; lane `i` holds events whose tick
     /// satisfies `tick & mask == i` and `cursor ≤ tick < cursor + lanes`.
@@ -207,7 +203,7 @@ impl<E> CalendarQueue<E> {
                 self.materialize();
             }
         } else {
-            self.lane_insert(entry);
+            self.lane_push(entry);
         }
     }
 
@@ -261,27 +257,20 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// Inserts `entry` into its lane at its sorted `(time, seq)` position,
-    /// keeping the occupancy bitmap and the per-lane ordering invariant.
-    /// Same-tick pushes come in near-monotone `seq` order, so the
-    /// backwards scan almost always terminates immediately and the insert
-    /// is an O(1) append; only actual same-tick inversions (per-origin
-    /// keys, see the type docs) pay for the scan.
-    fn lane_insert(&mut self, entry: Entry<E>) {
+    /// Appends `entry` to its lane, keeping the occupancy bitmap. A lane
+    /// holds one tick, so appending keeps it sorted as long as same-tick
+    /// seqs ascend (the type-level contract).
+    fn lane_push(&mut self, entry: Entry<E>) {
         let idx = (entry.time & self.mask) as usize;
         let lane = &mut self.lanes[idx];
         debug_assert!(
-            lane.back().is_none_or(|b| (b.time, b.seq) != (entry.time, entry.seq)),
-            "(time, seq) keys must be unique"
+            lane.back().is_none_or(|b| b.seq < entry.seq),
+            "scheduler contract: same-tick seqs ascend"
         );
         if lane.is_empty() {
             self.occupancy[idx / 64] |= 1u64 << (idx % 64);
         }
-        let pos = lane
-            .iter()
-            .rposition(|e| (e.time, e.seq) < (entry.time, entry.seq))
-            .map_or(0, |p| p + 1);
-        lane.insert(pos, entry);
+        lane.push_back(entry);
         self.in_lanes += 1;
     }
 
@@ -293,7 +282,7 @@ impl<E> CalendarQueue<E> {
         let window_end = self.cursor + self.horizon();
         while self.spill.peek().is_some_and(|Reverse(e)| e.time < window_end) {
             let Reverse(entry) = self.spill.pop().expect("peeked");
-            self.lane_insert(entry);
+            self.lane_push(entry);
         }
     }
 
@@ -394,23 +383,31 @@ mod tests {
     }
 
     #[test]
-    fn same_tick_out_of_order_seqs_pop_sorted() {
-        // Sequence keys are per origin, so same-tick events can arrive
-        // with descending seqs; pop order must still be ascending
-        // (time, seq), as the oracle pops them.
-        let events: Vec<(u64, u64, &'static str)> = vec![
-            (5, 9, "i"),
-            (5, 3, "c"),
-            (7, 1, "a"),
-            (5, 6, "f"),
-            (5, 1, "b"),
-            (9, 0, "z"),
-            (5, 4, "d"),
-        ];
-        let mut heap: Oracle<_> = events.iter().copied().map(Reverse).collect();
-        let mut q = CalendarQueue::new();
-        for &(t, s, tag) in &events {
-            q.push(t, s, tag);
+    fn same_tick_lanes_pop_in_push_order() {
+        // One ascending push counter fills dense same-tick lanes, some
+        // directly and some through the spill: tick 70 is beyond the
+        // 64-tick window when its first events are pushed and migrates
+        // into its lane before the later ones are appended behind them.
+        let mut heap = Oracle::new();
+        let mut q = CalendarQueue::with_lanes(64);
+        let mut seq = 0u64;
+        let mut push = |q: &mut CalendarQueue<u64>, heap: &mut Oracle<u64>, t: u64| {
+            q.push(t, seq, seq);
+            heap.push(Reverse((t, seq, seq)));
+            seq += 1;
+        };
+        for t in [5, 70, 5, 30, 70, 5, 30, 70, 5] {
+            push(&mut q, &mut heap, t);
+        }
+        assert_eq!((q.in_lanes, q.spill.len()), (6, 3));
+        for _ in 0..6 {
+            assert_eq!(q.pop(), pop_oracle(&mut heap));
+        }
+        // The cursor is at 30: tick 70 is inside the window, its three
+        // spilled events sit in their lane, and new ones append.
+        assert_eq!((q.in_lanes, q.spill.len()), (3, 0));
+        for t in [70, 30, 70, 70] {
+            push(&mut q, &mut heap, t);
         }
         while let Some(e) = q.pop() {
             assert_eq!(Some(e), pop_oracle(&mut heap));

@@ -4,11 +4,11 @@
 use std::sync::Arc;
 
 use eesmr_baselines::check_prefix_consistency;
-use eesmr_core::{build_replicas, Config, FaultMode, Replica};
+use eesmr_core::{build_replicas, BatchPolicy, Config, FaultMode, Replica};
 use eesmr_crypto::{KeyStore, SigScheme};
 use eesmr_hypergraph::topology::ring_kcast;
 use eesmr_net::{Fate, NetConfig, SimDuration, SimNet};
-use eesmr_sim::{FaultPlan, Protocol, Scenario, StopWhen};
+use eesmr_sim::{ArrivalProcess, FaultPlan, Protocol, Scenario, Skew, StopWhen, Workload};
 
 const PROTOCOLS: [Protocol; 3] = [Protocol::Eesmr, Protocol::SyncHotStuff, Protocol::OptSync];
 
@@ -26,6 +26,23 @@ fn every_protocol_commits_in_honest_runs() {
     }
     let tb = Scenario::new(Protocol::TrustedBaseline, 6, 2).stop(StopWhen::Blocks(8)).run();
     assert!(tb.committed_height() >= 8);
+}
+
+#[test]
+fn a_message_due_when_a_timer_expires_is_in_time() {
+    // Honest EESMR under open-loop clients (n = 13, k = 7, Poisson
+    // 2000 tx/s with Zipf skew, adaptive batches of 1..64), seed 4. By
+    // block 460 a message lands on the very tick a timer racing it
+    // expires. A message delayed by at most the bound is in time, so it
+    // wins the tie and the correct leader keeps its view.
+    let report = Scenario::new(Protocol::Eesmr, 13, 7)
+        .seed(4)
+        .workload(Workload::new(ArrivalProcess::Poisson { rate: 2000 }).skew(Skew::Zipf))
+        .batch_policy(BatchPolicy::Adaptive { min: 1, max: 64, target_fill_pct: 100 })
+        .stop(StopWhen::Blocks(460))
+        .run();
+    assert!(report.committed_height() >= 460);
+    assert_eq!(report.view_changes(), 0);
 }
 
 #[test]
