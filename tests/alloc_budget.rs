@@ -163,10 +163,10 @@ fn allocations_per_committed_block_are_pinned() {
     check(
         &got,
         &[
-            Budget { allocations: 504, reallocations: 50, peak_bytes: 100_401, units: 24 },
-            Budget { allocations: 1_255, reallocations: 163, peak_bytes: 126_649, units: 24 },
-            Budget { allocations: 1_235, reallocations: 217, peak_bytes: 136_025, units: 24 },
-            Budget { allocations: 1_093, reallocations: 348, peak_bytes: 52_741, units: 24 },
+            Budget { allocations: 504, reallocations: 51, peak_bytes: 98_297, units: 24 },
+            Budget { allocations: 1_255, reallocations: 166, peak_bytes: 123_521, units: 24 },
+            Budget { allocations: 1_235, reallocations: 221, peak_bytes: 134_945, units: 24 },
+            Budget { allocations: 1_093, reallocations: 348, peak_bytes: 52_685, units: 24 },
         ],
     );
 }
@@ -222,6 +222,6 @@ fn allocations_per_delivery_on_the_busy_ring_are_pinned() {
     });
     check(
         &[("busy ring", got)],
-        &[Budget { allocations: 1_002, reallocations: 32, peak_bytes: 213_328, units: 592 }],
+        &[Budget { allocations: 1_001, reallocations: 32, peak_bytes: 181_424, units: 592 }],
     );
 }

@@ -144,14 +144,16 @@ fn fingerprint(scenario: &Scenario) -> u64 {
 /// it is used, so each recovering node is charged one signature check and
 /// one hash per reply it receives. Nothing else in those reports moved —
 /// every correct node, every trace event and the elapsed time are as
-/// before.
+/// before. The eight pins marked `tie` were re-captured when the event
+/// order became `(tick, deliveries before timers, push order)`: same-tick
+/// events that popped by per-origin key now pop by that rule.
 const PINS: [u64; 31] = [
     0xcc5a74bc5c82fe90,
-    0x58e4f766d2db4d21,
+    0x464edcc3cc423bab, // tie
     0x1040c8610c5c5785, // repair
     0x9295f39281ba0ec1,
     0x92304c15c605f3b4,
-    0x3ae2cf3b507826c8, // repair
+    0xa1dd768dc7fe5175, // repair, tie
     0x33186f0041ade711,
     0x288d5338a4807a9d,
     0x673dfab3d85b5fd9, // repair
@@ -166,21 +168,21 @@ const PINS: [u64; 31] = [
     // the HotStuff family became one replica over three commit rules
     // (PR 20); that refactor had to reproduce them unmodified.
     0xae65491fd4e64313,
-    0x9b2e1ace26f43568,
-    0x6abcc7940a47280c,
+    0x3a9da29ecbac7ce7, // tie
+    0xb18224fb3418cd29, // tie
     0x51a42c8a83bf9972,
     0x346fafd3251aa26e,
-    0xebdfc5235473eedc,
+    0xdb759eaecef4da7e, // tie
     0xe3e7ec0628dc7e6a,
     0x22daf103b1061707, // repair
-    0xb472ef62a628c8c8, // repair
+    0xa62bc2145474da74, // repair, tie
     0x170a9b847c01f2a5,
     0x54cb04eb5cee1260,
-    0x3501b4bf429f7738,
+    0x3555dea48059cfb2, // tie
     0x0b14c16e5eaaffe6,
     0xd4611e5eec245f43,
     0x82e489f8c70025e7,
-    0xb1d77c28c0caf87a,
+    0x9838598193d8273a, // tie
     0x214f30f7fda7d8e2,
 ];
 

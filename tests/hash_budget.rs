@@ -34,7 +34,7 @@ fn compressions_per_committed_block_are_pinned() {
     // certificate that it did not already check as a vote. That ratio is
     // the paper's argument.
     assert_eq!(run_cost(Protocol::Eesmr), (1_697, 50));
-    assert_eq!(run_cost(Protocol::SyncHotStuff), (13_987, 50));
+    assert_eq!(run_cost(Protocol::SyncHotStuff), (13_985, 50));
 }
 
 /// Starts `leader`, hands its proposal to `replica` twice, and returns the
