@@ -87,8 +87,9 @@ pub const MATERIALIZE_AT: usize = 192;
 /// counter does this) and must never push an event earlier than the last
 /// popped time (which holds for discrete-event simulation, where effects
 /// of processing an event at time `t` are scheduled at `t + delay`,
-/// `delay ≥ 0`). Debug builds panic on either violation. Pop order is
-/// ascending `(time, seq)`.
+/// `delay ≥ 0`). Debug builds panic on a push into the past and on one
+/// that lands in a lane behind a larger seq. Pop order is ascending
+/// `(time, seq)`.
 pub struct CalendarQueue<E> {
     /// Ring of per-tick FIFO lanes; lane `i` holds events whose tick
     /// satisfies `tick & mask == i` and `cursor ≤ tick < cursor + lanes`.
