@@ -61,9 +61,9 @@ impl<E> Ord for Entry<E> {
 /// Default number of one-microsecond lanes in the near-future ring:
 /// 1.024 virtual milliseconds — sized to the BLE hop-delay envelope
 /// (500–1000 µs), so ordinary message hops land in the `O(1)` lanes
-/// while protocol timers (multiples of Δ) and interceptor-delayed hops
-/// spill. Kept small so constructing a simulation stays cheap for tiny
-/// short-lived runs.
+/// while interceptor-delayed hops and the process transport's timers
+/// (multiples of Δ) spill. Kept small so constructing a simulation stays
+/// cheap for tiny short-lived runs.
 pub const DEFAULT_LANES: usize = 1024;
 
 /// Pending-event count at which a lazily-constructed queue allocates its
