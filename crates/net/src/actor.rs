@@ -108,7 +108,7 @@ pub struct Context<'a, M, T> {
     pub(crate) meter: &'a mut EnergyMeter,
     pub(crate) next_timer_id: &'a mut u64,
     pub(crate) tracer: &'a mut Tracer,
-    pub(crate) effects: Vec<Output<M, T>>,
+    pub(crate) effects: &'a mut Vec<Output<M, T>>,
 }
 
 impl<'a, M: Message, T: Clone + core::fmt::Debug> Context<'a, M, T> {
@@ -206,10 +206,13 @@ mod tests {
         }
     }
 
+    type Effects = Vec<Output<Ping, &'static str>>;
+
     fn ctx<'a>(
         meter: &'a mut EnergyMeter,
         next: &'a mut u64,
         tracer: &'a mut Tracer,
+        effects: &'a mut Effects,
     ) -> Context<'a, Ping, &'static str> {
         Context {
             node: 3,
@@ -217,7 +220,7 @@ mod tests {
             meter,
             next_timer_id: next,
             tracer,
-            effects: Vec::new(),
+            effects,
         }
     }
 
@@ -226,7 +229,8 @@ mod tests {
         let mut meter = EnergyMeter::new();
         let mut next = 0;
         let mut tracer = Tracer::disabled(3);
-        let c = ctx(&mut meter, &mut next, &mut tracer);
+        let mut effects = Vec::new();
+        let c = ctx(&mut meter, &mut next, &mut tracer, &mut effects);
         assert_eq!(c.id(), 3);
         assert_eq!(c.now(), SimTime::from_micros(42));
     }
@@ -236,7 +240,8 @@ mod tests {
         let mut meter = EnergyMeter::new();
         let mut next = 0;
         let mut tracer = Tracer::disabled(3);
-        let mut c = ctx(&mut meter, &mut next, &mut tracer);
+        let mut effects = Vec::new();
+        let mut c = ctx(&mut meter, &mut next, &mut tracer, &mut effects);
         let a = c.set_timer(SimDuration::from_micros(1), "a");
         let b = c.set_timer(SimDuration::from_micros(2), "b");
         assert!(a < b);
@@ -249,7 +254,8 @@ mod tests {
         let mut meter = EnergyMeter::new();
         let mut next = 0;
         let mut tracer = Tracer::new(TraceLevel::All, 3);
-        let mut c = ctx(&mut meter, &mut next, &mut tracer);
+        let mut effects = Vec::new();
+        let mut c = ctx(&mut meter, &mut next, &mut tracer, &mut effects);
         assert!(c.traces(TraceClass::Wire));
         c.trace(TraceEventKind::TimerFire { id: 5 });
         let trace = tracer.drain();
@@ -263,7 +269,8 @@ mod tests {
         let mut meter = EnergyMeter::new();
         let mut next = 0;
         let mut tracer = Tracer::disabled(3);
-        let mut c = ctx(&mut meter, &mut next, &mut tracer);
+        let mut effects = Vec::new();
+        let mut c = ctx(&mut meter, &mut next, &mut tracer, &mut effects);
         c.multicast(Ping);
         c.flood(Ping);
         c.send_to(1, Ping);

@@ -6,7 +6,9 @@
 //! BLE advertisements (k-casts), BLE GATT unicast connections, and plain
 //! per-byte media (WiFi / 4G) for the analytical scenarios.
 
-use eesmr_energy::{BleGattModel, BleKcastModel, Medium};
+use eesmr_energy::{BleGattModel, BleKcastModel, EnergyClass, Medium};
+
+use crate::time::SimDuration;
 
 /// Prices one transmission over a hyper-edge.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,13 +94,33 @@ impl ChannelCost {
         }
     }
 
-    /// Whether receivers on this medium run a scanning radio (the BLE
-    /// advertisement channel). Decides which `EnergyClass` the scan-aware
-    /// receive paths attribute to: scanning media split fresh receptions
-    /// into scan-window vs shared-scan classes; connection-oriented and
-    /// per-byte media decode every transfer in full.
-    pub fn scanning_receiver(&self) -> bool {
-        matches!(self, ChannelCost::BleKcast { .. })
+    /// The receive price both transports charge: one reception of
+    /// `bytes` at `now_us` by a node whose scan window is open until
+    /// `scan_until` (µs), as its energy and class. A duplicate (`!fresh`)
+    /// pays [`Self::dup_recv_mj`]. A fresh reception at or after
+    /// `scan_until` opens a window `window` wide and pays the whole scan,
+    /// [`Self::recv_mj`]; one inside an open window shares its radio-on
+    /// time, [`Self::shared_recv_mj`]. Only the BLE advertisement channel
+    /// runs a scanning radio; other media decode every fresh transfer.
+    pub fn reception(
+        &self,
+        bytes: usize,
+        fresh: bool,
+        now_us: u64,
+        scan_until: &mut u64,
+        window: SimDuration,
+    ) -> (f64, EnergyClass) {
+        let scanning = matches!(self, ChannelCost::BleKcast { .. });
+        if !fresh {
+            (self.dup_recv_mj(bytes), EnergyClass::DupAbandoned)
+        } else if now_us >= *scan_until {
+            *scan_until = now_us + window.as_micros();
+            let class = if scanning { EnergyClass::RecvScan } else { EnergyClass::RecvDecode };
+            (self.recv_mj(bytes), class)
+        } else {
+            let class = if scanning { EnergyClass::SharedScan } else { EnergyClass::RecvDecode };
+            (self.shared_recv_mj(bytes), class)
+        }
     }
 }
 
@@ -137,6 +159,25 @@ mod tests {
         assert_eq!(c.send_mj(256, 1), Medium::Wifi.send_mj(256));
         assert_eq!(c.send_mj(256, 3), 3.0 * Medium::Wifi.send_mj(256));
         assert_eq!(c.recv_mj(256), Medium::Wifi.recv_mj(256));
+    }
+
+    #[test]
+    fn a_reception_opens_a_scan_window_that_later_ones_share() {
+        let c = ChannelCost::ble_four_nines(3);
+        let window = SimDuration::from_micros(1_000);
+        let mut until = 0;
+        let first = c.reception(64, true, 500, &mut until, window);
+        assert_eq!((first, until), ((c.recv_mj(64), EnergyClass::RecvScan), 1_500));
+        let shared = c.reception(64, true, 1_499, &mut until, window);
+        assert_eq!(shared, (c.shared_recv_mj(64), EnergyClass::SharedScan));
+        let dup = c.reception(64, false, 1_499, &mut until, window);
+        assert_eq!(dup, (c.dup_recv_mj(64), EnergyClass::DupAbandoned));
+        let next = c.reception(64, true, 1_500, &mut until, window);
+        assert_eq!((next, until), ((c.recv_mj(64), EnergyClass::RecvScan), 2_500));
+        // Media without a scanning radio decode every fresh transfer.
+        let wifi = ChannelCost::PerByte { medium: Medium::Wifi };
+        let shared = wifi.reception(64, true, 2_000, &mut until, window);
+        assert_eq!(shared, (wifi.recv_mj(64), EnergyClass::RecvDecode));
     }
 
     #[test]

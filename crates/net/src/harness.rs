@@ -7,16 +7,20 @@
 //! public API: downstream users writing their own protocols get the same
 //! white-box testing surface.
 //!
-//! It is also the process transport's node step: each [`crate::proc`]
-//! child steps its replica through a `Harness`, moving the clock up to
-//! the wall clock before each call and applying the returned outputs over
-//! sockets. So a child's recorded inputs — `start`, every `deliver`, every
-//! `fire`, each at the time it saw — replay through this same step.
+//! It is also both transports' node step and energy ledger, and the only
+//! place a [`Context`] is built: [`crate::SimNet`] steps one per node at
+//! each event's time, and each [`crate::proc`] child steps its replica
+//! through one on the wall clock. So a child's recorded inputs (`start`,
+//! every `deliver`, every `fire`, each at the time it saw) replay through
+//! this same step, phases and send and receive prices included.
 
-use eesmr_energy::EnergyMeter;
+use eesmr_energy::{EnergyCategory, EnergyClass, EnergyMeter, EnergyPhase};
+use eesmr_trace::{TraceLevel, Tracer};
 
 pub use crate::actor::Output;
 use crate::actor::{Actor, Context, NodeId};
+use crate::channel::ChannelCost;
+use crate::message::Message;
 use crate::time::{SimDuration, SimTime};
 
 /// Drives a single actor with hand-crafted inputs.
@@ -49,30 +53,31 @@ use crate::time::{SimDuration, SimTime};
 /// assert!(h.deliver(1, Ping).is_empty(), "but only once");
 /// ```
 pub struct Harness<A: Actor> {
-    id: NodeId,
     actor: A,
     meter: EnergyMeter,
     next_timer_id: u64,
     now: SimTime,
-    tracer: eesmr_trace::Tracer,
+    /// End of the node's current receive scan window, µs.
+    scan_until: u64,
+    /// The node's trace ring, which also carries its id.
+    tracer: Tracer,
 }
 
 impl<A: Actor> Harness<A> {
     /// Wraps `actor` as node `id` at time zero.
     pub fn new(id: NodeId, actor: A) -> Self {
-        Harness {
-            id,
-            actor,
-            meter: EnergyMeter::new(),
-            next_timer_id: 0,
-            now: SimTime::ZERO,
-            tracer: eesmr_trace::Tracer::disabled(id),
-        }
+        Self::traced(id, actor, TraceLevel::Off)
+    }
+
+    /// [`Harness::new`], with the node's trace ring recording at `level`.
+    pub(crate) fn traced(id: NodeId, actor: A, level: TraceLevel) -> Self {
+        let (meter, now, tracer) = (EnergyMeter::new(), SimTime::ZERO, Tracer::new(level, id));
+        Harness { actor, meter, next_timer_id: 0, now, scan_until: 0, tracer }
     }
 
     /// The node id the actor runs as.
     pub fn id(&self) -> NodeId {
-        self.id
+        self.tracer.node()
     }
 
     /// The wrapped actor.
@@ -90,10 +95,32 @@ impl<A: Actor> Harness<A> {
         &self.meter
     }
 
-    /// Mutable access to the meter, for the energy a transport charges
-    /// around the node step (sending and receiving).
-    pub fn meter_mut(&mut self) -> &mut EnergyMeter {
-        &mut self.meter
+    /// Charges one transmission of a `phase` message of `bytes` to `k`
+    /// receivers, priced by `cost`.
+    pub(crate) fn sent(&mut self, cost: &ChannelCost, bytes: usize, k: usize, phase: EnergyPhase) {
+        let mj = cost.send_mj(bytes, k);
+        self.meter.charge_as(EnergyCategory::Send, EnergyClass::Send, phase, mj);
+    }
+
+    /// Charges one reception of a `phase` message of `bytes` at `now_us`,
+    /// priced by `cost` against the node's scan window ([`ChannelCost::reception`]).
+    pub(crate) fn received(
+        &mut self,
+        cost: &ChannelCost,
+        window: SimDuration,
+        bytes: usize,
+        fresh: bool,
+        now_us: u64,
+        phase: EnergyPhase,
+    ) {
+        let (mj, class) = cost.reception(bytes, fresh, now_us, &mut self.scan_until, window);
+        self.meter.charge_as(EnergyCategory::Recv, class, phase, mj);
+    }
+
+    /// The node's trace ring, for the wire-layer events a transport
+    /// records around the node step.
+    pub(crate) fn tracer_mut(&mut self) -> &mut Tracer {
+        &mut self.tracer
     }
 
     /// Current virtual time presented to the actor.
@@ -106,35 +133,56 @@ impl<A: Actor> Harness<A> {
         self.now += d;
     }
 
-    fn invoke(
+    /// The node step: moves the clock to `now`, stamps the meter with
+    /// `phase` so every compute charge the actor makes (sign, verify,
+    /// hash) lands in the phase of the event that caused it, runs `f`
+    /// with a [`Context`] that appends the actor's outputs to `effects`,
+    /// and puts the meter back on [`EnergyPhase::Other`].
+    pub(crate) fn step(
         &mut self,
+        now: SimTime,
+        phase: EnergyPhase,
+        effects: &mut Vec<Output<A::Msg, A::Timer>>,
         f: impl FnOnce(&mut A, &mut Context<'_, A::Msg, A::Timer>),
-    ) -> Vec<Output<A::Msg, A::Timer>> {
+    ) {
+        self.now = now;
+        self.meter.set_phase(phase);
         let mut ctx = Context {
-            node: self.id,
-            now: self.now,
+            node: self.tracer.node(),
+            now,
             meter: &mut self.meter,
             next_timer_id: &mut self.next_timer_id,
             tracer: &mut self.tracer,
-            effects: Vec::new(),
+            effects,
         };
         f(&mut self.actor, &mut ctx);
-        ctx.effects
+        self.meter.set_phase(EnergyPhase::Other);
+    }
+
+    /// One [`step`](Self::step) at the current time, returning its outputs.
+    fn outputs(
+        &mut self,
+        phase: EnergyPhase,
+        f: impl FnOnce(&mut A, &mut Context<'_, A::Msg, A::Timer>),
+    ) -> Vec<Output<A::Msg, A::Timer>> {
+        let mut effects = Vec::new();
+        self.step(self.now, phase, &mut effects, f);
+        effects
     }
 
     /// Calls `on_start`.
     pub fn start(&mut self) -> Vec<Output<A::Msg, A::Timer>> {
-        self.invoke(|a, ctx| a.on_start(ctx))
+        self.outputs(EnergyPhase::Other, |a, ctx| a.on_start(ctx))
     }
 
     /// Delivers one message as if it came from `from`.
     pub fn deliver(&mut self, from: NodeId, msg: A::Msg) -> Vec<Output<A::Msg, A::Timer>> {
-        self.invoke(|a, ctx| a.on_message(from, msg, ctx))
+        self.outputs(msg.phase(), |a, ctx| a.on_message(from, msg, ctx))
     }
 
     /// Fires a timer token directly (bypassing the schedule).
     pub fn fire(&mut self, token: A::Timer) -> Vec<Output<A::Msg, A::Timer>> {
-        self.invoke(|a, ctx| a.on_timer(token, ctx))
+        self.outputs(EnergyPhase::Timer, |a, ctx| a.on_timer(token, ctx))
     }
 }
 
@@ -196,5 +244,53 @@ mod tests {
         assert_eq!(h.now(), SimTime::ZERO);
         h.advance(SimDuration::from_millis(5));
         assert_eq!(h.now().as_micros(), 5_000);
+    }
+
+    /// A vote whose handler, like its timer's, does one hash's work.
+    #[derive(Debug, Clone)]
+    struct Vote;
+    impl Message for Vote {
+        fn wire_size(&self) -> usize {
+            8
+        }
+        fn flood_key(&self) -> u64 {
+            1
+        }
+        fn phase(&self) -> EnergyPhase {
+            EnergyPhase::Vote
+        }
+    }
+
+    struct Hasher;
+    impl Actor for Hasher {
+        type Msg = Vote;
+        type Timer = ();
+
+        fn on_start(&mut self, ctx: &mut Context<'_, Vote, ()>) {
+            ctx.meter().charge_hash(64);
+        }
+
+        fn on_message(&mut self, _f: NodeId, _m: Vote, ctx: &mut Context<'_, Vote, ()>) {
+            ctx.meter().charge_hash(64);
+        }
+
+        fn on_timer(&mut self, _t: (), ctx: &mut Context<'_, Vote, ()>) {
+            ctx.meter().charge_hash(64);
+        }
+    }
+
+    #[test]
+    fn compute_charges_land_in_the_phase_of_the_event() {
+        let mut h = Harness::new(2, Hasher);
+        h.start();
+        let one = h.meter().total_mj();
+        assert!(one > 0.0);
+        h.deliver(1, Vote);
+        h.fire(());
+        let attr = h.meter().attribution();
+        assert_eq!(attr.phase_mj(EnergyPhase::Other), one, "start");
+        assert_eq!(attr.phase_mj(EnergyPhase::Vote), one, "a delivery takes the message's phase");
+        assert_eq!(attr.phase_mj(EnergyPhase::Timer), one, "a fired timer's is Timer");
+        assert_eq!(h.meter().phase(), EnergyPhase::Other, "and the meter is reset after");
     }
 }

@@ -18,21 +18,27 @@
 //!
 //! # Semantics vs the simulator
 //!
-//! The process mesh is fully connected, so `Multicast` and untargeted
-//! `Flood` effects become one unicast frame per peer and targeted floods
-//! go straight to the target — no relaying. Commit logic is unaffected
-//! (the simulator's flood also delivers each message at most once to each
-//! node), but energy differs: here a node pays one `send_mj(bytes, r)`
-//! per transmission burst of `r` recipients and `recv_mj` per frame
-//! received, with no relay or duplicate-suppression costs. Wall-clock
-//! runs are nondeterministic; the deterministic energy figures stay the
-//! simulator's job (see README "Known deviations").
+//! A child steps its replica through the same [`Harness`] node step as
+//! [`crate::SimNet`], so compute energy lands in the same phases, and
+//! prices every reception with the same scan-aware rule
+//! ([`ChannelCost::reception`], the window given to [`run_node`]). The
+//! one difference is the medium: the process mesh is fully connected, so
+//! `Multicast` and untargeted `Flood` effects become one unicast frame
+//! per peer and targeted floods go straight to the target — no relaying,
+//! hence no relay sends and no duplicate receptions. Commit logic is
+//! unaffected (the simulator's flood also delivers each message at most
+//! once to each node). A node pays one `send_mj(bytes, r)` per burst of
+//! `r` recipients. Wall-clock runs are nondeterministic, and so is which
+//! receptions share a scan window; the deterministic energy figures stay
+//! the simulator's job (see README "Known deviations").
 //!
 //! Writes that fail mid-run trigger a bounded reconnect-and-resend
 //! (see [`RECONNECT_ATTEMPTS`]); frames that still cannot be delivered
 //! are counted in [`NetStats::dropped`].
 
-use std::collections::{HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -41,7 +47,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, RecvTimeoutError};
-use eesmr_energy::{EnergyCategory, EnergyMeter};
+use eesmr_crypto::KeySet;
+use eesmr_energy::EnergyMeter;
 
 use crate::actor::{Actor, NodeId, Output};
 use crate::channel::ChannelCost;
@@ -49,8 +56,8 @@ use crate::codec::{self, WireCodec};
 use crate::harness::Harness;
 use crate::message::Message;
 use crate::runtime::NetStats;
-use crate::sched::CalendarQueue;
-use crate::time::SimTime;
+use crate::sched::Entry;
+use crate::time::{SimDuration, SimTime};
 
 /// Largest frame either side will read (64 MiB): big enough for any
 /// repair batch, small enough that a hostile length prefix cannot drive
@@ -195,9 +202,12 @@ impl ListenerSock {
     }
 }
 
-/// Writes one length-delimited frame and flushes.
+/// Writes one length-delimited frame and flushes; a payload over
+/// [`MAX_FRAME_LEN`] is refused with `InvalidInput`, nothing written.
 fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    assert!(payload.len() <= MAX_FRAME_LEN, "frame exceeds MAX_FRAME_LEN");
+    if payload.len() > MAX_FRAME_LEN {
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds MAX_FRAME_LEN"));
+    }
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(payload)?;
     w.flush()
@@ -269,7 +279,7 @@ impl ChildOpts {
 
 /// Events the reader threads feed into a child's main loop.
 enum PEvent<M> {
-    Deliver { origin: NodeId, msg: M, loopback: bool, target: Option<NodeId> },
+    Deliver { origin: NodeId, msg: M, arrived: Option<Instant>, target: Option<NodeId> },
     Ctrl(u8),
     CtrlConnected(Stream),
 }
@@ -319,7 +329,9 @@ impl PeerLink {
 /// coordinator's start command, then drives `actor` off the wall clock
 /// until the coordinator stops it.
 ///
-/// `status` maps the live actor to the `u64` progress value returned to
+/// `channel` prices its sends and receptions, a scan window lasting
+/// `scan_window` (the simulator's `NetConfig::hop_delay_max`). `status`
+/// maps the live actor to the `u64` progress value returned to
 /// [`Coordinator::statuses`]; `report` renders the final actor, its
 /// energy meter, and the transport counters into the opaque blob
 /// [`Coordinator::stop_and_collect`] returns. Returns once that blob is
@@ -328,6 +340,7 @@ pub fn run_node<A, S, R>(
     opts: ChildOpts,
     actor: A,
     channel: ChannelCost,
+    scan_window: SimDuration,
     status: S,
     report: R,
 ) -> io::Result<()>
@@ -348,19 +361,10 @@ where
         while let Ok(mut stream) = listener.accept() {
             let tx = tx.clone();
             std::thread::spawn(move || {
-                let hello = match read_frame(&mut stream) {
-                    Ok(f) => f,
-                    Err(_) => return,
-                };
-                let (role, origin) = match parse_hello(&hello) {
-                    Ok(h) => h,
-                    Err(_) => return,
-                };
+                let hello = read_frame(&mut stream).and_then(|hello| parse_hello(&hello));
+                let Ok((role, origin)) = hello else { return };
                 if role == ROLE_CTRL {
-                    let writer = match stream.try_clone() {
-                        Ok(w) => w,
-                        Err(_) => return,
-                    };
+                    let Ok(writer) = stream.try_clone() else { return };
                     if tx.send(PEvent::CtrlConnected(writer)).is_err() {
                         return;
                     }
@@ -373,23 +377,13 @@ where
                     }
                 } else {
                     while let Ok(frame) = read_frame(&mut stream) {
-                        match A::Msg::decode(&frame) {
-                            Ok(msg) => {
-                                if tx
-                                    .send(PEvent::Deliver {
-                                        origin,
-                                        msg,
-                                        loopback: false,
-                                        target: None,
-                                    })
-                                    .is_err()
-                                {
-                                    return;
-                                }
-                            }
-                            // A malformed frame from a peer is that
-                            // peer's fault; drop it and keep reading.
-                            Err(_) => continue,
+                        let arrived = Some(Instant::now());
+                        // A malformed frame from a peer is that peer's
+                        // fault; drop it and keep reading.
+                        let Ok(msg) = A::Msg::decode(&frame) else { continue };
+                        let deliver = PEvent::Deliver { origin, msg, arrived, target: None };
+                        if tx.send(deliver).is_err() {
+                            return;
                         }
                     }
                 }
@@ -424,11 +418,9 @@ where
     // Hold for the start command; frames from faster peers queue up.
     let mut ctrl: Option<Stream> = None;
     let mut pending: VecDeque<PEvent<A::Msg>> = VecDeque::new();
+    let died = || io::Error::new(io::ErrorKind::BrokenPipe, "accept loop died");
     loop {
-        match rx
-            .recv()
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "accept loop died"))?
-        {
+        match rx.recv().map_err(|_| died())? {
             PEvent::CtrlConnected(w) => ctrl = Some(w),
             PEvent::Ctrl(CMD_START) => break,
             PEvent::Ctrl(_) => {}
@@ -439,11 +431,12 @@ where
     let mut rt = ProcRuntime {
         node: Harness::new(opts.node_id, actor),
         channel,
+        scan_window,
         links,
         stats: NetStats::default(),
         start: Instant::now(),
-        timers: CalendarQueue::new(),
-        cancelled: HashSet::new(),
+        timers: BinaryHeap::new(),
+        cancelled: KeySet::default(),
         local: VecDeque::new(),
     };
     rt.step(Harness::start);
@@ -453,7 +446,9 @@ where
 
     loop {
         let now_us = rt.now_us();
-        while let Some((_, id, token)) = rt.timers.pop_if(|due| due <= now_us) {
+        while let Some(Reverse(Entry { seq: id, payload: token, .. })) =
+            rt.timers.peek_mut().filter(|head| head.0.time <= now_us).map(PeekMut::pop)
+        {
             if !rt.cancelled.remove(&id) {
                 rt.step(|node| node.fire(token));
             }
@@ -461,14 +456,9 @@ where
         while let Some(ev) = rt.local.pop_front() {
             rt.handle(ev);
         }
-        let now_us = rt.now_us();
-        let wait = rt
-            .timers
-            .peek_time()
-            .map(|due| Duration::from_micros(due.saturating_sub(now_us)))
-            .unwrap_or(Duration::from_millis(20))
-            .min(Duration::from_millis(20));
-        match rx.recv_timeout(wait) {
+        let next_us = rt.timers.peek().map_or(u64::MAX, |Reverse(head)| head.time);
+        let wait = Duration::from_micros(next_us.saturating_sub(rt.now_us()));
+        match rx.recv_timeout(wait.min(Duration::from_millis(20))) {
             Ok(PEvent::Ctrl(CMD_POLL)) => {
                 if let Some(w) = ctrl.as_mut() {
                     let mut reply = vec![REPLY_STATUS];
@@ -489,26 +479,25 @@ where
             Ok(PEvent::CtrlConnected(w)) => ctrl = Some(w),
             Ok(ev) => rt.handle(ev),
             Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "accept loop died"));
-            }
+            Err(RecvTimeoutError::Disconnected) => return Err(died()),
         }
     }
 }
 
 /// One process's node runtime: the actor's node step ([`Harness`]) on
-/// the wall clock, a timer calendar, and the effect handling of the
+/// the wall clock, a timer heap, and the effect handling of the
 /// simulator's runtime, over sockets.
 struct ProcRuntime<A: Actor> {
     node: Harness<A>,
     channel: ChannelCost,
+    scan_window: SimDuration,
     links: Vec<PeerLink>,
     stats: NetStats,
     start: Instant,
-    /// Pending timers, keyed by due time and timer id: ids count up in
-    /// the order the actor set them, which breaks same-tick ties.
-    timers: CalendarQueue<A::Timer>,
-    cancelled: HashSet<u64>,
+    /// Pending timers, keyed `(due time, timer id)` like `SimNet`'s (ids count
+    /// up in set order, breaking same-tick ties), cancelled ones in `cancelled`.
+    timers: BinaryHeap<Reverse<Entry<A::Timer>>>,
+    cancelled: KeySet<u64>,
     local: VecDeque<PEvent<A::Msg>>,
 }
 
@@ -531,15 +520,12 @@ where
         }
     }
 
-    /// Sends one encoded frame to `recipients` peers as a single
-    /// transmission burst, charging the channel model once.
+    /// Sends one encoded frame to every peer, or only to `only`, as a
+    /// single transmission burst, charging the channel model once.
     fn transmit(&mut self, msg: &A::Msg, only: Option<NodeId>) {
         let frame = msg.encode();
         let mut sent = 0u64;
-        for link in &mut self.links {
-            if only.is_some_and(|t| t != link.id) {
-                continue;
-            }
+        for link in self.links.iter_mut().filter(|link| only.is_none_or(|t| t == link.id)) {
             if link.send(&frame) {
                 sent += 1;
             } else {
@@ -547,57 +533,48 @@ where
             }
         }
         if sent > 0 {
-            let mj = self.channel.send_mj(frame.len(), sent as usize);
-            self.node.meter_mut().charge(EnergyCategory::Send, mj);
+            self.node.sent(&self.channel, frame.len(), sent as usize, msg.phase());
             self.stats.kcasts += 1;
             self.stats.bytes_on_air += frame.len() as u64;
         }
     }
 
     fn apply(&mut self, effect: Output<A::Msg, A::Timer>) {
-        let me = self.node.id();
-        match effect {
-            Output::Multicast(msg) => {
-                self.transmit(&msg, None);
-                self.local.push_back(PEvent::Deliver {
-                    origin: me,
-                    msg,
-                    loopback: true,
-                    target: None,
-                });
-            }
-            Output::Flood { msg, target } => {
-                // Full mesh: an untargeted flood is a broadcast and a
-                // targeted flood is a unicast; no relaying happens, so
-                // there is nothing to deduplicate.
-                match target {
-                    Some(t) if t != me => self.transmit(&msg, Some(t)),
-                    Some(_) => {}
-                    None => self.transmit(&msg, None),
-                }
-                self.local.push_back(PEvent::Deliver { origin: me, msg, loopback: true, target });
-            }
+        let (msg, target) = match effect {
+            Output::Multicast(msg) => (msg, None),
+            Output::Flood { msg, target } => (msg, target),
             Output::SetTimer { id, delay, token } => {
-                let due = self.now_us() + delay.as_micros();
-                self.timers.push(due, id.0, token);
+                let time = self.now_us() + delay.as_micros();
+                self.timers.push(Reverse(Entry { time, seq: id.0, payload: token }));
+                return;
             }
             Output::CancelTimer(id) => {
                 self.cancelled.insert(id.0);
+                return;
             }
+        };
+        // Full mesh: a multicast or an untargeted flood is a broadcast and
+        // a targeted flood is a unicast; no relaying happens, so there is
+        // nothing to deduplicate.
+        let origin = self.node.id();
+        if target != Some(origin) {
+            self.transmit(&msg, target);
         }
+        self.local.push_back(PEvent::Deliver { origin, msg, arrived: None, target });
     }
 
     fn handle(&mut self, event: PEvent<A::Msg>) {
-        if let PEvent::Deliver { origin, msg, loopback, target } = event {
-            if !loopback {
-                let mj = self.channel.recv_mj(msg.wire_size());
-                self.node.meter_mut().charge(EnergyCategory::Recv, mj);
-            } else {
-                self.stats.loopbacks += 1;
-            }
-            if target.is_some_and(|t| t != self.node.id()) {
-                return;
-            }
+        let PEvent::Deliver { origin, msg, arrived, target } = event else { return };
+        if let Some(arrived) = arrived {
+            // Priced when the frame reached the socket, not when the node got
+            // to it. Nothing is relayed over the mesh: no frame is a duplicate.
+            let at_us = arrived.saturating_duration_since(self.start).as_micros() as u64;
+            let (bytes, phase) = (msg.wire_size(), msg.phase());
+            self.node.received(&self.channel, self.scan_window, bytes, true, at_us, phase);
+        } else {
+            self.stats.loopbacks += 1;
+        }
+        if target.is_none_or(|t| t == self.node.id()) {
             self.stats.deliveries += 1;
             self.step(|node| node.deliver(origin, msg));
         }
@@ -879,6 +856,7 @@ mod tests {
                     opts,
                     Echo::default(),
                     ChannelCost::ble_four_nines(2),
+                    SimDuration::from_micros(1_000),
                     |a: &Echo| a.got + a.replies + a.kept_fired,
                     |a, meter, stats| {
                         let mut blob = a.encode();
@@ -965,5 +943,11 @@ mod tests {
     fn oversized_frame_rejected() {
         let mut buf: &[u8] = &[0xff, 0xff, 0xff, 0xff];
         assert!(read_frame(&mut buf).is_err());
+    }
+
+    #[test]
+    fn oversized_frame_refused_on_write() {
+        let err = write_frame(&mut io::sink(), &vec![0; MAX_FRAME_LEN + 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
     }
 }

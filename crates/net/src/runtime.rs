@@ -90,13 +90,14 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use eesmr_crypto::{KeyMap, KeySet};
-use eesmr_energy::{EnergyCategory, EnergyClass, EnergyMeter, EnergyPhase};
+use eesmr_energy::{EnergyMeter, EnergyPhase};
 use eesmr_hypergraph::Hypergraph;
 use eesmr_metrics::{MetricsConfig, MetricsRecorder, MetricsSet, ProfPhase, ProfTimer};
-use eesmr_trace::{EventKind as TraceEventKind, TraceLevel, TraceSet, Tracer};
+use eesmr_trace::{EventKind as TraceEventKind, TraceLevel, TraceSet};
 
 use crate::actor::{Actor, Context, NodeId, Output, TimerId};
 use crate::channel::ChannelCost;
+use crate::harness::Harness;
 use crate::message::Message;
 use crate::sched::{CalendarQueue, Entry};
 use crate::time::{SimDuration, SimTime};
@@ -115,7 +116,7 @@ pub struct NetConfig {
     /// Seed for all delay sampling.
     pub seed: u64,
     /// How much of the structured event taxonomy the runtime records
-    /// into per-node [`Tracer`] ring buffers (collect with
+    /// into per-node [`crate::Tracer`] ring buffers (collect with
     /// [`SimNet::take_traces`]). [`TraceLevel::Off`] costs one enum
     /// comparison per candidate event.
     pub trace: TraceLevel,
@@ -569,38 +570,29 @@ impl FanOut {
     }
 }
 
-/// The simulation: one event loop over every node — the actors, their
-/// meters, tracers, samplers and per-node counters (all indexed by node
-/// id), the flood-dedup table, the messages on the air, the
-/// pending-event queue and the armed timers.
+/// The simulation: one event loop over every node — each node's step,
+/// sampler and counters (all indexed by node id), the flood-dedup table,
+/// the messages on the air, the pending-event queue and the armed timers.
 pub struct SimNet<A: Actor> {
     cfg: NetConfig,
-    actors: Vec<A>,
-    meters: Vec<EnergyMeter>,
-    /// Per-node trace ring buffers (see [`crate::Context::trace`]; the
-    /// runtime also records wire-layer events here), stamped from
-    /// node-local state like the meters.
-    tracers: Vec<Tracer>,
+    /// Per-node steps: the actor with its meter, timer-id counter and
+    /// trace ring (see [`crate::Context::trace`]; the runtime also
+    /// records wire-layer events there).
+    nodes: Vec<Harness<A>>,
     /// Per-node metrics samplers (see `eesmr-metrics`): lazy
     /// boundary-crossing on the node's own event stream.
     recorders: Vec<MetricsRecorder>,
     seen_floods: SeenFloods,
     on_air: OnAirTable<A::Msg>,
-    /// Per-node end of the current receive scan window, µs. The first
-    /// reception in a window pays the full scan ([`ChannelCost::recv_mj`]);
-    /// further receptions before it closes share the radio-on time and pay
-    /// only marginal decode ([`ChannelCost::shared_recv_mj`]).
-    scan_until: Vec<u64>,
     /// The push counter: the next event's seq key.
     seq: u64,
     /// Per-node hop-delay draw counters.
     draw_ctr: Vec<u64>,
     /// Per-node selective-drop draw counters (separate from `draw_ctr` so
     /// enabling a drop rule never perturbs the hop-delay stream of
-    /// unrelated deliveries).
+    /// unrelated deliveries); empty when no link fault is scheduled, as
+    /// nothing draws from them then.
     drop_ctr: Vec<u64>,
-    /// Per-node timer-id counters.
-    timer_ctr: Vec<u64>,
     cancelled_timers: KeySet<u64>,
     fan_out: FanOut,
     queue: CalendarQueue<NodeEvent>,
@@ -608,9 +600,8 @@ pub struct SimNet<A: Actor> {
     /// they lose same-tick ties to it (see [`Self::step_if`]).
     timers: BinaryHeap<Armed<A::Timer>>,
     /// The effect scratch buffer of [`Self::invoke`], lent to each
-    /// invocation's [`Context`] and taken back, empty, with its capacity:
-    /// one actor invocation per queue pop means alloc-per-event without
-    /// it.
+    /// node step and taken back, empty, with its capacity: one step per
+    /// queue pop means alloc-per-event without it.
     effects: Vec<Output<A::Msg, A::Timer>>,
     now: SimTime,
     stats: NetStats,
@@ -627,22 +618,19 @@ impl<A: Actor> SimNet<A> {
     pub fn new(cfg: NetConfig, actors: Vec<A>) -> Self {
         let n = cfg.topology.n();
         assert_eq!(actors.len(), n, "one actor per topology node");
+        let drop_nodes = if cfg.link_faults.is_empty() { 0 } else { n };
         let mut net = SimNet {
-            tracers: (0..n as NodeId).map(|id| Tracer::new(cfg.trace, id)).collect(),
+            nodes: (0..).zip(actors).map(|(id, a)| Harness::traced(id, a, cfg.trace)).collect(),
             recorders: (0..n).map(|_| MetricsRecorder::new(&cfg.metrics)).collect(),
             fan_out: FanOut::new(&cfg.topology),
             queue: CalendarQueue::new(),
             timers: BinaryHeap::new(),
             cfg,
-            actors,
-            meters: vec![EnergyMeter::new(); n],
             seen_floods: SeenFloods::new(n),
             on_air: OnAirTable::new(),
-            scan_until: vec![0; n],
             seq: 0,
             draw_ctr: vec![0; n],
-            drop_ctr: vec![0; n],
-            timer_ctr: vec![0; n],
+            drop_ctr: vec![0; drop_nodes],
             cancelled_timers: KeySet::default(),
             effects: Vec::new(),
             now: SimTime::ZERO,
@@ -672,29 +660,24 @@ impl<A: Actor> SimNet<A> {
 
     /// Immutable view of an actor.
     pub fn actor(&self, id: NodeId) -> &A {
-        &self.actors[id as usize]
+        self.nodes[id as usize].actor()
     }
 
-    /// All actors.
-    pub fn actors(&self) -> &[A] {
-        &self.actors
+    /// All actors, in node-id order.
+    pub fn actors(&self) -> Vec<&A> {
+        self.nodes.iter().map(Harness::actor).collect()
     }
 
     /// A node's energy meter.
     pub fn meter(&self, id: NodeId) -> &EnergyMeter {
-        &self.meters[id as usize]
-    }
-
-    /// All meters.
-    pub fn meters(&self) -> &[EnergyMeter] {
-        &self.meters
+        self.nodes[id as usize].meter()
     }
 
     /// Aggregate energy over a subset of nodes (e.g. the correct ones).
     pub fn energy_of(&self, nodes: impl IntoIterator<Item = NodeId>) -> EnergyMeter {
         let mut total = EnergyMeter::new();
         for id in nodes {
-            total.absorb(&self.meters[id as usize]);
+            total.absorb(self.meter(id));
         }
         total
     }
@@ -708,7 +691,7 @@ impl<A: Actor> SimNet<A> {
     /// (node-id order). Empty when the config's
     /// [`trace`](NetConfig::trace) level is [`TraceLevel::Off`].
     pub fn take_traces(&mut self) -> TraceSet {
-        TraceSet { nodes: self.tracers.iter_mut().map(Tracer::drain).collect() }
+        TraceSet { nodes: self.nodes.iter_mut().map(|node| node.tracer_mut().drain()).collect() }
     }
 
     /// Takes every node's sampled metrics series as a [`MetricsSet`]
@@ -757,7 +740,7 @@ impl<A: Actor> SimNet<A> {
         let lookahead = self.cfg.hop_delay_min.as_micros().max(1);
         let mut wall = self.now.as_micros();
         let met = loop {
-            if self.actors.iter().enumerate().all(|(id, actor)| pred(id as NodeId, actor)) {
+            if self.nodes.iter().all(|node| pred(node.id(), node.actor())) {
                 break true;
             }
             let timer_at = self.timers.peek().map(|Reverse(t)| t.time);
@@ -816,26 +799,9 @@ impl<A: Actor> SimNet<A> {
                     None => true,
                 };
                 if !loopback {
-                    let scanning = self.cfg.channel.scanning_receiver();
-                    let (mj, class) = if !fresh {
-                        (self.cfg.channel.dup_recv_mj(size), EnergyClass::DupAbandoned)
-                    } else if time >= self.scan_until[node] {
-                        // First reception in a fresh scan window: price the
-                        // whole radio-on window. Anything else landing
-                        // within one hop-delay quantum shares that scan.
-                        self.scan_until[node] = time + self.cfg.hop_delay_max.as_micros();
-                        let class =
-                            if scanning { EnergyClass::RecvScan } else { EnergyClass::RecvDecode };
-                        (self.cfg.channel.recv_mj(size), class)
-                    } else {
-                        let class = if scanning {
-                            EnergyClass::SharedScan
-                        } else {
-                            EnergyClass::RecvDecode
-                        };
-                        (self.cfg.channel.shared_recv_mj(size), class)
-                    };
-                    self.meters[node].charge_as(EnergyCategory::Recv, class, phase, mj);
+                    // A scan window is one hop-delay quantum wide.
+                    let (channel, window) = (&self.cfg.channel, self.cfg.hop_delay_max);
+                    self.nodes[node].received(channel, window, size, fresh, time, phase);
                 } else {
                     self.stats.loopbacks += 1;
                 }
@@ -855,7 +821,8 @@ impl<A: Actor> SimNet<A> {
                 }
                 self.stats.deliveries += 1;
                 let flood = flood.is_some();
-                self.tracers[node]
+                self.nodes[node]
+                    .tracer_mut()
                     .record(time, TraceEventKind::MsgDeliver { from, bytes: size as u64, flood });
                 let msg = self.on_air.take_msg(slot);
                 self.invoke(id, phase, |actor, ctx| actor.on_message(from, msg, ctx));
@@ -874,7 +841,9 @@ impl<A: Actor> SimNet<A> {
         if self.cancelled_timers.remove(&timer.0) {
             return Some(self.now);
         }
-        self.tracers[id as usize].record(time, TraceEventKind::TimerFire { id: timer.0 });
+        self.nodes[id as usize]
+            .tracer_mut()
+            .record(time, TraceEventKind::TimerFire { id: timer.0 });
         self.invoke(id, EnergyPhase::Timer, |actor, ctx| actor.on_timer(token, ctx));
         Some(self.now)
     }
@@ -888,8 +857,8 @@ impl<A: Actor> SimNet<A> {
         // that reached the node's next cadence boundary, record one
         // sample per elapsed boundary from node-local state only.
         if self.recorders[node].due(time) {
-            let gauges = self.actors[node].gauges();
-            let total = self.meters[node].total_mj();
+            let gauges = self.nodes[node].actor().gauges();
+            let total = self.nodes[node].meter().total_mj();
             self.recorders[node].sample_up_to(time, &gauges, total);
         }
         self.recorders[node].note_event();
@@ -939,15 +908,15 @@ impl<A: Actor> SimNet<A> {
         let mut holds = 0;
         let now_us = self.now.as_micros();
         // One event per transmit (k-cast), not per receiver.
-        self.tracers[sender]
+        self.nodes[sender]
+            .tracer_mut()
             .record(now_us, TraceEventKind::MsgSend { bytes: size as u64, flood: relay });
         let faulty_links = !self.cfg.link_faults.is_empty();
-        // By index, so the meters and counters below can take mutable
+        // By index, so the nodes and counters below can take mutable
         // borrows while the fan-out is walked in place.
         for edge in self.fan_out.edges_of(node) {
             let receivers = self.fan_out.receivers_of(edge);
-            let mj = self.cfg.channel.send_mj(size, receivers.len());
-            self.meters[sender].charge_as(EnergyCategory::Send, EnergyClass::Send, phase, mj);
+            self.nodes[sender].sent(&self.cfg.channel, size, receivers.len(), phase);
             self.stats.kcasts += 1;
             if relay {
                 self.stats.flood_relays += 1;
@@ -1003,28 +972,13 @@ impl<A: Actor> SimNet<A> {
         phase: EnergyPhase,
         f: impl FnOnce(&mut A, &mut Context<'_, A::Msg, A::Timer>),
     ) {
-        let at = node as usize;
-        // Stamp the meter with the phase of the event being handled, so
-        // every compute charge the actor makes (sign/verify/hash) is
-        // attributed to the message kind that caused it — no tagging at
-        // the protocol's charge sites.
-        self.meters[at].set_phase(phase);
-        let mut ctx = Context {
-            node,
-            now: self.now,
-            meter: &mut self.meters[at],
-            next_timer_id: &mut self.timer_ctr[at],
-            tracer: &mut self.tracers[at],
-            effects: std::mem::take(&mut self.effects),
-        };
+        // Steps never nest (effects are applied here, outside the actor),
+        // so one buffer serves them all.
+        let mut effects = std::mem::take(&mut self.effects);
         {
             let _prof = ProfTimer::start(ProfPhase::ReplicaStep);
-            f(&mut self.actors[at], &mut ctx);
+            self.nodes[node as usize].step(self.now, phase, &mut effects, f);
         }
-        // Invocations never nest (effects are applied here, outside the
-        // actor), so one buffer serves them all.
-        let mut effects = ctx.effects;
-        self.meters[at].set_phase(EnergyPhase::Other);
         for effect in effects.drain(..) {
             match effect {
                 Output::Multicast(msg) => {
@@ -1070,6 +1024,7 @@ impl<A: Actor> SimNet<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eesmr_energy::{EnergyCategory, EnergyClass};
     use eesmr_hypergraph::topology;
     use std::cell::Cell;
     use std::collections::HashSet;

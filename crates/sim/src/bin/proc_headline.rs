@@ -1,10 +1,11 @@
 //! EESMR vs Sync HotStuff as real OS processes.
 //!
 //! Runs the headline comparison cell twice per protocol: once on the
-//! deterministic simulator (the energy numbers) and once as a mesh of
-//! `proc_replica` child processes over Unix domain sockets or TCP (the
-//! honest wall-clock numbers — real kernel scheduling, real sockets,
-//! real bytes). Usage:
+//! deterministic simulator (the paper's energy numbers) and once as a
+//! mesh of `proc_replica` child processes over Unix domain sockets or TCP
+//! (the honest wall-clock numbers — real kernel scheduling, real sockets,
+//! real bytes — and the mesh's own energy, priced by the same channel
+//! model). Usage:
 //!
 //! ```text
 //! cargo run --release -p eesmr-sim --bin proc_headline [-- uds|tcp]
@@ -16,7 +17,7 @@ use std::io;
 use std::path::PathBuf;
 
 use eesmr_net::ProcTransport;
-use eesmr_sim::{Protocol, RunOptions, Scenario, StopWhen};
+use eesmr_sim::{Protocol, RunOptions, RunReport, Scenario, StopWhen};
 
 /// The sibling `proc_replica` binary in the same target directory.
 fn replica_binary() -> io::Result<PathBuf> {
@@ -46,7 +47,7 @@ fn main() -> io::Result<()> {
         "EESMR vs Sync HotStuff as {n} real processes over {} ({blocks}-block target)",
         transport.flag()
     );
-    println!("wall clock from the process mesh; energy from the simulator's channel model\n");
+    println!("wall clock from the process mesh; energy from one channel model on both backends\n");
     for protocol in [Protocol::Eesmr, Protocol::SyncHotStuff] {
         let scenario = Scenario::new(protocol, n, k).stop(StopWhen::Blocks(blocks));
         let sim = scenario.run();
@@ -58,7 +59,8 @@ fn main() -> io::Result<()> {
             .mean_commit_latency()
             .map(|d| format!("{:.1} ms", d.as_micros() as f64 / 1e3))
             .unwrap_or_else(|| "n/a".into());
-        let correct = sim.correct_nodes().count().max(1) as f64;
+        let per_node_block =
+            |r: &RunReport| r.energy_per_block_mj() / r.correct_nodes().count().max(1) as f64;
         println!("{}", proc.summary());
         println!(
             "  processes: {:.1} blocks/s wall, mean commit latency {latency}, \
@@ -68,8 +70,10 @@ fn main() -> io::Result<()> {
             proc.net.bytes_on_air / 1024,
         );
         println!(
-            "  simulator: {:.2} mJ/node/block, {:.1} mJ total correct-node energy\n",
-            sim.energy_per_block_mj() / correct,
+            "  energy:    {:.2} mJ/node/block on the processes (full mesh, no relays), \
+             {:.2} on the simulator ({:.1} mJ total correct-node energy)\n",
+            per_node_block(&proc),
+            per_node_block(&sim),
             sim.total_correct_energy_mj(),
         );
     }

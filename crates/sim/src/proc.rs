@@ -6,8 +6,9 @@
 //! control protocol, and reassembles the children's report blobs into
 //! the same [`RunReport`] the simulator emits. Wall clock replaces
 //! virtual time — `elapsed_us` and the latency figures are real — while
-//! the energy figures come from the same channel model, priced on the
-//! same encoded bytes.
+//! the energy figures come from the same channel model and receive rule,
+//! priced on the same encoded bytes with the cell's scan window
+//! (`NetConfig::hop_delay_max`).
 //!
 //! # Δ padding
 //!
@@ -25,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use eesmr_crypto::SigScheme;
 use eesmr_net::proc::{alloc_addrs, run_node, ChildOpts, ChildProc, Coordinator, ProcTransport};
-use eesmr_net::{ChannelCost, NetStats, NodeId, SimDuration, WireCodec};
+use eesmr_net::{NetConfig, NetStats, NodeId, SimDuration, WireCodec};
 use eesmr_trace::hist::LogHistogram;
 
 use crate::cell::{Cell, NodeRole, ReplicaView, Replicas};
@@ -348,18 +349,20 @@ impl Scenario {
             self.build(self.net_config(), delta, &FaultPlan::none());
         let role = roles[opts.node_id as usize];
         match replicas {
-            Replicas::Eesmr(r) => run_replica(opts, net.channel, role, r),
-            Replicas::SyncHs(r) => run_replica(opts, net.channel, role, r),
-            Replicas::Trusted(r) => run_replica(opts, net.channel, role, r),
+            Replicas::Eesmr(r) => run_replica(opts, &net, role, r),
+            Replicas::SyncHs(r) => run_replica(opts, &net, role, r),
+            Replicas::Trusted(r) => run_replica(opts, &net, role, r),
         }
     }
 }
 
-/// Runs replica `opts.node_id` of `replicas` as this process's node; its
-/// final report blob is the [`NodeReport`] the simulator would emit.
+/// Runs replica `opts.node_id` of `replicas` as this process's node,
+/// priced by the cell's channel with the simulator's scan window
+/// (`hop_delay_max`); its final report blob is the [`NodeReport`] the
+/// simulator would emit.
 fn run_replica<A>(
     opts: ChildOpts,
-    channel: ChannelCost,
+    net: &NetConfig,
     role: NodeRole,
     mut replicas: Vec<A>,
 ) -> io::Result<()>
@@ -372,7 +375,8 @@ where
     run_node(
         opts,
         actor,
-        channel,
+        net.channel,
+        net.hop_delay_max,
         |r| r.committed_height(),
         |r, meter, stats| {
             let node = NodeReport::from_view(id, role.faulty, role.is_hub, r, meter);
