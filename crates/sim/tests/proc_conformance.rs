@@ -7,8 +7,13 @@
 //! block contents are a pure function of the protocol state machine, so
 //! every node's committed block-id fingerprints and per-block command
 //! counts must match bit for bit. Wall-clock fields (elapsed time,
-//! latency, energy magnitudes) are excluded — those are exactly what the
-//! backends legitimately disagree on.
+//! latency) are excluded — those are exactly what the backends
+//! legitimately disagree on. Energy is compared within a band: both
+//! backends step each replica through the same `Harness` and price every
+//! send and reception with the same channel rule, so correct-node energy
+//! per committed block agrees to within 25 %. What is left is the medium
+//! (the process mesh is a full mesh that relays nothing) and which
+//! receptions share a scan window on the wall clock.
 //!
 //! The trusted baseline is excluded from the grid: its hub batches spoke
 //! uploads in arrival order, which is timing-dependent by design (see
@@ -68,6 +73,11 @@ fn assert_conformance(scenario: Scenario) {
             s.id
         );
     }
+    let (s, p) = (sim.energy_per_block_mj(), proc.energy_per_block_mj());
+    assert!(
+        (p - s).abs() <= 0.25 * s,
+        "{label}: correct-node energy per block {p:.1} mJ (proc) vs {s:.1} mJ (sim)"
+    );
     // Every node agrees with node 0 within each backend too (safety,
     // cheap to pin while we have the logs).
     for report in [&sim, &proc] {
