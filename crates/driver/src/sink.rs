@@ -39,12 +39,6 @@ impl Csv {
         writeln!(self.file, "{}", values.join(",")).expect("can write row");
     }
 
-    /// Convenience for mixed display values.
-    pub fn rowd(&mut self, values: &[&dyn std::fmt::Display]) {
-        let cells: Vec<String> = values.iter().map(|v| v.to_string()).collect();
-        self.row(&cells);
-    }
-
     /// Where the series was written.
     pub fn path(&self) -> &PathBuf {
         &self.path
@@ -61,9 +55,8 @@ mod tests {
         assert!(dir.is_dir(), "out_dir creates the directory");
         let mut csv = Csv::create(&dir, "driver_sink_selftest", &["a", "b"]);
         csv.row(&["1".into(), "2".into()]);
-        csv.rowd(&[&3, &4.5]);
         assert_eq!(csv.path(), &dir.join("driver_sink_selftest.csv"));
         let content = std::fs::read_to_string(csv.path()).unwrap();
-        assert_eq!(content, "a,b\n1,2\n3,4.5\n");
+        assert_eq!(content, "a,b\n1,2\n");
     }
 }

@@ -12,10 +12,6 @@ use std::fmt;
 /// Node identifier. Nodes are numbered `0..n`.
 pub type NodeId = u32;
 
-/// Index of a hyper-edge inside its [`Hypergraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EdgeId(pub usize);
-
 /// A directed hyper-edge: one sender, `k ≥ 1` receivers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HyperEdge {
@@ -96,9 +92,8 @@ pub struct Hypergraph {
     edges: Vec<HyperEdge>,
     /// `by_sender[p]`: indices into `edges` of the edges `p` sends on, in
     /// ascending (insertion) order. A pure function of `edges`, kept in
-    /// step by the two mutators ([`Self::add_edge`],
-    /// [`Self::make_independent`]), so the derived `PartialEq` and `Clone`
-    /// see it agree whenever `edges` do.
+    /// step by the one mutator ([`Self::add_edge`]), so the derived
+    /// `PartialEq` and `Clone` see it agree whenever `edges` do.
     by_sender: Vec<Vec<usize>>,
 }
 
@@ -123,15 +118,6 @@ impl Hypergraph {
         &self.edges
     }
 
-    /// The edge with the given id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is stale/out of range.
-    pub fn edge(&self, id: EdgeId) -> &HyperEdge {
-        &self.edges[id.0]
-    }
-
     /// Adds a hyper-edge from `sender` to `receivers`.
     ///
     /// # Errors
@@ -142,7 +128,7 @@ impl Hypergraph {
         &mut self,
         sender: NodeId,
         receivers: impl IntoIterator<Item = NodeId>,
-    ) -> Result<EdgeId, HypergraphError> {
+    ) -> Result<(), HypergraphError> {
         if sender as usize >= self.n {
             return Err(HypergraphError::NodeOutOfRange { node: sender, n: self.n });
         }
@@ -158,24 +144,21 @@ impl Hypergraph {
         }
         self.by_sender[sender as usize].push(self.edges.len());
         self.edges.push(HyperEdge { sender, receivers });
-        Ok(EdgeId(self.edges.len() - 1))
+        Ok(())
     }
 
-    /// Edges sent by `p` (the out-going k-cast links), in edge-id order.
-    /// Reads the per-sender index: the cost is `p`'s out-degree, not the
-    /// size of the graph.
-    pub fn out_edges(&self, p: NodeId) -> impl Iterator<Item = (EdgeId, &HyperEdge)> {
+    /// Edges sent by `p` (the out-going k-cast links), in the order
+    /// [`Self::add_edge`] added them. Reads the per-sender index: the cost
+    /// is `p`'s out-degree, not the size of the graph.
+    pub fn out_edges(&self, p: NodeId) -> impl Iterator<Item = &HyperEdge> {
         let ids = self.by_sender.get(p as usize).map_or(&[][..], Vec::as_slice);
-        ids.iter().map(|&i| (EdgeId(i), &self.edges[i]))
+        ids.iter().map(|&i| &self.edges[i])
     }
 
-    /// Edges in which `p` is a receiver (the incoming k-cast links).
-    pub fn in_edges(&self, p: NodeId) -> impl Iterator<Item = (EdgeId, &HyperEdge)> {
-        self.edges
-            .iter()
-            .enumerate()
-            .filter(move |(_, e)| e.receivers.contains(&p))
-            .map(|(i, e)| (EdgeId(i), e))
+    /// Edges in which `p` is a receiver (the incoming k-cast links), in the
+    /// order [`Self::add_edge`] added them.
+    pub fn in_edges(&self, p: NodeId) -> impl Iterator<Item = &HyperEdge> {
+        self.edges.iter().filter(move |e| e.receivers.contains(&p))
     }
 
     /// The graph's k-cast parameter: the minimum receiver-set size over all
@@ -191,7 +174,7 @@ impl Hypergraph {
     /// nodes `p` can reach with its out-going edges.
     pub fn d_out(&self, p: NodeId) -> usize {
         let mut reached = BTreeSet::new();
-        for (_, e) in self.out_edges(p) {
+        for e in self.out_edges(p) {
             reached.extend(e.receivers.iter().copied());
         }
         reached.len()
@@ -201,7 +184,7 @@ impl Hypergraph {
     /// from which `p` can receive.
     pub fn d_in(&self, p: NodeId) -> usize {
         let mut senders = BTreeSet::new();
-        for (_, e) in self.in_edges(p) {
+        for e in self.in_edges(p) {
             senders.insert(e.sender);
         }
         senders.len()
@@ -215,91 +198,6 @@ impl Hypergraph {
     /// Graph-level `d_in`: the minimum `d_in(p)` over all nodes.
     pub fn min_d_in(&self) -> usize {
         (0..self.n as NodeId).map(|p| self.d_in(p)).min().unwrap_or(0)
-    }
-
-    /// `D_out(p)`: the number of out-going k-cast *links* of `p`.
-    pub fn cap_d_out_of(&self, p: NodeId) -> usize {
-        self.out_edges(p).count()
-    }
-
-    /// `D_in(p)`: the number of incoming k-cast *links* of `p`.
-    pub fn cap_d_in_of(&self, p: NodeId) -> usize {
-        self.in_edges(p).count()
-    }
-
-    /// Graph-level `D_out`: minimum number of out-going k-casts per node.
-    pub fn cap_d_out(&self) -> usize {
-        (0..self.n as NodeId).map(|p| self.cap_d_out_of(p)).min().unwrap_or(0)
-    }
-
-    /// Graph-level `D_in`: minimum number of incoming k-casts per node.
-    pub fn cap_d_in(&self) -> usize {
-        (0..self.n as NodeId).map(|p| self.cap_d_in_of(p)).min().unwrap_or(0)
-    }
-
-    /// Checks independence of edges (Definition A.2).
-    ///
-    /// A family of same-sender edges is *independent* iff no two distinct
-    /// sub-families cover the same receiver union. That holds exactly when
-    /// no edge's receiver set is contained in the union of its sibling
-    /// edges' receiver sets (if `e ⊆ ∪ others` then `others` and
-    /// `others ∪ {e}` are distinct sub-families with equal unions, and
-    /// conversely any pair of equal-union families yields such an `e`).
-    pub fn is_independent(&self) -> bool {
-        for p in 0..self.n as NodeId {
-            let out: Vec<&HyperEdge> = self.out_edges(p).map(|(_, e)| e).collect();
-            for (i, e) in out.iter().enumerate() {
-                let mut union_others = BTreeSet::new();
-                for (j, o) in out.iter().enumerate() {
-                    if i != j {
-                        union_others.extend(o.receivers.iter().copied());
-                    }
-                }
-                if e.receivers.is_subset(&union_others) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Removes redundant edges until the edge family is independent
-    /// (the paper's "modified spanning tree algorithm" note). Greedy:
-    /// repeatedly drop an edge covered by the union of its siblings,
-    /// preferring to drop smaller edges first so coverage is preserved.
-    pub fn make_independent(&mut self) {
-        loop {
-            let mut drop_idx: Option<usize> = None;
-            'outer: for idxs in &self.by_sender {
-                // Visit smallest edges first so we drop the most redundant.
-                let mut by_size = idxs.clone();
-                by_size.sort_by_key(|&i| self.edges[i].k());
-                for &i in &by_size {
-                    let mut union_others = BTreeSet::new();
-                    for &j in idxs {
-                        if i != j {
-                            union_others.extend(self.edges[j].receivers.iter().copied());
-                        }
-                    }
-                    if self.edges[i].receivers.is_subset(&union_others) {
-                        drop_idx = Some(i);
-                        break 'outer;
-                    }
-                }
-            }
-            match drop_idx {
-                Some(i) => {
-                    // Every later edge moves down one id.
-                    let sender = self.edges.remove(i).sender;
-                    self.by_sender[sender as usize].retain(|&j| j != i);
-                    for j in self.by_sender.iter_mut().flatten().filter(|j| **j > i) {
-                        *j -= 1;
-                    }
-                }
-                None => break,
-            }
-        }
-        debug_assert!(self.is_independent());
     }
 }
 
@@ -324,9 +222,9 @@ mod tests {
         h.add_edge(0, [1, 2]).unwrap();
         h.add_edge(0, [2, 3]).unwrap();
         assert_eq!(h.d_out(0), 3);
-        assert_eq!(h.cap_d_out_of(0), 2);
+        assert_eq!(h.out_edges(0).count(), 2);
         assert_eq!(h.d_in(2), 1); // only node 0 sends to 2
-        assert_eq!(h.cap_d_in_of(2), 2); // via two links
+        assert_eq!(h.in_edges(2).count(), 2); // via two links
     }
 
     #[test]
@@ -339,47 +237,15 @@ mod tests {
     }
 
     #[test]
-    fn independence_detects_papers_example() {
-        // Appendix A example: e1={p1,p2}, e2={p2,p3}, e3={p1,p3} from the
-        // same sender — one edge is redundant.
-        let mut h = Hypergraph::new(4);
-        h.add_edge(0, [1, 2]).unwrap();
-        h.add_edge(0, [2, 3]).unwrap();
-        h.add_edge(0, [1, 3]).unwrap();
-        assert!(!h.is_independent());
-        h.make_independent();
-        assert!(h.is_independent());
-        // Coverage is preserved: node 0 still reaches all of {1,2,3}.
-        assert_eq!(h.d_out(0), 3);
-    }
-
-    #[test]
-    fn disjoint_edges_are_independent() {
-        let mut h = Hypergraph::new(5);
-        h.add_edge(0, [1, 2]).unwrap();
-        h.add_edge(0, [3, 4]).unwrap();
-        assert!(h.is_independent());
-    }
-
-    #[test]
-    fn duplicate_edge_is_dependent() {
-        let mut h = Hypergraph::new(3);
-        h.add_edge(0, [1, 2]).unwrap();
-        h.add_edge(0, [1, 2]).unwrap();
-        assert!(!h.is_independent());
-        h.make_independent();
-        assert_eq!(h.edges().len(), 1);
-    }
-
-    #[test]
     fn in_out_edges_iterate_correctly() {
         let mut h = Hypergraph::new(4);
-        let e0 = h.add_edge(0, [1, 2]).unwrap();
-        let e1 = h.add_edge(1, [2]).unwrap();
-        assert_eq!(h.out_edges(0).map(|(id, _)| id).collect::<Vec<_>>(), vec![e0]);
-        assert_eq!(h.in_edges(2).map(|(id, _)| id).collect::<Vec<_>>(), vec![e0, e1]);
-        assert_eq!(h.edge(e1).sender(), 1);
-        assert_eq!(h.edge(e1).k(), 1);
+        h.add_edge(0, [1, 2]).unwrap();
+        h.add_edge(1, [2]).unwrap();
+        let [e0, e1] = h.edges() else { panic!("two edges") };
+        assert!(h.out_edges(0).eq([e0]));
+        assert!(h.in_edges(2).eq([e0, e1]));
+        assert_eq!(e1.sender(), 1);
+        assert_eq!(e1.k(), 1);
     }
 
     #[test]

@@ -9,28 +9,30 @@
 //! Provided here:
 //!
 //! * [`Hypergraph`] — edges, per-node degrees `d_in`/`d_out`
-//!   (Definitions A.3/A.4), per-node link counts `D_in`/`D_out`, the k-cast
-//!   parameter, and the independence-of-edges check (Definition A.2).
-//! * Connectivity analysis — flooding reachability, hop distances, the
-//!   flooding diameter used to derive Δ, fault bounds (Lemmas A.5/A.6) and
-//!   exhaustive partition-resistance checking.
-//! * [`topology`] — builders for the paper's ring k-cast testbed topology,
-//!   complete (multicast and unicast) graphs, stars, and random k-cast
-//!   graphs.
+//!   (Definitions A.3/A.4) and the k-cast parameter.
+//! * Connectivity analysis — strong connectivity with faulty nodes
+//!   removed, the flooding diameter used to derive Δ, and the necessary
+//!   fault bound of Lemma A.5.
+//! * [`topology`] — builders for the paper's ring k-cast testbed topology
+//!   and the trusted baseline's star.
 //!
 //! # Example: the paper's testbed topology
 //!
 //! ```
+//! use std::collections::BTreeSet;
+//!
 //! use eesmr_hypergraph::topology::ring_kcast;
 //!
 //! // n = 10 nodes, k = 3: p_i k-casts to p_{i+1}, p_{i+2}, p_{i+3}.
 //! let h = ring_kcast(10, 3);
 //! assert_eq!(h.k(), Some(3));
-//! assert!(h.is_strongly_connected());
-//! // Lemma A.6 necessary bound: f < k · min(D_in, D_out) = 3.
-//! assert_eq!(h.kcast_fault_bound(), 2);
-//! // And it really resists 2 arbitrary removals:
-//! assert!(h.is_partition_resistant(2));
+//! // A flood reaches everyone in ⌈(n − 1) / k⌉ = 3 hops.
+//! assert_eq!(h.diameter(), Some(3));
+//! // Lemma A.5 necessary bound: f < min(d_in, d_out) = 3.
+//! assert_eq!(h.necessary_fault_bound(), 2);
+//! // Two removals leave the rest connected; three adjacent ones cut it.
+//! assert!(h.is_strongly_connected_without(&BTreeSet::from([4, 5])));
+//! assert!(!h.is_strongly_connected_without(&BTreeSet::from([4, 5, 6])));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,4 +42,4 @@ mod connectivity;
 mod graph;
 pub mod topology;
 
-pub use graph::{EdgeId, HyperEdge, Hypergraph, HypergraphError, NodeId};
+pub use graph::{HyperEdge, Hypergraph, HypergraphError, NodeId};

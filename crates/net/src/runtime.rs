@@ -25,11 +25,11 @@
 //! afterwards:
 //!
 //! * *Per run*: each node's out-edges as flat receiver slices (`FanOut`,
-//!   built with the net). Their order — edges by edge id, receivers
-//!   ascending within an edge — is part of the model: hop-delay and drop
-//!   draws are consumed per receiver in that order. Flood dedup is one
-//!   table, flood key → a bit per node (`SeenFloods`), not a key set per
-//!   node.
+//!   built with the net). Their order — edges in the order the topology
+//!   added them, receivers ascending within an edge — is part of the
+//!   model: hop-delay and drop draws are consumed per receiver in that
+//!   order. Flood dedup is one table, flood key → a bit per node
+//!   (`SeenFloods`), not a key set per node.
 //! * *Per message sent*: one record (`OnAir`) holding the sender, the
 //!   payload, its `wire_size()` and `phase()` and, for a flood, its dedup
 //!   key and target — built when the `Multicast`/`Flood` effect is
@@ -533,10 +533,11 @@ impl SeenFloods {
 /// from the topology — a transmit walks its own node's slices and nothing
 /// else.
 ///
-/// **Order is part of the model**: edges in edge-id order, receivers
-/// ascending within an edge (as [`Hypergraph::out_edges`] and the edge's
-/// receiver set yield them). Hop-delay and drop draws are consumed per
-/// receiver in this order, so any reordering changes every trace.
+/// **Order is part of the model**: edges in the order
+/// [`Hypergraph::add_edge`] added them, receivers ascending within an
+/// edge (as [`Hypergraph::out_edges`] and the edge's receiver set yield
+/// them). Hop-delay and drop draws are consumed per receiver in this
+/// order, so any reordering changes every trace.
 #[derive(Debug)]
 struct FanOut {
     /// Node `v` sends on edges `first_edge[v]..first_edge[v + 1]`.
@@ -550,7 +551,7 @@ impl FanOut {
     fn new(topology: &Hypergraph) -> Self {
         let mut fan = FanOut { first_edge: vec![0], edge_start: vec![0], receivers: Vec::new() };
         for node in 0..topology.n() as NodeId {
-            for (_, edge) in topology.out_edges(node) {
+            for edge in topology.out_edges(node) {
                 fan.receivers.extend(edge.receivers());
                 fan.edge_start.push(fan.receivers.len() as u32);
             }

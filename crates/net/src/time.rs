@@ -54,11 +54,6 @@ impl SimDuration {
     pub const fn as_micros(self) -> u64 {
         self.0
     }
-
-    /// Millisecond view (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -132,7 +127,6 @@ mod tests {
     #[test]
     fn conversions() {
         assert_eq!(SimDuration::from_millis(3).as_micros(), 3000);
-        assert_eq!(SimDuration::from_micros(2500).as_millis(), 2);
         assert_eq!(SimTime::ZERO.as_micros(), 0);
     }
 

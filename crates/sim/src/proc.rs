@@ -449,8 +449,8 @@ mod tests {
         assert!(parse_child_args(&identity).is_none(), "--protocol/--n/--k/--delta-us required");
     }
 
-    #[test]
-    fn report_blob_roundtrip() {
+    /// A node report with every field set, and its transport counters.
+    fn sample_report() -> (NodeReport, NetStats) {
         let mut hist = LogHistogram::new();
         for v in [5u64, 900, 77_000] {
             hist.record(v);
@@ -489,6 +489,12 @@ mod tests {
             bytes_on_air: 12_345,
             dropped: 1,
         };
+        (node, stats)
+    }
+
+    #[test]
+    fn report_blob_roundtrip() {
+        let (node, stats) = sample_report();
         let blob = encode_node_report(&node, &stats);
         let (node2, stats2) = decode_node_report(&blob).expect("decodes");
         assert_eq!(node2, node);
@@ -511,6 +517,32 @@ mod tests {
         };
         let err = decode_node_report(&encode_node_report(&corrupt, &stats)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    /// The coordinator decodes whatever a child sent: every truncation and
+    /// every single-byte corruption of a report blob is an error or a
+    /// report whose latency statistics can be read, never a panic.
+    #[test]
+    fn report_blob_decoding_is_total() {
+        let (node, stats) = sample_report();
+        let blob = encode_node_report(&node, &stats);
+        let scenario = Scenario::new(Protocol::Eesmr, 5, 2);
+        for len in 0..blob.len() {
+            assert!(decode_node_report(&blob[..len]).is_err(), "{len}-byte prefix decoded");
+        }
+        for at in 0..blob.len() {
+            for mask in [0x01, 0x80, 0xff] {
+                let mut flipped = blob.clone();
+                flipped[at] ^= mask;
+                if let Ok((decoded, net)) = decode_node_report(&flipped) {
+                    // Pooled with an intact node, as the coordinator pools children.
+                    let nodes = vec![node.clone(), decoded];
+                    let report =
+                        RunReport::new(&scenario, 2, SimDuration::from_millis(1), 1, nodes, net);
+                    let _ = report.tx_latency_stats();
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ fn main() {
         topology.k(),
         topology.diameter()
     );
-    println!("tolerates f = {} faults (Lemma A.6 bound)", topology.kcast_fault_bound());
+    println!("tolerates f = {} faults (Lemma A.5 bound)", topology.necessary_fault_bound());
 
     // 2. Network: BLE advertisements with 99.99% reliable k-casts.
     let net_cfg = NetConfig::ble(topology, 42);

@@ -64,9 +64,7 @@ pub mod prelude {
         BleKcastModel, EnergyAttribution, EnergyCategory, EnergyClass, EnergyMeter, EnergyPhase,
         FeasibleRegion, Medium,
     };
-    pub use eesmr_hypergraph::topology::{
-        complete, complete_unicast, random_kcast, random_resilient_kcast, ring_kcast, star,
-    };
+    pub use eesmr_hypergraph::topology::{ring_kcast, star};
     pub use eesmr_hypergraph::Hypergraph;
     pub use eesmr_metrics::{MetricsConfig, MetricsSet};
     pub use eesmr_net::{NetConfig, SimDuration, SimNet, SimTime};
