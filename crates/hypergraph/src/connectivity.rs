@@ -171,14 +171,25 @@ mod tests {
         assert!(!h.is_strongly_connected_without(&[3, 4].into_iter().collect()));
     }
 
+    /// One (n-1)-cast per node: the single-hop broadcast domain over `n` nodes.
+    fn complete(n: usize) -> Hypergraph {
+        let mut h = Hypergraph::new(n);
+        for p in 0..n as NodeId {
+            h.add_edge(p, (0..n as NodeId).filter(|&q| q != p)).unwrap();
+        }
+        h
+    }
+
     #[test]
     fn complete_graph_resists_up_to_n_minus_2() {
-        // One 4-cast per node: the single-hop broadcast domain over 5 nodes.
-        let mut h = Hypergraph::new(5);
-        for p in 0..5 {
-            h.add_edge(p, (0..5).filter(|&q| q != p)).unwrap();
-        }
+        let h = complete(5);
         assert_eq!(h.necessary_fault_bound(), 3);
         assert!(resists(&h, 3));
+    }
+
+    #[test]
+    fn find_partitioning_set_none_when_safe() {
+        // No removal set of at most 2 nodes partitions the complete graph on 4.
+        assert!(resists(&complete(4), 2));
     }
 }
