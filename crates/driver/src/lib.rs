@@ -8,7 +8,7 @@
 //! [`SuiteReport`] with per-cell [`RunReport`](eesmr_sim::RunReport)s,
 //! summary statistics across repeats, and JSON/CSV sinks.
 //!
-//! The [`Driver`] fans cells out across a crossbeam worker pool
+//! The [`Driver`] fans cells out across a pool of scoped threads
 //! ([`DriverConfig::workers`] threads; [`DriverConfig::quick`] shrinks
 //! every scenario to smoke-test size) and **restores grid order**, so a
 //! suite is bit-identical whether it ran on 1 worker or 8 — the

@@ -1,10 +1,11 @@
-//! The crossbeam-based worker pool behind [`Driver`].
+//! The worker pool behind [`Driver`].
 //!
-//! Scenarios fan out over a clonable MPMC channel (the work queue) to
-//! `workers` scoped threads; results come back tagged with their grid
-//! index and are re-sorted, so the suite is **bit-identical** no matter
-//! how the OS schedules workers — `tests/determinism.rs` at the
-//! workspace root enforces parallel ≡ sequential.
+//! `workers` scoped threads (`std::thread::scope`) claim item indices
+//! from one shared counter and hand their `(index, result)` pairs back
+//! through their join handles; the pool sorts them by index, so the suite
+//! is **bit-identical** no matter how the OS schedules workers —
+//! `tests/determinism.rs` at the workspace root enforces parallel ≡
+//! sequential.
 //!
 //! Beyond scenario grids, [`Driver::map`] exposes the same ordered pool
 //! for any embarrassingly parallel work:
@@ -18,10 +19,11 @@
 //! assert_eq!(cubes[3], 27, "results come back in item order");
 //! ```
 
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
+use std::thread;
 use std::time::Instant;
-
-use crossbeam::channel::unbounded;
-use crossbeam::thread;
 
 use eesmr_sim::RunReport;
 
@@ -60,9 +62,9 @@ impl Driver {
     }
 
     /// [`run_grid`](Self::run_grid), publishing a [`ProgressEvent`] as
-    /// each run starts and finishes. Events flow through an internal
-    /// channel to a dedicated drainer thread, so `on_event` is invoked
-    /// from one thread at a time (status lines never interleave).
+    /// each run finishes. The worker that finished the run invokes
+    /// `on_event` under a lock, so calls never overlap (status lines
+    /// never interleave).
     pub fn run_grid_with_progress<F>(&self, grid: &ScenarioGrid, on_event: F) -> SuiteReport
     where
         F: Fn(ProgressEvent) + Sync,
@@ -73,78 +75,45 @@ impl Driver {
 
         // One task per (cell, repeat), cell-major so results regroup by
         // contiguous chunks of `repeats`.
-        struct Task<'a> {
-            cell: &'a GridCell,
-            repeat: usize,
-        }
-        let tasks: Vec<Task> = cells
-            .iter()
-            .flat_map(|cell| (0..repeats).map(move |repeat| Task { cell, repeat }))
-            .collect();
+        let tasks: Vec<(&GridCell, usize)> =
+            cells.iter().flat_map(|cell| (0..repeats).map(move |repeat| (cell, repeat))).collect();
 
         let quick = self.config.quick_mode;
-        // Workers publish onto the event channel; one drainer thread owns
-        // the callback, so invocations are serialized.
-        let reports: Vec<RunReport> = thread::scope(|scope| {
-            let (event_tx, event_rx) = unbounded::<ProgressEvent>();
-            let on_event = &on_event;
-            let drainer = scope.spawn(move |_| {
-                while let Ok(event) = event_rx.recv() {
-                    on_event(event);
-                }
-            });
-            let publish = &event_tx;
-            let reports = self.run_ordered(&tasks, |task| {
-                let _ = publish.send(ProgressEvent::Started {
-                    index: task.cell.index,
-                    total,
-                    label: task.cell.label.clone(),
-                    repeat: task.repeat,
-                });
-                let mut scenario =
-                    if quick { quicken(&task.cell.scenario) } else { task.cell.scenario.clone() };
-                // Repeat r re-runs the cell under a reseeded scenario so
-                // repeats sample independent executions; repeat 0 keeps
-                // the cell's own seed. The golden-ratio stride keeps
-                // repeat seeds disjoint from neighbouring values on a
-                // grid's seed axis (`seed + r` would make cell(seed=1)
-                // repeat 1 replay cell(seed=2) repeat 0 exactly).
-                scenario.seed = scenario
-                    .seed
-                    .wrapping_add((task.repeat as u64).wrapping_mul(REPEAT_SEED_STRIDE));
-                let started = Instant::now();
-                let report = scenario.run();
-                let _ = publish.send(ProgressEvent::Finished {
-                    index: task.cell.index,
-                    total,
-                    label: task.cell.label.clone(),
-                    repeat: task.repeat,
-                    summary: report.summary(),
-                    wall: started.elapsed(),
-                });
-                report
-            });
-            // Disconnect the channel so the drainer drains and exits.
-            drop(event_tx);
-            drainer.join().expect("progress drainer");
-            reports
-        })
-        // Re-raise a worker panic with its original payload so the
-        // failing scenario's assert message survives the pool boundary.
-        .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-
-        let mut results = Vec::with_capacity(cells.len());
-        let mut reports = reports.into_iter();
-        for cell in &cells {
-            let runs: Vec<RunReport> = reports.by_ref().take(repeats).collect();
-            let stats = CellStats::from_runs(&runs);
-            results.push(CellResult {
+        let serial = Mutex::new(());
+        let reports = self.map(&tasks, |&(cell, repeat)| {
+            let mut scenario = if quick { quicken(&cell.scenario) } else { cell.scenario.clone() };
+            // Repeat r re-runs the cell under a reseeded scenario so
+            // repeats sample independent executions; repeat 0 keeps
+            // the cell's own seed. The golden-ratio stride keeps
+            // repeat seeds disjoint from neighbouring values on a
+            // grid's seed axis (`seed + r` would make cell(seed=1)
+            // repeat 1 replay cell(seed=2) repeat 0 exactly).
+            scenario.seed =
+                scenario.seed.wrapping_add((repeat as u64).wrapping_mul(REPEAT_SEED_STRIDE));
+            let started = Instant::now();
+            let report = scenario.run();
+            let event = ProgressEvent {
+                index: cell.index,
+                total,
                 label: cell.label.clone(),
-                key: cell.scenario.cell(),
-                runs,
-                stats,
-            });
-        }
+                repeat,
+                summary: report.summary(),
+                wall: started.elapsed(),
+            };
+            let _turn = serial.lock().unwrap_or_else(PoisonError::into_inner);
+            on_event(event);
+            report
+        });
+
+        let mut reports = reports.into_iter();
+        let results = cells
+            .iter()
+            .map(|cell| {
+                let runs: Vec<RunReport> = reports.by_ref().take(repeats).collect();
+                let stats = CellStats::from_runs(&runs);
+                CellResult { label: cell.label.clone(), key: cell.scenario.cell(), runs, stats }
+            })
+            .collect();
         SuiteReport { name: grid.name().to_string(), cells: results }
     }
 
@@ -152,65 +121,44 @@ impl Driver {
     /// the worker pool and returns the results **in item order**,
     /// regardless of completion order. Figures that don't run scenarios
     /// (closed-form catalogues, the traced adversarial cells) share the
-    /// pool through this.
+    /// pool through this. A panic in `f` is re-raised here with its own
+    /// payload.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        self.run_ordered(items, f)
-    }
-
-    fn run_ordered<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        if items.is_empty() {
-            return Vec::new();
-        }
         let workers = self.config.workers.max(1).min(items.len());
-        if workers == 1 {
+        if workers <= 1 {
             return items.iter().map(f).collect();
         }
 
-        // Pre-load the whole work queue, then drop the sender: workers
-        // drain with `recv()` until the channel disconnects.
-        let (task_tx, task_rx) = unbounded::<(usize, &T)>();
-        for task in items.iter().enumerate() {
-            task_tx.send(task).expect("work queue open");
-        }
-        drop(task_tx);
-
-        let (result_tx, result_rx) = unbounded::<(usize, R)>();
-        let f = &f;
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                let task_rx = task_rx.clone();
-                let result_tx = result_tx.clone();
-                scope.spawn(move |_| {
-                    while let Ok((index, item)) = task_rx.recv() {
-                        let result = f(item);
-                        result_tx.send((index, result)).expect("result channel open");
-                    }
-                });
+        // Each worker claims the next unclaimed index until none is left
+        // and returns what it computed, tagged with the index.
+        let next = AtomicUsize::new(0);
+        let worker = || {
+            let mut done = Vec::new();
+            loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(index) else { return done };
+                done.push((index, f(item)));
             }
-        })
-        // Re-raise with the original payload: `expect` would flatten the
-        // panic message into `Any { .. }`.
-        .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        drop(result_tx);
-
+        };
+        let mut done: Vec<(usize, R)> = thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            // Join explicitly: a panic re-raised from inside the scope
+            // keeps its payload, where an unjoined panicked thread makes
+            // `scope` panic with a generic message.
+            handles
+                .into_iter()
+                .flat_map(|handle| handle.join().unwrap_or_else(|panic| resume_unwind(panic)))
+                .collect()
+        });
         // Restore item order: completion order is scheduler-dependent,
         // the returned Vec never is.
-        let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
-        for (index, result) in result_rx.iter() {
-            debug_assert!(slots[index].is_none(), "each task completes once");
-            slots[index] = Some(result);
-        }
-        slots.into_iter().map(|slot| slot.expect("every task completed")).collect()
+        done.sort_unstable_by_key(|&(index, _)| index);
+        done.into_iter().map(|(_, result)| result).collect()
     }
 }
 
@@ -235,6 +183,13 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(driver(4).map(&empty, |&v| v).is_empty());
         assert_eq!(driver(1).map(&[1, 2, 3], |&v| v + 1), vec![2, 3, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "item 5 failed")]
+    fn map_reraises_a_worker_panic_with_its_message() {
+        let items: Vec<usize> = (0..16).collect();
+        driver(4).map(&items, |&i| assert!(i != 5, "item {i} failed"));
     }
 
     #[test]
@@ -265,7 +220,6 @@ mod tests {
 
     #[test]
     fn progress_events_cover_every_run() {
-        use std::sync::Mutex;
         let grid = ScenarioGrid::named("progress_test")
             .nodes([5, 6])
             .degrees([2])
@@ -279,16 +233,13 @@ mod tests {
         let events = Mutex::new(Vec::new());
         let suite =
             driver(3).run_grid_with_progress(&grid, |event| events.lock().unwrap().push(event));
-        let events = events.into_inner().unwrap();
+        let mut events = events.into_inner().unwrap();
         assert_eq!(suite.cells.len(), 3);
-        let starts = events.iter().filter(|e| matches!(e, ProgressEvent::Started { .. })).count();
-        let finishes =
-            events.iter().filter(|e| matches!(e, ProgressEvent::Finished { .. })).count();
-        assert_eq!(starts, 3);
-        assert_eq!(finishes, 3);
-        assert!(events.iter().any(|e| matches!(
-            e,
-            ProgressEvent::Finished { label, .. } if label == "vc"
-        )));
+        events.sort_by_key(|e| e.index);
+        assert_eq!(
+            events.iter().map(|e| (e.index, e.total)).collect::<Vec<_>>(),
+            [(0, 3), (1, 3), (2, 3)]
+        );
+        assert!(events.iter().any(|e| e.label == "vc"));
     }
 }

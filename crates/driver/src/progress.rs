@@ -1,69 +1,42 @@
-//! Live per-scenario progress events.
+//! Live per-run progress events.
 //!
-//! Workers publish events onto an internal channel; a dedicated drainer
-//! thread invokes the caller's callback, so status lines are serialized
-//! (never interleaved) no matter how many workers run. Event *order*
-//! follows completion and is therefore not deterministic — only the
+//! The worker that finished a run invokes the caller's callback, one
+//! call at a time, so status lines are serialized (never interleaved) no
+//! matter how many workers run. Event *order* follows completion and is
+//! therefore not deterministic — only the
 //! [`SuiteReport`](crate::SuiteReport) is.
 
 use std::time::Duration;
 
-/// One progress event from the worker pool.
+/// One finished run, published by the worker pool.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProgressEvent {
-    /// A worker picked up a cell (one event per repeat).
-    Started {
-        /// Cell index in grid order.
-        index: usize,
-        /// Total number of cells in the grid.
-        total: usize,
-        /// Cell label.
-        label: String,
-        /// Which repeat of the cell this run is (0-based).
-        repeat: usize,
-    },
-    /// A run finished.
-    Finished {
-        /// Cell index in grid order.
-        index: usize,
-        /// Total number of cells in the grid.
-        total: usize,
-        /// Cell label.
-        label: String,
-        /// Which repeat of the cell this run was (0-based).
-        repeat: usize,
-        /// The run's one-line summary ([`RunReport::summary`](eesmr_sim::RunReport::summary)).
-        summary: String,
-        /// Wall-clock time the run took.
-        wall: Duration,
-    },
+pub struct ProgressEvent {
+    /// Cell index in grid order.
+    pub index: usize,
+    /// Total number of cells in the grid.
+    pub total: usize,
+    /// Cell label.
+    pub label: String,
+    /// Which repeat of the cell this run was (0-based).
+    pub repeat: usize,
+    /// The run's one-line summary ([`RunReport::summary`](eesmr_sim::RunReport::summary)).
+    pub summary: String,
+    /// Wall-clock time the run took.
+    pub wall: Duration,
 }
 
 impl ProgressEvent {
-    /// A one-line status string, e.g.
-    /// `[ 3/12] done EESMR n=6 k=3 … (0.41s): EESMR: n=6 …`.
+    /// A one-line status string, e.g. `[ 3/12] done EESMR n=6 k=3 … (0.41s)`.
     pub fn status_line(&self) -> String {
-        match self {
-            ProgressEvent::Started { index, total, label, repeat } => {
-                let repeat =
-                    if *repeat > 0 { format!(" (repeat {repeat})") } else { String::new() };
-                format!("[{:>2}/{total}] run  {label}{repeat}", index + 1)
-            }
-            ProgressEvent::Finished { index, total, label, wall, .. } => {
-                format!("[{:>2}/{total}] done {label} ({:.2}s)", index + 1, wall.as_secs_f64())
-            }
-        }
+        let ProgressEvent { index, total, label, wall, .. } = self;
+        format!("[{:>2}/{total}] done {label} ({:.2}s)", index + 1, wall.as_secs_f64())
     }
 }
 
-/// A ready-made callback printing [`ProgressEvent::status_line`]s for
-/// finished runs to stderr (stdout stays clean for the result tables).
+/// A ready-made callback printing [`ProgressEvent::status_line`]s to
+/// stderr (stdout stays clean for the result tables).
 pub fn stderr_status() -> impl Fn(ProgressEvent) + Sync + Send {
-    |event| {
-        if matches!(event, ProgressEvent::Finished { .. }) {
-            eprintln!("{}", event.status_line());
-        }
-    }
+    |event| eprintln!("{}", event.status_line())
 }
 
 #[cfg(test)]
@@ -72,11 +45,7 @@ mod tests {
 
     #[test]
     fn status_lines_are_informative() {
-        let start = ProgressEvent::Started { index: 2, total: 12, label: "cell".into(), repeat: 0 };
-        assert_eq!(start.status_line(), "[ 3/12] run  cell");
-        let rep = ProgressEvent::Started { index: 2, total: 12, label: "cell".into(), repeat: 1 };
-        assert!(rep.status_line().contains("repeat 1"));
-        let done = ProgressEvent::Finished {
+        let done = ProgressEvent {
             index: 11,
             total: 12,
             label: "cell".into(),
@@ -85,5 +54,7 @@ mod tests {
             wall: Duration::from_millis(500),
         };
         assert_eq!(done.status_line(), "[12/12] done cell (0.50s)");
+        let first = ProgressEvent { index: 2, repeat: 1, ..done };
+        assert_eq!(first.status_line(), "[ 3/12] done cell (0.50s)");
     }
 }

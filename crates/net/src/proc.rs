@@ -44,9 +44,9 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, RecvTimeoutError};
 use eesmr_crypto::KeySet;
 use eesmr_energy::EnergyMeter;
 
@@ -351,7 +351,7 @@ where
     R: FnOnce(&A, &EnergyMeter, &NetStats) -> Vec<u8>,
 {
     let listener = ListenerSock::bind(opts.transport, &opts.listen)?;
-    let (tx, rx) = unbounded::<PEvent<A::Msg>>();
+    let (tx, rx) = mpsc::channel::<PEvent<A::Msg>>();
 
     // Accept loop: every inbound connection identifies itself with a
     // hello, then its reader thread pumps decoded frames into the main
@@ -928,6 +928,36 @@ mod tests {
         assert!(asked.elapsed() < 10 * bound, "took {:?}", asked.elapsed());
         drop(release);
         stalled.join().unwrap();
+    }
+
+    /// `decodes` must answer every strict prefix of `bytes` with an error
+    /// and every copy with one byte XORed by 0x01, 0x80 or 0xff with `Ok`
+    /// or `Err`, never a panic.
+    fn assert_decoding_is_total(bytes: &[u8], decodes: impl Fn(&[u8]) -> bool) {
+        assert!(decodes(bytes), "{bytes:?} does not decode");
+        for len in 0..bytes.len() {
+            assert!(!decodes(&bytes[..len]), "{len}-byte prefix of {bytes:?} decoded");
+        }
+        for at in 0..bytes.len() {
+            for mask in [0x01, 0x80, 0xff] {
+                let mut flipped = bytes.to_vec();
+                flipped[at] ^= mask;
+                decodes(&flipped);
+            }
+        }
+    }
+
+    #[test]
+    fn hello_and_status_decoding_is_total() {
+        for hello in [hello_frame(ROLE_PEER, 7), hello_frame(ROLE_CTRL, u32::MAX)] {
+            assert_decoding_is_total(&hello, |frame| parse_hello(frame).is_ok());
+        }
+        for status in [0, 42, u64::MAX] {
+            // A status reply's body, as `Coordinator::statuses` decodes it.
+            let mut reply = vec![REPLY_STATUS];
+            status.encode_into(&mut reply);
+            assert_decoding_is_total(&reply[1..], |body| u64::decode(body).is_ok());
+        }
     }
 
     #[test]
