@@ -19,10 +19,8 @@ use eesmr_core::{
     AdaptiveBatcher, BatchPolicy, Block, BlockStore, Command, Commands, Metrics, MsgKind, TxPool,
     WorkloadSource,
 };
-use eesmr_crypto::{Digest, KeyMap, KeyPair, KeyStore, Signature};
-use eesmr_net::{
-    Actor, Context, Message, NodeId, SimDuration, SimTime, TraceClass, TraceEventKind,
-};
+use eesmr_crypto::{Digest, KeyPair, KeySet, KeyStore, Signature};
+use eesmr_net::{Actor, Context, Message, NodeId, SimDuration, TraceClass, TraceEventKind};
 
 /// Messages between CPS nodes and the trusted hub.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,7 +67,8 @@ pub enum TbFault {
         from_us: u64,
     },
     /// Re-sends every upload `repeats` extra times (duplicate storms;
-    /// the hub dedups by upload content, but the expensive link pays).
+    /// the hub takes each signed `(spoke, seq)` once, but the expensive
+    /// link pays for every copy).
     Storm {
         /// Extra copies per upload.
         repeats: u32,
@@ -191,8 +190,6 @@ impl Message for TbMsg {
 pub enum TbTimer {
     /// The hub's ordering tick.
     Order,
-    /// A node's periodic upload.
-    Upload,
     /// The next client-transaction arrival from the attached
     /// `WorkloadSource` (spokes only).
     Arrival,
@@ -248,7 +245,10 @@ pub struct TbNode {
     pending: Vec<Command>,
     committed_log: Vec<Digest>,
     committed_height: u64,
-    first_seen: KeyMap<Digest, SimTime>,
+    /// The hub's record of the uploads it has ordered, by `(spoke, seq)`:
+    /// a spoke's copies are plain multicasts, which the network never
+    /// dedups, and its uploads may overtake one another on the link.
+    taken: KeySet<(NodeId, u64)>,
     metrics: Metrics,
     fault: TbFault,
     repair_inflight: bool,
@@ -285,7 +285,7 @@ impl TbNode {
             pending: Vec::new(),
             committed_log: Vec::new(),
             committed_height: 0,
-            first_seen: KeyMap::default(),
+            taken: KeySet::default(),
             metrics: Metrics::default(),
             fault: TbFault::Honest,
             repair_inflight: false,
@@ -433,13 +433,13 @@ impl Actor for TbNode {
             return; // crashed or silent: the process is not there
         }
         match &msg.payload {
-            TbPayload::Request { batch, .. } => {
+            TbPayload::Request { batch, seq } => {
                 if !self.is_hub() || msg.signer == HUB {
                     return;
                 }
                 ctx.meter().charge_verify(self.pki.scheme());
                 ctx.meter().charge_hash(msg.wire_size());
-                if !msg.verify_sig(&self.pki) {
+                if !msg.verify_sig(&self.pki) || !self.taken.insert((msg.signer, *seq)) {
                     return;
                 }
                 self.pending.extend(batch.iter().cloned());
@@ -469,9 +469,6 @@ impl Actor for TbNode {
                 self.committed_height = block.height;
                 self.metrics.blocks_committed += 1;
                 self.metrics.committed_height = block.height;
-                if let Some(seen) = self.first_seen.remove(&id) {
-                    self.metrics.record_commit_latency(ctx.now().since(seen));
-                }
                 if ctx.traces(TraceClass::Commit) {
                     ctx.trace(TraceEventKind::Commit {
                         block: eesmr_core::block::fingerprint(&id),
@@ -597,7 +594,6 @@ impl Actor for TbNode {
                 }
                 ctx.set_timer(self.config.order_period, TbTimer::Order);
             }
-            TbTimer::Upload => self.upload(ctx),
             TbTimer::Arrival => self.on_arrival(ctx),
             TbTimer::Restart => {
                 // Back online: re-arm the workload feed and catch up on

@@ -216,6 +216,17 @@ fn trusted_baseline_storm_spoke_inflates_traffic_without_divergence() {
     let logs: Vec<&[eesmr_crypto::Digest]> =
         (0..6).map(|id| stormy.actor(id).committed()).collect();
     check_prefix_consistency(&logs).expect("storm forked the trusted log");
+    // The hub takes each signed upload once: the copies cost the link,
+    // not the log, so no stormed block outgrows the honest run's largest.
+    let largest = |net: &SimNet<TbNode>| {
+        let hub = net.actor(HUB);
+        hub.committed().iter().map(|id| hub.block(id).expect("committed").payload.len()).max()
+    };
+    let honest_max = largest(&honest).expect("the honest hub ordered");
+    assert!(
+        largest(&stormy).expect("the stormed hub ordered") <= honest_max,
+        "a stormed upload was ordered more than once"
+    );
 }
 
 #[test]

@@ -166,7 +166,7 @@ fn allocations_per_committed_block_are_pinned() {
             Budget { allocations: 500, reallocations: 51, peak_bytes: 98_297, units: 24 },
             Budget { allocations: 1_251, reallocations: 166, peak_bytes: 123_521, units: 24 },
             Budget { allocations: 1_231, reallocations: 221, peak_bytes: 134_945, units: 24 },
-            Budget { allocations: 1_089, reallocations: 348, peak_bytes: 52_685, units: 24 },
+            Budget { allocations: 1_096, reallocations: 348, peak_bytes: 57_053, units: 24 },
         ],
     );
 }
