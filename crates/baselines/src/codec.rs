@@ -2,17 +2,17 @@
 //!
 //! Each payload's layout is its table below (header, conventions and
 //! table forms in `eesmr_net::codec`; the nested `Block`/`Commands`/
-//! `QuorumCert`/`CertifiedBlock` encodings and the `HsMsg` envelope —
-//! `header(HS_MSG) | kind | view | signer | payload fields | signature`
-//! — come from `eesmr_core::codec`). Adding a message is one row.
+//! `QuorumCert`/`CertifiedBlock` encodings and the `HsMsg`/`TbMsg`
+//! envelope — `header(family) | kind | view | signer | payload fields |
+//! signature` — come from `eesmr_core::codec`). Adding a message is one
+//! row.
 //!
-//! The blame equivocation proof embeds the two conflicting `HsMsg`s as
+//! The blame equivocation proof embeds the two conflicting messages as
 //! full frames, exactly like `SignedMsg` blames.
 
 use eesmr_core::{Block, CertifiedBlock, Commands, MsgKind, QuorumCert};
-use eesmr_crypto::{Digest, Signature};
-use eesmr_net::codec::family;
-use eesmr_net::{wire_enum, wire_struct, NodeId};
+use eesmr_crypto::Digest;
+use eesmr_net::wire_enum;
 
 use crate::sync_hotstuff::{HsMsg, HsPayload};
 use crate::trusted::{TbMsg, TbPayload};
@@ -30,16 +30,17 @@ wire_enum! { HsPayload: MsgKind = "sync-hotstuff kind" {
     MsgKind::RepairReply => RepairReply { blocks: Vec<Block> = "repair-reply blocks", view: u64 },
 } }
 
-// The trusted baseline has no `MsgKind` analogue, so its tags are a
-// namespace of their own.
-wire_enum! { TbPayload: u8 = "trusted-baseline tag" {
-    1 => Request { batch: Commands, seq: u64 },
-    2 => Ordered { block: Block },
-    3 => Repair { from_height: u64 },
-    4 => RepairReply { blocks: Vec<Block> = "tb repair blocks" },
+wire_enum! { TbPayload: MsgKind = "trusted-baseline kind" {
+    MsgKind::Propose => Propose { block: Block },
+    MsgKind::Upload => Upload { batch: Commands, seq: u64 },
+    MsgKind::Blame => Blame { proof: Option<Box<(TbMsg, TbMsg)>> },
+    MsgKind::BlameQc => BlameQc(qc: QuorumCert),
+    MsgKind::SyncRequest => SyncRequest { want: Digest },
+    MsgKind::SyncResponse => SyncResponse { blocks: Vec<Block> = "sync-response blocks" },
+    MsgKind::Forward => Forward { commands: Commands },
+    MsgKind::Repair => Repair { from_height: u64 },
+    MsgKind::RepairReply => RepairReply { blocks: Vec<Block> = "repair-reply blocks", view: u64 },
 } }
-
-wire_struct! { frame(family::TB_MSG) TbMsg { payload: TbPayload; signer: NodeId; sig: Signature } }
 
 #[cfg(test)]
 mod tests {
@@ -99,16 +100,31 @@ mod tests {
     fn every_tb_payload_tag_round_trips() {
         let pki = pki();
         let g = Block::genesis();
-        let b1 = Block::extending(&g, 0, 0, vec![Command::synthetic(1, 16)]);
+        let b1 = Block::extending(&g, 1, 1, vec![Command::synthetic(1, 16)]);
         let sig = pki.keypair(1).sign(b"m");
+        let mk = |payload| TbMsg::from_parts(payload, 1, 0, sig.clone());
+        let (p1, p2) = (
+            mk(TbPayload::Propose { block: b1.clone() }),
+            mk(TbPayload::Propose { block: g.clone() }),
+        );
+        let bytes = signing_bytes(MsgKind::Blame, 1, &Digest::of(b"b"));
+        let sigs: Vec<_> = (0..2u32).map(|i| (i, pki.keypair(i).sign(&bytes))).collect();
+        let qc =
+            QuorumCert { kind: MsgKind::Blame, view: 1, data: Digest::of(b"b"), height: 0, sigs };
         let payloads = vec![
-            TbPayload::Request { batch: Commands::from(vec![Command::synthetic(0, 8)]), seq: 4 },
-            TbPayload::Ordered { block: b1.clone() },
+            TbPayload::Propose { block: b1.clone() },
+            TbPayload::Upload { batch: Commands::from(vec![Command::synthetic(0, 8)]), seq: 4 },
+            TbPayload::Blame { proof: None },
+            TbPayload::Blame { proof: Some(Box::new((p1, p2))) },
+            TbPayload::BlameQc(qc),
+            TbPayload::SyncRequest { want: b1.id() },
+            TbPayload::SyncResponse { blocks: vec![g.clone(), b1.clone()] },
+            TbPayload::Forward { commands: Commands::from(vec![Command::synthetic(3, 12)]) },
             TbPayload::Repair { from_height: 1 },
-            TbPayload::RepairReply { blocks: vec![b1] },
+            TbPayload::RepairReply { blocks: vec![b1], view: 1 },
         ];
         for payload in payloads {
-            roundtrip(&TbMsg { payload, signer: 1, sig: sig.clone() });
+            roundtrip(&mk(payload));
         }
     }
 

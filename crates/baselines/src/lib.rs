@@ -4,7 +4,8 @@
 //!   two variants over `eesmr_core`'s replica skeleton), the
 //!   state-of-the-art synchronous BFT-SMR baselines of §5.7.
 //! * [`trusted`] — the §5.1 trusted-control-node baseline over an
-//!   expensive medium (star topology).
+//!   expensive medium (star topology), a commit rule over the same
+//!   skeleton.
 //! * [`status`] — a protocol-agnostic prefix-consistency check.
 //!
 //! All replicas implement [`eesmr_net::Actor`], so the same simulator,
@@ -42,4 +43,4 @@ pub use status::check_prefix_consistency;
 pub use sync_hotstuff::{
     build_hs_replicas, HsConfig, HsFault, HsPacing, HsReplica, HsRule, HsVariant,
 };
-pub use trusted::{build_tb_nodes, TbConfig, TbFault, TbNode, HUB};
+pub use trusted::{build_tb_replicas, tb_config, TbConfig, TbReplica, TrustedRule, HUB};

@@ -287,6 +287,7 @@ impl Rule for HsRule {
             sync_cap: 32,
             forward_retry_window: None,
             replays_through_gate: false,
+            hub: None,
         }
     }
 
@@ -294,15 +295,7 @@ impl Rule for HsRule {
         self.config.leader_of(view)
     }
 
-    fn verifies_proposal(&self, _height: u64) -> bool {
-        true
-    }
-
     fn proposes_after_commit(&self) -> bool {
-        true
-    }
-
-    fn in_steady_state(&self) -> bool {
         true
     }
 
@@ -326,7 +319,8 @@ impl Rule for HsRule {
         let twin_justify =
             (r.fault == HsFault::Equivocate { in_view: r.v_cur }).then(|| justify.clone());
         let height = parent.height + 1;
-        let block = r.cut_block(&parent, height, ctx);
+        let batch = r.next_batch();
+        let block = r.cut_block(&parent, height, batch, ctx);
         let msg = r.sign(HsPayload::Propose { block, justify }, ctx);
         ctx.flood(msg);
         if let Some(justify) = twin_justify {
@@ -432,17 +426,16 @@ impl Rule for HsRule {
         }
     }
 
-    fn wipe_volatile(&mut self) {}
-
     fn on_view_adopted(r: &mut HsReplica, _ctx: &mut Ctx<'_>) {
         r.rule.statuses.clear();
         r.rule.new_view_proposed = false;
     }
 
-    fn on_repaired(&mut self, tip: &Block) {
-        if tip.height > self.tip_height {
-            self.tip = tip.id();
-            self.tip_height = tip.height;
+    fn on_repaired(r: &mut HsReplica, tip: &Block, _ctx: &mut Ctx<'_>) {
+        let rule = &mut r.rule;
+        if tip.height > rule.tip_height {
+            rule.tip = tip.id();
+            rule.tip_height = tip.height;
         }
     }
 

@@ -6,7 +6,8 @@ use eesmr_baselines::check_prefix_consistency;
 use eesmr_baselines::sync_hotstuff::{
     build_hs_replicas, HsConfig, HsFault, HsPacing, HsReplica, HsVariant,
 };
-use eesmr_baselines::trusted::{build_tb_nodes, TbConfig, TbFault, TbNode, HUB};
+use eesmr_baselines::trusted::{build_tb_replicas, tb_config, TbReplica, HUB};
+use eesmr_core::FaultMode;
 use eesmr_crypto::{KeyStore, SigScheme};
 use eesmr_energy::{EnergyCategory, Medium};
 use eesmr_hypergraph::topology::{ring_kcast, star};
@@ -134,17 +135,19 @@ fn synchs_deterministic_replay() {
     }
 }
 
-fn run_tb(n: usize, millis: u64) -> SimNet<TbNode> {
-    run_tb_faulty(n, millis, |_| TbFault::Honest)
+fn run_tb(n: usize, millis: u64) -> SimNet<TbReplica> {
+    run_tb_faulty(n, millis, |_| FaultMode::Honest)
 }
 
-fn run_tb_faulty(n: usize, millis: u64, faults: impl Fn(NodeId) -> TbFault) -> SimNet<TbNode> {
-    // Star topology over the expensive medium (4G), as in §5.1.
+fn run_tb_faulty(n: usize, millis: u64, faults: impl Fn(NodeId) -> FaultMode) -> SimNet<TbReplica> {
+    // Star topology over the expensive medium (4G), as in §5.1; the hub
+    // orders every 2Δ = 5 ms.
     let mut cfg = NetConfig::ble(star(n, HUB), 9);
     cfg.channel = ChannelCost::PerByte { medium: Medium::FourG };
-    let config = TbConfig::new(n, 64, SimDuration::from_millis(5));
+    let mut config = tb_config(n, SimDuration::from_micros(2_500));
+    config.payload_bytes = 64;
     let pki = Arc::new(KeyStore::generate(n, SigScheme::Rsa1024, 9));
-    let nodes = build_tb_nodes(&config, &pki, faults);
+    let nodes = build_tb_replicas(&config, &pki, faults);
     let mut net = SimNet::new(cfg, nodes);
     net.run_for(SimDuration::from_millis(millis));
     net
@@ -177,9 +180,9 @@ fn trusted_baseline_spokes_pay_expensive_medium() {
 fn trusted_baseline_crashed_spoke_repairs_and_rejoins() {
     let fault = |id: NodeId| {
         if id == 3 {
-            TbFault::Crash { at_us: 50_000, restart_at_us: Some(250_000) }
+            FaultMode::Crash { at_us: 50_000, restart_at_us: Some(250_000) }
         } else {
-            TbFault::Honest
+            FaultMode::Honest
         }
     };
     let net = run_tb_faulty(6, 500, fault);
@@ -202,9 +205,9 @@ fn trusted_baseline_storm_spoke_inflates_traffic_without_divergence() {
     let honest = run_tb(6, 400);
     let stormy = run_tb_faulty(6, 400, |id| {
         if id == 2 {
-            TbFault::Storm { repeats: 3 }
+            FaultMode::Storm { from_view: 1, repeats: 3 }
         } else {
-            TbFault::Honest
+            FaultMode::Honest
         }
     });
     assert!(
@@ -218,7 +221,7 @@ fn trusted_baseline_storm_spoke_inflates_traffic_without_divergence() {
     check_prefix_consistency(&logs).expect("storm forked the trusted log");
     // The hub takes each signed upload once: the copies cost the link,
     // not the log, so no stormed block outgrows the honest run's largest.
-    let largest = |net: &SimNet<TbNode>| {
+    let largest = |net: &SimNet<TbReplica>| {
         let hub = net.actor(HUB);
         hub.committed().iter().map(|id| hub.block(id).expect("committed").payload.len()).max()
     };
@@ -233,9 +236,9 @@ fn trusted_baseline_storm_spoke_inflates_traffic_without_divergence() {
 fn trusted_baseline_silent_spoke_does_not_stop_the_rest() {
     let net = run_tb_faulty(6, 400, |id| {
         if id == 4 {
-            TbFault::Silent { from_us: 0 }
+            FaultMode::Silent { from_view: 1 }
         } else {
-            TbFault::Honest
+            FaultMode::Honest
         }
     });
     let hub_height = net.actor(HUB).committed_height();

@@ -6,11 +6,13 @@
 //! `SimNet`), so a line broken in the skeleton fails here for EESMR and for
 //! Sync HotStuff alike — and the two places where the rules are *meant* to
 //! differ on this path (the sync cap, the proposal slot) are pinned as
-//! such.
+//! such. The trusted baseline runs the cases that apply on its star (it
+//! never blames, syncs or forwards), plus two of its own.
 
 use std::sync::Arc;
 
 use eesmr_baselines::sync_hotstuff::{HsConfig, HsPayload, HsRule, HsVariant};
+use eesmr_baselines::trusted::{tb_config, TbConfig, TbPayload, TbReplica, TrustedRule, HUB};
 use eesmr_core::smr::{Msg, Shared};
 use eesmr_core::{
     Block, Command, Config, EesmrRule, Envelope, FaultMode, MsgKind, Payload, QuorumCert, Rule,
@@ -30,6 +32,9 @@ const DELTA_US: u64 = 2_000;
 trait Family: Rule + 'static {
     /// Ancestors one `SyncResponse` carries — the rules differ, on record.
     const SYNC_CAP: usize;
+    /// The member whose `RepairReply` a replica takes: any peer, or a
+    /// star's hub.
+    const REPAIRER: NodeId = 2;
     fn config(forward_batch: usize) -> Self::Config;
     /// A proposal of a block on `parent`, in the slot after `parent`'s,
     /// carrying one command derived from `tag`.
@@ -62,6 +67,19 @@ impl Family for HsRule {
         let height = parent.height + 1; // the slot *is* the height
         let block = Block::extending(parent, 1, height, vec![Command::synthetic(tag, 16)]);
         (block.clone(), HsPayload::Propose { block, justify: None })
+    }
+}
+
+impl Family for TrustedRule {
+    const SYNC_CAP: usize = 0;
+    const REPAIRER: NodeId = HUB;
+    fn config(_forward_batch: usize) -> TbConfig {
+        tb_config(N, SimDuration::from_micros(DELTA_US))
+    }
+    fn proposal(parent: &Block, tag: u64) -> (Block, TbPayload) {
+        let height = parent.height + 1; // the slot is the height
+        let block = Block::extending(parent, 1, height, vec![Command::synthetic(tag, 16)]);
+        (block.clone(), TbPayload::Propose { block })
     }
 }
 
@@ -495,14 +513,15 @@ fn broken_repair_chains_change_nothing<R: Family>() {
         ("not rooted in a held block", vec![b2.clone(), b3.clone()]),
         ("empty", vec![]),
     ];
+    let from = R::REPAIRER;
     for (what, blocks) in cases {
         let mut h = replica::<R>(1, &pki, 1);
-        let out = h.deliver(2, signed::<R>(R::Payload::repair_reply(blocks, 7), 1, &pki, 2));
+        let out = h.deliver(from, signed::<R>(R::Payload::repair_reply(blocks, 7), 1, &pki, from));
         assert_untouched(&h, &out, what);
     }
     // Control: the same blocks, linked and rooted, are committed.
     let mut h = replica::<R>(1, &pki, 1);
-    h.deliver(2, signed::<R>(R::Payload::repair_reply(vec![b1, b2], 1), 1, &pki, 2));
+    h.deliver(from, signed::<R>(R::Payload::repair_reply(vec![b1, b2], 1), 1, &pki, from));
     assert_eq!(h.actor().committed_height(), 2, "{rule}: a sound suffix is adopted");
 }
 
@@ -514,8 +533,9 @@ fn forged_repair_reply_is_rejected<R: Family>() {
     // a key that is not in the PKI.
     let (b1, _) = R::proposal(&Block::genesis(), 1);
     let (b2, _) = R::proposal(&b1, 2);
-    let forged = signed::<R>(R::Payload::repair_reply(vec![b1, b2], 1_000_000), 1, &outsiders(), 2);
-    let out = h.deliver(2, forged);
+    let from = R::REPAIRER;
+    let reply = R::Payload::repair_reply(vec![b1, b2], 1_000_000);
+    let out = h.deliver(from, signed::<R>(reply, 1, &outsiders(), from));
     assert_untouched(&h, &out, "forged reply");
     assert!(h.meter().count(eesmr_energy::EnergyCategory::Verify) > 0, "{rule}: it was checked");
 }
@@ -530,4 +550,62 @@ fn a_repair_reply_that_is_not_a_rooted_hash_chain_changes_nothing() {
 fn a_repair_reply_signed_outside_the_pki_changes_nothing() {
     forged_repair_reply_is_rejected::<EesmrRule>();
     forged_repair_reply_is_rejected::<HsRule>();
+}
+
+// ----------------------------------------------------------------------
+// The trusted baseline.
+// ----------------------------------------------------------------------
+
+#[test]
+fn the_trusted_rule_runs_the_dispatch_and_repair_cases() {
+    shared_variants_carry_the_shared_tags::<TrustedRule>();
+    broken_repair_chains_change_nothing::<TrustedRule>();
+    forged_repair_reply_is_rejected::<TrustedRule>();
+}
+
+#[test]
+fn a_repair_reply_signed_by_a_spoke_changes_nothing() {
+    let pki = pki();
+    let mut h = replica::<TrustedRule>(1, &pki, 1);
+    let (b1, _) = TrustedRule::proposal(&Block::genesis(), 1);
+    let (b2, _) = TrustedRule::proposal(&b1, 2);
+    // A sound suffix, validly signed — by spoke 2, whose word is not taken.
+    let reply = signed::<TrustedRule>(TbPayload::repair_reply(vec![b1, b2], 1), 1, &pki, 2);
+    let out = h.deliver(2, reply);
+    assert_untouched(&h, &out, "a spoke's reply");
+    assert_eq!(h.meter().count(eesmr_energy::EnergyCategory::Verify), 0, "not even checked");
+}
+
+#[test]
+fn the_hub_orders_a_ticks_uploads_by_seq_and_spoke_not_by_arrival() {
+    let pki = pki();
+    let upload = |spoke: NodeId, seq: u64| {
+        let batch = vec![Command::synthetic(u64::from(spoke) * 100 + seq, 16)];
+        signed::<TrustedRule>(TbPayload::Upload { batch: batch.into(), seq }, 1, &pki, spoke)
+    };
+    let uploads: Vec<(NodeId, u64)> = vec![(3, 0), (1, 1), (2, 0), (1, 0), (3, 1)];
+    let block_after = |arrivals: &[(NodeId, u64)]| {
+        let config = TrustedRule::config(1);
+        let mut h = Harness::new(HUB, TbReplica::new(HUB, config, pki.clone(), FaultMode::Honest));
+        h.start();
+        for &(spoke, seq) in arrivals {
+            h.deliver(spoke, upload(spoke, seq));
+        }
+        let out = h.fire(TimerToken::Order);
+        let blocks = sent::<TrustedRule, _>(&out, |p| match p {
+            Shared::Propose(block, _) => Some(block.clone()),
+            _ => None,
+        });
+        let [(None, block)] = blocks.as_slice() else { panic!("one block, k-cast: {out:?}") };
+        block.clone()
+    };
+    let mut reversed = uploads.clone();
+    reversed.reverse();
+    reversed.push((2, 0)); // a stormed copy is taken once
+    let (a, b) = (block_after(&uploads), block_after(&reversed));
+    assert_eq!(a, b, "the same uploads make the same block");
+    let ordered: [(u64, u64); 5] = [(1, 0), (2, 0), (3, 0), (1, 1), (3, 1)];
+    let expected: Vec<Command> =
+        ordered.iter().map(|&(spoke, seq)| Command::synthetic(spoke * 100 + seq, 16)).collect();
+    assert_eq!(a.payload.iter().cloned().collect::<Vec<_>>(), expected, "(seq, spoke) order");
 }

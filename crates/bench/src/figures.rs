@@ -617,8 +617,7 @@ fn fig_adversarial(driver: &Driver) -> Output {
         let (report, traces) = cell.scenario.clone().trace(TraceLevel::Commit).run_traced();
         let key = cell.scenario.cell();
         let plan = key.fault.plan(key.n, report.delta_us);
-        let tb = key.protocol == Protocol::TrustedBaseline;
-        let excused = |id| if tb { plan.tb_is_excused(id) } else { plan.is_excused(id) };
+        let excused = |id| FaultPlan::excuses(plan.mode(key.protocol, id));
         let honest: BTreeSet<u32> = (0..key.n as u32).filter(|&id| !excused(id)).collect();
         let heal_us = plan.heal_time_us();
         let config = if heal_us == u64::MAX {

@@ -86,6 +86,7 @@ wire_enum! { inline MsgKind: u8 = "message kind" {
     13 => Forward,
     14 => Repair,
     15 => RepairReply,
+    16 => Upload,
 } }
 
 wire_struct! { QuorumCert {
@@ -105,7 +106,7 @@ wire_enum! { inline Status: u8 = "status" {
     2 => Locks(entries: Vec<SignedBlock> = "locked-block status entries"),
 } }
 
-// `HsVote` is a Sync HotStuff kind; no `Payload` variant carries it.
+// `HsVote` and `Upload` are baseline kinds; no `Payload` variant carries them.
 wire_enum! { Payload: MsgKind = "payload kind" {
     MsgKind::Propose => Propose { block: Block, round: u64, justify: Option<QuorumCert> },
     MsgKind::Blame => Blame { proof: Option<Box<(SignedMsg, SignedMsg)>> },
@@ -168,7 +169,7 @@ mod tests {
                 kinds += 1;
             }
         }
-        assert_eq!(kinds, 15);
+        assert_eq!(kinds, 16);
         assert_eq!(
             MsgKind::decode(&[0]),
             Err(CodecError::UnknownTag { what: "message kind", tag: 0 })

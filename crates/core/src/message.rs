@@ -59,6 +59,9 @@ pub enum MsgKind {
     /// Crash-recovery: a committed-chain suffix answering a
     /// [`MsgKind::Repair`], plus the responder's current view.
     RepairReply = 15,
+    /// A trusted-baseline spoke's upload of pending commands to the hub
+    /// (used by the baseline protocols, like [`MsgKind::HsVote`]).
+    Upload = 16,
 }
 
 /// The canonical byte string covered by a signature: `(kind, view, data)`.
@@ -490,7 +493,7 @@ impl<P: SmrPayload> eesmr_net::Message for Envelope<P> {
     fn phase(&self) -> eesmr_energy::EnergyPhase {
         use eesmr_energy::EnergyPhase;
         match self.payload.tag() {
-            MsgKind::Propose | MsgKind::NewViewProposal => EnergyPhase::Propose,
+            MsgKind::Propose | MsgKind::NewViewProposal | MsgKind::Upload => EnergyPhase::Propose,
             MsgKind::NewViewVote | MsgKind::HsVote | MsgKind::Certify => EnergyPhase::Vote,
             MsgKind::CommitUpdate | MsgKind::CommitQc => EnergyPhase::Commit,
             MsgKind::Blame | MsgKind::BlameQc => EnergyPhase::ViewChange,

@@ -129,6 +129,7 @@ impl Rule for EesmrRule {
             sync_cap: 256,
             forward_retry_window: Some(32),
             replays_through_gate: true,
+            hub: None,
         }
     }
 
@@ -238,10 +239,11 @@ impl Rule for EesmrRule {
         smr.cancel_commit_timers(ctx);
     }
 
-    fn on_repaired(&mut self, tip: &Block) {
-        if tip.height > self.b_lock_height {
-            self.b_lock = tip.id();
-            self.b_lock_height = tip.height;
+    fn on_repaired(smr: &mut Replica, tip: &Block, _ctx: &mut Ctx<'_>) {
+        let rule = &mut smr.rule;
+        if tip.height > rule.b_lock_height {
+            rule.b_lock = tip.id();
+            rule.b_lock_height = tip.height;
         }
     }
 }
@@ -293,7 +295,8 @@ impl Replica {
             .get(&self.rule.b_lock)
             .expect("locked block is always present locally")
             .clone();
-        let block = self.cut_block(&parent, round, ctx);
+        let batch = self.next_batch();
+        let block = self.cut_block(&parent, round, batch, ctx);
         self.rule.relayed.insert(block.id());
         let msg = self.sign(Payload::Propose { block, round, justify: None }, ctx);
         ctx.multicast(msg);

@@ -1,7 +1,8 @@
 //! One synchronous-SMR replica, generic over its commit rule.
 //!
-//! EESMR, Sync HotStuff and OptSync are the same machine around one
-//! differing decision — when a proposal commits. [`Smr<R>`] is that
+//! EESMR, Sync HotStuff, OptSync and the §5.1 trusted baseline are the
+//! same machine around one differing decision — when a proposal commits
+//! (the baseline: as soon as the trusted hub signed it). [`Smr<R>`] is that
 //! machine, written once: it signs and verifies envelopes, blames a
 //! stalled or equivocating leader, certifies `f+1` blames and quits the
 //! view, forwards and re-routes client commands, synchronises missing
@@ -12,7 +13,7 @@
 //! commit, and the status exchange of its view change — plus, as data in
 //! [`Params`], a handful of decisions the families make differently
 //! without the papers asking for it (see ARCHITECTURE.md, "One replica
-//! skeleton, three commit rules").
+//! skeleton, four commit rules").
 //!
 //! Handlers are monomorphised per rule, so the message path keeps static
 //! dispatch. Rust allows inherent impls only in the crate that defines a
@@ -37,7 +38,8 @@ use crate::metrics::Metrics;
 use crate::txpool::{AdaptiveBatcher, TxPool, WorkloadSource};
 
 /// Timer tokens (all carry the view they were armed in; stale timers are
-/// ignored). `ShareQc` and `EnterNew` are armed by the EESMR rule only.
+/// ignored). `ShareQc` and `EnterNew` are armed by the EESMR rule only,
+/// `Order` by the trusted hub only.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TimerToken {
     /// `T_blame(v)` — no progress within the rule's steady timeout (8Δ and
@@ -90,6 +92,8 @@ pub enum TimerToken {
     /// A crashed node's restart point ([`FaultMode::Crash`] with a
     /// `restart_at_us`): re-arm timers and run the repair protocol.
     Restart,
+    /// The trusted hub's 2Δ ordering tick (the trusted-baseline rule).
+    Order,
 }
 
 /// A signed message of rule `R`'s payload family.
@@ -234,6 +238,13 @@ pub struct Params {
     /// [`Actor::on_message`] (the fault gate runs again) rather than
     /// straight into the proposal handler.
     pub replays_through_gate: bool,
+    /// The trusted node of a star, if the rule has one. Then no blame
+    /// timer is armed and no backlog forwarded, a view target holds at
+    /// once, the restart repair request is a k-cast (on the star, a flood
+    /// or a `send_to` from a spoke is re-broadcast by the hub to every
+    /// spoke), and only the hub serves a `Repair` or is taken at its word
+    /// in a `RepairReply`.
+    pub hub: Option<NodeId>,
 }
 
 /// A commit rule: the configuration, private state and handlers that make
@@ -255,14 +266,18 @@ pub trait Rule: Sized {
     /// `Leader(v)`.
     fn leader_of(&self, view: u64) -> NodeId;
     /// Whether a proposal for `slot` gets its signature checked (EESMR's
-    /// checkpoint optimisation skips most).
-    fn verifies_proposal(&self, slot: u64) -> bool;
+    /// checkpoint optimisation skips most). Default: every one.
+    fn verifies_proposal(&self, _slot: u64) -> bool {
+        true
+    }
     /// Whether the leader should try to propose right after a commit
     /// timer committed.
     fn proposes_after_commit(&self) -> bool;
     /// Whether the rule is past its view-change rounds — with the view
-    /// number, what [`Smr::resumed_in_view`] reports.
-    fn in_steady_state(&self) -> bool;
+    /// number, what [`Smr::resumed_in_view`] reports. Default: it has none.
+    fn in_steady_state(&self) -> bool {
+        true
+    }
     /// Whether a proposal already seen for `(view, slot)` with this block
     /// id has been fully handled, so that another copy needs no work.
     fn processed(smr: &Smr<Self>, view: u64, slot: u64, block: &Digest) -> bool;
@@ -277,13 +292,13 @@ pub trait Rule: Sized {
     /// `QuitWait`, `ShareQc`, `EnterNew` and `LeaderStatus`: the view
     /// change from the Δ quit wait on.
     fn on_timer(smr: &mut Smr<Self>, token: TimerToken, ctx: &mut Ctx<'_, Self>);
-    /// A restart wiped the rule's volatile state.
-    fn wipe_volatile(&mut self);
+    /// A restart wiped the rule's volatile state. Default: it keeps none.
+    fn wipe_volatile(&mut self) {}
     /// A repair moved the replica into a later view without a view
-    /// change: reset the rule's per-view state.
-    fn on_view_adopted(smr: &mut Smr<Self>, ctx: &mut Ctx<'_, Self>);
+    /// change: reset the rule's per-view state. Default: it keeps none.
+    fn on_view_adopted(_smr: &mut Smr<Self>, _ctx: &mut Ctx<'_, Self>) {}
     /// A repair committed up to `tip`: move the rule's proposing point.
-    fn on_repaired(&mut self, tip: &Block);
+    fn on_repaired(smr: &mut Smr<Self>, tip: &Block, ctx: &mut Ctx<'_, Self>);
     /// Whether this node has already verified `sig` as `signer`'s
     /// signature over `qc`'s `(kind, view, data)`, so that quoting it in a
     /// certificate needs no second HMAC (the check is still charged).
@@ -424,7 +439,7 @@ impl<R: Rule> Smr<R> {
     /// Whether the replica has entered view `v` and resumed steady state
     /// there.
     pub fn resumed_in_view(&self, v: u64) -> bool {
-        self.v_cur >= v && self.rule.in_steady_state()
+        self.params.hub.is_some() || (self.v_cur >= v && self.rule.in_steady_state())
     }
 
     /// The committed log (block ids in commit order, excluding genesis).
@@ -522,6 +537,9 @@ impl<R: Rule> Smr<R> {
 
     /// Re-arms the blame timer at `multiple`Δ for the current view.
     pub fn reset_blame_timer(&mut self, multiple: u64, ctx: &mut Ctx<'_, R>) {
+        if self.params.hub.is_some() {
+            return;
+        }
         if let Some(t) = self.blame_timer.take() {
             ctx.cancel_timer(t);
         }
@@ -574,7 +592,11 @@ impl<R: Rule> Smr<R> {
 
     /// Whether this node holds commands it should hand to the leader.
     fn should_forward(&self) -> bool {
-        !self.is_leader() && self.active() && !self.view_aborted && !self.txpool.is_empty()
+        self.params.hub.is_none()
+            && !self.is_leader()
+            && self.active()
+            && !self.view_aborted
+            && !self.txpool.is_empty()
     }
 
     /// Forward batching: flush the backlog immediately once it holds
@@ -696,14 +718,25 @@ impl<R: Rule> Smr<R> {
     // Proposals: cutting, admitting, committing.
     // ------------------------------------------------------------------
 
-    /// Leader: cuts the next batch into a block on `parent` for `round`,
-    /// charges its hash, traces it and stores it. The rule signs and
-    /// sends it.
-    pub fn cut_block(&mut self, parent: &Block, round: u64, ctx: &mut Ctx<'_, R>) -> Block {
+    /// The next batch from the pool, sized by the batch policy, its fill
+    /// recorded.
+    pub fn next_batch(&mut self) -> Vec<Command> {
         let policy = self.params.batch_policy;
         let want = self.batcher.next_size(self.txpool.backlog(), policy);
         let batch = self.txpool.next_batch(want);
         self.metrics.record_batch_fill(batch.len(), policy.max_size());
+        batch
+    }
+
+    /// Leader: cuts `batch` into a block on `parent` for `round`, charges
+    /// its hash, traces it and stores it. The rule signs and sends it.
+    pub fn cut_block(
+        &mut self,
+        parent: &Block,
+        round: u64,
+        batch: Vec<Command>,
+        ctx: &mut Ctx<'_, R>,
+    ) -> Block {
         let block = Block::extending(parent, self.v_cur, round, batch);
         ctx.meter().charge_hash(block.wire_size());
         if ctx.traces(TraceClass::Commit) {
@@ -1073,16 +1106,28 @@ impl<R: Rule> Smr<R> {
         self.forward_retry_armed = false;
         self.reset_blame_timer(self.params.steady_blame_multiple, ctx);
         self.schedule_first_arrival(ctx);
+        self.request_repair(ctx);
+    }
+
+    /// Asks for the committed chain above the durable height: a flood, or
+    /// a k-cast to the hub of a star.
+    pub fn request_repair(&mut self, ctx: &mut Ctx<'_, R>) {
         self.metrics.repair_requests += 1;
         let msg = self.sign(R::Payload::repair(self.b_com_height), ctx);
-        ctx.flood(msg);
+        match self.params.hub {
+            Some(_) => ctx.multicast(msg),
+            None => ctx.flood(msg),
+        }
     }
 
     /// Serves a recovering peer: reply with the committed-chain suffix
     /// above its durable height, plus our current view so it can rejoin.
     fn on_repair(&mut self, msg: Msg<R>, ctx: &mut Ctx<'_, R>) {
         let Some(Shared::Repair(from_height)) = msg.payload.shared() else { return };
-        if !self.verify_envelope(&msg, ctx) || self.b_com_height <= from_height {
+        if self.params.hub.is_some_and(|hub| hub != self.id)
+            || !self.verify_envelope(&msg, ctx)
+            || self.b_com_height <= from_height
+        {
             return;
         }
         // Walk the committed chain down to the requested height, capped;
@@ -1111,8 +1156,10 @@ impl<R: Rule> Smr<R> {
     fn on_repair_reply(&mut self, msg: Msg<R>, ctx: &mut Ctx<'_, R>) {
         let Some(Shared::RepairReply(blocks, view)) = msg.payload.shared() else { return };
         // The hash links below prove the blocks form a chain, not that
-        // anybody committed it: only a member's word is taken for that.
-        if !self.verify_envelope(&msg, ctx) {
+        // anybody committed it: only a member's word (a star's: the hub's)
+        // is taken for that.
+        if self.params.hub.is_some_and(|hub| hub != msg.signer) || !self.verify_envelope(&msg, ctx)
+        {
             return;
         }
         // The suffix must be hash-linked, oldest first, and rooted in a
@@ -1125,7 +1172,7 @@ impl<R: Rule> Smr<R> {
         }
         let unblocked = self.store_blocks(blocks, ctx);
         self.commit_block(tip.id(), ctx);
-        self.rule.on_repaired(tip);
+        R::on_repaired(self, tip, ctx);
         self.adopt_view(view, ctx);
         self.replay(unblocked, ctx);
     }
@@ -1188,7 +1235,8 @@ impl<R: Rule> Actor for Smr<R> {
             TimerToken::QuitWait { .. }
             | TimerToken::ShareQc { .. }
             | TimerToken::EnterNew { .. }
-            | TimerToken::LeaderStatus { .. } => R::on_timer(self, token, ctx),
+            | TimerToken::LeaderStatus { .. }
+            | TimerToken::Order => R::on_timer(self, token, ctx),
         }
     }
 

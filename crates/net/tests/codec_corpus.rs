@@ -95,11 +95,7 @@ fn golden_hs() -> HsMsg {
 }
 
 fn golden_tb() -> TbMsg {
-    TbMsg {
-        payload: TbPayload::Repair { from_height: 9 },
-        signer: 3,
-        sig: frozen_sig(TB_REPAIR, 3),
-    }
+    TbMsg::from_parts(TbPayload::Repair { from_height: 9 }, 1, 3, frozen_sig(TB_REPAIR, 3))
 }
 
 /// Every golden frame, for the structural sweeps below.
@@ -464,9 +460,9 @@ fn hostile_count_prefix_is_rejected_at_every_sequence_position() {
         3,
     );
 
-    // Trusted baseline: header 4 + tag 1 + signer 4.
-    let tb = TbMsg { payload: TbPayload::RepairReply { blocks }, signer: 3, sig: kp.sign(b"tb") };
-    hostile("tb repair reply", &tb, 9, 3);
+    // Trusted baseline: the same envelope as Sync HotStuff's.
+    let tb = TbMsg::from_parts(TbPayload::RepairReply { blocks, view: 1 }, 1, 3, kp.sign(b"tb"));
+    hostile("tb repair reply", &tb, 17, 3);
 
     // Broadcast: the certificate inside a Terminate (header 4 + kind 1 +
     // signer 4).

@@ -40,7 +40,7 @@ const HS_SHAPES: u32 = 13;
 /// Distinct shapes `bb_variant` can produce.
 const BB_SHAPES: u32 = 3;
 /// Distinct shapes `tb_variant` can produce.
-const TB_SHAPES: u32 = 4;
+const TB_SHAPES: u32 = 10;
 
 fn rand_scheme(rng: &mut StdRng) -> SigScheme {
     SigScheme::ALL[rng.gen_range(0..SigScheme::ALL.len())]
@@ -211,15 +211,31 @@ fn bb_variant(ix: u32, rng: &mut StdRng, pki: &KeyStore) -> BbMsg {
 
 /// One [`TbPayload`] of shape `ix ∈ 0..TB_SHAPES`.
 fn tb_variant(ix: u32, rng: &mut StdRng, pki: &KeyStore) -> TbMsg {
-    let payload = match ix {
-        0 => TbPayload::Request { batch: rand_commands(rng), seq: rng.gen() },
-        1 => TbPayload::Ordered { block: rand_block(rng) },
-        2 => TbPayload::Repair { from_height: rng.gen() },
-        _ => TbPayload::RepairReply { blocks: rand_blocks(rng) },
+    let mk = |payload, rng: &mut StdRng| {
+        let signer = rng.gen_range(0..N);
+        let sig = pki.keypair(signer).sign(b"tb");
+        TbMsg::from_parts(payload, rng.gen_range(0..1000), signer, sig)
     };
-    let signer = rng.gen_range(0..N);
-    let sig = pki.keypair(signer).sign(b"tb");
-    TbMsg { payload, signer, sig }
+    let payload = match ix {
+        0 => TbPayload::Propose { block: rand_block(rng) },
+        1 => TbPayload::Upload { batch: rand_commands(rng), seq: rng.gen() },
+        2 => TbPayload::Blame { proof: None },
+        3 => {
+            let a = tb_variant(0, rng, pki);
+            let b = tb_variant(0, rng, pki);
+            TbPayload::Blame { proof: Some(Box::new((a, b))) }
+        }
+        4 => {
+            let data = rand_digest(rng);
+            TbPayload::BlameQc(rand_qc(rng, pki, data))
+        }
+        5 => TbPayload::SyncRequest { want: rand_digest(rng) },
+        6 => TbPayload::SyncResponse { blocks: rand_blocks(rng) },
+        7 => TbPayload::Forward { commands: rand_commands(rng) },
+        8 => TbPayload::Repair { from_height: rng.gen() },
+        _ => TbPayload::RepairReply { blocks: rand_blocks(rng), view: rng.gen() },
+    };
+    mk(payload, rng)
 }
 
 /// The full round-trip triple for one message.

@@ -12,10 +12,10 @@
 use std::sync::Arc;
 
 use eesmr_baselines::sync_hotstuff::{build_hs_replicas, HsConfig, HsPacing, HsVariant};
-use eesmr_baselines::trusted::{build_tb_nodes, TbConfig, HUB};
-use eesmr_baselines::{HsReplica, TbNode};
+use eesmr_baselines::trusted::{build_tb_replicas, tb_config, HUB};
+use eesmr_baselines::{HsReplica, TbReplica};
 use eesmr_core::{
-    build_replicas, Block, Config, Metrics, Pacing, Replica, Rule, Smr, WorkloadSource,
+    build_replicas, Block, Config, FaultMode, Metrics, Pacing, Replica, Rule, Smr, WorkloadSource,
 };
 use eesmr_crypto::{Digest, KeyStore};
 use eesmr_energy::Medium;
@@ -49,9 +49,8 @@ pub trait ReplicaView: Actor {
     fn attach_workload(&mut self, source: Box<dyn WorkloadSource>);
 }
 
-// Each impl forwards to the inherent method of the same name (inherent
-// methods win resolution).
-
+// The one impl forwards to the inherent methods of the same name
+// (inherent methods win resolution).
 impl<R: Rule> ReplicaView for Smr<R> {
     fn committed(&self) -> &[Digest] {
         self.committed()
@@ -73,37 +72,9 @@ impl<R: Rule> ReplicaView for Smr<R> {
     }
     /// In view `v` or later and past the rule's view-change rounds (EESMR
     /// resumes steady state in round 3; Sync HotStuff has no such rounds).
+    /// The trusted baseline has no view change: a view target holds at once.
     fn resumed_in_view(&self, v: u64) -> bool {
         self.resumed_in_view(v)
-    }
-    fn attach_workload(&mut self, source: Box<dyn WorkloadSource>) {
-        self.attach_workload(source)
-    }
-}
-
-impl ReplicaView for TbNode {
-    fn committed(&self) -> &[Digest] {
-        self.committed()
-    }
-    fn committed_height(&self) -> u64 {
-        self.committed_height()
-    }
-    fn block(&self, id: &Digest) -> Option<&Block> {
-        self.block(id)
-    }
-    fn metrics(&self) -> &Metrics {
-        self.metrics()
-    }
-    fn tx_latencies(&self) -> &LogHistogram {
-        self.tx_latencies()
-    }
-    fn peak_backlog(&self) -> usize {
-        self.peak_backlog()
-    }
-    /// The baseline has no views: a view target holds vacuously, so such
-    /// a run stops before its first event.
-    fn resumed_in_view(&self, _v: u64) -> bool {
-        true
     }
     fn attach_workload(&mut self, source: Box<dyn WorkloadSource>) {
         self.attach_workload(source)
@@ -130,7 +101,7 @@ pub enum Replicas {
     /// Sync HotStuff or OptSync.
     SyncHs(Vec<HsReplica>),
     /// The trusted-hub baseline (node 0 is the hub).
-    Trusted(Vec<TbNode>),
+    Trusted(Vec<TbReplica>),
 }
 
 /// A built scenario cell: everything a backend needs to drive it.
@@ -170,47 +141,40 @@ impl Scenario {
     pub fn build(&self, mut net: NetConfig, delta: SimDuration, plan: &FaultPlan) -> Cell {
         net.link_faults = plan.link_faults();
         let pki = Arc::new(KeyStore::generate(self.n, self.scheme, self.seed));
-        let ids = 0..self.n as u32;
-        let role = |id| NodeRole {
-            faulty: plan.is_faulty(id),
-            excused: plan.is_excused(id),
-            is_hub: false,
-        };
-        let (f, roles, replicas) = match self.protocol {
+        let mode = |id| plan.mode(self.protocol, id);
+        let (f, replicas) = match self.protocol {
             Protocol::Eesmr => {
                 let config = self.eesmr_config(delta);
-                let mut replicas = build_replicas(&config, &pki, |id| plan.eesmr_mode(id));
+                let mut replicas = build_replicas(&config, &pki, mode);
                 self.attach_workloads(&mut replicas, 0);
-                (config.f, ids.map(role).collect(), Replicas::Eesmr(replicas))
+                (config.f, Replicas::Eesmr(replicas))
             }
             Protocol::SyncHotStuff | Protocol::OptSync => {
                 let config = self.hs_config(delta);
-                let mut replicas = build_hs_replicas(&config, &pki, |id| plan.eesmr_mode(id));
+                let mut replicas = build_hs_replicas(&config, &pki, mode);
                 self.attach_workloads(&mut replicas, 0);
-                (config.f, ids.map(role).collect(), Replicas::SyncHs(replicas))
+                (config.f, Replicas::SyncHs(replicas))
             }
             Protocol::TrustedBaseline => {
-                let mut config = TbConfig::new(self.n, self.payload_bytes, delta * 2);
+                let mut config = tb_config(self.n, delta);
+                config.payload_bytes = self.payload_bytes;
                 config.batch_policy = self.effective_batch_policy();
                 config.offered_load = self.offered_load;
-                let mut nodes = build_tb_nodes(&config, &pki, |id| plan.tb_fault(id));
+                let mut replicas = build_tb_replicas(&config, &pki, mode);
                 // The hub orders but never originates: spokes 1..n map
                 // onto workload slots 0..n-1.
-                self.attach_workloads(&mut nodes, 1);
-                // View-keyed behaviours translate to permanent silence in
-                // the view-less baseline (see `FaultPlan::tb_fault`), so
-                // the excuse comes from the translated fault; the hub is
-                // trusted, never faulty.
-                let roles = ids
-                    .map(|id| NodeRole {
-                        faulty: id != HUB && plan.is_faulty(id),
-                        excused: plan.tb_is_excused(id),
-                        is_hub: id == HUB,
-                    })
-                    .collect();
-                (0, roles, Replicas::Trusted(nodes))
+                self.attach_workloads(&mut replicas, 1);
+                (0, Replicas::Trusted(replicas))
             }
         };
+        let hub = (self.protocol == Protocol::TrustedBaseline).then_some(HUB);
+        let roles = (0..self.n as u32)
+            .map(|id| NodeRole {
+                faulty: mode(id) != FaultMode::Honest,
+                excused: FaultPlan::excuses(mode(id)),
+                is_hub: hub == Some(id),
+            })
+            .collect();
         Cell { net, f, roles, replicas }
     }
 

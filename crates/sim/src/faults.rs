@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] names every adversarial behaviour a scenario can
 //! inject and compiles it down to the per-protocol knobs: node-level
-//! [`FaultMode`]/[`TbFault`] assignments plus a link-level
+//! [`FaultMode`] assignments plus a link-level
 //! [`LinkFaults`] schedule the network runtime enforces at transmit
 //! time. [`FaultSpec`] is the sweepable axis on top: one tag per
 //! canonical scenario (withholding, selective drop, storm,
@@ -11,9 +11,11 @@
 
 use std::collections::BTreeMap;
 
-use eesmr_baselines::trusted::TbFault;
+use eesmr_baselines::trusted::HUB;
 use eesmr_core::FaultMode;
 use eesmr_net::{LinkDrop, LinkFaults, NodeId, Partition};
+
+use crate::scenario::Protocol;
 
 /// Which nodes misbehave, and how.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -132,27 +134,25 @@ impl FaultPlan {
             || self.crash_at.contains_key(&node)
     }
 
-    /// Whether `node` is excused from the scenario's commit targets.
-    /// Silent and equivocating nodes contribute nothing by design, and a
-    /// node that crashes without a restart can never catch up — but a
-    /// withholder, a flooder, or a crash-with-restart node still runs
-    /// the protocol and **must** reach the targets like everyone else.
-    pub fn is_excused(&self, node: NodeId) -> bool {
-        self.silent_from_view.contains_key(&node)
-            || self.equivocate_in_view.contains_key(&node)
-            || matches!(self.crash_at.get(&node), Some((_, None)))
+    /// Whether a replica running under `mode` (what [`Self::mode`] builds
+    /// it with) is excused from the scenario's commit targets. Silent and
+    /// equivocating nodes contribute nothing by design, and a node that
+    /// crashes without a restart can never catch up — but a withholder, a
+    /// flooder, or a crash-with-restart node still runs the protocol and
+    /// **must** reach the targets like everyone else.
+    pub fn excuses(mode: FaultMode) -> bool {
+        matches!(
+            mode,
+            FaultMode::Silent { .. }
+                | FaultMode::Equivocate { .. }
+                | FaultMode::Crash { restart_at_us: None, .. }
+        )
     }
 
-    /// [`Self::is_excused`], evaluated against the trusted baseline's
-    /// translation of the plan ([`Self::tb_fault`]): silence *and*
-    /// withholding both become a permanently silent spoke there (the
-    /// baseline has no views and no relaying), and a crash without a
-    /// restart never rejoins — none of those can reach a commit target.
-    pub fn tb_is_excused(&self, node: NodeId) -> bool {
-        matches!(
-            self.tb_fault(node),
-            TbFault::Silent { .. } | TbFault::Crash { restart_at_us: None, .. }
-        )
+    /// [`Self::excuses`] for `node` under the ring protocols' mode
+    /// ([`Self::eesmr_mode`]).
+    pub fn is_excused(&self, node: NodeId) -> bool {
+        Self::excuses(self.eesmr_mode(node))
     }
 
     /// Number of faulty nodes (link-level faults afflict links, not
@@ -188,6 +188,14 @@ impl FaultPlan {
         links.max(crashes)
     }
 
+    /// The fault mode `protocol`'s replica `node` is built with.
+    pub fn mode(&self, protocol: Protocol, node: NodeId) -> FaultMode {
+        match protocol {
+            Protocol::TrustedBaseline => self.tb_fault(node),
+            _ => self.eesmr_mode(node),
+        }
+    }
+
     /// The fault mode of replica `node` (EESMR and Sync HotStuff share
     /// one adversary model). A node in several maps takes the strongest
     /// behaviour: silence > equivocation > crash > withholding
@@ -208,21 +216,25 @@ impl FaultPlan {
         }
     }
 
-    /// The trusted-baseline fault for `node`. The baseline has no views,
-    /// so view-keyed behaviours translate to their time-domain analogue:
-    /// silence and withholding both become a spoke that stops
-    /// contributing; equivocation has no meaning against a hub that
-    /// signs the only chain and maps to honest.
-    pub fn tb_fault(&self, node: NodeId) -> TbFault {
-        if self.silent_from_view.contains_key(&node) || self.withhold_from_view.contains_key(&node)
+    /// The trusted-baseline fault mode of `node`. The baseline never
+    /// leaves view 1, so view-keyed behaviours hold from the start:
+    /// silence and withholding both become a spoke that is silent (the
+    /// baseline relays nothing), a storm storms from view 1, and
+    /// equivocation has no meaning against a hub that signs the only
+    /// chain and maps to honest. The externally powered hub is honest.
+    pub fn tb_fault(&self, node: NodeId) -> FaultMode {
+        if node == HUB {
+            FaultMode::Honest
+        } else if self.silent_from_view.contains_key(&node)
+            || self.withhold_from_view.contains_key(&node)
         {
-            TbFault::Silent { from_us: 0 }
+            FaultMode::Silent { from_view: 1 }
         } else if let Some(&(at_us, restart_at_us)) = self.crash_at.get(&node) {
-            TbFault::Crash { at_us, restart_at_us }
+            FaultMode::Crash { at_us, restart_at_us }
         } else if let Some(&(_, repeats)) = self.storm_from_view.get(&node) {
-            TbFault::Storm { repeats }
+            FaultMode::Storm { from_view: 1, repeats }
         } else {
-            TbFault::Honest
+            FaultMode::Honest
         }
     }
 }
@@ -383,9 +395,14 @@ mod tests {
             p.eesmr_mode(5),
             FaultMode::Crash { at_us: 10_000, restart_at_us: Some(50_000) }
         );
-        assert_eq!(p.tb_fault(5), TbFault::Crash { at_us: 10_000, restart_at_us: Some(50_000) });
-        assert_eq!(p.tb_fault(2), TbFault::Silent { from_us: 0 });
-        assert_eq!(p.tb_fault(4), TbFault::Storm { repeats: 5 });
+        assert_eq!(p.tb_fault(5), FaultMode::Crash { at_us: 10_000, restart_at_us: Some(50_000) });
+        assert_eq!(p.tb_fault(2), FaultMode::Silent { from_view: 1 });
+        assert_eq!(p.tb_fault(4), FaultMode::Storm { from_view: 1, repeats: 5 });
+        let q = p.clone().with_equivocator(3, 2).with_silent(0, 1);
+        assert_eq!(q.tb_fault(3), FaultMode::Honest, "no equivocation against the hub");
+        assert_eq!(q.tb_fault(0), FaultMode::Honest, "the hub is always honest");
+        assert_eq!(q.mode(Protocol::TrustedBaseline, 3), q.tb_fault(3));
+        assert_eq!(q.mode(Protocol::OptSync, 3), q.eesmr_mode(3));
     }
 
     #[test]
@@ -401,6 +418,15 @@ mod tests {
         assert!(!p.is_excused(3), "a restarted node must catch up");
         assert!(p.is_excused(4), "a dead node never commits again");
         assert!(p.is_faulty(4));
+        // One rule over the mode the cell builds. The trusted baseline: the
+        // hub is never excused, and a withholder is a silent spoke there.
+        let excused = |protocol, id| FaultPlan::excuses(p.mode(protocol, id));
+        assert!((0..5).all(|id| excused(Protocol::Eesmr, id) == p.is_excused(id)));
+        let tb: Vec<bool> = (0..5).map(|id| excused(Protocol::TrustedBaseline, id)).collect();
+        assert_eq!(tb, [false, true, false, false, true]);
+        let equivocator = FaultPlan::none().with_equivocator(2, 1);
+        assert!(equivocator.is_excused(2));
+        assert!(!FaultPlan::excuses(equivocator.mode(Protocol::TrustedBaseline, 2)));
     }
 
     #[test]

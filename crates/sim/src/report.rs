@@ -481,15 +481,18 @@ mod tests {
             let delta = net.delta();
             scenario.build(net, delta, &plan)
         };
+        let run = |protocol, plan| {
+            let cell = cell_of(protocol, plan);
+            match cell.replicas {
+                Replicas::Eesmr(r) => finished(cell.net, &cell.roles, r),
+                Replicas::SyncHs(r) => finished(cell.net, &cell.roles, r),
+                Replicas::Trusted(r) => finished(cell.net, &cell.roles, r),
+            }
+        };
         // A silent first leader: node 0 is faulty, everyone else changes
         // view and commits under node 1.
         for protocol in [Protocol::Eesmr, Protocol::SyncHotStuff] {
-            let cell = cell_of(protocol, FaultPlan::silent_leader());
-            let nodes = match cell.replicas {
-                Replicas::Eesmr(r) => finished(cell.net, &cell.roles, r),
-                Replicas::SyncHs(r) => finished(cell.net, &cell.roles, r),
-                Replicas::Trusted(_) => unreachable!(),
-            };
+            let nodes = run(protocol, FaultPlan::silent_leader());
             assert!(nodes[0].faulty && !nodes[1].faulty, "{protocol:?}");
             assert!(nodes.iter().all(|n| !n.is_hub), "{protocol:?}");
             assert!(nodes[1].view_changes >= 1, "{protocol:?}");
@@ -497,9 +500,7 @@ mod tests {
         }
         // The trusted baseline: the hub is never faulty, even when a plan
         // names node 0; spokes are; nobody changes view.
-        let cell = cell_of(Protocol::TrustedBaseline, FaultPlan::silent_nodes([0, 2]));
-        let Replicas::Trusted(r) = cell.replicas else { unreachable!() };
-        let nodes = finished(cell.net, &cell.roles, r);
+        let nodes = run(Protocol::TrustedBaseline, FaultPlan::silent_nodes([0, 2]));
         assert!(nodes[0].is_hub && !nodes[0].faulty);
         assert!(nodes[2].faulty && !nodes[2].is_hub && !nodes[1].faulty);
         assert!(nodes.iter().all(|n| n.view_changes == 0));
