@@ -56,8 +56,11 @@ const BB_COMMIT_VOTE: &str = "ee5e01020501000000dd56de4137951d9c92681b03416ec15f
 const HS_REPAIR: &str = "ee5e01030e0100000000000000020000000200000000000000\
                          0a02000000289fa35e4cc0bd07db085bff98db8f65f1a3e2cf58ff5bdfd7b0d3ee4bf6a3cf";
 
-/// `TbMsg { Repair { from_height: 9 }, signer: 3 }`.
-const TB_REPAIR: &str = "ee5e010403030000000900000000000000\
+/// `TbMsg { Repair { from_height: 9 }, view: 1, signer: 3 }`. Re-frozen,
+/// with the same authenticator, when the trusted baseline moved onto the
+/// replica skeleton's signed envelope: its frame gained the envelope's
+/// `MsgKind` tag and `view` (the layout of `HsMsg`).
+const TB_REPAIR: &str = "ee5e01040e0100000000000000030000000900000000000000\
                          0a03000000946112687fd3b3f64c917a4ea41fbc70effe8b423fdb6d6806627afd3d88f676";
 
 /// The authenticator a golden frame carries, taken as given: its last 32

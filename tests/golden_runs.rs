@@ -146,7 +146,13 @@ fn fingerprint(scenario: &Scenario) -> u64 {
 /// every correct node, every trace event and the elapsed time are as
 /// before. The eight pins marked `tie` were re-captured when the event
 /// order became `(tick, deliveries before timers, push order)`: same-tick
-/// events that popped by per-origin key now pop by that rule.
+/// events that popped by per-origin key now pop by that rule. The three
+/// pins marked `skeleton` were re-captured when the trusted baseline became
+/// a rule on the replica skeleton: every frame carries the envelope's view
+/// (8 more bytes on the expensive medium), blocks are cut in view 1 and in
+/// `(seq, spoke)` order, and a repaired spoke hashes the blocks it is sent.
+/// Every node's signs, verifies and committed heights, the k-casts and the
+/// elapsed time are as before.
 const PINS: [u64; 31] = [
     0xcc5a74bc5c82fe90,
     0x464edcc3cc423bab, // tie
@@ -157,11 +163,11 @@ const PINS: [u64; 31] = [
     0x33186f0041ade711,
     0x288d5338a4807a9d,
     0x673dfab3d85b5fd9, // repair
-    0xbdbf879fc219fbfa,
+    0x4ec878d492f6f869, // skeleton
     // The trusted hub is node 0 and never faulty: "silent leader" is the
     // honest run.
-    0xbdbf879fc219fbfa,
-    0x377708c0b26d982b,
+    0x4ec878d492f6f869, // skeleton
+    0xb94504cf5c21840f, // skeleton
     0xb0f40312800f6be6,
     0x2c6dfb1a81a89e00,
     // The shared-machine cells, captured on the commit before EESMR and
