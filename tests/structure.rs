@@ -130,7 +130,7 @@ const RULES: &[Rule] = &[
             needles: &[".recv_mj(", ".shared_recv_mj(", ".dup_recv_mj("], cut_tests: true,
             expect: Files(&["crates/net/src/channel.rs"]), ..C }],
         sample: ("crates/sim/src/bin/price.rs", "let mj = cost.recv_mj(40);") },
-    // This change. The trusted baseline is a fourth rule on the replica skeleton: its own
+    // 280622c. The trusted baseline is a fourth rule on the replica skeleton: its own
     // replica, fault enum and timers went, and the skeleton's `ReplicaView` impl is the one.
     Rule { name: "trusted baseline (a rule on the skeleton)", base: "49ec302", checks: &[
         Check { needles: &["TbNode", "TbFault", "TbTimer", "build_tb_nodes"], word: true, ..C },
