@@ -10,41 +10,31 @@
 //! The blame equivocation proof embeds the two conflicting messages as
 //! full frames, exactly like `SignedMsg` blames.
 
-use eesmr_core::{Block, CertifiedBlock, Commands, MsgKind, QuorumCert};
+use eesmr_core::{Block, CertifiedBlock, Commands, MsgKind, QuorumCert, Shared};
 use eesmr_crypto::Digest;
 use eesmr_net::wire_enum;
 
-use crate::sync_hotstuff::{HsMsg, HsPayload};
-use crate::trusted::{TbMsg, TbPayload};
+use crate::sync_hotstuff::HsPayload;
+use crate::trusted::TbPayload;
 
 wire_enum! { HsPayload: MsgKind = "sync-hotstuff kind" {
     MsgKind::Propose => Propose { block: Block, justify: Option<QuorumCert> },
     MsgKind::HsVote => Vote { block_id: Digest, height: u64 },
-    MsgKind::Blame => Blame { proof: Option<Box<(HsMsg, HsMsg)>> },
-    MsgKind::BlameQc => BlameQc(qc: QuorumCert),
     MsgKind::LockStatus => Status { cert: Option<CertifiedBlock> },
-    MsgKind::SyncRequest => SyncRequest { want: Digest },
-    MsgKind::SyncResponse => SyncResponse { blocks: Vec<Block> = "sync-response blocks" },
-    MsgKind::Forward => Forward { commands: Commands },
-    MsgKind::Repair => Repair { from_height: u64 },
-    MsgKind::RepairReply => RepairReply { blocks: Vec<Block> = "repair-reply blocks", view: u64 },
+    _ => Shared(Shared<HsPayload>),
 } }
 
 wire_enum! { TbPayload: MsgKind = "trusted-baseline kind" {
     MsgKind::Propose => Propose { block: Block },
     MsgKind::Upload => Upload { batch: Commands, seq: u64 },
-    MsgKind::Blame => Blame { proof: Option<Box<(TbMsg, TbMsg)>> },
-    MsgKind::BlameQc => BlameQc(qc: QuorumCert),
-    MsgKind::SyncRequest => SyncRequest { want: Digest },
-    MsgKind::SyncResponse => SyncResponse { blocks: Vec<Block> = "sync-response blocks" },
-    MsgKind::Forward => Forward { commands: Commands },
-    MsgKind::Repair => Repair { from_height: u64 },
-    MsgKind::RepairReply => RepairReply { blocks: Vec<Block> = "repair-reply blocks", view: u64 },
+    _ => Shared(Shared<TbPayload>),
 } }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync_hotstuff::HsMsg;
+    use crate::trusted::TbMsg;
     use eesmr_core::message::signing_bytes;
     use eesmr_core::Command;
     use eesmr_crypto::{KeyStore, SigScheme};
@@ -80,16 +70,18 @@ mod tests {
             HsPayload::Propose { block: b1.clone(), justify: Some(qc.clone()) },
             HsPayload::Propose { block: b1.clone(), justify: None },
             HsPayload::Vote { block_id: b1.id(), height: 1 },
-            HsPayload::Blame { proof: None },
-            HsPayload::Blame { proof: Some(Box::new((p1, p2))) },
-            HsPayload::BlameQc(qc),
+            HsPayload::Shared(Shared::Blame { proof: None }),
+            HsPayload::Shared(Shared::Blame { proof: Some(Box::new((p1, p2))) }),
+            HsPayload::Shared(Shared::BlameQc(qc)),
             HsPayload::Status { cert: Some(cert) },
             HsPayload::Status { cert: None },
-            HsPayload::SyncRequest { want: b1.id() },
-            HsPayload::SyncResponse { blocks: vec![g.clone(), b1.clone()] },
-            HsPayload::Forward { commands: Commands::from(vec![Command::synthetic(3, 12)]) },
-            HsPayload::Repair { from_height: 2 },
-            HsPayload::RepairReply { blocks: vec![b1.clone()], view: 3 },
+            HsPayload::Shared(Shared::SyncRequest { want: b1.id() }),
+            HsPayload::Shared(Shared::SyncResponse { blocks: vec![g.clone(), b1.clone()] }),
+            HsPayload::Shared(Shared::Forward {
+                commands: Commands::from(vec![Command::synthetic(3, 12)]),
+            }),
+            HsPayload::Shared(Shared::Repair { from_height: 2 }),
+            HsPayload::Shared(Shared::RepairReply { blocks: vec![b1.clone()], view: 3 }),
         ];
         for payload in payloads {
             roundtrip(&mk(payload));
@@ -114,14 +106,16 @@ mod tests {
         let payloads = vec![
             TbPayload::Propose { block: b1.clone() },
             TbPayload::Upload { batch: Commands::from(vec![Command::synthetic(0, 8)]), seq: 4 },
-            TbPayload::Blame { proof: None },
-            TbPayload::Blame { proof: Some(Box::new((p1, p2))) },
-            TbPayload::BlameQc(qc),
-            TbPayload::SyncRequest { want: b1.id() },
-            TbPayload::SyncResponse { blocks: vec![g.clone(), b1.clone()] },
-            TbPayload::Forward { commands: Commands::from(vec![Command::synthetic(3, 12)]) },
-            TbPayload::Repair { from_height: 1 },
-            TbPayload::RepairReply { blocks: vec![b1], view: 1 },
+            TbPayload::Shared(Shared::Blame { proof: None }),
+            TbPayload::Shared(Shared::Blame { proof: Some(Box::new((p1, p2))) }),
+            TbPayload::Shared(Shared::BlameQc(qc)),
+            TbPayload::Shared(Shared::SyncRequest { want: b1.id() }),
+            TbPayload::Shared(Shared::SyncResponse { blocks: vec![g.clone(), b1.clone()] }),
+            TbPayload::Shared(Shared::Forward {
+                commands: Commands::from(vec![Command::synthetic(3, 12)]),
+            }),
+            TbPayload::Shared(Shared::Repair { from_height: 1 }),
+            TbPayload::Shared(Shared::RepairReply { blocks: vec![b1], view: 1 }),
         ];
         for payload in payloads {
             roundtrip(&mk(payload));
@@ -132,11 +126,26 @@ mod tests {
     fn cross_family_decode_is_rejected() {
         let pki = pki();
         let sig = pki.keypair(0).sign(b"m");
-        let hs = HsMsg::from_parts(HsPayload::Repair { from_height: 0 }, 1, 0, sig);
+        let hs = HsMsg::from_parts(HsPayload::Shared(Shared::Repair { from_height: 0 }), 1, 0, sig);
         let bytes = hs.encode();
         assert!(matches!(
             TbMsg::decode(&bytes),
             Err(CodecError::UnknownTag { what: "message family", .. })
         ));
+    }
+
+    /// A kind neither the family's rows nor the shared table name is
+    /// reported under the family's label, not the shared table's.
+    #[test]
+    fn unknown_kinds_carry_the_family_label() {
+        let sig = pki().keypair(0).sign(b"m");
+        let hs = HsPayload::Shared(Shared::Repair { from_height: 0 });
+        let tb = TbPayload::Shared(Shared::Repair { from_height: 0 });
+        let mut hs = HsMsg::from_parts(hs, 1, 0, sig.clone()).encode();
+        let mut tb = TbMsg::from_parts(tb, 1, 0, sig).encode();
+        (hs[4], tb[4]) = (MsgKind::Certify as u8, MsgKind::HsVote as u8); // the kind byte
+        let unknown = |what, tag| CodecError::UnknownTag { what, tag };
+        assert_eq!(HsMsg::decode(&hs).unwrap_err(), unknown("sync-hotstuff kind", hs[4]));
+        assert_eq!(TbMsg::decode(&tb).unwrap_err(), unknown("trusted-baseline kind", tb[4]));
     }
 }

@@ -24,12 +24,10 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use eesmr_core::message::block_ids_digest;
 use eesmr_core::{
-    BatchPolicy, Block, CertifiedBlock, Commands, Envelope, MsgKind, Params, QuorumCert, Rule,
-    SignedPayload, Smr, TimerToken,
+    BatchPolicy, Block, CertifiedBlock, Envelope, MsgKind, Params, QuorumCert, Rule, Shared,
+    SignedPayload, Smr, SmrPayload, TimerToken,
 };
-use eesmr_crypto::sha256::Sha256;
 use eesmr_crypto::{Digest, Hashable, KeyMap, KeySet, KeyStore, Signature};
 use eesmr_net::codec::family;
 use eesmr_net::{NodeId, SimDuration, TraceClass, TraceEventKind};
@@ -135,49 +133,14 @@ pub enum HsPayload {
         /// Its height.
         height: u64,
     },
-    /// Blame (optionally with an equivocation proof).
-    Blame {
-        /// Two conflicting proposals, if equivocation was observed.
-        proof: Option<Box<(HsMsg, HsMsg)>>,
-    },
-    /// Certificate of f+1 blames.
-    BlameQc(QuorumCert),
     /// Status for the new leader: the sender's highest certificate.
     Status {
         /// Highest certified block, if any was ever certified.
         cert: Option<CertifiedBlock>,
     },
-    /// Chain sync request.
-    SyncRequest {
-        /// Wanted block.
-        want: Digest,
-    },
-    /// Chain sync response.
-    SyncResponse {
-        /// Blocks, nearest first.
-        blocks: Vec<Block>,
-    },
-    /// Client commands relayed from a non-leading node to the current
-    /// proposer (command forwarding).
-    Forward {
-        /// The forwarded commands, in injection order (Arc-backed so
-        /// per-hop clones are refcount bumps).
-        commands: Commands,
-    },
-    /// A restarted replica's catch-up request (crash-recovery repair).
-    Repair {
-        /// The requester's last durable committed height.
-        from_height: u64,
-    },
-    /// A committed-chain suffix answering a [`HsPayload::Repair`]
-    /// (hash-chained oldest first, so it is self-certifying), plus the
-    /// responder's current view.
-    RepairReply {
-        /// Committed blocks above the requested height, oldest first.
-        blocks: Vec<Block>,
-        /// The responder's current view.
-        view: u64,
-    },
+    /// Blames, chain sync, forwarding and repair: the variants every
+    /// family shares.
+    Shared(Shared<HsPayload>),
 }
 
 impl SignedPayload for HsPayload {
@@ -189,36 +152,36 @@ impl SignedPayload for HsPayload {
                 Digest::of_parts(&[b"hs-prop", block.id().as_bytes(), &block.height.to_le_bytes()])
             }
             HsPayload::Vote { block_id, .. } => *block_id,
-            HsPayload::Blame { .. } => Digest::of_parts(&[b"hs-blame", &view.to_le_bytes()]),
-            HsPayload::BlameQc(qc) => qc.digest(),
             HsPayload::Status { cert } => match cert {
                 Some(c) => c.qc.digest(),
                 None => Digest::of(b"hs-status-none"),
             },
-            HsPayload::SyncRequest { want } => *want,
-            HsPayload::SyncResponse { blocks } => block_ids_digest(Sha256::new(), blocks),
-            HsPayload::Forward { commands } => {
-                let mut h = Sha256::new();
-                h.update(b"hs-fwd");
-                for c in commands {
-                    c.encode_into(&mut h);
-                }
-                h.finalize()
-            }
-            HsPayload::Repair { from_height } => {
-                Digest::of_parts(&[b"hs-repair", &from_height.to_le_bytes()])
-            }
-            HsPayload::RepairReply { blocks, view } => {
-                let mut h = Sha256::new();
-                h.update(b"hs-repair-reply");
-                h.update(&view.to_le_bytes());
-                block_ids_digest(h, blocks)
-            }
+            HsPayload::Shared(shared) => shared.signing_digest(view),
         }
     }
 }
 
-eesmr_core::smr_payload!(HsPayload { block } => block.height);
+impl SmrPayload for HsPayload {
+    const DOMAIN: &'static [u8] = b"hs-";
+
+    fn shared(&self) -> Option<&Shared<Self>> {
+        match self {
+            HsPayload::Shared(shared) => Some(shared),
+            _ => None,
+        }
+    }
+
+    fn from_shared(shared: Shared<Self>) -> Self {
+        HsPayload::Shared(shared)
+    }
+
+    fn proposal(&self) -> Option<(&Block, u64)> {
+        match self {
+            HsPayload::Propose { block, .. } => Some((block, block.height)),
+            _ => None,
+        }
+    }
+}
 
 /// A signed Sync HotStuff / OptSync message.
 pub type HsMsg = Envelope<HsPayload>;

@@ -14,10 +14,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use eesmr_core::message::block_ids_digest;
 use eesmr_core::{
-    BatchPolicy, Block, Command, Commands, Envelope, FaultMode, Params, QuorumCert, Rule,
-    SignedPayload, Smr, TimerToken,
+    BatchPolicy, Block, Command, Commands, Envelope, FaultMode, Params, Rule, Shared,
+    SignedPayload, Smr, SmrPayload, TimerToken,
 };
 use eesmr_crypto::sha256::Sha256;
 use eesmr_crypto::{Digest, Hashable, KeySet, KeyStore};
@@ -54,7 +53,7 @@ pub fn tb_config(n: usize, delta: SimDuration) -> TbConfig {
     }
 }
 
-/// Message payloads: the eight the skeleton shares, and the upload.
+/// Message payloads: the hub's block, the upload, and the shared variants.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TbPayload {
     /// The hub's ordered block (its slot is the height).
@@ -69,49 +68,9 @@ pub enum TbPayload {
         /// Upload sequence number (one per consensus unit).
         seq: u64,
     },
-    /// Blame (never sent on the star).
-    Blame {
-        /// Two conflicting proposals, if equivocation was observed.
-        proof: Option<Box<(TbMsg, TbMsg)>>,
-    },
-    /// Certificate of blames (never sent on the star).
-    BlameQc(QuorumCert),
-    /// Chain sync request (never sent on the star).
-    SyncRequest {
-        /// Wanted block.
-        want: Digest,
-    },
-    /// Chain sync response (never sent on the star).
-    SyncResponse {
-        /// Blocks, nearest first.
-        blocks: Vec<Block>,
-    },
-    /// Forwarded commands (never sent on the star: spokes upload).
-    Forward {
-        /// The commands.
-        commands: Commands,
-    },
-    /// A lagging spoke's catch-up request, to the hub.
-    Repair {
-        /// The spoke's committed height.
-        from_height: u64,
-    },
-    /// The hub's answer: the ordered-chain suffix, oldest first.
-    RepairReply {
-        /// Blocks above the requested height, oldest first.
-        blocks: Vec<Block>,
-        /// The hub's view.
-        view: u64,
-    },
-}
-
-/// `H(tag ‖ n ‖ commands)`.
-fn digest(tag: &[u8], n: u64, commands: &[Command]) -> Digest {
-    let mut h = Sha256::new();
-    h.update(tag);
-    h.update(&n.to_le_bytes());
-    commands.iter().for_each(|c| c.encode_into(&mut h));
-    h.finalize()
+    /// Blames, chain sync, forwarding and repair: the variants every
+    /// family shares. On the star only `Repair` and `RepairReply` are sent.
+    Shared(Shared<TbPayload>),
 }
 
 impl SignedPayload for TbPayload {
@@ -120,22 +79,39 @@ impl SignedPayload for TbPayload {
     fn signing_digest(&self, view: u64) -> Digest {
         match self {
             TbPayload::Propose { block } => block.id(),
-            TbPayload::Upload { batch, seq } => digest(b"tb-upload", *seq, batch),
-            TbPayload::Blame { .. } => digest(b"tb-blame", view, &[]),
-            TbPayload::BlameQc(qc) => qc.digest(),
-            TbPayload::SyncRequest { want } => *want,
-            TbPayload::SyncResponse { blocks } => block_ids_digest(Sha256::new(), blocks),
-            TbPayload::Forward { commands } => digest(b"tb-fwd", 0, commands),
-            TbPayload::Repair { from_height } => digest(b"tb-repair", *from_height, &[]),
-            TbPayload::RepairReply { blocks, view } => {
-                let ids = block_ids_digest(Sha256::new(), blocks);
-                Digest::of_parts(&[b"tb-repair-reply", &view.to_le_bytes(), ids.as_bytes()])
+            TbPayload::Upload { batch, seq } => {
+                let mut h = Sha256::new();
+                h.update(b"tb-upload");
+                h.update(&seq.to_le_bytes());
+                batch.iter().for_each(|c| c.encode_into(&mut h));
+                h.finalize()
             }
+            TbPayload::Shared(shared) => shared.signing_digest(view),
         }
     }
 }
 
-eesmr_core::smr_payload!(TbPayload { block } => block.height);
+impl SmrPayload for TbPayload {
+    const DOMAIN: &'static [u8] = b"tb-";
+
+    fn shared(&self) -> Option<&Shared<Self>> {
+        match self {
+            TbPayload::Shared(shared) => Some(shared),
+            _ => None,
+        }
+    }
+
+    fn from_shared(shared: Shared<Self>) -> Self {
+        TbPayload::Shared(shared)
+    }
+
+    fn proposal(&self) -> Option<(&Block, u64)> {
+        match self {
+            TbPayload::Propose { block } => Some((block, block.height)),
+            _ => None,
+        }
+    }
+}
 
 /// A signed trusted-baseline message.
 pub type TbMsg = Envelope<TbPayload>;

@@ -110,7 +110,7 @@ type Out<R> = Output<Msg<R>, TimerToken>;
 /// The messages in `out` whose payload `pick` accepts, with their target.
 fn sent<'a, R: Family, T>(
     out: &'a [Out<R>],
-    pick: impl Fn(Shared<'a, R::Payload>) -> Option<T>,
+    pick: impl Fn(&'a R::Payload) -> Option<T>,
 ) -> Vec<(Option<NodeId>, T)> {
     out.iter()
         .filter_map(|o| match o {
@@ -118,7 +118,7 @@ fn sent<'a, R: Family, T>(
             Output::Flood { msg, target } => Some((*target, msg)),
             _ => None,
         })
-        .filter_map(|(target, m)| Some((target, pick(m.payload.shared()?)?)))
+        .filter_map(|(target, m)| Some((target, pick(&m.payload)?)))
         .collect()
 }
 
@@ -139,28 +139,43 @@ fn shared_variants_carry_the_shared_tags<R: Family>() {
     let b1 = R::proposal(&Block::genesis(), 1).0;
     let payloads = [
         (MsgKind::Propose, R::proposal(&Block::genesis(), 1).1),
-        (MsgKind::Blame, R::Payload::blame(None)),
-        (MsgKind::BlameQc, R::Payload::blame_qc(blame_qc::<R>(1, &[2, 3], &pki()))),
-        (MsgKind::SyncRequest, R::Payload::sync_request(b1.id())),
-        (MsgKind::SyncResponse, R::Payload::sync_response(vec![b1.clone()])),
-        (MsgKind::Forward, R::Payload::forward(vec![Command::synthetic(1, 16)].into())),
-        (MsgKind::Repair, R::Payload::repair(0)),
-        (MsgKind::RepairReply, R::Payload::repair_reply(vec![b1], 1)),
+        (MsgKind::Blame, R::Payload::from_shared(Shared::Blame { proof: None })),
+        (
+            MsgKind::BlameQc,
+            R::Payload::from_shared(Shared::BlameQc(blame_qc::<R>(1, &[2, 3], &pki()))),
+        ),
+        (MsgKind::SyncRequest, R::Payload::from_shared(Shared::SyncRequest { want: b1.id() })),
+        (
+            MsgKind::SyncResponse,
+            R::Payload::from_shared(Shared::SyncResponse { blocks: vec![b1.clone()] }),
+        ),
+        (
+            MsgKind::Forward,
+            R::Payload::from_shared(Shared::Forward {
+                commands: vec![Command::synthetic(1, 16)].into(),
+            }),
+        ),
+        (MsgKind::Repair, R::Payload::from_shared(Shared::Repair { from_height: 0 })),
+        (
+            MsgKind::RepairReply,
+            R::Payload::from_shared(Shared::RepairReply { blocks: vec![b1], view: 1 }),
+        ),
     ];
     for (kind, payload) in payloads {
         assert_eq!(payload.tag(), kind, "{}: {payload:?}", R::NAME);
         let same_variant = matches!(
             (kind, payload.shared()),
-            (MsgKind::Propose, Some(Shared::Propose(..)))
-                | (MsgKind::Blame, Some(Shared::Blame(..)))
+            (MsgKind::Propose, None)
+                | (MsgKind::Blame, Some(Shared::Blame { .. }))
                 | (MsgKind::BlameQc, Some(Shared::BlameQc(..)))
-                | (MsgKind::SyncRequest, Some(Shared::SyncRequest(..)))
-                | (MsgKind::SyncResponse, Some(Shared::SyncResponse(..)))
-                | (MsgKind::Forward, Some(Shared::Forward(..)))
-                | (MsgKind::Repair, Some(Shared::Repair(..)))
-                | (MsgKind::RepairReply, Some(Shared::RepairReply(..)))
+                | (MsgKind::SyncRequest, Some(Shared::SyncRequest { .. }))
+                | (MsgKind::SyncResponse, Some(Shared::SyncResponse { .. }))
+                | (MsgKind::Forward, Some(Shared::Forward { .. }))
+                | (MsgKind::Repair, Some(Shared::Repair { .. }))
+                | (MsgKind::RepairReply, Some(Shared::RepairReply { .. }))
         );
         assert!(same_variant, "{}: {kind:?} reads as {:?}", R::NAME, payload.shared());
+        assert_eq!(payload.proposal().is_some(), kind == MsgKind::Propose, "{}", R::NAME);
     }
 }
 
@@ -191,12 +206,17 @@ fn valid_third_party_proof_aborts_the_view<R: Family>() {
         "{rule}: the first proposal is accepted"
     );
     // …and learns of the other from node 2's blame.
-    let blame = signed::<R>(R::Payload::blame(Some(Box::new((first, twin)))), 1, &pki, 2);
+    let blame = signed::<R>(
+        R::Payload::from_shared(Shared::Blame { proof: Some(Box::new((first, twin))) }),
+        1,
+        &pki,
+        2,
+    );
     let out = h.deliver(2, blame);
     assert_eq!(h.actor().metrics().equivocations_detected, 1, "{rule}");
     assert!(out.iter().any(|o| matches!(o, Output::CancelTimer(_))), "{rule}: commits cancelled");
-    let relayed = sent::<R, _>(&out, |p| match p {
-        Shared::Blame(proof) => Some(proof.is_some()),
+    let relayed = sent::<R, _>(&out, |p| match p.shared()? {
+        Shared::Blame { proof } => Some(proof.is_some()),
         _ => None,
     });
     assert_eq!(relayed, vec![(None, true)], "{rule}: the proof is flooded on, once");
@@ -221,8 +241,14 @@ fn invalid_proofs_abort_nothing<R: Family>() {
     ];
     for (what, second) in cases {
         let mut h = replica::<R>(1, &pki, 1);
-        let blame =
-            signed::<R>(R::Payload::blame(Some(Box::new((first.clone(), second)))), 1, &pki, 2);
+        let blame = signed::<R>(
+            R::Payload::from_shared(Shared::Blame {
+                proof: Some(Box::new((first.clone(), second))),
+            }),
+            1,
+            &pki,
+            2,
+        );
         let out = h.deliver(2, blame);
         assert_eq!(h.actor().metrics().equivocations_detected, 0, "{rule}: {what}");
         assert!(!h.actor().view_aborted, "{rule}: {what}");
@@ -250,14 +276,16 @@ fn duplicate_blames_count_once<R: Family>() {
     let rule = R::NAME;
     let pki = pki();
     let mut h = replica::<R>(1, &pki, 1);
-    let blame = |signer| signed::<R>(R::Payload::blame(None), 1, &pki, signer);
+    let blame = |signer| {
+        signed::<R>(R::Payload::from_shared(Shared::Blame { proof: None }), 1, &pki, signer)
+    };
     for _ in 0..3 {
         let out = h.deliver(2, blame(2));
         assert!(out.is_empty(), "{rule}: one signer, however often, is one blame");
     }
     // A second signer completes f + 1 = 2.
     let out = h.deliver(3, blame(3));
-    let certs = sent::<R, _>(&out, |p| match p {
+    let certs = sent::<R, _>(&out, |p| match p.shared()? {
         Shared::BlameQc(qc) => Some(qc.sigs.iter().map(|(n, _)| *n).collect::<Vec<_>>()),
         _ => None,
     });
@@ -266,7 +294,7 @@ fn duplicate_blames_count_once<R: Family>() {
 }
 
 fn blame_qc<R: Family>(view: u64, signers: &[NodeId], pki: &KeyStore) -> QuorumCert {
-    let data = R::Payload::blame(None).signing_digest(view);
+    let data = R::Payload::from_shared(Shared::Blame { proof: None }).signing_digest(view);
     let bytes = eesmr_core::message::signing_bytes(MsgKind::Blame, view, &data);
     let sigs = signers.iter().map(|&n| (n, pki.keypair(n).sign(&bytes))).collect();
     QuorumCert { kind: MsgKind::Blame, view, data, height: 0, sigs }
@@ -287,13 +315,15 @@ fn weak_or_foreign_blame_certificates_are_ignored<R: Family>() {
     ];
     for (what, qc) in cases {
         let mut h = replica::<R>(1, &pki, 1);
-        let out = h.deliver(2, signed::<R>(R::Payload::blame_qc(qc), 1, &pki, 2));
+        let out =
+            h.deliver(2, signed::<R>(R::Payload::from_shared(Shared::BlameQc(qc)), 1, &pki, 2));
         assert!(out.is_empty(), "{rule}: {what}");
         assert!(!h.actor().view_aborted, "{rule}: {what}");
     }
     let mut h = replica::<R>(1, &pki, 1);
     let valid = blame_qc::<R>(1, &[2, 3], &pki);
-    let out = h.deliver(2, signed::<R>(R::Payload::blame_qc(valid), 1, &pki, 2));
+    let out =
+        h.deliver(2, signed::<R>(R::Payload::from_shared(Shared::BlameQc(valid)), 1, &pki, 2));
     assert!(quit_scheduled::<R>(&out), "{rule}: f + 1 valid blames for this view quit it");
 }
 
@@ -397,9 +427,12 @@ fn sync_response_is_capped<R: Family>() {
         tip = R::proposal(&tip, tag).0;
         h.actor_mut().store.insert(tip.clone());
     }
-    let out = h.deliver(3, signed::<R>(R::Payload::sync_request(tip.id()), 1, &pki, 3));
-    let replies = sent::<R, _>(&out, |p| match p {
-        Shared::SyncResponse(blocks) => Some(blocks.to_vec()),
+    let out = h.deliver(
+        3,
+        signed::<R>(R::Payload::from_shared(Shared::SyncRequest { want: tip.id() }), 1, &pki, 3),
+    );
+    let replies = sent::<R, _>(&out, |p| match p.shared()? {
+        Shared::SyncResponse { blocks } => Some(blocks.to_vec()),
         _ => None,
     });
     let [(Some(3), blocks)] = replies.as_slice() else {
@@ -409,7 +442,12 @@ fn sync_response_is_capped<R: Family>() {
     assert_eq!(blocks[0].id(), tip.id(), "{rule}: nearest first");
     assert!(blocks.windows(2).all(|w| w[0].parent == w[1].id()), "{rule}: a gap-free walk");
 
-    let forged = signed::<R>(R::Payload::sync_request(tip.id()), 1, &outsiders(), 3);
+    let forged = signed::<R>(
+        R::Payload::from_shared(Shared::SyncRequest { want: tip.id() }),
+        1,
+        &outsiders(),
+        3,
+    );
     assert!(h.deliver(3, forged).is_empty(), "{rule}: strangers are not served");
 }
 
@@ -437,8 +475,8 @@ impl WorkloadSource for OneShot {
 }
 
 fn forwards<R: Family>(out: &[Out<R>]) -> Vec<(Option<NodeId>, Vec<Command>)> {
-    sent::<R, _>(out, |p| match p {
-        Shared::Forward(commands) => Some(commands.iter().cloned().collect()),
+    sent::<R, _>(out, |p| match p.shared()? {
+        Shared::Forward { commands } => Some(commands.iter().cloned().collect()),
         _ => None,
     })
 }
@@ -469,8 +507,14 @@ fn a_stray_forward_is_re_routed<R: Family>() {
     let pki = pki();
     let mut h = replica::<R>(1, &pki, 1);
     let cmd = Command::new(b"lost".to_vec());
-    let stray =
-        |keys: &KeyStore| signed::<R>(R::Payload::forward(vec![cmd.clone()].into()), 1, keys, 3);
+    let stray = |keys: &KeyStore| {
+        signed::<R>(
+            R::Payload::from_shared(Shared::Forward { commands: vec![cmd.clone()].into() }),
+            1,
+            keys,
+            3,
+        )
+    };
     assert!(h.deliver(3, stray(&outsiders())).is_empty(), "{rule}: unsigned commands are dropped");
     // Node 1 does not lead view 1; node 0 does.
     let out = h.deliver(3, stray(&pki));
@@ -516,12 +560,28 @@ fn broken_repair_chains_change_nothing<R: Family>() {
     let from = R::REPAIRER;
     for (what, blocks) in cases {
         let mut h = replica::<R>(1, &pki, 1);
-        let out = h.deliver(from, signed::<R>(R::Payload::repair_reply(blocks, 7), 1, &pki, from));
+        let out = h.deliver(
+            from,
+            signed::<R>(
+                R::Payload::from_shared(Shared::RepairReply { blocks, view: 7 }),
+                1,
+                &pki,
+                from,
+            ),
+        );
         assert_untouched(&h, &out, what);
     }
     // Control: the same blocks, linked and rooted, are committed.
     let mut h = replica::<R>(1, &pki, 1);
-    h.deliver(from, signed::<R>(R::Payload::repair_reply(vec![b1, b2], 1), 1, &pki, from));
+    h.deliver(
+        from,
+        signed::<R>(
+            R::Payload::from_shared(Shared::RepairReply { blocks: vec![b1, b2], view: 1 }),
+            1,
+            &pki,
+            from,
+        ),
+    );
     assert_eq!(h.actor().committed_height(), 2, "{rule}: a sound suffix is adopted");
 }
 
@@ -534,7 +594,8 @@ fn forged_repair_reply_is_rejected<R: Family>() {
     let (b1, _) = R::proposal(&Block::genesis(), 1);
     let (b2, _) = R::proposal(&b1, 2);
     let from = R::REPAIRER;
-    let reply = R::Payload::repair_reply(vec![b1, b2], 1_000_000);
+    let reply =
+        R::Payload::from_shared(Shared::RepairReply { blocks: vec![b1, b2], view: 1_000_000 });
     let out = h.deliver(from, signed::<R>(reply, 1, &outsiders(), from));
     assert_untouched(&h, &out, "forged reply");
     assert!(h.meter().count(eesmr_energy::EnergyCategory::Verify) > 0, "{rule}: it was checked");
@@ -570,7 +631,12 @@ fn a_repair_reply_signed_by_a_spoke_changes_nothing() {
     let (b1, _) = TrustedRule::proposal(&Block::genesis(), 1);
     let (b2, _) = TrustedRule::proposal(&b1, 2);
     // A sound suffix, validly signed — by spoke 2, whose word is not taken.
-    let reply = signed::<TrustedRule>(TbPayload::repair_reply(vec![b1, b2], 1), 1, &pki, 2);
+    let reply = signed::<TrustedRule>(
+        TbPayload::from_shared(Shared::RepairReply { blocks: vec![b1, b2], view: 1 }),
+        1,
+        &pki,
+        2,
+    );
     let out = h.deliver(2, reply);
     assert_untouched(&h, &out, "a spoke's reply");
     assert_eq!(h.meter().count(eesmr_energy::EnergyCategory::Verify), 0, "not even checked");
@@ -592,10 +658,7 @@ fn the_hub_orders_a_ticks_uploads_by_seq_and_spoke_not_by_arrival() {
             h.deliver(spoke, upload(spoke, seq));
         }
         let out = h.fire(TimerToken::Order);
-        let blocks = sent::<TrustedRule, _>(&out, |p| match p {
-            Shared::Propose(block, _) => Some(block.clone()),
-            _ => None,
-        });
+        let blocks = sent::<TrustedRule, _>(&out, |p| Some(p.proposal()?.0.clone()));
         let [(None, block)] = blocks.as_slice() else { panic!("one block, k-cast: {out:?}") };
         block.clone()
     };

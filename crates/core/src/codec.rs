@@ -18,9 +18,9 @@ use eesmr_net::{wire_enum, wire_struct, NodeId};
 use crate::block::{Block, Command, Commands};
 use crate::broadcast::{BbMsg, BbPayload};
 use crate::message::{
-    CertifiedBlock, Envelope, MsgKind, Payload, QuorumCert, SignedBlock, SignedMsg, SignedPayload,
-    Status,
+    CertifiedBlock, Envelope, MsgKind, Payload, QuorumCert, SignedBlock, SignedPayload, Status,
 };
+use crate::smr::{Shared, SmrPayload};
 
 /// `len u32 | bytes`: a `u8` sequence, moved as one slice.
 impl WireCodec for Command {
@@ -106,17 +106,12 @@ wire_enum! { inline Status: u8 = "status" {
     2 => Locks(entries: Vec<SignedBlock> = "locked-block status entries"),
 } }
 
-// `HsVote` and `Upload` are baseline kinds; no `Payload` variant carries them.
-wire_enum! { Payload: MsgKind = "payload kind" {
-    MsgKind::Propose => Propose { block: Block, round: u64, justify: Option<QuorumCert> },
-    MsgKind::Blame => Blame { proof: Option<Box<(SignedMsg, SignedMsg)>> },
+// The variants every family shares. A family table's last row hands them
+// every tag its own rows do not name, so each keeps its `MsgKind` as the
+// frame's kind byte.
+wire_enum! { Shared<P: SmrPayload>: MsgKind = "shared kind" {
+    MsgKind::Blame => Blame { proof: Option<Box<(Envelope<P>, Envelope<P>)>> },
     MsgKind::BlameQc => BlameQc(qc: QuorumCert),
-    MsgKind::CommitUpdate => CommitUpdate { block: Block },
-    MsgKind::Certify => Certify { block_id: Digest, height: u64 },
-    MsgKind::CommitQc => CommitQc(cert: CertifiedBlock),
-    MsgKind::NewViewProposal => NewViewProposal { status: Status, block: Block },
-    MsgKind::NewViewVote => NewViewVote { prop_hash: Digest },
-    MsgKind::LockStatus => LockStatus { block: Block },
     MsgKind::SyncRequest => SyncRequest { want: Digest },
     MsgKind::SyncResponse => SyncResponse { blocks: Vec<Block> = "sync-response blocks" },
     MsgKind::Forward => Forward { commands: Commands },
@@ -124,7 +119,19 @@ wire_enum! { Payload: MsgKind = "payload kind" {
     MsgKind::RepairReply => RepairReply { blocks: Vec<Block> = "repair-reply blocks", view: u64 },
 } }
 
-// The signed envelope of both replica families (`SignedMsg`, `HsMsg`):
+// `HsVote` and `Upload` are baseline kinds; no `Payload` variant carries them.
+wire_enum! { Payload: MsgKind = "payload kind" {
+    MsgKind::Propose => Propose { block: Block, round: u64, justify: Option<QuorumCert> },
+    MsgKind::CommitUpdate => CommitUpdate { block: Block },
+    MsgKind::Certify => Certify { block_id: Digest, height: u64 },
+    MsgKind::CommitQc => CommitQc(cert: CertifiedBlock),
+    MsgKind::NewViewProposal => NewViewProposal { status: Status, block: Block },
+    MsgKind::NewViewVote => NewViewVote { prop_hash: Digest },
+    MsgKind::LockStatus => LockStatus { block: Block },
+    _ => Shared(Shared<Payload>),
+} }
+
+// The signed envelope of the replica families (`SignedMsg`, `HsMsg`, `TbMsg`):
 // `header | kind | view | signer | payload fields | signature`. A shared
 // handle, so it decodes through its constructor.
 wire_struct! { frame(P::FAMILY) Envelope<P> => Envelope::from_parts where P: SignedPayload {
@@ -143,6 +150,7 @@ wire_struct! { frame(family::BB_MSG) BbMsg { payload: BbPayload; signer: NodeId;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::SignedMsg;
     use eesmr_crypto::{KeyStore, SigScheme};
 
     fn pki() -> KeyStore {
@@ -199,9 +207,9 @@ mod tests {
         );
         let payloads = vec![
             Payload::Propose { block: b1.clone(), round: 7, justify: Some(qc.clone()) },
-            Payload::Blame { proof: None },
-            Payload::Blame { proof: Some(Box::new((p1, p2))) },
-            Payload::BlameQc(qc.clone()),
+            Payload::Shared(Shared::Blame { proof: None }),
+            Payload::Shared(Shared::Blame { proof: Some(Box::new((p1, p2))) }),
+            Payload::Shared(Shared::BlameQc(qc.clone())),
             Payload::CommitUpdate { block: b1.clone() },
             Payload::Certify { block_id: b1.id(), height: 1 },
             Payload::CommitQc(cert.clone()),
@@ -212,13 +220,13 @@ mod tests {
             Payload::NewViewProposal { status: Status::Locks(vec![locked]), block: b1.clone() },
             Payload::NewViewVote { prop_hash: b1.id() },
             Payload::LockStatus { block: b1.clone() },
-            Payload::SyncRequest { want: b1.id() },
-            Payload::SyncResponse { blocks: vec![g.clone(), b1.clone()] },
-            Payload::Forward {
+            Payload::Shared(Shared::SyncRequest { want: b1.id() }),
+            Payload::Shared(Shared::SyncResponse { blocks: vec![g.clone(), b1.clone()] }),
+            Payload::Shared(Shared::Forward {
                 commands: Commands::from(vec![Command::synthetic(9, 8), Command::new(vec![])]),
-            },
-            Payload::Repair { from_height: 4 },
-            Payload::RepairReply { blocks: vec![b1.clone()], view: 2 },
+            }),
+            Payload::Shared(Shared::Repair { from_height: 4 }),
+            Payload::Shared(Shared::RepairReply { blocks: vec![b1.clone()], view: 2 }),
         ];
         for payload in payloads {
             roundtrip(&SignedMsg::new(payload, 3, pki.keypair(2)));
@@ -270,7 +278,7 @@ mod tests {
     #[test]
     fn wrong_family_is_rejected() {
         let pki = pki();
-        let msg = SignedMsg::new(Payload::Blame { proof: None }, 1, pki.keypair(0));
+        let msg = SignedMsg::new(Payload::Shared(Shared::Blame { proof: None }), 1, pki.keypair(0));
         let bytes = msg.encode();
         assert!(matches!(
             BbMsg::decode(&bytes),

@@ -2,16 +2,6 @@
 
 use eesmr_net::SimDuration;
 
-/// How leaders are assigned to views (`Leader(v)` in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LeaderPolicy {
-    /// `Leader(v) = (v − 1) mod n` — "can be round-robin for simplicity".
-    RoundRobin,
-    /// Pseudo-random from a shared seed — "for expected constant-latency it
-    /// is required that the leaders are chosen randomly".
-    Seeded(u64),
-}
-
 /// How the proposer sizes each block's command batch.
 ///
 /// `Fixed` reproduces the paper's evaluation (a constant `max_batch`
@@ -205,8 +195,6 @@ pub struct Config {
     /// double counts around view changes) at the cost of up to Δ extra
     /// queueing latency.
     pub forward_batch: usize,
-    /// Leader assignment.
-    pub leader_policy: LeaderPolicy,
     /// Leader pacing (the paper's evaluation uses the blocking variant).
     pub pacing: Pacing,
     /// Crash-fault-only variant: removes the equivocation handlers
@@ -245,7 +233,6 @@ impl Config {
             batch_policy: BatchPolicy::DEFAULT,
             offered_load: 1,
             forward_batch: 1,
-            leader_policy: LeaderPolicy::RoundRobin,
             pacing: Pacing::Blocking,
             crash_only: false,
             opt_equivocation_speedup: false,
@@ -274,19 +261,10 @@ impl Config {
         self.f + 1
     }
 
-    /// `Leader(v)` — the leader of view `v ≥ 1`.
+    /// `Leader(v) = (v − 1) mod n`, the leader of view `v ≥ 1` — "can be
+    /// round-robin for simplicity".
     pub fn leader_of(&self, view: u64) -> eesmr_net::NodeId {
-        match self.leader_policy {
-            LeaderPolicy::RoundRobin => (((view - 1) as usize) % self.n) as eesmr_net::NodeId,
-            LeaderPolicy::Seeded(seed) => {
-                let d = eesmr_crypto::Digest::of_parts(&[
-                    b"leader",
-                    &seed.to_le_bytes(),
-                    &view.to_le_bytes(),
-                ]);
-                (d.to_u64() % self.n as u64) as eesmr_net::NodeId
-            }
-        }
+        (((view - 1) as usize) % self.n) as eesmr_net::NodeId
     }
 
     /// Validates the fault bound `f < n/2` required for safety.
@@ -322,20 +300,6 @@ mod tests {
         assert_eq!(c.leader_of(1), 0);
         assert_eq!(c.leader_of(2), 1);
         assert_eq!(c.leader_of(5), 0);
-    }
-
-    #[test]
-    fn seeded_leader_is_deterministic_and_in_range() {
-        let mut c = cfg(7);
-        c.leader_policy = LeaderPolicy::Seeded(11);
-        for v in 1..50 {
-            let l = c.leader_of(v);
-            assert!((l as usize) < 7);
-            assert_eq!(l, c.leader_of(v), "deterministic");
-        }
-        // Different views spread across nodes.
-        let distinct: std::collections::BTreeSet<_> = (1..50).map(|v| c.leader_of(v)).collect();
-        assert!(distinct.len() > 3);
     }
 
     #[test]

@@ -46,13 +46,13 @@ mod view_change;
 
 pub use block::{Block, BlockStore, ChainRelation, Command, Commands, Lineage};
 pub use broadcast::{build_bb_nodes, BbNode, BbOutput};
-pub use config::{BatchPolicy, Config, FaultMode, LeaderPolicy, Pacing};
+pub use config::{BatchPolicy, Config, FaultMode, Pacing};
 pub use message::{
     CertifiedBlock, Envelope, MsgKind, Payload, QuorumCert, SignedBlock, SignedMsg, SignedPayload,
     Status,
 };
 pub use metrics::Metrics;
 pub use replica::{EesmrRule, Replica};
-pub use smr::{Params, Rule, Smr, SmrPayload, TimerToken};
+pub use smr::{Params, Rule, Shared, Smr, SmrPayload, TimerToken};
 pub use txpool::{AdaptiveBatcher, TxPool, WorkloadSource};
 pub use view_change::build_replicas;

@@ -238,14 +238,6 @@ pub enum Payload {
         /// Round-2 new-view proposals carry the round-1 vote QC.
         justify: Option<QuorumCert>,
     },
-    /// Blame; optionally carrying an equivocation proof (two conflicting
-    /// signed proposals from the same leader, view, and round).
-    Blame {
-        /// `Some((p1, p2))` for equivocation blames.
-        proof: Option<Box<(SignedMsg, SignedMsg)>>,
-    },
-    /// A certificate of f+1 blames.
-    BlameQc(QuorumCert),
     /// Post-quit announcement of the sender's highest committed block.
     CommitUpdate {
         /// The committed block.
@@ -277,39 +269,9 @@ pub enum Payload {
         /// The locked block.
         block: Block,
     },
-    /// Request for a missing block (chain synchronization).
-    SyncRequest {
-        /// The wanted block id.
-        want: Digest,
-    },
-    /// A segment of blocks answering a [`Payload::SyncRequest`].
-    SyncResponse {
-        /// The blocks, nearest-descendant first.
-        blocks: Vec<Block>,
-    },
-    /// Client commands relayed from a non-leading node to the current
-    /// proposer (command forwarding — without it, a transaction injected
-    /// at a node that never leads waits in that node's pool forever).
-    Forward {
-        /// The forwarded commands, in injection order.
-        commands: crate::block::Commands,
-    },
-    /// A restarted replica's catch-up request: "send me the committed
-    /// chain above `from_height`" (crash-recovery repair protocol).
-    Repair {
-        /// The requester's last durable committed height.
-        from_height: u64,
-    },
-    /// A committed-chain suffix answering a [`Payload::Repair`]. The
-    /// blocks are hash-chained (oldest first), so the reply is
-    /// self-certifying once the requester checks the links; `view` tells
-    /// the recovering node which view the network has reached.
-    RepairReply {
-        /// Committed blocks above the requested height, oldest first.
-        blocks: Vec<Block>,
-        /// The responder's current view.
-        view: u64,
-    },
+    /// Blames, chain sync, forwarding and repair: the variants every
+    /// family shares.
+    Shared(Shared<Payload>),
 }
 
 impl SignedPayload for Payload {
@@ -320,8 +282,6 @@ impl SignedPayload for Payload {
             Payload::Propose { block, round, .. } => {
                 Digest::of_parts(&[b"propose", block.id().as_bytes(), &round.to_le_bytes()])
             }
-            Payload::Blame { .. } => Digest::of_parts(&[b"blame", &view.to_le_bytes()]),
-            Payload::BlameQc(qc) => qc.digest(),
             Payload::CommitUpdate { block } => block.id(),
             Payload::Certify { block_id, .. } => *block_id,
             Payload::CommitQc(c) => c.qc.digest(),
@@ -330,30 +290,32 @@ impl SignedPayload for Payload {
             }
             Payload::NewViewVote { prop_hash } => *prop_hash,
             Payload::LockStatus { block } => block.id(),
-            Payload::SyncRequest { want } => *want,
-            Payload::SyncResponse { blocks } => block_ids_digest(Sha256::new(), blocks),
-            Payload::Forward { commands } => {
-                let mut h = Sha256::new();
-                h.update(b"fwd");
-                for c in commands {
-                    c.encode_into(&mut h);
-                }
-                h.finalize()
-            }
-            Payload::Repair { from_height } => {
-                Digest::of_parts(&[b"repair", &from_height.to_le_bytes()])
-            }
-            Payload::RepairReply { blocks, view } => {
-                let mut h = Sha256::new();
-                h.update(b"repair-reply");
-                h.update(&view.to_le_bytes());
-                block_ids_digest(h, blocks)
-            }
+            Payload::Shared(shared) => shared.signing_digest(view),
         }
     }
 }
 
-crate::smr_payload!(Payload { block, round } => *round);
+impl SmrPayload for Payload {
+    const DOMAIN: &'static [u8] = b"";
+
+    fn shared(&self) -> Option<&Shared<Self>> {
+        match self {
+            Payload::Shared(shared) => Some(shared),
+            _ => None,
+        }
+    }
+
+    fn from_shared(shared: Shared<Self>) -> Self {
+        Payload::Shared(shared)
+    }
+
+    fn proposal(&self) -> Option<(&Block, u64)> {
+        match self {
+            Payload::Propose { block, round, .. } => Some((block, *round)),
+            _ => None,
+        }
+    }
+}
 
 /// What the signed [`Envelope`] needs from a payload family. The wire
 /// table ([`crate::codec`]) supplies the rest: the [`MsgKind`] tag of each
@@ -404,11 +366,16 @@ impl<P> std::ops::Deref for Envelope<P> {
     }
 }
 
-/// Prints the message as the plain struct it reads as, without the handle.
-impl<P: fmt::Debug> fmt::Debug for Envelope<P> {
+/// Prints the message as the plain struct it reads as, without the handle
+/// or the family's `Shared` wrapper.
+impl<P: SmrPayload> fmt::Debug for Envelope<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let payload: &dyn fmt::Debug = match self.payload.shared() {
+            Some(shared) => shared,
+            None => &self.payload,
+        };
         f.debug_struct("Envelope")
-            .field("payload", &self.payload)
+            .field("payload", payload)
             .field("view", &self.view)
             .field("signer", &self.signer)
             .field("sig", &self.sig)
@@ -477,13 +444,13 @@ impl<P: SmrPayload> eesmr_net::Message for Envelope<P> {
         let (kind, view, signer) =
             ([self.payload.tag() as u8], self.view.to_le_bytes(), self.signer.to_le_bytes());
         let key = match self.payload.shared() {
-            Some(Shared::Blame(Some((a, b)))) => Digest::of_parts(&[
+            Some(Shared::Blame { proof: Some(pair) }) => Digest::of_parts(&[
                 &kind,
                 &view,
                 &signer,
                 self.digest.as_bytes(),
-                a.digest.as_bytes(),
-                b.digest.as_bytes(),
+                pair.0.digest.as_bytes(),
+                pair.1.digest.as_bytes(),
             ]),
             _ => Digest::of_parts(&[&kind, &view, &signer, self.digest.as_bytes()]),
         };
@@ -536,9 +503,9 @@ mod tests {
     #[test]
     fn blame_signing_digests_aggregate() {
         // All blames for a view sign the same digest, so they can form QCs.
-        let a = Payload::Blame { proof: None }.signing_digest(5);
-        let b = Payload::Blame { proof: None }.signing_digest(5);
-        let c = Payload::Blame { proof: None }.signing_digest(6);
+        let a = Payload::Shared(Shared::Blame { proof: None }).signing_digest(5);
+        let b = Payload::Shared(Shared::Blame { proof: None }).signing_digest(5);
+        let c = Payload::Shared(Shared::Blame { proof: None }).signing_digest(6);
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -556,7 +523,8 @@ mod tests {
             let block = Block::extending(&g, 2, 3, vec![crate::block::Command::synthetic(tag, 8)]);
             SignedMsg::new(Payload::Propose { block, round: 3, justify: None }, 2, pki.keypair(1))
         };
-        let blame = |proof| SignedMsg::new(Payload::Blame { proof }, 2, pki.keypair(0));
+        let blame =
+            |proof| SignedMsg::new(Payload::Shared(Shared::Blame { proof }), 2, pki.keypair(0));
         let timeout = blame(None);
         let with_proof = blame(Some(Box::new((conflicting(1), conflicting(2)))));
         let other_proof = blame(Some(Box::new((conflicting(1), conflicting(3)))));
@@ -640,7 +608,8 @@ mod tests {
     #[test]
     fn repair_round_trip_and_digests() {
         let pki = pki();
-        let req = SignedMsg::new(Payload::Repair { from_height: 7 }, 2, pki.keypair(1));
+        let req =
+            SignedMsg::new(Payload::Shared(Shared::Repair { from_height: 7 }), 2, pki.keypair(1));
         assert!(req.verify_sig(&pki));
         assert!(req.matches(MsgKind::Repair, 2));
         // header 4 + kind 1 + view 8 + signer 4 + height body 8 +
@@ -650,21 +619,23 @@ mod tests {
         let g = Block::genesis();
         let b1 = Block::extending(&g, 1, 3, vec![]);
         let reply = SignedMsg::new(
-            Payload::RepairReply { blocks: vec![b1.clone()], view: 4 },
+            Payload::Shared(Shared::RepairReply { blocks: vec![b1.clone()], view: 4 }),
             2,
             pki.keypair(0),
         );
         assert!(reply.verify_sig(&pki));
         assert!(reply.matches(MsgKind::RepairReply, 2));
         // Replies with different chain suffixes or views sign differently.
-        let d1 = Payload::RepairReply { blocks: vec![b1.clone()], view: 4 }.signing_digest(2);
-        let d2 = Payload::RepairReply { blocks: vec![], view: 4 }.signing_digest(2);
-        let d3 = Payload::RepairReply { blocks: vec![b1], view: 5 }.signing_digest(2);
+        let d1 = Payload::Shared(Shared::RepairReply { blocks: vec![b1.clone()], view: 4 })
+            .signing_digest(2);
+        let d2 = Payload::Shared(Shared::RepairReply { blocks: vec![], view: 4 }).signing_digest(2);
+        let d3 =
+            Payload::Shared(Shared::RepairReply { blocks: vec![b1], view: 5 }).signing_digest(2);
         assert_ne!(d1, d2);
         assert_ne!(d1, d3);
         assert_ne!(
-            Payload::Repair { from_height: 7 }.signing_digest(2),
-            Payload::Repair { from_height: 8 }.signing_digest(2)
+            Payload::Shared(Shared::Repair { from_height: 7 }).signing_digest(2),
+            Payload::Shared(Shared::Repair { from_height: 8 }).signing_digest(2)
         );
     }
 
@@ -676,7 +647,8 @@ mod tests {
         // + empty block (60) + round 8 + justify flag 1
         // + RSA-1024 signature (5 + 128).
         assert_eq!(msg.wire_size(), 17 + 60 + 8 + 1 + (5 + 128));
-        let blame = SignedMsg::new(Payload::Blame { proof: None }, 1, pki.keypair(0));
+        let blame =
+            SignedMsg::new(Payload::Shared(Shared::Blame { proof: None }), 1, pki.keypair(0));
         assert_eq!(blame.wire_size(), 17 + 1 + (5 + 128));
     }
 }

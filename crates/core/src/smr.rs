@@ -25,7 +25,8 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use eesmr_crypto::{Digest, KeyMap, KeySet, KeyStore, Signature};
+use eesmr_crypto::sha256::Sha256;
+use eesmr_crypto::{Digest, Hashable, KeyMap, KeySet, KeyStore, Signature};
 use eesmr_net::codec::WireEnum;
 use eesmr_net::{
     Actor, ActorGauges, Context, NodeId, SimDuration, SimTime, TimerId, TraceClass, TraceEventKind,
@@ -33,7 +34,7 @@ use eesmr_net::{
 
 use crate::block::{Block, BlockStore, Command, Commands};
 use crate::config::{BatchPolicy, FaultMode};
-use crate::message::{Envelope, MsgKind, QuorumCert, SignedPayload};
+use crate::message::{block_ids_digest, Envelope, MsgKind, QuorumCert, SignedPayload};
 use crate::metrics::Metrics;
 use crate::txpool::{AdaptiveBatcher, TxPool, WorkloadSource};
 
@@ -102,100 +103,115 @@ pub type Msg<R> = Envelope<<R as Rule>::Payload>;
 /// The network context of a replica running rule `R`.
 pub type Ctx<'a, R> = Context<'a, Msg<R>, TimerToken>;
 
-/// A borrowed view of the payload variants every rule's family has under
-/// the same name, the same [`MsgKind`] tag and (but for the proposal's
-/// slot) the same fields, in the fields' order.
-#[derive(Debug)]
-pub enum Shared<'a, P> {
-    /// A proposal: the block and its *slot* — the coordinate at which a
-    /// leader may propose once per view (EESMR: the round; Sync HotStuff:
-    /// the height). Dedup and equivocation proofs are keyed by
-    /// `(view, slot)`.
-    Propose(&'a Block, u64),
-    /// A blame, with two conflicting leader-signed proposals for one slot
-    /// if it reports an equivocation.
-    Blame(Option<&'a (Envelope<P>, Envelope<P>)>),
-    /// A certificate of `f+1` blames.
-    BlameQc(&'a QuorumCert),
-    /// Chain sync: the wanted block.
-    SyncRequest(Digest),
-    /// Chain sync: blocks, nearest descendant first.
-    SyncResponse(&'a [Block]),
-    /// Client commands relayed to the proposer, in injection order.
-    Forward(&'a Commands),
-    /// A restarted replica's catch-up request from its durable height.
-    Repair(u64),
-    /// A committed-chain suffix, oldest first, and the responder's view.
-    RepairReply(&'a [Block], u64),
+/// The payload variants every rule's family shares, declared once: the
+/// blames, chain sync, forwarding and repair the skeleton runs for every
+/// rule. A family carries them in one `Shared(Shared<Self>)` variant; on
+/// the wire each keeps its own [`MsgKind`] as the kind byte (the table is
+/// in [`crate::codec`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Shared<P: SmrPayload> {
+    /// Blame; optionally carrying an equivocation proof (two conflicting
+    /// leader-signed proposals for one view and slot).
+    Blame {
+        /// `Some((p1, p2))` for equivocation blames.
+        proof: Option<Box<(Envelope<P>, Envelope<P>)>>,
+    },
+    /// A certificate of f+1 blames.
+    BlameQc(QuorumCert),
+    /// Request for a missing block (chain synchronization).
+    SyncRequest {
+        /// The wanted block id.
+        want: Digest,
+    },
+    /// A segment of blocks answering a `SyncRequest`.
+    SyncResponse {
+        /// The blocks, nearest descendant first.
+        blocks: Vec<Block>,
+    },
+    /// Client commands relayed from a non-leading node to the current
+    /// proposer (command forwarding — without it, a transaction injected
+    /// at a node that never leads waits in that node's pool forever).
+    Forward {
+        /// The forwarded commands, in injection order.
+        commands: Commands,
+    },
+    /// A restarted replica's catch-up request: "send me the committed
+    /// chain above `from_height`" (crash-recovery repair protocol).
+    Repair {
+        /// The requester's last durable committed height.
+        from_height: u64,
+    },
+    /// A committed-chain suffix answering a `Repair`. The blocks are
+    /// hash-chained (oldest first), so the reply is self-certifying once
+    /// the requester checks the links; `view` tells the recovering node
+    /// which view the network has reached.
+    RepairReply {
+        /// Committed blocks above the requested height, oldest first.
+        blocks: Vec<Block>,
+        /// The responder's current view.
+        view: u64,
+    },
 }
 
-/// A payload family the skeleton can run: it reads the shared variants
-/// through [`Shared`] and builds the seven it sends itself. Implemented
-/// by one [`smr_payload!`](crate::smr_payload) line per family.
-pub trait SmrPayload: SignedPayload {
-    /// The shared variant this payload is, if any.
-    fn shared(&self) -> Option<Shared<'_, Self>>;
-    /// `Blame { proof }`.
-    fn blame(proof: Option<Box<(Envelope<Self>, Envelope<Self>)>>) -> Self;
-    /// `BlameQc(qc)`.
-    fn blame_qc(qc: QuorumCert) -> Self;
-    /// `SyncRequest { want }`.
-    fn sync_request(want: Digest) -> Self;
-    /// `SyncResponse { blocks }`.
-    fn sync_response(blocks: Vec<Block>) -> Self;
-    /// `Forward { commands }`.
-    fn forward(commands: Commands) -> Self;
-    /// `Repair { from_height }`.
-    fn repair(from_height: u64) -> Self;
-    /// `RepairReply { blocks, view }`.
-    fn repair_reply(blocks: Vec<Block>, view: u64) -> Self;
-}
-
-/// Implements [`SmrPayload`] for a payload enum whose shared variants are
-/// spelled like [`Payload`](crate::Payload)'s. The one argument that
-/// differs per family is how a `Propose` names its slot:
-/// `smr_payload!(Payload { block, round } => *round)`.
-#[macro_export]
-macro_rules! smr_payload {
-    ($P:ident { $block:ident $(, $field:ident)* } => $slot:expr) => {
-        impl $crate::smr::SmrPayload for $P {
-            fn shared(&self) -> Option<$crate::smr::Shared<'_, Self>> {
-                use $crate::smr::Shared;
-                Some(match self {
-                    $P::Propose { $block $(, $field)*, .. } => Shared::Propose($block, $slot),
-                    $P::Blame { proof } => Shared::Blame(proof.as_deref()),
-                    $P::BlameQc(qc) => Shared::BlameQc(qc),
-                    $P::SyncRequest { want } => Shared::SyncRequest(*want),
-                    $P::SyncResponse { blocks } => Shared::SyncResponse(blocks),
-                    $P::Forward { commands } => Shared::Forward(commands),
-                    $P::Repair { from_height } => Shared::Repair(*from_height),
-                    $P::RepairReply { blocks, view } => Shared::RepairReply(blocks, *view),
-                    _ => return None,
-                })
+impl<P: SmrPayload> Shared<P> {
+    /// The digest the sender signs: one formula per variant, its names in
+    /// the family's [`SmrPayload::DOMAIN`]. Every blame of a view signs
+    /// the same digest, so blames aggregate into a certificate.
+    pub fn signing_digest(&self, view: u64) -> Digest {
+        match self {
+            Shared::Blame { .. } => named::<P>(b"blame", view),
+            Shared::BlameQc(qc) => qc.digest(),
+            Shared::SyncRequest { want } => *want,
+            Shared::SyncResponse { blocks } => block_ids_digest(Sha256::new(), blocks),
+            Shared::Forward { commands } => {
+                let mut h = domain::<P>(b"fwd");
+                commands.iter().for_each(|c| c.encode_into(&mut h));
+                h.finalize()
             }
-            fn blame(proof: Option<Box<($crate::Envelope<Self>, $crate::Envelope<Self>)>>) -> Self {
-                $P::Blame { proof }
-            }
-            fn blame_qc(qc: $crate::QuorumCert) -> Self {
-                $P::BlameQc(qc)
-            }
-            fn sync_request(want: eesmr_crypto::Digest) -> Self {
-                $P::SyncRequest { want }
-            }
-            fn sync_response(blocks: Vec<$crate::Block>) -> Self {
-                $P::SyncResponse { blocks }
-            }
-            fn forward(commands: $crate::Commands) -> Self {
-                $P::Forward { commands }
-            }
-            fn repair(from_height: u64) -> Self {
-                $P::Repair { from_height }
-            }
-            fn repair_reply(blocks: Vec<$crate::Block>, view: u64) -> Self {
-                $P::RepairReply { blocks, view }
+            Shared::Repair { from_height } => named::<P>(b"repair", *from_height),
+            Shared::RepairReply { blocks, view } => {
+                let mut h = domain::<P>(b"repair-reply");
+                h.update(&view.to_le_bytes());
+                block_ids_digest(h, blocks)
             }
         }
-    };
+    }
+}
+
+/// A hasher fed `DOMAIN ‖ name`.
+fn domain<P: SmrPayload>(name: &[u8]) -> Sha256 {
+    let mut h = Sha256::new();
+    h.update(P::DOMAIN);
+    h.update(name);
+    h
+}
+
+/// [`Digest::of_parts`] over `DOMAIN ‖ name` and `n`, without building the
+/// first part.
+fn named<P: SmrPayload>(name: &[u8], n: u64) -> Digest {
+    let mut h = Sha256::new();
+    h.update(&((P::DOMAIN.len() + name.len()) as u64).to_le_bytes());
+    h.update(P::DOMAIN);
+    h.update(name);
+    h.update(&8u64.to_le_bytes());
+    h.update(&n.to_le_bytes());
+    h.finalize()
+}
+
+/// A payload family the skeleton can run: its `Propose`, its own
+/// variants, and one variant carrying [`Shared`].
+pub trait SmrPayload: SignedPayload {
+    /// Prefixed to every name the shared variants' signing digests hash.
+    const DOMAIN: &'static [u8];
+    /// The shared variant this payload carries, if any.
+    fn shared(&self) -> Option<&Shared<Self>>;
+    /// The payload carrying `shared`.
+    fn from_shared(shared: Shared<Self>) -> Self;
+    /// A proposal's block and its *slot* — the coordinate at which a
+    /// leader may propose once per view (EESMR: the round; Sync HotStuff
+    /// and the trusted hub: the height). Dedup and equivocation proofs are
+    /// keyed by `(view, slot)`.
+    fn proposal(&self) -> Option<(&Block, u64)>;
 }
 
 /// What the skeleton reads off a rule's configuration, once, at
@@ -287,7 +303,8 @@ pub trait Rule: Sized {
     /// A leader-signed, non-equivocating `Propose` of the current view:
     /// accept it or not, and emit what accepting means.
     fn on_proposal(smr: &mut Smr<Self>, from: NodeId, msg: Msg<Self>, ctx: &mut Ctx<'_, Self>);
-    /// A payload that is not one of the [`Shared`] variants.
+    /// A payload of the rule's own variants: neither a proposal nor one
+    /// of the [`Shared`] variants.
     fn on_message(smr: &mut Smr<Self>, from: NodeId, msg: Msg<Self>, ctx: &mut Ctx<'_, Self>);
     /// `QuitWait`, `ShareQc`, `EnterNew` and `LeaderStatus`: the view
     /// change from the Δ quit wait on.
@@ -516,6 +533,11 @@ impl<R: Rule> Smr<R> {
         msg
     }
 
+    /// Signs one of the [`Shared`] variants, like [`sign`](Self::sign).
+    fn sign_shared(&self, shared: Shared<R::Payload>, ctx: &mut Ctx<'_, R>) -> Msg<R> {
+        self.sign(R::Payload::from_shared(shared), ctx)
+    }
+
     /// Verifies a message envelope, charging verification + hashing energy.
     pub fn verify_envelope(&self, msg: &Msg<R>, ctx: &mut Ctx<'_, R>) -> bool {
         ctx.meter().charge_verify(self.pki.scheme());
@@ -640,7 +662,7 @@ impl<R: Rule> Smr<R> {
                 ctx.trace(TraceEventKind::TxForward { tx: cmd.fingerprint(), leader });
             }
         }
-        let msg = self.sign(R::Payload::forward(commands.into()), ctx);
+        let msg = self.sign_shared(Shared::Forward { commands: commands.into() }, ctx);
         ctx.send_to(leader, msg);
         self.arm_forward_retry(ctx);
     }
@@ -707,7 +729,7 @@ impl<R: Rule> Smr<R> {
         if !self.verify_envelope(&msg, ctx) {
             return;
         }
-        let Some(Shared::Forward(commands)) = msg.payload.shared() else { return };
+        let Some(Shared::Forward { commands }) = msg.payload.shared() else { return };
         for cmd in commands.iter().cloned() {
             self.txpool.submit(cmd);
         }
@@ -767,7 +789,7 @@ impl<R: Rule> Smr<R> {
     /// of the current view, "not just the latest round" (Algorithm 2,
     /// lines 220–226). What survives goes to [`Rule::on_proposal`].
     pub fn on_propose(&mut self, from: NodeId, msg: Msg<R>, ctx: &mut Ctx<'_, R>) {
-        let Some(Shared::Propose(block, slot)) = msg.payload.shared() else { return };
+        let Some((block, slot)) = msg.payload.proposal() else { return };
         if msg.view > self.v_cur {
             self.future_views.push((from, msg));
             return;
@@ -861,7 +883,7 @@ impl<R: Rule> Smr<R> {
         self.blame_timer = None;
         self.metrics.blames_sent += 1;
         ctx.trace(TraceEventKind::Blame { view: self.v_cur });
-        let blame = self.sign(R::Payload::blame(None), ctx);
+        let blame = self.sign_shared(Shared::Blame { proof: None }, ctx);
         ctx.flood(blame);
     }
 
@@ -877,7 +899,7 @@ impl<R: Rule> Smr<R> {
         self.metrics.blames_sent += 1;
         ctx.trace(TraceEventKind::Equivocation { view: self.v_cur });
         ctx.trace(TraceEventKind::Blame { view: self.v_cur });
-        let blame = self.sign(R::Payload::blame(Some(Box::new((first, second)))), ctx);
+        let blame = self.sign_shared(Shared::Blame { proof: Some(Box::new((first, second))) }, ctx);
         ctx.flood(blame);
         if self.params.quits_on_equivocation {
             self.schedule_quit(ctx);
@@ -889,8 +911,7 @@ impl<R: Rule> Smr<R> {
     fn proof_is_valid(&self, view: u64, proof: &(Msg<R>, Msg<R>), ctx: &mut Ctx<'_, R>) -> bool {
         let (a, b) = proof;
         let leader = self.rule.leader_of(view);
-        let (Some(Shared::Propose(_, slot_a)), Some(Shared::Propose(_, slot_b))) =
-            (a.payload.shared(), b.payload.shared())
+        let (Some((_, slot_a)), Some((_, slot_b))) = (a.payload.proposal(), b.payload.proposal())
         else {
             return false;
         };
@@ -906,7 +927,7 @@ impl<R: Rule> Smr<R> {
 
     /// Handles a `Blame` (possibly carrying an equivocation proof).
     fn on_blame(&mut self, from: NodeId, msg: Msg<R>, ctx: &mut Ctx<'_, R>) {
-        let Some(Shared::Blame(proof)) = msg.payload.shared() else { return };
+        let Some(Shared::Blame { proof }) = msg.payload.shared() else { return };
         if msg.view > self.v_cur {
             self.future_views.push((from, msg));
             return;
@@ -921,7 +942,7 @@ impl<R: Rule> Smr<R> {
                 && !self.view_aborted
                 && self.proof_is_valid(msg.view, p, ctx)
             {
-                let (first, second) = p.clone();
+                let (first, second) = (**p).clone();
                 self.on_equivocation(first, second, ctx);
             }
         }
@@ -929,10 +950,10 @@ impl<R: Rule> Smr<R> {
         let quorum = self.params.blame_quorum;
         if self.blames.len() >= quorum && !self.quit_scheduled {
             // f+1 blames: certificate, broadcast, quit (lines 227–234).
-            let data = R::Payload::blame(None).signing_digest(self.v_cur);
+            let data = Shared::<R::Payload>::Blame { proof: None }.signing_digest(self.v_cur);
             let sigs = self.blames.iter().take(quorum).map(|(n, s)| (*n, s.clone())).collect();
             let qc = QuorumCert { kind: MsgKind::Blame, view: self.v_cur, data, height: 0, sigs };
-            let msg = self.sign(R::Payload::blame_qc(qc), ctx);
+            let msg = self.sign_shared(Shared::BlameQc(qc), ctx);
             ctx.flood(msg);
             self.view_aborted = true;
             self.cancel_commit_timers(ctx);
@@ -1041,12 +1062,12 @@ impl<R: Rule> Smr<R> {
             return;
         }
         self.metrics.sync_requests += 1;
-        let msg = self.sign(R::Payload::sync_request(want), ctx);
+        let msg = self.sign_shared(Shared::SyncRequest { want }, ctx);
         ctx.send_to(from, msg);
     }
 
     fn on_sync_request(&mut self, msg: Msg<R>, ctx: &mut Ctx<'_, R>) {
-        let Some(Shared::SyncRequest(want)) = msg.payload.shared() else { return };
+        let Some(&Shared::SyncRequest { want }) = msg.payload.shared() else { return };
         if !self.verify_envelope(&msg, ctx) {
             return;
         }
@@ -1055,7 +1076,7 @@ impl<R: Rule> Smr<R> {
         if blocks.is_empty() {
             return;
         }
-        let reply = self.sign(R::Payload::sync_response(blocks), ctx);
+        let reply = self.sign_shared(Shared::SyncResponse { blocks }, ctx);
         ctx.send_to(msg.signer, reply);
     }
 
@@ -1085,7 +1106,7 @@ impl<R: Rule> Smr<R> {
     }
 
     fn on_sync_response(&mut self, msg: Msg<R>, ctx: &mut Ctx<'_, R>) {
-        let Some(Shared::SyncResponse(blocks)) = msg.payload.shared() else { return };
+        let Some(Shared::SyncResponse { blocks }) = msg.payload.shared() else { return };
         // Blocks are self-certifying (hash-linked); no signature needed.
         let unblocked = self.store_blocks(blocks, ctx);
         self.replay(unblocked, ctx);
@@ -1113,7 +1134,7 @@ impl<R: Rule> Smr<R> {
     /// a k-cast to the hub of a star.
     pub fn request_repair(&mut self, ctx: &mut Ctx<'_, R>) {
         self.metrics.repair_requests += 1;
-        let msg = self.sign(R::Payload::repair(self.b_com_height), ctx);
+        let msg = self.sign_shared(Shared::Repair { from_height: self.b_com_height }, ctx);
         match self.params.hub {
             Some(_) => ctx.multicast(msg),
             None => ctx.flood(msg),
@@ -1123,7 +1144,7 @@ impl<R: Rule> Smr<R> {
     /// Serves a recovering peer: reply with the committed-chain suffix
     /// above its durable height, plus our current view so it can rejoin.
     fn on_repair(&mut self, msg: Msg<R>, ctx: &mut Ctx<'_, R>) {
-        let Some(Shared::Repair(from_height)) = msg.payload.shared() else { return };
+        let Some(&Shared::Repair { from_height }) = msg.payload.shared() else { return };
         if self.params.hub.is_some_and(|hub| hub != self.id)
             || !self.verify_envelope(&msg, ctx)
             || self.b_com_height <= from_height
@@ -1146,7 +1167,7 @@ impl<R: Rule> Smr<R> {
             return;
         }
         self.metrics.repairs_served += 1;
-        let reply = self.sign(R::Payload::repair_reply(blocks, self.v_cur), ctx);
+        let reply = self.sign_shared(Shared::RepairReply { blocks, view: self.v_cur }, ctx);
         ctx.send_to(msg.signer, reply);
     }
 
@@ -1154,7 +1175,7 @@ impl<R: Rule> Smr<R> {
     /// verify the hash links, commit the suffix, and adopt the network's
     /// view so steady state can resume here.
     fn on_repair_reply(&mut self, msg: Msg<R>, ctx: &mut Ctx<'_, R>) {
-        let Some(Shared::RepairReply(blocks, view)) = msg.payload.shared() else { return };
+        let Some(Shared::RepairReply { blocks, view }) = msg.payload.shared() else { return };
         // The hash links below prove the blocks form a chain, not that
         // anybody committed it: only a member's word (a star's: the hub's)
         // is taken for that.
@@ -1173,7 +1194,7 @@ impl<R: Rule> Smr<R> {
         let unblocked = self.store_blocks(blocks, ctx);
         self.commit_block(tip.id(), ctx);
         R::on_repaired(self, tip, ctx);
-        self.adopt_view(view, ctx);
+        self.adopt_view(*view, ctx);
         self.replay(unblocked, ctx);
     }
 }

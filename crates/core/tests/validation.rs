@@ -6,7 +6,9 @@
 
 use std::sync::Arc;
 
-use eesmr_core::{Block, Command, Config, FaultMode, Payload, Replica, SignedMsg, TimerToken};
+use eesmr_core::{
+    Block, Command, Config, FaultMode, Payload, Replica, Shared, SignedMsg, TimerToken,
+};
 use eesmr_crypto::{KeyStore, SigScheme};
 use eesmr_net::harness::{Harness, Output};
 use eesmr_net::SimDuration;
@@ -120,7 +122,7 @@ fn equivocation_triggers_blame_with_proof_and_cancels_commits() {
 
     let blame = out.iter().find_map(|o| match o {
         Output::Flood { msg, target: None } => match &msg.payload {
-            Payload::Blame { proof: Some(_) } => Some(msg),
+            Payload::Shared(Shared::Blame { proof: Some(_) }) => Some(msg),
             _ => None,
         },
         _ => None,
@@ -147,7 +149,7 @@ fn crash_only_variant_ignores_equivocation() {
     assert!(
         !out.iter().any(|o| matches!(
             o,
-            Output::Flood { msg, .. } if matches!(msg.payload, Payload::Blame { .. })
+            Output::Flood { msg, .. } if matches!(msg.payload, Payload::Shared(Shared::Blame { .. }))
         )),
         "the crash variant drops the equivocation handlers (Alg. 2 lines 220/224)"
     );
@@ -160,19 +162,21 @@ fn quorum_of_blames_produces_blame_certificate() {
     let mut h = replica(1, &pki);
     h.start();
     // f = 1 for n = 4, so f+1 = 2 blames form the certificate.
-    let blame_from = |id: u32| SignedMsg::new(Payload::Blame { proof: None }, 1, pki.keypair(id));
+    let blame_from = |id: u32| {
+        SignedMsg::new(Payload::Shared(Shared::Blame { proof: None }), 1, pki.keypair(id))
+    };
     let out1 = h.deliver(2, blame_from(2));
     assert!(
         !out1.iter().any(|o| matches!(
             o,
-            Output::Flood { msg, .. } if matches!(msg.payload, Payload::BlameQc(_))
+            Output::Flood { msg, .. } if matches!(msg.payload, Payload::Shared(Shared::BlameQc(_)))
         )),
         "one blame is below the quorum"
     );
     let out2 = h.deliver(3, blame_from(3));
     let qc = out2.iter().find_map(|o| match o {
         Output::Flood { msg, target: None } => match &msg.payload {
-            Payload::BlameQc(qc) => Some(qc.clone()),
+            Payload::Shared(Shared::BlameQc(qc)) => Some(qc.clone()),
             _ => None,
         },
         _ => None,
@@ -194,13 +198,13 @@ fn duplicate_blames_from_one_node_do_not_reach_quorum() {
     let pki = pki();
     let mut h = replica(1, &pki);
     h.start();
-    let blame = SignedMsg::new(Payload::Blame { proof: None }, 1, pki.keypair(2));
+    let blame = SignedMsg::new(Payload::Shared(Shared::Blame { proof: None }), 1, pki.keypair(2));
     h.deliver(2, blame.clone());
     let out = h.deliver(2, blame);
     assert!(
         !out.iter().any(|o| matches!(
             o,
-            Output::Flood { msg, .. } if matches!(msg.payload, Payload::BlameQc(_))
+            Output::Flood { msg, .. } if matches!(msg.payload, Payload::Shared(Shared::BlameQc(_)))
         )),
         "the same signer cannot count twice towards f+1"
     );
@@ -215,7 +219,11 @@ fn invalid_equivocation_proof_is_ignored() {
     // equivocation.
     let (_, a) = proposal(&pki, 3, 1);
     let (_, b) = proposal(&pki, 4, 2);
-    let bogus = SignedMsg::new(Payload::Blame { proof: Some(Box::new((a, b))) }, 1, pki.keypair(2));
+    let bogus = SignedMsg::new(
+        Payload::Shared(Shared::Blame { proof: Some(Box::new((a, b))) }),
+        1,
+        pki.keypair(2),
+    );
     h.deliver(2, bogus);
     assert_eq!(h.actor().metrics().equivocations_detected, 0);
 }
@@ -227,11 +235,15 @@ fn sync_request_is_answered_with_ancestors() {
     h.start();
     let (block, msg) = proposal(&pki, 3, 1);
     h.deliver(0, msg);
-    let request = SignedMsg::new(Payload::SyncRequest { want: block.id() }, 1, pki.keypair(3));
+    let request = SignedMsg::new(
+        Payload::Shared(Shared::SyncRequest { want: block.id() }),
+        1,
+        pki.keypair(3),
+    );
     let out = h.deliver(3, request);
     let reply = out.iter().find_map(|o| match o {
         Output::Flood { msg, target: Some(3) } => match &msg.payload {
-            Payload::SyncResponse { blocks } => Some(blocks.clone()),
+            Payload::Shared(Shared::SyncResponse { blocks }) => Some(blocks.clone()),
             _ => None,
         },
         _ => None,
@@ -250,7 +262,7 @@ fn blame_timeout_floods_a_blame_once_per_view() {
     assert!(
         out.iter().any(|o| matches!(
             o,
-            Output::Flood { msg, .. } if matches!(msg.payload, Payload::Blame { proof: None })
+            Output::Flood { msg, .. } if matches!(msg.payload, Payload::Shared(Shared::Blame { proof: None }))
         )),
         "no progress within T_blame ⇒ ⟨blame, v⟩ is flooded"
     );

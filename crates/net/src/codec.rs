@@ -244,6 +244,9 @@ pub trait WireEnum: Sized {
     /// The tag's type: a raw `u8`, or an enum that itself decodes from one.
     type Tag: WireCodec + Copy + PartialEq + Into<u8>;
 
+    /// The tag namespace's name in an unknown-tag error.
+    const WHAT: &'static str;
+
     /// This value's tag.
     fn tag(&self) -> Self::Tag;
 
@@ -596,6 +599,12 @@ macro_rules! wire_struct {
 ///     2 => Locks(entries: Vec<SignedBlock> = "locked-block status entries"),
 /// } }
 /// ```
+///
+/// A last row `_ => V(T)` delegates every tag the rows above do not name
+/// to `T`'s own table: `V` carries a `T`, which writes its own tag and
+/// fields, and a tag neither table names is reported under `what`. An
+/// enum with one type parameter names its bound after it (`Shared<P:
+/// SmrPayload>: MsgKind = ..`).
 #[macro_export]
 macro_rules! wire_enum {
     (inline $E:ident : $($table:tt)+) => {
@@ -618,21 +627,23 @@ macro_rules! wire_enum {
             }
         };
     };
-    ($E:ident : $Tag:ty = $what:literal {$(
+    ($E:ident $(<$P:ident : $bound:path>)? : $Tag:ty = $what:literal {$(
         $tag:expr => $V:ident
             $({ $($sf:ident : $st:ty $(= $sw:literal)?),* $(,)? })?
             $(( $($tf:ident : $tt:ty $(= $tw:literal)?),* ))?
-    ),+ $(,)?}) => {
+    ),+ $(, _ => $D:ident($DT:ty))? $(,)?}) => {
         const _: () = {
             use $crate::codec::{ByteSink, CodecError, Reader, WireCodec, WireEnum};
 
             #[allow(unused_variables)] // an enum of unit variants has no fields to touch
-            impl WireEnum for $E {
+            impl $(<$P: $bound>)? WireEnum for $E $(<$P>)? {
                 type Tag = $Tag;
+                const WHAT: &'static str = $what;
 
                 fn tag(&self) -> $Tag {
                     match self {
                         $($E::$V { .. } => $tag,)+
+                        $($E::$D(inner) => inner.tag(),)?
                     }
                 }
 
@@ -642,7 +653,9 @@ macro_rules! wire_enum {
                             $($(WireCodec::encode_into($sf, out);)*)?
                             $($(WireCodec::encode_into($tf, out);)*)?
                         }
-                    )+}
+                    )+
+                        $($E::$D(inner) => inner.encode_fields(out),)?
+                    }
                 }
 
                 fn decode_fields(tag: $Tag, r: &mut Reader<'_>) -> Result<Self, CodecError> {
@@ -651,6 +664,10 @@ macro_rules! wire_enum {
                             $({ $($sf: $crate::wire_read!(r, $st $(, $sw)?)),* })?
                             $(( $($crate::wire_read!(r, $tt $(, $tw)?)),* ))?);
                     })+
+                    $(match <$DT as WireEnum>::decode_fields(tag, r) {
+                        Err(CodecError::UnknownTag { what, .. }) if what == <$DT>::WHAT => {}
+                        inner => return inner.map($E::$D),
+                    })?
                     Err(CodecError::UnknownTag { what: $what, tag: tag.into() })
                 }
             }

@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 use eesmr_baselines::sync_hotstuff::{HsMsg, HsPayload};
 use eesmr_baselines::trusted::{TbMsg, TbPayload};
 use eesmr_core::broadcast::{BbMsg, BbPayload};
-use eesmr_core::{Command, Commands, Payload, SignedMsg};
+use eesmr_core::{Command, Commands, Payload, Shared, SignedMsg};
 use eesmr_crypto::{Digest, KeyStore, SigScheme, Signature};
 use eesmr_net::codec::{family, CodecError, WireCodec, HEADER_LEN, MAGIC, VERSION};
 
@@ -74,11 +74,18 @@ fn frozen_sig(vector: &str, signer: u32) -> Signature {
 }
 
 fn golden_forward_payload() -> Payload {
-    Payload::Forward { commands: Commands::from(vec![Command::new(vec![0xAA, 0xBB])]) }
+    Payload::Shared(Shared::Forward {
+        commands: Commands::from(vec![Command::new(vec![0xAA, 0xBB])]),
+    })
 }
 
 fn golden_signed_repair() -> SignedMsg {
-    SignedMsg::from_parts(Payload::Repair { from_height: 7 }, 3, 0, frozen_sig(SIGNED_REPAIR, 0))
+    SignedMsg::from_parts(
+        Payload::Shared(Shared::Repair { from_height: 7 }),
+        3,
+        0,
+        frozen_sig(SIGNED_REPAIR, 0),
+    )
 }
 
 fn golden_signed_forward() -> SignedMsg {
@@ -94,11 +101,21 @@ fn golden_bb() -> BbMsg {
 }
 
 fn golden_hs() -> HsMsg {
-    HsMsg::from_parts(HsPayload::Repair { from_height: 2 }, 1, 2, frozen_sig(HS_REPAIR, 2))
+    HsMsg::from_parts(
+        HsPayload::Shared(Shared::Repair { from_height: 2 }),
+        1,
+        2,
+        frozen_sig(HS_REPAIR, 2),
+    )
 }
 
 fn golden_tb() -> TbMsg {
-    TbMsg::from_parts(TbPayload::Repair { from_height: 9 }, 1, 3, frozen_sig(TB_REPAIR, 3))
+    TbMsg::from_parts(
+        TbPayload::Shared(Shared::Repair { from_height: 9 }),
+        1,
+        3,
+        frozen_sig(TB_REPAIR, 3),
+    )
 }
 
 /// Every golden frame, for the structural sweeps below.
@@ -147,7 +164,9 @@ fn golden_vectors_decode_to_the_original_messages() {
 fn keyring_tags_are_pinned() {
     let pki = pki();
     let tags = [
-        SignedMsg::new(Payload::Repair { from_height: 7 }, 3, pki.keypair(0)).sig.clone(),
+        SignedMsg::new(Payload::Shared(Shared::Repair { from_height: 7 }), 3, pki.keypair(0))
+            .sig
+            .clone(),
         SignedMsg::new(golden_forward_payload(), 5, pki.keypair(1)).sig.clone(),
         pki.keypair(1).sign(b"golden"),
         pki.keypair(2).sign(b"golden"),
@@ -339,7 +358,7 @@ fn corrupted_signature_fields_are_rejected() {
     // Nonzero padding in a padded scheme (RSA-1024 pads the 32-byte
     // authenticator to 128 bytes) breaks canonicality.
     let rsa = KeyStore::generate(4, SigScheme::Rsa1024, 42);
-    let msg = SignedMsg::new(Payload::Repair { from_height: 7 }, 3, rsa.keypair(0));
+    let msg = SignedMsg::new(Payload::Shared(Shared::Repair { from_height: 7 }), 3, rsa.keypair(0));
     let mut bytes = msg.encode();
     *bytes.last_mut().unwrap() = 1;
     assert_eq!(
@@ -429,7 +448,7 @@ fn hostile_count_prefix_is_rejected_at_every_sequence_position() {
     // 8 + signer 4); a certificate's signature count follows its kind 1 +
     // view 8 + digest 32 + height 8 = 49; a status' count follows its tag.
     let signed = |payload| SignedMsg::new(payload, 1, kp);
-    hostile("qc signatures", &signed(Payload::BlameQc(qc.clone())), 17 + 49, 2);
+    hostile("qc signatures", &signed(Payload::Shared(Shared::BlameQc(qc.clone()))), 17 + 49, 2);
     let status = Status::CommitQcs(vec![cert.clone()]);
     hostile(
         "commit-qc status",
@@ -444,27 +463,42 @@ fn hostile_count_prefix_is_rejected_at_every_sequence_position() {
         17 + 1,
         2,
     );
-    hostile("sync response", &signed(Payload::SyncResponse { blocks: blocks.clone() }), 17, 3);
+    hostile(
+        "sync response",
+        &signed(Payload::Shared(Shared::SyncResponse { blocks: blocks.clone() })),
+        17,
+        3,
+    );
     hostile(
         "repair reply",
-        &signed(Payload::RepairReply { blocks: blocks.clone(), view: 2 }),
+        &signed(Payload::Shared(Shared::RepairReply { blocks: blocks.clone(), view: 2 })),
         17,
         3,
     );
 
     let hs = |payload| HsMsg::from_parts(payload, 1, 0, kp.sign(b"hs"));
-    hostile("hs qc signatures", &hs(HsPayload::BlameQc(qc.clone())), 17 + 49, 2);
+    hostile("hs qc signatures", &hs(HsPayload::Shared(Shared::BlameQc(qc.clone()))), 17 + 49, 2);
     hostile("hs status qc signatures", &hs(HsPayload::Status { cert: Some(cert) }), 17 + 1 + 49, 2);
-    hostile("hs sync response", &hs(HsPayload::SyncResponse { blocks: blocks.clone() }), 17, 3);
+    hostile(
+        "hs sync response",
+        &hs(HsPayload::Shared(Shared::SyncResponse { blocks: blocks.clone() })),
+        17,
+        3,
+    );
     hostile(
         "hs repair reply",
-        &hs(HsPayload::RepairReply { blocks: blocks.clone(), view: 2 }),
+        &hs(HsPayload::Shared(Shared::RepairReply { blocks: blocks.clone(), view: 2 })),
         17,
         3,
     );
 
     // Trusted baseline: the same envelope as Sync HotStuff's.
-    let tb = TbMsg::from_parts(TbPayload::RepairReply { blocks, view: 1 }, 1, 3, kp.sign(b"tb"));
+    let tb = TbMsg::from_parts(
+        TbPayload::Shared(Shared::RepairReply { blocks, view: 1 }),
+        1,
+        3,
+        kp.sign(b"tb"),
+    );
     hostile("tb repair reply", &tb, 17, 3);
 
     // Broadcast: the certificate inside a Terminate (header 4 + kind 1 +

@@ -23,8 +23,8 @@ use eesmr_baselines::trusted::{TbMsg, TbPayload};
 use eesmr_core::broadcast::{BbMsg, BbPayload};
 use eesmr_core::message::signing_bytes;
 use eesmr_core::{
-    Block, CertifiedBlock, Command, Commands, MsgKind, Payload, QuorumCert, SignedBlock, SignedMsg,
-    Status,
+    Block, CertifiedBlock, Command, Commands, MsgKind, Payload, QuorumCert, Shared, SignedBlock,
+    SignedMsg, Status,
 };
 use eesmr_crypto::{Digest, Hashable, KeyStore, SigScheme};
 use eesmr_net::codec::WireCodec;
@@ -123,13 +123,13 @@ fn payload_variant(ix: u32, rng: &mut StdRng, pki: &KeyStore) -> Payload {
             let justify = Some(rand_qc(rng, pki, block.id()));
             Payload::Propose { block, round: 2, justify }
         }
-        2 => Payload::Blame { proof: None },
-        3 => {
-            Payload::Blame { proof: Some(Box::new((blame_inner(rng, pki), blame_inner(rng, pki)))) }
-        }
+        2 => Payload::Shared(Shared::Blame { proof: None }),
+        3 => Payload::Shared(Shared::Blame {
+            proof: Some(Box::new((blame_inner(rng, pki), blame_inner(rng, pki)))),
+        }),
         4 => {
             let data = rand_digest(rng);
-            Payload::BlameQc(rand_qc(rng, pki, data))
+            Payload::Shared(Shared::BlameQc(rand_qc(rng, pki, data)))
         }
         5 => Payload::CommitUpdate { block: rand_block(rng) },
         6 => Payload::Certify { block_id: rand_digest(rng), height: rng.gen() },
@@ -146,11 +146,11 @@ fn payload_variant(ix: u32, rng: &mut StdRng, pki: &KeyStore) -> Payload {
         }
         10 => Payload::NewViewVote { prop_hash: rand_digest(rng) },
         11 => Payload::LockStatus { block: rand_block(rng) },
-        12 => Payload::SyncRequest { want: rand_digest(rng) },
-        13 => Payload::SyncResponse { blocks: rand_blocks(rng) },
-        14 => Payload::Forward { commands: rand_commands(rng) },
-        15 => Payload::Repair { from_height: rng.gen() },
-        _ => Payload::RepairReply { blocks: rand_blocks(rng), view: rng.gen() },
+        12 => Payload::Shared(Shared::SyncRequest { want: rand_digest(rng) }),
+        13 => Payload::Shared(Shared::SyncResponse { blocks: rand_blocks(rng) }),
+        14 => Payload::Shared(Shared::Forward { commands: rand_commands(rng) }),
+        15 => Payload::Shared(Shared::Repair { from_height: rng.gen() }),
+        _ => Payload::Shared(Shared::RepairReply { blocks: rand_blocks(rng), view: rng.gen() }),
     }
 }
 
@@ -174,23 +174,23 @@ fn hs_variant(ix: u32, rng: &mut StdRng, pki: &KeyStore) -> HsMsg {
             HsPayload::Propose { block, justify }
         }
         2 => HsPayload::Vote { block_id: rand_digest(rng), height: rng.gen() },
-        3 => HsPayload::Blame { proof: None },
+        3 => HsPayload::Shared(Shared::Blame { proof: None }),
         4 => {
             let a = hs_variant(0, rng, pki);
             let b = hs_variant(1, rng, pki);
-            HsPayload::Blame { proof: Some(Box::new((a, b))) }
+            HsPayload::Shared(Shared::Blame { proof: Some(Box::new((a, b))) })
         }
         5 => {
             let data = rand_digest(rng);
-            HsPayload::BlameQc(rand_qc(rng, pki, data))
+            HsPayload::Shared(Shared::BlameQc(rand_qc(rng, pki, data)))
         }
         6 => HsPayload::Status { cert: None },
         7 => HsPayload::Status { cert: Some(rand_cert(rng, pki)) },
-        8 => HsPayload::SyncRequest { want: rand_digest(rng) },
-        9 => HsPayload::SyncResponse { blocks: rand_blocks(rng) },
-        10 => HsPayload::Forward { commands: rand_commands(rng) },
-        11 => HsPayload::Repair { from_height: rng.gen() },
-        _ => HsPayload::RepairReply { blocks: rand_blocks(rng), view: rng.gen() },
+        8 => HsPayload::Shared(Shared::SyncRequest { want: rand_digest(rng) }),
+        9 => HsPayload::Shared(Shared::SyncResponse { blocks: rand_blocks(rng) }),
+        10 => HsPayload::Shared(Shared::Forward { commands: rand_commands(rng) }),
+        11 => HsPayload::Shared(Shared::Repair { from_height: rng.gen() }),
+        _ => HsPayload::Shared(Shared::RepairReply { blocks: rand_blocks(rng), view: rng.gen() }),
     };
     mk(payload, rng)
 }
@@ -219,21 +219,21 @@ fn tb_variant(ix: u32, rng: &mut StdRng, pki: &KeyStore) -> TbMsg {
     let payload = match ix {
         0 => TbPayload::Propose { block: rand_block(rng) },
         1 => TbPayload::Upload { batch: rand_commands(rng), seq: rng.gen() },
-        2 => TbPayload::Blame { proof: None },
+        2 => TbPayload::Shared(Shared::Blame { proof: None }),
         3 => {
             let a = tb_variant(0, rng, pki);
             let b = tb_variant(0, rng, pki);
-            TbPayload::Blame { proof: Some(Box::new((a, b))) }
+            TbPayload::Shared(Shared::Blame { proof: Some(Box::new((a, b))) })
         }
         4 => {
             let data = rand_digest(rng);
-            TbPayload::BlameQc(rand_qc(rng, pki, data))
+            TbPayload::Shared(Shared::BlameQc(rand_qc(rng, pki, data)))
         }
-        5 => TbPayload::SyncRequest { want: rand_digest(rng) },
-        6 => TbPayload::SyncResponse { blocks: rand_blocks(rng) },
-        7 => TbPayload::Forward { commands: rand_commands(rng) },
-        8 => TbPayload::Repair { from_height: rng.gen() },
-        _ => TbPayload::RepairReply { blocks: rand_blocks(rng), view: rng.gen() },
+        5 => TbPayload::Shared(Shared::SyncRequest { want: rand_digest(rng) }),
+        6 => TbPayload::Shared(Shared::SyncResponse { blocks: rand_blocks(rng) }),
+        7 => TbPayload::Shared(Shared::Forward { commands: rand_commands(rng) }),
+        8 => TbPayload::Shared(Shared::Repair { from_height: rng.gen() }),
+        _ => TbPayload::Shared(Shared::RepairReply { blocks: rand_blocks(rng), view: rng.gen() }),
     };
     mk(payload, rng)
 }

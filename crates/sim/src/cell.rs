@@ -6,80 +6,23 @@
 //! simulator in [`Scenario::run`], the process mesh in
 //! [`Scenario::run_proc`] and its children) only chooses Δ, the fault
 //! plan it can honour, and how the actors are driven; it reads finished
-//! replicas through [`ReplicaView`], so a knob added to `Scenario`
-//! reaches every backend by being threaded through this module once.
+//! replicas through the accessors of [`Smr`], so a knob added to
+//! `Scenario` reaches every backend by being threaded through this module
+//! once.
 
 use std::sync::Arc;
 
 use eesmr_baselines::sync_hotstuff::{build_hs_replicas, HsConfig, HsPacing, HsVariant};
 use eesmr_baselines::trusted::{build_tb_replicas, tb_config, HUB};
 use eesmr_baselines::{HsReplica, TbReplica};
-use eesmr_core::{
-    build_replicas, Block, Config, FaultMode, Metrics, Pacing, Replica, Rule, Smr, WorkloadSource,
-};
-use eesmr_crypto::{Digest, KeyStore};
+use eesmr_core::{build_replicas, Config, FaultMode, Pacing, Replica, Rule, Smr};
+use eesmr_crypto::KeyStore;
 use eesmr_energy::Medium;
 use eesmr_hypergraph::topology::{ring_kcast, star};
-use eesmr_net::{Actor, ChannelCost, NetConfig, SimDuration};
-use eesmr_trace::hist::LogHistogram;
+use eesmr_net::{ChannelCost, NetConfig, SimDuration};
 
 use crate::faults::FaultPlan;
 use crate::scenario::{Protocol, Scenario};
-
-/// What the harness needs from a replica of any protocol: the hooks the
-/// run loop uses (attach a workload, check a stop target) and the
-/// read-outs a [`NodeReport`](crate::NodeReport) is made of.
-pub trait ReplicaView: Actor {
-    /// Committed block ids, in commit order.
-    fn committed(&self) -> &[Digest];
-    /// Highest committed height.
-    fn committed_height(&self) -> u64;
-    /// A stored block body, if still held.
-    fn block(&self, id: &Digest) -> Option<&Block>;
-    /// Protocol counters.
-    fn metrics(&self) -> &Metrics;
-    /// End-to-end latencies of the workload transactions born here.
-    fn tx_latencies(&self) -> &LogHistogram;
-    /// High-water mark of the pending-command backlog.
-    fn peak_backlog(&self) -> usize;
-    /// Whether the replica has entered view `v` and resumed steady state
-    /// there — what [`StopWhen::ViewReached`](crate::StopWhen) waits for.
-    fn resumed_in_view(&self, v: u64) -> bool;
-    /// Replaces the synthetic command feed with a client workload.
-    fn attach_workload(&mut self, source: Box<dyn WorkloadSource>);
-}
-
-// The one impl forwards to the inherent methods of the same name
-// (inherent methods win resolution).
-impl<R: Rule> ReplicaView for Smr<R> {
-    fn committed(&self) -> &[Digest] {
-        self.committed()
-    }
-    fn committed_height(&self) -> u64 {
-        self.committed_height()
-    }
-    fn block(&self, id: &Digest) -> Option<&Block> {
-        self.block(id)
-    }
-    fn metrics(&self) -> &Metrics {
-        self.metrics()
-    }
-    fn tx_latencies(&self) -> &LogHistogram {
-        self.tx_latencies()
-    }
-    fn peak_backlog(&self) -> usize {
-        self.peak_backlog()
-    }
-    /// In view `v` or later and past the rule's view-change rounds (EESMR
-    /// resumes steady state in round 3; Sync HotStuff has no such rounds).
-    /// The trusted baseline has no view change: a view target holds at once.
-    fn resumed_in_view(&self, v: u64) -> bool {
-        self.resumed_in_view(v)
-    }
-    fn attach_workload(&mut self, source: Box<dyn WorkloadSource>) {
-        self.attach_workload(source)
-    }
-}
 
 /// What the run loop and the report need to know about one node beyond
 /// its replica.
@@ -219,7 +162,7 @@ impl Scenario {
     /// Gives every replica from index `first` on its share of the
     /// scenario's workload, if any; the `first` infrastructure nodes
     /// before them take no skew slot.
-    fn attach_workloads<A: ReplicaView>(&self, replicas: &mut [A], first: usize) {
+    fn attach_workloads<R: Rule>(&self, replicas: &mut [Smr<R>], first: usize) {
         let Some(workload) = &self.workload else { return };
         for (i, replica) in replicas.iter_mut().enumerate().skip(first) {
             let source = workload.node_source(i as u32, i - first, self.n - first, self.seed);

@@ -24,12 +24,14 @@ use std::io;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
+use eesmr_core::smr::Msg;
+use eesmr_core::{Rule, Smr};
 use eesmr_crypto::SigScheme;
 use eesmr_net::proc::{alloc_addrs, run_node, ChildOpts, ChildProc, Coordinator, ProcTransport};
 use eesmr_net::{NetConfig, NetStats, NodeId, SimDuration, WireCodec};
 use eesmr_trace::hist::LogHistogram;
 
-use crate::cell::{Cell, NodeRole, ReplicaView, Replicas};
+use crate::cell::{Cell, NodeRole, Replicas};
 use crate::faults::FaultPlan;
 use crate::report::{NodeEnergy, NodeReport, RunReport};
 use crate::scenario::{Protocol, Scenario, StopWhen};
@@ -360,15 +362,14 @@ impl Scenario {
 /// priced by the cell's channel with the simulator's scan window
 /// (`hop_delay_max`); its final report blob is the [`NodeReport`] the
 /// simulator would emit.
-fn run_replica<A>(
+fn run_replica<R: Rule>(
     opts: ChildOpts,
     net: &NetConfig,
     role: NodeRole,
-    mut replicas: Vec<A>,
+    mut replicas: Vec<Smr<R>>,
 ) -> io::Result<()>
 where
-    A: ReplicaView,
-    A::Msg: WireCodec + Send + 'static,
+    Msg<R>: WireCodec + Send + 'static,
 {
     let id = opts.node_id;
     let actor = replicas.swap_remove(id as usize);

@@ -1,11 +1,11 @@
 //! Run reports: what a scenario measured.
 
+use eesmr_core::{Rule, Smr};
 use eesmr_energy::{EnergyAttribution, EnergyCategory, EnergyClass, EnergyMeter, N_ENERGY_CLASS};
 use eesmr_net::{MetricsSet, NetStats, NodeId, SimDuration};
 use eesmr_trace::hist::LogHistogram;
 use eesmr_trace::path::CommitPath;
 
-use crate::cell::ReplicaView;
 use crate::scenario::Scenario;
 
 /// Energy breakdown for one node, in millijoules.
@@ -104,11 +104,11 @@ pub const COMMIT_LOG_CAP: usize = 4096;
 impl NodeReport {
     /// Reads one node's results off its finished replica and energy
     /// meter — the same way for every protocol and every backend.
-    pub fn from_view<A: ReplicaView>(
+    pub fn from_view<R: Rule>(
         id: NodeId,
         faulty: bool,
         is_hub: bool,
-        replica: &A,
+        replica: &Smr<R>,
         meter: &EnergyMeter,
     ) -> Self {
         let log = replica.committed();
@@ -450,10 +450,10 @@ mod tests {
     /// Runs a built cell for 400 ms of virtual time, checks every node's
     /// `from_view` against the replica's own accessors, and returns the
     /// reports.
-    fn finished<A: ReplicaView>(
+    fn finished<R: Rule>(
         net: NetConfig,
         roles: &[NodeRole],
-        replicas: Vec<A>,
+        replicas: Vec<Smr<R>>,
     ) -> Vec<NodeReport> {
         let mut sim = SimNet::new(net, replicas);
         sim.run_until(SimTime::ZERO + SimDuration::from_millis(400));

@@ -8,7 +8,7 @@
 //! protocol metrics — the raw material for every figure in the paper's
 //! evaluation.
 
-use eesmr_core::BatchPolicy;
+use eesmr_core::{BatchPolicy, Rule, Smr};
 use eesmr_crypto::SigScheme;
 use eesmr_net::{
     MetricsConfig, NetConfig, SimDuration, SimNet, SimTime, TraceClass, TraceLevel, TraceSet,
@@ -16,7 +16,7 @@ use eesmr_net::{
 use eesmr_trace::path::CommitPath;
 use eesmr_workload::Workload;
 
-use crate::cell::{Cell, NodeRole, ReplicaView, Replicas};
+use crate::cell::{Cell, NodeRole, Replicas};
 use crate::faults::{FaultPlan, FaultSpec};
 use crate::report::{NodeReport, RunReport};
 
@@ -421,13 +421,13 @@ impl Scenario {
     /// Drives `replicas` on the simulator to the stop condition and
     /// reads the report off them. Generic — monomorphised per replica
     /// type — so the event loop is the one each protocol always ran.
-    fn run_on<A: ReplicaView>(
+    fn run_on<R: Rule>(
         &self,
         net_cfg: NetConfig,
         delta: SimDuration,
         f: usize,
         roles: &[NodeRole],
-        replicas: Vec<A>,
+        replicas: Vec<Smr<R>>,
     ) -> (RunReport, TraceSet) {
         let mut net = SimNet::new(net_cfg, replicas);
         let deadline = SimTime::ZERO + self.deadline;

@@ -56,7 +56,7 @@ pub mod prelude {
     //! The one-line import for experiments: scenario harness, protocol
     //! config, simulator, topologies, and energy meters.
 
-    pub use eesmr_core::{build_replicas, Config, FaultMode, LeaderPolicy, Pacing, Replica};
+    pub use eesmr_core::{build_replicas, Config, FaultMode, Pacing, Replica};
     pub use eesmr_crypto::{Digest, Hashable, KeyStore, SigScheme};
     pub use eesmr_driver::{Driver, DriverConfig, ScenarioGrid, SuiteReport};
     pub use eesmr_energy::psi::{PsiParams, PsiProtocol};

@@ -1,39 +1,34 @@
-//! The structural rules, checked as text: each row of [`RULES`] keeps a design
-//! choice an earlier change paid for from growing back. One walker reads a tree
-//! into `(path, text)` pairs, one cutter drops each file's test tail, and one
-//! matcher counts needles per line, as `grep` does: a needle is literal but for
-//! `\b` (word boundary), `\s*` / `\s+` (runs of `[[:space:]]`) and a leading `^`
-//! (line start; a bare `^` hits any file). Each rule names the commit it rejects;
-//! `cargo test --test structure -- --ignored` checks that (full history needed).
+//! The structural rules, checked as text: each row of [`RULES`] keeps a design choice an earlier
+//! change paid for from growing back. One walker reads a tree into `(path, text)` pairs, one cutter
+//! drops each file's test tail, and one matcher counts needles per line, as `grep` does: a needle
+//! is literal but for `\b` (word boundary), `\s*` / `\s+` (runs of `[[:space:]]`) and a leading
+//! `^` (line start; a bare `^` hits any file). Each rule names the commit it rejects; `cargo test
+//! --test structure -- --ignored` checks that (full history needed).
 
-use std::{fs, path::Path, process::Command};
+use std::{collections::BTreeSet, fs, path::Path, process::Command};
 
 use Expect::{Files, Hits, Lacking};
 
-/// What a check's hits must come to.
+/// What a check's hits must come to: the files holding a hit are exactly these (sorted), the
+/// hits number exactly this over all files, or every file holding no hit is one of these.
 #[derive(Debug, Clone, Copy)]
 enum Expect {
-    /// The files holding a hit are exactly these (sorted).
     Files(&'static [&'static str]),
-    /// The hits number exactly this, over all files.
     Hits(usize),
-    /// Every file holding no hit is one of these.
     Lacking(&'static [&'static str]),
 }
 
-/// One text check over part of the tree.
+/// One text check over part of the tree: `roots` are files or whole directories (a root with a
+/// `*`, any text in one name, names files), `rs_only` keeps only `.rs` files, `word` matches whole
+/// words only (`grep -w`), `cut_tests` ignores each file from its first column-0 `#[cfg(test)]`
+/// line on, and `each` judges every needle on its own rather than all of them together.
 #[derive(Clone, Copy)]
 struct Check {
-    /// Files or whole directories; a root with a `*` (any text in one name) names files.
     roots: &'static [&'static str],
-    /// Only `.rs` files under the roots.
     rs_only: bool,
     needles: &'static [&'static str],
-    /// Needles match whole words only (`grep -w`).
     word: bool,
-    /// Ignore each file from its first column-0 `#[cfg(test)]` line on.
     cut_tests: bool,
-    /// Judge every needle on its own rather than all of them together.
     each: bool,
     expect: Expect,
 }
@@ -118,24 +113,29 @@ const RULES: &[Rule] = &[
         sample: ("vendor/crossbeam/Cargo.toml", "") },
     // 72703b9, narrowed in 85d8592. An actor is stepped (Context built, meter stamped,
     // handler called, outputs taken) only in Harness, under both transports.
-    Rule { name: "one node step (Harness)", base: "13b1ab1",
-        checks: &[Check { needles: &["= Context {"], expect: Files(&["crates/net/src/harness.rs"]),
-            ..C }],
+    Rule { name: "one node step (Harness)", base: "13b1ab1", checks: &[Check {
+        needles: &["= Context {"], expect: Files(&["crates/net/src/harness.rs"]), ..C }],
         sample: ("crates/sim/src/step.rs", "let ctx = Context { id, now };") },
     // 85d8592. Both transports price a reception through `ChannelCost::reception`; a raw
     // receive price called outside a test module is a private charge growing back.
-    Rule { name: "one receive price (ChannelCost::reception)", base: "13b1ab1",
-        checks: &[Check {
+    Rule { name: "one receive price (ChannelCost::reception)", base: "13b1ab1", checks: &[Check {
             roots: &["crates/net/src/*.rs", "crates/sim/src/*.rs", "crates/sim/src/bin/*.rs"],
             needles: &[".recv_mj(", ".shared_recv_mj(", ".dup_recv_mj("], cut_tests: true,
             expect: Files(&["crates/net/src/channel.rs"]), ..C }],
         sample: ("crates/sim/src/bin/price.rs", "let mj = cost.recv_mj(40);") },
-    // 280622c. The trusted baseline is a fourth rule on the replica skeleton: its own
-    // replica, fault enum and timers went, and the skeleton's `ReplicaView` impl is the one.
-    Rule { name: "trusted baseline (a rule on the skeleton)", base: "49ec302", checks: &[
-        Check { needles: &["TbNode", "TbFault", "TbTimer", "build_tb_nodes"], word: true, ..C },
-        Check { rs_only: true, needles: &[r"ReplicaView\s+for\b"], expect: Hits(1), ..C }],
-        sample: ("crates/sim/src/tb.rs", "impl ReplicaView for TbNode {}") },
+    // 280622c. The trusted baseline is a fourth rule on the replica skeleton: its own replica,
+    // fault enum and timers went, and the harness reads every replica as the `Smr<R>` it is.
+    Rule { name: "trusted baseline (a rule on the skeleton)", base: "49ec302", checks: &[Check {
+        needles: &["TbNode", "TbFault", "TbTimer", "build_tb_nodes", "ReplicaView"], word: true,
+        ..C }], sample: ("crates/sim/src/tb.rs", "impl ReplicaView for TbNode {}") },
+    // The seven variants every payload family shares have one declaration, `Shared<P>` in smr.rs.
+    Rule { name: "shared payload variants (declared once, in smr.rs)", base: "65081ea", checks: &[
+        Check { needles: &["smr_payload"], word: true, ..C },
+        Check { roots: &["crates/core", "crates/baselines"], needles: &["    Blame {",
+            "    BlameQc(", "    SyncRequest {", "    SyncResponse {", "    Forward {",
+            "    Repair {", "    RepairReply {"], expect: Files(&["crates/core/src/smr.rs"]),
+            ..C }],
+        sample: ("crates/baselines/src/trusted.rs", "enum TbPayload {\n    Forward {}\n}") },
 ];
 
 #[rustfmt::skip]
@@ -151,26 +151,23 @@ const HANDLERS: Check = Check {
 /// A tree as `(path relative to its root, text)`, sorted by path.
 type Tree = Vec<(String, String)>;
 
-/// Reads every file under the roots' top-level names (symlinks skipped, as
-/// `grep -r` does), except this file, which spells out every needle.
+/// Reads every file under the roots' top-level names, in path order (each path comes before
+/// what it holds), skipping symlinks as `grep -r` does and this file, which spells every needle.
 fn walk(root: &Path) -> Tree {
     let roots = RULES.iter().flat_map(|r| r.checks).flat_map(|c| c.roots);
-    let mut todo: Vec<String> = roots.map(|r| r.split('/').next().unwrap().into()).collect();
-    todo.sort();
-    todo.dedup();
+    let mut todo: BTreeSet<String> = roots.map(|r| r.split('/').next().unwrap().into()).collect();
     let mut tree = Tree::new();
-    while let Some(rel) = todo.pop() {
+    while let Some(rel) = todo.pop_first() {
         let path = root.join(&rel);
         let Ok(meta) = fs::symlink_metadata(&path) else { continue };
         if meta.is_dir() {
             for entry in fs::read_dir(&path).expect("readable directory") {
-                todo.push(format!("{rel}/{}", entry.expect("entry").file_name().to_string_lossy()));
+                todo.insert(format!("{rel}/{}", entry.expect("entry").file_name().display()));
             }
         } else if meta.is_file() && rel != "tests/structure.rs" {
             tree.push((rel, String::from_utf8_lossy(&fs::read(&path).expect("readable")).into()));
         }
     }
-    tree.sort();
     tree
 }
 
@@ -281,20 +278,17 @@ fn matcher_and_cutter_edge_cases() {
     // A tail is ignored in exactly the checks that cut tails.
     let tree = vec![("crates/a.rs".into(), "fn f() {}\n#[cfg(test)]\nv.insert(0, 1);".into())];
     let insert = Check { roots: &["crates"], needles: &[".insert("], expect: Hits(0), ..C };
-    for (rule, check) in RULES.iter().flat_map(|r| r.checks.iter().map(move |c| (r.name, c))) {
-        let probe = Check { cut_tests: check.cut_tests, ..insert };
-        assert_eq!(judge(&probe, &tree).is_empty(), check.cut_tests, "{rule}");
+    for cut_tests in [false, true] {
+        assert_eq!(judge(&Check { cut_tests, ..insert }, &tree).is_empty(), cut_tests);
     }
 }
 
-/// Each rule rejects the tree of the commit it was written against (needs the
-/// full history, so shallow clones skip it).
+/// Each rule rejects the tree of its base commit (needs the full history: shallow clones skip).
 #[test]
 #[ignore]
 fn each_rule_flags_its_base_tree() {
     for rule in RULES {
         let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("structure-{}", rule.base));
-        let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).expect("temp dir");
         let extract = format!("git -C {REPO} archive {} | tar -x -C {dir:?}", rule.base);
         let run = Command::new("bash").args(["-o", "pipefail", "-c", &extract]).status();
