@@ -107,13 +107,23 @@ impl ProfTimer {
 }
 
 impl Drop for ProfTimer {
+    /// Inlined into the caller's crate, so a disabled timer's drop is
+    /// the one `None` test there; the charge itself stays out of line.
+    #[inline]
     fn drop(&mut self) {
         if let Some((phase, started)) = self.live.take() {
-            let ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            NANOS[phase.index()].fetch_add(ns, Ordering::Relaxed);
-            COUNTS[phase.index()].fetch_add(1, Ordering::Relaxed);
+            charge(phase, started);
         }
     }
+}
+
+/// Adds the time since `started` to `phase`'s accumulators.
+#[cold]
+#[inline(never)]
+fn charge(phase: ProfPhase, started: Instant) {
+    let ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+    NANOS[phase.index()].fetch_add(ns, Ordering::Relaxed);
+    COUNTS[phase.index()].fetch_add(1, Ordering::Relaxed);
 }
 
 /// Accumulated wall-clock time and entry counts per phase.

@@ -120,6 +120,13 @@ impl<E> EventQueue<E> {
     pub fn new(_: SchedulerKind) -> Self {
         EventQueue(CalendarQueue::new())
     }
+
+    /// [`CalendarQueue::pop`] in the old three-field shape. The queue no
+    /// longer keeps the seq of an event it pops, so the middle field is
+    /// `()`.
+    pub fn pop(&mut self) -> Option<(u64, (), E)> {
+        self.0.pop().map(|(time, payload)| (time, (), payload))
+    }
 }
 
 impl<E> std::ops::Deref for EventQueue<E> {

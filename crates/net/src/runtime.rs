@@ -12,8 +12,10 @@
 //! by `(seed, sender, per-sender draw index)`; timer ids encode `(node,
 //! per-node timer counter)`. Events run in `(tick, deliveries before
 //! timers, push order)` order: messages, loopbacks and starts wait in one
-//! [`CalendarQueue`] and armed timers in a heap beside it, both keyed
+//! [`CalendarQueue`] and armed timers in a heap beside it, both ordered by
 //! `(time, seq)` with `seq` from one push counter (see [`crate::sched`]).
+//! A calendar event is 8 bytes, the node and its packed `EventKind`; a
+//! lane holds it alone, and only the spill adds the key.
 //! A timer pops only when it is strictly earlier than the calendar's
 //! head, so a message due on the tick a timer expires — one that took
 //! exactly the synchrony bound — is in time, as is a loopback a timer
@@ -36,12 +38,13 @@
 //!   applied. The loopback, every receiver of every k-cast and every relay
 //!   of a flood share that one record. It lives in a slot of the on-air
 //!   table (`OnAirTable`), which owns it and counts the deliveries still
-//!   queued for it; a queued delivery is plain data, the `u32` slot — no
-//!   reference count is touched per receiver. The slot also keeps the
-//!   flood's dedup row, looked up once when the record is put on the air,
-//!   so a reception tests one bit and probes no hash table. The payload is
-//!   cloned only to hand a delivery to an actor (the last queued one moves
-//!   it out), never for a relay or a duplicate reception.
+//!   queued for it; a queued delivery is plain data, the `u32` slot with
+//!   its loopback bit — no reference count is touched per receiver. The
+//!   slot also keeps the flood's dedup row, looked up once when the record
+//!   is put on the air, so a reception tests one bit and probes no hash
+//!   table. The payload is cloned only to hand a delivery to an actor (the
+//!   last queued one moves it out), never for a relay or a duplicate
+//!   reception.
 //!
 //! None of this skips or reorders an energy charge, a trace event, an
 //! interceptor call or a draw: `tests/golden_runs.rs` pins whole reports
@@ -331,18 +334,50 @@ pub type Interceptor = Box<dyn FnMut(&Delivery) -> Fate>;
 
 /// What a calendar event does when it pops. A delivery names its
 /// message's slot in the [`OnAirTable`]. Timers wait in their own heap.
-#[derive(Debug, Clone, Copy)]
+/// The calendar holds the event packed in four bytes ([`PackedEvent`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventKind {
     Start,
     Deliver { slot: u32, loopback: bool },
 }
 
+/// An [`EventKind`] in four bytes: a delivery is `slot << 1 | loopback`,
+/// `Start` is `u32::MAX`. Slots stay below [`SLOT_LIMIT`], so no delivery
+/// packs to `Start`'s code.
+#[derive(Debug, Clone, Copy)]
+struct PackedEvent(u32);
+
+/// One past the largest slot [`OnAirTable::insert`] hands out: slot
+/// `2³¹ − 1` with its loopback bit would pack to `Start`.
+const SLOT_LIMIT: u32 = u32::MAX >> 1;
+
+impl EventKind {
+    fn pack(self) -> PackedEvent {
+        match self {
+            EventKind::Start => PackedEvent(u32::MAX),
+            EventKind::Deliver { slot, loopback } => PackedEvent(slot << 1 | loopback as u32),
+        }
+    }
+}
+
+impl PackedEvent {
+    fn unpack(self) -> EventKind {
+        match self.0 {
+            u32::MAX => EventKind::Start,
+            code => EventKind::Deliver { slot: code >> 1, loopback: code & 1 == 1 },
+        }
+    }
+}
+
 /// A queue entry stays plain data: a reference-counted handle in a
-/// delivery would cost an atomic per receiver again.
+/// delivery would cost an atomic per receiver again. A lane holds the
+/// 8-byte payload alone; the spill adds the `(time, seq)` key.
 const _: fn() = || {
     fn plain_data<T: Copy>() {}
-    plain_data::<EventKind>();
+    plain_data::<NodeEvent>();
 };
+const _: () = assert!(std::mem::size_of::<NodeEvent>() == 8);
+const _: () = assert!(std::mem::size_of::<Entry<NodeEvent>>() == 24);
 
 /// One message on the air: built once, when its `Multicast` or `Flood`
 /// effect is applied, and shared by the sender's loopback, the `k`
@@ -419,6 +454,7 @@ impl<M: Message> OnAirTable<M> {
                 at
             }
             None => {
+                assert!(self.slots.len() < SLOT_LIMIT as usize, "on-air table full");
                 self.slots.push(slot);
                 self.slots.len() as u32 - 1
             }
@@ -464,7 +500,7 @@ impl<M: Message> OnAirTable<M> {
 
 /// The calendar's payload: which node the event targets and what it
 /// carries.
-type NodeEvent = (NodeId, EventKind);
+type NodeEvent = (NodeId, PackedEvent);
 
 /// An armed timer: its node, id and token, keyed `(time, seq)`.
 type Armed<T> = Reverse<Entry<(NodeId, TimerId, T)>>;
@@ -777,12 +813,12 @@ impl<A: Actor> SimNet<A> {
         // Refused: the calendar is empty, its head is later than the
         // timer head, or its head is not due, and then neither is the
         // timer head.
-        let Some((time, _seq, (id, kind))) = popped else {
+        let Some((time, (id, kind))) = popped else {
             return self.fire_if(due);
         };
         self.arrive(id, time);
         let node = id as usize;
-        match kind {
+        match kind.unpack() {
             EventKind::Start => {
                 self.invoke(id, EnergyPhase::Other, |actor, ctx| actor.on_start(ctx))
             }
@@ -875,7 +911,7 @@ impl<A: Actor> SimNet<A> {
     /// Queues a calendar event for `node` under the next sequence key.
     fn push(&mut self, node: NodeId, time: SimTime, kind: EventKind) {
         let seq = self.next_seq();
-        self.queue.push(time.as_micros(), seq, (node, kind));
+        self.queue.push(time.as_micros(), seq, (node, kind.pack()));
     }
 
     /// The next hop delay for a transmission by `from`: a counter-keyed
@@ -1006,8 +1042,8 @@ impl<A: Actor> SimNet<A> {
                         Some(_) => keyed_draw(SEND_TO_SALT, node, seq),
                     };
                     let slot = self.admit(OnAir::new(node, msg, Some(FloodMeta { key, target })));
-                    let event = (node, EventKind::Deliver { slot, loopback: true });
-                    self.queue.push(self.now.as_micros(), seq, event);
+                    let event = EventKind::Deliver { slot, loopback: true }.pack();
+                    self.queue.push(self.now.as_micros(), seq, (node, event));
                 }
                 Output::SetTimer { id, delay, token } => {
                     let (time, seq) = ((self.now + delay).as_micros(), self.next_seq());
@@ -1576,6 +1612,25 @@ mod tests {
                 ctx.set_timer(SimDuration::from_millis(2), ());
             }
         }
+    }
+
+    #[test]
+    fn a_packed_event_unpacks_to_itself() {
+        let mut codes = HashSet::new();
+        let mut kinds = vec![EventKind::Start];
+        for slot in [0, 1, SLOT_LIMIT - 1] {
+            for loopback in [false, true] {
+                kinds.push(EventKind::Deliver { slot, loopback });
+            }
+        }
+        for kind in kinds {
+            let packed = kind.pack();
+            assert_eq!(packed.unpack(), kind);
+            assert!(codes.insert(packed.0), "{kind:?} shares a code");
+        }
+        // The largest slot is 2³¹ − 2: one more, with its loopback bit,
+        // would be Start's code.
+        assert_eq!(SLOT_LIMIT - 1, (1 << 31) - 2);
     }
 
     #[test]

@@ -5,11 +5,14 @@
 //! out. That queue is a [`CalendarQueue`]: near-future events land in a
 //! ring of per-tick FIFO lanes (`O(1)` push/pop), and far-future events
 //! overflow into a sorted spill heap that drains back into the ring as
-//! virtual time advances.
+//! virtual time advances. A lane holds only payloads: its index is the
+//! tick and its order is push order, so the `(time, seq)` key is kept
+//! only in the spill, which has to sort.
 //!
 //! It pops in ascending `(time, seq)` order, the total order the
 //! determinism contract rests on. The unit tests here and the
-//! `sched_prop` property suite check that order against a plain
+//! `sched_prop` property suite push each event with its seq as the
+//! payload and check the popped `(time, payload)` order against a plain
 //! `BinaryHeap` oracle; `tests/golden_runs.rs` pins whole runs.
 //!
 //! # Example
@@ -21,20 +24,20 @@
 //! q.push(500, 0, "delivery");
 //! q.push(120_000, 1, "far-future timer");
 //! q.push(500, 2, "same-tick follow-up");
-//! assert_eq!(q.pop(), Some((500, 0, "delivery")));
-//! assert_eq!(q.pop(), Some((500, 2, "same-tick follow-up")));
-//! assert_eq!(q.pop(), Some((120_000, 1, "far-future timer")));
+//! assert_eq!(q.pop(), Some((500, "delivery")));
+//! assert_eq!(q.pop(), Some((500, "same-tick follow-up")));
+//! assert_eq!(q.pop(), Some((120_000, "far-future timer")));
 //! assert_eq!(q.pop(), None);
 //! ```
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// One queued event: the `(time, seq)` key plus its payload. Ordering —
-/// and therefore the whole determinism contract — is on `(time, seq)`
-/// only; the runtime takes `seq` from one push counter (see
-/// `crate::runtime`), so keys are unique and the order is total. The
-/// runtime's timer heap orders its entries the same way.
+/// One keyed event: the `(time, seq)` key plus its payload, as the spill
+/// heap and the runtime's timer heap hold it. Ordering — and therefore
+/// the whole determinism contract — is on `(time, seq)` only; the
+/// runtime takes `seq` from one push counter (see `crate::runtime`), so
+/// keys are unique and the order is total.
 pub(crate) struct Entry<E> {
     pub(crate) time: u64,
     pub(crate) seq: u64,
@@ -75,10 +78,11 @@ pub const MATERIALIZE_AT: usize = 192;
 /// keys.
 ///
 /// Near-future events — `time` within `lanes` ticks of the cursor — are
-/// appended to the lane of their exact delivery tick. Far-future events
-/// overflow into a sorted spill heap and migrate back into the ring as
-/// the cursor advances, before the window covers their tick, so each lane
-/// stays in push order.
+/// appended, payload only, to the lane of their exact delivery tick: the
+/// lane's index is the tick and its FIFO order is the seq order.
+/// Far-future events overflow, key and payload, into a sorted spill heap
+/// and migrate back into the ring as the cursor advances, before the
+/// window covers their tick, so each lane stays in push order.
 ///
 /// # Contract
 ///
@@ -88,14 +92,14 @@ pub const MATERIALIZE_AT: usize = 192;
 /// of processing an event at time `t` are scheduled at `t + delay`,
 /// `delay ≥ 0`). Debug builds panic on a push into the past and on one
 /// that lands in a lane behind a larger seq. Pop order is ascending
-/// `(time, seq)`.
+/// `(time, seq)`; a pop returns `(time, payload)`.
 pub struct CalendarQueue<E> {
-    /// Ring of per-tick FIFO lanes; lane `i` holds events whose tick
-    /// satisfies `tick & mask == i` and `cursor ≤ tick < cursor + lanes`.
-    /// Empty (zero lanes) until the queue materializes the ring — tiny
-    /// simulations stay in pure spill-heap mode and never pay the ring
-    /// allocation.
-    lanes: Box<[VecDeque<Entry<E>>]>,
+    /// Ring of per-tick FIFO lanes; lane `i` holds the payloads of the
+    /// events whose tick satisfies `tick & mask == i` and
+    /// `cursor ≤ tick < cursor + lanes`. Empty (zero lanes) until the
+    /// queue materializes the ring — tiny simulations stay in pure
+    /// spill-heap mode and never pay the ring allocation.
+    lanes: Box<[Lane<E>]>,
     /// Ring size to allocate when the pending set grows past
     /// [`MATERIALIZE_AT`].
     target_lanes: usize,
@@ -109,6 +113,41 @@ pub struct CalendarQueue<E> {
     in_lanes: usize,
     /// Far-future overflow, ordered by `(time, seq)`.
     spill: BinaryHeap<Reverse<Entry<E>>>,
+}
+
+/// One tick's FIFO of payloads. Debug builds also keep the key of the
+/// last push, to check the contract: a lane holds one tick, and its seqs
+/// ascend.
+struct Lane<E> {
+    events: VecDeque<E>,
+    #[cfg(debug_assertions)]
+    last: (u64, u64),
+}
+
+impl<E> Default for Lane<E> {
+    fn default() -> Self {
+        Lane {
+            events: VecDeque::new(),
+            #[cfg(debug_assertions)]
+            last: (0, 0),
+        }
+    }
+}
+
+impl<E> Lane<E> {
+    /// Checks a push of `(time, seq)` against the contract and keeps its
+    /// key; a no-op in release builds.
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    fn note_push(&mut self, time: u64, seq: u64) {
+        #[cfg(debug_assertions)]
+        {
+            if !self.events.is_empty() {
+                assert_eq!(self.last.0, time, "a lane holds exactly one tick");
+                assert!(self.last.1 < seq, "scheduler contract: same-tick seqs ascend");
+            }
+            self.last = (time, seq);
+        }
+    }
 }
 
 impl<E> Default for CalendarQueue<E> {
@@ -172,7 +211,7 @@ impl<E> CalendarQueue<E> {
     /// point: the heap yields same-tick events in `seq` order, so the
     /// lane FIFOs start ordered.
     fn materialize(&mut self) {
-        self.lanes = (0..self.target_lanes).map(|_| VecDeque::new()).collect();
+        self.lanes = (0..self.target_lanes).map(|_| Lane::default()).collect();
         self.occupancy = vec![0u64; self.target_lanes.div_ceil(64)].into_boxed_slice();
         self.mask = self.target_lanes as u64 - 1;
         self.migrate();
@@ -196,14 +235,13 @@ impl<E> CalendarQueue<E> {
     /// Queues `payload` for `time`. See the type-level contract.
     pub fn push(&mut self, time: u64, seq: u64, payload: E) {
         debug_assert!(time >= self.cursor, "scheduler contract: events are never in the past");
-        let entry = Entry { time, seq, payload };
         if time >= self.cursor + self.horizon() {
-            self.spill.push(Reverse(entry));
+            self.spill.push(Reverse(Entry { time, seq, payload }));
             if self.lanes.is_empty() && self.spill.len() >= MATERIALIZE_AT {
                 self.materialize();
             }
         } else {
-            self.lane_push(entry);
+            self.lane_push(time, seq, payload);
         }
     }
 
@@ -218,8 +256,8 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// Removes and returns the earliest event as `(time, seq, payload)`.
-    pub fn pop(&mut self) -> Option<(u64, u64, E)> {
+    /// Removes and returns the earliest event as `(time, payload)`.
+    pub fn pop(&mut self) -> Option<(u64, E)> {
         self.pop_if(|_| true)
     }
 
@@ -227,7 +265,7 @@ impl<E> CalendarQueue<E> {
     /// leaves the queue untouched otherwise. One search for the head
     /// where [`peek_time`](Self::peek_time) followed by
     /// [`pop`](Self::pop) makes two.
-    pub fn pop_if(&mut self, due: impl FnOnce(u64) -> bool) -> Option<(u64, u64, E)> {
+    pub fn pop_if(&mut self, due: impl FnOnce(u64) -> bool) -> Option<(u64, E)> {
         if self.in_lanes > 0 {
             let tick = self.first_occupied_tick().expect("in_lanes > 0");
             if !due(tick) {
@@ -235,14 +273,16 @@ impl<E> CalendarQueue<E> {
             }
             self.cursor = tick;
             let idx = (tick & self.mask) as usize;
-            let entry = self.lanes[idx].pop_front().expect("occupied lane");
-            debug_assert_eq!(entry.time, tick, "a lane holds exactly one tick");
-            if self.lanes[idx].is_empty() {
+            let lane = &mut self.lanes[idx];
+            #[cfg(debug_assertions)]
+            assert_eq!(lane.last.0, tick, "a lane holds exactly one tick");
+            let payload = lane.events.pop_front().expect("occupied lane");
+            if lane.events.is_empty() {
                 self.occupancy[idx / 64] &= !(1u64 << (idx % 64));
             }
             self.in_lanes -= 1;
             self.migrate();
-            Some((entry.time, entry.seq, entry.payload))
+            Some((tick, payload))
         } else if self.spill.peek().is_some_and(|Reverse(e)| due(e.time)) {
             // Ring empty: the spill head is the global minimum. Advancing
             // the cursor re-anchors the ring window so follow-up events
@@ -251,26 +291,24 @@ impl<E> CalendarQueue<E> {
             let Reverse(entry) = self.spill.pop().expect("peeked");
             self.cursor = entry.time;
             self.migrate();
-            Some((entry.time, entry.seq, entry.payload))
+            Some((entry.time, entry.payload))
         } else {
             None
         }
     }
 
-    /// Appends `entry` to its lane, keeping the occupancy bitmap. A lane
-    /// holds one tick, so appending keeps it sorted as long as same-tick
-    /// seqs ascend (the type-level contract).
-    fn lane_push(&mut self, entry: Entry<E>) {
-        let idx = (entry.time & self.mask) as usize;
+    /// Appends `payload` to the lane of `time`, keeping the occupancy
+    /// bitmap. A lane holds one tick, so appending keeps it sorted as
+    /// long as same-tick seqs ascend (the type-level contract); only
+    /// debug builds look at `seq`.
+    fn lane_push(&mut self, time: u64, seq: u64, payload: E) {
+        let idx = (time & self.mask) as usize;
         let lane = &mut self.lanes[idx];
-        debug_assert!(
-            lane.back().is_none_or(|b| b.seq < entry.seq),
-            "scheduler contract: same-tick seqs ascend"
-        );
-        if lane.is_empty() {
+        lane.note_push(time, seq);
+        if lane.events.is_empty() {
             self.occupancy[idx / 64] |= 1u64 << (idx % 64);
         }
-        lane.push_back(entry);
+        lane.events.push_back(payload);
         self.in_lanes += 1;
     }
 
@@ -281,8 +319,8 @@ impl<E> CalendarQueue<E> {
     fn migrate(&mut self) {
         let window_end = self.cursor + self.horizon();
         while self.spill.peek().is_some_and(|Reverse(e)| e.time < window_end) {
-            let Reverse(entry) = self.spill.pop().expect("peeked");
-            self.lane_push(entry);
+            let Reverse(Entry { time, seq, payload }) = self.spill.pop().expect("peeked");
+            self.lane_push(time, seq, payload);
         }
     }
 
@@ -329,20 +367,23 @@ mod tests {
     use super::*;
 
     /// The reference order: a plain binary heap over `(time, seq, payload)`.
+    /// Every test gives each payload its own seq (alone or in a pair), so
+    /// comparing popped `(time, payload)`s compares `(time, seq)` order.
     type Oracle<E> = BinaryHeap<Reverse<(u64, u64, E)>>;
 
-    fn pop_oracle<E: Ord>(heap: &mut Oracle<E>) -> Option<(u64, u64, E)> {
-        heap.pop().map(|Reverse(e)| e)
+    fn pop_oracle<E: Ord>(heap: &mut Oracle<E>) -> Option<(u64, E)> {
+        heap.pop().map(|Reverse((time, _, payload))| (time, payload))
     }
 
     /// Drains the queue and the oracle after identical pushes and asserts
-    /// identical `(time, seq, payload)` sequences.
+    /// identical `(time, (seq, tag))` sequences.
     fn assert_equivalent(events: &[(u64, &'static str)]) {
         let mut heap = Oracle::new();
         let mut cal = CalendarQueue::new();
         for (seq, &(time, tag)) in events.iter().enumerate() {
-            heap.push(Reverse((time, seq as u64, tag)));
-            cal.push(time, seq as u64, tag);
+            let seq = seq as u64;
+            heap.push(Reverse((time, seq, (seq, tag))));
+            cal.push(time, seq, (seq, tag));
         }
         loop {
             let (a, b) = (pop_oracle(&mut heap), cal.pop());
@@ -356,14 +397,14 @@ mod tests {
     #[test]
     fn pops_in_time_then_seq_order() {
         let mut q = CalendarQueue::with_lanes(64);
-        q.push(9, 0, "c");
-        q.push(3, 1, "a");
-        q.push(3, 2, "b");
+        q.push(9, 0, 0);
+        q.push(3, 1, 1);
+        q.push(3, 2, 2);
         assert_eq!(q.len(), 3);
         assert_eq!(q.peek_time(), Some(3));
-        assert_eq!(q.pop(), Some((3, 1, "a")));
-        assert_eq!(q.pop(), Some((3, 2, "b")));
-        assert_eq!(q.pop(), Some((9, 0, "c")));
+        assert_eq!(q.pop(), Some((3, 1)));
+        assert_eq!(q.pop(), Some((3, 2)));
+        assert_eq!(q.pop(), Some((9, 0)));
         assert_eq!(q.pop(), None);
         assert!(q.is_empty());
     }
@@ -371,15 +412,15 @@ mod tests {
     #[test]
     fn far_future_events_spill_and_come_back() {
         let mut q = CalendarQueue::with_lanes(64);
-        q.push(1_000_000, 0, "timer"); // way past the 64-tick window
-        q.push(10, 1, "hop");
-        assert_eq!(q.pop(), Some((10, 1, "hop")));
+        q.push(1_000_000, 0, (0, "timer")); // way past the 64-tick window
+        q.push(10, 1, (1, "hop"));
+        assert_eq!(q.pop(), Some((10, (1, "hop"))));
         // The timer is still in the spill; popping it re-anchors the ring.
         assert_eq!(q.peek_time(), Some(1_000_000));
-        assert_eq!(q.pop(), Some((1_000_000, 0, "timer")));
+        assert_eq!(q.pop(), Some((1_000_000, (0, "timer"))));
         // Events scheduled relative to the new cursor land in lanes again.
-        q.push(1_000_005, 2, "follow-up");
-        assert_eq!(q.pop(), Some((1_000_005, 2, "follow-up")));
+        q.push(1_000_005, 2, (2, "follow-up"));
+        assert_eq!(q.pop(), Some((1_000_005, (2, "follow-up"))));
     }
 
     #[test]
@@ -418,29 +459,29 @@ mod tests {
     #[test]
     fn same_tick_pushes_while_draining_keep_order() {
         let mut q = CalendarQueue::with_lanes(64);
-        q.push(5, 0, "first");
-        q.push(5, 1, "second");
-        assert_eq!(q.pop(), Some((5, 0, "first")));
+        q.push(5, 0, (0, "first"));
+        q.push(5, 1, (1, "second"));
+        assert_eq!(q.pop(), Some((5, (0, "first"))));
         // A zero-delay push at the current time (the loopback pattern).
-        q.push(5, 2, "loopback");
-        assert_eq!(q.pop(), Some((5, 1, "second")));
-        assert_eq!(q.pop(), Some((5, 2, "loopback")));
+        q.push(5, 2, (2, "loopback"));
+        assert_eq!(q.pop(), Some((5, (1, "second"))));
+        assert_eq!(q.pop(), Some((5, (2, "loopback"))));
     }
 
     #[test]
     fn ring_wrap_spans_many_rotations() {
         let mut q = CalendarQueue::with_lanes(64);
         let mut expect = Vec::new();
-        for (seq, round) in (0u64..50).enumerate() {
-            let t = round * 37; // crosses the 64-tick ring repeatedly
-            q.push(t, seq as u64, round);
-            expect.push((t, seq as u64, round));
+        for seq in 0u64..50 {
+            let t = seq * 37; // crosses the 64-tick ring repeatedly
+            q.push(t, seq, seq);
+            expect.push((t, seq));
         }
         let mut got = Vec::new();
         while let Some(e) = q.pop() {
             got.push(e);
         }
-        expect.sort_unstable_by_key(|&(t, s, _)| (t, s));
+        expect.sort_unstable();
         assert_eq!(got, expect);
     }
 
@@ -466,7 +507,7 @@ mod tests {
             let a = pop_oracle(&mut heap);
             let b = cal.pop();
             assert_eq!(a, b);
-            let Some((now, _, _)) = a else { break };
+            let Some((now, _)) = a else { break };
             for _ in 0..(rand() % 3) {
                 // Mix in near-future hops and far-future timers.
                 let delay =
@@ -502,12 +543,13 @@ mod tests {
             q.push(seq * 3, seq, seq);
         }
         assert_eq!(q.lanes.len(), 0, "tiny queues never allocate the ring");
-        assert_eq!(q.pop(), Some((0, 0, 0)));
+        assert_eq!(q.pop(), Some((0, 0)));
         // Blow past the threshold: the ring appears, order is unchanged.
-        let mut expect: Vec<(u64, u64, u64)> = (1..16u64).map(|s| (s * 3, s, s)).collect();
+        // The payload is the seq, so sorting `(time, payload)` sorts by key.
+        let mut expect: Vec<(u64, u64)> = (1..16u64).map(|s| (s * 3, s)).collect();
         for seq in 16..(16 + MATERIALIZE_AT as u64) {
             q.push(seq, seq, seq);
-            expect.push((seq, seq, seq));
+            expect.push((seq, seq));
         }
         assert_eq!(q.lanes.len(), DEFAULT_LANES, "materialized under load");
         expect.sort_unstable();

@@ -1,7 +1,9 @@
 //! Property test: the calendar queue pops in exactly the binary heap's
 //! `(time, seq)` order over event sets pushed under one ascending seq
 //! counter — the order the simulator's determinism contract rests on.
-//! The heap is the oracle only; the runtime has one queue.
+//! The heap is the oracle only; the runtime has one queue. A pop returns
+//! `(time, payload)`, so every push carries its seq as the payload and
+//! equal pop sequences mean equal key order.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -22,11 +24,11 @@ impl<E: Ord> Oracle<E> {
         self.0.peek().map(|Reverse((time, _, _))| *time)
     }
 
-    fn pop(&mut self) -> Option<(u64, u64, E)> {
-        self.0.pop().map(|Reverse(e)| e)
+    fn pop(&mut self) -> Option<(u64, E)> {
+        self.0.pop().map(|Reverse((time, _, payload))| (time, payload))
     }
 
-    fn pop_if(&mut self, due: impl FnOnce(u64) -> bool) -> Option<(u64, u64, E)> {
+    fn pop_if(&mut self, due: impl FnOnce(u64) -> bool) -> Option<(u64, E)> {
         if self.peek_time().is_some_and(due) {
             self.pop()
         } else {
@@ -57,7 +59,7 @@ fn replay(ops: &[u64], lanes: usize) {
             prop_assert_eq!(expect, got, "pop diverged at seq {}", seq);
             prop_assert_eq!(expect.is_some(), head.is_some_and(|t| t <= cutoff));
             match expect {
-                Some((t, _, _)) => now = t,
+                Some((t, _)) => now = t,
                 None => prop_assert_eq!(cal.peek_time(), head, "a refused pop moved the head"),
             }
         } else {
@@ -116,7 +118,7 @@ proptest! {
             if op % 4 == 3 {
                 let expect = heap.pop();
                 prop_assert_eq!(expect, cal.pop());
-                if let Some((t, _, _)) = expect { now = t; }
+                if let Some((t, _)) = expect { now = t; }
             } else {
                 let delay = (op / 4) % 3_000;
                 heap.push(now + delay, seq, seq);
@@ -166,7 +168,7 @@ proptest! {
             if op % 3 == 0 {
                 let expect = heap.pop();
                 prop_assert_eq!(expect, cal.pop());
-                if let Some((t, _, _)) = expect { now = t; }
+                if let Some((t, _)) = expect { now = t; }
             } else {
                 let t = now + DELAYS[(op / 3 % DELAYS.len() as u64) as usize];
                 heap.push(t, seq, seq);

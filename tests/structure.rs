@@ -89,11 +89,11 @@ const RULES: &[Rule] = &[
         checks: &[Check { needles: &["ShardedNet", "SchedulerKind", "EventQueue"], word: true,
             each: true, expect: Files(&["crates/net/src/lib.rs"]), ..C }],
         sample: ("examples/queue.rs", "use eesmr_net::EventQueue;") },
-    // 7382ac2. Every seq comes from SimNet's one push counter, so a calendar lane is
-    // append-only: no sorted insert in sched.rs, no per-origin key anywhere.
+    // 7382ac2. Every seq comes from SimNet's one push counter, so a calendar lane is append-only:
+    // no sorted insert in sched.rs, no per-origin key anywhere; and keyless (payload-only lanes).
     Rule { name: "append-only lanes (one push counter)", base: "37dd310",
-        checks: &[Check { roots: &["crates/net/src/sched.rs"], needles: &["rposition", ".insert("],
-                cut_tests: true, ..C },
+        checks: &[Check { roots: &["crates/net/src/sched.rs"], cut_tests: true,
+                needles: &["rposition", ".insert(", "VecDeque<Entry"], ..C },
             Check { roots: &["crates"], needles: &["push_ctr", "SEQ_NODE_BITS"], word: true, ..C }],
         sample: ("crates/net/src/sched.rs", "lane.insert(at, event);") },
     // 61f8e43. eesmr-hypergraph keeps the topology builders, diameter and Lemma A.5; the
