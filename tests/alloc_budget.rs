@@ -165,14 +165,14 @@ fn allocations_per_committed_block_are_pinned() {
         &[
             // Re-captured when `Config::leader_policy` went (was 98 297):
             // `Config` shrank from 128 to 112 bytes in each of the 7 replicas.
-            Budget { allocations: 500, reallocations: 51, peak_bytes: 98_185, units: 24 },
-            Budget { allocations: 1_251, reallocations: 166, peak_bytes: 123_521, units: 24 },
-            Budget { allocations: 1_231, reallocations: 221, peak_bytes: 134_945, units: 24 },
+            Budget { allocations: 500, reallocations: 51, peak_bytes: 98_057, units: 24 },
+            Budget { allocations: 1_251, reallocations: 166, peak_bytes: 123_009, units: 24 },
+            Budget { allocations: 1_231, reallocations: 221, peak_bytes: 133_921, units: 24 },
             // Re-captured when the trusted baseline became a rule on the
             // replica skeleton (was 1 096 / 348 / 57 053): one `Arc` per
             // signed message and the skeleton's per-replica tables, but the
             // hub no longer grows a command vector upload by upload.
-            Budget { allocations: 1_195, reallocations: 77, peak_bytes: 77_693, units: 24 },
+            Budget { allocations: 1_195, reallocations: 77, peak_bytes: 77_565, units: 24 },
         ],
     );
 }
@@ -228,6 +228,6 @@ fn allocations_per_delivery_on_the_busy_ring_are_pinned() {
     });
     check(
         &[("busy ring", got)],
-        &[Budget { allocations: 997, reallocations: 32, peak_bytes: 181_424, units: 592 }],
+        &[Budget { allocations: 997, reallocations: 32, peak_bytes: 106_576, units: 592 }],
     );
 }
