@@ -89,8 +89,8 @@ const RULES: &[Rule] = &[
         checks: &[Check { needles: &["ShardedNet", "SchedulerKind", "EventQueue"], word: true,
             each: true, expect: Files(&["crates/net/src/lib.rs"]), ..C }],
         sample: ("examples/queue.rs", "use eesmr_net::EventQueue;") },
-    // 7382ac2. Every seq comes from SimNet's one push counter, so a calendar lane is append-only:
-    // no sorted insert in sched.rs, no per-origin key anywhere; and keyless (payload-only lanes).
+    // 7382ac2, widened in 57a9ce0. One push counter makes a calendar lane append-only and
+    // keyless: no sorted insert or keyed lane in sched.rs, no per-origin key anywhere.
     Rule { name: "append-only lanes (one push counter)", base: "37dd310",
         checks: &[Check { roots: &["crates/net/src/sched.rs"], cut_tests: true,
                 needles: &["rposition", ".insert(", "VecDeque<Entry"], ..C },
