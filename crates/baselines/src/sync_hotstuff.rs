@@ -24,11 +24,12 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use eesmr_core::smr::WINDOW;
 use eesmr_core::{
     BatchPolicy, Block, CertifiedBlock, Envelope, MsgKind, Params, QuorumCert, Rule, Shared,
-    SignedPayload, Smr, SmrPayload, TimerToken,
+    SignedPayload, Smr, SmrPayload, TimerToken, WindowMap, WindowSet,
 };
-use eesmr_crypto::{Digest, Hashable, KeyMap, KeySet, KeyStore, Signature};
+use eesmr_crypto::{Digest, Hashable, KeyStore, Signature};
 use eesmr_net::codec::family;
 use eesmr_net::{NodeId, SimDuration, TraceClass, TraceEventKind};
 
@@ -203,8 +204,8 @@ pub struct HsRule {
     tip: Digest,
     tip_height: u64,
     highest_cert: Option<CertifiedBlock>,
-    voted: KeySet<(u64, u64)>,
-    votes: KeyMap<Digest, VoteBook>,
+    voted: WindowSet<(u64, u64)>,
+    votes: WindowMap<Digest, VoteBook>,
     statuses: BTreeMap<NodeId, Option<CertifiedBlock>>,
     new_view_proposed: bool,
 }
@@ -224,8 +225,8 @@ impl Rule for HsRule {
             tip: genesis,
             tip_height: 0,
             highest_cert: None,
-            voted: KeySet::default(),
-            votes: KeyMap::default(),
+            voted: WindowSet::default(),
+            votes: WindowMap::default(),
             statuses: BTreeMap::new(),
             new_view_proposed: false,
         }
@@ -251,6 +252,7 @@ impl Rule for HsRule {
             forward_retry_window: None,
             replays_through_gate: false,
             hub: None,
+            window: WINDOW,
         }
     }
 
@@ -319,7 +321,7 @@ impl Rule for HsRule {
                 r.metrics.proposals_rejected += 1;
                 return;
             }
-            r.rule.quoted(block.parent);
+            r.rule.quoted(block.parent, block.height - 1);
         }
         // Lock rule: must extend the highest certified block.
         if let Some(c) = &r.rule.highest_cert {
@@ -329,11 +331,11 @@ impl Rule for HsRule {
             }
         }
         let height = block.height;
-        if !r.rule.voted.insert((msg.view, height)) {
+        if !r.rule.voted.insert_new(height, (msg.view, height), ()) {
             return; // vote once per height per view
         }
         ctx.meter().charge_hash(block.wire_size());
-        r.first_seen.entry(block_id).or_insert(ctx.now());
+        r.mark_first_seen(block, ctx.now());
         r.metrics.proposals_relayed += 1;
         if height > r.rule.tip_height {
             r.rule.tip = block_id;
@@ -359,7 +361,7 @@ impl Rule for HsRule {
                 ctx.trace(TraceEventKind::Relay { block });
             }
             let vote = r.sign(HsPayload::Vote { block_id, height }, ctx);
-            tally = r.rule.record_vote(block_id, r.id, vote.view, vote.sig.clone());
+            tally = r.rule.record_vote(block_id, height, r.id, vote.view, vote.sig.clone());
             for _ in 0..r.fault.storm_repeats_in(r.v_cur) {
                 ctx.multicast(vote.clone());
             }
@@ -407,6 +409,15 @@ impl Rule for HsRule {
     fn verified(&self, qc: &QuorumCert, signer: NodeId, sig: &Signature) -> bool {
         qc.kind == MsgKind::HsVote
             && self.votes.get(&qc.data).is_some_and(|book| book.verified(qc.view, signer, sig))
+    }
+
+    fn prune_below(&mut self, floor: u64) {
+        self.voted.prune_below(floor, drop);
+        self.votes.prune_below(floor, drop);
+    }
+
+    fn bookkeeping(&self) -> Vec<(&'static str, usize)> {
+        vec![("voted", self.voted.len()), ("votes", self.votes.len())]
     }
 }
 
@@ -523,23 +534,27 @@ impl HsRule {
         self.votes.get(block_id).is_none_or(|book| book.wants(signer))
     }
 
-    /// Records `signer`'s verified vote in `view` for `block_id` in its
-    /// book.
+    /// Records `signer`'s verified vote in `view` for `block_id`, at
+    /// `height`, in its book.
     fn record_vote(
         &mut self,
         block_id: Digest,
+        height: u64,
         signer: NodeId,
         view: u64,
         sig: Signature,
     ) -> Tally {
-        let book = self.votes.entry(block_id).or_insert_with(|| VoteBook::new(&self.config));
-        book.record(signer, view, sig, &self.config)
+        let config = &self.config;
+        let book = self.votes.get_or_insert_with(height, block_id, || VoteBook::new(config));
+        book.record(signer, view, sig, config)
     }
 
-    /// A certificate quoting `block_id` has been accepted: from now on its
-    /// book keeps the signatures only while the block still needs votes.
-    fn quoted(&mut self, block_id: Digest) {
-        let book = self.votes.entry(block_id).or_insert_with(|| VoteBook::new(&self.config));
+    /// A certificate quoting `block_id`, at `height`, has been accepted:
+    /// from now on its book keeps the signatures only while the block
+    /// still needs votes.
+    fn quoted(&mut self, block_id: Digest, height: u64) {
+        let config = &self.config;
+        let book = self.votes.get_or_insert_with(height, block_id, || VoteBook::new(config));
         book.quoted = true;
         book.release_if_done();
     }
@@ -547,6 +562,9 @@ impl HsRule {
 
 fn on_vote(r: &mut HsReplica, from: NodeId, msg: HsMsg, ctx: &mut Ctx<'_>) {
     let HsPayload::Vote { block_id, height } = msg.payload else { return };
+    if height < r.floor() {
+        return; // stale: its book may be pruned, so it is not read
+    }
     if msg.view > r.v_cur {
         r.future_views.push((from, msg));
         return;
@@ -564,7 +582,7 @@ fn on_vote(r: &mut HsReplica, from: NodeId, msg: HsMsg, ctx: &mut Ctx<'_>) {
     // own certificate is still incomplete. Every node relays at least
     // the quorum-completing vote, so downstream nodes always gather a
     // quorum too.
-    let tally = r.rule.record_vote(block_id, msg.signer, msg.view, msg.sig.clone());
+    let tally = r.rule.record_vote(block_id, height, msg.signer, msg.view, msg.sig.clone());
     let view = msg.view;
     ctx.multicast(msg);
     on_tally(r, block_id, height, view, tally, ctx);
@@ -779,14 +797,14 @@ mod tests {
                 let sig = pki.keypair(signer).sign(block.as_bytes());
                 let tally = if kind == 2 {
                     // `on_proposal`: a certificate quoting the block passed.
-                    rule.quoted(block);
+                    rule.quoted(block, 1);
                     model.quoted.insert(block);
                     Tally::default()
                 } else if kind == 0 && !own_cast[b] {
                     // `on_proposal`: our own vote goes straight in.
                     own_cast[b] = true;
                     let sig = pki.keypair(me).sign(block.as_bytes());
-                    let new = rule.record_vote(block, me, 1, sig.clone());
+                    let new = rule.record_vote(block, 1, me, 1, sig.clone());
                     prop_assert_eq!(&new, &model.record(block, me, sig, &config));
                     new
                 } else {
@@ -795,7 +813,7 @@ mod tests {
                     if !asked || kind == 1 {
                         continue; // skipped, or forged: `verify_envelope` says no
                     }
-                    let new = rule.record_vote(block, signer, 1, sig.clone());
+                    let new = rule.record_vote(block, 1, signer, 1, sig.clone());
                     prop_assert_eq!(&new, &model.record(block, signer, sig, &config));
                     new
                 };

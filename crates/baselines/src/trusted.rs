@@ -14,12 +14,13 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use eesmr_core::smr::WINDOW;
 use eesmr_core::{
     BatchPolicy, Block, Command, Commands, Envelope, FaultMode, Params, Rule, Shared,
-    SignedPayload, Smr, SmrPayload, TimerToken,
+    SignedPayload, Smr, SmrPayload, TimerToken, WindowSet,
 };
 use eesmr_crypto::sha256::Sha256;
-use eesmr_crypto::{Digest, Hashable, KeySet, KeyStore};
+use eesmr_crypto::{Digest, Hashable, KeyStore};
 use eesmr_net::codec::family;
 use eesmr_net::{NodeId, SimDuration, TraceClass, TraceEventKind};
 
@@ -50,6 +51,7 @@ pub fn tb_config(n: usize, delta: SimDuration) -> TbConfig {
         forward_retry_window: None,
         replays_through_gate: false,
         hub: Some(HUB),
+        window: WINDOW,
     }
 }
 
@@ -130,9 +132,13 @@ pub struct TrustedRule {
     /// Hub: the uploads taken since the last tick, in the order the next
     /// block holds them.
     uploads: BTreeMap<(u64, NodeId), Commands>,
-    /// Hub: every upload taken, by `(spoke, seq)`. A spoke's copies are
-    /// plain k-casts, which the network never dedups.
-    taken: KeySet<(NodeId, u64)>,
+    /// Hub: every upload taken, by `(spoke, seq)`, at the height of the
+    /// block it went into. A spoke's copies are plain k-casts, which the
+    /// network never dedups.
+    taken: WindowSet<(NodeId, u64)>,
+    /// Hub: per spoke, the seq below which every upload is stale — one
+    /// past the highest of its seqs the floor has pruned from `taken`.
+    stale_below: Vec<u64>,
 }
 
 /// A trusted-baseline participant: the hub (node 0) or a CPS node.
@@ -151,7 +157,8 @@ impl Rule for TrustedRule {
             repairing: false,
             ticking: false,
             uploads: BTreeMap::new(),
-            taken: KeySet::default(),
+            taken: WindowSet::default(),
+            stale_below: vec![0; config.n],
         }
     }
 
@@ -217,11 +224,16 @@ impl Rule for TrustedRule {
         TrustedRule::try_propose(r, ctx);
     }
 
-    /// Hub: take each signed upload once.
+    /// Hub: take each signed upload once. One whose seq the floor has
+    /// passed is stale: its `taken` entry may be pruned, so it is not read.
     fn on_message(r: &mut TbReplica, _from: NodeId, msg: TbMsg, ctx: &mut Ctx<'_>) {
         let TbPayload::Upload { batch, seq } = &msg.payload else { return };
-        if r.is_leader() && r.verify_envelope(&msg, ctx) && r.rule.taken.insert((msg.signer, *seq))
-        {
+        let stale_below = r.rule.stale_below.get(msg.signer as usize).copied().unwrap_or(0);
+        if !r.is_leader() || *seq < stale_below || !r.verify_envelope(&msg, ctx) {
+            return;
+        }
+        let height = r.b_com_height + 1; // the block the next tick cuts
+        if r.rule.taken.insert_new(height, (msg.signer, *seq), ()) {
             r.rule.uploads.insert((*seq, msg.signer), batch.clone());
         }
     }
@@ -240,7 +252,7 @@ impl Rule for TrustedRule {
             let (id, height) = (block.id(), block.height);
             r.commit_block(id, ctx);
             let msg = r.sign(TbPayload::Propose { block }, ctx);
-            r.proposals_seen.insert((r.v_cur, height), (id, msg.clone()));
+            r.proposals_seen.insert_new(height, (r.v_cur, height), (id, msg.clone()));
             ctx.multicast(msg);
         }
         ctx.set_timer(r.params.delta * 2, TimerToken::Order);
@@ -255,6 +267,19 @@ impl Rule for TrustedRule {
     fn on_repaired(r: &mut TbReplica, _tip: &Block, ctx: &mut Ctx<'_>) {
         r.rule.repairing = false;
         TrustedRule::try_propose(r, ctx);
+    }
+
+    fn prune_below(&mut self, floor: u64) {
+        let stale_below = &mut self.stale_below;
+        self.taken.prune_below(floor, |(spoke, seq)| {
+            if let Some(bar) = stale_below.get_mut(spoke as usize) {
+                *bar = (*bar).max(seq + 1);
+            }
+        });
+    }
+
+    fn bookkeeping(&self) -> Vec<(&'static str, usize)> {
+        vec![("taken", self.taken.len())]
     }
 }
 

@@ -43,6 +43,7 @@ pub mod replica;
 pub mod smr;
 pub mod txpool;
 mod view_change;
+pub mod window;
 
 pub use block::{Block, BlockStore, ChainRelation, Command, Commands, Lineage};
 pub use broadcast::{build_bb_nodes, BbNode, BbOutput};
@@ -56,3 +57,4 @@ pub use replica::{EesmrRule, Replica};
 pub use smr::{Params, Rule, Shared, Smr, SmrPayload, TimerToken};
 pub use txpool::{AdaptiveBatcher, TxPool, WorkloadSource};
 pub use view_change::build_replicas;
+pub use window::{WindowMap, WindowSet};

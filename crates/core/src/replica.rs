@@ -23,13 +23,14 @@
 
 use std::collections::BTreeMap;
 
-use eesmr_crypto::{Digest, KeySet, Signature};
+use eesmr_crypto::{Digest, Signature};
 use eesmr_net::{NodeId, TraceClass, TraceEventKind};
 
 use crate::block::Block;
 use crate::config::{Config, FaultMode, Pacing};
 use crate::message::{CertifiedBlock, Payload, SignedMsg};
-use crate::smr::{Params, Rule, Smr, TimerToken};
+use crate::smr::{Params, Rule, Smr, TimerToken, WINDOW};
+use crate::window::WindowSet;
 
 /// The EESMR replica's network context.
 pub(crate) type Ctx<'a> = crate::smr::Ctx<'a, EesmrRule>;
@@ -71,7 +72,7 @@ pub struct EesmrRule {
     pub(crate) r_cur: u64,
     pub(crate) b_lock: Digest,
     pub(crate) b_lock_height: u64,
-    pub(crate) relayed: KeySet<Digest>,
+    pub(crate) relayed: WindowSet<Digest>,
     pub(crate) want_propose: bool,
     pub(crate) vc: VcState,
     pub(crate) nv: NewViewState,
@@ -96,7 +97,7 @@ impl Rule for EesmrRule {
             r_cur: 3,
             b_lock: genesis,
             b_lock_height: 0,
-            relayed: KeySet::default(),
+            relayed: WindowSet::default(),
             want_propose: false,
             vc: VcState::default(),
             nv: NewViewState::default(),
@@ -130,6 +131,7 @@ impl Rule for EesmrRule {
             forward_retry_window: Some(32),
             replays_through_gate: true,
             hub: None,
+            window: WINDOW,
         }
     }
 
@@ -246,6 +248,14 @@ impl Rule for EesmrRule {
             rule.b_lock_height = tip.height;
         }
     }
+
+    fn prune_below(&mut self, floor: u64) {
+        self.relayed.prune_below(floor, drop);
+    }
+
+    fn bookkeeping(&self) -> Vec<(&'static str, usize)> {
+        vec![("relayed", self.relayed.len())]
+    }
 }
 
 impl Replica {
@@ -297,7 +307,7 @@ impl Replica {
             .clone();
         let batch = self.next_batch();
         let block = self.cut_block(&parent, round, batch, ctx);
-        self.rule.relayed.insert(block.id());
+        self.rule.relayed.insert_new(block.height, block.id(), ());
         let msg = self.sign(Payload::Propose { block, round, justify: None }, ctx);
         ctx.multicast(msg);
 
@@ -316,14 +326,16 @@ impl Replica {
     fn accept_proposal(&mut self, block: Block, msg: SignedMsg, ctx: &mut Ctx<'_>) {
         let block_id = block.id();
         ctx.meter().charge_hash(block.wire_size());
-        self.first_seen.entry(block_id).or_insert(ctx.now());
+        self.mark_first_seen(&block, ctx.now());
 
         // Relay once (line 213) — the implicit vote. A withholding node
         // processes and commits but never relays (starving quorum-less
         // EESMR of nothing, but starving the vote-counting baselines); a
         // storming node re-multicasts extra copies that the receivers'
         // content dedup absorbs while traffic and energy inflate.
-        if self.rule.relayed.insert(block_id) && self.fault.relays_in(self.v_cur) {
+        if self.rule.relayed.insert_new(block.height, block_id, ())
+            && self.fault.relays_in(self.v_cur)
+        {
             self.metrics.proposals_relayed += 1;
             if ctx.traces(TraceClass::Commit) {
                 ctx.trace(TraceEventKind::Relay { block: crate::block::fingerprint(&block_id) });

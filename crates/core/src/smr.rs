@@ -37,6 +37,7 @@ use crate::config::{BatchPolicy, FaultMode};
 use crate::message::{block_ids_digest, Envelope, MsgKind, QuorumCert, SignedPayload};
 use crate::metrics::Metrics;
 use crate::txpool::{AdaptiveBatcher, TxPool, WorkloadSource};
+use crate::window::WindowMap;
 
 /// Timer tokens (all carry the view they were armed in; stale timers are
 /// ignored). `ShareQc` and `EnterNew` are armed by the EESMR rule only,
@@ -261,7 +262,20 @@ pub struct Params {
     /// spoke), and only the hub serves a `Repair` or is taken at its word
     /// in a `RepairReply`.
     pub hub: Option<NodeId>,
+    /// The bookkeeping window `W`: every per-height table keeps entries
+    /// from `b_com_height − W` up, and every proposal, vote or upload
+    /// below that floor is dropped unread ([`Smr::floor`]).
+    pub window: u64,
 }
+
+/// The bookkeeping window every rule here derives its [`Params::window`]
+/// from: 64 heights. Below `b_com_height` every height is final, so the
+/// floor only has to stay below the heights a message still in flight can
+/// be about: a flood lands within Δ, and no pacing here commits more than
+/// its 8-block pipeline per Δ, which leaves an 8-fold margin. Nothing
+/// below the floor is served from these tables: sync and repair read the
+/// block store, which keeps every block.
+pub const WINDOW: u64 = 64;
 
 /// A commit rule: the configuration, private state and handlers that make
 /// the skeleton one particular protocol.
@@ -322,6 +336,14 @@ pub trait Rule: Sized {
     fn verified(&self, _qc: &QuorumCert, _signer: NodeId, _sig: &Signature) -> bool {
         false
     }
+    /// The commit floor rose to `floor`: drop the rule's per-height
+    /// entries below it. Default: it keeps none.
+    fn prune_below(&mut self, _floor: u64) {}
+    /// The keys held by each of the rule's per-height tables, by name.
+    /// Default: it keeps none.
+    fn bookkeeping(&self) -> Vec<(&'static str, usize)> {
+        Vec::new()
+    }
 }
 
 /// A synchronous-SMR replica running commit rule `R`.
@@ -352,9 +374,9 @@ pub struct Smr<R: Rule> {
     /// The attached client-workload stream, if any.
     pub workload: Option<Box<dyn WorkloadSource>>,
 
-    /// First proposal seen per `(view, slot)`: dedup, and the first half
-    /// of an equivocation proof.
-    pub proposals_seen: KeyMap<(u64, u64), (Digest, Msg<R>)>,
+    /// First proposal seen per `(view, slot)`, at its block's height:
+    /// dedup, and the first half of an equivocation proof.
+    pub proposals_seen: WindowMap<(u64, u64), (Digest, Msg<R>)>,
     /// Armed commit timers.
     pub commit_timers: Vec<(Digest, TimerId)>,
     /// The armed blame timer.
@@ -362,7 +384,7 @@ pub struct Smr<R: Rule> {
     /// Accepted, uncommitted proposals (what pacing counts).
     pub outstanding: usize,
     /// When each uncommitted block was first accepted.
-    pub first_seen: KeyMap<Digest, SimTime>,
+    pub first_seen: WindowMap<Digest, SimTime>,
     /// Whether a `ForwardFlush` timer is pending.
     pub forward_flush_armed: bool,
     /// Whether a `ForwardRetry` timer is pending.
@@ -426,11 +448,11 @@ impl<R: Rule> Smr<R> {
             txpool: TxPool::synthetic(params.payload_bytes).with_offered_load(params.offered_load),
             batcher: AdaptiveBatcher::new(),
             workload: None,
-            proposals_seen: KeyMap::default(),
+            proposals_seen: WindowMap::default(),
             commit_timers: Vec::new(),
             blame_timer: None,
             outstanding: 0,
-            first_seen: KeyMap::default(),
+            first_seen: WindowMap::default(),
             forward_flush_armed: false,
             forward_retry_armed: false,
             blames: BTreeMap::new(),
@@ -472,6 +494,24 @@ impl<R: Rule> Smr<R> {
     /// Protocol metrics.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
+    }
+
+    /// The keys held by each per-height bookkeeping table, the skeleton's
+    /// and the rule's, by name: each stays within a bound set by
+    /// [`Params::window`] however long the run.
+    pub fn bookkeeping(&self) -> Vec<(&'static str, usize)> {
+        let mut tables = vec![
+            ("proposals_seen", self.proposals_seen.len()),
+            ("first_seen", self.first_seen.len()),
+        ];
+        tables.extend(self.rule.bookkeeping());
+        tables
+    }
+
+    /// The commit floor `b_com_height − W`: per-height entries below it
+    /// are dropped, and so is every proposal, vote or upload below it.
+    pub fn floor(&self) -> u64 {
+        self.b_com_height.saturating_sub(self.params.window)
     }
 
     /// Looks up a block (committed or not).
@@ -790,6 +830,9 @@ impl<R: Rule> Smr<R> {
     /// lines 220–226). What survives goes to [`Rule::on_proposal`].
     pub fn on_propose(&mut self, from: NodeId, msg: Msg<R>, ctx: &mut Ctx<'_, R>) {
         let Some((block, slot)) = msg.payload.proposal() else { return };
+        if block.height < self.floor() {
+            return; // stale: its slot's entry may be pruned, so it is not read
+        }
         if msg.view > self.v_cur {
             self.future_views.push((from, msg));
             return;
@@ -817,7 +860,7 @@ impl<R: Rule> Smr<R> {
                 return;
             }
         } else {
-            self.proposals_seen.insert(key, (block_id, msg.clone()));
+            self.proposals_seen.insert_new(block.height, key, (block_id, msg.clone()));
         }
         if msg.view < self.v_cur {
             return;
@@ -869,6 +912,22 @@ impl<R: Rule> Smr<R> {
         self.b_com = block_id;
         self.b_com_height = self.store.get(&block_id).expect("committed block stored").height;
         self.metrics.committed_height = self.b_com_height;
+        self.prune_bookkeeping();
+    }
+
+    /// Drops every per-height entry below the commit floor, the skeleton's
+    /// and the rule's. `store` and `committed_log` stay whole: repair and
+    /// sync serve blocks from the store, and the reports read the log.
+    fn prune_bookkeeping(&mut self) {
+        let floor = self.floor();
+        self.proposals_seen.prune_below(floor, drop);
+        self.first_seen.prune_below(floor, drop);
+        self.rule.prune_below(floor);
+    }
+
+    /// Records when `block` was first accepted, unless it already was.
+    pub fn mark_first_seen(&mut self, block: &Block, now: SimTime) {
+        self.first_seen.insert_new(block.height, block.id(), now);
     }
 
     // ------------------------------------------------------------------

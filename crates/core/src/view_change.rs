@@ -492,7 +492,7 @@ impl Replica {
         }
         self.rule.b_lock = id;
         self.rule.b_lock_height = block.height;
-        self.first_seen.entry(id).or_insert(ctx.now());
+        self.mark_first_seen(&block, ctx.now());
         // Steady state resumes (line 277).
         self.rule.r_cur = 3;
         self.reset_blame_timer(self.params.steady_blame_multiple, ctx);
