@@ -163,16 +163,16 @@ fn allocations_per_committed_block_are_pinned() {
     check(
         &got,
         &[
-            // Re-captured when `Config::leader_policy` went (was 98 297):
-            // `Config` shrank from 128 to 112 bytes in each of the 7 replicas.
-            Budget { allocations: 500, reallocations: 51, peak_bytes: 98_057, units: 24 },
-            Budget { allocations: 1_251, reallocations: 166, peak_bytes: 123_009, units: 24 },
-            Budget { allocations: 1_231, reallocations: 221, peak_bytes: 133_921, units: 24 },
-            // Re-captured when the trusted baseline became a rule on the
-            // replica skeleton (was 1 096 / 348 / 57 053): one `Arc` per
-            // signed message and the skeleton's per-replica tables, but the
-            // hub no longer grows a command vector upload by upload.
-            Budget { allocations: 1_195, reallocations: 77, peak_bytes: 77_565, units: 24 },
+            // Re-captured when the per-height tables gained their height
+            // order (was 500 / 51 / 98 057, 1 251 / 166 / 123 009,
+            // 1 231 / 221 / 133 921 and 1 195 / 77 / 77 565): each pruned
+            // table keeps a `VecDeque` of its keys, grown by doubling, so
+            // the commit floor finds the entries below it. 24 blocks stay
+            // under the 64-height window, so nothing is pruned here.
+            Budget { allocations: 521, reallocations: 114, peak_bytes: 122_137, units: 24 },
+            Budget { allocations: 1_279, reallocations: 250, peak_bytes: 152_689, units: 24 },
+            Budget { allocations: 1_259, reallocations: 305, peak_bytes: 163_601, units: 24 },
+            Budget { allocations: 1_210, reallocations: 104, peak_bytes: 90_485, units: 24 },
         ],
     );
 }
