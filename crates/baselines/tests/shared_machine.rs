@@ -7,7 +7,7 @@
 //! Sync HotStuff alike — and the two places where the rules are *meant* to
 //! differ on this path (the sync cap, the proposal slot) are pinned as
 //! such. The trusted baseline runs the cases that apply on its star (it
-//! never blames, syncs or forwards), plus two of its own.
+//! never blames, syncs or forwards), plus three of its own.
 
 use std::sync::Arc;
 
@@ -39,6 +39,10 @@ trait Family: Rule + 'static {
     /// A proposal of a block on `parent`, in the slot after `parent`'s,
     /// carrying one command derived from `tag`.
     fn proposal(parent: &Block, tag: u64) -> (Block, Self::Payload);
+    /// An explicit vote for `block`, if the family has one.
+    fn vote(_block: &Block) -> Option<Self::Payload> {
+        None
+    }
 }
 
 impl Family for EesmrRule {
@@ -67,6 +71,9 @@ impl Family for HsRule {
         let height = parent.height + 1; // the slot *is* the height
         let block = Block::extending(parent, 1, height, vec![Command::synthetic(tag, 16)]);
         (block.clone(), HsPayload::Propose { block, justify: None })
+    }
+    fn vote(block: &Block) -> Option<HsPayload> {
+        Some(HsPayload::Vote { block_id: block.id(), height: block.height })
     }
 }
 
@@ -611,6 +618,95 @@ fn a_repair_reply_that_is_not_a_rooted_hash_chain_changes_nothing() {
 fn a_repair_reply_signed_outside_the_pki_changes_nothing() {
     forged_repair_reply_is_rejected::<EesmrRule>();
     forged_repair_reply_is_rejected::<HsRule>();
+}
+
+// ----------------------------------------------------------------------
+// Messages below the commit floor.
+// ----------------------------------------------------------------------
+
+/// Node 1 accepts the view-1 proposal of height 1 (relays it, votes for it
+/// or commits it), then repairs `W + 1` blocks past it: the floor is 2,
+/// and everything the node kept about height 1 is pruned.
+fn past_the_floor<R: Family>(pki: &Arc<KeyStore>) -> (Harness<Smr<R>>, Block, Msg<R>) {
+    let rule = R::NAME;
+    let mut h = replica::<R>(1, pki, 1);
+    let (b1, p1) = R::proposal(&Block::genesis(), 1);
+    let p1 = signed::<R>(p1, 1, pki, 0);
+    assert!(!h.deliver(0, p1.clone()).is_empty(), "{rule}: height 1 is acted on");
+    let mut tip = b1.clone();
+    let tags = 2..h.actor().params.window + 3;
+    let blocks = tags.map(|tag| {
+        tip = R::proposal(&tip, tag).0;
+        tip.clone()
+    });
+    let blocks = blocks.collect();
+    let reply = R::Payload::from_shared(Shared::RepairReply { blocks, view: 1 });
+    h.deliver(R::REPAIRER, signed::<R>(reply, 1, pki, R::REPAIRER));
+    assert_eq!(h.actor().floor(), 2, "{rule}: the repair committed past the window");
+    (h, b1, p1)
+}
+
+/// Delivers `msg` and asserts that it caused nothing: no output, no
+/// verify or hash charge, no change to the commit or the view.
+fn assert_ignored<R: Family>(h: &mut Harness<Smr<R>>, from: NodeId, msg: Msg<R>, what: &str) {
+    use eesmr_energy::EnergyCategory::{Hash, Verify};
+    let rule = R::NAME;
+    let charged = |h: &Harness<Smr<R>>| [Verify, Hash].map(|c| h.meter().count(c));
+    let (charges, log) = (charged(h), h.actor().committed().to_vec());
+    let out = h.deliver(from, msg);
+    assert!(out.is_empty(), "{rule}: {what}: {out:?}");
+    assert_eq!(charged(h), charges, "{rule}: {what}: no verify or hash charge");
+    assert_eq!(h.actor().committed(), log, "{rule}: {what}: the commit is unchanged");
+    assert!(!h.actor().view_aborted, "{rule}: {what}: the view goes on");
+    assert_eq!(h.actor().metrics().equivocations_detected, 0, "{rule}: {what}: no blame");
+}
+
+fn stale_messages_cause_nothing<R: Family>() {
+    let pki = pki();
+    let (mut h, b1, p1) = past_the_floor::<R>(&pki);
+    assert_ignored(&mut h, 0, p1, "a copy of the pruned proposal");
+    let (_, twin) = R::proposal(&Block::genesis(), 99);
+    assert_ignored(&mut h, 0, signed::<R>(twin, 1, &pki, 0), "a twin below the floor");
+    if let Some(vote) = R::vote(&b1) {
+        assert_ignored(&mut h, 2, signed::<R>(vote, 1, &pki, 2), "a vote below the floor");
+    }
+}
+
+#[test]
+fn a_proposal_or_vote_below_the_commit_floor_causes_nothing() {
+    stale_messages_cause_nothing::<EesmrRule>();
+    stale_messages_cause_nothing::<HsRule>();
+    stale_messages_cause_nothing::<TrustedRule>();
+}
+
+#[test]
+fn an_upload_below_the_hubs_floor_is_not_taken_again() {
+    let pki = pki();
+    let upload = |spoke: NodeId, seq: u64| {
+        let batch = vec![Command::synthetic(u64::from(spoke) * 1_000 + seq, 16)];
+        signed::<TrustedRule>(TbPayload::Upload { batch: batch.into(), seq }, 1, &pki, spoke)
+    };
+    let config = TrustedRule::config(1);
+    let mut h = Harness::new(HUB, TbReplica::new(HUB, config, pki.clone(), FaultMode::Honest));
+    h.start();
+    // The commands of the block a tick cuts, if it cuts one.
+    let tick = |h: &mut Harness<TbReplica>| {
+        let out = h.fire(TimerToken::Order);
+        sent::<TrustedRule, _>(&out, |p| Some(p.proposal()?.0.payload.len()))
+    };
+    h.deliver(1, upload(1, 0));
+    assert_eq!(tick(&mut h), vec![(None, 1)], "spoke 1's upload goes into height 1");
+    for seq in 0..=h.actor().params.window {
+        h.deliver(2, upload(2, seq));
+        tick(&mut h);
+    }
+    assert_eq!(h.actor().floor(), 2, "the hub committed past the window");
+    let verifies = h.meter().count(eesmr_energy::EnergyCategory::Verify);
+    assert!(h.deliver(1, upload(1, 0)).is_empty());
+    assert_eq!(h.meter().count(eesmr_energy::EnergyCategory::Verify), verifies, "not checked");
+    assert_eq!(tick(&mut h), vec![], "a stormed copy below the floor is not taken again");
+    h.deliver(1, upload(1, 1));
+    assert_eq!(tick(&mut h), vec![(None, 1)], "the spoke's next upload is");
 }
 
 // ----------------------------------------------------------------------
