@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use eesmr_core::smr::WINDOW;
 use eesmr_core::{
-    BatchPolicy, Block, CertifiedBlock, Envelope, MsgKind, Params, QuorumCert, Rule, Shared,
+    BatchPolicy, Block, CertifiedBlock, Envelope, Held, MsgKind, Params, QuorumCert, Rule, Shared,
     SignedPayload, Smr, SmrPayload, TimerToken, WindowMap, WindowSet,
 };
 use eesmr_crypto::{Digest, Hashable, KeyStore, Signature};
@@ -416,8 +416,8 @@ impl Rule for HsRule {
         self.votes.prune_below(floor, drop);
     }
 
-    fn bookkeeping(&self) -> Vec<(&'static str, usize)> {
-        vec![("voted", self.voted.len()), ("votes", self.votes.len())]
+    fn bookkeeping(&self, tip: u64) -> Vec<(&'static str, Held)> {
+        vec![("voted", self.voted.held(tip)), ("votes", self.votes.held(tip))]
     }
 }
 

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use eesmr_core::smr::WINDOW;
 use eesmr_core::{
-    BatchPolicy, Block, Command, Commands, Envelope, FaultMode, Params, Rule, Shared,
+    BatchPolicy, Block, Command, Commands, Envelope, FaultMode, Held, Params, Rule, Shared,
     SignedPayload, Smr, SmrPayload, TimerToken, WindowSet,
 };
 use eesmr_crypto::sha256::Sha256;
@@ -278,8 +278,8 @@ impl Rule for TrustedRule {
         });
     }
 
-    fn bookkeeping(&self) -> Vec<(&'static str, usize)> {
-        vec![("taken", self.taken.len())]
+    fn bookkeeping(&self, tip: u64) -> Vec<(&'static str, Held)> {
+        vec![("taken", self.taken.held(tip))]
     }
 }
 

@@ -30,7 +30,7 @@ use crate::block::Block;
 use crate::config::{Config, FaultMode, Pacing};
 use crate::message::{CertifiedBlock, Payload, SignedMsg};
 use crate::smr::{Params, Rule, Smr, TimerToken, WINDOW};
-use crate::window::WindowSet;
+use crate::window::{Held, WindowSet};
 
 /// The EESMR replica's network context.
 pub(crate) type Ctx<'a> = crate::smr::Ctx<'a, EesmrRule>;
@@ -253,8 +253,8 @@ impl Rule for EesmrRule {
         self.relayed.prune_below(floor, drop);
     }
 
-    fn bookkeeping(&self) -> Vec<(&'static str, usize)> {
-        vec![("relayed", self.relayed.len())]
+    fn bookkeeping(&self, tip: u64) -> Vec<(&'static str, Held)> {
+        vec![("relayed", self.relayed.held(tip))]
     }
 }
 

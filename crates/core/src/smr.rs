@@ -37,7 +37,7 @@ use crate::config::{BatchPolicy, FaultMode};
 use crate::message::{block_ids_digest, Envelope, MsgKind, QuorumCert, SignedPayload};
 use crate::metrics::Metrics;
 use crate::txpool::{AdaptiveBatcher, TxPool, WorkloadSource};
-use crate::window::WindowMap;
+use crate::window::{Held, WindowMap};
 
 /// Timer tokens (all carry the view they were armed in; stale timers are
 /// ignored). `ShareQc` and `EnterNew` are armed by the EESMR rule only,
@@ -339,9 +339,9 @@ pub trait Rule: Sized {
     /// The commit floor rose to `floor`: drop the rule's per-height
     /// entries below it. Default: it keeps none.
     fn prune_below(&mut self, _floor: u64) {}
-    /// The keys held by each of the rule's per-height tables, by name.
-    /// Default: it keeps none.
-    fn bookkeeping(&self) -> Vec<(&'static str, usize)> {
+    /// The keys held by each of the rule's per-height tables, by name,
+    /// split at the committed height `tip`. Default: it keeps none.
+    fn bookkeeping(&self, _tip: u64) -> Vec<(&'static str, Held)> {
         Vec::new()
     }
 }
@@ -497,14 +497,16 @@ impl<R: Rule> Smr<R> {
     }
 
     /// The keys held by each per-height bookkeeping table, the skeleton's
-    /// and the rule's, by name: each stays within a bound set by
-    /// [`Params::window`] however long the run.
-    pub fn bookkeeping(&self) -> Vec<(&'static str, usize)> {
+    /// and the rule's, by name, split at the committed height: the
+    /// settled ones lie between the floor and it, so however long the run
+    /// they span at most [`Params::window`] + 1 heights.
+    pub fn bookkeeping(&self) -> Vec<(&'static str, Held)> {
+        let tip = self.b_com_height;
         let mut tables = vec![
-            ("proposals_seen", self.proposals_seen.len()),
-            ("first_seen", self.first_seen.len()),
+            ("proposals_seen", self.proposals_seen.held(tip)),
+            ("first_seen", self.first_seen.held(tip)),
         ];
-        tables.extend(self.rule.bookkeeping());
+        tables.extend(self.rule.bookkeeping(tip));
         tables
     }
 

@@ -28,6 +28,16 @@ pub struct WindowMap<K, V> {
 /// A per-height set whose keys below a floor can be dropped.
 pub type WindowSet<K> = WindowMap<K, ()>;
 
+/// The keys a per-height table holds, split at the committed tip.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Held {
+    /// Keys at heights up to the tip: between the floor and the tip, so
+    /// bounded by the window.
+    pub settled: usize,
+    /// Keys at heights above the tip: the uncommitted pipeline.
+    pub pending: usize,
+}
+
 impl<K, V> Default for WindowMap<K, V> {
     fn default() -> Self {
         WindowMap { table: KeyMap::default(), order: VecDeque::new() }
@@ -93,6 +103,12 @@ impl<K: Hash + Eq + Clone, V> WindowMap<K, V> {
         self.order.len()
     }
 
+    /// The keys held, split at height `tip`.
+    pub fn held(&self, tip: u64) -> Held {
+        let settled = self.order.partition_point(|(h, _)| *h <= tip);
+        Held { settled, pending: self.order.len() - settled }
+    }
+
     /// Whether no key is held.
     pub fn is_empty(&self) -> bool {
         self.order.is_empty()
@@ -116,6 +132,8 @@ mod tests {
         assert_eq!(dropped, [10, 20, 30, 31], "ascending height, ties in insertion order");
         assert!(!m.contains(&30) && m.contains(&50));
         assert_eq!(m.len(), 1);
+        assert_eq!(m.held(4), Held { settled: 0, pending: 1 });
+        assert_eq!(m.held(5), Held { settled: 1, pending: 0 });
         m.prune_below(4, |_| panic!("nothing left below the floor"));
     }
 }
