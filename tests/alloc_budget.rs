@@ -15,6 +15,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use eesmr_core::{Block, Command};
+use eesmr_crypto::Digest;
 use eesmr_hypergraph::topology::ring_kcast;
 use eesmr_net::{Actor, Context, Message, NetConfig, NodeId, SimDuration, SimNet};
 use eesmr_sim::{Protocol, Scenario, StopWhen};
@@ -229,5 +231,42 @@ fn allocations_per_delivery_on_the_busy_ring_are_pinned() {
     check(
         &[("busy ring", got)],
         &[Budget { allocations: 997, reallocations: 32, peak_bytes: 106_576, units: 592 }],
+    );
+}
+
+// ----------------------------------------------------------------------
+// Run length: what a longer run holds more of.
+// ----------------------------------------------------------------------
+
+/// `sim_steady`'s EESMR cell (n = 13, k = 7) at `L` and `4·L` blocks: the
+/// peak grows by no more than the ledger the `3·L` extra blocks add —
+/// what stays O(run) by design. Per block that is, in each replica, one
+/// block-store entry and one committed-log entry, plus the one block
+/// allocation all replicas share. The store is a hash table, which doubles
+/// when 7/8 full and so holds up to 16/7 slots (and control bytes) per
+/// entry; the log is a vector, which holds up to 2. Every other per-height
+/// table is pruned below the commit floor, so it adds nothing once `L` is
+/// past the window. Without the pruning the peak grows 5.4 MB here, not
+/// 1.4 MB.
+#[test]
+fn eesmr_peak_bytes_grow_with_the_ledger_alone() {
+    const L: i64 = 256;
+    let n = 13;
+    let cell = |blocks| {
+        let scenario = Scenario::new(Protocol::Eesmr, n, 7).seed(42).stop(StopWhen::Blocks(blocks));
+        measure(|| scenario.run().committed_height())
+    };
+    let (short, long) = (cell(L as u64), cell(4 * L as u64));
+    let genesis = Block::genesis();
+    let block =
+        measure(|| Block::extending(&genesis, 1, 3, vec![Command::synthetic(1, 16)]).height);
+    let store_slot = (size_of::<(Digest, Block)>() + 1) as i64;
+    let log_slot = size_of::<Digest>() as i64;
+    let per_block = n as i64 * (store_slot * 16 / 7 + log_slot * 2) + block.peak_bytes;
+    let grown = long.peak_bytes - short.peak_bytes;
+    assert!(
+        grown <= 3 * L * per_block,
+        "peak bytes grew by {grown} from {L} to {} blocks: more than {per_block} a block",
+        4 * L
     );
 }

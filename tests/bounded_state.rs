@@ -138,7 +138,8 @@ fn bookkeeping_is_bounded_in_run_length(protocol: Protocol) {
                 assert!(!tables.is_empty(), "{label}: node {id} reports its tables");
                 for &(table, most) in tables {
                     let per_height = per_height(table, scenario.n);
-                    let bound = Held { settled: per_height * heights, pending: per_height * PIPELINE };
+                    let bound =
+                        Held { settled: per_height * heights, pending: per_height * PIPELINE };
                     let within = most.settled <= bound.settled && most.pending <= bound.pending;
                     assert!(within, "{label}: node {id}'s {table} held {most:?} > {bound:?}");
                 }
