@@ -141,9 +141,9 @@ const RULES: &[Rule] = &[
 #[rustfmt::skip]
 const HANDLERS: Check = Check {
     roots: &["crates/core/src", "crates/baselines/src/sync_hotstuff.rs"], rs_only: true, each: true,
-    needles: &[r"fn on_blame\b", r"fn on_blame_qc\b", r"fn on_blame_timeout\b",
+    needles: &[r"fn on_forward\b", r"fn on_blame\b", r"fn on_blame_qc\b", r"fn on_blame_timeout\b",
         r"fn on_equivocation\b", r"fn proof_is_valid\b", r"fn schedule_quit\b",
-        r"fn forward_backlog\b", r"fn maybe_forward_backlog\b", r"fn on_forward\b",
+        r"fn forward_backlog\b", r"fn maybe_forward_backlog\b", r"fn prune_bookkeeping\b",
         r"fn on_arrival\b", r"fn commit_block\b", r"fn request_sync\b", r"fn on_sync_request\b",
         r"fn on_sync_response\b", r"fn on_restart\b", r"fn on_repair\b", r"fn on_repair_reply\b",
         r"fn reset_blame_timer\b", r"fn cancel_commit_timers\b", r"fn verify_envelope\b"], ..C };
