@@ -66,7 +66,7 @@ const RULES: &[Rule] = &[
                 needles: &["^#![forbid(unsafe_code)]"],
                 expect: Lacking(&["crates/crypto/src/lib.rs"]), ..C }],
         sample: ("crates/core/src/lib.rs", "//! eesmr-core, unguarded.\npub mod smr;\n") },
-    // d0e700e. The three protocols are one replica skeleton under three commit rules;
+    // d0e700e, widened in 32da268. The protocols are one replica skeleton under their rules;
     // its handlers, once written twice, drifted apart in thirteen places.
     Rule { name: "written once (shared replica handlers, in smr.rs)", base: "5cf6a05",
         checks: &[Check { expect: Hits(1), ..HANDLERS },
