@@ -5,7 +5,8 @@
 
 PROBE is the profiled executable (built with frame pointers and debug
 info), PREFIX the `$SAMPLER_OUT` it ran with. Prints the self-time and
-inclusive-time tables by function, and the source lines that called into
+inclusive-time tables by function (monomorphs that demangle alike are
+told apart by their symbol hash), and the source lines that called into
 libc.
 
 libc is stripped: its private `memmove` has no symbol (through `nm -D` its
@@ -38,15 +39,29 @@ def mappings(path):
 
 
 def functions(probe):
-    """Sorted (address, name) of the probe's defined text symbols."""
-    syms = []
-    nm = subprocess.run(["nm", "-C", "--defined-only", probe], capture_output=True, text=True)
-    for line in nm.stdout.splitlines():
-        parts = line.split(" ", 2)
-        if len(parts) == 3 and parts[1] in "tTwW":
-            syms.append((int(parts[0], 16), re.sub(r"::h[0-9a-f]{16}$", "", parts[2])))
-    syms.sort()
-    return [a for a, _ in syms], [n for _, n in syms]
+    """Sorted (address, name) of the probe's defined text symbols.
+
+    Names are demangled by `c++filt`, which keeps each symbol's hash
+    (`::h` and 16 hex digits; `nm -C` drops it). The hash is dropped
+    unless another symbol demangles to the same name without it: the
+    monomorphs of one generic function print as one name
+    (`BinaryHeap<T,A>::pop` over 24-byte and over 80-byte entries), and
+    merging them would add two unrelated costs into one row. Those keep
+    their hash, so each is a row of its own.
+    """
+    nm = subprocess.run(["nm", "--defined-only", probe], capture_output=True, text=True)
+    text = [p for p in (line.split(" ", 2) for line in nm.stdout.splitlines())
+            if len(p) == 3 and p[1] in "tTwW"]
+    filt = subprocess.run(["c++filt"], input="\n".join(p[2] for p in text),
+                          capture_output=True, text=True)
+    syms = sorted(zip((int(p[0], 16) for p in text), filt.stdout.splitlines()))
+
+    def plain(n):
+        return re.sub(r"::h[0-9a-f]{16}$", "", n)
+
+    twins = collections.Counter(plain(n) for n in {n for _, n in syms})
+    names = [plain(n) if twins[plain(n)] == 1 else n for _, n in syms]
+    return [a for a, _ in syms], names
 
 
 def samples(path):
