@@ -264,8 +264,8 @@ impl Rule for HsRule {
         true
     }
 
-    fn processed(r: &HsReplica, view: u64, height: u64, _block: &Digest) -> bool {
-        r.rule.voted.contains(&(view, height))
+    fn processed(r: &HsReplica, view: u64, height: u64, _block: &Block) -> bool {
+        r.rule.voted.contains(height, &(view, height))
     }
 
     fn try_propose(r: &mut HsReplica, ctx: &mut Ctx<'_>) {
@@ -408,7 +408,7 @@ impl Rule for HsRule {
     /// certificate's view, with exactly this signature.
     fn verified(&self, qc: &QuorumCert, signer: NodeId, sig: &Signature) -> bool {
         qc.kind == MsgKind::HsVote
-            && self.votes.get(&qc.data).is_some_and(|book| book.verified(qc.view, signer, sig))
+            && self.votes.get(qc.height, &qc.data).is_some_and(|b| b.verified(qc.view, signer, sig))
     }
 
     fn prune_below(&mut self, floor: u64) {
@@ -528,10 +528,10 @@ impl VoteBook {
 }
 
 impl HsRule {
-    /// Whether a copy of `signer`'s vote for `block_id` is worth
-    /// verifying: one probe of the block's book.
-    fn wants_vote(&self, block_id: &Digest, signer: NodeId) -> bool {
-        self.votes.get(block_id).is_none_or(|book| book.wants(signer))
+    /// Whether a copy of `signer`'s vote for `block_id`, at `height`, is
+    /// worth verifying: one probe of the block's book.
+    fn wants_vote(&self, block_id: &Digest, height: u64, signer: NodeId) -> bool {
+        self.votes.get(height, block_id).is_none_or(|book| book.wants(signer))
     }
 
     /// Records `signer`'s verified vote in `view` for `block_id`, at
@@ -572,7 +572,7 @@ fn on_vote(r: &mut HsReplica, from: NodeId, msg: HsMsg, ctx: &mut Ctx<'_>) {
     if msg.view < r.v_cur || r.view_aborted {
         return;
     }
-    if !r.rule.wants_vote(&block_id, msg.signer) {
+    if !r.rule.wants_vote(&block_id, height, msg.signer) {
         return; // enough votes, or a copy of one already counted: no crypto work
     }
     if !r.verify_envelope(&msg, ctx) {
@@ -808,7 +808,7 @@ mod tests {
                     prop_assert_eq!(&new, &model.record(block, me, sig, &config));
                     new
                 } else {
-                    let asked = rule.wants_vote(&block, signer);
+                    let asked = rule.wants_vote(&block, 1, signer);
                     prop_assert_eq!(asked, model.verifies(block, signer, &config));
                     if !asked || kind == 1 {
                         continue; // skipped, or forged: `verify_envelope` says no
@@ -819,7 +819,7 @@ mod tests {
                 };
                 certs[b] += usize::from(tally.cert.is_some());
                 fast[b] += usize::from(tally.fast_commit);
-                let books = blocks.iter().filter_map(|block| Some((block, rule.votes.get(block)?)));
+                let books = blocks.iter().filter_map(|b| Some((b, rule.votes.get(1, b)?)));
                 for (block, book) in books {
                     if !book.open() {
                         prop_assert!((0..n as NodeId).all(|s| !book.wants(s)), "closed: no asks");
@@ -832,7 +832,7 @@ mod tests {
                         kind: MsgKind::HsVote,
                         view,
                         data: *block,
-                        height: 0,
+                        height: 1,
                         sigs: Vec::new(),
                     };
                     for s in 0..n as NodeId {

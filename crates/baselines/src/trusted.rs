@@ -11,16 +11,16 @@
 //! [`Params::hub`] set. Every spoke message is one k-cast: a flood or a
 //! `send_to` from a spoke would be re-broadcast by the hub to every spoke.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use eesmr_core::smr::WINDOW;
 use eesmr_core::{
     BatchPolicy, Block, Command, Commands, Envelope, FaultMode, Held, Params, Rule, Shared,
-    SignedPayload, Smr, SmrPayload, TimerToken, WindowSet,
+    SignedPayload, Smr, SmrPayload, TimerToken,
 };
 use eesmr_crypto::sha256::Sha256;
-use eesmr_crypto::{Digest, Hashable, KeyStore};
+use eesmr_crypto::{Digest, Hashable, KeySet, KeyStore};
 use eesmr_net::codec::family;
 use eesmr_net::{NodeId, SimDuration, TraceClass, TraceEventKind};
 
@@ -132,10 +132,13 @@ pub struct TrustedRule {
     /// Hub: the uploads taken since the last tick, in the order the next
     /// block holds them.
     uploads: BTreeMap<(u64, NodeId), Commands>,
-    /// Hub: every upload taken, by `(spoke, seq)`, at the height of the
-    /// block it went into. A spoke's copies are plain k-casts, which the
-    /// network never dedups.
-    taken: WindowSet<(NodeId, u64)>,
+    /// Hub: every upload taken, by `(spoke, seq)`. A spoke's copies are
+    /// plain k-casts, which the network never dedups.
+    taken: KeySet<(NodeId, u64)>,
+    /// Hub: the keys of `taken` in the order they were taken, each with
+    /// the height of the block it went into: what the floor prunes. An
+    /// upload names no height, so `taken` itself is keyed without one.
+    taken_order: VecDeque<(u64, (NodeId, u64))>,
     /// Hub: per spoke, the seq below which every upload is stale — one
     /// past the highest of its seqs the floor has pruned from `taken`.
     stale_below: Vec<u64>,
@@ -157,7 +160,8 @@ impl Rule for TrustedRule {
             repairing: false,
             ticking: false,
             uploads: BTreeMap::new(),
-            taken: WindowSet::default(),
+            taken: KeySet::default(),
+            taken_order: VecDeque::new(),
             stale_below: vec![0; config.n],
         }
     }
@@ -176,7 +180,7 @@ impl Rule for TrustedRule {
 
     /// The hub sends each block once: another copy is a duplicate (the
     /// hub's own loopback included).
-    fn processed(_: &TbReplica, _view: u64, _height: u64, _block: &Digest) -> bool {
+    fn processed(_: &TbReplica, _view: u64, _height: u64, _block: &Block) -> bool {
         true
     }
 
@@ -232,8 +236,10 @@ impl Rule for TrustedRule {
         if !r.is_leader() || *seq < stale_below || !r.verify_envelope(&msg, ctx) {
             return;
         }
-        let height = r.b_com_height + 1; // the block the next tick cuts
-        if r.rule.taken.insert_new(height, (msg.signer, *seq), ()) {
+        let key = (msg.signer, *seq);
+        if r.rule.taken.insert(key) {
+            // Taken into the block the next tick cuts.
+            r.rule.taken_order.push_back((r.b_com_height + 1, key));
             r.rule.uploads.insert((*seq, msg.signer), batch.clone());
         }
     }
@@ -270,16 +276,19 @@ impl Rule for TrustedRule {
     }
 
     fn prune_below(&mut self, floor: u64) {
-        let stale_below = &mut self.stale_below;
-        self.taken.prune_below(floor, |(spoke, seq)| {
-            if let Some(bar) = stale_below.get_mut(spoke as usize) {
+        while let Some(&(_, key)) = self.taken_order.front().filter(|(h, _)| *h < floor) {
+            self.taken_order.pop_front();
+            self.taken.remove(&key);
+            let (spoke, seq) = key;
+            if let Some(bar) = self.stale_below.get_mut(spoke as usize) {
                 *bar = (*bar).max(seq + 1);
             }
-        });
+        }
     }
 
     fn bookkeeping(&self, tip: u64) -> Vec<(&'static str, Held)> {
-        vec![("taken", self.taken.held(tip))]
+        let settled = self.taken_order.partition_point(|(h, _)| *h <= tip);
+        vec![("taken", Held { settled, pending: self.taken_order.len() - settled })]
     }
 }
 

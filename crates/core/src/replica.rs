@@ -156,8 +156,8 @@ impl Rule for EesmrRule {
         self.r_cur >= 3
     }
 
-    fn processed(smr: &Replica, _view: u64, round: u64, block: &Digest) -> bool {
-        smr.rule.relayed.contains(block) || round < smr.rule.r_cur
+    fn processed(smr: &Replica, _view: u64, round: u64, block: &Block) -> bool {
+        smr.rule.relayed.contains(block.height, &block.id()) || round < smr.rule.r_cur
     }
 
     fn try_propose(smr: &mut Replica, ctx: &mut Ctx<'_>) {

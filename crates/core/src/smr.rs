@@ -309,8 +309,8 @@ pub trait Rule: Sized {
         true
     }
     /// Whether a proposal already seen for `(view, slot)` with this block
-    /// id has been fully handled, so that another copy needs no work.
-    fn processed(smr: &Smr<Self>, view: u64, slot: u64, block: &Digest) -> bool;
+    /// has been fully handled, so that another copy needs no work.
+    fn processed(smr: &Smr<Self>, view: u64, slot: u64, block: &Block) -> bool;
 
     /// Leader: propose if the rule's pacing allows.
     fn try_propose(smr: &mut Smr<Self>, ctx: &mut Ctx<'_, Self>);
@@ -841,8 +841,8 @@ impl<R: Rule> Smr<R> {
         }
         let block_id = block.id();
         let key = (msg.view, slot);
-        if let Some((seen_id, _)) = self.proposals_seen.get(&key) {
-            let processed = msg.view < self.v_cur || R::processed(self, msg.view, slot, &block_id);
+        if let Some((seen_id, _)) = self.proposals_seen.get(block.height, &key) {
+            let processed = msg.view < self.v_cur || R::processed(self, msg.view, slot, block);
             if *seen_id == block_id && processed {
                 return;
             }
@@ -853,7 +853,7 @@ impl<R: Rule> Smr<R> {
             self.metrics.proposals_rejected += 1;
             return;
         }
-        if let Some((seen_id, seen_msg)) = self.proposals_seen.get(&key) {
+        if let Some((seen_id, seen_msg)) = self.proposals_seen.get(block.height, &key) {
             if *seen_id != block_id {
                 if msg.view == self.v_cur {
                     let first = seen_msg.clone();
@@ -899,10 +899,10 @@ impl<R: Rule> Smr<R> {
         for id in segment {
             self.committed_log.push(id);
             self.metrics.blocks_committed += 1;
-            if let Some(seen) = self.first_seen.remove(&id) {
+            let block = self.store.get(&id).expect("segment blocks are stored").clone();
+            if let Some(seen) = self.first_seen.remove(block.height, &id) {
                 self.metrics.record_commit_latency(now.since(seen));
             }
-            let block = self.store.get(&id).expect("segment blocks are stored").clone();
             if ctx.traces(TraceClass::Commit) {
                 ctx.trace(TraceEventKind::Commit {
                     block: crate::block::fingerprint(&id),

@@ -1,28 +1,23 @@
 //! Per-height bookkeeping bounded by a commit window.
 //!
 //! A replica remembers per-height facts — the first proposal seen for a
-//! slot, the blocks it relayed or voted for, the uploads it took — only to
-//! dedup copies and to catch equivocation while a height is live. Below
-//! `b_com_height − W` (the *floor*, [`Params::window`](crate::Params)) no
-//! such fact is read again: every proposal, vote or upload below the floor
-//! is dropped before any lookup. A [`WindowMap`] is such a table plus the
-//! height order of its keys, so the entries below the floor are found by
-//! popping the front of that order; the table itself is a [`KeyMap`] and is
-//! only ever probed, never iterated.
+//! slot, the blocks it relayed or voted for — only to dedup copies and to
+//! catch equivocation while a height is live. Below `b_com_height − W`
+//! (the *floor*, [`Params::window`](crate::Params)) no such fact is read
+//! again: every proposal, vote or upload below the floor is dropped before
+//! any lookup. A [`WindowMap`] is such a table kept as a height-ordered
+//! FIFO of its entries: the floor pops entries off the front, and a lookup
+//! names the height it is about, so it searches only that height's
+//! entries. Nothing is hashed and nothing is iterated.
 
-use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
-use std::hash::Hash;
-
-use eesmr_crypto::KeyMap;
 
 /// A per-height table whose entries below a floor can be dropped.
 #[derive(Debug, Clone)]
 pub struct WindowMap<K, V> {
-    table: KeyMap<K, V>,
-    /// Every key inserted and not yet pruned, with its height, in
-    /// ascending height order (ties in insertion order).
-    order: VecDeque<(u64, K)>,
+    /// The entries with their heights, in ascending height order (ties in
+    /// insertion order).
+    entries: VecDeque<(u64, K, V)>,
 }
 
 /// A per-height set whose keys below a floor can be dropped.
@@ -40,78 +35,93 @@ pub struct Held {
 
 impl<K, V> Default for WindowMap<K, V> {
     fn default() -> Self {
-        WindowMap { table: KeyMap::default(), order: VecDeque::new() }
+        WindowMap { entries: VecDeque::new() }
     }
 }
 
-impl<K: Hash + Eq + Clone, V> WindowMap<K, V> {
-    /// The entry for `key`, if held.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        self.table.get(key)
+impl<K: PartialEq, V> WindowMap<K, V> {
+    /// The index of `key`'s entry at `height`, or where one would go.
+    fn find(&self, height: u64, key: &K) -> Result<usize, usize> {
+        // Lookups are about recent heights, so the search starts at the
+        // back: a new height's entry goes there in one step.
+        let mut at = self.entries.len();
+        if self.entries.back().is_some_and(|(h, _, _)| *h > height) {
+            at = self.entries.partition_point(|(h, _, _)| *h <= height);
+        }
+        let mut i = at;
+        while i > 0 && self.entries[i - 1].0 == height {
+            i -= 1;
+            if self.entries[i].1 == *key {
+                return Ok(i);
+            }
+        }
+        Err(at)
     }
 
-    /// Whether `key` is held.
-    pub fn contains(&self, key: &K) -> bool {
-        self.table.contains_key(key)
+    /// The entry for `key` at `height`, if held.
+    pub fn get(&self, height: u64, key: &K) -> Option<&V> {
+        self.find(height, key).ok().map(|i| &self.entries[i].2)
     }
 
-    /// The entry for `key`, inserting `make()` at `height` if there is
+    /// Whether `key` is held at `height`.
+    pub fn contains(&self, height: u64, key: &K) -> bool {
+        self.find(height, key).is_ok()
+    }
+
+    /// The entry for `key` at `height`, inserting `make()` if there is
     /// none.
     pub fn get_or_insert_with(&mut self, height: u64, key: K, make: impl FnOnce() -> V) -> &mut V {
-        match self.table.entry(key) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                // Keys arrive in nearly ascending height order, so the
-                // insertion point is found from the back.
-                let at = self.order.iter().rposition(|(h, _)| *h <= height).map_or(0, |i| i + 1);
-                self.order.insert(at, (height, e.key().clone()));
-                e.insert(make())
+        let i = match self.find(height, &key) {
+            Ok(i) => i,
+            Err(at) => {
+                self.entries.insert(at, (height, key, make()));
+                at
+            }
+        };
+        &mut self.entries[i].2
+    }
+
+    /// Inserts `value` for `key` at `height` unless `key` is held there;
+    /// returns whether it was inserted.
+    pub fn insert_new(&mut self, height: u64, key: K, value: V) -> bool {
+        match self.find(height, &key) {
+            Ok(_) => false,
+            Err(at) => {
+                self.entries.insert(at, (height, key, value));
+                true
             }
         }
     }
 
-    /// Inserts `value` for `key` at `height` unless `key` is held; returns
-    /// whether it was inserted.
-    pub fn insert_new(&mut self, height: u64, key: K, value: V) -> bool {
-        let mut fresh = false;
-        self.get_or_insert_with(height, key, || {
-            fresh = true;
-            value
-        });
-        fresh
-    }
-
-    /// Removes `key`'s entry. Its key stays in the height order until the
-    /// floor passes it.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        self.table.remove(key)
+    /// Removes `key`'s entry at `height`.
+    pub fn remove(&mut self, height: u64, key: &K) -> Option<V> {
+        let i = self.find(height, key).ok()?;
+        self.entries.remove(i).map(|(_, _, v)| v)
     }
 
     /// Drops every entry below `floor`, handing each dropped key to
     /// `dropped`.
     pub fn prune_below(&mut self, floor: u64, mut dropped: impl FnMut(K)) {
-        while self.order.front().is_some_and(|(h, _)| *h < floor) {
-            let (_, key) = self.order.pop_front().expect("front checked");
-            self.table.remove(&key);
+        while self.entries.front().is_some_and(|(h, _, _)| *h < floor) {
+            let (_, key, _) = self.entries.pop_front().expect("front checked");
             dropped(key);
         }
     }
 
-    /// Keys held: the table's entries plus removed keys the floor has not
-    /// yet passed, so an upper bound on the table's length.
+    /// Entries held.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.entries.len()
     }
 
-    /// The keys held, split at height `tip`.
-    pub fn held(&self, tip: u64) -> Held {
-        let settled = self.order.partition_point(|(h, _)| *h <= tip);
-        Held { settled, pending: self.order.len() - settled }
-    }
-
-    /// Whether no key is held.
+    /// Whether no entry is held.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.entries.is_empty()
+    }
+
+    /// The entries held, split at height `tip`.
+    pub fn held(&self, tip: u64) -> Held {
+        let settled = self.entries.partition_point(|(h, _, _)| *h <= tip);
+        Held { settled, pending: self.entries.len() - settled }
     }
 }
 
@@ -120,20 +130,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pruning_drops_exactly_the_keys_below_the_floor_in_height_order() {
+    fn lookups_name_their_height_and_pruning_pops_the_front_in_height_order() {
         let mut m: WindowMap<u64, &str> = WindowMap::default();
         for (height, key) in [(3, 30), (1, 10), (5, 50), (2, 20), (3, 31)] {
             assert!(m.insert_new(height, key, "v"));
         }
-        assert!(!m.insert_new(9, 10, "again"), "a held key is not re-inserted");
-        assert_eq!(m.remove(&20), Some("v"));
+        assert!(!m.insert_new(3, 31, "again"), "a held key is not re-inserted");
+        assert!(m.insert_new(4, 31, "v"), "a key is held per height");
+        assert!(m.contains(3, &31) && !m.contains(2, &31));
+        assert_eq!(m.get(1, &10), Some(&"v"));
+        *m.get_or_insert_with(5, 50, || "new") = "set";
+        assert_eq!(m.get(5, &50), Some(&"set"));
+        assert_eq!(m.remove(2, &20), Some("v"));
+        assert_eq!(m.remove(2, &20), None);
         let mut dropped = Vec::new();
         m.prune_below(4, |k| dropped.push(k));
-        assert_eq!(dropped, [10, 20, 30, 31], "ascending height, ties in insertion order");
-        assert!(!m.contains(&30) && m.contains(&50));
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.held(4), Held { settled: 0, pending: 1 });
-        assert_eq!(m.held(5), Held { settled: 1, pending: 0 });
+        assert_eq!(dropped, [10, 30, 31], "ascending height, ties in insertion order");
+        assert_eq!(m.len(), 2);
+        assert_eq!(m.held(4), Held { settled: 1, pending: 1 });
+        assert_eq!(m.held(5), Held { settled: 2, pending: 0 });
         m.prune_below(4, |_| panic!("nothing left below the floor"));
     }
 }
