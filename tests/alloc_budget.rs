@@ -165,16 +165,17 @@ fn allocations_per_committed_block_are_pinned() {
     check(
         &got,
         &[
-            // Re-captured when the per-height tables gained their height
-            // order (was 500 / 51 / 98 057, 1 251 / 166 / 123 009,
-            // 1 231 / 221 / 133 921 and 1 195 / 77 / 77 565): each pruned
-            // table keeps a `VecDeque` of its keys, grown by doubling, so
-            // the commit floor finds the entries below it. 24 blocks stay
-            // under the 64-height window, so nothing is pruned here.
-            Budget { allocations: 521, reallocations: 114, peak_bytes: 122_137, units: 24 },
-            Budget { allocations: 1_279, reallocations: 250, peak_bytes: 152_689, units: 24 },
-            Budget { allocations: 1_259, reallocations: 305, peak_bytes: 163_601, units: 24 },
-            Budget { allocations: 1_210, reallocations: 104, peak_bytes: 90_485, units: 24 },
+            // Re-captured when the per-height tables became height-ordered
+            // FIFOs (was 500 / 51 / 98 057, 1 251 / 166 / 123 009,
+            // 1 231 / 221 / 133 921 and 1 195 / 77 / 77 565): `relayed`,
+            // `first_seen`, `proposals_seen`, `voted` and `votes` are each
+            // one `VecDeque` grown by doubling instead of a hash table, and
+            // the hub's `taken` keeps its keys' order beside its set. 24
+            // blocks stay under the 64-height window, so nothing is pruned.
+            Budget { allocations: 458, reallocations: 93, peak_bytes: 101_165, units: 24 },
+            Budget { allocations: 1_188, reallocations: 229, peak_bytes: 127_573, units: 24 },
+            Budget { allocations: 1_168, reallocations: 284, peak_bytes: 138_485, units: 24 },
+            Budget { allocations: 1_182, reallocations: 104, peak_bytes: 86_117, units: 24 },
         ],
     );
 }
