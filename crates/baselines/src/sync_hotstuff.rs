@@ -412,8 +412,8 @@ impl Rule for HsRule {
     }
 
     fn prune_below(&mut self, floor: u64) {
-        self.voted.prune_below(floor, drop);
-        self.votes.prune_below(floor, drop);
+        self.voted.prune_below(floor);
+        self.votes.prune_below(floor);
     }
 
     fn bookkeeping(&self, tip: u64) -> Vec<(&'static str, Held)> {

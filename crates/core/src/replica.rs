@@ -250,7 +250,7 @@ impl Rule for EesmrRule {
     }
 
     fn prune_below(&mut self, floor: u64) {
-        self.relayed.prune_below(floor, drop);
+        self.relayed.prune_below(floor);
     }
 
     fn bookkeeping(&self, tip: u64) -> Vec<(&'static str, Held)> {

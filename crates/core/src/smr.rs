@@ -922,8 +922,8 @@ impl<R: Rule> Smr<R> {
     /// sync serve blocks from the store, and the reports read the log.
     fn prune_bookkeeping(&mut self) {
         let floor = self.floor();
-        self.proposals_seen.prune_below(floor, drop);
-        self.first_seen.prune_below(floor, drop);
+        self.proposals_seen.prune_below(floor);
+        self.first_seen.prune_below(floor);
         self.rule.prune_below(floor);
     }
 

@@ -99,23 +99,11 @@ impl<K: PartialEq, V> WindowMap<K, V> {
         self.entries.remove(i).map(|(_, _, v)| v)
     }
 
-    /// Drops every entry below `floor`, handing each dropped key to
-    /// `dropped`.
-    pub fn prune_below(&mut self, floor: u64, mut dropped: impl FnMut(K)) {
+    /// Drops every entry below `floor`.
+    pub fn prune_below(&mut self, floor: u64) {
         while self.entries.front().is_some_and(|(h, _, _)| *h < floor) {
-            let (_, key, _) = self.entries.pop_front().expect("front checked");
-            dropped(key);
+            self.entries.pop_front();
         }
-    }
-
-    /// Entries held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no entry is held.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// The entries held, split at height `tip`.
@@ -130,7 +118,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lookups_name_their_height_and_pruning_pops_the_front_in_height_order() {
+    fn lookups_name_their_height_and_pruning_drops_the_heights_below_the_floor() {
         let mut m: WindowMap<u64, &str> = WindowMap::default();
         for (height, key) in [(3, 30), (1, 10), (5, 50), (2, 20), (3, 31)] {
             assert!(m.insert_new(height, key, "v"));
@@ -143,12 +131,10 @@ mod tests {
         assert_eq!(m.get(5, &50), Some(&"set"));
         assert_eq!(m.remove(2, &20), Some("v"));
         assert_eq!(m.remove(2, &20), None);
-        let mut dropped = Vec::new();
-        m.prune_below(4, |k| dropped.push(k));
-        assert_eq!(dropped, [10, 30, 31], "ascending height, ties in insertion order");
-        assert_eq!(m.len(), 2);
+        m.prune_below(4);
+        assert!(!m.contains(1, &10) && !m.contains(3, &30) && !m.contains(3, &31));
+        assert!(m.contains(4, &31) && m.contains(5, &50));
         assert_eq!(m.held(4), Held { settled: 1, pending: 1 });
         assert_eq!(m.held(5), Held { settled: 2, pending: 0 });
-        m.prune_below(4, |_| panic!("nothing left below the floor"));
     }
 }

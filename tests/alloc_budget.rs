@@ -247,7 +247,7 @@ fn allocations_per_delivery_on_the_busy_ring_are_pinned() {
 /// when 7/8 full and so holds up to 16/7 slots (and control bytes) per
 /// entry; the log is a vector, which holds up to 2. Every other per-height
 /// table is pruned below the commit floor, so it adds nothing once `L` is
-/// past the window. Without the pruning the peak grows 5.4 MB here, not
+/// past the window. Without the pruning the peak grows 3.6 MB here, not
 /// 1.4 MB.
 #[test]
 fn eesmr_peak_bytes_grow_with_the_ledger_alone() {
