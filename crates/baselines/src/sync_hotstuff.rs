@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use eesmr_core::smr::WINDOW;
 use eesmr_core::{
-    BatchPolicy, Block, CertifiedBlock, Envelope, Held, MsgKind, Params, QuorumCert, Rule, Shared,
+    BatchPolicy, Block, CertifiedBlock, Envelope, MsgKind, Params, QuorumCert, Rule, Shared,
     SignedPayload, Smr, SmrPayload, TimerToken, WindowMap, WindowSet,
 };
 use eesmr_crypto::{Digest, Hashable, KeyStore, Signature};
@@ -252,7 +252,6 @@ impl Rule for HsRule {
             forward_retry_window: None,
             replays_through_gate: false,
             hub: None,
-            window: WINDOW,
         }
     }
 
@@ -264,8 +263,8 @@ impl Rule for HsRule {
         true
     }
 
-    fn processed(r: &HsReplica, view: u64, height: u64, _block: &Block) -> bool {
-        r.rule.voted.contains(height, &(view, height))
+    fn processed(r: &HsReplica, view: u64, height: u64, _block: &Digest) -> bool {
+        r.rule.voted.contains(&(view, height))
     }
 
     fn try_propose(r: &mut HsReplica, ctx: &mut Ctx<'_>) {
@@ -408,7 +407,7 @@ impl Rule for HsRule {
     /// certificate's view, with exactly this signature.
     fn verified(&self, qc: &QuorumCert, signer: NodeId, sig: &Signature) -> bool {
         qc.kind == MsgKind::HsVote
-            && self.votes.get(qc.height, &qc.data).is_some_and(|b| b.verified(qc.view, signer, sig))
+            && self.votes.get(&qc.data).is_some_and(|book| book.verified(qc.view, signer, sig))
     }
 
     fn prune_below(&mut self, floor: u64) {
@@ -416,8 +415,8 @@ impl Rule for HsRule {
         self.votes.prune_below(floor);
     }
 
-    fn bookkeeping(&self, tip: u64) -> Vec<(&'static str, Held)> {
-        vec![("voted", self.voted.held(tip)), ("votes", self.votes.held(tip))]
+    fn bookkeeping(&self) -> Vec<(&'static str, usize)> {
+        vec![("voted", self.voted.len()), ("votes", self.votes.len())]
     }
 }
 
@@ -528,14 +527,14 @@ impl VoteBook {
 }
 
 impl HsRule {
-    /// Whether a copy of `signer`'s vote for `block_id`, at `height`, is
-    /// worth verifying: one probe of the block's book.
-    fn wants_vote(&self, block_id: &Digest, height: u64, signer: NodeId) -> bool {
-        self.votes.get(height, block_id).is_none_or(|book| book.wants(signer))
+    /// Whether a copy of `signer`'s vote for `block_id` is worth
+    /// verifying: one probe of the block's book.
+    fn wants_vote(&self, block_id: &Digest, signer: NodeId) -> bool {
+        self.votes.get(block_id).is_none_or(|book| book.wants(signer))
     }
 
-    /// Records `signer`'s verified vote in `view` for `block_id`, at
-    /// `height`, in its book.
+    /// Records `signer`'s verified vote in `view` for `block_id` in its
+    /// book, filed at `height` if it is the block's first vote.
     fn record_vote(
         &mut self,
         block_id: Digest,
@@ -549,7 +548,7 @@ impl HsRule {
         book.record(signer, view, sig, config)
     }
 
-    /// A certificate quoting `block_id`, at `height`, has been accepted:
+    /// A certificate quoting `block_id` (at `height`) has been accepted:
     /// from now on its book keeps the signatures only while the block
     /// still needs votes.
     fn quoted(&mut self, block_id: Digest, height: u64) {
@@ -562,8 +561,13 @@ impl HsRule {
 
 fn on_vote(r: &mut HsReplica, from: NodeId, msg: HsMsg, ctx: &mut Ctx<'_>) {
     let HsPayload::Vote { block_id, height } = msg.payload else { return };
-    if height < r.floor() {
-        return; // stale: its book may be pruned, so it is not read
+    // Below the floor the block's book may be pruned, so the vote is not
+    // read. A vote's height is not under its signature, and a book is
+    // found by its block alone; the height only files a new book, so one
+    // more than the window above the committed tip, where no floor would
+    // reach it soon, is not read either.
+    if height < r.floor() || height > r.b_com_height + WINDOW {
+        return;
     }
     if msg.view > r.v_cur {
         r.future_views.push((from, msg));
@@ -572,7 +576,7 @@ fn on_vote(r: &mut HsReplica, from: NodeId, msg: HsMsg, ctx: &mut Ctx<'_>) {
     if msg.view < r.v_cur || r.view_aborted {
         return;
     }
-    if !r.rule.wants_vote(&block_id, height, msg.signer) {
+    if !r.rule.wants_vote(&block_id, msg.signer) {
         return; // enough votes, or a copy of one already counted: no crypto work
     }
     if !r.verify_envelope(&msg, ctx) {
@@ -808,7 +812,7 @@ mod tests {
                     prop_assert_eq!(&new, &model.record(block, me, sig, &config));
                     new
                 } else {
-                    let asked = rule.wants_vote(&block, 1, signer);
+                    let asked = rule.wants_vote(&block, signer);
                     prop_assert_eq!(asked, model.verifies(block, signer, &config));
                     if !asked || kind == 1 {
                         continue; // skipped, or forged: `verify_envelope` says no
@@ -819,7 +823,7 @@ mod tests {
                 };
                 certs[b] += usize::from(tally.cert.is_some());
                 fast[b] += usize::from(tally.fast_commit);
-                let books = blocks.iter().filter_map(|b| Some((b, rule.votes.get(1, b)?)));
+                let books = blocks.iter().filter_map(|block| Some((block, rule.votes.get(block)?)));
                 for (block, book) in books {
                     if !book.open() {
                         prop_assert!((0..n as NodeId).all(|s| !book.wants(s)), "closed: no asks");
@@ -832,7 +836,7 @@ mod tests {
                         kind: MsgKind::HsVote,
                         view,
                         data: *block,
-                        height: 1,
+                        height: 0,
                         sigs: Vec::new(),
                     };
                     for s in 0..n as NodeId {

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use eesmr_core::smr::WINDOW;
 use eesmr_core::{
-    BatchPolicy, Block, Command, Commands, Envelope, FaultMode, Held, Params, Rule, Shared,
+    BatchPolicy, Block, Command, Commands, Envelope, FaultMode, Params, Rule, Shared,
     SignedPayload, Smr, SmrPayload, TimerToken,
 };
 use eesmr_crypto::sha256::Sha256;
@@ -51,7 +51,6 @@ pub fn tb_config(n: usize, delta: SimDuration) -> TbConfig {
         forward_retry_window: None,
         replays_through_gate: false,
         hub: Some(HUB),
-        window: WINDOW,
     }
 }
 
@@ -134,14 +133,81 @@ pub struct TrustedRule {
     uploads: BTreeMap<(u64, NodeId), Commands>,
     /// Hub: every upload taken, by `(spoke, seq)`. A spoke's copies are
     /// plain k-casts, which the network never dedups.
-    taken: KeySet<(NodeId, u64)>,
-    /// Hub: the keys of `taken` in the order they were taken, each with
-    /// the height of the block it went into: what the floor prunes. An
-    /// upload names no height, so `taken` itself is keyed without one.
-    taken_order: VecDeque<(u64, (NodeId, u64))>,
-    /// Hub: per spoke, the seq below which every upload is stale — one
-    /// past the highest of its seqs the floor has pruned from `taken`.
+    taken: Taken,
+}
+
+/// Hub: the uploads taken. An upload names no height, so its key is
+/// `(spoke, seq)`; what the floor prunes is told by the height of the
+/// block it went into.
+#[derive(Debug)]
+enum Taken {
+    /// Nothing taken at height [`WINDOW`] or above yet: one plain set, so
+    /// a run shorter than the window keeps what an unpruned one would.
+    First(KeySet<(NodeId, u64)>),
+    /// From height `W` on.
+    Windowed(Box<Windowed>),
+}
+
+/// The uploads taken once the hub has reached height [`WINDOW`].
+#[derive(Debug, Default)]
+struct Windowed {
+    /// Every upload taken and not pruned. Those taken below height `W`
+    /// are not in `order`, so they stay for the run: at most `W` blocks'
+    /// worth.
+    set: KeySet<(NodeId, u64)>,
+    /// The keys taken from height `W` on, in the order they were taken,
+    /// each with its block's height: what the floor pops.
+    order: VecDeque<(u64, (NodeId, u64))>,
+    /// Per spoke, the seq below which every upload is stale: one past the
+    /// highest of its seqs the floor has popped (none where it ends).
     stale_below: Vec<u64>,
+}
+
+impl Taken {
+    /// Whether `spoke`'s upload `seq` is below its floor.
+    fn is_stale(&self, spoke: NodeId, seq: u64) -> bool {
+        let Taken::Windowed(w) = self else { return false };
+        seq < w.stale_below.get(spoke as usize).copied().unwrap_or(0)
+    }
+
+    /// Takes `key` into the block at `height`; returns whether it was new.
+    fn take(&mut self, height: u64, key: (NodeId, u64)) -> bool {
+        if let Taken::First(set) = self {
+            if height < WINDOW {
+                return set.insert(key);
+            }
+            let set = std::mem::take(set);
+            *self = Taken::Windowed(Box::new(Windowed { set, ..Windowed::default() }));
+        }
+        let Taken::Windowed(w) = self else { unreachable!("windowed above") };
+        if !w.set.insert(key) {
+            return false;
+        }
+        w.order.push_back((height, key));
+        true
+    }
+
+    /// Drops the uploads taken below `floor`, and makes their seqs stale.
+    fn prune_below(&mut self, floor: u64) {
+        let Taken::Windowed(w) = self else { return };
+        while let Some(&(_, key)) = w.order.front().filter(|(height, _)| *height < floor) {
+            w.order.pop_front();
+            w.set.remove(&key);
+            let (spoke, seq) = (key.0 as usize, key.1);
+            if w.stale_below.len() <= spoke {
+                w.stale_below.resize(spoke + 1, 0);
+            }
+            w.stale_below[spoke] = w.stale_below[spoke].max(seq + 1);
+        }
+    }
+
+    /// The uploads held.
+    fn len(&self) -> usize {
+        match self {
+            Taken::First(set) => set.len(),
+            Taken::Windowed(w) => w.set.len(),
+        }
+    }
 }
 
 /// A trusted-baseline participant: the hub (node 0) or a CPS node.
@@ -160,9 +226,7 @@ impl Rule for TrustedRule {
             repairing: false,
             ticking: false,
             uploads: BTreeMap::new(),
-            taken: KeySet::default(),
-            taken_order: VecDeque::new(),
-            stale_below: vec![0; config.n],
+            taken: Taken::First(KeySet::default()),
         }
     }
 
@@ -180,7 +244,7 @@ impl Rule for TrustedRule {
 
     /// The hub sends each block once: another copy is a duplicate (the
     /// hub's own loopback included).
-    fn processed(_: &TbReplica, _view: u64, _height: u64, _block: &Block) -> bool {
+    fn processed(_: &TbReplica, _view: u64, _height: u64, _block: &Digest) -> bool {
         true
     }
 
@@ -229,17 +293,18 @@ impl Rule for TrustedRule {
     }
 
     /// Hub: take each signed upload once. One whose seq the floor has
-    /// passed is stale: its `taken` entry may be pruned, so it is not read.
+    /// passed is stale: its `taken` entry may be pruned, so it is dropped
+    /// unchecked.
     fn on_message(r: &mut TbReplica, _from: NodeId, msg: TbMsg, ctx: &mut Ctx<'_>) {
         let TbPayload::Upload { batch, seq } = &msg.payload else { return };
-        let stale_below = r.rule.stale_below.get(msg.signer as usize).copied().unwrap_or(0);
-        if !r.is_leader() || *seq < stale_below || !r.verify_envelope(&msg, ctx) {
+        if !r.is_leader()
+            || r.rule.taken.is_stale(msg.signer, *seq)
+            || !r.verify_envelope(&msg, ctx)
+        {
             return;
         }
-        let key = (msg.signer, *seq);
-        if r.rule.taken.insert(key) {
-            // Taken into the block the next tick cuts.
-            r.rule.taken_order.push_back((r.b_com_height + 1, key));
+        // Taken into the block the next tick cuts.
+        if r.rule.taken.take(r.b_com_height + 1, (msg.signer, *seq)) {
             r.rule.uploads.insert((*seq, msg.signer), batch.clone());
         }
     }
@@ -276,19 +341,11 @@ impl Rule for TrustedRule {
     }
 
     fn prune_below(&mut self, floor: u64) {
-        while let Some(&(_, key)) = self.taken_order.front().filter(|(h, _)| *h < floor) {
-            self.taken_order.pop_front();
-            self.taken.remove(&key);
-            let (spoke, seq) = key;
-            if let Some(bar) = self.stale_below.get_mut(spoke as usize) {
-                *bar = (*bar).max(seq + 1);
-            }
-        }
+        self.taken.prune_below(floor);
     }
 
-    fn bookkeeping(&self, tip: u64) -> Vec<(&'static str, Held)> {
-        let settled = self.taken_order.partition_point(|(h, _)| *h <= tip);
-        vec![("taken", Held { settled, pending: self.taken_order.len() - settled })]
+    fn bookkeeping(&self) -> Vec<(&'static str, usize)> {
+        vec![("taken", self.taken.len())]
     }
 }
 

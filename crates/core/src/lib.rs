@@ -57,4 +57,4 @@ pub use replica::{EesmrRule, Replica};
 pub use smr::{Params, Rule, Shared, Smr, SmrPayload, TimerToken};
 pub use txpool::{AdaptiveBatcher, TxPool, WorkloadSource};
 pub use view_change::build_replicas;
-pub use window::{Held, WindowMap, WindowSet};
+pub use window::{WindowMap, WindowSet};

@@ -29,8 +29,8 @@ use eesmr_net::{NodeId, TraceClass, TraceEventKind};
 use crate::block::Block;
 use crate::config::{Config, FaultMode, Pacing};
 use crate::message::{CertifiedBlock, Payload, SignedMsg};
-use crate::smr::{Params, Rule, Smr, TimerToken, WINDOW};
-use crate::window::{Held, WindowSet};
+use crate::smr::{Params, Rule, Smr, TimerToken};
+use crate::window::WindowSet;
 
 /// The EESMR replica's network context.
 pub(crate) type Ctx<'a> = crate::smr::Ctx<'a, EesmrRule>;
@@ -131,7 +131,6 @@ impl Rule for EesmrRule {
             forward_retry_window: Some(32),
             replays_through_gate: true,
             hub: None,
-            window: WINDOW,
         }
     }
 
@@ -156,8 +155,8 @@ impl Rule for EesmrRule {
         self.r_cur >= 3
     }
 
-    fn processed(smr: &Replica, _view: u64, round: u64, block: &Block) -> bool {
-        smr.rule.relayed.contains(block.height, &block.id()) || round < smr.rule.r_cur
+    fn processed(smr: &Replica, _view: u64, round: u64, block: &Digest) -> bool {
+        smr.rule.relayed.contains(block) || round < smr.rule.r_cur
     }
 
     fn try_propose(smr: &mut Replica, ctx: &mut Ctx<'_>) {
@@ -253,8 +252,8 @@ impl Rule for EesmrRule {
         self.relayed.prune_below(floor);
     }
 
-    fn bookkeeping(&self, tip: u64) -> Vec<(&'static str, Held)> {
-        vec![("relayed", self.relayed.held(tip))]
+    fn bookkeeping(&self) -> Vec<(&'static str, usize)> {
+        vec![("relayed", self.relayed.len())]
     }
 }
 

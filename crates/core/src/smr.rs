@@ -37,7 +37,7 @@ use crate::config::{BatchPolicy, FaultMode};
 use crate::message::{block_ids_digest, Envelope, MsgKind, QuorumCert, SignedPayload};
 use crate::metrics::Metrics;
 use crate::txpool::{AdaptiveBatcher, TxPool, WorkloadSource};
-use crate::window::{Held, WindowMap};
+use crate::window::WindowMap;
 
 /// Timer tokens (all carry the view they were armed in; stale timers are
 /// ignored). `ShareQc` and `EnterNew` are armed by the EESMR rule only,
@@ -262,14 +262,12 @@ pub struct Params {
     /// spoke), and only the hub serves a `Repair` or is taken at its word
     /// in a `RepairReply`.
     pub hub: Option<NodeId>,
-    /// The bookkeeping window `W`: every per-height table keeps entries
-    /// from `b_com_height − W` up, and every proposal, vote or upload
-    /// below that floor is dropped unread ([`Smr::floor`]).
-    pub window: u64,
 }
 
-/// The bookkeeping window every rule here derives its [`Params::window`]
-/// from: 64 heights. Below `b_com_height` every height is final, so the
+/// The bookkeeping window `W`, 64 heights, the same for every rule: every
+/// per-height table drops what lies below the floor `b_com_height − W`
+/// ([`Smr::floor`]), and every proposal, vote or upload below it is
+/// dropped unread. Below `b_com_height` every height is final, so the
 /// floor only has to stay below the heights a message still in flight can
 /// be about: a flood lands within Δ, and no pacing here commits more than
 /// its 8-block pipeline per Δ, which leaves an 8-fold margin. Nothing
@@ -309,8 +307,8 @@ pub trait Rule: Sized {
         true
     }
     /// Whether a proposal already seen for `(view, slot)` with this block
-    /// has been fully handled, so that another copy needs no work.
-    fn processed(smr: &Smr<Self>, view: u64, slot: u64, block: &Block) -> bool;
+    /// id has been fully handled, so that another copy needs no work.
+    fn processed(smr: &Smr<Self>, view: u64, slot: u64, block: &Digest) -> bool;
 
     /// Leader: propose if the rule's pacing allows.
     fn try_propose(smr: &mut Smr<Self>, ctx: &mut Ctx<'_, Self>);
@@ -339,9 +337,9 @@ pub trait Rule: Sized {
     /// The commit floor rose to `floor`: drop the rule's per-height
     /// entries below it. Default: it keeps none.
     fn prune_below(&mut self, _floor: u64) {}
-    /// The keys held by each of the rule's per-height tables, by name,
-    /// split at the committed height `tip`. Default: it keeps none.
-    fn bookkeeping(&self, _tip: u64) -> Vec<(&'static str, Held)> {
+    /// The entries held by each of the rule's per-height tables, by name.
+    /// Default: it keeps none.
+    fn bookkeeping(&self) -> Vec<(&'static str, usize)> {
         Vec::new()
     }
 }
@@ -374,8 +372,8 @@ pub struct Smr<R: Rule> {
     /// The attached client-workload stream, if any.
     pub workload: Option<Box<dyn WorkloadSource>>,
 
-    /// First proposal seen per `(view, slot)`, at its block's height:
-    /// dedup, and the first half of an equivocation proof.
+    /// First proposal seen per `(view, slot)`, filed at its block's
+    /// height: dedup, and the first half of an equivocation proof.
     pub proposals_seen: WindowMap<(u64, u64), (Digest, Msg<R>)>,
     /// Armed commit timers.
     pub commit_timers: Vec<(Digest, TimerId)>,
@@ -496,24 +494,22 @@ impl<R: Rule> Smr<R> {
         &self.metrics
     }
 
-    /// The keys held by each per-height bookkeeping table, the skeleton's
-    /// and the rule's, by name, split at the committed height: the
-    /// settled ones lie between the floor and it, so however long the run
-    /// they span at most [`Params::window`] + 1 heights.
-    pub fn bookkeeping(&self) -> Vec<(&'static str, Held)> {
-        let tip = self.b_com_height;
+    /// The entries held by each per-height bookkeeping table, the
+    /// skeleton's and the rule's, by name: however long the run, they lie
+    /// in the bands from the floor's up, about 2·[`WINDOW`] heights.
+    pub fn bookkeeping(&self) -> Vec<(&'static str, usize)> {
         let mut tables = vec![
-            ("proposals_seen", self.proposals_seen.held(tip)),
-            ("first_seen", self.first_seen.held(tip)),
+            ("proposals_seen", self.proposals_seen.len()),
+            ("first_seen", self.first_seen.len()),
         ];
-        tables.extend(self.rule.bookkeeping(tip));
+        tables.extend(self.rule.bookkeeping());
         tables
     }
 
     /// The commit floor `b_com_height − W`: per-height entries below it
     /// are dropped, and so is every proposal, vote or upload below it.
     pub fn floor(&self) -> u64 {
-        self.b_com_height.saturating_sub(self.params.window)
+        self.b_com_height.saturating_sub(WINDOW)
     }
 
     /// Looks up a block (committed or not).
@@ -841,11 +837,13 @@ impl<R: Rule> Smr<R> {
         }
         let block_id = block.id();
         let key = (msg.view, slot);
-        if let Some((seen_id, _)) = self.proposals_seen.get(block.height, &key) {
-            let processed = msg.view < self.v_cur || R::processed(self, msg.view, slot, block);
-            if *seen_id == block_id && processed {
-                return;
-            }
+        // The slot alone finds the first proposal, whatever height either
+        // copy names: a twin may name any height.
+        let seen = self.proposals_seen.get(&key).map(|(seen_id, _)| *seen_id);
+        if seen == Some(block_id)
+            && (msg.view < self.v_cur || R::processed(self, msg.view, slot, &block_id))
+        {
+            return;
         }
         if msg.signer != self.rule.leader_of(msg.view)
             || (self.rule.verifies_proposal(slot) && !self.verify_envelope(&msg, ctx))
@@ -853,16 +851,17 @@ impl<R: Rule> Smr<R> {
             self.metrics.proposals_rejected += 1;
             return;
         }
-        if let Some((seen_id, seen_msg)) = self.proposals_seen.get(block.height, &key) {
-            if *seen_id != block_id {
+        match seen {
+            None => self.proposals_seen.insert(block.height, key, (block_id, msg.clone())),
+            Some(seen_id) if seen_id != block_id => {
                 if msg.view == self.v_cur {
-                    let first = seen_msg.clone();
+                    let (_, first) = self.proposals_seen.get(&key).expect("seen above");
+                    let first = first.clone();
                     self.on_equivocation(first, msg, ctx);
                 }
                 return;
             }
-        } else {
-            self.proposals_seen.insert_new(block.height, key, (block_id, msg.clone()));
+            Some(_) => {}
         }
         if msg.view < self.v_cur {
             return;
@@ -899,10 +898,10 @@ impl<R: Rule> Smr<R> {
         for id in segment {
             self.committed_log.push(id);
             self.metrics.blocks_committed += 1;
-            let block = self.store.get(&id).expect("segment blocks are stored").clone();
-            if let Some(seen) = self.first_seen.remove(block.height, &id) {
+            if let Some(seen) = self.first_seen.remove(&id) {
                 self.metrics.record_commit_latency(now.since(seen));
             }
+            let block = self.store.get(&id).expect("segment blocks are stored").clone();
             if ctx.traces(TraceClass::Commit) {
                 ctx.trace(TraceEventKind::Commit {
                     block: crate::block::fingerprint(&id),
@@ -917,7 +916,7 @@ impl<R: Rule> Smr<R> {
         self.prune_bookkeeping();
     }
 
-    /// Drops every per-height entry below the commit floor, the skeleton's
+    /// Drops the per-height entries below the commit floor, the skeleton's
     /// and the rule's. `store` and `committed_log` stay whole: repair and
     /// sync serve blocks from the store, and the reports read the log.
     fn prune_bookkeeping(&mut self) {
