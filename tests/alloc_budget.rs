@@ -165,17 +165,16 @@ fn allocations_per_committed_block_are_pinned() {
     check(
         &got,
         &[
-            // Re-captured when the per-height tables became height-ordered
-            // FIFOs (was 500 / 51 / 98 057, 1 251 / 166 / 123 009,
-            // 1 231 / 221 / 133 921 and 1 195 / 77 / 77 565): `relayed`,
-            // `first_seen`, `proposals_seen`, `voted` and `votes` are each
-            // one `VecDeque` grown by doubling instead of a hash table, and
-            // the hub's `taken` keeps its keys' order beside its set. 24
-            // blocks stay under the 64-height window, so nothing is pruned.
-            Budget { allocations: 458, reallocations: 93, peak_bytes: 101_165, units: 24 },
-            Budget { allocations: 1_188, reallocations: 229, peak_bytes: 127_573, units: 24 },
-            Budget { allocations: 1_168, reallocations: 284, peak_bytes: 138_485, units: 24 },
-            Budget { allocations: 1_182, reallocations: 104, peak_bytes: 86_117, units: 24 },
+            // Re-captured when `Config::leader_policy` went (was 98 297):
+            // `Config` shrank from 128 to 112 bytes in each of the 7 replicas.
+            Budget { allocations: 500, reallocations: 51, peak_bytes: 98_057, units: 24 },
+            Budget { allocations: 1_251, reallocations: 166, peak_bytes: 123_009, units: 24 },
+            Budget { allocations: 1_231, reallocations: 221, peak_bytes: 133_921, units: 24 },
+            // Re-captured when the trusted baseline became a rule on the
+            // replica skeleton (was 1 096 / 348 / 57 053): one `Arc` per
+            // signed message and the skeleton's per-replica tables, but the
+            // hub no longer grows a command vector upload by upload.
+            Budget { allocations: 1_195, reallocations: 77, peak_bytes: 77_565, units: 24 },
         ],
     );
 }
@@ -246,9 +245,9 @@ fn allocations_per_delivery_on_the_busy_ring_are_pinned() {
 /// allocation all replicas share. The store is a hash table, which doubles
 /// when 7/8 full and so holds up to 16/7 slots (and control bytes) per
 /// entry; the log is a vector, which holds up to 2. Every other per-height
-/// table is pruned below the commit floor, so it adds nothing once `L` is
-/// past the window. Without the pruning the peak grows 3.6 MB here, not
-/// 1.4 MB.
+/// table is pruned below the commit floor a band at a time, so it adds
+/// nothing once `L` is past two windows. Without the pruning the peak
+/// grows 3.4 MB here, not 1.3 MB.
 #[test]
 fn eesmr_peak_bytes_grow_with_the_ledger_alone() {
     const L: i64 = 256;
