@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use eesmr_baselines::sync_hotstuff::{HsConfig, HsPayload, HsRule, HsVariant};
 use eesmr_baselines::trusted::{tb_config, TbConfig, TbPayload, TbReplica, TrustedRule, HUB};
-use eesmr_core::smr::{Msg, Shared};
+use eesmr_core::smr::{Msg, Shared, WINDOW};
 use eesmr_core::{
     Block, Command, Config, EesmrRule, Envelope, FaultMode, MsgKind, Payload, QuorumCert, Rule,
     SignedPayload, Smr, SmrPayload, TimerToken, WorkloadSource,
@@ -273,6 +273,30 @@ fn a_valid_third_party_equivocation_proof_aborts_the_view() {
 fn an_invalid_equivocation_proof_aborts_nothing() {
     invalid_proofs_abort_nothing::<EesmrRule>();
     invalid_proofs_abort_nothing::<HsRule>();
+}
+
+/// EESMR's slot is the round, and a block's height is only the leader's
+/// word: a same-round twin naming another height — the next one, or one a
+/// band of `W` away — is an equivocation all the same, whichever copy
+/// comes first. (A HotStuff-family slot *is* the height, so there another
+/// height is another slot.)
+#[test]
+fn a_same_round_twin_with_a_forged_height_is_blamed() {
+    let pki = pki();
+    let (b1, first) = EesmrRule::proposal(&Block::genesis(), 1);
+    let first = signed::<EesmrRule>(first, 1, &pki, 0);
+    for forged in [b1.height + 1, b1.height + WINDOW] {
+        let block = Block::new(b1.parent, forged, 1, b1.round, vec![Command::synthetic(2, 16)]);
+        let twin = Payload::Propose { block, round: b1.round, justify: None };
+        let twin = signed::<EesmrRule>(twin, 1, &pki, 0);
+        for (a, b) in [(first.clone(), twin.clone()), (twin, first.clone())] {
+            let mut h = replica::<EesmrRule>(1, &pki, 1);
+            h.deliver(0, a);
+            h.deliver(0, b);
+            assert_eq!(h.actor().metrics().equivocations_detected, 1, "twin at height {forged}");
+            assert!(h.actor().view_aborted, "twin at height {forged}");
+        }
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -625,8 +649,9 @@ fn a_repair_reply_signed_outside_the_pki_changes_nothing() {
 // ----------------------------------------------------------------------
 
 /// Node 1 accepts the view-1 proposal of height 1 (relays it, votes for it
-/// or commits it), then repairs `W + 1` blocks past it: the floor is 2,
-/// and everything the node kept about height 1 is pruned.
+/// or commits it), then repairs `2·W + 1` blocks past it: the floor is
+/// `W + 2`, past the first band, and everything the node kept about
+/// height 1 is pruned.
 fn past_the_floor<R: Family>(pki: &Arc<KeyStore>) -> (Harness<Smr<R>>, Block, Msg<R>) {
     let rule = R::NAME;
     let mut h = replica::<R>(1, pki, 1);
@@ -634,7 +659,7 @@ fn past_the_floor<R: Family>(pki: &Arc<KeyStore>) -> (Harness<Smr<R>>, Block, Ms
     let p1 = signed::<R>(p1, 1, pki, 0);
     assert!(!h.deliver(0, p1.clone()).is_empty(), "{rule}: height 1 is acted on");
     let mut tip = b1.clone();
-    let tags = 2..h.actor().params.window + 3;
+    let tags = 2..2 * WINDOW + 3;
     let blocks = tags.map(|tag| {
         tip = R::proposal(&tip, tag).0;
         tip.clone()
@@ -642,7 +667,7 @@ fn past_the_floor<R: Family>(pki: &Arc<KeyStore>) -> (Harness<Smr<R>>, Block, Ms
     let blocks = blocks.collect();
     let reply = R::Payload::from_shared(Shared::RepairReply { blocks, view: 1 });
     h.deliver(R::REPAIRER, signed::<R>(reply, 1, pki, R::REPAIRER));
-    assert_eq!(h.actor().floor(), 2, "{rule}: the repair committed past the window");
+    assert_eq!(h.actor().floor(), WINDOW + 2, "{rule}: the repair committed past the window");
     (h, b1, p1)
 }
 
@@ -670,6 +695,13 @@ fn stale_messages_cause_nothing<R: Family>() {
     if let Some(vote) = R::vote(&b1) {
         assert_ignored(&mut h, 2, signed::<R>(vote, 1, &pki, 2), "a vote below the floor");
     }
+    // A vote's height is not signed: a relay may rewrite it.
+    let (unknown, _) = R::proposal(&Block::genesis(), 98);
+    let far = Block::new(unknown.parent, u64::MAX, 1, unknown.round, unknown.payload.clone());
+    if let Some(vote) = R::vote(&far) {
+        let vote = signed::<R>(vote, 1, &pki, 2);
+        assert_ignored(&mut h, 2, vote, "a vote for an unknown block far above the window");
+    }
 }
 
 #[test]
@@ -694,13 +726,20 @@ fn an_upload_below_the_hubs_floor_is_not_taken_again() {
         let out = h.fire(TimerToken::Order);
         sent::<TrustedRule, _>(&out, |p| Some(p.proposal()?.0.payload.len()))
     };
-    h.deliver(1, upload(1, 0));
-    assert_eq!(tick(&mut h), vec![(None, 1)], "spoke 1's upload goes into height 1");
-    for seq in 0..=h.actor().params.window {
+    // Spoke 2's uploads carry the hub to height W − 1 (what it takes below
+    // W it keeps for the run), spoke 1's goes into height W, and spoke 2's
+    // carry the floor past it.
+    for seq in 0..WINDOW - 1 {
         h.deliver(2, upload(2, seq));
         tick(&mut h);
     }
-    assert_eq!(h.actor().floor(), 2, "the hub committed past the window");
+    h.deliver(1, upload(1, 0));
+    assert_eq!(tick(&mut h), vec![(None, 1)], "spoke 1's upload goes into height W");
+    for seq in WINDOW - 1..2 * WINDOW {
+        h.deliver(2, upload(2, seq));
+        tick(&mut h);
+    }
+    assert_eq!(h.actor().floor(), WINDOW + 1, "the hub committed past the window");
     let verifies = h.meter().count(eesmr_energy::EnergyCategory::Verify);
     assert!(h.deliver(1, upload(1, 0)).is_empty());
     assert_eq!(h.meter().count(eesmr_energy::EnergyCategory::Verify), verifies, "not checked");
