@@ -127,6 +127,7 @@ pub struct TrustedRule {
     pub config: TbConfig,
     seq: u64,        // spoke: the next upload's sequence number
     repairing: bool, // spoke: a repair request is outstanding
+    uploaded: bool,  // spoke: an upload is out since its last post-commit turn
     ticking: bool,   // hub: the ordering tick is armed
     /// Hub: the uploads taken since the last tick, in the order the next
     /// block holds them.
@@ -224,6 +225,7 @@ impl Rule for TrustedRule {
             config,
             seq: 0,
             repairing: false,
+            uploaded: false,
             ticking: false,
             uploads: BTreeMap::new(),
             taken: Taken::First(KeySet::default()),
@@ -257,10 +259,13 @@ impl Rule for TrustedRule {
             }
             return;
         }
-        // A workload-fed spoke uploads real transactions only.
-        if r.workload.is_some() && r.txpool.is_empty() {
+        // A workload-fed spoke uploads real transactions only, once per
+        // hub block: a client arrival uploads only when the spoke's last
+        // post-commit turn found its pool empty.
+        if r.workload.is_some() && (r.txpool.is_empty() || r.rule.uploaded) {
             return;
         }
+        r.rule.uploaded = true;
         let batch = r.next_batch();
         let seq = r.rule.seq;
         r.rule.seq += 1;
@@ -289,6 +294,7 @@ impl Rule for TrustedRule {
         }
         let id = r.store.insert(block.clone());
         r.commit_block(id, ctx);
+        r.rule.uploaded = false;
         TrustedRule::try_propose(r, ctx);
     }
 
@@ -337,6 +343,7 @@ impl Rule for TrustedRule {
     /// Caught up (as far as one capped reply gets): resume uploading.
     fn on_repaired(r: &mut TbReplica, _tip: &Block, ctx: &mut Ctx<'_>) {
         r.rule.repairing = false;
+        r.rule.uploaded = false;
         TrustedRule::try_propose(r, ctx);
     }
 

@@ -39,6 +39,8 @@ trait Family: Rule + 'static {
     /// A proposal of a block on `parent`, in the slot after `parent`'s,
     /// carrying one command derived from `tag`.
     fn proposal(parent: &Block, tag: u64) -> (Block, Self::Payload);
+    /// The family's proposal of `block`, as it stands.
+    fn propose(block: Block) -> Self::Payload;
     /// An explicit vote for `block`, if the family has one.
     fn vote(_block: &Block) -> Option<Self::Payload> {
         None
@@ -57,6 +59,9 @@ impl Family for EesmrRule {
         let block = Block::extending(parent, 1, round, vec![Command::synthetic(tag, 16)]);
         (block.clone(), Payload::Propose { block, round, justify: None })
     }
+    fn propose(block: Block) -> Payload {
+        Payload::Propose { round: block.round, block, justify: None }
+    }
 }
 
 impl Family for HsRule {
@@ -71,6 +76,17 @@ impl Family for HsRule {
         let height = parent.height + 1; // the slot *is* the height
         let block = Block::extending(parent, 1, height, vec![Command::synthetic(tag, 16)]);
         (block.clone(), HsPayload::Propose { block, justify: None })
+    }
+    /// Above height 1 the block carries a certificate of its parent, as
+    /// its height names it.
+    fn propose(block: Block) -> HsPayload {
+        let justify = (block.height > 1).then(|| {
+            let (view, data) = (block.view, block.parent);
+            let bytes = eesmr_core::message::signing_bytes(MsgKind::HsVote, view, &data);
+            let sigs = (0..3).map(|n| (n, pki().keypair(n).sign(&bytes))).collect();
+            QuorumCert { kind: MsgKind::HsVote, view, data, height: block.height - 1, sigs }
+        });
+        HsPayload::Propose { block, justify }
     }
     fn vote(block: &Block) -> Option<HsPayload> {
         Some(HsPayload::Vote { block_id: block.id(), height: block.height })
@@ -87,6 +103,9 @@ impl Family for TrustedRule {
         let height = parent.height + 1; // the slot is the height
         let block = Block::extending(parent, 1, height, vec![Command::synthetic(tag, 16)]);
         (block.clone(), TbPayload::Propose { block })
+    }
+    fn propose(block: Block) -> TbPayload {
+        TbPayload::Propose { block }
     }
 }
 
@@ -297,6 +316,33 @@ fn a_same_round_twin_with_a_forged_height_is_blamed() {
             assert!(h.actor().view_aborted, "twin at height {forged}");
         }
     }
+}
+
+/// A leader-signed block two heights above its held parent is dropped
+/// before the rule sees it: no relay, vote or upload, no commit timer, no
+/// commit. The same block one height up is acted on.
+fn a_gapped_height_is_rejected<R: Family>() {
+    let rule = R::NAME;
+    let pki = pki();
+    let (b1, _) = R::proposal(&Block::genesis(), 1);
+    for (height, acted_on) in [(b1.height + 1, false), (b1.height, true)] {
+        let block = Block::new(b1.parent, height, 1, b1.round, b1.payload.clone());
+        let mut h = replica::<R>(1, &pki, 1);
+        let out = h.deliver(0, signed::<R>(R::propose(block), 1, &pki, 0));
+        let rejected = h.actor().metrics().proposals_rejected;
+        assert_eq!(!out.is_empty(), acted_on, "{rule}: height {height}: {out:?}");
+        assert_eq!(rejected, u64::from(!acted_on), "{rule}: height {height}");
+        if !acted_on {
+            assert_eq!(h.actor().committed_height(), 0, "{rule}: height {height} not committed");
+        }
+    }
+}
+
+#[test]
+fn a_block_two_heights_above_its_parent_causes_nothing() {
+    a_gapped_height_is_rejected::<EesmrRule>();
+    a_gapped_height_is_rejected::<HsRule>();
+    a_gapped_height_is_rejected::<TrustedRule>();
 }
 
 // ----------------------------------------------------------------------

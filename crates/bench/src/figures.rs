@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 use eesmr_crypto::SigScheme;
-use eesmr_driver::{progress, CellResult, CellStats, Driver, ScenarioGrid, SuiteReport};
+use eesmr_driver::{progress, CellResult, Driver, ScenarioGrid, SuiteReport};
 use eesmr_energy::complexity::table3_rows;
 use eesmr_energy::medium::{Medium, ANCHOR_SIZES};
 use eesmr_energy::{BleGattModel, BleKcastModel, EnergyClass, FeasibleCell, FeasibleRegion};
@@ -16,10 +16,16 @@ use eesmr_sim::{RunOptions, Scenario, Skew, StopWhen, Workload};
 use eesmr_trace::audit::{audit, AuditConfig};
 
 use crate::{below, col, data, falling, near, ratio_within, rises, rising, shape, share_within};
-use crate::{num, shown, Announce, Claim, Figure, Output, Table};
+use crate::{mean, num, shown, Claim, Figure, Output, Table};
 
 /// The two protocols the paper compares throughout.
 const BOTH: [Protocol; 2] = [Protocol::Eesmr, Protocol::SyncHotStuff];
+
+/// A cell's total correct-node energy per block, mJ, averaged over its
+/// repeats.
+fn energy_per_block(cell: &CellResult) -> f64 {
+    mean(cell.runs.iter().map(RunReport::energy_per_block_mj)).expect("a cell has a run")
+}
 
 /// Every figure, in the order `figures all` runs them.
 pub static FIGURES: &[Figure] = &[
@@ -47,7 +53,7 @@ const TABLE1: &[Claim] =
     &[Claim::holds("energy per message rises with size, every medium", "Table 1", |o| {
         let t = o.table("table1_media");
         let costs = &t.columns[1..];
-        let ok = costs.iter().all(|c| rising(&t.col(c.key.unwrap_or_default())));
+        let ok = costs.iter().all(|c| rising(&t.col(c.key.as_deref().unwrap_or_default())));
         shape(ok, format!("{} sizes × {} costs", t.rows.len(), costs.len()), "rising")
     })];
 
@@ -316,7 +322,7 @@ fn fig2c_leader_replica(driver: &Driver) -> Output {
         t.row(row![k, report.node_energy_per_block_mj(0), replica / (n - 1) as f64]);
     }
     let mut out = Output::of(t);
-    out.suite(suite, Announce::Silent);
+    out.add(Table::suite(&suite));
     out
 }
 
@@ -354,7 +360,7 @@ fn fig2d_blocksize(driver: &Driver) -> Output {
     }
     let mut out = Output::of(by_k);
     out.add(series);
-    out.suite(suite, Announce::Silent);
+    out.add(Table::suite(&suite));
 
     let adaptive = |target_fill_pct| BatchPolicy::Adaptive { min: 1, max: 64, target_fill_pct };
     let fixed = [1, 16, 64].map(BatchPolicy::Fixed);
@@ -380,7 +386,7 @@ fn fig2d_blocksize(driver: &Driver) -> Output {
         t.row(row![cell.key.batch.label(), leader, total, report.net.bytes_on_air]);
     }
     out.add(t);
-    out.suite(suite, Announce::Silent);
+    out.add(Table::suite(&suite));
     out
 }
 
@@ -430,7 +436,7 @@ fn fig2e_viewchange(driver: &Driver) -> Output {
         t.row(row![f + 1, f, equivocation, silent, by("honest").node_energy_per_block_mj(0)]);
     }
     let mut out = Output::of(t);
-    out.suite(suite, Announce::Silent);
+    out.add(Table::suite(&suite));
     out
 }
 
@@ -467,14 +473,14 @@ fn fig2f_total_energy(driver: &Driver) -> Output {
         for k in [3usize, 5].into_iter().filter(|&k| k < n) {
             let per_smr = |protocol| {
                 let cell = suite.find(|c| c.protocol == protocol && c.n == n && c.k == k);
-                cell.expect("cell on the grid").stats.energy_per_block_mj.mean
+                energy_per_block(cell.expect("cell on the grid"))
             };
             let (e, s) = (per_smr(Protocol::Eesmr), per_smr(Protocol::SyncHotStuff));
             t.row(row![n, k, e, s, s / e]);
         }
     }
     let mut out = Output::of(t);
-    out.suite(suite, Announce::Both);
+    out.add(Table::suite(&suite));
     out
 }
 
@@ -532,7 +538,7 @@ fn fig3_eesmr_vs_synchs(driver: &Driver) -> Output {
         t.row(row![f, f + 1, honest(e), honest(s), vc(e), vc(s)]);
     }
     let mut out = Output::of(t);
-    out.suite(suite, Announce::Both);
+    out.add(Table::suite(&suite));
     out
 }
 
@@ -588,7 +594,7 @@ fn fig_workload(driver: &Driver) -> Output {
         t.row(row![r.protocol, workload, tx_in, done, ms[0], ms[1], us[0], us[1], energy]);
     }
     let mut out = Output::of(t);
-    out.suite(suite, Announce::Json);
+    out.add(Table::suite(&suite));
     out
 }
 
@@ -658,12 +664,8 @@ fn fig_adversarial(driver: &Driver) -> Output {
         let protocol = r.protocol;
         violations
             .extend(verdict.violations.iter().map(|v| format!("  {protocol} fault={fault}: {v}")));
-        suite.cells.push(CellResult {
-            label: cell.label.clone(),
-            key: cell.scenario.cell(),
-            stats: CellStats::from_runs(std::slice::from_ref(r)),
-            runs: vec![r.clone()],
-        });
+        let (label, key) = (cell.label.clone(), cell.scenario.cell());
+        suite.cells.push(CellResult { label, key, runs: vec![r.clone()] });
     }
     let mut out = Output::of(t);
     if violations.is_empty() {
@@ -672,7 +674,7 @@ fn fig_adversarial(driver: &Driver) -> Output {
         out.note(format!("trace audit failed: {} violation(s)", violations.len()));
         violations.into_iter().for_each(|v| out.note(v));
     }
-    out.suite(suite, Announce::Json);
+    out.add(Table::suite(&suite));
     out
 }
 
@@ -729,9 +731,7 @@ fn headline(driver: &Driver) -> Output {
     for cell in sweep.cells.iter().filter(|c| c.key.protocol == Protocol::Eesmr) {
         let (n, k) = (cell.key.n, cell.key.k);
         let synchs = sweep.find(|c| c.protocol == Protocol::SyncHotStuff && c.n == n && c.k == k);
-        let saving = 1.0
-            - cell.stats.energy_per_block_mj.mean
-                / synchs.expect("paired").stats.energy_per_block_mj.mean;
+        let saving = 1.0 - energy_per_block(cell) / energy_per_block(synchs.expect("paired"));
         (min, max) = (min.min(saving), max.max(saving));
         if (n, k) == (10, 5) {
             at_n10 = saving;
@@ -875,7 +875,7 @@ fn ablation_schemes(driver: &Driver) -> Output {
         t.row(row![scheme.name(), report.node_energy_per_block_mj(0), replica]);
     }
     let mut out = Output::of(t);
-    out.suite(suite, Announce::Both);
+    out.add(Table::suite(&suite));
     out
 }
 
@@ -950,7 +950,7 @@ fn ablation_votes(driver: &Driver) -> Output {
         t.row(row![label, signs, verifies, per_block(r.net.kcasts), r.energy_per_block_mj()]);
     }
     let mut out = Output::of(t);
-    out.suite(suite, Announce::Both);
+    out.add(Table::suite(&suite));
     out
 }
 

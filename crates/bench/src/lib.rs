@@ -14,14 +14,17 @@
 //! printed header, its CSV name and its display precision, and each row
 //! is written once. A cell holds the text its CSV gets; the printed table
 //! and the claims read numbers back from it, which is exact because an
-//! `f64`'s `Display` round-trips.
+//! `f64`'s `Display` round-trips. A grid suite's per-cell summary,
+//! `<name>.suite.csv`, is one more table ([`Table::suite`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::path::Path;
 
-use eesmr_driver::{Csv, Driver, SuiteReport};
+use eesmr_driver::{CellResult, Csv, Driver, SuiteReport};
+use eesmr_energy::EnergyClass;
+use eesmr_sim::RunReport;
 
 /// A table row, one cell per value: `row![a, b]` is
 /// `vec![a.to_string(), b.to_string()]`.
@@ -186,13 +189,17 @@ pub(crate) fn num(cell: &str) -> f64 {
     cell.parse().unwrap_or(f64::NAN)
 }
 
-/// Everything one figure produced, in print order, and its suite reports.
+/// The mean of `values` (`None` when there are none).
+pub(crate) fn mean(values: impl Iterator<Item = f64>) -> Option<f64> {
+    let (count, sum) = values.fold((0usize, 0.0), |(count, sum), v| (count + 1, sum + v));
+    (count > 0).then(|| sum / count as f64)
+}
+
+/// Everything one figure produced, in print order.
 #[derive(Default)]
 pub struct Output {
     /// Tables and lines of text, in print order.
     pub(crate) parts: Vec<Part>,
-    /// Suite reports (`<name>.suite.{csv,json}`) and how each is announced.
-    pub(crate) suites: Vec<(SuiteReport, Announce)>,
 }
 
 /// A piece of a figure's printed output.
@@ -203,21 +210,10 @@ pub(crate) enum Part {
     Note(String),
 }
 
-/// Which of a suite's files get a `wrote` line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Announce {
-    /// Neither.
-    Silent,
-    /// The JSON report.
-    Json,
-    /// Both, on one line.
-    Both,
-}
-
 impl Output {
     /// An output holding `table`.
     pub(crate) fn of(table: Table) -> Output {
-        Output { parts: vec![Part::Table(table)], suites: Vec::new() }
+        Output { parts: vec![Part::Table(table)] }
     }
 
     /// Appends a table.
@@ -228,11 +224,6 @@ impl Output {
     /// Appends a line of text.
     pub(crate) fn note(&mut self, line: impl Into<String>) {
         self.parts.push(Part::Note(line.into()));
-    }
-
-    /// Writes `suite` on [`emit`](Self::emit).
-    pub(crate) fn suite(&mut self, suite: SuiteReport, announce: Announce) {
-        self.suites.push((suite, announce));
     }
 
     /// The table named `name`; panics if there is none (a ledger bug).
@@ -249,21 +240,12 @@ impl Output {
         self.table(table).col(key)
     }
 
-    /// Prints every part and writes every CSV and suite under `dir`,
-    /// saying where.
+    /// Prints every part and writes every CSV under `dir`, saying where.
     pub fn emit(&self, dir: &Path) {
         for part in &self.parts {
             match part {
                 Part::Table(table) => table.emit(dir),
                 Part::Note(line) => println!("{line}"),
-            }
-        }
-        for (suite, announce) in &self.suites {
-            let p = suite.write(dir);
-            match announce {
-                Announce::Silent => {}
-                Announce::Json => println!("wrote {}", p.json.display()),
-                Announce::Both => println!("wrote {} and {}", p.csv.display(), p.json.display()),
             }
         }
     }
@@ -275,7 +257,7 @@ pub(crate) struct Column {
     /// Printed header (`None`: not printed).
     pub(crate) head: Option<String>,
     /// CSV header and the name claims read it by (`None`: not written).
-    pub(crate) key: Option<&'static str>,
+    pub(crate) key: Option<String>,
     /// Decimal places in the printed table (`None`: as in the CSV).
     pub(crate) decimals: Option<usize>,
     /// Appended to every printed cell.
@@ -283,8 +265,8 @@ pub(crate) struct Column {
 }
 
 /// A column printed under `head` and written as `key`.
-pub(crate) fn col(head: &str, key: &'static str) -> Column {
-    Column { head: Some(head.to_string()), key: Some(key), ..Column::default() }
+pub(crate) fn col(head: &str, key: &str) -> Column {
+    Column { head: Some(head.to_string()), ..data(key) }
 }
 
 /// A column in the printed table only.
@@ -293,8 +275,8 @@ pub(crate) fn shown(head: &str) -> Column {
 }
 
 /// A column in the CSV (and the claims) only.
-pub(crate) fn data(key: &'static str) -> Column {
-    Column { key: Some(key), ..Column::default() }
+pub(crate) fn data(key: &str) -> Column {
+    Column { key: Some(key.to_string()), ..Column::default() }
 }
 
 impl Column {
@@ -323,7 +305,7 @@ impl Column {
 #[derive(Default)]
 pub struct Table {
     /// Names the table for the claims and the CSV file.
-    pub(crate) name: &'static str,
+    pub(crate) name: String,
     /// Printed heading.
     pub(crate) title: Option<String>,
     /// Written to `<name>.csv`.
@@ -339,18 +321,28 @@ pub struct Table {
 
 impl Table {
     /// A table printed under `title` and written to `<name>.csv`.
-    pub(crate) fn new(name: &'static str, title: &str) -> Table {
+    pub(crate) fn new(name: &str, title: &str) -> Table {
         Table { title: Some(title.to_string()), ..Table::series(name) }
     }
 
     /// A table written to `<name>.csv` but not printed.
-    pub(crate) fn series(name: &'static str) -> Table {
+    pub(crate) fn series(name: &str) -> Table {
         Table { csv: true, ..Table::ledger(name) }
     }
 
     /// A table kept for the claims only.
-    pub(crate) fn ledger(name: &'static str) -> Table {
-        Table { name, ..Table::default() }
+    pub(crate) fn ledger(name: &str) -> Table {
+        Table { name: name.to_string(), ..Table::default() }
+    }
+
+    /// A grid suite's per-cell summary, written to `<name>.suite.csv`: a
+    /// row per cell, its columns declared once, in `suite_row`.
+    pub fn suite(suite: &SuiteReport) -> Table {
+        let rows: Vec<_> = suite.cells.iter().map(suite_row).collect();
+        let keys = rows.first().map_or_else(Vec::new, |r| r.iter().map(|(k, _)| data(k)).collect());
+        let mut table = Table::series(&format!("{}.suite", suite.name)).cols(keys);
+        table.extend(rows.into_iter().map(|r| r.into_iter().map(|(_, v)| v).collect()).collect());
+        table
     }
 
     /// Not written.
@@ -380,7 +372,7 @@ impl Table {
     }
 
     fn index(&self, key: &str) -> usize {
-        let i = self.columns.iter().position(|c| c.key == Some(key));
+        let i = self.columns.iter().position(|c| c.key.as_deref() == Some(key));
         i.unwrap_or_else(|| panic!("{}: no column {key:?}", self.name))
     }
 
@@ -429,14 +421,65 @@ impl Table {
         if !self.csv {
             return;
         }
-        let keys: Vec<&str> = self.columns.iter().filter_map(|c| c.key).collect();
-        let mut csv = Csv::create(dir, self.name, &keys);
+        let keys: Vec<&str> = self.columns.iter().filter_map(|c| c.key.as_deref()).collect();
+        let mut csv = Csv::create(dir, &self.name, &keys);
         for row in &self.rows {
             let cells = row.iter().zip(&self.columns).filter(|(_, c)| c.key.is_some());
             csv.row(&cells.map(|(cell, _)| cell.clone()).collect::<Vec<_>>());
         }
         println!("wrote {}", csv.path().display());
     }
+}
+
+/// One cell's row of the suite table, each column's name next to its
+/// value: the cell's axes, its repeats, the means across them (empty where
+/// no repeat measured one), energy per block's min and max, and the mean
+/// energy of each [`EnergyClass`].
+fn suite_row(cell: &CellResult) -> Vec<(String, String)> {
+    let runs = &cell.runs;
+    let measured = |f: &dyn Fn(&RunReport) -> Option<f64>| {
+        mean(runs.iter().filter_map(f)).map_or_else(String::new, |m| m.to_string())
+    };
+    let each = |f: &dyn Fn(&RunReport) -> f64| measured(&|r| Some(f(r)));
+    let energy = runs.iter().map(RunReport::energy_per_block_mj);
+    let (min, max) =
+        (energy.clone().fold(f64::INFINITY, f64::min), energy.fold(f64::NEG_INFINITY, f64::max));
+    let key = &cell.key;
+    let columns = [
+        ("label", cell.label.clone()),
+        ("protocol", cell.report().protocol.to_string()),
+        ("n", key.n.to_string()),
+        ("k", key.k.to_string()),
+        ("payload_bytes", key.payload_bytes.to_string()),
+        ("batch_policy", key.batch.label()),
+        ("offered_load", key.offered_load.to_string()),
+        ("workload", key.workload.map_or_else(|| "none".into(), |w| w.label())),
+        ("fault", key.fault.label().to_string()),
+        ("scheme", key.scheme.name().to_string()),
+        ("seed", key.seed.to_string()),
+        ("repeats", runs.len().to_string()),
+        ("committed_height", each(&|r| r.committed_height() as f64)),
+        ("view_changes", each(&|r| r.view_changes() as f64)),
+        ("energy_per_block_mj_mean", each(&RunReport::energy_per_block_mj)),
+        ("energy_per_block_mj_min", min.to_string()),
+        ("energy_per_block_mj_max", max.to_string()),
+        ("total_energy_mj_mean", each(&RunReport::total_correct_energy_mj)),
+        (
+            "commit_latency_us_mean",
+            measured(&|r| Some(r.mean_commit_latency()?.as_micros() as f64)),
+        ),
+        ("tx_latency_p50_us_mean", measured(&|r| Some(r.tx_latency_stats()?.p50_us as f64))),
+        ("tx_latency_p99_us_mean", measured(&|r| Some(r.tx_latency_stats()?.p99_us as f64))),
+        ("peak_backlog_mean", each(&|r| r.peak_backlog() as f64)),
+        ("mean_batch_fill_pct", measured(&RunReport::mean_batch_fill_pct)),
+        ("forward_retries_mean", each(&|r| r.forward_retries() as f64)),
+        ("trace_dropped_mean", each(&|r| r.trace_dropped_total() as f64)),
+    ];
+    let classes = EnergyClass::ALL.iter().enumerate().map(|(i, class)| {
+        let value = each(&|r| r.energy_by_class_mj()[i]);
+        (format!("energy_{}_mj_mean", class.as_str()), value)
+    });
+    columns.into_iter().map(|(key, value)| (key.to_string(), value)).chain(classes).collect()
 }
 
 /// Prints an aligned ASCII table.
@@ -476,6 +519,39 @@ mod tests {
         sample("selftest").emit(&dir);
         let content = std::fs::read_to_string(dir.join("selftest.csv")).unwrap();
         assert_eq!(content, "b,mj,us\n25,1.04999,7\n400,3,\n");
+    }
+
+    #[test]
+    fn suite_table_writes_the_suite_csv_columns_in_order() {
+        let scenario = eesmr_sim::Scenario::new(eesmr_sim::Protocol::Eesmr, 4, 2)
+            .stop(eesmr_sim::StopWhen::Blocks(2));
+        let runs = vec![scenario.clone().run(), scenario.clone().seed(7).run()];
+        let cell = CellResult { label: "cell".into(), key: scenario.cell(), runs };
+        let suite = SuiteReport { name: "suite_selftest".into(), cells: vec![cell] };
+        let table = Table::suite(&suite);
+        let dir = eesmr_driver::out_dir(None);
+        table.emit(&dir);
+        let content = std::fs::read_to_string(dir.join("suite_selftest.suite.csv")).unwrap();
+        let header = "label,protocol,n,k,payload_bytes,batch_policy,offered_load,workload,fault,\
+            scheme,seed,repeats,committed_height,view_changes,energy_per_block_mj_mean,\
+            energy_per_block_mj_min,energy_per_block_mj_max,total_energy_mj_mean,\
+            commit_latency_us_mean,tx_latency_p50_us_mean,tx_latency_p99_us_mean,\
+            peak_backlog_mean,mean_batch_fill_pct,forward_retries_mean,trace_dropped_mean,\
+            energy_send_mj_mean,energy_recv_scan_mj_mean,energy_recv_decode_mj_mean,\
+            energy_dup_abandoned_mj_mean,energy_shared_scan_mj_mean,energy_sign_mj_mean,\
+            energy_verify_mj_mean,energy_hash_mj_mean";
+        assert_eq!(content.lines().next(), Some(header));
+        assert_eq!(content.lines().count(), 2, "a row per cell");
+        assert_eq!(table.col("repeats"), [2.0]);
+        let energy = suite.cells[0].runs.iter().map(RunReport::energy_per_block_mj);
+        let energy: Vec<f64> = energy.collect();
+        let stat = |s: &str| table.col(&format!("energy_per_block_mj_{s}"))[0];
+        assert_eq!(stat("mean"), (energy[0] + energy[1]) / 2.0);
+        assert_eq!(
+            [stat("min"), stat("max")],
+            [energy[0].min(energy[1]), energy[0].max(energy[1])]
+        );
+        assert_eq!(table.distinct("tx_latency_p50_us_mean"), [""], "no repeat ran clients");
     }
 
     #[test]

@@ -227,20 +227,6 @@ impl Hashable for BlockInner {
     }
 }
 
-/// Relationship between two blocks in the chain partial order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChainRelation {
-    /// Same block.
-    Equal,
-    /// The first block is an ancestor of the second.
-    Ancestor,
-    /// The first block is a descendant of the second.
-    Descendant,
-    /// The blocks are on different forks (or relationship is unknowable
-    /// because of a gap in the local store).
-    Conflicting,
-}
-
 /// Lineage of one block relative to another, with an explicit "unknown"
 /// for gaps (see [`BlockStore::lineage`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -356,20 +342,6 @@ impl BlockStore {
                 _ => return false,
             }
         }
-    }
-
-    /// Classifies the relation of `a` to `b`.
-    pub fn relation(&self, a: &Digest, b: &Digest) -> ChainRelation {
-        if a == b {
-            return ChainRelation::Equal;
-        }
-        if self.extends(b, a) {
-            return ChainRelation::Ancestor;
-        }
-        if self.extends(a, b) {
-            return ChainRelation::Descendant;
-        }
-        ChainRelation::Conflicting
     }
 
     /// Lineage of `a` relative to `b`, distinguishing *provable* forks from
@@ -491,10 +463,10 @@ mod tests {
         let base = store.get(&ids[2]).unwrap().clone();
         let fork = Block::extending(&base, 2, 7, vec![Command::synthetic(99, 8)]);
         let fork_id = store.insert(fork);
-        assert_eq!(store.relation(&fork_id, &ids[3]), ChainRelation::Conflicting);
-        assert_eq!(store.relation(&ids[2], &fork_id), ChainRelation::Ancestor);
-        assert_eq!(store.relation(&fork_id, &ids[2]), ChainRelation::Descendant);
-        assert_eq!(store.relation(&fork_id, &fork_id), ChainRelation::Equal);
+        assert_eq!(store.lineage(&fork_id, &ids[3]), Lineage::Fork);
+        assert_eq!(store.lineage(&ids[2], &fork_id), Lineage::ExtendedBy);
+        assert_eq!(store.lineage(&fork_id, &ids[2]), Lineage::Extends);
+        assert_eq!(store.lineage(&fork_id, &fork_id), Lineage::Equal);
     }
 
     #[test]

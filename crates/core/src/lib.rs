@@ -45,7 +45,7 @@ pub mod txpool;
 mod view_change;
 pub mod window;
 
-pub use block::{Block, BlockStore, ChainRelation, Command, Commands, Lineage};
+pub use block::{Block, BlockStore, Command, Commands, Lineage};
 pub use broadcast::{build_bb_nodes, BbNode, BbOutput};
 pub use config::{BatchPolicy, Config, FaultMode, Pacing};
 pub use message::{

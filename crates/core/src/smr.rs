@@ -866,6 +866,13 @@ impl<R: Rule> Smr<R> {
         if msg.view < self.v_cur {
             return;
         }
+        // A block sits one height above its parent. An orphan is judged
+        // when it replays; the slot stays filed above, so a twin is still
+        // blamed.
+        if self.store.get(&block.parent).is_some_and(|p| block.height != p.height + 1) {
+            self.metrics.proposals_rejected += 1;
+            return;
+        }
         R::on_proposal(self, from, msg, ctx);
     }
 

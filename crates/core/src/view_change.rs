@@ -48,7 +48,7 @@ impl Replica {
             self.enter_new_view(ctx);
             return;
         }
-        // Announce B_com and self-certify it.
+        // Flood B_com and self-certify it.
         let block = self.store.get(&self.b_com).expect("highest committed block is stored").clone();
         let update = self.sign(Payload::CommitUpdate { block }, ctx);
         ctx.flood(update);

@@ -9,8 +9,8 @@ pub struct DriverConfig {
     pub workers: usize,
     /// How many times to run each grid cell; repeat `r` reseeds the
     /// cell's scenario (repeat 0 keeps its own seed, later repeats
-    /// stride into a disjoint seed range). Summary statistics aggregate
-    /// across repeats. Forced to `1` in quick mode.
+    /// stride into a disjoint seed range). Each cell keeps every repeat's
+    /// report. Forced to `1` in quick mode.
     pub repeats: usize,
     /// Shrink every scenario's stop condition to a smoke-test size (see
     /// [`crate::ScenarioGrid`] docs) — used by CI to exercise the

@@ -5,8 +5,10 @@
 //! those sweeps into data: declare a [`ScenarioGrid`] (cartesian products
 //! over protocol × n × k × payload × scheme × seed, plus explicit
 //! scenario lists), hand it to a [`Driver`], and get back a
-//! [`SuiteReport`] with per-cell [`RunReport`](eesmr_sim::RunReport)s,
-//! summary statistics across repeats, and JSON/CSV sinks.
+//! [`SuiteReport`] with each cell's [`RunReport`](eesmr_sim::RunReport)s,
+//! one per repeat. [`Csv`] and [`out_dir`] are the CSV writer and output
+//! directory the `eesmr-bench` figure tables write through; the per-cell
+//! summary a figure writes to `<name>.suite.csv` is one of those tables.
 //!
 //! The [`Driver`] fans cells out across a pool of scoped threads
 //! ([`DriverConfig::workers`] threads; [`DriverConfig::quick`] shrinks
@@ -33,7 +35,7 @@
 //!
 //! // Cells come back in grid order and are keyed by their sweep axes:
 //! let eesmr5 = suite.find(|c| c.protocol == Protocol::Eesmr && c.n == 5).unwrap();
-//! assert!(eesmr5.stats.committed_height.min >= 3.0);
+//! assert!(eesmr5.report().committed_height() >= 3);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -50,5 +52,5 @@ pub use config::DriverConfig;
 pub use grid::{GridCell, ScenarioGrid};
 pub use pool::Driver;
 pub use progress::ProgressEvent;
-pub use report::{CellResult, CellStats, SuitePaths, SuiteReport, Summary};
+pub use report::{CellResult, SuiteReport};
 pub use sink::{out_dir, Csv};

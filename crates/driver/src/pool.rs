@@ -30,7 +30,7 @@ use eesmr_sim::RunReport;
 use crate::config::DriverConfig;
 use crate::grid::{quicken, GridCell, ScenarioGrid};
 use crate::progress::ProgressEvent;
-use crate::report::{CellResult, CellStats, SuiteReport};
+use crate::report::{CellResult, SuiteReport};
 
 /// Stride between the seeds of a cell's repeats (2^64 / φ, the odd
 /// golden-ratio constant), so repeat seeds don't collide with adjacent
@@ -110,8 +110,7 @@ impl Driver {
             .iter()
             .map(|cell| {
                 let runs: Vec<RunReport> = reports.by_ref().take(repeats).collect();
-                let stats = CellStats::from_runs(&runs);
-                CellResult { label: cell.label.clone(), key: cell.scenario.cell(), runs, stats }
+                CellResult { label: cell.label.clone(), key: cell.scenario.cell(), runs }
             })
             .collect();
         SuiteReport { name: grid.name().to_string(), cells: results }
@@ -204,8 +203,7 @@ mod tests {
         assert_eq!(suite.cells.len(), 1);
         let cell = &suite.cells[0];
         assert_eq!(cell.runs.len(), 2);
-        assert!(cell.stats.committed_height.min >= 3.0);
-        assert!(cell.stats.energy_per_block_mj.min <= cell.stats.energy_per_block_mj.max);
+        assert!(cell.runs.iter().all(|r| r.committed_height() >= 3));
     }
 
     #[test]
@@ -214,8 +212,8 @@ mod tests {
             ScenarioGrid::named("quick_test").nodes([5]).degrees([2]).stop(StopWhen::Blocks(20));
         let quick = Driver::new(DriverConfig::default().workers(2).quick(true)).run_grid(&grid);
         // The run stopped at the clamped target instead of 20 blocks.
-        let height = quick.cells[0].stats.committed_height.mean;
-        assert!((3.0..10.0).contains(&height), "quick run committed {height} blocks");
+        let height = quick.cells[0].report().committed_height();
+        assert!((3..10).contains(&height), "quick run committed {height} blocks");
     }
 
     #[test]

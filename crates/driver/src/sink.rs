@@ -1,12 +1,11 @@
 //! Experiment output sinks: the output directory and the CSV series
-//! writer shared by the suite reports and the `eesmr-bench` figure
-//! tables.
+//! writer the `eesmr-bench` figure tables write through.
 
 use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// The directory experiment CSVs and suite reports are written to: `dir`,
+/// The directory experiment CSVs are written to: `dir`,
 /// else `target/experiments/` at the workspace root. Created if missing.
 pub fn out_dir(dir: Option<&Path>) -> PathBuf {
     let dir = dir.map_or_else(

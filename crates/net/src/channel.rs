@@ -2,11 +2,12 @@
 //!
 //! A [`ChannelCost`] prices one hyper-edge transmission: what the sender
 //! pays to put a message on the air and what each receiver pays to take it
-//! off. The three variants mirror the paper's §5.4 comparison: redundant
-//! BLE advertisements (k-casts), BLE GATT unicast connections, and plain
-//! per-byte media (WiFi / 4G) for the analytical scenarios.
+//! off. The two variants are the media the simulated protocols run on:
+//! redundant BLE advertisements (k-casts) and plain per-byte media (WiFi /
+//! 4G). The §5.4 comparison with BLE GATT unicast connections prices GATT
+//! through [`eesmr_energy::BleGattModel`] directly.
 
-use eesmr_energy::{BleGattModel, BleKcastModel, EnergyClass, Medium};
+use eesmr_energy::{BleKcastModel, EnergyClass, Medium};
 
 use crate::time::SimDuration;
 
@@ -20,11 +21,6 @@ pub enum ChannelCost {
         model: BleKcastModel,
         /// Redundant transmissions per fragment.
         redundancy: u32,
-    },
-    /// BLE GATT: reliable, connection-per-receiver.
-    BleGatt {
-        /// Connection overhead model.
-        model: BleGattModel,
     },
     /// A plain medium where a k-receiver edge costs `k` unicasts.
     PerByte {
@@ -49,7 +45,6 @@ impl ChannelCost {
                 // One advertisement train reaches all k listeners.
                 model.kcast_send_mj(bytes, *redundancy)
             }
-            ChannelCost::BleGatt { model } => model.unicast_send_mj(bytes, k),
             ChannelCost::PerByte { medium } => k as f64 * medium.send_mj(bytes),
         }
     }
@@ -58,7 +53,6 @@ impl ChannelCost {
     pub fn recv_mj(&self, bytes: usize) -> f64 {
         match self {
             ChannelCost::BleKcast { model, redundancy } => model.kcast_recv_mj(bytes, *redundancy),
-            ChannelCost::BleGatt { model } => model.unicast_recv_mj(bytes, 1),
             ChannelCost::PerByte { medium } => medium.recv_mj(bytes),
         }
     }
@@ -68,12 +62,12 @@ impl ChannelCost {
     /// decoded packet carries the message identity, so a scanner
     /// recognizes the duplicate there and abandons the rest of the
     /// redundant train — one advertisement slot instead of
-    /// `fragments × redundancy`. Connection-oriented and per-byte media
-    /// have no train to abandon: a duplicate transfer is paid in full.
+    /// `fragments × redundancy`. Per-byte media have no train to
+    /// abandon: a duplicate transfer is paid in full.
     pub fn dup_recv_mj(&self, bytes: usize) -> f64 {
         match self {
             ChannelCost::BleKcast { model, .. } => model.adv_recv_mj,
-            ChannelCost::BleGatt { .. } | ChannelCost::PerByte { .. } => self.recv_mj(bytes),
+            ChannelCost::PerByte { .. } => self.recv_mj(bytes),
         }
     }
 
@@ -83,14 +77,14 @@ impl ChannelCost {
     /// on for the length of a redundant advertisement train); a second
     /// train overlapping that window is decoded from the *same* scan, so
     /// its marginal cost is one decode per fragment, not another full
-    /// window. Connection-oriented and per-byte media have no shared
-    /// scan: every transfer is paid in full.
+    /// window. Per-byte media have no shared scan: every transfer is paid
+    /// in full.
     pub fn shared_recv_mj(&self, bytes: usize) -> f64 {
         match self {
             ChannelCost::BleKcast { model, .. } => {
                 BleKcastModel::fragments(bytes) as f64 * model.adv_recv_mj
             }
-            ChannelCost::BleGatt { .. } | ChannelCost::PerByte { .. } => self.recv_mj(bytes),
+            ChannelCost::PerByte { .. } => self.recv_mj(bytes),
         }
     }
 
@@ -145,12 +139,6 @@ mod tests {
         // redundancy (chosen for k) changes the cost.
         let c = ChannelCost::ble_four_nines(3);
         assert_eq!(c.send_mj(100, 1), c.send_mj(100, 7));
-    }
-
-    #[test]
-    fn gatt_send_scales_with_k() {
-        let c = ChannelCost::BleGatt { model: BleGattModel::default() };
-        assert!((c.send_mj(100, 4) - 4.0 * c.send_mj(100, 1)).abs() < 1e-9);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! protocols, with and without faults — and the same across driver worker
 //! counts and trace levels.
 
+use eesmr_bench::Table;
 use eesmr_driver::{Driver, DriverConfig, ScenarioGrid};
 use eesmr_sim::{
     ArrivalProcess, FaultPlan, FaultSpec, Protocol, RunReport, Scenario, Skew, StopWhen, Workload,
@@ -152,11 +153,14 @@ fn workload_grid_is_bit_identical_across_workers() {
         assert!(cell.report().tx_committed() > 0, "{} committed no transactions", cell.label);
         let stats = cell.report().tx_latency_stats();
         assert!(stats.is_some(), "{} measured no transactions", cell.label);
-        assert!(cell.stats.tx_latency_p50_us.is_some());
-        assert!(cell.stats.tx_latency_p99_us.is_some());
     }
-    // And the JSON/CSV payloads — what the figures consume — match too.
-    assert_eq!(sequential.to_json(), parallel.to_json());
+    // And every column of the suite table — what `<name>.suite.csv`
+    // holds, energy by class included — matches too.
+    let table = Table::suite(&sequential);
+    for percentile in ["tx_latency_p50_us_mean", "tx_latency_p99_us_mean"] {
+        assert!(table.col(percentile).iter().all(|us| us.is_finite()), "{percentile} measured");
+    }
+    assert_eq!(table.rows, Table::suite(&parallel).rows);
 }
 
 #[test]

@@ -136,6 +136,11 @@ const RULES: &[Rule] = &[
             "    Repair {", "    RepairReply {"], expect: Files(&["crates/core/src/smr.rs"]),
             ..C }],
         sample: ("crates/baselines/src/trusted.rs", "enum TbPayload {\n    Forward {}\n}") },
+    // A grid suite's summary is one eesmr-bench table: the driver's stats, JSON sink and
+    // announce flags went, with the unused chain relation and GATT channel variant.
+    Rule { name: "one suite sink, no dead variants", base: "9dd3ac7", checks: &[Check { word: true,
+        needles: &["CellStats", "SuitePaths", "write_json", "Announce", "ChainRelation", "BleGatt"],
+        ..C }], sample: ("crates/driver/src/report.rs", "pub struct CellStats;") },
 ];
 
 #[rustfmt::skip]
