@@ -40,7 +40,5 @@ pub mod sync_hotstuff;
 pub mod trusted;
 
 pub use status::check_prefix_consistency;
-pub use sync_hotstuff::{
-    build_hs_replicas, HsConfig, HsFault, HsPacing, HsReplica, HsRule, HsVariant,
-};
+pub use sync_hotstuff::{build_hs_replicas, HsConfig, HsFault, HsReplica, HsRule, HsVariant};
 pub use trusted::{build_tb_replicas, tb_config, TbConfig, TbReplica, TrustedRule, HUB};

@@ -26,8 +26,8 @@ use std::sync::Arc;
 
 use eesmr_core::smr::WINDOW;
 use eesmr_core::{
-    BatchPolicy, Block, CertifiedBlock, Envelope, MsgKind, Params, QuorumCert, Rule, Shared,
-    SignedPayload, Smr, SmrPayload, TimerToken, WindowMap, WindowSet,
+    BatchPolicy, Block, CertifiedBlock, Envelope, MsgKind, Pacing, Params, QuorumCert, Rule,
+    Shared, SignedPayload, Smr, SmrPayload, TimerToken, WindowMap, WindowSet,
 };
 use eesmr_crypto::{Digest, Hashable, KeyStore, Signature};
 use eesmr_net::codec::family;
@@ -40,16 +40,6 @@ pub enum HsVariant {
     SyncHotStuff,
     /// OptSync: additionally commit responsively at `3n/4+1` votes.
     OptSync,
-}
-
-/// Proposal pacing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HsPacing {
-    /// One uncommitted proposal at a time (comparable to the paper's
-    /// blocking EESMR variant).
-    Blocking,
-    /// Propose as soon as the previous block is certified.
-    Streaming,
 }
 
 /// Static configuration.
@@ -74,8 +64,10 @@ pub struct HsConfig {
     pub forward_batch: usize,
     /// Commit rule.
     pub variant: HsVariant,
-    /// Pacing.
-    pub pacing: HsPacing,
+    /// Pacing: blocking (one uncommitted proposal at a time, as EESMR's
+    /// blocking variant) or streaming (propose as soon as the previous
+    /// block is certified).
+    pub pacing: Pacing,
 }
 
 impl HsConfig {
@@ -91,7 +83,7 @@ impl HsConfig {
             offered_load: 1,
             forward_batch: 1,
             variant,
-            pacing: HsPacing::Blocking,
+            pacing: Pacing::Blocking,
         }
     }
 
@@ -108,11 +100,6 @@ impl HsConfig {
     /// Blame quorum: `f + 1`.
     pub fn blame_quorum(&self) -> usize {
         self.f + 1
-    }
-
-    /// Round-robin leader.
-    pub fn leader_of(&self, view: u64) -> NodeId {
-        (((view - 1) as usize) % self.n) as NodeId
     }
 }
 
@@ -243,8 +230,8 @@ impl Rule for HsRule {
             payload_bytes: c.payload_bytes,
             offered_load: c.offered_load,
             steady_blame_multiple: match c.pacing {
-                HsPacing::Blocking => 5, // 2Δ commit + Δ propagation + margin
-                HsPacing::Streaming => 4,
+                Pacing::Blocking => 5, // 2Δ commit + Δ propagation + margin
+                Pacing::Streaming => 4,
             },
             ignores_equivocation: false,
             quits_on_equivocation: false,
@@ -253,10 +240,6 @@ impl Rule for HsRule {
             replays_through_gate: false,
             hub: None,
         }
-    }
-
-    fn leader_of(&self, view: u64) -> NodeId {
-        self.config.leader_of(view)
     }
 
     fn proposes_after_commit(&self) -> bool {
@@ -271,7 +254,7 @@ impl Rule for HsRule {
         if !r.is_leader() || !r.active() || r.view_aborted {
             return;
         }
-        if r.rule.config.pacing == HsPacing::Blocking && r.outstanding != 0 {
+        if r.rule.config.pacing == Pacing::Blocking && r.outstanding != 0 {
             return;
         }
         let parent = r.store.get(&r.rule.tip).expect("tip block stored").clone();
@@ -610,7 +593,7 @@ fn on_tally(
                 r.rule.highest_cert = Some(CertifiedBlock { qc, block });
             }
         }
-        if r.rule.config.pacing == HsPacing::Streaming {
+        if r.rule.config.pacing == Pacing::Streaming {
             HsRule::try_propose(r, ctx);
         }
     }
@@ -648,7 +631,7 @@ fn on_quit_wait(r: &mut HsReplica, view: u64, ctx: &mut Ctx<'_>) {
     if !r.advance_view(ctx) {
         return;
     }
-    let leader = r.rule.config.leader_of(r.v_cur);
+    let leader = r.leader_of(r.v_cur);
     let cert = r.rule.highest_cert.clone();
     if leader == r.id {
         r.rule.statuses.insert(r.id, cert);

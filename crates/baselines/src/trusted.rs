@@ -30,8 +30,11 @@ pub const HUB: NodeId = 0;
 /// The baseline's configuration is what the skeleton reads off it.
 pub type TbConfig = Params;
 
+/// A spoke's default upload batch: up to 16 commands per consensus unit.
+pub const UPLOAD_BATCH: BatchPolicy = BatchPolicy::Fixed(16);
+
 /// The star's [`Params`] for `n` nodes (the hub included) and one hop's Δ
-/// (the hub orders every 2Δ): 16-command upload batches of 16-byte
+/// (the hub orders every 2Δ): [`UPLOAD_BATCH`] uploads of 16-byte
 /// commands fed by a unit synthetic load. f = 0 and no view change, so the
 /// blame, sync and forward knobs are never read.
 pub fn tb_config(n: usize, delta: SimDuration) -> TbConfig {
@@ -41,7 +44,7 @@ pub fn tb_config(n: usize, delta: SimDuration) -> TbConfig {
         delta,
         blame_quorum: 1,
         forward_batch: 1,
-        batch_policy: BatchPolicy::Fixed(16),
+        batch_policy: UPLOAD_BATCH,
         payload_bytes: 16,
         offered_load: 1,
         steady_blame_multiple: 0,
@@ -234,10 +237,6 @@ impl Rule for TrustedRule {
 
     fn params(&self) -> Params {
         self.config
-    }
-
-    fn leader_of(&self, _view: u64) -> NodeId {
-        HUB
     }
 
     fn proposes_after_commit(&self) -> bool {

@@ -3,11 +3,9 @@
 use std::sync::Arc;
 
 use eesmr_baselines::check_prefix_consistency;
-use eesmr_baselines::sync_hotstuff::{
-    build_hs_replicas, HsConfig, HsFault, HsPacing, HsReplica, HsVariant,
-};
+use eesmr_baselines::sync_hotstuff::{build_hs_replicas, HsConfig, HsFault, HsReplica, HsVariant};
 use eesmr_baselines::trusted::{build_tb_replicas, tb_config, TbReplica, HUB};
-use eesmr_core::FaultMode;
+use eesmr_core::{FaultMode, Pacing};
 use eesmr_crypto::{KeyStore, SigScheme};
 use eesmr_energy::{EnergyCategory, Medium};
 use eesmr_hypergraph::topology::{ring_kcast, star};
@@ -99,7 +97,7 @@ fn optsync_commits_faster_than_synchs_wallclock() {
         let n = 8;
         let net_cfg = NetConfig::ble(ring_kcast(n, 3), 6);
         let mut config = HsConfig::new(n, net_cfg.delta(), variant);
-        config.pacing = HsPacing::Streaming;
+        config.pacing = Pacing::Streaming;
         let pki = Arc::new(KeyStore::generate(n, SigScheme::Rsa1024, 6));
         let replicas = build_hs_replicas(&config, &pki, |_| HsFault::Honest);
         let mut net = SimNet::new(net_cfg, replicas);

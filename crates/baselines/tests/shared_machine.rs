@@ -211,6 +211,21 @@ fn the_shared_variants_carry_the_shared_tags_in_both_families() {
     shared_variants_carry_the_shared_tags::<HsRule>();
 }
 
+/// `Leader(v) = (v − 1) mod n` on a ring.
+fn round_robin_cycles<R: Family>() {
+    let r = Smr::<R>::new(1, R::config(1), pki(), FaultMode::Honest);
+    let leaders: Vec<NodeId> = (1..=5).map(|view| r.leader_of(view)).collect();
+    assert_eq!(leaders, [0, 1, 2, 3, 0], "{}", R::NAME);
+}
+
+#[test]
+fn the_leader_is_round_robin_on_the_ring_and_the_hub_on_the_star() {
+    round_robin_cycles::<EesmrRule>();
+    round_robin_cycles::<HsRule>();
+    let spoke = Smr::<TrustedRule>::new(1, TrustedRule::config(1), pki(), FaultMode::Honest);
+    assert!((1..=9).all(|view| spoke.leader_of(view) == HUB), "every view is the hub's");
+}
+
 // ----------------------------------------------------------------------
 // Equivocation proofs.
 // ----------------------------------------------------------------------

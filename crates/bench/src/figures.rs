@@ -10,7 +10,7 @@ use eesmr_driver::{progress, CellResult, Driver, ScenarioGrid, SuiteReport};
 use eesmr_energy::complexity::table3_rows;
 use eesmr_energy::medium::{Medium, ANCHOR_SIZES};
 use eesmr_energy::{BleGattModel, BleKcastModel, EnergyClass, FeasibleCell, FeasibleRegion};
-use eesmr_net::{TraceClass, TraceLevel};
+use eesmr_net::{SimDuration, TraceClass, TraceLevel};
 use eesmr_sim::{ArrivalProcess, BatchPolicy, FaultPlan, FaultSpec, Protocol, RunReport};
 use eesmr_sim::{RunOptions, Scenario, Skew, StopWhen, Workload};
 use eesmr_trace::audit::{audit, AuditConfig};
@@ -383,7 +383,8 @@ fn fig2d_blocksize(driver: &Driver) -> Output {
         let report = cell.report();
         let leader = format!("{:.1}", report.node_energy_per_block_mj(0));
         let total = format!("{:.1}", report.energy_per_block_mj());
-        t.row(row![cell.key.batch.label(), leader, total, report.net.bytes_on_air]);
+        let policy = cell.scenario.effective_batch_policy().label();
+        t.row(row![policy, leader, total, report.net.bytes_on_air]);
     }
     out.add(t);
     out.add(Table::suite(&suite));
@@ -584,7 +585,7 @@ fn fig_workload(driver: &Driver) -> Output {
     ]);
     for cell in &suite.cells {
         let r = cell.report();
-        let workload = cell.key.workload.expect("every cell sweeps a workload").label();
+        let workload = cell.scenario.workload.expect("every cell sweeps a workload").label();
         // No committed transaction: "-" printed, an empty CSV cell.
         let stats = r.tx_latency_stats().map(|s| [s.p50_us, s.p99_us]);
         let us = stats.map_or([String::new(), String::new()], |s| s.map(|us| us.to_string()));
@@ -621,10 +622,10 @@ fn fig_adversarial(driver: &Driver) -> Output {
     // each cell runs (traced) and is audited on the worker that ran it.
     let results = driver.map(&cells, |cell| {
         let (report, traces) = cell.scenario.clone().trace(TraceLevel::Commit).run_traced();
-        let key = cell.scenario.cell();
-        let plan = key.fault.plan(key.n, report.delta_us);
-        let excused = |id| FaultPlan::excuses(plan.mode(key.protocol, id));
-        let honest: BTreeSet<u32> = (0..key.n as u32).filter(|&id| !excused(id)).collect();
+        let s = &cell.scenario;
+        let plan = s.effective_faults(SimDuration::from_micros(report.delta_us));
+        let excused = |id| FaultPlan::excuses(plan.mode(s.protocol, id));
+        let honest: BTreeSet<u32> = (0..s.n as u32).filter(|&id| !excused(id)).collect();
         let heal_us = plan.heal_time_us();
         let config = if heal_us == u64::MAX {
             // A fault that never heals bounds nothing; safety still holds.
@@ -657,15 +658,16 @@ fn fig_adversarial(driver: &Driver) -> Output {
     let mut suite = SuiteReport { name: grid.name().to_string(), cells: Vec::new() };
     let mut violations: Vec<String> = Vec::new();
     for (cell, (r, verdict)) in cells.iter().zip(&results) {
-        let (fault, found) = (cell.scenario.cell().fault.label(), verdict.violations.len());
+        let fault = cell.scenario.fault_spec.unwrap_or(FaultSpec::None).label();
+        let found = verdict.violations.len();
         let status = if found == 0 { "clean".to_string() } else { format!("{found} VIOLATION(S)") };
         let (height, vcs, commits) = (r.committed_height(), r.view_changes(), verdict.commits);
         t.row(row![r.protocol, fault, height, vcs, r.net.dropped, commits, status, found]);
         let protocol = r.protocol;
         violations
             .extend(verdict.violations.iter().map(|v| format!("  {protocol} fault={fault}: {v}")));
-        let (label, key) = (cell.label.clone(), cell.scenario.cell());
-        suite.cells.push(CellResult { label, key, runs: vec![r.clone()] });
+        let (label, scenario) = (cell.label.clone(), cell.scenario.clone());
+        suite.cells.push(CellResult { label, scenario, runs: vec![r.clone()] });
     }
     let mut out = Output::of(t);
     if violations.is_empty() {
@@ -728,8 +730,8 @@ fn headline(driver: &Driver) -> Output {
         .stop(StopWhen::Blocks(15));
     let sweep = driver.run_grid(&sweep);
     let (mut min, mut max, mut at_n10) = (f64::MAX, 0.0f64, f64::NAN);
-    for cell in sweep.cells.iter().filter(|c| c.key.protocol == Protocol::Eesmr) {
-        let (n, k) = (cell.key.n, cell.key.k);
+    for cell in sweep.cells.iter().filter(|c| c.scenario.protocol == Protocol::Eesmr) {
+        let (n, k) = (cell.scenario.n, cell.scenario.k);
         let synchs = sweep.find(|c| c.protocol == Protocol::SyncHotStuff && c.n == n && c.k == k);
         let saving = 1.0 - energy_per_block(cell) / energy_per_block(synchs.expect("paired"));
         (min, max) = (min.min(saving), max.max(saving));

@@ -24,7 +24,7 @@ use std::path::Path;
 
 use eesmr_driver::{CellResult, Csv, Driver, SuiteReport};
 use eesmr_energy::EnergyClass;
-use eesmr_sim::RunReport;
+use eesmr_sim::{FaultSpec, RunReport};
 
 /// A table row, one cell per value: `row![a, b]` is
 /// `vec![a.to_string(), b.to_string()]`.
@@ -444,19 +444,19 @@ fn suite_row(cell: &CellResult) -> Vec<(String, String)> {
     let energy = runs.iter().map(RunReport::energy_per_block_mj);
     let (min, max) =
         (energy.clone().fold(f64::INFINITY, f64::min), energy.fold(f64::NEG_INFINITY, f64::max));
-    let key = &cell.key;
+    let s = &cell.scenario;
     let columns = [
         ("label", cell.label.clone()),
         ("protocol", cell.report().protocol.to_string()),
-        ("n", key.n.to_string()),
-        ("k", key.k.to_string()),
-        ("payload_bytes", key.payload_bytes.to_string()),
-        ("batch_policy", key.batch.label()),
-        ("offered_load", key.offered_load.to_string()),
-        ("workload", key.workload.map_or_else(|| "none".into(), |w| w.label())),
-        ("fault", key.fault.label().to_string()),
-        ("scheme", key.scheme.name().to_string()),
-        ("seed", key.seed.to_string()),
+        ("n", s.n.to_string()),
+        ("k", s.k.to_string()),
+        ("payload_bytes", s.payload_bytes.to_string()),
+        ("batch_policy", s.effective_batch_policy().label()),
+        ("offered_load", s.offered_load.to_string()),
+        ("workload", s.workload.map_or_else(|| "none".into(), |w| w.label())),
+        ("fault", s.fault_spec.unwrap_or(FaultSpec::None).label().to_string()),
+        ("scheme", s.scheme.name().to_string()),
+        ("seed", s.seed.to_string()),
         ("repeats", runs.len().to_string()),
         ("committed_height", each(&|r| r.committed_height() as f64)),
         ("view_changes", each(&|r| r.view_changes() as f64)),
@@ -526,7 +526,7 @@ mod tests {
         let scenario = eesmr_sim::Scenario::new(eesmr_sim::Protocol::Eesmr, 4, 2)
             .stop(eesmr_sim::StopWhen::Blocks(2));
         let runs = vec![scenario.clone().run(), scenario.clone().seed(7).run()];
-        let cell = CellResult { label: "cell".into(), key: scenario.cell(), runs };
+        let cell = CellResult { label: "cell".into(), scenario, runs };
         let suite = SuiteReport { name: "suite_selftest".into(), cells: vec![cell] };
         let table = Table::suite(&suite);
         let dir = eesmr_driver::out_dir(None);

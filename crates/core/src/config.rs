@@ -57,19 +57,18 @@ impl Default for BatchPolicy {
     }
 }
 
-/// Proposal pacing for the leader.
+/// Proposal pacing for the leader, the same two for every rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pacing {
     /// The blocking variant (§5.6): one outstanding (uncommitted) block at
     /// a time. This is the variant the paper evaluates on the testbed.
     Blocking,
-    /// The streaming variant: up to `max_outstanding` blocks in flight
-    /// ("the leader continuously streams proposals", §3.3). The bound keeps
-    /// memory finite, which the paper notes is required in practice.
-    Streaming {
-        /// Maximum uncommitted proposals in flight.
-        max_outstanding: usize,
-    },
+    /// The streaming variant ("the leader continuously streams proposals",
+    /// §3.3): an EESMR leader keeps up to [`PIPELINE`](crate::smr::PIPELINE)
+    /// blocks in flight, which keeps memory finite as the paper notes is
+    /// required in practice; a HotStuff leader proposes as soon as the
+    /// previous block is certified.
+    Streaming,
 }
 
 /// Byzantine behaviour injected into a replica (fault injection for the
@@ -261,12 +260,6 @@ impl Config {
         self.f + 1
     }
 
-    /// `Leader(v) = (v − 1) mod n`, the leader of view `v ≥ 1` — "can be
-    /// round-robin for simplicity".
-    pub fn leader_of(&self, view: u64) -> eesmr_net::NodeId {
-        (((view - 1) as usize) % self.n) as eesmr_net::NodeId
-    }
-
     /// Validates the fault bound `f < n/2` required for safety.
     pub fn check_fault_bound(&self) -> bool {
         2 * self.f < self.n
@@ -292,14 +285,6 @@ mod tests {
         for n in 2..20 {
             assert!(cfg(n).check_fault_bound(), "n={n}");
         }
-    }
-
-    #[test]
-    fn round_robin_cycles() {
-        let c = cfg(4);
-        assert_eq!(c.leader_of(1), 0);
-        assert_eq!(c.leader_of(2), 1);
-        assert_eq!(c.leader_of(5), 0);
     }
 
     #[test]

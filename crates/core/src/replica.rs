@@ -29,7 +29,7 @@ use eesmr_net::{NodeId, TraceClass, TraceEventKind};
 use crate::block::Block;
 use crate::config::{Config, FaultMode, Pacing};
 use crate::message::{CertifiedBlock, Payload, SignedMsg};
-use crate::smr::{Params, Rule, Smr, TimerToken};
+use crate::smr::{Params, Rule, Smr, TimerToken, PIPELINE};
 use crate::window::WindowSet;
 
 /// The EESMR replica's network context.
@@ -121,7 +121,7 @@ impl Rule for EesmrRule {
             // one; 6Δ keeps an honest margin.
             steady_blame_multiple: match c.pacing {
                 Pacing::Blocking => 6,
-                Pacing::Streaming { .. } => 4,
+                Pacing::Streaming => 4,
             },
             // The crash-only variant removes the equivocation handlers
             // (Algorithm 2 lines 220/224 — see §3.2).
@@ -132,10 +132,6 @@ impl Rule for EesmrRule {
             replays_through_gate: true,
             hub: None,
         }
-    }
-
-    fn leader_of(&self, view: u64) -> NodeId {
-        self.config.leader_of(view)
     }
 
     /// Under the §3.5 checkpoint optimization, non-checkpoint rounds are
@@ -291,7 +287,7 @@ impl Replica {
         }
         let allowed = match self.rule.config.pacing {
             Pacing::Blocking => self.outstanding == 0,
-            Pacing::Streaming { max_outstanding } => self.outstanding < max_outstanding,
+            Pacing::Streaming => self.outstanding < PIPELINE,
         };
         if !allowed {
             self.rule.want_propose = true;

@@ -270,10 +270,14 @@ pub struct Params {
 /// dropped unread. Below `b_com_height` every height is final, so the
 /// floor only has to stay below the heights a message still in flight can
 /// be about: a flood lands within Δ, and no pacing here commits more than
-/// its 8-block pipeline per Δ, which leaves an 8-fold margin. Nothing
+/// its [`PIPELINE`] per Δ, which leaves an 8-fold margin. Nothing
 /// below the floor is served from these tables: sync and repair read the
 /// block store, which keeps every block.
 pub const WINDOW: u64 = 64;
+
+/// The streaming pipeline, 8 blocks: the most uncommitted proposals a
+/// streaming EESMR leader keeps in flight ([`Pacing::Streaming`](crate::Pacing)).
+pub const PIPELINE: usize = 8;
 
 /// A commit rule: the configuration, private state and handlers that make
 /// the skeleton one particular protocol.
@@ -291,8 +295,6 @@ pub trait Rule: Sized {
     fn new(config: Self::Config, genesis: Digest) -> Self;
     /// What the skeleton needs from the configuration.
     fn params(&self) -> Params;
-    /// `Leader(v)`.
-    fn leader_of(&self, view: u64) -> NodeId;
     /// Whether a proposal for `slot` gets its signature checked (EESMR's
     /// checkpoint optimisation skips most). Default: every one.
     fn verifies_proposal(&self, _slot: u64) -> bool {
@@ -542,9 +544,19 @@ impl<R: Rule> Smr<R> {
         self.txpool.peak_backlog()
     }
 
+    /// `Leader(v)` for every rule: the hub on a star, else round-robin,
+    /// `(v − 1) mod n` for views `v ≥ 1` ("can be round-robin for
+    /// simplicity", Algorithm 2).
+    pub fn leader_of(&self, view: u64) -> NodeId {
+        match self.params.hub {
+            Some(hub) => hub,
+            None => (((view - 1) as usize) % self.params.n) as NodeId,
+        }
+    }
+
     /// Whether this replica leads the current view.
     pub fn is_leader(&self) -> bool {
-        self.rule.leader_of(self.v_cur) == self.id
+        self.leader_of(self.v_cur) == self.id
     }
 
     // ------------------------------------------------------------------
@@ -694,7 +706,7 @@ impl<R: Rule> Smr<R> {
         }
         let commands = self.txpool.take_pending();
         self.metrics.tx_forwarded += commands.len() as u64;
-        let leader = self.rule.leader_of(self.v_cur);
+        let leader = self.leader_of(self.v_cur);
         if ctx.traces(TraceClass::Commit) {
             for cmd in &commands {
                 ctx.trace(TraceEventKind::TxForward { tx: cmd.fingerprint(), leader });
@@ -845,7 +857,7 @@ impl<R: Rule> Smr<R> {
         {
             return;
         }
-        if msg.signer != self.rule.leader_of(msg.view)
+        if msg.signer != self.leader_of(msg.view)
             || (self.rule.verifies_proposal(slot) && !self.verify_envelope(&msg, ctx))
         {
             self.metrics.proposals_rejected += 1;
@@ -977,7 +989,7 @@ impl<R: Rule> Smr<R> {
     /// conflicting proposals for the same view and slot.
     fn proof_is_valid(&self, view: u64, proof: &(Msg<R>, Msg<R>), ctx: &mut Ctx<'_, R>) -> bool {
         let (a, b) = proof;
-        let leader = self.rule.leader_of(view);
+        let leader = self.leader_of(view);
         let (Some((_, slot_a)), Some((_, slot_b))) = (a.payload.proposal(), b.payload.proposal())
         else {
             return false;

@@ -198,7 +198,7 @@ impl Replica {
             return;
         }
 
-        let leader = self.rule.config.leader_of(self.v_cur);
+        let leader = self.leader_of(self.v_cur);
         if leader == self.id {
             // Seed the status with our own entry and open the 4Δ window.
             if let Some(best) = best {
@@ -356,7 +356,7 @@ impl Replica {
         if msg.view < self.v_cur || self.rule.r_cur != 1 {
             return;
         }
-        if msg.signer != self.rule.config.leader_of(msg.view) || !self.verify_envelope(&msg, ctx) {
+        if msg.signer != self.leader_of(msg.view) || !self.verify_envelope(&msg, ctx) {
             return;
         }
         let (status, block) = (status.clone(), block.clone());

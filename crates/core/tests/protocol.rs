@@ -253,13 +253,7 @@ fn f_silent_followers_do_not_stop_progress() {
 #[test]
 fn streaming_pacing_commits_faster_than_blocking() {
     let blocking = run(Setup::default(), 400);
-    let streaming = run(
-        Setup {
-            tweak: |c| c.pacing = Pacing::Streaming { max_outstanding: 8 },
-            ..Setup::default()
-        },
-        400,
-    );
+    let streaming = run(Setup { tweak: |c| c.pacing = Pacing::Streaming, ..Setup::default() }, 400);
     let h_blocking = blocking.actor(0).committed_height();
     let h_streaming = streaming.actor(0).committed_height();
     assert!(

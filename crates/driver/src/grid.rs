@@ -362,7 +362,7 @@ mod tests {
         assert_eq!(cells[0].scenario.fault_spec, Some(FaultSpec::None));
         assert_eq!(cells[1].scenario.fault_spec, Some(FaultSpec::Withhold));
         assert!(cells[1].label.contains("fault=withhold"), "{}", cells[1].label);
-        assert_eq!(cells[2].scenario.cell().fault, FaultSpec::CrashRecovery);
+        assert_eq!(cells[2].scenario.fault_spec, Some(FaultSpec::CrashRecovery));
         // An unset axis leaves every cell honest and unlabeled.
         let plain = ScenarioGrid::named("t").nodes([6]).degrees([2]).stop(StopWhen::Blocks(2));
         assert_eq!(plain.build()[0].scenario.fault_spec, None);

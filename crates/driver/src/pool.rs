@@ -107,10 +107,10 @@ impl Driver {
 
         let mut reports = reports.into_iter();
         let results = cells
-            .iter()
+            .into_iter()
             .map(|cell| {
                 let runs: Vec<RunReport> = reports.by_ref().take(repeats).collect();
-                CellResult { label: cell.label.clone(), key: cell.scenario.cell(), runs }
+                CellResult { label: cell.label, scenario: cell.scenario, runs }
             })
             .collect();
         SuiteReport { name: grid.name().to_string(), cells: results }

@@ -2,15 +2,15 @@
 //! What a suite writes to disk is `eesmr-bench`'s business: its suite
 //! table summarises these cells into `<name>.suite.csv`.
 
-use eesmr_sim::{CellKey, RunReport};
+use eesmr_sim::{RunReport, Scenario};
 
 /// Everything one grid cell produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellResult {
-    /// Cell label (defaults to the scenario's [`label`](eesmr_sim::Scenario::label)).
+    /// Cell label (defaults to the scenario's [`label`](Scenario::label)).
     pub label: String,
-    /// The cell's sweep coordinates.
-    pub key: CellKey,
+    /// The cell's scenario, as the grid built it (repeat 0's seed).
+    pub scenario: Scenario,
     /// One report per repeat, in repeat order.
     pub runs: Vec<RunReport>,
 }
@@ -34,12 +34,9 @@ pub struct SuiteReport {
 }
 
 impl SuiteReport {
-    /// The first cell whose key satisfies `pred`. Keys are unique across
-    /// a cartesian sweep but not necessarily across explicit scenarios
-    /// (a [`CellKey`] omits fault plans and stop conditions) — look
-    /// those up with [`by_label`](Self::by_label) instead.
-    pub fn find(&self, pred: impl Fn(&CellKey) -> bool) -> Option<&CellResult> {
-        self.cells.iter().find(|c| pred(&c.key))
+    /// The first cell whose scenario satisfies `pred`.
+    pub fn find(&self, pred: impl Fn(&Scenario) -> bool) -> Option<&CellResult> {
+        self.cells.iter().find(|c| pred(&c.scenario))
     }
 
     /// The cell with the given label.

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use eesmr_baselines::sync_hotstuff::{build_hs_replicas, HsConfig, HsPacing, HsVariant};
+use eesmr_baselines::sync_hotstuff::{build_hs_replicas, HsConfig, HsVariant};
 use eesmr_baselines::trusted::{build_tb_replicas, tb_config, HUB};
 use eesmr_baselines::{HsReplica, TbReplica};
 use eesmr_core::{build_replicas, Config, FaultMode, Pacing, Replica, Rule, Smr};
@@ -130,12 +130,11 @@ impl Scenario {
             config.f = f;
         }
         config.payload_bytes = self.payload_bytes;
-        config.crash_only = self.crash_only;
-        config.opt_equivocation_speedup = self.opt_equivocation_speedup;
-        config.opt_lock_only_status = self.opt_lock_only_status;
+        config.opt_equivocation_speedup = self.paper_optimizations;
+        config.opt_lock_only_status = self.paper_optimizations;
         config.checkpoint_interval = self.checkpoint_interval;
         if self.streaming {
-            config.pacing = Pacing::Streaming { max_outstanding: 8 };
+            config.pacing = Pacing::Streaming;
         }
         config
     }
@@ -154,7 +153,7 @@ impl Scenario {
         }
         config.payload_bytes = self.payload_bytes;
         if self.streaming {
-            config.pacing = HsPacing::Streaming;
+            config.pacing = Pacing::Streaming;
         }
         config
     }
@@ -168,5 +167,28 @@ impl Scenario {
             let source = workload.node_source(i as u32, i - first, self.n - first, self.seed);
             replica.attach_workload(Box::new(source));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn paper_optimizations_set_both_eesmr_config_flags() {
+        let flags = |s: Scenario| {
+            let net = s.net_config();
+            let delta = net.delta();
+            let Replicas::Eesmr(replicas) = s.build(net, delta, &FaultPlan::none()).replicas else {
+                panic!("an EESMR cell builds EESMR replicas")
+            };
+            let config = |r: &Replica| {
+                (r.rule.config.opt_equivocation_speedup, r.rule.config.opt_lock_only_status)
+            };
+            replicas.iter().map(config).collect::<Vec<_>>()
+        };
+        let plain = Scenario::new(Protocol::Eesmr, 5, 2);
+        assert_eq!(flags(plain.clone()), [(false, false); 5]);
+        assert_eq!(flags(plain.with_paper_optimizations()), [(true, true); 5]);
     }
 }

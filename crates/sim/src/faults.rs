@@ -125,15 +125,6 @@ impl FaultPlan {
         self
     }
 
-    /// Whether `node` deviates from the protocol at any point.
-    pub fn is_faulty(&self, node: NodeId) -> bool {
-        self.silent_from_view.contains_key(&node)
-            || self.equivocate_in_view.contains_key(&node)
-            || self.withhold_from_view.contains_key(&node)
-            || self.storm_from_view.contains_key(&node)
-            || self.crash_at.contains_key(&node)
-    }
-
     /// Whether a replica running under `mode` (what [`Self::mode`] builds
     /// it with) is excused from the scenario's commit targets. Silent and
     /// equivocating nodes contribute nothing by design, and a node that
@@ -149,8 +140,7 @@ impl FaultPlan {
         )
     }
 
-    /// [`Self::excuses`] for `node` under the ring protocols' mode
-    /// ([`Self::eesmr_mode`]).
+    /// [`Self::excuses`] for `node` under the ring protocols' [`Self::mode`].
     pub fn is_excused(&self, node: NodeId) -> bool {
         Self::excuses(self.eesmr_mode(node))
     }
@@ -200,7 +190,7 @@ impl FaultPlan {
     /// one adversary model). A node in several maps takes the strongest
     /// behaviour: silence > equivocation > crash > withholding
     /// > storming.
-    pub fn eesmr_mode(&self, node: NodeId) -> FaultMode {
+    fn eesmr_mode(&self, node: NodeId) -> FaultMode {
         if let Some(&v) = self.silent_from_view.get(&node) {
             FaultMode::Silent { from_view: v }
         } else if let Some(&v) = self.equivocate_in_view.get(&node) {
@@ -222,7 +212,7 @@ impl FaultPlan {
     /// baseline relays nothing), a storm storms from view 1, and
     /// equivocation has no meaning against a hub that signs the only
     /// chain and maps to honest. The externally powered hub is honest.
-    pub fn tb_fault(&self, node: NodeId) -> FaultMode {
+    fn tb_fault(&self, node: NodeId) -> FaultMode {
         if node == HUB {
             FaultMode::Honest
         } else if self.silent_from_view.contains_key(&node)
@@ -352,8 +342,8 @@ mod tests {
     fn builders_mark_the_right_nodes() {
         assert_eq!(FaultPlan::none().count(), 0);
         let p = FaultPlan::silent_leader();
-        assert!(p.is_faulty(0));
-        assert!(!p.is_faulty(1));
+        assert_ne!(p.mode(Protocol::Eesmr, 0), FaultMode::Honest);
+        assert_eq!(p.mode(Protocol::Eesmr, 1), FaultMode::Honest);
         assert_eq!(p.eesmr_mode(0), FaultMode::Silent { from_view: 1 });
         assert_eq!(p.eesmr_mode(1), FaultMode::Honest);
     }
@@ -417,7 +407,7 @@ mod tests {
         assert!(!p.is_excused(2), "flooders must still commit");
         assert!(!p.is_excused(3), "a restarted node must catch up");
         assert!(p.is_excused(4), "a dead node never commits again");
-        assert!(p.is_faulty(4));
+        assert_ne!(p.mode(Protocol::Eesmr, 4), FaultMode::Honest);
         // One rule over the mode the cell builds. The trusted baseline: the
         // hub is never excused, and a withholder is a silent spoke there.
         let excused = |protocol, id| FaultPlan::excuses(p.mode(protocol, id));
@@ -462,6 +452,7 @@ mod tests {
         let part = FaultSpec::PartitionHeal.plan(8, d);
         assert!(part.link_faults.severed(6 * d, 7, 0));
         assert!(!part.link_faults.severed(26 * d, 7, 0), "the partition heals");
-        assert!(!part.is_faulty(7), "a partitioned node is a link fault, not a node fault");
+        let mode = part.mode(Protocol::Eesmr, 7);
+        assert_eq!(mode, FaultMode::Honest, "a partitioned node is a link fault, not a node fault");
     }
 }

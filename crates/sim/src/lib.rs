@@ -29,7 +29,7 @@ pub mod scenario;
 pub use faults::{FaultPlan, FaultSpec};
 pub use options::{OptionsError, RunOptions};
 pub use report::{NodeEnergy, NodeReport, RunReport, TxLatencyStats};
-pub use scenario::{CellKey, Protocol, Scenario, StopWhen};
+pub use scenario::{Protocol, Scenario, StopWhen};
 
 // Re-exported so sweep authors can set batch policies and client
 // workloads without depending on the protocol crates directly.

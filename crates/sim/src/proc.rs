@@ -127,13 +127,7 @@ type Switch = (&'static str, fn(&Scenario) -> bool, fn(&mut Scenario));
 /// The valueless rows of the flag table.
 const SWITCHES: &[Switch] = &[
     ("--streaming", |s| s.streaming, |s| s.streaming = true),
-    ("--crash-only", |s| s.crash_only, |s| s.crash_only = true),
-    (
-        "--opt-equivocation-speedup",
-        |s| s.opt_equivocation_speedup,
-        |s| s.opt_equivocation_speedup = true,
-    ),
-    ("--opt-lock-only-status", |s| s.opt_lock_only_status, |s| s.opt_lock_only_status = true),
+    ("--paper-optimizations", |s| s.paper_optimizations, |s| s.paper_optimizations = true),
 ];
 
 /// The flags a child cannot run without: `Scenario::new` has a default
@@ -401,7 +395,7 @@ mod tests {
         {
             // Every optional flag unset, then every one set.
             let plain = Scenario::new(protocol, 7, 3);
-            let mut full = plain
+            let full = plain
                 .clone()
                 .payload(64)
                 .seed(9)
@@ -412,21 +406,15 @@ mod tests {
                 .with_paper_optimizations()
                 .checkpoint_every(8)
                 .fault_bound(2);
-            full.crash_only = true;
+            assert!(full.paper_optimizations && full.streaming);
             for original in [plain, full] {
                 let mut args = child_args(&original, delta);
                 args.extend(identity.clone());
                 let (back, back_delta, opts) = parse_child_args(&args).expect("parses");
                 assert_eq!(back_delta, delta);
-                assert_eq!(back.cell(), original.cell());
-                assert_eq!(back.label(), original.label());
-                // The replica-shaping knobs outside the cell key.
-                assert_eq!(back.streaming, original.streaming);
-                assert_eq!(back.crash_only, original.crash_only);
-                assert_eq!(back.opt_equivocation_speedup, original.opt_equivocation_speedup);
-                assert_eq!(back.opt_lock_only_status, original.opt_lock_only_status);
-                assert_eq!(back.checkpoint_interval, original.checkpoint_interval);
-                assert_eq!(back.fault_bound, original.fault_bound);
+                // Every field, the replica-shaping knobs outside the label
+                // (pacing, optimizations, checkpoint, fault bound) included.
+                assert_eq!(back, original);
                 assert_eq!(opts.node_id, 3);
                 assert_eq!(opts.transport, ProcTransport::Uds);
                 assert_eq!(opts.listen, "/tmp/x.sock");

@@ -8,6 +8,7 @@
 //! protocol metrics — the raw material for every figure in the paper's
 //! evaluation.
 
+use eesmr_baselines::trusted::UPLOAD_BATCH;
 use eesmr_core::{BatchPolicy, Rule, Smr};
 use eesmr_crypto::SigScheme;
 use eesmr_net::{
@@ -57,8 +58,8 @@ pub enum StopWhen {
     Elapsed(SimDuration),
 }
 
-/// A complete experiment description.
-#[derive(Debug, Clone)]
+/// A complete experiment description; as a grid cell, also its key.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Protocol under test.
     pub protocol: Protocol,
@@ -85,12 +86,9 @@ pub struct Scenario {
     pub deadline: SimDuration,
     /// Streaming instead of blocking pacing.
     pub streaming: bool,
-    /// EESMR: crash-only variant.
-    pub crash_only: bool,
-    /// EESMR: §3.5 equivocation speedup.
-    pub opt_equivocation_speedup: bool,
-    /// EESMR: §5.6 lock-only status.
-    pub opt_lock_only_status: bool,
+    /// EESMR: the optimizations the paper's testbed runs used, the §3.5
+    /// equivocation speedup and the §5.6 lock-only status.
+    pub paper_optimizations: bool,
     /// Override the protocol fault bound `f` (default `⌈n/2⌉ − 1`). The
     /// paper's Fig. 2e/3 sweep `f` with `k = f + 1`.
     pub fault_bound: Option<usize>,
@@ -98,7 +96,7 @@ pub struct Scenario {
     pub checkpoint_interval: Option<u64>,
     /// How the proposer sizes each batch, if explicitly set. `None`
     /// keeps each protocol's historical default (`Fixed(64)`; the
-    /// trusted baseline's spokes upload `Fixed(16)` batches).
+    /// trusted baseline's spokes upload [`UPLOAD_BATCH`]es).
     pub batch_policy: Option<BatchPolicy>,
     /// Synthetic offered load: commands available per proposal when no
     /// client commands are queued (the paper's workloads use 1). Ignored
@@ -127,43 +125,6 @@ pub struct Scenario {
     pub metrics: MetricsConfig,
 }
 
-/// The sweep coordinates identifying one cell of an experiment grid: the
-/// axes every figure in the paper varies. `Copy` + `Eq` + `Hash` so
-/// drivers can key result tables by cell (see `eesmr-driver`).
-///
-/// A key covers the sweep axes only — not the fault plan, stop
-/// condition, or optimization flags — so two explicitly-built scenarios
-/// that differ only in those (e.g. an honest run and a view-change run
-/// at the same `(protocol, n, k)`) share a key. Cells of one cartesian
-/// sweep always have distinct keys; disambiguate explicit scenarios by
-/// their label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CellKey {
-    /// Protocol under test.
-    pub protocol: Protocol,
-    /// Node count.
-    pub n: usize,
-    /// Ring k-cast degree.
-    pub k: usize,
-    /// Payload bytes per block.
-    pub payload_bytes: usize,
-    /// Signature scheme.
-    pub scheme: SigScheme,
-    /// Batch policy.
-    pub batch: BatchPolicy,
-    /// Synthetic offered load (commands available per proposal).
-    pub offered_load: usize,
-    /// Forward-batching threshold at non-leading nodes.
-    pub forward_batch: usize,
-    /// Client workload model, if any.
-    pub workload: Option<Workload>,
-    /// Fault axis ([`FaultSpec::None`] when the scenario injects no
-    /// swept fault; explicitly-built [`FaultPlan`]s do not key cells).
-    pub fault: FaultSpec,
-    /// Run seed.
-    pub seed: u64,
-}
-
 impl Scenario {
     /// A scenario with the paper's defaults: BLE k-casts at 99.99 %
     /// reliability, RSA-1024, 16-byte payloads, 20-block target.
@@ -185,9 +146,7 @@ impl Scenario {
             stop: StopWhen::Blocks(20),
             deadline: SimDuration::from_millis(120_000),
             streaming: false,
-            crash_only: false,
-            opt_equivocation_speedup: false,
-            opt_lock_only_status: false,
+            paper_optimizations: false,
             fault_bound: None,
             checkpoint_interval: None,
             batch_policy: None,
@@ -209,7 +168,7 @@ impl Scenario {
     /// setting if any, else the protocol's historical default.
     pub fn effective_batch_policy(&self) -> BatchPolicy {
         self.batch_policy.unwrap_or(match self.protocol {
-            Protocol::TrustedBaseline => BatchPolicy::Fixed(16),
+            Protocol::TrustedBaseline => UPLOAD_BATCH,
             _ => BatchPolicy::DEFAULT,
         })
     }
@@ -325,26 +284,8 @@ impl Scenario {
 
     /// Enables the §5.6 optimizations the paper's testbed runs used.
     pub fn with_paper_optimizations(mut self) -> Self {
-        self.opt_equivocation_speedup = true;
-        self.opt_lock_only_status = true;
+        self.paper_optimizations = true;
         self
-    }
-
-    /// The cell-grid coordinates of this scenario.
-    pub fn cell(&self) -> CellKey {
-        CellKey {
-            protocol: self.protocol,
-            n: self.n,
-            k: self.k,
-            payload_bytes: self.payload_bytes,
-            scheme: self.scheme,
-            batch: self.effective_batch_policy(),
-            offered_load: self.offered_load,
-            forward_batch: self.forward_batch,
-            workload: self.workload,
-            fault: self.fault_spec.unwrap_or(FaultSpec::None),
-            seed: self.seed,
-        }
     }
 
     /// The non-default settings rendered as `key=value` label suffixes,
@@ -530,12 +471,11 @@ mod tests {
     #[test]
     fn label_and_cell_describe_the_sweep_axes() {
         let s = Scenario::new(Protocol::Eesmr, 6, 3).payload(128).seed(7);
-        assert_eq!(s.cell().n, 6);
-        assert_eq!(s.cell().seed, 7);
-        assert_eq!(s.cell(), s.clone().cell(), "cell key is a pure function of the scenario");
         let label = s.label();
+        assert_eq!(label, s.clone().label(), "the label is a pure function of the scenario");
         assert!(label.contains("EESMR"), "{label}");
         assert!(label.contains("n=6"), "{label}");
+        assert!(label.contains("seed=7"), "{label}");
         assert!(label.contains("|b|=128B"), "{label}");
         assert!(!label.contains("faults"), "{label}");
         let faulty = s.faults(FaultPlan::silent_leader()).label();
@@ -570,10 +510,10 @@ mod tests {
     fn batch_policy_is_a_cell_axis() {
         let a = Scenario::new(Protocol::Eesmr, 5, 2);
         let b = a.clone().batch_policy(BatchPolicy::Fixed(8));
-        assert_ne!(a.cell(), b.cell(), "batch policy distinguishes grid cells");
-        assert_eq!(a.cell().batch, BatchPolicy::DEFAULT);
+        assert_ne!(a.label(), b.label(), "batch policy distinguishes grid cells");
+        assert_eq!(a.effective_batch_policy(), BatchPolicy::DEFAULT);
         let c = a.clone().offered_load(32);
-        assert_ne!(a.cell(), c.cell(), "offered load distinguishes grid cells");
+        assert_ne!(a.label(), c.label(), "offered load distinguishes grid cells");
     }
 
     #[test]
@@ -753,7 +693,7 @@ mod tests {
         );
         // The threshold is a sweep axis with a label suffix.
         let s = base.clone().forward_batch(8);
-        assert_ne!(s.cell(), base.cell(), "forward_batch distinguishes grid cells");
+        assert_ne!(s.label(), base.label(), "forward_batch distinguishes grid cells");
         assert!(s.label().contains("fwd=8"), "{}", s.label());
         assert!(!base.label().contains("fwd="), "{}", base.label());
     }
@@ -781,8 +721,8 @@ mod tests {
         use eesmr_workload::ArrivalProcess;
         let a = Scenario::new(Protocol::Eesmr, 5, 2);
         let b = a.clone().workload(Workload::new(ArrivalProcess::Poisson { rate: 500 }));
-        assert_ne!(a.cell(), b.cell(), "workload distinguishes grid cells");
-        assert_eq!(a.cell().workload, None);
+        assert_ne!(a.label(), b.label(), "workload distinguishes grid cells");
+        assert!(!a.label().contains("wl="), "{}", a.label());
     }
 
     #[test]
@@ -802,8 +742,7 @@ mod tests {
         assert_eq!(empty.total_events(), 0);
         assert_eq!(untraced.commit_path, None);
         assert_eq!(report, untraced, "tracing perturbed the run");
-        // Not a sweep axis: same cell, same label.
-        assert_eq!(base.clone().trace(TraceLevel::All).cell(), base.cell());
+        // Not a sweep axis: same label.
         assert_eq!(base.clone().trace(TraceLevel::All).label(), base.label());
     }
 
@@ -811,9 +750,7 @@ mod tests {
     fn fault_axis_is_a_cell_axis_and_label_suffix() {
         let a = Scenario::new(Protocol::Eesmr, 6, 3);
         let b = a.clone().fault_spec(FaultSpec::Withhold);
-        assert_ne!(a.cell(), b.cell(), "the fault axis distinguishes grid cells");
-        assert_eq!(a.cell().fault, FaultSpec::None);
-        assert_eq!(b.cell().fault, FaultSpec::Withhold);
+        assert_ne!(a.label(), b.label(), "the fault axis distinguishes grid cells");
         assert!(b.label().contains("fault=withhold"), "{}", b.label());
         assert!(!a.label().contains("fault="), "{}", a.label());
     }

@@ -29,6 +29,7 @@
 
 use std::path::Path;
 
+use eesmr_energy::EnergyClass;
 use eesmr_net::ProcTransport;
 use eesmr_sim::{Protocol, RunReport, Scenario, StopWhen};
 
@@ -95,6 +96,28 @@ fn assert_same_log(scenario: Scenario) -> (RunReport, RunReport) {
     (sim, proc)
 }
 
+/// Where `r`'s correct-node energy per committed block went, mJ: by meter
+/// category (both backends), then by [`EnergyClass`] from the attribution,
+/// which only the simulator records.
+fn energy_split(r: &RunReport) -> String {
+    let blocks = r.committed_height().max(1) as f64;
+    let mut by_category = [0.0; 5];
+    for e in r.correct_nodes().map(|n| n.energy) {
+        let mj = [e.send_mj, e.recv_mj, e.sign_mj, e.verify_mj, e.hash_mj];
+        by_category.iter_mut().zip(mj).for_each(|(sum, mj)| *sum += mj);
+    }
+    let show = |parts: Vec<(&str, f64)>| {
+        let parts: Vec<String> =
+            parts.iter().map(|(name, mj)| format!("{name} {:.1}", mj / blocks)).collect();
+        parts.join(", ")
+    };
+    let categories = ["send", "recv", "sign", "verify", "hash"].into_iter().zip(by_category);
+    let classes = EnergyClass::ALL.map(EnergyClass::as_str).into_iter().zip(r.energy_by_class_mj());
+    let classes =
+        if r.energy_attr.is_empty() { "not recorded".into() } else { show(classes.collect()) };
+    format!("{}; by class: {classes}", show(categories.collect()))
+}
+
 /// [`assert_same_log`], and correct-node energy per block within 25 %.
 fn assert_conformance(scenario: Scenario) {
     let label = scenario.label();
@@ -102,7 +125,10 @@ fn assert_conformance(scenario: Scenario) {
     let (s, p) = (sim.energy_per_block_mj(), proc.energy_per_block_mj());
     assert!(
         (p - s).abs() <= 0.25 * s,
-        "{label}: correct-node energy per block {p:.1} mJ (proc) vs {s:.1} mJ (sim)"
+        "{label}: correct-node energy per block {p:.1} mJ (proc) vs {s:.1} mJ (sim)\n  \
+         proc: {}\n  sim:  {}",
+        energy_split(&proc),
+        energy_split(&sim)
     );
 }
 

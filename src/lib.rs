@@ -69,8 +69,8 @@ pub mod prelude {
     pub use eesmr_metrics::{MetricsConfig, MetricsSet};
     pub use eesmr_net::{NetConfig, SimDuration, SimNet, SimTime};
     pub use eesmr_sim::{
-        BatchPolicy, CellKey, FaultPlan, NodeEnergy, NodeReport, Protocol, RunReport, Scenario,
-        StopWhen, TxLatencyStats,
+        BatchPolicy, FaultPlan, NodeEnergy, NodeReport, Protocol, RunReport, Scenario, StopWhen,
+        TxLatencyStats,
     };
     pub use eesmr_workload::{ArrivalProcess, Injection, PayloadDist, Skew, Workload};
 }

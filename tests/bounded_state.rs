@@ -24,7 +24,7 @@
 //! The block store and the committed log are not in the bound: they stay
 //! whole by design (ARCHITECTURE.md, "Bounded bookkeeping").
 
-use eesmr_core::smr::WINDOW;
+use eesmr_core::smr::{PIPELINE, WINDOW};
 use eesmr_core::{Rule, Smr};
 use eesmr_crypto::Digest;
 use eesmr_net::{NetConfig, SimDuration, SimNet, SimTime, TraceLevel};
@@ -41,10 +41,6 @@ const _: () = assert!(L > 3 * WINDOW, "L must pass the third band");
 
 /// The bursty clients' per-node in-flight bound.
 const IN_FLIGHT: usize = 4;
-
-/// Heights a table may hold above the committed tip: the deepest pipeline
-/// (8 outstanding blocks).
-const PIPELINE: usize = 8;
 
 /// The most entries each table held over the run's readings.
 type Peaks = Vec<(&'static str, usize)>;

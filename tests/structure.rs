@@ -2,21 +2,16 @@
 //! change paid for from growing back. One walker reads a tree into `(path, text)` pairs, one cutter
 //! drops each file's test tail, and one matcher counts needles per line, as `grep` does: a needle
 //! is literal but for `\b` (word boundary), `\s*` / `\s+` (runs of `[[:space:]]`) and a leading
-//! `^` (line start; a bare `^` hits any file). Each rule names the commit it rejects; `cargo test
-//! --test structure -- --ignored` checks that (full history needed).
+//! `^` (line start; a bare `^` hits any file).
 
 use std::{collections::BTreeSet, fs, path::Path, process::Command};
-
 use Expect::{Files, Hits, Lacking};
 
 /// What a check's hits must come to: the files holding a hit are exactly these (sorted), the
 /// hits number exactly this over all files, or every file holding no hit is one of these.
 #[derive(Debug, Clone, Copy)]
-enum Expect {
-    Files(&'static [&'static str]),
-    Hits(usize),
-    Lacking(&'static [&'static str]),
-}
+#[rustfmt::skip]
+enum Expect { Files(&'static [&'static str]), Hits(usize), Lacking(&'static [&'static str]) }
 
 /// One text check over part of the tree: `roots` are files or whole directories (a root with a
 /// `*`, any text in one name, names files), `rs_only` keeps only `.rs` files, `word` matches whole
@@ -67,7 +62,7 @@ const RULES: &[Rule] = &[
                 expect: Lacking(&["crates/crypto/src/lib.rs"]), ..C }],
         sample: ("crates/core/src/lib.rs", "//! eesmr-core, unguarded.\npub mod smr;\n") },
     // d0e700e, widened in 32da268. The protocols are one replica skeleton under their rules;
-    // its handlers, once written twice, drifted apart in thirteen places.
+    // its handlers, once written twice, drifted apart in thirteen places; Leader(v) is one too.
     Rule { name: "written once (shared replica handlers, in smr.rs)", base: "5cf6a05",
         checks: &[Check { expect: Hits(1), ..HANDLERS },
             Check { expect: Files(&["crates/core/src/smr.rs"]), ..HANDLERS }],
@@ -77,11 +72,10 @@ const RULES: &[Rule] = &[
     Rule { name: "table hasher (no std hash tables on the replica path)", base: "d1ffe9c",
         checks: &[Check { roots: &["crates"], rs_only: true, needles: &[r"impl\s+Hasher\s+for"],
                 expect: Hits(1), ..C },
-            Check { roots: &["crates/baselines/src/sync_hotstuff.rs",
-                "crates/baselines/src/trusted.rs", "crates/core/src/block.rs",
-                "crates/core/src/replica.rs", "crates/core/src/smr.rs",
-                "crates/core/src/view_change.rs"],
-                needles: &["HashMap", "HashSet"], word: true, cut_tests: true, ..C }],
+            Check { needles: &["HashMap", "HashSet"], word: true, cut_tests: true, roots: &[
+                "crates/baselines/src/sync_hotstuff.rs", "crates/baselines/src/trusted.rs",
+                "crates/core/src/block.rs", "crates/core/src/replica.rs", "crates/core/src/smr.rs",
+                "crates/core/src/view_change.rs"], ..C }],
         sample: ("crates/core/src/replica.rs", "use std::collections::HashMap;") },
     // bf75d65, widened in 4dcec53. One loop (SimNet), one queue (CalendarQueue); the
     // deleted names live on only as hidden shims that keep benchmark/ compiling (ROADMAP 1A).
@@ -104,8 +98,7 @@ const RULES: &[Rule] = &[
                 "is_partition_resistant", "find_partitioning_set", "random_kcast",
                 "random_resilient_kcast", "complete_unicast", "SliceRandom"], ..C }],
         sample: ("crates/hypergraph/src/partition.rs", "pub fn find_partitioning_set() {}") },
-    // fdad9a6. The driver pool and ProcNet's queue run on std threads and mpsc; the
-    // vendored crossbeam stand-in was deleted.
+    // fdad9a6. The driver pool and ProcNet's queue run on std; the crossbeam stand-in went.
     Rule { name: "no vendored crossbeam", base: "45291d4",
         checks: &[Check { roots: &["vendor/crossbeam"], needles: &["^"], ..C },
             Check { roots: &["crates", "src", "tests", "examples", "vendor", "Cargo.toml",
@@ -137,17 +130,19 @@ const RULES: &[Rule] = &[
             ..C }],
         sample: ("crates/baselines/src/trusted.rs", "enum TbPayload {\n    Forward {}\n}") },
     // A grid suite's summary is one eesmr-bench table: the driver's stats, JSON sink and
-    // announce flags went, with the unused chain relation and GATT channel variant.
-    Rule { name: "one suite sink, no dead variants", base: "9dd3ac7", checks: &[Check { word: true,
-        needles: &["CellStats", "SuitePaths", "write_json", "Announce", "ChainRelation", "BleGatt"],
-        ..C }], sample: ("crates/driver/src/report.rs", "pub struct CellStats;") },
+    // announce flags went, with the unused chain relation and GATT channel variant. Widened
+    // when a cell's Scenario became its own key and every rule took the one `Pacing`.
+    Rule { name: "one suite sink and cell key, no dead variants", base: "9dd3ac7", checks: &[Check {
+        word: true, needles: &["CellStats", "SuitePaths", "write_json", "Announce", "ChainRelation",
+            "BleGatt", "CellKey", "HsPacing", "max_outstanding"], ..C }],
+        sample: ("crates/driver/src/report.rs", "pub struct CellStats;") },
 ];
 
 #[rustfmt::skip]
 const HANDLERS: Check = Check {
-    roots: &["crates/core/src", "crates/baselines/src/sync_hotstuff.rs"], rs_only: true, each: true,
+    roots: &["crates/core/src", "crates/baselines/src"], rs_only: true, each: true,
     needles: &[r"fn on_forward\b", r"fn on_blame\b", r"fn on_blame_qc\b", r"fn on_blame_timeout\b",
-        r"fn on_equivocation\b", r"fn proof_is_valid\b", r"fn schedule_quit\b",
+        r"fn on_equivocation\b", r"fn proof_is_valid\b", r"fn schedule_quit\b", r"fn leader_of\b",
         r"fn forward_backlog\b", r"fn maybe_forward_backlog\b", r"fn prune_bookkeeping\b",
         r"fn on_arrival\b", r"fn commit_block\b", r"fn request_sync\b", r"fn on_sync_request\b",
         r"fn on_sync_response\b", r"fn on_restart\b", r"fn on_repair\b", r"fn on_repair_reply\b",
