@@ -5,7 +5,7 @@ use std::sync::Arc;
 use eesmr_baselines::check_prefix_consistency;
 use eesmr_baselines::sync_hotstuff::{build_hs_replicas, HsConfig, HsFault, HsReplica, HsVariant};
 use eesmr_baselines::trusted::{build_tb_replicas, tb_config, TbReplica, HUB};
-use eesmr_core::{FaultMode, Pacing};
+use eesmr_core::{Block, FaultMode, Pacing};
 use eesmr_crypto::{KeyStore, SigScheme};
 use eesmr_energy::{EnergyCategory, Medium};
 use eesmr_hypergraph::topology::{ring_kcast, star};
@@ -28,7 +28,7 @@ fn run_hs(
 }
 
 fn assert_consistent(net: &SimNet<HsReplica>, correct: impl Iterator<Item = u32>) {
-    let logs: Vec<&[eesmr_crypto::Digest]> = correct.map(|id| net.actor(id).committed()).collect();
+    let logs: Vec<&[Block]> = correct.map(|id| net.actor(id).committed()).collect();
     check_prefix_consistency(&logs).expect("SyncHS safety violated");
 }
 
@@ -159,7 +159,7 @@ fn trusted_baseline_orders_and_distributes() {
     for id in 1..6 {
         assert!(net.actor(id).committed_height() >= hub_height - 1, "spoke {id} follows the hub");
     }
-    let logs: Vec<&[eesmr_crypto::Digest]> = (0..6).map(|id| net.actor(id).committed()).collect();
+    let logs: Vec<&[Block]> = (0..6).map(|id| net.actor(id).committed()).collect();
     check_prefix_consistency(&logs).expect("trusted baseline logs diverge");
 }
 
@@ -194,7 +194,7 @@ fn trusted_baseline_crashed_spoke_repairs_and_rejoins() {
         "spoke 3 caught back up: {} vs hub {hub_height}",
         net.actor(3).committed_height()
     );
-    let logs: Vec<&[eesmr_crypto::Digest]> = (0..6).map(|id| net.actor(id).committed()).collect();
+    let logs: Vec<&[Block]> = (0..6).map(|id| net.actor(id).committed()).collect();
     check_prefix_consistency(&logs).expect("repair forked the trusted log");
 }
 
@@ -214,14 +214,13 @@ fn trusted_baseline_storm_spoke_inflates_traffic_without_divergence() {
     );
     let hub_height = stormy.actor(HUB).committed_height();
     assert!(hub_height >= 3, "the hub still orders under a storm");
-    let logs: Vec<&[eesmr_crypto::Digest]> =
-        (0..6).map(|id| stormy.actor(id).committed()).collect();
+    let logs: Vec<&[Block]> = (0..6).map(|id| stormy.actor(id).committed()).collect();
     check_prefix_consistency(&logs).expect("storm forked the trusted log");
     // The hub takes each signed upload once: the copies cost the link,
     // not the log, so no stormed block outgrows the honest run's largest.
     let largest = |net: &SimNet<TbReplica>| {
         let hub = net.actor(HUB);
-        hub.committed().iter().map(|id| hub.block(id).expect("committed").payload.len()).max()
+        hub.committed().iter().map(|b| b.payload.len()).max()
     };
     let honest_max = largest(&honest).expect("the honest hub ordered");
     assert!(

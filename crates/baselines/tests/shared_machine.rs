@@ -226,6 +226,24 @@ fn the_leader_is_round_robin_on_the_ring_and_the_hub_on_the_star() {
     assert!((1..=9).all(|view| spoke.leader_of(view) == HUB), "every view is the hub's");
 }
 
+/// No honest replica signs view 0 (`v_cur` starts at 1, and `Leader(v)` is
+/// defined from view 1 on): a validly signed view-0 proposal from node 0 is
+/// dropped at the front door, before any handler reads its view.
+fn view_zero_is_dropped<R: Family>() {
+    let pki = pki();
+    let mut h = replica::<R>(1, &pki, 1);
+    let (_, p1) = R::proposal(&Block::genesis(), 1);
+    assert_ignored(&mut h, 0, signed::<R>(p1, 0, &pki, 0), "a proposal signed for view 0");
+    assert_eq!(h.actor().current_view(), 1, "{}: the view stays", R::NAME);
+}
+
+#[test]
+fn a_proposal_signed_for_view_zero_causes_nothing() {
+    view_zero_is_dropped::<EesmrRule>();
+    view_zero_is_dropped::<HsRule>();
+    view_zero_is_dropped::<TrustedRule>();
+}
+
 // ----------------------------------------------------------------------
 // Equivocation proofs.
 // ----------------------------------------------------------------------

@@ -7,10 +7,12 @@
 //! `B = ⟨m, H(b_m), H(h_{m−1}), ⟨i, H(b_i)⟩_L⟩` — height, payload hash,
 //! parent hash, leader signature; our wire sizes follow that layout.
 
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use eesmr_crypto::digest::ByteSink;
-use eesmr_crypto::{Digest, Hashable, KeyMap};
+use eesmr_crypto::{Digest, Hashable, KeySet};
 
 /// A client command (opaque request bytes).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -250,11 +252,38 @@ impl Lineage {
     }
 }
 
+/// A stored block handle that hashes and compares as the id it carries,
+/// so the store keys each block by its own id instead of a second copy.
+#[derive(Debug, Clone)]
+struct ById(Block);
+
+impl PartialEq for ById {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.id == other.0.id
+    }
+}
+
+impl Eq for ById {}
+
+/// Exactly what the id's own `Hash` feeds the hasher (the `Borrow` contract).
+impl Hash for ById {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.id.hash(state);
+    }
+}
+
+impl Borrow<Digest> for ById {
+    fn borrow(&self) -> &Digest {
+        &self.0.id
+    }
+}
+
 /// A store of blocks indexed by hash, tolerant of orphans (blocks whose
 /// parents have not arrived yet — chain synchronization fills the gaps).
+/// Each entry is the block's handle alone, looked up by the id it carries.
 #[derive(Debug, Clone)]
 pub struct BlockStore {
-    blocks: KeyMap<Digest, Block>,
+    blocks: KeySet<ById>,
     genesis: Digest,
 }
 
@@ -269,8 +298,8 @@ impl BlockStore {
     pub fn new() -> Self {
         let g = Block::genesis();
         let id = g.id();
-        let mut blocks = KeyMap::default();
-        blocks.insert(id, g);
+        let mut blocks = KeySet::default();
+        blocks.insert(ById(g));
         BlockStore { blocks, genesis: id }
     }
 
@@ -279,21 +308,22 @@ impl BlockStore {
         self.genesis
     }
 
-    /// Inserts a block (idempotent). Returns its id.
+    /// Inserts a block (idempotent: the first handle stored for an id
+    /// stays). Returns its id.
     pub fn insert(&mut self, block: Block) -> Digest {
         let id = block.id();
-        self.blocks.entry(id).or_insert(block);
+        self.blocks.insert(ById(block));
         id
     }
 
     /// Looks a block up by id.
     pub fn get(&self, id: &Digest) -> Option<&Block> {
-        self.blocks.get(id)
+        self.blocks.get(id).map(|stored| &stored.0)
     }
 
     /// Whether the block is present.
     pub fn contains(&self, id: &Digest) -> bool {
-        self.blocks.contains_key(id)
+        self.blocks.contains(id)
     }
 
     /// Number of stored blocks (including genesis).
@@ -313,7 +343,7 @@ impl BlockStore {
         let mut out = Vec::new();
         let mut cur = *id;
         while out.len() < limit {
-            match self.blocks.get(&cur) {
+            match self.get(&cur) {
                 Some(b) => {
                     out.push(b);
                     if b.height == 0 {
@@ -331,13 +361,13 @@ impl BlockStore {
     /// `ancestor`. Returns `false` when the walk hits a gap, so callers
     /// treat unknown lineage as non-extending and trigger chain sync.
     pub fn extends(&self, descendant: &Digest, ancestor: &Digest) -> bool {
-        let Some(anc) = self.blocks.get(ancestor) else { return false };
+        let Some(anc) = self.get(ancestor) else { return false };
         let mut cur = *descendant;
         loop {
             if cur == *ancestor {
                 return true;
             }
-            match self.blocks.get(&cur) {
+            match self.get(&cur) {
                 Some(b) if b.height > anc.height => cur = b.parent,
                 _ => return false,
             }
@@ -351,7 +381,7 @@ impl BlockStore {
         if a == b {
             return Lineage::Equal;
         }
-        let (Some(ba), Some(bb)) = (self.blocks.get(a), self.blocks.get(b)) else {
+        let (Some(ba), Some(bb)) = (self.get(a), self.get(b)) else {
             return Lineage::Unknown;
         };
         if ba.height == bb.height {
@@ -361,7 +391,7 @@ impl BlockStore {
             if ba.height < bb.height { (ba, *b, false) } else { (bb, *a, true) };
         let mut cur = high;
         loop {
-            match self.blocks.get(&cur) {
+            match self.get(&cur) {
                 Some(blk) if blk.height > low.height => cur = blk.parent,
                 Some(blk) => {
                     return if blk.id == low.id {
@@ -391,7 +421,7 @@ impl BlockStore {
         let mut cur = *descendant;
         while cur != *ancestor {
             out.push(cur);
-            cur = self.blocks.get(&cur)?.parent;
+            cur = self.get(&cur)?.parent;
         }
         out.reverse();
         Some(out)
@@ -566,6 +596,45 @@ mod tests {
         let id1 = store.insert(b.clone());
         let id2 = store.insert(b);
         assert_eq!(id1, id2);
+        assert_eq!(store.len(), 2);
+    }
+
+    #[test]
+    fn a_stored_handle_hashes_as_the_id_it_borrows() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let table = BuildHasherDefault::<eesmr_crypto::KeyHasher>::default();
+        for b in [Block::genesis(), Block::extending(&Block::genesis(), 1, 3, vec![])] {
+            let stored = ById(b.clone());
+            assert_eq!(table.hash_one(&stored), table.hash_one(b.id()));
+            assert_eq!(Borrow::<Digest>::borrow(&stored), &b.id());
+        }
+    }
+
+    #[test]
+    fn a_lookup_by_id_finds_that_block_and_no_other() {
+        let mut store = BlockStore::new();
+        let ids = chain(&mut store, 3);
+        for (height, id) in ids.iter().enumerate() {
+            let b = store.get(id).expect("stored");
+            assert_eq!((b.id(), b.height), (*id, height as u64));
+            assert!(store.contains(id));
+        }
+        let stranger = Digest::of(b"no stored block has this id");
+        assert_eq!(store.get(&stranger), None);
+        assert!(!store.contains(&stranger));
+    }
+
+    #[test]
+    fn a_second_handle_with_the_same_id_keeps_the_first() {
+        let mut store = BlockStore::new();
+        let first = Block::extending(&Block::genesis(), 1, 3, vec![Command::synthetic(0, 16)]);
+        let second =
+            Block::new(first.parent, first.height, first.view, first.round, first.payload.clone());
+        assert_eq!(first.id(), second.id());
+        assert!(!Arc::ptr_eq(&first.0, &second.0), "two allocations of one block");
+        store.insert(first.clone());
+        store.insert(second);
+        assert!(Arc::ptr_eq(&store.get(&first.id()).expect("stored").0, &first.0));
         assert_eq!(store.len(), 2);
     }
 }

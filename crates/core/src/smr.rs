@@ -405,8 +405,9 @@ pub struct Smr<R: Rule> {
     /// Blocks already asked for.
     pub sync_requested: KeySet<Digest>,
 
-    /// The committed log, in commit order.
-    pub committed_log: Vec<Digest>,
+    /// The committed log, in commit order: handles to the blocks the
+    /// store holds.
+    pub committed_log: Vec<Block>,
     /// Protocol counters.
     pub metrics: Metrics,
 }
@@ -481,8 +482,8 @@ impl<R: Rule> Smr<R> {
         self.params.hub.is_some() || (self.v_cur >= v && self.rule.in_steady_state())
     }
 
-    /// The committed log (block ids in commit order, excluding genesis).
-    pub fn committed(&self) -> &[Digest] {
+    /// The committed log (blocks in commit order, excluding genesis).
+    pub fn committed(&self) -> &[Block] {
         &self.committed_log
     }
 
@@ -915,12 +916,11 @@ impl<R: Rule> Smr<R> {
             return;
         };
         for id in segment {
-            self.committed_log.push(id);
+            let block = self.store.get(&id).expect("segment blocks are stored").clone();
             self.metrics.blocks_committed += 1;
             if let Some(seen) = self.first_seen.remove(&id) {
                 self.metrics.record_commit_latency(now.since(seen));
             }
-            let block = self.store.get(&id).expect("segment blocks are stored").clone();
             if ctx.traces(TraceClass::Commit) {
                 ctx.trace(TraceEventKind::Commit {
                     block: crate::block::fingerprint(&id),
@@ -928,6 +928,7 @@ impl<R: Rule> Smr<R> {
                 });
             }
             self.txpool.remove_committed(&block, now);
+            self.committed_log.push(block);
         }
         self.b_com = block_id;
         self.b_com_height = self.store.get(&block_id).expect("committed block stored").height;
@@ -1298,7 +1299,9 @@ impl<R: Rule> Actor for Smr<R> {
     }
 
     fn on_message(&mut self, from: NodeId, msg: Msg<R>, ctx: &mut Ctx<'_, R>) {
-        if !self.active() || !self.online(ctx) {
+        // No honest replica signs view 0 (`v_cur` starts at 1), and
+        // `Leader(v)` is defined for `v ≥ 1` only: drop it before dispatch.
+        if msg.view == 0 || !self.active() || !self.online(ctx) {
             return;
         }
         // The shared variants carry the same tag in every family.

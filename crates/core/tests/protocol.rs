@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use eesmr_core::{build_replicas, Config, FaultMode, Pacing, Replica};
+use eesmr_core::{build_replicas, Block, Config, FaultMode, Pacing, Replica};
 use eesmr_crypto::{KeyStore, SigScheme};
 use eesmr_hypergraph::topology::ring_kcast;
 use eesmr_net::{NetConfig, SimDuration, SimNet, SimTime};
@@ -38,8 +38,7 @@ fn run(setup: Setup, millis: u64) -> SimNet<Replica> {
 
 /// Safety: committed logs of correct nodes are prefixes of one another.
 fn assert_log_consistency(net: &SimNet<Replica>, correct: impl Iterator<Item = u32>) {
-    let logs: Vec<(u32, &[eesmr_crypto::Digest])> =
-        correct.map(|id| (id, net.actor(id).committed())).collect();
+    let logs: Vec<(u32, &[Block])> = correct.map(|id| (id, net.actor(id).committed())).collect();
     for (i, (id_a, a)) in logs.iter().enumerate() {
         for (id_b, b) in logs.iter().skip(i + 1) {
             let common = a.len().min(b.len());
@@ -73,8 +72,8 @@ fn committed_blocks_form_a_chain() {
     let log = r.committed();
     assert!(!log.is_empty());
     let mut prev_height = 0;
-    for id in log {
-        let b = r.block(id).expect("committed blocks are stored");
+    for b in log {
+        assert_eq!(r.block(&b.id()), Some(b), "committed blocks are stored");
         assert_eq!(b.height, prev_height + 1, "heights are consecutive");
         prev_height = b.height;
     }

@@ -1,6 +1,6 @@
 //! Run reports: what a scenario measured.
 
-use eesmr_core::{Rule, Smr};
+use eesmr_core::{Block, Rule, Smr};
 use eesmr_energy::{EnergyAttribution, EnergyCategory, EnergyClass, EnergyMeter, N_ENERGY_CLASS};
 use eesmr_net::{MetricsSet, NetStats, NodeId, SimDuration};
 use eesmr_trace::hist::LogHistogram;
@@ -131,11 +131,8 @@ impl NodeReport {
             peak_backlog: replica.peak_backlog() as u64,
             mean_batch_fill_pct: metrics.mean_batch_fill_pct(),
             tx_latency_hist: replica.tx_latencies().clone(),
-            commit_fps: prefix.iter().map(eesmr_core::block::fingerprint).collect(),
-            commit_txs: prefix
-                .iter()
-                .map(|id| replica.block(id).map_or(0, |b| b.payload.len() as u32))
-                .collect(),
+            commit_fps: prefix.iter().map(Block::fingerprint).collect(),
+            commit_txs: prefix.iter().map(|b| b.payload.len() as u32).collect(),
         }
     }
 }
@@ -463,9 +460,12 @@ mod tests {
             assert_eq!((node.id, node.faulty, node.is_hub), (id, role.faulty, role.is_hub));
             assert_eq!(node.view_changes, r.metrics().view_changes);
             let log = r.committed();
-            let fps: Vec<u64> = log.iter().map(eesmr_core::block::fingerprint).collect();
-            let txs: Vec<u32> =
-                log.iter().map(|d| r.block(d).map_or(0, |b| b.payload.len() as u32)).collect();
+            let fps: Vec<u64> =
+                log.iter().map(|b| eesmr_core::block::fingerprint(&b.id())).collect();
+            let txs: Vec<u32> = log
+                .iter()
+                .map(|b| r.block(&b.id()).map_or(0, |stored| stored.payload.len() as u32))
+                .collect();
             assert_eq!((node.commit_fps.clone(), node.commit_txs.clone()), (fps, txs));
             node
         };

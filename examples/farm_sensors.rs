@@ -59,8 +59,7 @@ fn main() {
             continue; // compromised sensors do not report
         }
         let r = net.actor(id);
-        for block_id in r.committed() {
-            let block = r.block(block_id).expect("committed");
+        for block in r.committed() {
             for cmd in &block.payload {
                 let cmd_digest = cmd.digest();
                 let result = Digest::of_parts(&[b"executed", cmd_digest.as_bytes()]);

@@ -47,13 +47,12 @@ fn main() {
         let common = log.len().min(r0.committed().len());
         assert_eq!(&log[..common], &r0.committed()[..common], "node {id} diverged");
     }
-    for (i, block_id) in r0.committed().iter().take(5).enumerate() {
-        let b = r0.block(block_id).expect("committed block");
+    for (i, b) in r0.committed().iter().take(5).enumerate() {
         println!(
             "  #{i}: height {} ({} B payload) {}",
             b.height,
             b.payload_len(),
-            block_id.short_hex()
+            b.id().short_hex()
         );
     }
     println!("  ...");

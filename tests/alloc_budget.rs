@@ -16,7 +16,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use eesmr_core::{Block, Command};
-use eesmr_crypto::Digest;
 use eesmr_hypergraph::topology::ring_kcast;
 use eesmr_net::{Actor, Context, Message, NetConfig, NodeId, SimDuration, SimNet};
 use eesmr_sim::{Protocol, Scenario, StopWhen};
@@ -243,13 +242,15 @@ fn allocations_per_delivery_on_the_busy_ring_are_pinned() {
 /// `sim_steady`'s EESMR cell (n = 13, k = 7) at `L` and `4·L` blocks: the
 /// peak grows by no more than the ledger the `3·L` extra blocks add —
 /// what stays O(run) by design. Per block that is, in each replica, one
-/// block-store entry and one committed-log entry, plus the one block
-/// allocation all replicas share. The store is a hash table, which doubles
-/// when 7/8 full and so holds up to 16/7 slots (and control bytes) per
-/// entry; the log is a vector, which holds up to 2. Every other per-height
-/// table is pruned below the commit floor a band at a time, so it adds
-/// nothing once `L` is past two windows. Without the pruning the peak
-/// grows 3.4 MB here, not 1.3 MB.
+/// block handle in the store and one in the committed log, plus the one
+/// block allocation all replicas share. The store is a hash set of handles
+/// keyed by the id each block carries, which doubles when 7/8 full and so
+/// holds up to 16/7 slots (and control bytes) per entry; the log is a
+/// vector, which holds up to 2. Every other per-height table is pruned
+/// below the commit floor a band at a time, so it adds nothing once `L` is
+/// past two windows. The peak grows 0.40 MB here; it grew 1.3 MB while
+/// the store keyed each block by a copy of its id and the log held ids,
+/// and 3.4 MB without the pruning.
 #[test]
 fn eesmr_peak_bytes_grow_with_the_ledger_alone() {
     const L: i64 = 256;
@@ -262,8 +263,8 @@ fn eesmr_peak_bytes_grow_with_the_ledger_alone() {
     let genesis = Block::genesis();
     let block =
         measure(|| Block::extending(&genesis, 1, 3, vec![Command::synthetic(1, 16)]).height);
-    let store_slot = (size_of::<(Digest, Block)>() + 1) as i64;
-    let log_slot = size_of::<Digest>() as i64;
+    let store_slot = (size_of::<Block>() + 1) as i64;
+    let log_slot = size_of::<Block>() as i64;
     let per_block = n as i64 * (store_slot * 16 / 7 + log_slot * 2) + block.peak_bytes;
     let grown = long.peak_bytes - short.peak_bytes;
     assert!(

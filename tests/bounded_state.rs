@@ -25,8 +25,7 @@
 //! whole by design (ARCHITECTURE.md, "Bounded bookkeeping").
 
 use eesmr_core::smr::{PIPELINE, WINDOW};
-use eesmr_core::{Rule, Smr};
-use eesmr_crypto::Digest;
+use eesmr_core::{Block, Rule, Smr};
 use eesmr_net::{NetConfig, SimDuration, SimNet, SimTime, TraceLevel};
 use eesmr_sim::cell::{Cell, Replicas};
 use eesmr_sim::{ArrivalProcess, BatchPolicy, FaultSpec, Protocol, Scenario, Skew, Workload};
@@ -49,7 +48,7 @@ type Peaks = Vec<(&'static str, usize)>;
 /// the trace.
 struct Outcome {
     peaks: Vec<Peaks>,
-    logs: Vec<Vec<Digest>>,
+    logs: Vec<Vec<Block>>,
     traces: TraceSet,
 }
 

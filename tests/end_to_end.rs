@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use eesmr_baselines::check_prefix_consistency;
-use eesmr_core::{build_replicas, BatchPolicy, Config, FaultMode, Replica};
+use eesmr_core::{build_replicas, BatchPolicy, Block, Config, FaultMode, Replica};
 use eesmr_crypto::{KeyStore, SigScheme};
 use eesmr_hypergraph::topology::ring_kcast;
 use eesmr_net::{Fate, NetConfig, SimDuration, SimNet};
@@ -175,8 +175,7 @@ fn chain_sync_repairs_a_lossy_node() {
         "the lossy node kept up through chain sync: {lossy} vs {healthy}"
     );
     assert!(net.actor(4).metrics().sync_requests > 0, "chain sync was actually exercised");
-    let logs: Vec<&[eesmr_crypto::Digest]> =
-        (0..n as u32).map(|id| net.actor(id).committed()).collect();
+    let logs: Vec<&[Block]> = (0..n as u32).map(|id| net.actor(id).committed()).collect();
     check_prefix_consistency(&logs).expect("safety under loss");
 }
 

@@ -51,8 +51,7 @@ const RULES: &[Rule] = &[
             r"env::vars_os\b", r"env::set_var\b", r"env::remove_var\b"],
             expect: Files(&["crates/sim/src/options.rs"]), ..C }],
         sample: ("examples/reader.rs", "let seed = std::env::var(\"EESMR_SEED\");") },
-    // 682e102. `unsafe` lives in the CPU-feature-checked call into the SHA kernel
-    // and the allocation-budget test's counting allocator; other crates forbid it.
+    // 682e102. `unsafe` is in the SHA kernel's CPU-checked call and the counting allocator only.
     Rule { name: "unsafe (two files, forbidden elsewhere)", base: "70673e3",
         checks: &[Check { rs_only: true,
                 needles: &[r"unsafe\s*{", r"unsafe\s*fn", r"unsafe\s*impl"],
@@ -116,8 +115,7 @@ const RULES: &[Rule] = &[
             needles: &[".recv_mj(", ".shared_recv_mj(", ".dup_recv_mj("], cut_tests: true,
             expect: Files(&["crates/net/src/channel.rs"]), ..C }],
         sample: ("crates/sim/src/bin/price.rs", "let mj = cost.recv_mj(40);") },
-    // 280622c. The trusted baseline is a fourth rule on the replica skeleton: its own replica,
-    // fault enum and timers went, and the harness reads every replica as the `Smr<R>` it is.
+    // 280622c. The trusted baseline is a rule on the skeleton; its replica, faults and timers went.
     Rule { name: "trusted baseline (a rule on the skeleton)", base: "49ec302", checks: &[Check {
         needles: &["TbNode", "TbFault", "TbTimer", "build_tb_nodes", "ReplicaView"], word: true,
         ..C }], sample: ("crates/sim/src/tb.rs", "impl ReplicaView for TbNode {}") },
@@ -129,13 +127,15 @@ const RULES: &[Rule] = &[
             "    Repair {", "    RepairReply {"], expect: Files(&["crates/core/src/smr.rs"]),
             ..C }],
         sample: ("crates/baselines/src/trusted.rs", "enum TbPayload {\n    Forward {}\n}") },
-    // A grid suite's summary is one eesmr-bench table: the driver's stats, JSON sink and
-    // announce flags went, with the unused chain relation and GATT channel variant. Widened
-    // when a cell's Scenario became its own key and every rule took the one `Pacing`.
+    // One eesmr-bench table per suite summary, the Scenario as the cell key, one `Pacing` for all.
     Rule { name: "one suite sink and cell key, no dead variants", base: "9dd3ac7", checks: &[Check {
         word: true, needles: &["CellStats", "SuitePaths", "write_json", "Announce", "ChainRelation",
             "BleGatt", "CellKey", "HsPacing", "max_outstanding"], ..C }],
         sample: ("crates/driver/src/report.rs", "pub struct CellStats;") },
+    // A ledger entry is the block's handle: store and log keep no second copy of the id it carries.
+    Rule { name: "one handle per ledger entry", base: "fc150be", checks: &[Check { needles: &[
+        r"KeyMap<Digest,\s*Block>", r"committed_log:\s*Vec<Digest>"], roots: &["crates/core/src"],
+        ..C }], sample: ("crates/core/src/block.rs", "    blocks: KeyMap<Digest, Block>,") },
 ];
 
 #[rustfmt::skip]
