@@ -167,15 +167,20 @@ fn allocations_per_committed_block_are_pinned() {
             // Re-captured when `Config::leader_policy` went (was 98 297):
             // `Config` shrank from 128 to 112 bytes in each of the 7 replicas;
             // and when `Pacing::Streaming` lost its one-value bound (was
-            // 98 057): `Config` shrank from 112 to 96 bytes.
-            Budget { allocations: 500, reallocations: 51, peak_bytes: 97_945, units: 24 },
-            Budget { allocations: 1_251, reallocations: 166, peak_bytes: 123_009, units: 24 },
-            Budget { allocations: 1_231, reallocations: 221, peak_bytes: 133_921, units: 24 },
+            // 98 057): `Config` shrank from 112 to 96 bytes. All four peaks
+            // fell by 12 544 bytes (1 792 a replica) when the ledger became
+            // block handles (was 97 945, 123 009, 133 921 and 77 565): the
+            // store's 32 slots hold an 8-byte handle, not a 40-byte
+            // (id, handle) pair, and the log's 32 an 8-byte handle, not a
+            // 32-byte id: 32 · 32 + 32 · 24.
+            Budget { allocations: 500, reallocations: 51, peak_bytes: 85_401, units: 24 },
+            Budget { allocations: 1_251, reallocations: 166, peak_bytes: 110_465, units: 24 },
+            Budget { allocations: 1_231, reallocations: 221, peak_bytes: 121_377, units: 24 },
             // Re-captured when the trusted baseline became a rule on the
             // replica skeleton (was 1 096 / 348 / 57 053): one `Arc` per
             // signed message and the skeleton's per-replica tables, but the
             // hub no longer grows a command vector upload by upload.
-            Budget { allocations: 1_195, reallocations: 77, peak_bytes: 77_565, units: 24 },
+            Budget { allocations: 1_195, reallocations: 77, peak_bytes: 65_021, units: 24 },
         ],
     );
 }
