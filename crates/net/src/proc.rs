@@ -5,8 +5,10 @@
 //! real kernel scheduling, real sockets, real bytes. A **coordinator**
 //! process spawns one child per replica
 //! (same binary, `--node-id`/`--listen`/`--peers` flags), connects a
-//! control channel to each, releases them simultaneously, polls progress,
-//! and finally collects one opaque report blob per node.
+//! control channel to each, and releases them simultaneously. Each child
+//! reports its progress on that channel whenever it changes, and the
+//! coordinator waits on those reports until the run is done, then
+//! collects one opaque report blob per node.
 //!
 //! # Framing
 //!
@@ -40,11 +42,12 @@ use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use eesmr_crypto::KeySet;
@@ -77,11 +80,10 @@ const ROLE_CTRL: u8 = 1;
 
 /// Control command: release the child into `on_start` + its main loop.
 const CMD_START: u8 = 1;
-/// Control command: request a progress [`REPLY_STATUS`].
-const CMD_POLL: u8 = 2;
 /// Control command: stop and send the final [`REPLY_REPORT`].
 const CMD_STOP: u8 = 3;
-/// Control reply: one `u64` progress value.
+/// Control report: one `u64` progress value, pushed by the child once
+/// after [`CMD_START`] and again whenever the value changes.
 const REPLY_STATUS: u8 = 4;
 /// Control reply: the node's opaque report blob.
 const REPLY_REPORT: u8 = 5;
@@ -136,17 +138,19 @@ impl Stream {
         }
     }
 
-    /// Bounds every later blocking read and write on this stream.
-    fn set_io_timeout(&self, timeout: Duration) -> io::Result<()> {
+    /// Bounds every later blocking write on this stream.
+    fn set_write_timeout(&self, timeout: Duration) -> io::Result<()> {
         match self {
-            Stream::Tcp(s) => {
-                s.set_read_timeout(Some(timeout))?;
-                s.set_write_timeout(Some(timeout))
-            }
-            Stream::Uds(s) => {
-                s.set_read_timeout(Some(timeout))?;
-                s.set_write_timeout(Some(timeout))
-            }
+            Stream::Tcp(s) => s.set_write_timeout(Some(timeout)),
+            Stream::Uds(s) => s.set_write_timeout(Some(timeout)),
+        }
+    }
+
+    /// Shuts both directions, waking a read blocked on any clone.
+    fn shutdown(&self) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.shutdown(Shutdown::Both),
+            Stream::Uds(s) => s.shutdown(Shutdown::Both),
         }
     }
 }
@@ -331,11 +335,11 @@ impl PeerLink {
 ///
 /// `channel` prices its sends and receptions, a scan window lasting
 /// `scan_window` (the simulator's `NetConfig::hop_delay_max`). `status`
-/// maps the live actor to the `u64` progress value returned to
-/// [`Coordinator::statuses`]; `report` renders the final actor, its
-/// energy meter, and the transport counters into the opaque blob
-/// [`Coordinator::stop_and_collect`] returns. Returns once that blob is
-/// sent.
+/// maps the live actor to the `u64` progress value the child reports to
+/// [`Coordinator::run_until`] whenever it changes; `report` renders the
+/// final actor, its energy meter, and the transport counters into the
+/// opaque blob [`Coordinator::stop_and_collect`] returns. Returns once
+/// that blob is sent.
 pub fn run_node<A, S, R>(
     opts: ChildOpts,
     actor: A,
@@ -444,6 +448,7 @@ where
         rt.handle(ev);
     }
 
+    let mut reported = None;
     loop {
         let now_us = rt.now_us();
         while let Some(Reverse(Entry { seq: id, payload: token, .. })) =
@@ -456,16 +461,21 @@ where
         while let Some(ev) = rt.local.pop_front() {
             rt.handle(ev);
         }
-        let next_us = rt.timers.peek().map_or(u64::MAX, |Reverse(head)| head.time);
-        let wait = Duration::from_micros(next_us.saturating_sub(rt.now_us()));
-        match rx.recv_timeout(wait.min(Duration::from_millis(20))) {
-            Ok(PEvent::Ctrl(CMD_POLL)) => {
-                if let Some(w) = ctrl.as_mut() {
-                    let mut reply = vec![REPLY_STATUS];
-                    status(rt.node.actor()).encode_into(&mut reply);
-                    write_frame(w, &reply)?;
-                }
+        // Progress only moves in a step, so one check per wakeup sees
+        // every change; the coordinator waits on these reports.
+        let progress = status(rt.node.actor());
+        if reported != Some(progress) {
+            if let Some(w) = ctrl.as_mut() {
+                let mut frame = vec![REPLY_STATUS];
+                progress.encode_into(&mut frame);
+                write_frame(w, &frame)?;
             }
+            reported = Some(progress);
+        }
+        // Sleep until the next timer or frame; with no timer pending, only
+        // a frame ends the wait.
+        let next_us = rt.timers.peek().map_or(u64::MAX, |Reverse(head)| head.time);
+        match rx.recv_timeout(Duration::from_micros(next_us.saturating_sub(rt.now_us()))) {
             Ok(PEvent::Ctrl(CMD_STOP)) => {
                 let blob = report(rt.node.actor(), rt.node.meter(), &rt.stats);
                 if let Some(w) = ctrl.as_mut() {
@@ -582,17 +592,27 @@ where
 }
 
 /// The coordinator's half of the control protocol: one connection per
-/// child, lock-step command/reply. Every exchange is bounded by the
-/// timeout given to [`Coordinator::connect`], so a stopped or wedged
-/// child surfaces as [`io::ErrorKind::TimedOut`] instead of hanging the
-/// coordinator.
+/// child, each read by its own thread into one channel, so the
+/// coordinator sleeps until some child reports. Every wait is bounded: by
+/// the deadline given to [`Coordinator::run_until`], and by the timeout
+/// given to [`Coordinator::connect`] for writes and for the final
+/// reports, so a stopped or wedged child surfaces as
+/// [`io::ErrorKind::TimedOut`] naming it instead of hanging the
+/// coordinator. Dropping the coordinator shuts every control stream and
+/// joins its reader.
 pub struct Coordinator {
     links: Vec<Stream>,
+    readers: Vec<JoinHandle<()>>,
+    /// `(child, frame)` from the readers; a read error or a report ends
+    /// that reader.
+    frames: Receiver<(usize, io::Result<Vec<u8>>)>,
+    /// Each child's last reported progress, `None` until its first report.
+    statuses: Vec<Option<u64>>,
+    timeout: Duration,
 }
 
-/// Names the child behind a failed control exchange; a read or write
-/// that ran into the stream's timeout (`WouldBlock` on Unix) becomes
-/// `TimedOut`.
+/// Names the child behind a failed control exchange; a write that ran
+/// into the stream's timeout (`WouldBlock` on Unix) becomes `TimedOut`.
 fn ctrl_err(child: usize, err: io::Error) -> io::Error {
     let kind = match err.kind() {
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => io::ErrorKind::TimedOut,
@@ -601,35 +621,66 @@ fn ctrl_err(child: usize, err: io::Error) -> io::Error {
     io::Error::new(kind, format!("control channel to child {child}: {err}"))
 }
 
+/// The children whose slot is still empty, as `child 1, child 4`.
+fn missing<T>(slots: &[Option<T>]) -> String {
+    let names: Vec<String> = slots
+        .iter()
+        .enumerate()
+        .filter(|(_, slot)| slot.is_none())
+        .map(|(child, _)| format!("child {child}"))
+        .collect();
+    names.join(", ")
+}
+
 impl Coordinator {
     /// Connects a control channel to every child, retrying each address
-    /// until `timeout` (children need a moment to bind). The same bound
-    /// then applies to every later read and write on the channel: a
-    /// healthy child answers within its poll interval, milliseconds, so
-    /// choose it far above that.
+    /// until `timeout` (children need a moment to bind), and starts one
+    /// reader per channel. The same bound then applies to every later
+    /// write and to [`Coordinator::stop_and_collect`]; a healthy child
+    /// reports within milliseconds, so choose it far above that. Reads
+    /// carry no timeout: an idle child is not an error, only a missed
+    /// deadline is.
     pub fn connect(
         transport: ProcTransport,
         addrs: &[String],
         timeout: Duration,
     ) -> io::Result<Coordinator> {
         let deadline = Instant::now() + timeout;
-        let mut links = Vec::with_capacity(addrs.len());
+        let (tx, frames) = mpsc::channel();
+        // Built up link by link, so an error below drops (and so shuts
+        // and joins) the readers already started.
+        let mut coord = Coordinator {
+            links: Vec::with_capacity(addrs.len()),
+            readers: Vec::with_capacity(addrs.len()),
+            frames,
+            statuses: vec![None; addrs.len()],
+            timeout,
+        };
         for (child, addr) in addrs.iter().enumerate() {
-            loop {
+            let mut s = loop {
                 match Stream::connect(transport, addr) {
-                    Ok(mut s) => {
-                        s.set_io_timeout(timeout)?;
-                        write_frame(&mut s, &hello_frame(ROLE_CTRL, u32::MAX))
-                            .map_err(|e| ctrl_err(child, e))?;
-                        links.push(s);
-                        break;
-                    }
+                    Ok(s) => break s,
                     Err(e) if Instant::now() >= deadline => return Err(ctrl_err(child, e)),
                     Err(_) => std::thread::sleep(Duration::from_millis(10)),
                 }
-            }
+            };
+            s.set_write_timeout(timeout)?;
+            write_frame(&mut s, &hello_frame(ROLE_CTRL, u32::MAX))
+                .map_err(|e| ctrl_err(child, e))?;
+            let mut reader = s.try_clone()?;
+            coord.links.push(s);
+            let tx = tx.clone();
+            // A report is a child's last frame: its reader ends there,
+            // before the child exits and closes the stream.
+            coord.readers.push(std::thread::spawn(move || loop {
+                let frame = read_frame(&mut reader);
+                let last = matches!(frame.as_deref(), Ok([REPLY_REPORT, ..]) | Err(_));
+                if tx.send((child, frame)).is_err() || last {
+                    return;
+                }
+            }));
         }
-        Ok(Coordinator { links })
+        Ok(coord)
     }
 
     /// Sends the one-byte command `cmd` to every child.
@@ -640,22 +691,31 @@ impl Coordinator {
         Ok(())
     }
 
-    /// Reads one reply tagged `tag` from every child and returns the
-    /// bodies, in child order.
-    fn replies(&mut self, tag: u8) -> io::Result<Vec<Vec<u8>>> {
-        let mut out = Vec::with_capacity(self.links.len());
-        for (child, link) in self.links.iter_mut().enumerate() {
-            let mut frame = read_frame(link).map_err(|e| ctrl_err(child, e))?;
-            if frame.first() != Some(&tag) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("child {child}: unexpected control reply"),
-                ));
+    /// Waits until `deadline` for the next control frame; returns its
+    /// sender and `(tag, body)`. A closed or failed stream is an error
+    /// naming its child; a missed deadline is `TimedOut`, its message
+    /// built by `late`.
+    fn next_frame(
+        &self,
+        deadline: Instant,
+        late: impl FnOnce() -> String,
+    ) -> io::Result<(usize, u8, Vec<u8>)> {
+        let wait = deadline.saturating_duration_since(Instant::now());
+        match self.frames.recv_timeout(wait) {
+            Ok((child, Ok(mut frame))) if !frame.is_empty() => {
+                let tag = frame.remove(0);
+                Ok((child, tag, frame))
             }
-            frame.remove(0);
-            out.push(frame);
+            Ok((child, Ok(_))) => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("child {child}: empty control frame"),
+            )),
+            Ok((child, Err(e))) => Err(ctrl_err(child, e)),
+            Err(RecvTimeoutError::Timeout) => Err(io::Error::new(io::ErrorKind::TimedOut, late())),
+            Err(RecvTimeoutError::Disconnected) => {
+                Err(io::Error::new(io::ErrorKind::BrokenPipe, "every control reader ended"))
+            }
         }
-        Ok(out)
     }
 
     /// Releases every child into its protocol (they bind and mesh before
@@ -664,21 +724,9 @@ impl Coordinator {
         self.command(CMD_START)
     }
 
-    /// One round of progress polling: each child's `status` value.
-    pub fn statuses(&mut self) -> io::Result<Vec<u64>> {
-        self.command(CMD_POLL)?;
-        self.replies(REPLY_STATUS)?
-            .iter()
-            .map(|body| {
-                u64::decode(body).map_err(|err| {
-                    io::Error::new(io::ErrorKind::InvalidData, format!("bad status reply: {err}"))
-                })
-            })
-            .collect()
-    }
-
-    /// Polls until `done(statuses)` or `timeout`; returns the last
-    /// status vector.
+    /// Waits for the children's progress reports until
+    /// `done(statuses)` holds, once every child has reported, or
+    /// `timeout` passes; returns the status vector that satisfied `done`.
     pub fn run_until(
         &mut self,
         done: impl Fn(&[u64]) -> bool,
@@ -686,24 +734,66 @@ impl Coordinator {
     ) -> io::Result<Vec<u64>> {
         let deadline = Instant::now() + timeout;
         loop {
-            let statuses = self.statuses()?;
-            if done(&statuses) {
+            let statuses: Option<Vec<u64>> = self.statuses.iter().copied().collect();
+            if let Some(statuses) = statuses.filter(|s| done(s)) {
                 return Ok(statuses);
             }
-            if Instant::now() >= deadline {
+            let late = || {
+                let (silent, last) = (missing(&self.statuses), &self.statuses);
+                if silent.is_empty() {
+                    format!("run_until timed out with statuses {last:?}")
+                } else {
+                    format!("run_until timed out: {silent} never reported (statuses {last:?})")
+                }
+            };
+            let (child, tag, body) = self.next_frame(deadline, late)?;
+            if tag != REPLY_STATUS {
                 return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    format!("run_until timed out with statuses {statuses:?}"),
+                    io::ErrorKind::InvalidData,
+                    format!("child {child}: unexpected control frame {tag}"),
                 ));
             }
-            std::thread::sleep(Duration::from_millis(5));
+            let status = u64::decode(&body).map_err(|err| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("child {child}: bad status: {err}"),
+                )
+            })?;
+            self.statuses[child] = Some(status);
         }
     }
 
-    /// Stops every child and collects its report blob.
+    /// Stops every child and collects its report blob, skipping status
+    /// reports still in flight; bounded by the connect timeout.
     pub fn stop_and_collect(mut self) -> io::Result<Vec<Vec<u8>>> {
         self.command(CMD_STOP)?;
-        self.replies(REPLY_REPORT)
+        let deadline = Instant::now() + self.timeout;
+        let mut blobs: Vec<Option<Vec<u8>>> = vec![None; self.links.len()];
+        while blobs.iter().any(Option::is_none) {
+            let late = || format!("stop_and_collect timed out: {} sent no report", missing(&blobs));
+            match self.next_frame(deadline, late)? {
+                (_, REPLY_STATUS, _) => {}
+                (child, REPLY_REPORT, blob) => blobs[child] = Some(blob),
+                (child, tag, _) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("child {child}: unexpected control frame {tag}"),
+                    ))
+                }
+            }
+        }
+        Ok(blobs.into_iter().flatten().collect())
+    }
+}
+
+impl Drop for Coordinator {
+    fn drop(&mut self) {
+        for link in &self.links {
+            let _ = link.shutdown();
+        }
+        for reader in self.readers.drain(..) {
+            let _ = reader.join();
+        }
     }
 }
 
@@ -905,24 +995,82 @@ mod tests {
         mesh_roundtrip(ProcTransport::Tcp);
     }
 
-    #[test]
-    fn stalled_control_peer_times_out_instead_of_hanging() {
-        // A child that completes the hello and then never answers a poll
-        // (SIGSTOPped, wedged): the poll must fail with `TimedOut`
-        // naming the child, within the bound given to `connect`.
+    /// A fake child on loopback TCP: accepts the control connection,
+    /// checks its hello, and hands the stream to `script`.
+    fn control_peer<T: Send + 'static>(
+        script: impl FnOnce(TcpStream) -> T + Send + 'static,
+    ) -> (String, std::thread::JoinHandle<T>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = format!("127.0.0.1:{}", listener.local_addr().unwrap().port());
-        let (release, hold) = std::sync::mpsc::channel::<()>();
-        let stalled = std::thread::spawn(move || {
+        let peer = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
             let hello = read_frame(&mut stream).unwrap();
             assert_eq!(parse_hello(&hello).unwrap(), (ROLE_CTRL, u32::MAX));
+            script(stream)
+        });
+        (addr, peer)
+    }
+
+    fn send_status(stream: &mut TcpStream, status: u64) {
+        let mut frame = vec![REPLY_STATUS];
+        status.encode_into(&mut frame);
+        write_frame(stream, &frame).unwrap();
+    }
+
+    #[test]
+    fn run_until_waits_for_reports_without_polling() {
+        // The peer reports 0, then 5 after 200 ms, then logs every command
+        // it gets until the coordinator's drop closes the stream.
+        let (addr, peer) = control_peer(|mut stream| {
+            let mut commands = vec![read_frame(&mut stream).unwrap()];
+            send_status(&mut stream, 0);
+            std::thread::sleep(Duration::from_millis(200));
+            send_status(&mut stream, 5);
+            while let Ok(cmd) = read_frame(&mut stream) {
+                commands.push(cmd);
+            }
+            commands
+        });
+        let mut coord =
+            Coordinator::connect(ProcTransport::Tcp, &[addr], Duration::from_secs(10)).unwrap();
+        coord.start().unwrap();
+        let statuses = coord.run_until(|s| s[0] >= 5, Duration::from_secs(10)).unwrap();
+        assert_eq!(statuses, vec![5]);
+        drop(coord);
+        assert_eq!(peer.join().unwrap(), vec![vec![CMD_START]], "one command, no polls");
+    }
+
+    #[test]
+    fn closed_control_stream_ends_the_wait_at_once() {
+        let (addr, peer) = control_peer(|mut stream| {
+            read_frame(&mut stream).unwrap();
+            send_status(&mut stream, 0);
+            // Dropping the stream closes it mid-run, as a dying child does.
+        });
+        let mut coord =
+            Coordinator::connect(ProcTransport::Tcp, &[addr], Duration::from_secs(10)).unwrap();
+        coord.start().unwrap();
+        let asked = Instant::now();
+        let err = coord.run_until(|s| s[0] >= 5, Duration::from_secs(10)).unwrap_err();
+        assert!(err.to_string().contains("child 0"), "{err}");
+        assert!(asked.elapsed() < Duration::from_secs(1), "took {:?}", asked.elapsed());
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn stalled_control_peer_times_out_instead_of_hanging() {
+        // A child that completes the hello and then never reports
+        // (SIGSTOPped, wedged): the wait must fail with `TimedOut` naming
+        // the child, at its deadline.
+        let (release, hold) = std::sync::mpsc::channel::<()>();
+        let (addr, stalled) = control_peer(move |_stream| {
             let _ = hold.recv(); // keep the connection open, silently
         });
         let bound = Duration::from_millis(300);
         let mut coord = Coordinator::connect(ProcTransport::Tcp, &[addr], bound).unwrap();
+        coord.start().unwrap();
         let asked = Instant::now();
-        let err = coord.statuses().unwrap_err();
+        let err = coord.run_until(|_| true, bound).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
         assert!(err.to_string().contains("child 0"), "{err}");
         assert!(asked.elapsed() < 10 * bound, "took {:?}", asked.elapsed());
@@ -953,7 +1101,7 @@ mod tests {
             assert_decoding_is_total(&hello, |frame| parse_hello(frame).is_ok());
         }
         for status in [0, 42, u64::MAX] {
-            // A status reply's body, as `Coordinator::statuses` decodes it.
+            // A status report's body, as `Coordinator::run_until` decodes it.
             let mut reply = vec![REPLY_STATUS];
             status.encode_into(&mut reply);
             assert_decoding_is_total(&reply[1..], |body| u64::decode(body).is_ok());
