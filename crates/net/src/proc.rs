@@ -283,9 +283,16 @@ impl ChildOpts {
 
 /// Events the reader threads feed into a child's main loop.
 enum PEvent<M> {
-    Deliver { origin: NodeId, msg: M, arrived: Option<Instant>, target: Option<NodeId> },
+    Deliver {
+        origin: NodeId,
+        msg: M,
+        arrived: Option<Instant>,
+        target: Option<NodeId>,
+    },
     Ctrl(u8),
     CtrlConnected(Stream),
+    /// The control stream ended: the coordinator is done or gone.
+    CtrlClosed,
 }
 
 /// One outbound peer connection with bounded reconnect-on-drop.
@@ -339,7 +346,8 @@ impl PeerLink {
 /// [`Coordinator::run_until`] whenever it changes; `report` renders the
 /// final actor, its energy meter, and the transport counters into the
 /// opaque blob [`Coordinator::stop_and_collect`] returns. Returns once
-/// that blob is sent.
+/// that blob is sent and the coordinator has closed the control stream;
+/// a control stream that closes before the stop command is an error.
 pub fn run_node<A, S, R>(
     opts: ChildOpts,
     actor: A,
@@ -379,6 +387,7 @@ where
                             return;
                         }
                     }
+                    let _ = tx.send(PEvent::CtrlClosed);
                 } else {
                     while let Ok(frame) = read_frame(&mut stream) {
                         let arrived = Some(Instant::now());
@@ -423,11 +432,13 @@ where
     let mut ctrl: Option<Stream> = None;
     let mut pending: VecDeque<PEvent<A::Msg>> = VecDeque::new();
     let died = || io::Error::new(io::ErrorKind::BrokenPipe, "accept loop died");
+    let orphaned = || io::Error::new(io::ErrorKind::BrokenPipe, "control stream closed");
     loop {
         match rx.recv().map_err(|_| died())? {
             PEvent::CtrlConnected(w) => ctrl = Some(w),
             PEvent::Ctrl(CMD_START) => break,
             PEvent::Ctrl(_) => {}
+            PEvent::CtrlClosed => return Err(orphaned()),
             deliver => pending.push_back(deliver),
         }
     }
@@ -483,10 +494,15 @@ where
                     reply.extend_from_slice(&blob);
                     write_frame(w, &reply)?;
                 }
+                // Stay meshed until the coordinator has every report and
+                // closes the stream: a peer still in its last step would
+                // otherwise retry its sends to this node with backoff.
+                while !matches!(rx.recv(), Ok(PEvent::CtrlClosed) | Err(_)) {}
                 return Ok(());
             }
             Ok(PEvent::Ctrl(_)) => {}
             Ok(PEvent::CtrlConnected(w)) => ctrl = Some(w),
+            Ok(PEvent::CtrlClosed) => return Err(orphaned()),
             Ok(ev) => rt.handle(ev),
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => return Err(died()),

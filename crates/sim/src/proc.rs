@@ -318,7 +318,9 @@ impl Scenario {
         coord.run_until(|statuses| statuses.iter().all(|h| *h >= blocks), RUN_TIMEOUT)?;
         let blobs = coord.stop_and_collect()?;
         let elapsed_us = started.elapsed().as_micros() as u64;
-        drop(children); // all exited after CMD_STOP; kill-on-drop is a no-op
+        // Each child exits once the coordinator's drop closed its control
+        // stream; kill-on-drop reaps them, ending any still on its way out.
+        drop(children);
 
         let mut net = NetStats::default();
         let mut nodes = Vec::with_capacity(self.n);
