@@ -1094,6 +1094,38 @@ mod tests {
         stalled.join().unwrap();
     }
 
+    #[test]
+    fn child_ends_when_control_closes_before_stop() {
+        // A coordinator that dies mid-run must not leave its child running.
+        let addrs = alloc_addrs(ProcTransport::Uds, 1).unwrap();
+        let opts = ChildOpts {
+            node_id: 0,
+            transport: ProcTransport::Uds,
+            listen: addrs[0].clone(),
+            peers: Vec::new(),
+        };
+        let (done, ended) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let scan = SimDuration::from_micros(1_000);
+            let ran = run_node(
+                opts,
+                Echo::default(),
+                ChannelCost::ble_four_nines(2),
+                scan,
+                |_| 0,
+                |_, _, _| Vec::new(),
+            );
+            let _ = done.send(ran);
+        });
+        let mut coord =
+            Coordinator::connect(ProcTransport::Uds, &addrs, Duration::from_secs(10)).unwrap();
+        coord.start().unwrap();
+        coord.run_until(|s| s[0] == 0, Duration::from_secs(10)).unwrap();
+        drop(coord);
+        let err = ended.recv_timeout(Duration::from_secs(10)).unwrap().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe, "{err}");
+    }
+
     /// `decodes` must answer every strict prefix of `bytes` with an error
     /// and every copy with one byte XORed by 0x01, 0x80 or 0xff with `Ok`
     /// or `Err`, never a panic.
