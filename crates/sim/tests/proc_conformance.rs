@@ -50,8 +50,9 @@ fn assert_same_log(scenario: Scenario) -> (RunReport, RunReport) {
     assert_eq!(sim.nodes.len(), proc.nodes.len(), "{label}");
     for (s, p) in sim.nodes.iter().zip(&proc.nodes) {
         // Both backends overshoot the block target by different amounts
-        // (the simulator stops between events, the coordinator between
-        // polls), so conformance is on the guaranteed common prefix.
+        // (the simulator stops between events, the coordinator once the
+        // last child reports the target, while the others run on), so
+        // conformance is on the guaranteed common prefix.
         let prefix = BLOCKS as usize;
         assert!(
             s.commit_fps.len() >= prefix && p.commit_fps.len() >= prefix,
