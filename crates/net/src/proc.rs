@@ -282,16 +282,11 @@ impl ChildOpts {
 }
 
 /// Events the reader threads feed into a child's main loop.
+/// `CtrlClosed`: the control stream ended, so the coordinator is done or gone.
 enum PEvent<M> {
-    Deliver {
-        origin: NodeId,
-        msg: M,
-        arrived: Option<Instant>,
-        target: Option<NodeId>,
-    },
+    Deliver { origin: NodeId, msg: M, arrived: Option<Instant>, target: Option<NodeId> },
     Ctrl(u8),
     CtrlConnected(Stream),
-    /// The control stream ended: the coordinator is done or gone.
     CtrlClosed,
 }
 
