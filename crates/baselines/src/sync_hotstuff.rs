@@ -285,9 +285,7 @@ impl Rule for HsRule {
             return;
         }
         if !r.store.contains(&block.parent) {
-            let parent = block.parent;
-            r.orphans.entry(parent).or_default().push((from, msg));
-            r.request_sync(parent, from, ctx);
+            r.park_orphan(block.parent, from, from, msg, ctx);
             return;
         }
         // Insert before the lock check so lineage walks see the block.
@@ -360,7 +358,7 @@ impl Rule for HsRule {
     fn on_message(r: &mut HsReplica, from: NodeId, msg: HsMsg, ctx: &mut Ctx<'_>) {
         match msg.payload {
             HsPayload::Vote { .. } => on_vote(r, from, msg, ctx),
-            HsPayload::Status { .. } => on_status(r, from, msg, ctx),
+            HsPayload::Status { .. } => on_status(r, msg, ctx),
             _ => {} // the shared variants never leave the skeleton
         }
     }
@@ -552,8 +550,10 @@ fn on_vote(r: &mut HsReplica, from: NodeId, msg: HsMsg, ctx: &mut Ctx<'_>) {
     if height < r.floor() || height > r.b_com_height + WINDOW {
         return;
     }
+    // Parked only once inside the window: a repair can lift its upper bound
+    // far enough that a vote it drops here would pass it at replay.
     if msg.view > r.v_cur {
-        r.future_views.push((from, msg));
+        r.park_later(from, msg);
         return;
     }
     if msg.view < r.v_cur || r.view_aborted {
@@ -643,12 +643,8 @@ fn on_quit_wait(r: &mut HsReplica, view: u64, ctx: &mut Ctx<'_>) {
     r.settle_into_view(ctx);
 }
 
-fn on_status(r: &mut HsReplica, from: NodeId, msg: HsMsg, ctx: &mut Ctx<'_>) {
+fn on_status(r: &mut HsReplica, msg: HsMsg, ctx: &mut Ctx<'_>) {
     let HsPayload::Status { cert } = &msg.payload else { return };
-    if msg.view > r.v_cur {
-        r.future_views.push((from, msg));
-        return;
-    }
     if msg.view < r.v_cur || !r.is_leader() || !r.verify_envelope(&msg, ctx) {
         return;
     }

@@ -1,7 +1,7 @@
 //! Hostile inputs against the machine every synchronous-SMR replica shares
 //! (`eesmr_core::smr`): blames and equivocation proofs, blame
-//! certificates, chain sync, command forwarding, repair. Each case is
-//! written once and run against both rules through the single-actor
+//! certificates, chain sync, early input, command forwarding, repair. Each
+//! case is written once and run against both rules through the single-actor
 //! harness (or, where the network's flood dedup is part of the case, on
 //! `SimNet`), so a line broken in the skeleton fails here for EESMR and for
 //! Sync HotStuff alike — and the two places where the rules are *meant* to
@@ -825,6 +825,100 @@ fn an_upload_below_the_hubs_floor_is_not_taken_again() {
     assert_eq!(tick(&mut h), vec![], "a stormed copy below the floor is not taken again");
     h.deliver(1, upload(1, 1));
     assert_eq!(tick(&mut h), vec![(None, 1)], "the spoke's next upload is");
+}
+
+// ----------------------------------------------------------------------
+// Early input: parked until it can be judged.
+// ----------------------------------------------------------------------
+
+/// What accepting a proposal emits: EESMR relays it, Sync HotStuff votes.
+fn acceptance<R: Family>(block: &Block) -> MsgKind {
+    R::vote(block).map_or(MsgKind::Propose, |vote| vote.tag())
+}
+
+/// How many entries the replica's bookkeeping table `table` holds.
+fn held<R: Family>(h: &Harness<Smr<R>>, table: &str) -> usize {
+    let tables = h.actor().bookkeeping();
+    tables.iter().find(|(name, _)| *name == table).unwrap_or_else(|| panic!("{table}")).1
+}
+
+/// A fresh view-1 replica parks view 2's proposal and the two blames that
+/// quit view 2 unread: no output, no verify or hash charge. A repair that
+/// moves it into view 2 replays them in arrival order: the proposal is
+/// accepted, then the blames certify and quit the view. (Replayed blames
+/// first, the view would be over before the proposal is judged.)
+fn later_views_wait_for_their_view<R: Family>() {
+    let rule = R::NAME;
+    let pki = pki();
+    let mut h = replica::<R>(3, &pki, 1);
+    let (b1, _) = R::proposal(&Block::genesis(), 1);
+    let (b2, _) = R::proposal(&b1, 2);
+    // As view 2's leader, node 1, cuts it.
+    let b2 = Block::new(b2.parent, b2.height, 2, b2.round, b2.payload.clone());
+    let proposal = signed::<R>(R::propose(b2.clone()), 2, &pki, 1);
+    assert_ignored(&mut h, 1, proposal, "a view-2 proposal");
+    for signer in [0, 2] {
+        let blame = R::Payload::from_shared(Shared::Blame { proof: None });
+        assert_ignored(&mut h, signer, signed::<R>(blame, 2, &pki, signer), "a view-2 blame");
+    }
+    assert_eq!(held(&h, "parked_later"), 3, "{rule}");
+    let reply = R::Payload::from_shared(Shared::RepairReply { blocks: vec![b1], view: 2 });
+    let out = h.deliver(R::REPAIRER, signed::<R>(reply, 1, &pki, R::REPAIRER));
+    assert_eq!(h.actor().current_view(), 2, "{rule}: the repair adopted view 2");
+    let replayed = sent::<R, _>(&out, |p| Some(p.tag()));
+    let expected = vec![(None, acceptance::<R>(&b2)), (None, MsgKind::BlameQc)];
+    assert_eq!(replayed, expected, "{rule}: in arrival order");
+    assert_eq!(held(&h, "parked_later"), 0, "{rule}");
+}
+
+/// A proposal of the current view whose parent the replica lacks asks the
+/// node it came from for the parent, once, and emits nothing else: no
+/// relay, vote or timer. Another copy from another node, and another slot's
+/// proposal naming the same parent, ask nothing more. The response that
+/// carries the parent replays all three: the proposal is accepted once,
+/// the copy is a duplicate, and the other slot's block, two heights above
+/// its parent, is refused.
+fn an_orphan_waits_for_its_parent<R: Family>() {
+    let rule = R::NAME;
+    let pki = pki();
+    let mut h = replica::<R>(1, &pki, 1);
+    let (b1, _) = R::proposal(&Block::genesis(), 1);
+    let (b2, _) = R::proposal(&b1, 2);
+    let proposal = signed::<R>(R::propose(b2.clone()), 1, &pki, 0);
+    let out = h.deliver(2, proposal.clone());
+    let asked = sent::<R, _>(&out, |p| match p.shared()? {
+        Shared::SyncRequest { want } => Some(*want),
+        _ => None,
+    });
+    assert_eq!(asked, vec![(Some(2), b1.id())], "{rule}: one request, to the sender");
+    assert_eq!(out.len(), 1, "{rule}: no relay, vote or timer: {out:?}");
+    let other =
+        Block::new(b1.id(), b2.height + 1, 1, b2.round + 1, vec![Command::synthetic(9, 16)]);
+    let other = signed::<R>(R::propose(other), 1, &pki, 0);
+    for (what, msg) in [("a copy", proposal), ("another slot's proposal", other)] {
+        let out = h.deliver(3, msg);
+        assert!(out.is_empty(), "{rule}: {what} on the same parent asks nothing more: {out:?}");
+    }
+    assert_eq!((held(&h, "orphans"), held(&h, "sync_requested")), (3, 1), "{rule}");
+    let rejected = h.actor().metrics().proposals_rejected;
+    let response = R::Payload::from_shared(Shared::SyncResponse { blocks: vec![b1] });
+    let out = h.deliver(2, signed::<R>(response, 1, &pki, 2));
+    let replayed = sent::<R, _>(&out, |p| Some(p.tag()));
+    assert_eq!(replayed, vec![(None, acceptance::<R>(&b2))], "{rule}: accepted once");
+    assert_eq!(h.actor().metrics().proposals_rejected, rejected + 1, "{rule}: the gapped one");
+    assert_eq!((held(&h, "orphans"), held(&h, "sync_requested")), (0, 0), "{rule}");
+}
+
+#[test]
+fn an_envelope_of_a_later_view_replays_in_arrival_order_once_its_view_is_entered() {
+    later_views_wait_for_their_view::<EesmrRule>();
+    later_views_wait_for_their_view::<HsRule>();
+}
+
+#[test]
+fn an_orphan_asks_its_sender_once_and_replays_when_its_parent_is_stored() {
+    an_orphan_waits_for_its_parent::<EesmrRule>();
+    an_orphan_waits_for_its_parent::<HsRule>();
 }
 
 // ----------------------------------------------------------------------

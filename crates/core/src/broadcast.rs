@@ -26,7 +26,7 @@ use eesmr_crypto::{Digest, KeyStore, Signature};
 use eesmr_net::codec::WireEnum;
 use eesmr_net::{Actor, Context, Message, NodeId, SimDuration, TimerId};
 
-use crate::message::{signing_bytes, MsgKind, QuorumCert};
+use crate::message::{first_sigs, signing_bytes, MsgKind, QuorumCert};
 
 /// Byzantine Broadcast messages.
 #[derive(Debug, Clone, PartialEq)]
@@ -236,8 +236,7 @@ impl BbNode {
         if self.votes.len() >= self.quorum() {
             // Termination certificate: f+1 commit votes include one from a
             // correct node that saw a clean 4Δ window — everyone can adopt.
-            let sigs: Vec<(NodeId, Signature)> =
-                self.votes.iter().take(self.quorum()).map(|(n, s)| (*n, s.clone())).collect();
+            let sigs = first_sigs(&self.votes, self.quorum());
             let cert =
                 QuorumCert { kind: MsgKind::Certify, view: 0, data: accepted, height: 0, sigs };
             let msg =

@@ -8,6 +8,7 @@
 //! exact data (e.g. the certified block id), which is what the safety
 //! proofs in Appendix B rely on.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -177,13 +178,25 @@ pub enum Status {
     Locks(Vec<SignedBlock>),
 }
 
+/// The first `quorum` of `sigs` in signer order: the signatures a
+/// certificate over them quotes.
+pub fn first_sigs(sigs: &BTreeMap<NodeId, Signature>, quorum: usize) -> Vec<(NodeId, Signature)> {
+    sigs.iter().take(quorum).map(|(n, s)| (*n, s.clone())).collect()
+}
+
 impl Status {
     /// Number of entries.
     pub fn len(&self) -> usize {
-        match self {
-            Status::CommitQcs(v) => v.len(),
-            Status::Locks(v) => v.len(),
-        }
+        self.blocks().count()
+    }
+
+    /// The entries' blocks, in entry order.
+    pub fn blocks(&self) -> impl Iterator<Item = &Block> {
+        let (qcs, locks): (&[CertifiedBlock], &[SignedBlock]) = match self {
+            Status::CommitQcs(v) => (v, &[]),
+            Status::Locks(v) => (&[], v),
+        };
+        qcs.iter().map(|c| &c.block).chain(locks.iter().map(|s| &s.block))
     }
 
     /// Whether the status is empty.
@@ -193,14 +206,7 @@ impl Status {
 
     /// The id and height of the highest block in the status.
     pub fn highest(&self) -> Option<(Digest, u64)> {
-        match self {
-            Status::CommitQcs(v) => {
-                v.iter().map(|c| (c.block.id(), c.block.height)).max_by_key(|(_, h)| *h)
-            }
-            Status::Locks(v) => {
-                v.iter().map(|s| (s.block.id(), s.block.height)).max_by_key(|(_, h)| *h)
-            }
-        }
+        self.blocks().map(|b| (b.id(), b.height)).max_by_key(|(_, h)| *h)
     }
 }
 

@@ -185,9 +185,7 @@ impl Rule for EesmrRule {
             return; // steady proposals carry no certificate
         }
         if !smr.store.contains(&block.parent) {
-            let parent = block.parent;
-            smr.orphans.entry(parent).or_default().push((from, msg));
-            smr.request_sync(parent, from, ctx);
+            smr.park_orphan(block.parent, from, from, msg, ctx);
             return;
         }
         // LockCompare (line 121): only accept extensions of the lock.
@@ -202,12 +200,12 @@ impl Rule for EesmrRule {
 
     fn on_message(smr: &mut Replica, from: NodeId, msg: SignedMsg, ctx: &mut Ctx<'_>) {
         match msg.payload {
-            Payload::CommitUpdate { .. } => smr.on_commit_update(from, msg, ctx),
-            Payload::Certify { .. } => smr.on_certify(from, msg, ctx),
-            Payload::CommitQc(_) => smr.on_commit_qc(from, msg, ctx),
+            Payload::CommitUpdate { .. } => smr.on_commit_update(msg, ctx),
+            Payload::Certify { .. } => smr.on_certify(msg, ctx),
+            Payload::CommitQc(_) => smr.on_commit_qc(msg, ctx),
             Payload::NewViewProposal { .. } => smr.on_new_view_proposal(from, msg, ctx),
-            Payload::NewViewVote { .. } => smr.on_new_view_vote(from, msg, ctx),
-            Payload::LockStatus { .. } => smr.on_lock_status(from, msg, ctx),
+            Payload::NewViewVote { .. } => smr.on_new_view_vote(msg, ctx),
+            Payload::LockStatus { .. } => smr.on_lock_status(msg, ctx),
             _ => {} // the shared variants never leave the skeleton
         }
     }
@@ -216,7 +214,7 @@ impl Rule for EesmrRule {
         match token {
             TimerToken::QuitWait { view } => smr.on_quit_wait(view, ctx),
             TimerToken::ShareQc { view } => smr.on_share_qc(view, ctx),
-            TimerToken::EnterNew { view } => smr.on_enter_new(view, ctx),
+            TimerToken::EnterNew { view } if view == smr.v_cur => smr.enter_new_view(ctx),
             TimerToken::LeaderStatus { view } => smr.on_leader_status(view, ctx),
             _ => {} // the skeleton's own timers
         }

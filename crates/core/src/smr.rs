@@ -20,7 +20,7 @@
 //! type (E0116): the EESMR rule extends `Smr<EesmrRule>` with inherent
 //! methods in this crate, a rule in another crate writes its handlers as
 //! free functions over `&mut Smr<R>` — which is why the fields below are
-//! `pub`.
+//! `pub`, all but the parked input, which only the skeleton's methods touch.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -34,7 +34,7 @@ use eesmr_net::{
 
 use crate::block::{Block, BlockStore, Command, Commands};
 use crate::config::{BatchPolicy, FaultMode};
-use crate::message::{block_ids_digest, Envelope, MsgKind, QuorumCert, SignedPayload};
+use crate::message::{block_ids_digest, first_sigs, Envelope, MsgKind, QuorumCert, SignedPayload};
 use crate::metrics::Metrics;
 use crate::txpool::{AdaptiveBatcher, TxPool, WorkloadSource};
 use crate::window::WindowMap;
@@ -346,6 +346,39 @@ pub trait Rule: Sized {
     }
 }
 
+/// Input that came too early to be judged, parked by [`Smr::park_later`] or
+/// [`Smr::park_orphan`] until the replica enters its view or stores its block.
+struct Parked<R: Rule> {
+    /// Envelopes for later views, in arrival order.
+    later: Vec<(NodeId, Msg<R>)>,
+    /// Envelopes waiting for a missing ancestor, by the missing block.
+    orphans: KeyMap<Digest, Vec<(NodeId, Msg<R>)>>,
+    /// Blocks already asked for.
+    asked: KeySet<Digest>,
+}
+
+impl<R: Rule> Parked<R> {
+    /// Takes the later-view envelopes due at `view`, in arrival order.
+    fn release_due(&mut self, view: u64) -> Vec<(NodeId, Msg<R>)> {
+        let (due, later) = self.later.drain(..).partition(|(_, m)| m.view <= view);
+        self.later = later;
+        due
+    }
+
+    /// Settles the request for block `id`, now stored, and takes its orphans.
+    fn release_unblocked(&mut self, id: &Digest) -> Option<Vec<(NodeId, Msg<R>)>> {
+        self.asked.remove(id);
+        self.orphans.remove(id)
+    }
+
+    /// Later-view envelopes, orphaned envelopes and outstanding requests.
+    fn sizes(&self) -> [(&'static str, usize); 3] {
+        let (later, asked) = (self.later.len(), self.asked.len());
+        let orphans = self.orphans.values().map(Vec::len).sum();
+        [("parked_later", later), ("orphans", orphans), ("sync_requested", asked)]
+    }
+}
+
 /// A synchronous-SMR replica running commit rule `R`.
 pub struct Smr<R: Rule> {
     /// This replica's node id.
@@ -398,12 +431,8 @@ pub struct Smr<R: Rule> {
     /// The Δ quit wait has been scheduled (idempotence guard).
     pub quit_scheduled: bool,
 
-    /// Messages for views this replica has not reached yet.
-    pub future_views: Vec<(NodeId, Msg<R>)>,
-    /// Messages waiting for a missing ancestor, by the missing block.
-    pub orphans: KeyMap<Digest, Vec<(NodeId, Msg<R>)>>,
-    /// Blocks already asked for.
-    pub sync_requested: KeySet<Digest>,
+    /// Envelopes that arrived before they can be judged.
+    parked: Parked<R>,
 
     /// The committed log, in commit order: handles to the blocks the
     /// store holds.
@@ -459,9 +488,7 @@ impl<R: Rule> Smr<R> {
             blames: BTreeMap::new(),
             view_aborted: false,
             quit_scheduled: false,
-            future_views: Vec::new(),
-            orphans: KeyMap::default(),
-            sync_requested: KeySet::default(),
+            parked: Parked { later: vec![], orphans: KeyMap::default(), asked: KeySet::default() },
             committed_log: Vec::new(),
             metrics: Metrics::default(),
         }
@@ -499,13 +526,15 @@ impl<R: Rule> Smr<R> {
 
     /// The entries held by each per-height bookkeeping table, the
     /// skeleton's and the rule's, by name: however long the run, they lie
-    /// in the bands from the floor's up, about 2·[`WINDOW`] heights.
+    /// in the bands from the floor's up, about 2·[`WINDOW`] heights; then the
+    /// parked envelopes and the outstanding sync requests.
     pub fn bookkeeping(&self) -> Vec<(&'static str, usize)> {
         let mut tables = vec![
             ("proposals_seen", self.proposals_seen.len()),
             ("first_seen", self.first_seen.len()),
         ];
         tables.extend(self.rule.bookkeeping());
+        tables.extend(self.parked.sizes());
         tables
     }
 
@@ -832,21 +861,17 @@ impl<R: Rule> Smr<R> {
         twin
     }
 
-    /// Handles a `Propose` up to the point where the rules part ways:
-    /// buffers it if it is early, drops an exact duplicate unverified
+    /// Handles a `Propose` of a view the replica has reached, up to the
+    /// point where the rules part ways: drops an exact duplicate unverified
     /// (relay-once flooding delivers each proposal up to `D_in` times),
     /// insists on the leader's signature, and turns a second block for an
     /// occupied `(view, slot)` into an equivocation blame — for any slot
     /// of the current view, "not just the latest round" (Algorithm 2,
     /// lines 220–226). What survives goes to [`Rule::on_proposal`].
-    pub fn on_propose(&mut self, from: NodeId, msg: Msg<R>, ctx: &mut Ctx<'_, R>) {
+    fn on_propose(&mut self, from: NodeId, msg: Msg<R>, ctx: &mut Ctx<'_, R>) {
         let Some((block, slot)) = msg.payload.proposal() else { return };
         if block.height < self.floor() {
             return; // stale: its slot's entry may be pruned, so it is not read
-        }
-        if msg.view > self.v_cur {
-            self.future_views.push((from, msg));
-            return;
         }
         let block_id = block.id();
         let key = (msg.view, slot);
@@ -1006,12 +1031,8 @@ impl<R: Rule> Smr<R> {
     }
 
     /// Handles a `Blame` (possibly carrying an equivocation proof).
-    fn on_blame(&mut self, from: NodeId, msg: Msg<R>, ctx: &mut Ctx<'_, R>) {
+    fn on_blame(&mut self, msg: Msg<R>, ctx: &mut Ctx<'_, R>) {
         let Some(Shared::Blame { proof }) = msg.payload.shared() else { return };
-        if msg.view > self.v_cur {
-            self.future_views.push((from, msg));
-            return;
-        }
         if msg.view < self.v_cur || !self.verify_envelope(&msg, ctx) {
             return;
         }
@@ -1031,7 +1052,7 @@ impl<R: Rule> Smr<R> {
         if self.blames.len() >= quorum && !self.quit_scheduled {
             // f+1 blames: certificate, broadcast, quit (lines 227–234).
             let data = Shared::<R::Payload>::Blame { proof: None }.signing_digest(self.v_cur);
-            let sigs = self.blames.iter().take(quorum).map(|(n, s)| (*n, s.clone())).collect();
+            let sigs = first_sigs(&self.blames, quorum);
             let qc = QuorumCert { kind: MsgKind::Blame, view: self.v_cur, data, height: 0, sigs };
             let msg = self.sign_shared(Shared::BlameQc(qc), ctx);
             ctx.flood(msg);
@@ -1042,12 +1063,8 @@ impl<R: Rule> Smr<R> {
     }
 
     /// Handles a received blame certificate (line 231).
-    fn on_blame_qc(&mut self, from: NodeId, msg: Msg<R>, ctx: &mut Ctx<'_, R>) {
+    fn on_blame_qc(&mut self, msg: Msg<R>, ctx: &mut Ctx<'_, R>) {
         let Some(Shared::BlameQc(qc)) = msg.payload.shared() else { return };
-        if msg.view > self.v_cur {
-            self.future_views.push((from, msg));
-            return;
-        }
         if msg.view < self.v_cur || self.quit_scheduled {
             return;
         }
@@ -1108,13 +1125,10 @@ impl<R: Rule> Smr<R> {
 
     /// Last step of entering a view: commands the dead view's proposer
     /// drained and dropped are pending again — hand them straight to the
-    /// new leader — and buffered traffic for this view replays.
+    /// new leader — and parked traffic for this view replays.
     pub fn settle_into_view(&mut self, ctx: &mut Ctx<'_, R>) {
         self.forward_backlog(ctx);
-        let (current, later): (Vec<_>, Vec<_>) =
-            self.future_views.drain(..).partition(|(_, m)| m.view <= self.v_cur);
-        self.future_views = later;
-        for (from, msg) in current {
+        for (from, msg) in self.parked.release_due(self.v_cur) {
             self.on_message(from, msg, ctx);
         }
     }
@@ -1136,9 +1150,29 @@ impl<R: Rule> Smr<R> {
     // Chain synchronization.
     // ------------------------------------------------------------------
 
+    /// Parks `msg`, of a view this replica has not reached, until it enters
+    /// that view ([`Actor::on_message`] does so for every kind that waits).
+    pub fn park_later(&mut self, from: NodeId, msg: Msg<R>) {
+        self.parked.later.push((from, msg));
+    }
+
+    /// Parks `msg` (received from `from`) until block `missing` is stored,
+    /// and asks `ask` for that block.
+    pub fn park_orphan(
+        &mut self,
+        missing: Digest,
+        ask: NodeId,
+        from: NodeId,
+        msg: Msg<R>,
+        ctx: &mut Ctx<'_, R>,
+    ) {
+        self.parked.orphans.entry(missing).or_default().push((from, msg));
+        self.request_sync(missing, ask, ctx);
+    }
+
     /// Requests a missing block from `from` (chain synchronization, §3.2).
     pub fn request_sync(&mut self, want: Digest, from: NodeId, ctx: &mut Ctx<'_, R>) {
-        if from == self.id || !self.sync_requested.insert(want) {
+        if from == self.id || !self.parked.asked.insert(want) {
             return;
         }
         self.metrics.sync_requests += 1;
@@ -1161,14 +1195,13 @@ impl<R: Rule> Smr<R> {
     }
 
     /// Stores received blocks (charging their hashes) and returns the
-    /// buffered messages that were waiting for any of them.
+    /// parked envelopes that were waiting for any of them.
     fn store_blocks(&mut self, blocks: &[Block], ctx: &mut Ctx<'_, R>) -> Vec<(NodeId, Msg<R>)> {
         let mut unblocked = Vec::new();
         for block in blocks {
             ctx.meter().charge_hash(block.wire_size());
             let id = self.store.insert(block.clone());
-            self.sync_requested.remove(&id);
-            if let Some(waiting) = self.orphans.remove(&id) {
+            if let Some(waiting) = self.parked.release_unblocked(&id) {
                 unblocked.extend(waiting);
             }
         }
@@ -1180,6 +1213,7 @@ impl<R: Rule> Smr<R> {
             if self.params.replays_through_gate {
                 self.on_message(from, msg, ctx);
             } else {
+                // An orphan's view is at most `v_cur`, which never falls.
                 self.on_propose(from, msg, ctx);
             }
         }
@@ -1306,9 +1340,22 @@ impl<R: Rule> Actor for Smr<R> {
         }
         // The shared variants carry the same tag in every family.
         match msg.payload.tag() {
+            // The kinds that wait for their view (`LockStatus` also tags Sync
+            // HotStuff's `Status`; its `Vote` parks past its own window check).
+            MsgKind::Propose
+            | MsgKind::Blame
+            | MsgKind::BlameQc
+            | MsgKind::CommitUpdate
+            | MsgKind::CommitQc
+            | MsgKind::NewViewProposal
+            | MsgKind::LockStatus
+                if msg.view > self.v_cur =>
+            {
+                self.park_later(from, msg)
+            }
             MsgKind::Propose => self.on_propose(from, msg, ctx),
-            MsgKind::Blame => self.on_blame(from, msg, ctx),
-            MsgKind::BlameQc => self.on_blame_qc(from, msg, ctx),
+            MsgKind::Blame => self.on_blame(msg, ctx),
+            MsgKind::BlameQc => self.on_blame_qc(msg, ctx),
             MsgKind::SyncRequest => self.on_sync_request(msg, ctx),
             MsgKind::SyncResponse => self.on_sync_response(msg, ctx),
             MsgKind::Forward => self.on_forward(msg, ctx),

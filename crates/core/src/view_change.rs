@@ -28,7 +28,7 @@ use eesmr_net::NodeId;
 use crate::block::Block;
 use crate::config::FaultMode;
 use crate::message::{
-    CertifiedBlock, MsgKind, Payload, QuorumCert, SignedBlock, SignedMsg, Status,
+    first_sigs, CertifiedBlock, MsgKind, Payload, QuorumCert, SignedBlock, SignedMsg, Status,
 };
 use crate::replica::{Ctx, Replica};
 use crate::smr::TimerToken;
@@ -63,12 +63,8 @@ impl Replica {
 
     /// Certify another node's committed block if it does not conflict with
     /// our lock (lines 242–244).
-    pub(crate) fn on_commit_update(&mut self, from: NodeId, msg: SignedMsg, ctx: &mut Ctx<'_>) {
+    pub(crate) fn on_commit_update(&mut self, msg: SignedMsg, ctx: &mut Ctx<'_>) {
         let Payload::CommitUpdate { block } = &msg.payload else { return };
-        if msg.view > self.v_cur {
-            self.future_views.push((from, msg));
-            return;
-        }
         if msg.view < self.v_cur || !self.verify_envelope(&msg, ctx) {
             return;
         }
@@ -84,7 +80,7 @@ impl Replica {
     }
 
     /// Collect certify votes for our own B_com (line 245).
-    pub(crate) fn on_certify(&mut self, _from: NodeId, msg: SignedMsg, ctx: &mut Ctx<'_>) {
+    pub(crate) fn on_certify(&mut self, msg: SignedMsg, ctx: &mut Ctx<'_>) {
         let Payload::Certify { block_id, .. } = &msg.payload else { return };
         if msg.view != self.v_cur || *block_id != self.b_com || !self.verify_envelope(&msg, ctx) {
             return;
@@ -102,14 +98,7 @@ impl Replica {
         if already_higher {
             return;
         }
-        let sigs: Vec<(NodeId, _)> = self
-            .rule
-            .vc
-            .certifies
-            .iter()
-            .take(self.rule.config.quorum())
-            .map(|(n, s)| (*n, s.clone()))
-            .collect();
+        let sigs = first_sigs(&self.rule.vc.certifies, self.rule.config.quorum());
         let qc = QuorumCert {
             kind: MsgKind::Certify,
             view: self.v_cur,
@@ -123,12 +112,8 @@ impl Replica {
 
     /// Adopt a higher commit certificate (lines 248–250), or — as the new
     /// leader in round 1 — record it as a status entry (line 256).
-    pub(crate) fn on_commit_qc(&mut self, from: NodeId, msg: SignedMsg, ctx: &mut Ctx<'_>) {
+    pub(crate) fn on_commit_qc(&mut self, msg: SignedMsg, ctx: &mut Ctx<'_>) {
         let Payload::CommitQc(cert) = &msg.payload else { return };
-        if msg.view > self.v_cur {
-            self.future_views.push((from, msg));
-            return;
-        }
         if msg.view < self.v_cur || !self.verify_envelope(&msg, ctx) {
             return;
         }
@@ -174,13 +159,6 @@ impl Replica {
             ctx.flood(msg);
         }
         ctx.set_timer(self.params.delta, TimerToken::EnterNew { view });
-    }
-
-    pub(crate) fn on_enter_new(&mut self, view: u64, ctx: &mut Ctx<'_>) {
-        if view != self.v_cur {
-            return;
-        }
-        self.enter_new_view(ctx);
     }
 
     // ------------------------------------------------------------------
@@ -234,12 +212,8 @@ impl Replica {
     }
 
     /// Optimized status entry (§5.6): a node's signed locked block.
-    pub(crate) fn on_lock_status(&mut self, from: NodeId, msg: SignedMsg, ctx: &mut Ctx<'_>) {
+    pub(crate) fn on_lock_status(&mut self, msg: SignedMsg, ctx: &mut Ctx<'_>) {
         let Payload::LockStatus { block } = &msg.payload else { return };
-        if msg.view > self.v_cur {
-            self.future_views.push((from, msg));
-            return;
-        }
         if msg.view < self.v_cur
             || self.rule.r_cur != 1
             || !self.is_leader()
@@ -349,10 +323,6 @@ impl Replica {
     /// Round-1 proposal from the new leader (lines 267–274).
     pub(crate) fn on_new_view_proposal(&mut self, from: NodeId, msg: SignedMsg, ctx: &mut Ctx<'_>) {
         let Payload::NewViewProposal { status, block } = &msg.payload else { return };
-        if msg.view > self.v_cur {
-            self.future_views.push((from, msg));
-            return;
-        }
         if msg.view < self.v_cur || self.rule.r_cur != 1 {
             return;
         }
@@ -365,17 +335,8 @@ impl Replica {
         }
         // Insert the status blocks so lineage checks and later commits see
         // them.
-        match &status {
-            Status::CommitQcs(entries) => {
-                for e in entries {
-                    self.store.insert(e.block.clone());
-                }
-            }
-            Status::Locks(entries) => {
-                for e in entries {
-                    self.store.insert(e.block.clone());
-                }
-            }
+        for block in status.blocks() {
+            self.store.insert(block.clone());
         }
         let Some((highest_id, highest_height)) = status.highest() else { return };
         // Vote only if the proposal extends the highest status block
@@ -398,9 +359,7 @@ impl Replica {
             // *signer* — the leader synced the status ancestry before
             // proposing, whereas a flood relayer may not hold the blocks.
             // The 6Δ/8Δ timers absorb the round trip.
-            let leader = msg.signer;
-            self.orphans.entry(missing).or_default().push((from, msg.clone()));
-            self.request_sync(missing, leader, ctx);
+            self.park_orphan(missing, msg.signer, from, msg, ctx);
             return;
         }
         self.rule.b_lock = block_id;
@@ -415,7 +374,7 @@ impl Replica {
     }
 
     /// Votes arriving at the new leader (line 259).
-    pub(crate) fn on_new_view_vote(&mut self, _from: NodeId, msg: SignedMsg, ctx: &mut Ctx<'_>) {
+    pub(crate) fn on_new_view_vote(&mut self, msg: SignedMsg, ctx: &mut Ctx<'_>) {
         let Payload::NewViewVote { prop_hash } = &msg.payload else { return };
         if msg.view != self.v_cur || !self.is_leader() || self.rule.nv.round2_sent {
             return;
@@ -430,14 +389,7 @@ impl Replica {
         // f+1 votes: certify round 1 and propose round 2 (lines 260–263).
         let round1 = self.rule.nv.round1_block.expect("voted proposals record their block");
         let parent = self.store.get(&round1).expect("round-1 block stored").clone();
-        let sigs: Vec<(NodeId, _)> = self
-            .rule
-            .nv
-            .votes
-            .iter()
-            .take(self.rule.config.quorum())
-            .map(|(n, s)| (*n, s.clone()))
-            .collect();
+        let sigs = first_sigs(&self.rule.nv.votes, self.rule.config.quorum());
         let qc = QuorumCert {
             kind: MsgKind::NewViewVote,
             view: self.v_cur,
@@ -473,9 +425,7 @@ impl Replica {
             }
         } else if !self.store.contains(&block.parent) {
             // We missed round 1 entirely: fetch the chain, then retry.
-            let parent = block.parent;
-            self.orphans.entry(parent).or_default().push((from, msg.clone()));
-            self.request_sync(parent, from, ctx);
+            self.park_orphan(block.parent, from, from, msg, ctx);
             return;
         }
         let block = block.clone();
@@ -485,9 +435,7 @@ impl Replica {
             return;
         }
         if let Some(missing) = self.chain_gap(&id) {
-            let leader = msg.signer;
-            self.orphans.entry(missing).or_default().push((from, msg.clone()));
-            self.request_sync(missing, leader, ctx);
+            self.park_orphan(missing, msg.signer, from, msg, ctx);
             return;
         }
         self.rule.b_lock = id;
