@@ -34,9 +34,9 @@
 //! receptions share a scan window; the deterministic energy figures stay
 //! the simulator's job (see README "Known deviations").
 //!
-//! Writes that fail mid-run trigger a bounded reconnect-and-resend
-//! (see [`RECONNECT_ATTEMPTS`]); frames that still cannot be delivered
-//! are counted in [`NetStats::dropped`].
+//! A peer write that fails mid-run takes that link down for the rest of the
+//! run: the frame and every later one to that peer count in
+//! [`NetStats::dropped`], with no reconnect.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
@@ -66,10 +66,6 @@ use crate::time::{SimDuration, SimTime};
 /// repair batch, small enough that a hostile length prefix cannot drive
 /// an unbounded allocation.
 pub const MAX_FRAME_LEN: usize = 1 << 26;
-
-/// How many times a failed peer write retries the connection before the
-/// frame is counted as dropped.
-pub const RECONNECT_ATTEMPTS: u32 = 5;
 
 /// What every hello frame starts with: `EPH` and the codec version.
 const HELLO_PREFIX: [u8; 4] = [b'E', b'P', b'H', codec::VERSION];
@@ -290,44 +286,22 @@ enum PEvent<M> {
     CtrlClosed,
 }
 
-/// One outbound peer connection with bounded reconnect-on-drop.
+/// One outbound peer connection, down from its first failed write on.
 struct PeerLink {
     id: NodeId,
-    addr: String,
-    transport: ProcTransport,
-    self_id: NodeId,
     stream: Option<Stream>,
 }
 
 impl PeerLink {
-    fn connect(&mut self) -> io::Result<()> {
-        let mut s = Stream::connect(self.transport, &self.addr)?;
-        write_frame(&mut s, &hello_frame(ROLE_PEER, self.self_id))?;
-        self.stream = Some(s);
-        Ok(())
-    }
-
-    /// Sends a frame, reconnecting with backoff if the link dropped.
-    /// Returns `false` if the frame had to be abandoned.
+    /// Sends a frame; returns `false`, with no syscall, once the link is
+    /// down. A failed write takes it down: the main loop never waits on a
+    /// dead peer.
     fn send(&mut self, frame: &[u8]) -> bool {
-        if let Some(s) = self.stream.as_mut() {
-            if write_frame(s, frame).is_ok() {
-                return true;
-            }
+        let sent = self.stream.as_mut().is_some_and(|s| write_frame(s, frame).is_ok());
+        if !sent {
             self.stream = None;
         }
-        for attempt in 0..RECONNECT_ATTEMPTS {
-            if self.connect().is_ok() {
-                if let Some(s) = self.stream.as_mut() {
-                    if write_frame(s, frame).is_ok() {
-                        return true;
-                    }
-                    self.stream = None;
-                }
-            }
-            std::thread::sleep(Duration::from_millis(10 << attempt));
-        }
-        false
+        sent
     }
 }
 
@@ -401,26 +375,23 @@ where
 
     // Dial every peer. Their listeners may not be up yet, so retry with
     // backoff for a generous window.
-    let mut links: Vec<PeerLink> = opts
-        .peers
-        .iter()
-        .map(|(id, addr)| PeerLink {
-            id: *id,
-            addr: addr.clone(),
-            transport: opts.transport,
-            self_id: opts.node_id,
-            stream: None,
-        })
-        .collect();
+    let hello = hello_frame(ROLE_PEER, opts.node_id);
+    let dial = |addr: &str| -> io::Result<Stream> {
+        let mut s = Stream::connect(opts.transport, addr)?;
+        write_frame(&mut s, &hello)?;
+        Ok(s)
+    };
     let deadline = Instant::now() + Duration::from_secs(20);
-    for link in &mut links {
-        loop {
-            match link.connect() {
-                Ok(()) => break,
+    let mut links = Vec::with_capacity(opts.peers.len());
+    for (id, addr) in &opts.peers {
+        let stream = loop {
+            match dial(addr) {
+                Ok(s) => break s,
                 Err(e) if Instant::now() >= deadline => return Err(e),
                 Err(_) => std::thread::sleep(Duration::from_millis(10)),
             }
-        }
+        };
+        links.push(PeerLink { id: *id, stream: Some(stream) });
     }
 
     // Hold for the start command; frames from faster peers queue up.
@@ -1119,6 +1090,77 @@ mod tests {
         drop(coord);
         let err = ended.recv_timeout(Duration::from_secs(10)).unwrap().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe, "{err}");
+    }
+
+    /// Multicasts a ping from a 1 ms timer, [`Ticker::TICKS`] times.
+    #[derive(Debug, Default)]
+    struct Ticker {
+        ticks: u64,
+    }
+
+    impl Ticker {
+        const TICKS: u64 = 50;
+    }
+
+    impl Actor for Ticker {
+        type Msg = Ping;
+        type Timer = ();
+
+        fn on_start(&mut self, ctx: &mut Context<'_, Ping, ()>) {
+            ctx.set_timer(SimDuration::from_millis(1), ());
+        }
+
+        fn on_message(&mut self, _from: NodeId, _msg: Ping, _ctx: &mut Context<'_, Ping, ()>) {}
+
+        fn on_timer(&mut self, _token: (), ctx: &mut Context<'_, Ping, ()>) {
+            self.ticks += 1;
+            ctx.multicast(Ping { seq: self.ticks });
+            if self.ticks < Ticker::TICKS {
+                ctx.set_timer(SimDuration::from_millis(1), ());
+            }
+        }
+    }
+
+    #[test]
+    fn frames_to_a_dead_peer_are_dropped_without_stalling_the_node() {
+        // Node 1 is a fake peer: it takes node 0's hello, then closes both
+        // the connection and its listener before node 0 starts.
+        let addrs = alloc_addrs(ProcTransport::Uds, 2).unwrap();
+        let listener = UnixListener::bind(&addrs[1]).unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            assert_eq!(parse_hello(&read_frame(&mut stream).unwrap()).unwrap(), (ROLE_PEER, 0));
+        });
+        let opts = ChildOpts {
+            node_id: 0,
+            transport: ProcTransport::Uds,
+            listen: addrs[0].clone(),
+            peers: vec![(1, addrs[1].clone())],
+        };
+        let node = std::thread::spawn(move || {
+            let scan = SimDuration::from_micros(1_000);
+            let stats = |_: &Ticker, _: &EnergyMeter, stats: &NetStats| stats.dropped.encode();
+            run_node(
+                opts,
+                Ticker::default(),
+                ChannelCost::ble_four_nines(2),
+                scan,
+                |a| a.ticks,
+                stats,
+            )
+        });
+        let mut coord =
+            Coordinator::connect(ProcTransport::Uds, &addrs[..1], Duration::from_secs(10)).unwrap();
+        peer.join().unwrap();
+        coord.start().unwrap();
+        let started = Instant::now();
+        coord.run_until(|s| s[0] >= Ticker::TICKS, Duration::from_secs(5)).unwrap();
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(500), "{} ticks took {took:?}", Ticker::TICKS);
+        let blobs = coord.stop_and_collect().unwrap();
+        let dropped = u64::decode(&blobs[0]).unwrap();
+        assert!(dropped > 0, "frames to the dead peer are counted");
+        node.join().unwrap().unwrap();
     }
 
     /// `decodes` must answer every strict prefix of `bytes` with an error
