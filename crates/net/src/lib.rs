@@ -58,7 +58,7 @@ pub mod time;
 pub use actor::{Actor, Context, NodeId, TimerId};
 pub use channel::ChannelCost;
 pub use codec::{CodecError, Reader, WireCodec};
-pub use proc::{ChildOpts, Coordinator, ProcTransport};
+pub use proc::{ChildOpts, ControlListener, Coordinator, ProcTransport};
 // Telemetry vocabulary, re-exported so actor crates can expose gauges
 // and callers can configure sampling without naming `eesmr_metrics`.
 pub use eesmr_metrics::{ActorGauges, GaugeKind, MetricsConfig, MetricsSet, NodeSeries};

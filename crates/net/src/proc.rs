@@ -3,20 +3,41 @@
 //!
 //! This is the second net backend (after the deterministic simulator):
 //! real kernel scheduling, real sockets, real bytes. A **coordinator**
-//! process spawns one child per replica
-//! (same binary, `--node-id`/`--listen`/`--peers` flags), connects a
-//! control channel to each, and releases them simultaneously. Each child
-//! reports its progress on that channel whenever it changes, and the
-//! coordinator waits on those reports until the run is done, then
-//! collects one opaque report blob per node.
+//! process spawns one child per replica (same binary,
+//! `--node-id`/`--listen`/`--peers`/`--control` flags), releases them
+//! simultaneously once all have checked in, and waits on the progress
+//! each child reports on its control stream whenever it changes, until
+//! the run is done; then it collects one opaque report blob per node.
+//!
+//! # Bring-up
+//!
+//! No process dials a listener that may not be up yet, so nothing sleeps
+//! and retries:
+//!
+//! 1. the coordinator binds a [`ControlListener`] before it spawns a
+//!    child, and passes its address as `--control`;
+//! 2. each child binds its mesh listener, dials the coordinator once and
+//!    checks in with a hello (control role, its node id);
+//! 3. once all `n` have checked in ([`Coordinator::check_in`]), the
+//!    coordinator sends the start command;
+//! 4. on it, each child dials its peers — each bound its listener before
+//!    it checked in, so every dial finds one — and starts its replica.
+//!    Frames from faster peers queue until the child's own start.
+//!
+//! Bring-up has one deadline, the timeout the control listener is bound
+//! with: a child that has not checked in by then ends it with `TimedOut`
+//! naming that child, and any other connection to the control listener
+//! that does not check in as one of the `n` children ends it with
+//! `InvalidData`.
 //!
 //! # Framing
 //!
 //! Every frame on a stream is `u32` little-endian length + payload,
 //! capped at [`MAX_FRAME_LEN`]. The first frame on any connection is a
-//! hello identifying the dialing side (peer node id, or the control
-//! plane); subsequent frames are encoded protocol messages (on peer
-//! connections) or control commands/replies (on the control connection).
+//! hello identifying the dialing side (its node id, and whether it dials
+//! as a peer or checks in on the control plane); subsequent frames are
+//! encoded protocol messages (on peer connections) or control
+//! commands/replies (on the control connection).
 //!
 //! # Semantics vs the simulator
 //!
@@ -45,8 +66,9 @@ use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -71,7 +93,8 @@ pub const MAX_FRAME_LEN: usize = 1 << 26;
 const HELLO_PREFIX: [u8; 4] = [b'E', b'P', b'H', codec::VERSION];
 /// Hello-frame role: an ordinary replica peer.
 const ROLE_PEER: u8 = 0;
-/// Hello-frame role: the coordinator's control connection.
+/// Hello-frame role: a child checking in on the coordinator's control
+/// listener.
 const ROLE_CTRL: u8 = 1;
 
 /// Control command: release the child into `on_start` + its main loop.
@@ -142,6 +165,14 @@ impl Stream {
         }
     }
 
+    /// Bounds every later blocking read on this stream (`None`: unbounded).
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_read_timeout(timeout),
+            Stream::Uds(s) => s.set_read_timeout(timeout),
+        }
+    }
+
     /// Shuts both directions, waking a read blocked on any clone.
     fn shutdown(&self) -> io::Result<()> {
         match self {
@@ -200,6 +231,15 @@ impl ListenerSock {
             ListenerSock::Uds(l) => l.accept().map(|(s, _)| Stream::Uds(s)),
         }
     }
+
+    /// The address a dial reaches this listener at: the bound port for
+    /// TCP (so `127.0.0.1:0` resolves), the socket path `bound` for UDS.
+    fn addr(&self, bound: &str) -> io::Result<String> {
+        match self {
+            ListenerSock::Tcp(l) => Ok(l.local_addr()?.to_string()),
+            ListenerSock::Uds(_) => Ok(bound.to_string()),
+        }
+    }
 }
 
 /// Writes one length-delimited frame and flushes; a payload over
@@ -241,8 +281,27 @@ fn parse_hello(frame: &[u8]) -> io::Result<(u8, NodeId)> {
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad hello frame"))
 }
 
+/// The child a control-listener hello checks in: a well-formed hello in
+/// the control role from one of children `0..n`, else `InvalidData`.
+fn parse_check_in(frame: &[u8], n: usize) -> io::Result<usize> {
+    let bad = |why: String| io::Error::new(io::ErrorKind::InvalidData, why);
+    match parse_hello(frame)? {
+        (ROLE_CTRL, id) if (id as usize) < n => Ok(id as usize),
+        (ROLE_CTRL, id) => Err(bad(format!("check-in from node {id}, but only {n} children run"))),
+        (role, id) => Err(bad(format!("hello from node {id} in role {role}, not a check-in"))),
+    }
+}
+
+/// Connects to `addr` and sends `hello` as the first frame; an error
+/// names `whom` and the address.
+fn dial(transport: ProcTransport, addr: &str, hello: &[u8], whom: &str) -> io::Result<Stream> {
+    Stream::connect(transport, addr)
+        .and_then(|mut s| write_frame(&mut s, hello).map(|()| s))
+        .map_err(|e| io::Error::new(e.kind(), format!("dial to {whom} at {addr}: {e}")))
+}
+
 /// Command-line shape of one child replica: identity, where to listen,
-/// and every peer's address.
+/// every peer's address, and where to check in.
 #[derive(Debug, Clone)]
 pub struct ChildOpts {
     /// This replica's node id.
@@ -253,6 +312,9 @@ pub struct ChildOpts {
     pub listen: String,
     /// `(peer id, peer address)` for every *other* node.
     pub peers: Vec<(NodeId, String)>,
+    /// The coordinator's [`ControlListener`] address, dialled once to
+    /// check in.
+    pub control: String,
 }
 
 impl ChildOpts {
@@ -282,7 +344,6 @@ impl ChildOpts {
 enum PEvent<M> {
     Deliver { origin: NodeId, msg: M, arrived: Option<Instant>, target: Option<NodeId> },
     Ctrl(u8),
-    CtrlConnected(Stream),
     CtrlClosed,
 }
 
@@ -305,9 +366,9 @@ impl PeerLink {
     }
 }
 
-/// Runs one replica process: binds, meshes with every peer, waits for the
-/// coordinator's start command, then drives `actor` off the wall clock
-/// until the coordinator stops it.
+/// Runs one replica process: binds its listener, checks in with the
+/// coordinator, and on the start command dials every peer and drives
+/// `actor` off the wall clock until the coordinator stops it.
 ///
 /// `channel` prices its sends and receptions, a scan window lasting
 /// `scan_window` (the simulator's `NetConfig::hop_delay_max`). `status`
@@ -316,7 +377,8 @@ impl PeerLink {
 /// final actor, its energy meter, and the transport counters into the
 /// opaque blob [`Coordinator::stop_and_collect`] returns. Returns once
 /// that blob is sent and the coordinator has closed the control stream;
-/// a control stream that closes before the stop command is an error.
+/// a control stream that closes before the stop command is an error, as
+/// is a failed dial (to the coordinator or, after the start, to a peer).
 pub fn run_node<A, S, R>(
     opts: ChildOpts,
     actor: A,
@@ -334,79 +396,66 @@ where
     let listener = ListenerSock::bind(opts.transport, &opts.listen)?;
     let (tx, rx) = mpsc::channel::<PEvent<A::Msg>>();
 
-    // Accept loop: every inbound connection identifies itself with a
-    // hello, then its reader thread pumps decoded frames into the main
-    // loop. Threads exit when their stream closes; the accept thread
-    // lives for the process lifetime.
+    // Accept loop: only peers dial this listener. Each identifies itself
+    // with a hello, then its reader thread pumps decoded frames into the
+    // main loop; a connection with any other hello is dropped. Threads
+    // exit when their stream closes; the accept thread lives for the
+    // process lifetime.
+    let peer_tx = tx.clone();
     std::thread::spawn(move || {
         while let Ok(mut stream) = listener.accept() {
-            let tx = tx.clone();
+            let tx = peer_tx.clone();
             std::thread::spawn(move || {
                 let hello = read_frame(&mut stream).and_then(|hello| parse_hello(&hello));
-                let Ok((role, origin)) = hello else { return };
-                if role == ROLE_CTRL {
-                    let Ok(writer) = stream.try_clone() else { return };
-                    if tx.send(PEvent::CtrlConnected(writer)).is_err() {
+                let Ok((ROLE_PEER, origin)) = hello else { return };
+                while let Ok(frame) = read_frame(&mut stream) {
+                    let arrived = Some(Instant::now());
+                    // A malformed frame from a peer is that peer's
+                    // fault; drop it and keep reading.
+                    let Ok(msg) = A::Msg::decode(&frame) else { continue };
+                    let deliver = PEvent::Deliver { origin, msg, arrived, target: None };
+                    if tx.send(deliver).is_err() {
                         return;
-                    }
-                    while let Some(cmd) =
-                        read_frame(&mut stream).ok().and_then(|f| u8::decode(&f).ok())
-                    {
-                        if tx.send(PEvent::Ctrl(cmd)).is_err() {
-                            return;
-                        }
-                    }
-                    let _ = tx.send(PEvent::CtrlClosed);
-                } else {
-                    while let Ok(frame) = read_frame(&mut stream) {
-                        let arrived = Some(Instant::now());
-                        // A malformed frame from a peer is that peer's
-                        // fault; drop it and keep reading.
-                        let Ok(msg) = A::Msg::decode(&frame) else { continue };
-                        let deliver = PEvent::Deliver { origin, msg, arrived, target: None };
-                        if tx.send(deliver).is_err() {
-                            return;
-                        }
                     }
                 }
             });
         }
     });
 
-    // Dial every peer. Their listeners may not be up yet, so retry with
-    // backoff for a generous window.
-    let hello = hello_frame(ROLE_PEER, opts.node_id);
-    let dial = |addr: &str| -> io::Result<Stream> {
-        let mut s = Stream::connect(opts.transport, addr)?;
-        write_frame(&mut s, &hello)?;
-        Ok(s)
-    };
-    let deadline = Instant::now() + Duration::from_secs(20);
-    let mut links = Vec::with_capacity(opts.peers.len());
-    for (id, addr) in &opts.peers {
-        let stream = loop {
-            match dial(addr) {
-                Ok(s) => break s,
-                Err(e) if Instant::now() >= deadline => return Err(e),
-                Err(_) => std::thread::sleep(Duration::from_millis(10)),
+    // Check in, once: the coordinator bound its listener before spawning
+    // this process. A thread feeds its commands into the main loop.
+    let hello = hello_frame(ROLE_CTRL, opts.node_id);
+    let mut ctrl = dial(opts.transport, &opts.control, &hello, "the coordinator")?;
+    let mut commands = ctrl.try_clone()?;
+    std::thread::spawn(move || {
+        while let Some(cmd) = read_frame(&mut commands).ok().and_then(|f| u8::decode(&f).ok()) {
+            if tx.send(PEvent::Ctrl(cmd)).is_err() {
+                return;
             }
-        };
-        links.push(PeerLink { id: *id, stream: Some(stream) });
-    }
+        }
+        let _ = tx.send(PEvent::CtrlClosed);
+    });
 
     // Hold for the start command; frames from faster peers queue up.
-    let mut ctrl: Option<Stream> = None;
     let mut pending: VecDeque<PEvent<A::Msg>> = VecDeque::new();
     let died = || io::Error::new(io::ErrorKind::BrokenPipe, "accept loop died");
     let orphaned = || io::Error::new(io::ErrorKind::BrokenPipe, "control stream closed");
     loop {
         match rx.recv().map_err(|_| died())? {
-            PEvent::CtrlConnected(w) => ctrl = Some(w),
             PEvent::Ctrl(CMD_START) => break,
             PEvent::Ctrl(_) => {}
             PEvent::CtrlClosed => return Err(orphaned()),
             deliver => pending.push_back(deliver),
         }
+    }
+
+    // Dial every peer, once: each bound its listener before it checked
+    // in, and the start command follows the last check-in.
+    let hello = hello_frame(ROLE_PEER, opts.node_id);
+    let mut links = Vec::with_capacity(opts.peers.len());
+    for (id, addr) in &opts.peers {
+        let stream = dial(opts.transport, addr, &hello, &format!("peer {id}"))?;
+        links.push(PeerLink { id: *id, stream: Some(stream) });
     }
 
     let mut rt = ProcRuntime {
@@ -442,11 +491,9 @@ where
         // every change; the coordinator waits on these reports.
         let progress = status(rt.node.actor());
         if reported != Some(progress) {
-            if let Some(w) = ctrl.as_mut() {
-                let mut frame = vec![REPLY_STATUS];
-                progress.encode_into(&mut frame);
-                write_frame(w, &frame)?;
-            }
+            let mut frame = vec![REPLY_STATUS];
+            progress.encode_into(&mut frame);
+            write_frame(&mut ctrl, &frame)?;
             reported = Some(progress);
         }
         // Sleep until the next timer or frame; with no timer pending, only
@@ -454,20 +501,16 @@ where
         let next_us = rt.timers.peek().map_or(u64::MAX, |Reverse(head)| head.time);
         match rx.recv_timeout(Duration::from_micros(next_us.saturating_sub(rt.now_us()))) {
             Ok(PEvent::Ctrl(CMD_STOP)) => {
-                let blob = report(rt.node.actor(), rt.node.meter(), &rt.stats);
-                if let Some(w) = ctrl.as_mut() {
-                    let mut reply = vec![REPLY_REPORT];
-                    reply.extend_from_slice(&blob);
-                    write_frame(w, &reply)?;
-                }
+                let mut reply = vec![REPLY_REPORT];
+                reply.extend_from_slice(&report(rt.node.actor(), rt.node.meter(), &rt.stats));
+                write_frame(&mut ctrl, &reply)?;
                 // Stay meshed until the coordinator has every report and
                 // closes the stream: a peer still in its last step would
-                // otherwise retry its sends to this node with backoff.
+                // otherwise lose its link to this node and count drops.
                 while !matches!(rx.recv(), Ok(PEvent::CtrlClosed) | Err(_)) {}
                 return Ok(());
             }
             Ok(PEvent::Ctrl(_)) => {}
-            Ok(PEvent::CtrlConnected(w)) => ctrl = Some(w),
             Ok(PEvent::CtrlClosed) => return Err(orphaned()),
             Ok(ev) => rt.handle(ev),
             Err(RecvTimeoutError::Timeout) => {}
@@ -573,12 +616,88 @@ where
     }
 }
 
+/// The coordinator's control listener, bound before any child is spawned
+/// so that each child's one dial finds it. A thread accepts connections
+/// and hands each to a greeter thread of its own, which reads the hello
+/// and passes both to [`Coordinator::check_in`]; a silent connection
+/// thus delays no other check-in, and its greeter ends at the bring-up
+/// timeout. Dropping the listener wakes its accepting thread with a dial
+/// of its own and joins it, so no thread is left parked in `accept`; the
+/// socket closes with it.
+pub struct ControlListener {
+    transport: ProcTransport,
+    addr: String,
+    timeout: Duration,
+    closing: Arc<AtomicBool>,
+    acceptor: Option<JoinHandle<()>>,
+    /// `(connection number, hello frame, stream)`, connections numbered
+    /// from 0 in accept order.
+    hellos: Receiver<(usize, io::Result<Vec<u8>>, Stream)>,
+}
+
+impl ControlListener {
+    /// Binds `addr` (`127.0.0.1:0` picks a free port; a UDS path is
+    /// replaced if stale) and starts accepting. `timeout` is the one
+    /// bring-up deadline: it bounds each connection's hello and
+    /// [`Coordinator::check_in`]'s wait for all children, and the
+    /// coordinator then applies it to every control write and to
+    /// [`Coordinator::stop_and_collect`]. A healthy child checks in and
+    /// reports within milliseconds, so choose it far above that.
+    pub fn bind(
+        transport: ProcTransport,
+        addr: &str,
+        timeout: Duration,
+    ) -> io::Result<ControlListener> {
+        let listener = ListenerSock::bind(transport, addr)?;
+        let addr = listener.addr(addr)?;
+        let closing = Arc::new(AtomicBool::new(false));
+        let (tx, hellos) = mpsc::channel();
+        let stop = Arc::clone(&closing);
+        let acceptor = std::thread::spawn(move || {
+            for conn in 0.. {
+                let Ok(mut stream) = listener.accept() else { return };
+                if stop.load(Ordering::Acquire) {
+                    return;
+                }
+                let tx = tx.clone();
+                std::thread::spawn(move || {
+                    let hello = stream
+                        .set_read_timeout(Some(timeout))
+                        .and_then(|()| read_frame(&mut stream))
+                        .and_then(|hello| stream.set_read_timeout(None).map(|()| hello));
+                    let _ = tx.send((conn, hello, stream));
+                });
+            }
+        });
+        Ok(ControlListener { transport, addr, timeout, closing, acceptor: Some(acceptor), hellos })
+    }
+
+    /// The address children dial to check in (the `--control` flag).
+    pub fn addr(&self) -> &str {
+        &self.addr
+    }
+}
+
+impl Drop for ControlListener {
+    fn drop(&mut self) {
+        self.closing.store(true, Ordering::Release);
+        let Some(acceptor) = self.acceptor.take() else { return };
+        // The wake-up dial lands in the backlog of a listener still
+        // accepting. If it fails, the listener is gone (and the thread
+        // with it) or its socket path is: then the thread cannot be
+        // woken, and it is left rather than waited on forever.
+        if Stream::connect(self.transport, &self.addr).is_ok() || acceptor.is_finished() {
+            let _ = acceptor.join();
+        }
+    }
+}
+
 /// The coordinator's half of the control protocol: one connection per
 /// child, each read by its own thread into one channel, so the
 /// coordinator sleeps until some child reports. Every wait is bounded: by
 /// the deadline given to [`Coordinator::run_until`], and by the timeout
-/// given to [`Coordinator::connect`] for writes and for the final
-/// reports, so a stopped or wedged child surfaces as
+/// the [`ControlListener`] was bound with for check-in, writes and the
+/// final reports, so a stopped or wedged child surfaces as
 /// [`io::ErrorKind::TimedOut`] naming it instead of hanging the
 /// coordinator. Dropping the coordinator shuts every control stream and
 /// joins its reader.
@@ -615,41 +734,57 @@ fn missing<T>(slots: &[Option<T>]) -> String {
 }
 
 impl Coordinator {
-    /// Connects a control channel to every child, retrying each address
-    /// until `timeout` (children need a moment to bind), and starts one
-    /// reader per channel. The same bound then applies to every later
-    /// write and to [`Coordinator::stop_and_collect`]; a healthy child
-    /// reports within milliseconds, so choose it far above that. Reads
-    /// carry no timeout: an idle child is not an error, only a missed
-    /// deadline is.
-    pub fn connect(
-        transport: ProcTransport,
-        addrs: &[String],
-        timeout: Duration,
-    ) -> io::Result<Coordinator> {
+    /// Waits on `control` until children `0..n` have each checked in
+    /// once, then stops accepting and starts one reader per control
+    /// stream. Bounded by the listener's timeout: a child still missing
+    /// then is named in a `TimedOut` error. A connection whose hello is
+    /// not a check-in from one of the `n` children, or a second check-in
+    /// for a child already in, is `InvalidData` naming that connection.
+    /// Reads on the control streams carry no timeout: an idle child is
+    /// not an error, only a missed deadline is.
+    pub fn check_in(control: ControlListener, n: usize) -> io::Result<Coordinator> {
+        let timeout = control.timeout;
         let deadline = Instant::now() + timeout;
+        let mut checked: Vec<Option<Stream>> = (0..n).map(|_| None).collect();
+        while checked.iter().any(Option::is_none) {
+            let wait = deadline.saturating_duration_since(Instant::now());
+            let (conn, hello, stream) = control.hellos.recv_timeout(wait).map_err(|err| {
+                let kind = match err {
+                    RecvTimeoutError::Timeout => io::ErrorKind::TimedOut,
+                    RecvTimeoutError::Disconnected => io::ErrorKind::BrokenPipe,
+                };
+                io::Error::new(kind, format!("check-in: {} never checked in", missing(&checked)))
+            })?;
+            let hostile = |why: String| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("control connection {conn}: {why}"),
+                )
+            };
+            let child = hello
+                .and_then(|frame| parse_check_in(&frame, n))
+                .map_err(|err| hostile(err.to_string()))?;
+            if checked[child].is_some() {
+                return Err(hostile(format!("second check-in for child {child}")));
+            }
+            stream.set_write_timeout(timeout).map_err(|e| ctrl_err(child, e))?;
+            checked[child] = Some(stream);
+        }
+        // Every child is in: stop accepting.
+        drop(control);
+
         let (tx, frames) = mpsc::channel();
         // Built up link by link, so an error below drops (and so shuts
         // and joins) the readers already started.
         let mut coord = Coordinator {
-            links: Vec::with_capacity(addrs.len()),
-            readers: Vec::with_capacity(addrs.len()),
+            links: Vec::with_capacity(n),
+            readers: Vec::with_capacity(n),
             frames,
-            statuses: vec![None; addrs.len()],
+            statuses: vec![None; n],
             timeout,
         };
-        for (child, addr) in addrs.iter().enumerate() {
-            let mut s = loop {
-                match Stream::connect(transport, addr) {
-                    Ok(s) => break s,
-                    Err(e) if Instant::now() >= deadline => return Err(ctrl_err(child, e)),
-                    Err(_) => std::thread::sleep(Duration::from_millis(10)),
-                }
-            };
-            s.set_write_timeout(timeout)?;
-            write_frame(&mut s, &hello_frame(ROLE_CTRL, u32::MAX))
-                .map_err(|e| ctrl_err(child, e))?;
-            let mut reader = s.try_clone()?;
+        for (child, s) in checked.into_iter().flatten().enumerate() {
+            let mut reader = s.try_clone().map_err(|e| ctrl_err(child, e))?;
             coord.links.push(s);
             let tx = tx.clone();
             // A report is a child's last frame: its reader ends there,
@@ -700,8 +835,8 @@ impl Coordinator {
         }
     }
 
-    /// Releases every child into its protocol (they bind and mesh before
-    /// this; none runs `on_start` until told).
+    /// Releases every child into its protocol: each dials its peers,
+    /// then runs `on_start` (none does before it is told).
     pub fn start(&mut self) -> io::Result<()> {
         self.command(CMD_START)
     }
@@ -746,7 +881,7 @@ impl Coordinator {
     }
 
     /// Stops every child and collects its report blob, skipping status
-    /// reports still in flight; bounded by the connect timeout.
+    /// reports still in flight; bounded by the bring-up timeout.
     pub fn stop_and_collect(mut self) -> io::Result<Vec<Vec<u8>>> {
         self.command(CMD_STOP)?;
         let deadline = Instant::now() + self.timeout;
@@ -794,8 +929,8 @@ static ADDR_EPOCH: AtomicU64 = AtomicU64::new(0);
 
 /// The listen addresses [`alloc_addrs`] hands out, indexable as a
 /// `[String]`. For UDS it owns the temp directory holding the socket
-/// files and removes it, sockets included, when dropped — on success and
-/// on every error path alike.
+/// files (the control socket included) and removes it, sockets and all,
+/// when dropped — on success and on every error path alike.
 #[derive(Debug)]
 pub struct MeshAddrs {
     addrs: Vec<String>,
@@ -807,6 +942,18 @@ impl std::ops::Deref for MeshAddrs {
 
     fn deref(&self) -> &[String] {
         &self.addrs
+    }
+}
+
+impl MeshAddrs {
+    /// Where the coordinator's [`ControlListener`] binds: `ctrl.sock`
+    /// beside the node sockets for UDS, so it goes with the directory; a
+    /// free loopback port for TCP.
+    pub fn control_addr(&self) -> String {
+        match &self.dir {
+            Some(dir) => dir.join("ctrl.sock").display().to_string(),
+            None => "127.0.0.1:0".to_string(),
+        }
     }
 }
 
@@ -917,12 +1064,20 @@ mod tests {
     fn mesh_roundtrip(transport: ProcTransport) {
         const N: usize = 3;
         let addrs = alloc_addrs(transport, N).unwrap();
+        let control =
+            ControlListener::bind(transport, &addrs.control_addr(), Duration::from_secs(10))
+                .unwrap();
         let mut handles = Vec::new();
         for id in 0..N {
             let peers: Vec<(NodeId, String)> =
                 (0..N).filter(|p| *p != id).map(|p| (p as NodeId, addrs[p].clone())).collect();
-            let opts =
-                ChildOpts { node_id: id as NodeId, transport, listen: addrs[id].clone(), peers };
+            let opts = ChildOpts {
+                node_id: id as NodeId,
+                transport,
+                listen: addrs[id].clone(),
+                peers,
+                control: control.addr().to_string(),
+            };
             handles.push(std::thread::spawn(move || {
                 run_node(
                     opts,
@@ -940,7 +1095,7 @@ mod tests {
             }));
         }
 
-        let mut coord = Coordinator::connect(transport, &addrs, Duration::from_secs(10)).unwrap();
+        let mut coord = Coordinator::check_in(control, N).unwrap();
         coord.start().unwrap();
         // Node 0 hears its own flood plus N-1 replies, and its kept timer
         // fires; others hear one.
@@ -977,20 +1132,25 @@ mod tests {
         mesh_roundtrip(ProcTransport::Tcp);
     }
 
-    /// A fake child on loopback TCP: accepts the control connection,
-    /// checks its hello, and hands the stream to `script`.
+    /// Dials the control listener at `addr` and sends `hello` as the first
+    /// frame, as a child checking in does; returns the dialled stream.
+    fn dial_in(addr: &str, hello: &[u8]) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write_frame(&mut stream, hello).unwrap();
+        stream
+    }
+
+    /// A coordinator of one fake child on loopback TCP, bound with
+    /// `timeout`: the child checks in and hands its control stream to
+    /// `script`.
     fn control_peer<T: Send + 'static>(
+        timeout: Duration,
         script: impl FnOnce(TcpStream) -> T + Send + 'static,
-    ) -> (String, std::thread::JoinHandle<T>) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = format!("127.0.0.1:{}", listener.local_addr().unwrap().port());
-        let peer = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let hello = read_frame(&mut stream).unwrap();
-            assert_eq!(parse_hello(&hello).unwrap(), (ROLE_CTRL, u32::MAX));
-            script(stream)
-        });
-        (addr, peer)
+    ) -> (Coordinator, std::thread::JoinHandle<T>) {
+        let control = ControlListener::bind(ProcTransport::Tcp, "127.0.0.1:0", timeout).unwrap();
+        let addr = control.addr().to_string();
+        let peer = std::thread::spawn(move || script(dial_in(&addr, &hello_frame(ROLE_CTRL, 0))));
+        (Coordinator::check_in(control, 1).unwrap(), peer)
     }
 
     fn send_status(stream: &mut TcpStream, status: u64) {
@@ -1003,7 +1163,7 @@ mod tests {
     fn run_until_waits_for_reports_without_polling() {
         // The peer reports 0, then 5 after 200 ms, then logs every command
         // it gets until the coordinator's drop closes the stream.
-        let (addr, peer) = control_peer(|mut stream| {
+        let (mut coord, peer) = control_peer(Duration::from_secs(10), |mut stream| {
             let mut commands = vec![read_frame(&mut stream).unwrap()];
             send_status(&mut stream, 0);
             std::thread::sleep(Duration::from_millis(200));
@@ -1013,8 +1173,6 @@ mod tests {
             }
             commands
         });
-        let mut coord =
-            Coordinator::connect(ProcTransport::Tcp, &[addr], Duration::from_secs(10)).unwrap();
         coord.start().unwrap();
         let statuses = coord.run_until(|s| s[0] >= 5, Duration::from_secs(10)).unwrap();
         assert_eq!(statuses, vec![5]);
@@ -1024,13 +1182,11 @@ mod tests {
 
     #[test]
     fn closed_control_stream_ends_the_wait_at_once() {
-        let (addr, peer) = control_peer(|mut stream| {
+        let (mut coord, peer) = control_peer(Duration::from_secs(10), |mut stream| {
             read_frame(&mut stream).unwrap();
             send_status(&mut stream, 0);
             // Dropping the stream closes it mid-run, as a dying child does.
         });
-        let mut coord =
-            Coordinator::connect(ProcTransport::Tcp, &[addr], Duration::from_secs(10)).unwrap();
         coord.start().unwrap();
         let asked = Instant::now();
         let err = coord.run_until(|s| s[0] >= 5, Duration::from_secs(10)).unwrap_err();
@@ -1041,15 +1197,14 @@ mod tests {
 
     #[test]
     fn stalled_control_peer_times_out_instead_of_hanging() {
-        // A child that completes the hello and then never reports
-        // (SIGSTOPped, wedged): the wait must fail with `TimedOut` naming
-        // the child, at its deadline.
+        // A child that checks in and then never reports (SIGSTOPped,
+        // wedged): the wait must fail with `TimedOut` naming the child, at
+        // its deadline.
         let (release, hold) = std::sync::mpsc::channel::<()>();
-        let (addr, stalled) = control_peer(move |_stream| {
+        let bound = Duration::from_millis(300);
+        let (mut coord, stalled) = control_peer(bound, move |_stream| {
             let _ = hold.recv(); // keep the connection open, silently
         });
-        let bound = Duration::from_millis(300);
-        let mut coord = Coordinator::connect(ProcTransport::Tcp, &[addr], bound).unwrap();
         coord.start().unwrap();
         let asked = Instant::now();
         let err = coord.run_until(|_| true, bound).unwrap_err();
@@ -1061,14 +1216,83 @@ mod tests {
     }
 
     #[test]
+    fn a_child_that_never_checks_in_times_out_by_name() {
+        // Three children are expected; 0 and 2 check in, 1 never does.
+        let bound = Duration::from_millis(300);
+        let control = ControlListener::bind(ProcTransport::Tcp, "127.0.0.1:0", bound).unwrap();
+        let addr = control.addr().to_string();
+        let present = [0, 2].map(|id| dial_in(&addr, &hello_frame(ROLE_CTRL, id)));
+        let asked = Instant::now();
+        let err = Coordinator::check_in(control, 3).err().expect("child 1 is missing");
+        let took = asked.elapsed();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        let named = err.to_string();
+        assert!(named.contains("child 1"), "{named}");
+        assert!(!named.contains("child 0") && !named.contains("child 2"), "{named}");
+        assert!(took >= bound && took < 10 * bound, "took {took:?}");
+        // The failed check-in dropped the listener: its accepting thread
+        // has ended, so the address refuses, and the streams that did
+        // check in are closed.
+        let refused = TcpStream::connect(&addr).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::ConnectionRefused, "{refused}");
+        for mut stream in present {
+            assert_eq!(stream.read(&mut [0u8; 1]).unwrap(), 0, "control stream closed");
+        }
+        // Dropping a listener nobody dialled returns at once, too.
+        let idle = ControlListener::bind(ProcTransport::Tcp, "127.0.0.1:0", bound).unwrap();
+        let addr = idle.addr().to_string();
+        let dropped = Instant::now();
+        drop(idle);
+        assert!(dropped.elapsed() < bound, "drop took {:?}", dropped.elapsed());
+        let refused = TcpStream::connect(&addr).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::ConnectionRefused, "{refused}");
+    }
+
+    #[test]
+    fn hostile_check_ins_are_refused_naming_the_sender() {
+        // Any local process can dial the control listener. Each case's
+        // hellos arrive on connections of their own, for a run of two
+        // children; each ends the bring-up at once with `InvalidData`.
+        let mut bad_prefix = hello_frame(ROLE_CTRL, 0);
+        bad_prefix[0] ^= 0xff;
+        let second = [hello_frame(ROLE_CTRL, 1), hello_frame(ROLE_CTRL, 1)];
+        let cases: [(&[Vec<u8>], &str); 5] = [
+            (&[bad_prefix], "control connection 0: bad hello frame"),
+            (&[vec![0xff; 3]], "control connection 0: bad hello frame"),
+            (&[hello_frame(ROLE_PEER, 0)], "node 0 in role 0"),
+            (&[hello_frame(ROLE_CTRL, 2)], "check-in from node 2"),
+            (&second, "second check-in for child 1"),
+        ];
+        for (hellos, names) in cases {
+            let timeout = Duration::from_secs(10);
+            let control =
+                ControlListener::bind(ProcTransport::Tcp, "127.0.0.1:0", timeout).unwrap();
+            let senders: Vec<TcpStream> =
+                hellos.iter().map(|hello| dial_in(control.addr(), hello)).collect();
+            let asked = Instant::now();
+            let err = Coordinator::check_in(control, 2).err().expect("refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            let named = err.to_string();
+            assert!(named.starts_with("control connection "), "{named}");
+            assert!(named.contains(names), "{named} does not name {names:?}");
+            assert!(asked.elapsed() < timeout / 2, "took {:?}", asked.elapsed());
+            drop(senders);
+        }
+    }
+
+    #[test]
     fn child_ends_when_control_closes_before_stop() {
         // A coordinator that dies mid-run must not leave its child running.
         let addrs = alloc_addrs(ProcTransport::Uds, 1).unwrap();
+        let timeout = Duration::from_secs(10);
+        let control =
+            ControlListener::bind(ProcTransport::Uds, &addrs.control_addr(), timeout).unwrap();
         let opts = ChildOpts {
             node_id: 0,
             transport: ProcTransport::Uds,
             listen: addrs[0].clone(),
             peers: Vec::new(),
+            control: control.addr().to_string(),
         };
         let (done, ended) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
@@ -1083,8 +1307,7 @@ mod tests {
             );
             let _ = done.send(ran);
         });
-        let mut coord =
-            Coordinator::connect(ProcTransport::Uds, &addrs, Duration::from_secs(10)).unwrap();
+        let mut coord = Coordinator::check_in(control, 1).unwrap();
         coord.start().unwrap();
         coord.run_until(|s| s[0] == 0, Duration::from_secs(10)).unwrap();
         drop(coord);
@@ -1123,19 +1346,23 @@ mod tests {
 
     #[test]
     fn frames_to_a_dead_peer_are_dropped_without_stalling_the_node() {
-        // Node 1 is a fake peer: it takes node 0's hello, then closes both
-        // the connection and its listener before node 0 starts.
+        // Node 1 is a fake peer: it takes the hello node 0 dials with on
+        // its start, then closes both the connection and its listener.
         let addrs = alloc_addrs(ProcTransport::Uds, 2).unwrap();
         let listener = UnixListener::bind(&addrs[1]).unwrap();
         let peer = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
             assert_eq!(parse_hello(&read_frame(&mut stream).unwrap()).unwrap(), (ROLE_PEER, 0));
         });
+        let timeout = Duration::from_secs(10);
+        let control =
+            ControlListener::bind(ProcTransport::Uds, &addrs.control_addr(), timeout).unwrap();
         let opts = ChildOpts {
             node_id: 0,
             transport: ProcTransport::Uds,
             listen: addrs[0].clone(),
             peers: vec![(1, addrs[1].clone())],
+            control: control.addr().to_string(),
         };
         let node = std::thread::spawn(move || {
             let scan = SimDuration::from_micros(1_000);
@@ -1149,11 +1376,10 @@ mod tests {
                 stats,
             )
         });
-        let mut coord =
-            Coordinator::connect(ProcTransport::Uds, &addrs[..1], Duration::from_secs(10)).unwrap();
-        peer.join().unwrap();
+        let mut coord = Coordinator::check_in(control, 1).unwrap();
         coord.start().unwrap();
         let started = Instant::now();
+        peer.join().unwrap();
         coord.run_until(|s| s[0] >= Ticker::TICKS, Duration::from_secs(5)).unwrap();
         let took = started.elapsed();
         assert!(took < Duration::from_millis(500), "{} ticks took {took:?}", Ticker::TICKS);
@@ -1184,6 +1410,14 @@ mod tests {
     fn hello_and_status_decoding_is_total() {
         for hello in [hello_frame(ROLE_PEER, 7), hello_frame(ROLE_CTRL, u32::MAX)] {
             assert_decoding_is_total(&hello, |frame| parse_hello(frame).is_ok());
+        }
+        // A check-in, as `Coordinator::check_in` decodes it for four
+        // children: only the control role and ids 0..4 pass.
+        assert_decoding_is_total(&hello_frame(ROLE_CTRL, 3), |f| parse_check_in(f, 4).is_ok());
+        assert_eq!(parse_check_in(&hello_frame(ROLE_CTRL, 0), 4).unwrap(), 0);
+        for hostile in [hello_frame(ROLE_PEER, 3), hello_frame(ROLE_CTRL, 4), hello_frame(9, 0)] {
+            let err = parse_check_in(&hostile, 4).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         }
         for status in [0, 42, u64::MAX] {
             // A status report's body, as `Coordinator::run_until` decodes it.

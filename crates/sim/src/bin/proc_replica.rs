@@ -3,8 +3,9 @@
 //! `Scenario::run_proc` spawns `n` copies of this binary. Each parses its
 //! command line back into the scenario cell and hands it to
 //! `Scenario::run_child`, which rebuilds the cell with the builder the
-//! simulator uses and meshes this node's replica with its peers over
-//! TCP or Unix domain sockets.
+//! simulator uses, checks in with the coordinator at `--control`, and on
+//! its start command meshes this node's replica with its peers over TCP
+//! or Unix domain sockets.
 
 use eesmr_sim::proc::parse_child_args;
 

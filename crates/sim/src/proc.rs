@@ -1,14 +1,15 @@
 //! ProcNet execution: run a [`Scenario`] as real OS processes.
 //!
-//! [`Scenario::run_proc`] spawns one `proc_replica` child per node (the
-//! `eesmr-sim` binary of that name), meshes them over TCP or Unix domain
-//! sockets via `eesmr_net::proc`, drives them with the coordinator
-//! control protocol, and reassembles the children's report blobs into
-//! the same [`RunReport`] the simulator emits. Wall clock replaces
-//! virtual time — `elapsed_us` and the latency figures are real — while
-//! the energy figures come from the same channel model and receive rule,
-//! priced on the same encoded bytes with the cell's scan window
-//! (`NetConfig::hop_delay_max`).
+//! [`Scenario::run_proc`] binds a control listener, spawns one
+//! `proc_replica` child per node (the `eesmr-sim` binary of that name),
+//! releases them once all have checked in, meshes them over TCP or Unix
+//! domain sockets via `eesmr_net::proc` (see its bring-up order), drives
+//! them with the coordinator control protocol, and reassembles the
+//! children's report blobs into the same [`RunReport`] the simulator
+//! emits. Wall clock replaces virtual time — `elapsed_us` and the latency
+//! figures are real — while the energy figures come from the same
+//! channel model and receive rule, priced on the same encoded bytes with
+//! the cell's scan window (`NetConfig::hop_delay_max`).
 //!
 //! # Δ padding
 //!
@@ -27,7 +28,9 @@ use std::time::{Duration, Instant};
 use eesmr_core::smr::Msg;
 use eesmr_core::{Rule, Smr};
 use eesmr_crypto::SigScheme;
-use eesmr_net::proc::{alloc_addrs, run_node, ChildOpts, ChildProc, Coordinator, ProcTransport};
+use eesmr_net::proc::{
+    alloc_addrs, run_node, ChildOpts, ChildProc, ControlListener, Coordinator, ProcTransport,
+};
 use eesmr_net::{NetConfig, NetStats, NodeId, SimDuration, WireCodec};
 use eesmr_trace::hist::LogHistogram;
 
@@ -44,8 +47,10 @@ pub const DELTA_PAD_US: u64 = 25_000;
 /// target before declaring the run wedged.
 const RUN_TIMEOUT: Duration = Duration::from_secs(120);
 
-/// How long the coordinator retries control connections while children
-/// bind their listeners.
+/// Bring-up's one deadline: how long the coordinator waits, from the
+/// last spawn, for every child to check in (a child that has not is
+/// named in the `TimedOut` error). The same bound then applies to every
+/// control write and to the final report collection.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// `--protocol` flag values, paired with [`parse_protocol`].
@@ -136,7 +141,7 @@ const REQUIRED_FLAGS: [&str; 4] = ["--protocol", "--n", "--k", "--delta-us"];
 
 /// Renders `scenario` and the padded Δ as `proc_replica` command-line
 /// arguments (everything except the per-child `--node-id`/`--transport`/
-/// `--listen`/`--peers` identity flags).
+/// `--listen`/`--peers`/`--control` identity flags).
 fn child_args(scenario: &Scenario, delta: SimDuration) -> Vec<String> {
     let mut args = vec!["--delta-us".to_string(), delta.as_micros().to_string()];
     for (name, render, _) in VALUE_FLAGS {
@@ -160,8 +165,8 @@ pub fn parse_child_args(args: &[String]) -> Option<(Scenario, SimDuration, Child
     // The placeholder shape is overwritten: --protocol/--n/--k are required.
     let mut scenario = Scenario::new(Protocol::Eesmr, 2, 1);
     let mut seen = Vec::new();
-    let (mut delta_us, mut node_id, mut transport, mut listen, mut peers) =
-        (None, None, None, None, None);
+    let (mut delta_us, mut node_id, mut transport, mut listen, mut peers, mut control) =
+        (None, None, None, None, None, None);
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let flag = flag.as_str();
@@ -177,14 +182,20 @@ pub fn parse_child_args(args: &[String]) -> Option<(Scenario, SimDuration, Child
             "--transport" => transport = Some(ProcTransport::parse(value)?),
             "--listen" => listen = Some(value.clone()),
             "--peers" => peers = Some(ChildOpts::parse_peers(value)?),
+            "--control" => control = Some(value.clone()),
             _ => {
                 let (_, _, parse) = VALUE_FLAGS.iter().find(|row| row.0 == flag)?;
                 parse(&mut scenario, value)?;
             }
         }
     }
-    let opts =
-        ChildOpts { node_id: node_id?, transport: transport?, listen: listen?, peers: peers? };
+    let opts = ChildOpts {
+        node_id: node_id?,
+        transport: transport?,
+        listen: listen?,
+        peers: peers?,
+        control: control?,
+    };
     let shaped = REQUIRED_FLAGS.iter().all(|f| seen.contains(f))
         && (1..scenario.n).contains(&scenario.k)
         && (opts.node_id as usize) < scenario.n;
@@ -292,6 +303,8 @@ impl Scenario {
         // Declared before the children so it drops after them: the
         // socket directory goes once no child can still be using it.
         let addrs = alloc_addrs(transport, self.n)?;
+        // Bound before the first spawn, so each child's one dial finds it.
+        let control = ControlListener::bind(transport, &addrs.control_addr(), CONNECT_TIMEOUT)?;
         let cell_args = child_args(self, delta);
         let mut children = Vec::with_capacity(self.n);
         for id in 0..self.n {
@@ -307,13 +320,15 @@ impl Scenario {
                 .arg(&addrs[id])
                 .arg("--peers")
                 .arg(ChildOpts::peers_flag(&peers))
+                .arg("--control")
+                .arg(control.addr())
                 .stdin(std::process::Stdio::null())
                 .stdout(std::process::Stdio::null());
             children.push(ChildProc(cmd.spawn()?));
         }
 
         let started = Instant::now();
-        let mut coord = Coordinator::connect(transport, &addrs, CONNECT_TIMEOUT)?;
+        let mut coord = Coordinator::check_in(control, self.n)?;
         coord.start()?;
         coord.run_until(|statuses| statuses.iter().all(|h| *h >= blocks), RUN_TIMEOUT)?;
         let blobs = coord.stop_and_collect()?;
@@ -388,9 +403,11 @@ mod tests {
 
     #[test]
     fn cell_args_roundtrip_through_the_child_parser() {
-        let identity =
-            ["--node-id", "3", "--transport", "uds", "--listen", "/tmp/x.sock", "--peers", "0@a"]
-                .map(String::from);
+        let identity: Vec<String> =
+            "--node-id 3 --transport uds --listen /tmp/x.sock --peers 0@a --control /tmp/ctrl.sock"
+                .split(' ')
+                .map(String::from)
+                .collect();
         let delta = SimDuration::from_micros(30_000);
         for protocol in
             [Protocol::Eesmr, Protocol::SyncHotStuff, Protocol::OptSync, Protocol::TrustedBaseline]
@@ -421,6 +438,7 @@ mod tests {
                 assert_eq!(opts.transport, ProcTransport::Uds);
                 assert_eq!(opts.listen, "/tmp/x.sock");
                 assert_eq!(opts.peers, vec![(0, "a".to_string())]);
+                assert_eq!(opts.control, "/tmp/ctrl.sock");
             }
         }
         // Unknown flags, missing values, bad numbers, missing required
@@ -438,6 +456,9 @@ mod tests {
         assert!(with(&["--k", "7"]).is_none(), "k must stay below n");
         assert!(with(&["--n", "3", "--k", "2"]).is_none(), "no node 3 when n = 3");
         assert!(parse_child_args(&identity).is_none(), "--protocol/--n/--k/--delta-us required");
+        let mut uncontrolled = child_args(&Scenario::new(Protocol::Eesmr, 7, 3), delta);
+        uncontrolled.extend(identity[..8].iter().cloned());
+        assert!(parse_child_args(&uncontrolled).is_none(), "--control required");
     }
 
     /// A node report with every field set, and its transport counters.
